@@ -35,7 +35,7 @@ pub struct Pragma {
 pub struct FileCtx<'a> {
     /// Workspace-relative path with `/` separators.
     pub path: &'a str,
-    /// Crate key: `core`, `shims/rayon`, `pwdft-rt` for the root crate.
+    /// Crate key: `core`, `shims/proptest`, `pwdft-rt` for the root crate.
     pub crate_key: String,
     /// Code tokens (comments stripped).
     pub code: Vec<Tok<'a>>,

@@ -171,10 +171,10 @@ fn meta_lints_catch_malformed_and_stale_pragmas() {
 
 #[test]
 fn shim_crates_get_their_own_crate_key() {
-    // `crates/shims/rayon` must key as `shims/rayon`, which is NOT in the
+    // `crates/shims/proptest` must key as `shims/proptest`, which is NOT in the
     // numeric-crate list — float-fold-order does not apply there.
     let src = "pub fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n";
-    let findings = check_source("crates/shims/rayon/src/fixture.rs", src);
+    let findings = check_source("crates/shims/proptest/src/fixture.rs", src);
     assert!(findings.is_empty(), "{findings:?}");
     // …but the same source in a numeric crate fires.
     let findings = check_source("crates/num/src/fixture.rs", src);

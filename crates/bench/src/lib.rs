@@ -1,8 +1,8 @@
 //! `pt-bench` — harness utilities that print every paper artifact.
 //!
 //! Each `src/bin/*.rs` target regenerates one table or figure of the
-//! paper; `benches/` carries the criterion micro-benchmarks of the real
-//! numerical kernels (Layer A). The formatting helpers here render the
+//! paper (the real Layer-A kernels are timed by the `benchmark/` package,
+//! `src/layers.rs` there). The formatting helpers here render the
 //! "paper vs model" comparisons recorded in `EXPERIMENTS.md`.
 
 use pt_perf::{CostModel, PAPER_GPU_COUNTS, PAPER_TABLE1_PER_SCF_TOTAL, PAPER_TABLE1_TOTAL};

@@ -1,7 +1,7 @@
 //! One-dimensional FFT plans.
 //!
 //! A [`Plan1d`] owns the twiddle tables for a fixed length and is immutable
-//! after construction, so one plan can be shared across rayon workers; each
+//! after construction, so one plan can be shared across pool workers; each
 //! call supplies (or allocates) its own scratch.
 
 use pt_num::c64;

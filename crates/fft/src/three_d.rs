@@ -4,16 +4,16 @@
 //! coordinates `(ix, iy, iz)` lives at linear index `ix + nx*(iy + ny*iz)` —
 //! x fastest. A [`Fft3`] owns three 1-D plans and exposes
 //!
-//! * [`Fft3::forward`]/[`Fft3::inverse`] — one transform, rayon-parallel
-//!   over FFT lines (the "band-by-band" execution of the paper: one orbital
-//!   at a time keeps the device busy via intra-transform parallelism);
+//! * [`Fft3::forward`]/[`Fft3::inverse`] — one transform, parallel over
+//!   FFT lines on the `pt-par` pool (the "band-by-band" execution of the
+//!   paper: one orbital at a time keeps the device busy via
+//!   intra-transform parallelism);
 //! * [`Fft3::forward_batch`]/[`Fft3::inverse_batch`] — many independent
 //!   transforms, parallel *across* the batch with serial lines inside (the
 //!   paper's "batched CUFFT" layout that saturates bandwidth).
 
 use crate::plan::{Direction, Plan1d};
 use pt_num::c64;
-use rayon::prelude::*;
 
 /// A 3-D FFT of fixed dimensions.
 pub struct Fft3 {
@@ -150,45 +150,62 @@ impl Fft3 {
     fn process_par(&self, data: &mut [c64], dir: Direction) {
         assert_eq!(data.len(), self.len(), "grid size mismatch");
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        // x axis: contiguous rows
-        data.par_chunks_mut(nx).for_each_init(
-            || vec![c64::ZERO; self.px.scratch_len()],
-            |scratch, row| self.px.process(row, scratch, dir),
-        );
+        // x axis: contiguous rows, one scratch per task
+        let rows = lines_per_task(ny * nz);
+        pt_par::parallel_chunks_mut(data, rows * nx, |_, block| {
+            let mut scratch = vec![c64::ZERO; self.px.scratch_len()];
+            for row in block.chunks_mut(nx) {
+                self.px.process(row, &mut scratch, dir);
+            }
+        });
         // y axis: independent z-slabs
-        data.par_chunks_mut(nx * ny).for_each_init(
-            || (vec![c64::ZERO; ny], vec![c64::ZERO; self.py.scratch_len()]),
-            |(line, scratch), slab| {
+        let slabs = lines_per_task(nz);
+        pt_par::parallel_chunks_mut(data, slabs * nx * ny, |_, block| {
+            let mut line = vec![c64::ZERO; ny];
+            let mut scratch = vec![c64::ZERO; self.py.scratch_len()];
+            for slab in block.chunks_mut(nx * ny) {
                 for ix in 0..nx {
                     for iy in 0..ny {
                         line[iy] = slab[ix + nx * iy];
                     }
-                    self.py.process(line, scratch, dir);
+                    self.py.process(&mut line, &mut scratch, dir);
                     for iy in 0..ny {
                         slab[ix + nx * iy] = line[iy];
                     }
                 }
-            },
-        );
+            }
+        });
         // z axis: transpose into line-major scratch, transform, scatter back
         let nl = nx * ny;
         let mut buf = vec![c64::ZERO; data.len()];
         {
             let src: &[c64] = data;
-            buf.par_chunks_mut(nz).enumerate().for_each_init(
-                || vec![c64::ZERO; self.pz.scratch_len()],
-                |scratch, (l, lbuf)| {
+            let lines = lines_per_task(nl);
+            pt_par::parallel_chunks_mut(&mut buf, lines * nz, |task, block| {
+                let mut scratch = vec![c64::ZERO; self.pz.scratch_len()];
+                for (k, lbuf) in block.chunks_mut(nz).enumerate() {
+                    let l = task * lines + k;
                     for (iz, v) in lbuf.iter_mut().enumerate() {
                         *v = src[l + nl * iz];
                     }
-                    self.pz.process(lbuf, scratch, dir);
-                },
-            );
+                    self.pz.process(lbuf, &mut scratch, dir);
+                }
+            });
         }
-        data.par_chunks_mut(nl).enumerate().for_each(|(iz, slab)| {
-            for (l, v) in slab.iter_mut().enumerate() {
-                *v = buf[l * nz + iz];
+        pt_par::parallel_chunks_mut(data, slabs * nl, |task, block| {
+            for (k, slab) in block.chunks_mut(nl).enumerate() {
+                let iz = task * slabs + k;
+                for (l, v) in slab.iter_mut().enumerate() {
+                    *v = buf[l * nz + iz];
+                }
             }
         });
     }
+}
+
+/// Lines handed to one pool task of an axis pass, so that a pass over
+/// `n_lines` (positive: every plan length is) runs as at most
+/// `pt_par::chunk_count(n_lines)` tasks, each allocating its scratch once.
+fn lines_per_task(n_lines: usize) -> usize {
+    n_lines.div_ceil(pt_par::chunk_count(n_lines))
 }

@@ -2,12 +2,12 @@
 //!
 //! `ρ(r) = Σ_i f_i |ψ_i(r)|²`, evaluated on the dense grid (paper §3.4:
 //! band-index layout makes this embarrassingly parallel over bands followed
-//! by one `MPI_Allreduce` — here a rayon fold/reduce).
+//! by one `MPI_Allreduce` — here one partial density per `pt-par` band
+//! chunk, accumulated in chunk order).
 
 use crate::grids::PwGrids;
 use pt_linalg::CMat;
 use pt_num::c64;
-use rayon::prelude::*;
 
 /// Compute the density on the dense grid. `orbitals` columns are sphere
 /// coefficient vectors; `occ[i]` their occupations (2.0 for closed shell).
@@ -15,30 +15,31 @@ pub fn density_from_orbitals(grids: &PwGrids, orbitals: &CMat, occ: &[f64]) -> V
     assert_eq!(orbitals.nrows(), grids.ng());
     assert_eq!(orbitals.ncols(), occ.len());
     let nd = grids.n_dense();
-    (0..orbitals.ncols())
-        .into_par_iter()
-        // pt-analyze: allow(float-fold-order) — the rayon shim drives this fold as ONE band-ordered sequential accumulator (scratch reuse, not a reduction tree); a real-rayon swap must reroute it through pt_par::parallel_reduce
-        .fold(
-            || (vec![0.0f64; nd], vec![c64::ZERO; nd]),
-            |(mut acc, mut work), i| {
-                grids.to_real_dense(orbitals.col(i), &mut work);
-                let f = occ[i];
-                for (a, z) in acc.iter_mut().zip(&work) {
-                    *a += f * z.norm_sqr();
-                }
-                (acc, work)
-            },
-        )
-        .map(|(acc, _)| acc)
-        .reduce(
-            || vec![0.0f64; nd],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(&b) {
-                    *x += y;
-                }
-                a
-            },
-        )
+    let nb = orbitals.ncols();
+    // one partial density (and one real-space scratch) per band chunk,
+    // bands accumulated in index order inside a chunk
+    let k = pt_par::chunk_count(nb);
+    let partials: Vec<Vec<f64>> = pt_par::parallel_map(k, |c| {
+        let mut acc = vec![0.0f64; nd];
+        let mut work = vec![c64::ZERO; nd];
+        for i in pt_par::chunk_range(nb, k, c) {
+            grids.to_real_dense(orbitals.col(i), &mut work);
+            let f = occ[i];
+            for (a, z) in acc.iter_mut().zip(&work) {
+                *a += f * z.norm_sqr();
+            }
+        }
+        acc
+    });
+    // chunk-ordered left accumulate from zero (not a pairwise tree: the
+    // pinned trajectories carry this association)
+    let mut rho = vec![0.0f64; nd];
+    for part in &partials {
+        for (x, y) in rho.iter_mut().zip(part) {
+            *x += y;
+        }
+    }
+    rho
 }
 
 /// ∫ρ dr (electron-count check).
@@ -101,5 +102,24 @@ mod tests {
         for &v in &rho {
             assert!((v - want).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn multi_band_chunks_are_thread_count_independent() {
+        // 70 bands > 64 chunks: some chunks fold two bands before the
+        // chunk-ordered accumulate — the association no fixture reaches
+        let s = silicon_cubic_supercell(1, 1, 1);
+        let g = PwGrids::new(&s, 2.0);
+        let nb = 70;
+        let orb = CMat::rand_normalized(g.ng(), nb, 17);
+        let occ: Vec<f64> = (0..nb).map(|i| 2.0 - i as f64 / nb as f64).collect();
+        let run = |threads: usize| {
+            pt_par::ThreadPool::new(threads).install(|| density_from_orbitals(&g, &orb, &occ))
+        };
+        let (rho1, rho4) = (run(1), run(4));
+        assert!(rho1
+            .iter()
+            .zip(&rho4)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 }

@@ -17,7 +17,6 @@
 //! dedicated core slice (the paper's one-GPU-per-rank analogue).
 
 use crate::error::PtError;
-use crate::fock::FockOperator;
 use crate::grids::PwGrids;
 use pt_linalg::CMat;
 use pt_mpi::{Comm, Wire};
@@ -442,14 +441,6 @@ pub fn distributed_residual(
     out
 }
 
-/// Serial reference: apply a [`FockOperator`] built from the full Φ to the
-/// full Ψ (used by tests to validate the distributed path).
-pub fn serial_fock_reference(grids: &PwGrids, fock: &FockOperator, psi: &CMat) -> CMat {
-    let mut out = CMat::zeros(psi.nrows(), psi.ncols());
-    fock.apply_block(grids, psi, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,7 +557,8 @@ mod tests {
         let kernel = ScreenedKernel::new(&grids, 0.11);
         // serial reference
         let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let want = serial_fock_reference(&grids, &fock, &psi);
+        let mut want = CMat::zeros(ng, nb);
+        fock.apply_block(&grids, &psi, &mut want);
         // distributed over 3 ranks
         let np = 3;
         let dist = BandDistribution {
@@ -617,7 +609,8 @@ mod tests {
         let psi = rand_block(ng, nb, 8);
         let kernel = ScreenedKernel::new(&grids, 0.11);
         let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let want = serial_fock_reference(&grids, &fock, &psi);
+        let mut want = CMat::zeros(ng, nb);
+        fock.apply_block(&grids, &psi, &mut want);
         let np = 2;
         let dist = BandDistribution {
             n_bands: nb,
@@ -841,7 +834,8 @@ mod tests {
         let psi = rand_block(ng, nb, 42);
         let kernel = ScreenedKernel::new(&grids, 0.11);
         let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let want = serial_fock_reference(&grids, &fock, &psi);
+        let mut want = CMat::zeros(ng, nb);
+        fock.apply_block(&grids, &psi, &mut want);
         let dist = BandDistribution {
             n_bands: nb,
             n_ranks: np,

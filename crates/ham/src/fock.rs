@@ -23,7 +23,6 @@
 use crate::grids::PwGrids;
 use pt_linalg::CMat;
 use pt_num::c64;
-use rayon::prelude::*;
 
 /// The (possibly screened) electron–electron interaction kernel in G-space.
 #[derive(Clone, Debug)]
@@ -94,14 +93,11 @@ impl FockOperator {
         mode: FockMode,
     ) -> Self {
         assert_eq!(phi.nrows(), grids.ng());
-        let phi_real: Vec<Vec<c64>> = (0..phi.ncols())
-            .into_par_iter()
-            .map(|i| {
-                let mut r = vec![c64::ZERO; grids.n_wfc()];
-                grids.to_real_wfc(phi.col(i), &mut r);
-                r
-            })
-            .collect();
+        let phi_real: Vec<Vec<c64>> = pt_par::parallel_map(phi.ncols(), |i| {
+            let mut r = vec![c64::ZERO; grids.n_wfc()];
+            grids.to_real_wfc(phi.col(i), &mut r);
+            r
+        });
         FockOperator {
             phi_real,
             alpha,
@@ -170,13 +166,15 @@ impl FockOperator {
                 }
                 acc
             }
-            FockMode::Batched => self
-                .phi_real
-                .par_iter()
-                // pt-analyze: allow(float-fold-order) — the rayon shim drives this fold as ONE φ-ordered sequential accumulator (pair-FFT scratch reuse); a real-rayon swap must reroute it through pt_par::parallel_reduce
-                .fold(
-                    || (vec![c64::ZERO; nw], vec![c64::ZERO; nw]),
-                    |(mut acc, mut pair), phi| {
+            FockMode::Batched => {
+                // one accumulator (and one pair scratch) per φ-chunk, φ in
+                // index order inside a chunk
+                let n_phi = self.phi_real.len();
+                let kc = pt_par::chunk_count(n_phi);
+                let partials: Vec<Vec<c64>> = pt_par::parallel_map(kc, |c| {
+                    let mut acc = vec![c64::ZERO; nw];
+                    let mut pair = vec![c64::ZERO; nw];
+                    for phi in &self.phi_real[pt_par::chunk_range(n_phi, kc, c)] {
                         for ((p, f), s) in pair.iter_mut().zip(phi).zip(psi_real) {
                             *p = f.conj() * *s;
                         }
@@ -188,19 +186,19 @@ impl FockOperator {
                         for ((o, f), v) in acc.iter_mut().zip(phi).zip(&pair) {
                             *o += (*f * *v).scale(-self.alpha);
                         }
-                        (acc, pair)
-                    },
-                )
-                .map(|(acc, _)| acc)
-                .reduce(
-                    || vec![c64::ZERO; nw],
-                    |mut a, b| {
-                        for (x, y) in a.iter_mut().zip(&b) {
-                            *x += *y;
-                        }
-                        a
-                    },
-                ),
+                    }
+                    acc
+                });
+                // chunk-ordered left accumulate from zero (not a pairwise
+                // tree: the pinned trajectories carry this association)
+                let mut acc = vec![c64::ZERO; nw];
+                for part in &partials {
+                    for (x, y) in acc.iter_mut().zip(part) {
+                        *x += *y;
+                    }
+                }
+                acc
+            }
         }
     }
 
@@ -429,5 +427,28 @@ mod tests {
         for (k, z) in out.iter().enumerate().skip(1) {
             assert!(z.abs() < 1e-10, "G component {k} should vanish, got {z:?}");
         }
+    }
+
+    #[test]
+    fn multi_phi_chunks_are_thread_count_independent() {
+        // 70 defining orbitals > 64 chunks: some chunks fold two φ before
+        // the chunk-ordered accumulate — the association no fixture reaches
+        let s = silicon_cubic_supercell(1, 1, 1);
+        let g = PwGrids::new(&s, 2.0);
+        let phi = rand_block(g.ng(), 70, 88);
+        let psi = rand_block(g.ng(), 1, 99);
+        let kern = ScreenedKernel::new(&g, 0.11);
+        let f = FockOperator::new(&g, &phi, 0.25, kern, FockMode::Batched);
+        let run = |threads: usize| {
+            pt_par::ThreadPool::new(threads).install(|| {
+                let mut out = vec![c64::ZERO; g.ng()];
+                f.apply(&g, psi.col(0), &mut out);
+                out
+            })
+        };
+        let (o1, o4) = (run(1), run(4));
+        assert!(o1.iter().zip(&o4).all(|(a, b)| {
+            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+        }));
     }
 }

@@ -30,8 +30,8 @@ mod system;
 pub use ace::AceOperator;
 pub use density::{density_from_orbitals, density_residual, integrate};
 pub use distributed::{
-    distributed_fock_apply, distributed_residual, serial_fock_reference, BandDistribution,
-    DistributedConfig, OVERLAP_CHUNK_ROWS,
+    distributed_fock_apply, distributed_residual, BandDistribution, DistributedConfig,
+    OVERLAP_CHUNK_ROWS,
 };
 pub use error::PtError;
 pub use fock::{FockMode, FockOperator, ScreenedKernel};

@@ -1,7 +1,6 @@
 //! Rank threads, point-to-point messaging and collectives.
 
 use crate::stats::CommStats;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pt_num::{c32, c64};
 use pt_par::{RankLayout, ThreadPool};
 use std::any::Any;
@@ -9,6 +8,7 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Panic payload of a rank that aborted because a *peer* died (the poison
@@ -119,19 +119,19 @@ where
     let mut txs = Vec::with_capacity(np);
     let mut rxs = Vec::with_capacity(np);
     for _ in 0..np {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         txs.push(tx);
         rxs.push(rx);
     }
     let mut results: Vec<Option<T>> = (0..np).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(np);
         for (rank, (rx, slot)) in rxs.drain(..).zip(results.iter_mut()).enumerate() {
             let txs = txs.clone();
             let stats = Arc::clone(&stats);
             let fref = &f;
             note_rank_thread_spawned();
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut comm = Comm::from_parts(rank, np, txs, rx, stats, wire);
                 let r = catch_unwind(AssertUnwindSafe(|| match threads_per_rank {
                     // the pool lives exactly as long as the rank closure:
@@ -174,8 +174,7 @@ where
                 Err(payload) => resume_unwind(payload),
             }
         }
-    })
-    .expect("virtual MPI scope failed");
+    });
     let out = results
         .into_iter()
         .map(|r| r.expect("rank produced no result"))

@@ -18,10 +18,10 @@
 
 use crate::comm::{note_rank_thread_spawned, Comm, Envelope, PeerDied, Wire};
 use crate::stats::{CommStats, StatsSnapshot};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use pt_par::{RankLayout, ThreadPool};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -102,15 +102,15 @@ impl RankEngine {
         let mut world_txs = Vec::with_capacity(np);
         let mut world_rxs = Vec::with_capacity(np);
         for _ in 0..np {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             world_txs.push(tx);
             world_rxs.push(rx);
         }
-        let (results_tx, results_rx) = unbounded::<RankReport>();
+        let (results_tx, results_rx) = channel::<RankReport>();
         let mut job_txs = Vec::with_capacity(np);
         let mut handles = Vec::with_capacity(np);
         for (rank, world_rx) in world_rxs.into_iter().enumerate() {
-            let (job_tx, job_rx) = unbounded::<RankMsg>();
+            let (job_tx, job_rx) = channel::<RankMsg>();
             job_txs.push(job_tx);
             let world_txs = world_txs.clone();
             let stats = Arc::clone(&stats);

@@ -10,9 +10,10 @@
 //! This crate reproduces that substrate in-process: every rank is a thread
 //! (with [`run_ranks_pinned`], a thread owning its own pinned `pt-par`
 //! compute pool — the paper's one-GPU-plus-CPU-slice per rank),
-//! point-to-point messages are crossbeam channels, and the collectives use
-//! the same algorithms real MPI implementations use for large messages
-//! (binomial-tree broadcast, reduce+bcast allreduce, pairwise alltoallv).
+//! point-to-point messages are `std::sync::mpsc` channels, and the
+//! collectives use the same algorithms real MPI implementations use for
+//! large messages (binomial-tree broadcast, reduce+bcast allreduce,
+//! pairwise alltoallv).
 //! Data movement is *real* — bytes are copied between rank-local buffers,
 //! optionally through an f32 wire — so the distributed Fock operator and
 //! residual algorithms in `pt-ham` run exactly the communication pattern of

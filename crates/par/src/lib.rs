@@ -2,12 +2,11 @@
 //! thread pool plus deterministic data-parallel primitives.
 //!
 //! The build environment is offline, so this crate depends on nothing but
-//! `std` (`std::thread` + channels-over-condvar). It is what the vendored
-//! `rayon` shim delegates to, which means every `par_iter` call site in
-//! `pt-ham`, `pt-fft`, `pt-linalg` and `pt-pseudo` executes on real
-//! threads without source changes, and the FFT/GEMM/Fock hot paths can
-//! additionally thread themselves explicitly with [`parallel_for`],
-//! [`parallel_chunks_mut`], [`parallel_map`] and [`parallel_reduce`].
+//! `std` (`std::thread` + channels-over-condvar). Every parallel region
+//! in `pt-fft`, `pt-linalg`, `pt-pseudo`, `pt-ham` and `pt-core` is a
+//! direct call to [`parallel_for`], [`parallel_chunks_mut`],
+//! [`parallel_map`] or [`parallel_reduce`] — there is no iterator façade
+//! in between.
 //!
 //! # Determinism contract
 //!

@@ -207,9 +207,9 @@ impl ThreadPool {
     }
 
     /// Run `f` with this pool as the calling thread's current pool: every
-    /// `pt_par` primitive (and hence every `rayon`-shim call site) reached
-    /// from `f` executes on it. Scoped and re-entrant; the previous pool is
-    /// restored when `f` returns or unwinds.
+    /// `pt_par` primitive reached from `f` executes on it. Scoped and
+    /// re-entrant; the previous pool is restored when `f` returns or
+    /// unwinds.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         INSTALLED.with(|s| s.borrow_mut().push(self as *const ThreadPool));
         struct Guard;

@@ -18,7 +18,6 @@
 use crate::gth::{gth_parameters, GthParams};
 use pt_lattice::{GSphere, Species, Structure};
 use pt_num::c64;
-use rayon::prelude::*;
 use std::fmt;
 
 /// Highest angular momentum channel this implementation evaluates (the
@@ -179,7 +178,7 @@ impl NonlocalPs {
                     let nm = 2 * l + 1;
                     let mut betas: Vec<Vec<c64>> = vec![vec![c64::ZERO; sphere.len()]; nm];
                     let ptilde: Vec<f64> =
-                        sphere.g2.par_iter().map(|&g2| radial(g2.sqrt())).collect();
+                        pt_par::parallel_map(sphere.len(), |k| radial(sphere.g2[k].sqrt()));
                     let il = match l % 4 {
                         0 => c64::ONE,
                         1 => -c64::I, // (−i)^1
@@ -221,17 +220,12 @@ impl NonlocalPs {
 
     /// Apply `V_NL` to a single orbital's coefficients: `out += V_NL ψ`.
     pub fn apply(&self, psi: &[c64], out: &mut [c64]) {
-        let contribs: Vec<(usize, c64)> = self
-            .projectors
-            .par_iter()
-            .enumerate()
-            .map(|(p, proj)| {
-                let amp = pt_num::complex::zdotc(&proj.beta, psi).scale(proj.h);
-                (p, amp)
-            })
-            .collect();
-        for (p, amp) in contribs {
-            pt_num::complex::zaxpy(amp, &self.projectors[p].beta, out);
+        let amps: Vec<c64> = pt_par::parallel_map(self.projectors.len(), |p| {
+            let proj = &self.projectors[p];
+            pt_num::complex::zdotc(&proj.beta, psi).scale(proj.h)
+        });
+        for (proj, amp) in self.projectors.iter().zip(amps) {
+            pt_num::complex::zaxpy(amp, &proj.beta, out);
         }
     }
 
@@ -240,32 +234,28 @@ impl NonlocalPs {
     pub fn apply_block(&self, psis: &[c64], out: &mut [c64], ng: usize) {
         assert_eq!(psis.len(), out.len());
         assert_eq!(psis.len() % ng, 0);
-        out.par_chunks_mut(ng)
-            .zip(psis.par_chunks(ng))
-            .for_each(|(o, p)| {
-                for proj in &self.projectors {
-                    let amp = pt_num::complex::zdotc(&proj.beta, p).scale(proj.h);
-                    pt_num::complex::zaxpy(amp, &proj.beta, o);
-                }
-            });
+        pt_par::parallel_chunks_mut(out, ng, |b, o| {
+            let p = &psis[b * ng..(b + 1) * ng];
+            for proj in &self.projectors {
+                let amp = pt_num::complex::zdotc(&proj.beta, p).scale(proj.h);
+                pt_num::complex::zaxpy(amp, &proj.beta, o);
+            }
+        });
     }
 
     /// Nonlocal energy Σ_i f_i Σ_p h_p |⟨β_p|ψ_i⟩|².
     pub fn energy(&self, psis: &[c64], ng: usize, occ: &[f64]) -> f64 {
         // parallel per-band energies materialized in band order, then the
-        // canonical serial sum — the reduction order stays pinned even if
-        // the rayon shim is ever swapped for the real (work-stealing) crate
-        let per_band: Vec<f64> = psis
-            .par_chunks(ng)
-            .zip(occ.par_iter())
-            .map(|(p, &f)| {
-                let mut e = 0.0;
-                for proj in &self.projectors {
-                    e += proj.h * pt_num::complex::zdotc(&proj.beta, p).norm_sqr();
-                }
-                f * e
-            })
-            .collect();
+        // canonical serial sum — the reduction order is pinned by
+        // `pt_num::reduce`, not by the pool schedule
+        let per_band: Vec<f64> = pt_par::parallel_map(occ.len().min(psis.len() / ng), |b| {
+            let p = &psis[b * ng..(b + 1) * ng];
+            let mut e = 0.0;
+            for proj in &self.projectors {
+                e += proj.h * pt_num::complex::zdotc(&proj.beta, p).norm_sqr();
+            }
+            occ[b] * e
+        });
         pt_num::reduce::sum_f64(per_band)
     }
 }

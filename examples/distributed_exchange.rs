@@ -5,8 +5,7 @@
 //! Run with: `cargo run --release --example distributed_exchange`
 
 use pwdft_rt::ham::{
-    distributed_fock_apply, serial_fock_reference, BandDistribution, FockMode, FockOperator,
-    PwGrids, ScreenedKernel,
+    distributed_fock_apply, BandDistribution, FockMode, FockOperator, PwGrids, ScreenedKernel,
 };
 use pwdft_rt::lattice::silicon_cubic_supercell;
 use pwdft_rt::linalg::CMat;
@@ -41,7 +40,9 @@ fn main() {
     let kernel = ScreenedKernel::new(&grids, 0.11);
     let reference = {
         let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        serial_fock_reference(&grids, &f, &psi)
+        let mut out = CMat::zeros(ng, nb);
+        f.apply_block(&grids, &psi, &mut out);
+        out
     };
     for (wire, name, bytes) in [(Wire::F64, "f64", 16u64), (Wire::F32, "f32", 8u64)] {
         for np in [2usize, 4] {

@@ -16,10 +16,10 @@
 //!   distributed algorithms (Alg. 2/3) across in-process rank threads with
 //!   real data movement and byte accounting. Everything executes on the
 //!   [`par`] fixed-worker thread pool (`PT_NUM_THREADS`, bit-deterministic
-//!   for any thread count) via the vendored rayon shim and the explicitly
-//!   threaded FFT/GEMM/Fock hot paths; a `ranks × threads_per_rank`
-//!   layout ([`ham::DistributedConfig`] on the builder) additionally pins
-//!   a dedicated pool to every rank thread and drives hybrid PT-CN through
+//!   for any thread count) through its chunk-ordered `parallel_*`
+//!   primitives; a `ranks × threads_per_rank` layout
+//!   ([`ham::DistributedConfig`] on the builder) additionally pins a
+//!   dedicated pool to every rank thread and drives hybrid PT-CN through
 //!   the distributed propagator ([`core::DistributedPtCnPropagator`]).
 //! * **Layer B (Summit model)** — machine constants ([`summit`]) and the
 //!   anchored performance model ([`perf`]) that regenerate every table and

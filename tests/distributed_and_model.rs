@@ -2,8 +2,7 @@
 //! and the Summit performance model's headline claims.
 
 use pwdft_rt::ham::{
-    distributed_fock_apply, serial_fock_reference, BandDistribution, FockMode, FockOperator,
-    PwGrids, ScreenedKernel,
+    distributed_fock_apply, BandDistribution, FockMode, FockOperator, PwGrids, ScreenedKernel,
 };
 use pwdft_rt::lattice::silicon_cubic_supercell;
 use pwdft_rt::linalg::CMat;
@@ -27,7 +26,9 @@ fn alg2_volume_law_and_f32_wire() {
     let kernel = ScreenedKernel::new(&grids, 0.11);
     let reference = {
         let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        serial_fock_reference(&grids, &f, &psi)
+        let mut out = CMat::zeros(ng, nb);
+        f.apply_block(&grids, &psi, &mut out);
+        out
     };
     let mut volumes = Vec::new();
     for (wire, bytes) in [(Wire::F64, 16u64), (Wire::F32, 8u64)] {
