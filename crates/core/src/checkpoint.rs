@@ -20,7 +20,7 @@ use crate::anderson_c::AndersonState;
 use crate::laser::LaserPulse;
 use crate::propagator::{AceCapture, PropagatorState, PtCnOptions, Rk4Options, StepStats};
 use crate::simulation::TimeSeries;
-use pt_ham::{DistributedConfig, ExchangeMode, PtError, SystemSignature};
+use pt_ham::{ExchangeMode, PtError, SystemSignature};
 use pt_io::{SnapshotFile, SnapshotWriter};
 use pt_linalg::CMat;
 use pt_mpi::Wire;
@@ -339,28 +339,6 @@ fn write_propagator(
             write_exchange(w, exchange, ace)?;
             write_anderson(w, anderson)
         }
-        PropagatorState::PtCnDistributed {
-            opts,
-            config,
-            anderson,
-            exchange,
-            ace,
-        } => {
-            w.put_str("prop/name", "pt-cn-dist")?;
-            write_ptcn(w, opts)?;
-            if let Some(c) = config {
-                w.put_u64s(
-                    "prop/dist",
-                    &[
-                        c.ranks as u64,
-                        c.threads_per_rank as u64,
-                        u64::from(c.wire == Wire::F32),
-                    ],
-                )?;
-            }
-            write_exchange(w, exchange, ace)?;
-            write_anderson(w, anderson)
-        }
         PropagatorState::Rk4 { opts } => {
             w.put_str("prop/name", "rk4")?;
             w.put_u64s("prop/rk4", &[u64::from(opts.reorthonormalize)])
@@ -482,35 +460,16 @@ fn read_propagator(
         }))
     };
     match name.as_str() {
-        "pt-cn" => Ok(PropagatorState::PtCn {
+        // "pt-cn-dist" is what snapshots of the former distributed
+        // propagator type carry: the same state, plus a `prop/dist` layout
+        // section that is ignored — the layout comes from the system the
+        // run is resumed on
+        "pt-cn" | "pt-cn-dist" => Ok(PropagatorState::PtCn {
             opts: read_ptcn()?,
             anderson: read_anderson()?,
             exchange: read_exchange()?,
             ace: read_ace()?,
         }),
-        "pt-cn-dist" => {
-            let config = if f.has("prop/dist") {
-                match f.u64s("prop/dist")?.as_slice() {
-                    [r, t, w] => Some(DistributedConfig {
-                        ranks: *r as usize,
-                        threads_per_rank: *t as usize,
-                        wire: if *w != 0 { Wire::F32 } else { Wire::F64 },
-                    }),
-                    other => {
-                        return Err(schema(format!("'prop/dist' holds {} values", other.len())))
-                    }
-                }
-            } else {
-                None
-            };
-            Ok(PropagatorState::PtCnDistributed {
-                opts: read_ptcn()?,
-                config,
-                anderson: read_anderson()?,
-                exchange: read_exchange()?,
-                ace: read_ace()?,
-            })
-        }
         "rk4" => {
             let reorthonormalize = f.u64("prop/rk4")? != 0;
             Ok(PropagatorState::Rk4 {

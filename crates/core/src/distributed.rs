@@ -1,18 +1,22 @@
-//! Distributed PT-CN: Alg. 1 driven over the virtual MPI runtime with
-//! rank-pinned compute pools — the paper's execution model (one MPI rank
-//! per GPU plus a CPU-thread slice) reproduced in process.
+//! The `ranks > 1` side of PT-CN: Alg. 1's `HΨ`, ACE build and residual
+//! driven over the virtual MPI runtime with rank-pinned compute pools —
+//! the paper's execution model (one MPI rank per GPU plus a CPU-thread
+//! slice) reproduced in process.
 //!
-//! The propagator owns a persistent [`RankEngine`]: the rank threads and
-//! their pinned `threads_per_rank`-wide pools are spawned **once**, on
-//! the first step, and every subsequent `HΨ` application and residual
-//! evaluation is a job submitted to the same parked team. Each `HΨ` job
-//! applies the local (kinetic + V_loc + V_NL) part to the rank's cyclic
-//! share of the bands and joins the Alg. 2 broadcast loop for the Fock
-//! exchange ([`pt_ham::distributed_fock_apply`]); the fixed-point
-//! residual runs G-space-parallel via [`pt_ham::distributed_residual`]
-//! with its tree chunk reduction. The parallel-transport algebra around
-//! them (density, Anderson mixing, re-orthonormalization) runs
-//! replicated on the driver thread, exactly as in the serial propagator.
+//! [`crate::PtCnPropagator`] selects by the rank count of the system's
+//! layout. **One rank runs inline** (`InlineKernels`: no engine, no rank
+//! thread, the installed pool). With more, the propagator owns a
+//! persistent [`RankEngine`]: the rank threads and their pinned
+//! `threads_per_rank`-wide pools are spawned **once**, on the first step,
+//! and every subsequent `HΨ` application and residual evaluation is a job
+//! submitted to the same parked team. Each `HΨ` job applies the local
+//! (kinetic + V_loc + V_NL) part to the rank's cyclic share of the bands
+//! and joins the Alg. 2 broadcast loop for the Fock exchange
+//! ([`pt_ham::distributed_fock_apply`]); the fixed-point residual runs
+//! G-space-parallel via [`pt_ham::distributed_residual`] with its tree
+//! chunk reduction. The parallel-transport algebra around them (density,
+//! Anderson mixing, re-orthonormalization) runs replicated on the driver
+//! thread, on the system's `layout.cores()`-wide pool.
 //!
 //! The engine is runtime-only state: it is not cloned, captured, or
 //! snapshotted — a resumed or cloned propagator rebuilds its team lazily
@@ -23,7 +27,9 @@
 //! # Layout invariance
 //!
 //! With a `Wire::F64` wire the observables of a run are **bit-identical
-//! for every `ranks × threads_per_rank` layout** (including 1 × 1): band
+//! for every `ranks × threads_per_rank` layout**, inline or on the
+//! engine: the in-process kernels are the `N_p = 1` case of the rank
+//! ones (one pair-solve loop, one chunked residual — see `pt-ham`), band
 //! ownership only partitions work whose per-band results are computed
 //! independently in a fixed order, the broadcast loop accumulates
 //! `i = 0..N_e` identically on every rank count, and the residual's
@@ -32,124 +38,19 @@
 //! for half the broadcast volume (~1e-7 relative loss, §3.2
 //! optimization 4).
 
-use crate::anderson_c::BandAndersonMixer;
-use crate::laser::LaserPulse;
-use crate::propagator::{
-    ace_ptcn_step, ptcn_step_with, resolve_exchange, AceRefreshState, Propagator, PropagatorState,
-    PtCnOptions, StepKernels, StepStats, TdState,
-};
+use crate::propagator::StepKernels;
 use pt_ham::{
     distributed_fock_apply, distributed_residual, AceOperator, BandDistribution, DistributedConfig,
-    ExchangeMode, KsSystem, PtError,
+    KsSystem, PtError,
 };
 use pt_linalg::CMat;
-use pt_mpi::{EnginePoisoned, RankEngine};
-
-/// The PT-CN propagator with distributed `HΨ` applications on a
-/// persistent rank engine.
-///
-/// The ranks × threads decomposition comes from the system
-/// ([`pt_ham::KsSystemBuilder::distributed`]) unless overridden here;
-/// without either, it falls back to the serial-equivalent 1 × 1 layout.
-/// `SimulationBuilder` selects this propagator automatically when the
-/// system carries a distributed config.
-#[derive(Default)]
-pub struct DistributedPtCnPropagator {
-    /// PT-CN options (same knobs as the serial propagator).
-    pub opts: PtCnOptions,
-    /// Layout override; `None` reads `KsSystem::distributed`.
-    pub config: Option<DistributedConfig>,
-    pub(crate) mixer: Option<BandAndersonMixer>,
-    /// The spawn-once rank team; built lazily on the first step so a
-    /// freshly constructed (or resumed) propagator costs nothing until
-    /// it actually runs.
-    pub(crate) engine: Option<RankEngine>,
-    /// Explicit exchange-mode override; `None` (the default) reads
-    /// `KsSystem::exchange_mode` at step time.
-    pub exchange: Option<ExchangeMode>,
-    pub(crate) ace: Option<AceRefreshState>,
-}
-
-impl Clone for DistributedPtCnPropagator {
-    /// Clones configuration, mixer history, and the ACE refresh state; the
-    /// rank engine is runtime-only state and is rebuilt lazily by the clone.
-    fn clone(&self) -> Self {
-        DistributedPtCnPropagator {
-            opts: self.opts,
-            config: self.config,
-            mixer: self.mixer.clone(),
-            engine: None,
-            exchange: self.exchange,
-            ace: self.ace.clone(),
-        }
-    }
-}
-
-impl DistributedPtCnPropagator {
-    /// Propagator with the given options, reading the layout from the
-    /// system it steps.
-    pub fn new(opts: PtCnOptions) -> Self {
-        DistributedPtCnPropagator {
-            opts,
-            config: None,
-            mixer: None,
-            engine: None,
-            exchange: None,
-            ace: None,
-        }
-    }
-
-    /// Pin an explicit exchange mode, overriding the system's.
-    pub fn with_exchange(mut self, mode: ExchangeMode) -> Self {
-        self.exchange = Some(mode);
-        self
-    }
-
-    /// Pin an explicit layout, ignoring the system's.
-    pub fn with_config(mut self, cfg: DistributedConfig) -> Self {
-        self.config = Some(cfg);
-        self
-    }
-
-    fn resolve_config(&self, sys: &KsSystem) -> Result<DistributedConfig, PtError> {
-        let cfg = self.config.or(sys.distributed).unwrap_or_default();
-        cfg.validate()?;
-        Ok(cfg)
-    }
-}
-
-impl std::fmt::Debug for DistributedPtCnPropagator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistributedPtCnPropagator")
-            .field("opts", &self.opts)
-            .field("config", &self.config)
-            .field("exchange", &self.exchange)
-            .field(
-                "anderson_history_len",
-                &self.mixer.as_ref().map(BandAndersonMixer::history_len),
-            )
-            .field("engine", &self.engine)
-            .finish()
-    }
-}
-
-fn engine_down(e: EnginePoisoned) -> PtError {
-    PtError::EngineDown { cause: e.cause }
-}
-
-/// Fold one engine job's per-job wire delta into the trace counters: the
-/// ISSUE's "wire bytes" attribution without a second accounting layer —
-/// `pt_mpi::CommStats` stays the single source of truth.
-fn record_engine_job(delta: &pt_mpi::StatsSnapshot) {
-    pt_trace::counter_add(pt_trace::Counter::EngineJobs, 1);
-    pt_trace::counter_add(pt_trace::Counter::WireBytes, delta.total_bytes());
-}
+use pt_mpi::{Comm, EnginePoisoned, RankEngine};
 
 /// Reuse the parked rank team when it matches `cfg`; build it on first
 /// use or after a layout/wire change. A poisoned engine is never reused
 /// or silently replaced — the caller gets the typed error so the failure
 /// stays visible.
-fn acquire_engine(
+pub(crate) fn acquire_engine(
     slot: &mut Option<RankEngine>,
     cfg: DistributedConfig,
 ) -> Result<&mut RankEngine, PtError> {
@@ -173,51 +74,75 @@ fn acquire_engine(
     })
 }
 
-/// One distributed `H[ρ(Ψ), Ψ] Ψ` application: local parts rank-parallel
-/// by band, exchange either via the Alg. 2 broadcast loop or — with a
-/// frozen ACE projector — via the rank-local `−ξ(ξ^H ψ)` projector apply.
-/// Results gather back into the full band-major block. Runs as one job on
-/// the parked rank team — no threads are spawned here.
-///
-/// In the ACE branch ξ lives on the driver and reaches every rank by
-/// shared-memory reference: the wire carries **no pair FFTs and no
-/// broadcast bands at all**, and because the projector apply is
-/// self-contained per band, the output bits match the serial ACE apply
-/// for every layout.
-pub(crate) fn distributed_apply_h(
-    engine: &mut RankEngine,
-    sys: &KsSystem,
-    cfg: DistributedConfig,
-    rho: &[f64],
-    psi: &CMat,
-    a: [f64; 3],
-    ace: Option<&AceOperator>,
-) -> Result<CMat, PtError> {
-    let kernel = match (&sys.hybrid, ace) {
-        (Some(_), None) => Some(sys.exchange_kernel()?),
-        _ => None,
-    };
-    // the Fock-free Hamiltonian every rank applies to its own bands; the
-    // exchange part is handled by the distributed broadcast loop instead
-    let h_local = sys.local_hamiltonian(rho, a)?;
-    let ng = sys.grids.ng();
-    let dist = BandDistribution {
-        n_bands: psi.ncols(),
-        n_ranks: cfg.ranks,
-    };
-    let grids = &sys.grids;
-    let h_ref = &h_local;
-    let alpha = sys.hybrid.map(|h| h.alpha);
-    let sp = pt_trace::span("engine_run");
-    let (blocks, wire_stats) = engine
-        .run(move |comm| {
+/// The engine-backed execution strategy of a `ranks > 1` layout: `HΨ`,
+/// the ACE build and the fixed-point residual all run as jobs on the same
+/// parked rank team — no threads are spawned here.
+pub(crate) struct EngineKernels<'e> {
+    pub(crate) engine: &'e mut RankEngine,
+    pub(crate) cfg: DistributedConfig,
+}
+
+impl EngineKernels<'_> {
+    /// Run `job` on every rank (each returns the columns of its cyclic
+    /// bands) and gather the full `ng × n_bands` band-major block. The
+    /// job's wire delta is folded into the trace counters —
+    /// `pt_mpi::CommStats` stays the single source of truth.
+    fn run_gathered(
+        &mut self,
+        ng: usize,
+        n_bands: usize,
+        job: impl Fn(&mut Comm, BandDistribution) -> CMat + Sync,
+    ) -> Result<CMat, PtError> {
+        let dist = BandDistribution {
+            n_bands,
+            n_ranks: self.cfg.ranks,
+        };
+        let sp = pt_trace::span("engine_run");
+        let (blocks, wire) = self
+            .engine
+            .run(|comm| job(comm, dist))
+            .map_err(|e: EnginePoisoned| PtError::EngineDown { cause: e.cause })?;
+        drop(sp);
+        pt_trace::counter_add(pt_trace::Counter::EngineJobs, 1);
+        pt_trace::counter_add(pt_trace::Counter::WireBytes, wire.total_bytes());
+        let mut full = CMat::zeros(ng, n_bands);
+        for (r, block) in blocks.iter().enumerate() {
+            for (lj, &b) in dist.local_bands(r).iter().enumerate() {
+                full.col_mut(b).copy_from_slice(block.col(lj));
+            }
+        }
+        Ok(full)
+    }
+}
+
+impl StepKernels for EngineKernels<'_> {
+    /// Local parts rank-parallel by band, exchange either via the Alg. 2
+    /// broadcast loop or — with a frozen ACE projector — via the
+    /// rank-local `−ξ(ξ^H ψ)` projector apply. In the ACE branch ξ lives
+    /// on the driver and reaches every rank by shared-memory reference:
+    /// the wire carries no pair FFTs and no broadcast bands at all.
+    fn apply_h(
+        &mut self,
+        sys: &KsSystem,
+        rho: &[f64],
+        psi: &CMat,
+        a: [f64; 3],
+        ace: Option<&AceOperator>,
+    ) -> Result<CMat, PtError> {
+        let fock = match (sys.hybrid, ace) {
+            (Some(hy), None) => Some((hy.alpha, sys.exchange_kernel()?)),
+            _ => None,
+        };
+        // the Fock-free Hamiltonian every rank applies to its own bands
+        let h_local = sys.local_hamiltonian(rho, a)?;
+        let grids = &sys.grids;
+        self.run_gathered(grids.ng(), psi.ncols(), |comm, dist| {
             let psi_local = dist.take_local(comm.rank(), psi);
-            let mut out = CMat::zeros(ng, psi_local.ncols());
-            h_ref.apply_block(&psi_local, &mut out);
+            let mut out = CMat::zeros(psi_local.nrows(), psi_local.ncols());
+            h_local.apply_block(&psi_local, &mut out);
             if let Some(op) = ace {
-                // frozen compressed exchange on the rank's own bands
                 op.apply_block(&psi_local, &mut out);
-            } else if let (Some(alpha), Some(kernel)) = (alpha, kernel) {
+            } else if let Some((alpha, kernel)) = fock {
                 // parallel-transport gauge: Φ = Ψ defines the exchange
                 let vx = distributed_fock_apply(
                     comm, grids, dist, &psi_local, &psi_local, alpha, kernel,
@@ -228,86 +153,24 @@ pub(crate) fn distributed_apply_h(
             }
             out
         })
-        .map_err(engine_down)?;
-    drop(sp);
-    record_engine_job(&wire_stats);
-    // gather: rank r's local columns are its cyclic bands
-    let mut hpsi = CMat::zeros(ng, psi.ncols());
-    for (r, block) in blocks.iter().enumerate() {
-        for (lj, &b) in dist.local_bands(r).iter().enumerate() {
-            hpsi.col_mut(b).copy_from_slice(block.col(lj));
-        }
     }
-    Ok(hpsi)
-}
 
-/// Distributed ACE build: the rank team computes `W = V_X Φ` with the
-/// Alg. 2 broadcast loop (the one place pair FFTs still run under ACE —
-/// once per refresh instead of once per fixed-point iteration), the
-/// driver gathers W band-by-band and does the small `−Φ^H W` Cholesky +
-/// TRSM factorization. The gather is in ascending band order and the
-/// factorization is layout-independent, so ξ is bit-identical across
-/// layouts whenever W is — which `distributed_fock_apply` guarantees.
-pub(crate) fn distributed_build_ace(
-    engine: &mut RankEngine,
-    sys: &KsSystem,
-    cfg: DistributedConfig,
-    phi: &CMat,
-) -> Result<AceOperator, PtError> {
-    let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
-    let kernel = sys.exchange_kernel()?;
-    let ng = sys.grids.ng();
-    let dist = BandDistribution {
-        n_bands: phi.ncols(),
-        n_ranks: cfg.ranks,
-    };
-    let grids = &sys.grids;
-    let alpha = hy.alpha;
-    let sp = pt_trace::span("engine_run");
-    let (blocks, wire_stats) = engine
-        .run(move |comm| {
+    /// The rank team computes `W = V_X Φ` with the Alg. 2 broadcast loop
+    /// (the one place pair FFTs still run under ACE), the driver factors
+    /// the gathered W — layout-independent, so ξ carries W's bits.
+    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
+        let alpha = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
+        let kernel = sys.exchange_kernel()?;
+        let grids = &sys.grids;
+        let w = self.run_gathered(grids.ng(), phi.ncols(), |comm, dist| {
             let phi_local = dist.take_local(comm.rank(), phi);
             distributed_fock_apply(comm, grids, dist, &phi_local, &phi_local, alpha, kernel)
-        })
-        .map_err(engine_down)?;
-    drop(sp);
-    record_engine_job(&wire_stats);
-    let mut w = CMat::zeros(ng, phi.ncols());
-    for (r, block) in blocks.iter().enumerate() {
-        for (lj, &b) in dist.local_bands(r).iter().enumerate() {
-            w.col_mut(b).copy_from_slice(block.col(lj));
-        }
-    }
-    AceOperator::from_w(phi, w)
-}
-
-/// The engine-backed execution strategy handed to [`ptcn_step_with`]:
-/// `HΨ` and the fixed-point residual both run as jobs on the same
-/// parked rank team.
-struct EngineKernels<'e> {
-    engine: &'e mut RankEngine,
-    cfg: DistributedConfig,
-}
-
-impl StepKernels for EngineKernels<'_> {
-    fn apply_h(
-        &mut self,
-        sys: &KsSystem,
-        rho: &[f64],
-        psi: &CMat,
-        a: [f64; 3],
-        ace: Option<&AceOperator>,
-    ) -> Result<CMat, PtError> {
-        distributed_apply_h(self.engine, sys, self.cfg, rho, psi, a, ace)
-    }
-
-    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
-        distributed_build_ace(self.engine, sys, self.cfg, phi)
+        })?;
+        AceOperator::from_w(phi, w)
     }
 
     /// G-space-parallel residual (Alg. 3): each rank evaluates its sphere
-    /// rows, the Ψ*HΨ overlap combines over the chunk reduction tree, and
-    /// the per-band columns gather back into the full block.
+    /// rows, the Ψ*HΨ overlap combines over the chunk reduction tree.
     fn residual(
         &mut self,
         psi_f: &CMat,
@@ -315,107 +178,30 @@ impl StepKernels for EngineKernels<'_> {
         psi_half: &CMat,
         dt: f64,
     ) -> Result<CMat, PtError> {
-        let (ng, nb) = (psi_f.nrows(), psi_f.ncols());
-        let dist = BandDistribution {
-            n_bands: nb,
-            n_ranks: self.cfg.ranks,
-        };
-        let sp = pt_trace::span("engine_run");
-        let (blocks, wire_stats) = self
-            .engine
-            .run(move |comm| {
-                let rank = comm.rank();
-                let take = |m: &CMat| dist.take_local(rank, m);
-                distributed_residual(
-                    comm,
-                    dist,
-                    ng,
-                    &take(psi_f),
-                    &take(hpsi_f),
-                    &take(psi_half),
-                    dt,
-                )
-            })
-            .map_err(engine_down)?;
-        drop(sp);
-        record_engine_job(&wire_stats);
-        let mut resid = CMat::zeros(ng, nb);
-        for (r, block) in blocks.iter().enumerate() {
-            for (lj, &b) in dist.local_bands(r).iter().enumerate() {
-                resid.col_mut(b).copy_from_slice(block.col(lj));
-            }
-        }
-        Ok(resid)
-    }
-}
-
-impl Propagator for DistributedPtCnPropagator {
-    fn name(&self) -> &'static str {
-        "pt-cn-dist"
-    }
-
-    /// One PT-CN step with every `HΨ` and residual submitted to the
-    /// persistent ranks × threads team (spawned on the first step).
-    fn step(
-        &mut self,
-        sys: &KsSystem,
-        laser: Option<&LaserPulse>,
-        state: &mut TdState,
-        dt: f64,
-    ) -> Result<StepStats, PtError> {
-        let cfg = self.resolve_config(sys)?;
-        let mode = resolve_exchange(self.exchange, sys)?;
-        let engine = acquire_engine(&mut self.engine, cfg)?;
-        let mut kernels = EngineKernels { engine, cfg };
-        let sp = pt_trace::span("ptcn_step");
-        let mut stats = match mode {
-            ExchangeMode::Full => ptcn_step_with(
-                &self.opts,
-                sys,
-                laser,
-                state,
+        let ng = psi_f.nrows();
+        self.run_gathered(ng, psi_f.ncols(), |comm, dist| {
+            let take = |m: &CMat| dist.take_local(comm.rank(), m);
+            distributed_residual(
+                comm,
+                dist,
+                ng,
+                &take(psi_f),
+                &take(hpsi_f),
+                &take(psi_half),
                 dt,
-                &mut self.mixer,
-                &mut kernels,
-                None,
-                None,
-                None,
-                None,
-            ),
-            mode => ace_ptcn_step(
-                &self.opts,
-                sys,
-                laser,
-                state,
-                dt,
-                mode.refresh_interval()
-                    .expect("invariant: the non-Full match arm only sees ACE modes, which carry an interval"),
-                mode.inner_substeps(),
-                &mut self.mixer,
-                &mut self.ace,
-                &mut kernels,
-            ),
-        }?;
-        stats.phases.reconcile(sp.finish_secs());
-        Ok(stats)
-    }
-
-    fn capture(&self) -> PropagatorState {
-        PropagatorState::PtCnDistributed {
-            opts: self.opts,
-            config: self.config,
-            anderson: self.mixer.as_ref().map(BandAndersonMixer::state),
-            exchange: self.exchange,
-            ace: self.ace.as_ref().map(AceRefreshState::capture),
-        }
+            )
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagator::{InlineKernels, Propagator, PropagatorState, PtCnPropagator, TdState};
+    use pt_ham::ExchangeMode;
     use pt_lattice::silicon_cubic_supercell;
     use pt_mpi::Wire;
+    use pt_par::RankLayout;
     use pt_xc::XcKind;
 
     fn hybrid_sys(cfg: Option<DistributedConfig>) -> KsSystem {
@@ -434,106 +220,66 @@ mod tests {
         RankEngine::new(cfg.layout(), cfg.wire)
     }
 
+    fn assert_same_bits(want: &CMat, got: &CMat, what: &str) {
+        for (x, y) in want.data().iter().zip(got.data()) {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
     #[test]
-    fn distributed_apply_matches_serial_hamiltonian_to_tolerance() {
-        // same operator, different Fock accumulation order: equal to
-        // reduction accuracy, not bits
+    fn inline_and_engine_kernels_agree_to_the_bit_on_every_layout() {
+        // HΨ with the exact Fock loop, the ACE build, HΨ under the frozen
+        // projector and the residual: the in-process call (1 thread) is
+        // the reference, every gathered rank result must carry its bits
         let sys = hybrid_sys(None);
         let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 17);
+        let half = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 18);
         let rho = sys.density(&psi);
-        let h = sys.hamiltonian(&rho, Some(&psi), [0.0; 3]).unwrap();
-        let mut want = CMat::zeros(psi.nrows(), psi.ncols());
-        h.apply_block(&psi, &mut want);
+        let (a, dt) = ([0.0, 0.0, 0.01], 0.7);
+        let all = |k: &mut dyn StepKernels| {
+            let h_full = k.apply_h(&sys, &rho, &psi, a, None).unwrap();
+            let ace = k.build_ace(&sys, &psi).unwrap();
+            let h_ace = k.apply_h(&sys, &rho, &psi, a, Some(&ace)).unwrap();
+            let resid = k.residual(&psi, &h_full, &half, dt).unwrap();
+            [h_full, ace.xi().clone(), h_ace, resid]
+        };
+        let want = pt_par::ThreadPool::new(1).install(|| all(&mut InlineKernels));
+        let inline4 = pt_par::ThreadPool::new(4).install(|| all(&mut InlineKernels));
+        for (w, g) in want.iter().zip(&inline4) {
+            assert_same_bits(w, g, "inline, 4 threads");
+        }
         for ranks in [1usize, 2, 3] {
-            let cfg = DistributedConfig::new(ranks, 1);
-            let mut eng = engine_for(cfg);
-            let got = distributed_apply_h(&mut eng, &sys, cfg, &rho, &psi, [0.0; 3], None).unwrap();
-            let err = want.max_diff(&got);
-            assert!(err < 1e-10, "ranks={ranks}: {err}");
-        }
-    }
-
-    #[test]
-    fn distributed_apply_is_bit_identical_across_layouts() {
-        let sys = hybrid_sys(None);
-        let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 29);
-        let rho = sys.density(&psi);
-        let base = DistributedConfig::new(1, 1);
-        let reference = distributed_apply_h(
-            &mut engine_for(base),
-            &sys,
-            base,
-            &rho,
-            &psi,
-            [0.0; 3],
-            None,
-        )
-        .unwrap();
-        for (ranks, threads) in [(2, 1), (2, 2), (3, 2), (1, 4)] {
-            let cfg = DistributedConfig::new(ranks, threads);
-            let mut eng = engine_for(cfg);
-            // two applications on the same engine: the parked team is
-            // reused and the second call's bits must not drift
-            let got = distributed_apply_h(&mut eng, &sys, cfg, &rho, &psi, [0.0; 3], None).unwrap();
-            let again =
-                distributed_apply_h(&mut eng, &sys, cfg, &rho, &psi, [0.0; 3], None).unwrap();
-            for ((x, y), z) in reference.data().iter().zip(got.data()).zip(again.data()) {
-                assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "{ranks}x{threads}: {x:?} vs {y:?}"
-                );
-                assert!(
-                    y.re.to_bits() == z.re.to_bits() && y.im.to_bits() == z.im.to_bits(),
-                    "{ranks}x{threads} reuse: {y:?} vs {z:?}"
-                );
+            for threads in [1usize, 4] {
+                let cfg = DistributedConfig::new(ranks, threads);
+                let mut engine = engine_for(cfg);
+                let mut kernels = EngineKernels {
+                    engine: &mut engine,
+                    cfg,
+                };
+                // twice on the same engine: the parked team is reused and
+                // the second pass's bits must not drift
+                for pass in 0..2 {
+                    for (w, g) in want.iter().zip(&all(&mut kernels)) {
+                        assert_same_bits(w, g, &format!("{ranks}x{threads} pass {pass}"));
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn distributed_ace_build_and_apply_are_layout_invariant_bits() {
-        // ξ built via the Alg. 2 broadcast loop must be bit-identical for
-        // every layout (distributed_fock_apply is layout-invariant and the
-        // driver-side Cholesky/trsm never sees the layout), and the ACE
-        // H-apply with that ξ must match the serial kernel's bits exactly.
-        let sys = hybrid_sys(None);
-        let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 53);
-        let rho = sys.density(&psi);
-        let base = DistributedConfig::new(1, 1);
-        let xi_ref = distributed_build_ace(&mut engine_for(base), &sys, base, &psi)
-            .unwrap()
-            .xi()
-            .clone();
-        let serial_ace = AceOperator::from_xi(xi_ref.clone());
-        let want = crate::propagator::serial_apply_h(&sys, &rho, &psi, [0.0; 3], Some(&serial_ace))
-            .unwrap();
-        for (ranks, threads) in [(2usize, 1usize), (3, 2), (1, 4)] {
-            let cfg = DistributedConfig::new(ranks, threads);
-            let mut eng = engine_for(cfg);
-            let ace = distributed_build_ace(&mut eng, &sys, cfg, &psi).unwrap();
-            assert_eq!(
-                ace.xi().max_diff(&xi_ref),
-                0.0,
-                "{ranks}x{threads}: distributed ξ must be layout-invariant"
-            );
-            let got =
-                distributed_apply_h(&mut eng, &sys, cfg, &rho, &psi, [0.0; 3], Some(&ace)).unwrap();
-            for (x, y) in want.data().iter().zip(got.data()) {
-                assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "{ranks}x{threads}: ACE apply {x:?} vs serial {y:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_ace_step_advances_and_captures_the_projector() {
+    fn ace_step_on_two_ranks_advances_and_captures_the_projector() {
         let sys = hybrid_sys(Some(DistributedConfig::new(2, 1)));
         let gs = pt_scf::scf_loop(&sys, pt_scf::ScfOptions::default()).unwrap();
-        let mut prop = DistributedPtCnPropagator::default().with_exchange(ExchangeMode::Ace {
-            refresh_interval: 2,
-        });
+        let mut prop = PtCnPropagator::with_exchange(
+            Default::default(),
+            ExchangeMode::Ace {
+                refresh_interval: 2,
+            },
+        );
         let mut state = TdState::new(gs.orbitals.clone());
         let dt = pt_num::units::attosecond_to_au(25.0);
         let s1 = prop.step(&sys, None, &mut state, dt).unwrap();
@@ -541,7 +287,7 @@ mod tests {
         let s2 = prop.step(&sys, None, &mut state, dt).unwrap();
         assert!(s2.converged);
         match prop.capture() {
-            PropagatorState::PtCnDistributed { exchange, ace, .. } => {
+            PropagatorState::PtCn { exchange, ace, .. } => {
                 assert_eq!(
                     exchange,
                     Some(ExchangeMode::Ace {
@@ -552,32 +298,30 @@ mod tests {
                 assert_eq!(cap.steps_since_refresh, 2, "interval-2 window exhausted");
                 assert_eq!(cap.xi.nrows(), sys.grids.ng());
             }
-            other => panic!("expected PtCnDistributed, got {other:?}"),
+            other => panic!("expected PtCn, got {other:?}"),
         }
     }
 
     #[test]
-    fn propagator_reads_layout_from_the_system() {
-        let sys = hybrid_sys(Some(DistributedConfig::new(2, 2)));
-        let mut prop = DistributedPtCnPropagator::default();
+    fn the_systems_rank_count_selects_inline_or_engine() {
+        // an explicitly constructed propagator honours the layout too:
+        // which side runs is decided by the system, never by a type
+        let dt = pt_num::units::attosecond_to_au(25.0);
+        let team_after_a_step = |cfg: Option<DistributedConfig>| {
+            let sys = hybrid_sys(cfg);
+            let mut state = TdState::new(CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 41));
+            pt_linalg::orthonormalize_columns(&mut state.psi, 0.0);
+            let mut prop = PtCnPropagator::default();
+            prop.step(&sys, None, &mut state, dt).unwrap();
+            prop.engine.map(|e| e.layout())
+        };
         assert_eq!(
-            prop.resolve_config(&sys).unwrap(),
-            DistributedConfig::new(2, 2)
+            team_after_a_step(Some(DistributedConfig::new(2, 1))),
+            Some(RankLayout::new(2, 1))
         );
-        // override wins
-        prop = prop.with_config(DistributedConfig::new(3, 1).wire(Wire::F32));
-        assert_eq!(
-            prop.resolve_config(&sys).unwrap(),
-            DistributedConfig::new(3, 1).wire(Wire::F32)
-        );
-        // no config anywhere: serial-equivalent default
-        let plain = hybrid_sys(None);
-        assert_eq!(
-            DistributedPtCnPropagator::default()
-                .resolve_config(&plain)
-                .unwrap(),
-            DistributedConfig::default()
-        );
+        // one rank runs inline: no engine, no rank thread
+        assert_eq!(team_after_a_step(Some(DistributedConfig::new(1, 3))), None);
+        assert_eq!(team_after_a_step(None), None);
     }
 
     #[test]
@@ -611,9 +355,11 @@ mod tests {
             })
         }));
         assert!(boom.is_err(), "the injected rank panic must surface");
-        let mut prop = DistributedPtCnPropagator::default().with_config(cfg);
-        prop.engine = Some(eng);
-        let sys = hybrid_sys(None);
+        let mut prop = PtCnPropagator {
+            engine: Some(eng),
+            ..Default::default()
+        };
+        let sys = hybrid_sys(Some(cfg));
         let mut state = TdState::new(CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 41));
         let err = prop.step(&sys, None, &mut state, 25.0).unwrap_err();
         match err {

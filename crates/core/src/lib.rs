@@ -16,11 +16,13 @@
 //! # The simulation API
 //!
 //! * [`Propagator`] — the object-safe one-step abstraction. Implementations:
-//!   [`PtCnPropagator`] (Alg. 1, options [`PtCnOptions`]),
-//!   [`DistributedPtCnPropagator`] (the same algorithm with every `HΨ`
-//!   fanned out over virtual-MPI ranks with pinned pools) and
-//!   [`Rk4Propagator`] (the Fig. 6 baseline, options [`Rk4Options`]).
-//!   Select at runtime via `Box<dyn Propagator>`.
+//!   [`PtCnPropagator`] (Alg. 1, options [`PtCnOptions`] — the one PT-CN
+//!   type: it reads the ranks × threads layout off the system at step
+//!   time, runs inline on the installed pool for one rank and fans every
+//!   `HΨ`/residual out over a persistent virtual-MPI rank team with pinned
+//!   pools for more, with identical bits) and [`Rk4Propagator`] (the
+//!   Fig. 6 baseline, options [`Rk4Options`]). Select at runtime via
+//!   `Box<dyn Propagator>`.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,
 //!   `dt`, step count and propagator, then [`Simulation::run`] owns the
 //!   time loop, drives the [`Observer`] pipeline and returns a
@@ -57,7 +59,6 @@ mod stability;
 
 pub use anderson_c::{AndersonState, BandAndersonMixer};
 pub use checkpoint::{latest_checkpoint, CheckpointPolicy, RunCheckpoint, RunCheckpointView};
-pub use distributed::DistributedPtCnPropagator;
 pub use laser::LaserPulse;
 pub use observables::{current_density, density_matrix_distance, orthonormality_error};
 pub use propagator::{

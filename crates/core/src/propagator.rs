@@ -8,12 +8,14 @@
 //! (`Box<dyn Propagator>`).
 
 use crate::anderson_c::{AndersonState, BandAndersonMixer};
+use crate::distributed::{acquire_engine, EngineKernels};
 use crate::laser::LaserPulse;
 use pt_ham::{
-    density_residual, AceOperator, DistributedConfig, ExchangeMode, FockMode, FockOperator,
-    KsSystem, PtError,
+    density_residual, pt_residual, AceOperator, ExchangeMode, FockMode, FockOperator, KsSystem,
+    PtError,
 };
 use pt_linalg::{gemm, orthonormalize_columns, CMat, Op};
+use pt_mpi::RankEngine;
 use pt_num::c64;
 use std::fmt;
 
@@ -143,7 +145,8 @@ pub trait Propagator {
 /// resume).
 #[derive(Clone, Debug)]
 pub enum PropagatorState {
-    /// Serial PT-CN (Alg. 1).
+    /// PT-CN (Alg. 1). Layout-free: which ranks × threads decomposition
+    /// a resumed run uses comes from the system it is resumed on.
     PtCn {
         /// Options.
         opts: PtCnOptions,
@@ -157,20 +160,6 @@ pub enum PropagatorState {
         /// exact ξ that was applied at capture, so a resume landing
         /// mid-refresh-window reuses it instead of rebuilding from the
         /// (by now different) restored Ψ.
-        ace: Option<AceCapture>,
-    },
-    /// Distributed PT-CN (`pt-cn-dist`).
-    PtCnDistributed {
-        /// Options.
-        opts: PtCnOptions,
-        /// Explicit layout override (`None` reads `KsSystem::distributed`).
-        config: Option<DistributedConfig>,
-        /// Anderson history at the capture point.
-        anderson: Option<AndersonState>,
-        /// Explicit exchange-mode override (`None` reads
-        /// `KsSystem::exchange_mode`).
-        exchange: Option<ExchangeMode>,
-        /// Live ACE projector + refresh position (ACE modes only).
         ace: Option<AceCapture>,
     },
     /// RK4 baseline.
@@ -211,30 +200,14 @@ pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagato
             ace,
         } => {
             let mixer = anderson.map(BandAndersonMixer::from_state).transpose()?;
+            // the rank engine is runtime-only state: rebuilt lazily on the
+            // first post-resume step, never part of the snapshot
             Ok(Box::new(PtCnPropagator {
                 opts,
                 mixer,
                 exchange,
                 ace: ace.map(AceRefreshState::from_capture),
-            }))
-        }
-        PropagatorState::PtCnDistributed {
-            opts,
-            config,
-            anderson,
-            exchange,
-            ace,
-        } => {
-            let mixer = anderson.map(BandAndersonMixer::from_state).transpose()?;
-            // the rank engine is runtime-only state: rebuilt lazily on the
-            // first post-resume step, never part of the snapshot
-            Ok(Box::new(crate::distributed::DistributedPtCnPropagator {
-                opts,
-                config,
-                mixer,
                 engine: None,
-                exchange,
-                ace: ace.map(AceRefreshState::from_capture),
             }))
         }
         PropagatorState::Rk4 { opts } => Ok(Box::new(Rk4Propagator { opts })),
@@ -276,8 +249,8 @@ impl Default for PtCnOptions {
 }
 
 impl PtCnOptions {
-    /// Reject malformed options with a typed error (shared by the serial
-    /// and distributed PT-CN propagators before any physics runs).
+    /// Reject malformed options with a typed error before any physics
+    /// runs.
     pub(crate) fn validate(&self) -> Result<(), PtError> {
         if !self.rho_tol.is_finite() || self.rho_tol <= 0.0 {
             return Err(PtError::InvalidConfig(format!(
@@ -314,12 +287,21 @@ pub struct Rk4Options {
     pub reorthonormalize: bool,
 }
 
-/// The implicit parallel-transport Crank–Nicolson propagator (Alg. 1).
+/// The implicit parallel-transport Crank–Nicolson propagator (Alg. 1) —
+/// the one PT-CN type, for every ranks × threads layout.
+///
+/// The layout is read from [`KsSystem::distributed`] at step time (none =
+/// 1 × the installed pool). With one rank every `HΨ` and residual runs
+/// **inline** on the installed pool — no engine, no rank thread; with more
+/// they are jobs on a persistent [`RankEngine`] the propagator builds
+/// lazily on its first such step (see [`crate::distributed`]). Both sides
+/// produce the same bits.
 ///
 /// Owns its [`BandAndersonMixer`] across steps (reset at the start of
 /// every step, as Alg. 1 requires) so the mixer history is part of the
-/// propagator's capturable state ([`Propagator::capture`]).
-#[derive(Clone, Default)]
+/// propagator's capturable state ([`Propagator::capture`]). The engine is
+/// runtime-only state: never cloned, captured or snapshotted.
+#[derive(Default)]
 pub struct PtCnPropagator {
     /// Options.
     pub opts: PtCnOptions,
@@ -328,6 +310,22 @@ pub struct PtCnPropagator {
     /// `KsSystem::exchange_mode` at step time.
     pub exchange: Option<ExchangeMode>,
     pub(crate) ace: Option<AceRefreshState>,
+    /// The spawn-once rank team of a `ranks > 1` layout.
+    pub(crate) engine: Option<RankEngine>,
+}
+
+impl Clone for PtCnPropagator {
+    /// Clones configuration, mixer history and the ACE refresh state; the
+    /// clone rebuilds its own rank engine lazily.
+    fn clone(&self) -> Self {
+        PtCnPropagator {
+            opts: self.opts,
+            mixer: self.mixer.clone(),
+            exchange: self.exchange,
+            ace: self.ace.clone(),
+            engine: None,
+        }
+    }
 }
 
 impl PtCnPropagator {
@@ -335,9 +333,7 @@ impl PtCnPropagator {
     pub fn new(opts: PtCnOptions) -> Self {
         PtCnPropagator {
             opts,
-            mixer: None,
-            exchange: None,
-            ace: None,
+            ..Default::default()
         }
     }
 
@@ -345,9 +341,8 @@ impl PtCnPropagator {
     pub fn with_exchange(opts: PtCnOptions, mode: ExchangeMode) -> Self {
         PtCnPropagator {
             opts,
-            mixer: None,
             exchange: Some(mode),
-            ace: None,
+            ..Default::default()
         }
     }
 }
@@ -361,6 +356,7 @@ impl fmt::Debug for PtCnPropagator {
                 "anderson_history_len",
                 &self.mixer.as_ref().map(BandAndersonMixer::history_len),
             )
+            .field("engine", &self.engine)
             .finish()
     }
 }
@@ -393,13 +389,13 @@ fn reorthonormalize(psi: &mut CMat) {
     orthonormalize_columns(psi, 0.0);
 }
 
-/// The two execution-strategy points of a PT-CN step: the full
+/// The execution-strategy points of a PT-CN step: the full
 /// `H[ρ(Ψ), Ψ] Ψ` application (`Φ = Ψ` for hybrids, per the
-/// parallel-transport gauge) and the fixed-point residual. The serial
-/// propagator builds the in-process Hamiltonian and evaluates the
-/// residual inline; the distributed propagator drives both through its
-/// persistent rank engine (a single strategy object, because both
-/// methods borrow the same engine mutably).
+/// parallel-transport gauge), the ACE build and the fixed-point residual.
+/// Two implementations, selected by the layout's rank count:
+/// [`InlineKernels`] (one rank: in process on the installed pool) and
+/// `EngineKernels` (more: jobs on the persistent rank engine) — equal to
+/// the bit.
 pub(crate) trait StepKernels {
     /// One full `H Ψ` application. With `ace: None` the exchange part (if
     /// hybrid) is the exact pair-FFT Fock loop over `Φ = Ψ` (the PT
@@ -414,43 +410,24 @@ pub(crate) trait StepKernels {
         ace: Option<&AceOperator>,
     ) -> Result<CMat, PtError>;
 
-    /// Build the ACE projector `ξ = W L^{-H}` from `phi` (one full
-    /// exchange application over the block). The default is the serial
-    /// in-process build; the distributed kernels compute W with the
-    /// Alg. 2 broadcast loop over the rank team instead.
-    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
-        serial_build_ace(sys, phi)
-    }
+    /// Build the ACE projector `ξ = W L^{-H}` from `phi`: one full
+    /// exchange application over the block (`W = V_X Φ`), then the small
+    /// Cholesky/TRSM factorization on the driver.
+    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError>;
 
     /// The fixed-point residual
-    /// `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2}`.
-    /// The default is the serial driver-side evaluation (gemm overlap).
+    /// `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2}`
+    /// (Alg. 3).
     fn residual(
         &mut self,
         psi_f: &CMat,
         hpsi_f: &CMat,
         psi_half: &CMat,
         dt: f64,
-    ) -> Result<CMat, PtError> {
-        Ok(serial_pt_residual(psi_f, hpsi_f, psi_half, dt))
-    }
+    ) -> Result<CMat, PtError>;
 }
 
-/// Driver-side PT residual: the exact inline algebra the serial PT-CN
-/// fixed point has always used (bit-preserving for the serial path).
-pub(crate) fn serial_pt_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, dt: f64) -> CMat {
-    let (ng, nb) = (psi_f.nrows(), psi_f.ncols());
-    let rhs = pt_rhs(hpsi_f, psi_f);
-    let mut resid = CMat::zeros(ng, nb);
-    for i in 0..ng * nb {
-        resid.data_mut()[i] =
-            psi_f.data()[i] + rhs.data()[i].mul_i().scale(0.5 * dt) - psi_half.data()[i];
-    }
-    resid
-}
-
-/// The PT-CN step body (Alg. 1), generic over the execution strategy —
-/// the shared core of [`PtCnPropagator`] and `DistributedPtCnPropagator`.
+/// The PT-CN step body (Alg. 1), generic over the execution strategy.
 /// Everything outside the kernels (density, Anderson mixing,
 /// re-orthonormalization) runs replicated on the driver thread, so the
 /// step's output bits depend only on the kernels'.
@@ -582,45 +559,6 @@ pub(crate) fn ptcn_step_with(
     state.psi = psi_f;
     state.t = t_next;
     Ok(stats)
-}
-
-/// The in-process `HΨ` strategy: build the full Hamiltonian (serial/
-/// threaded Fock included) and apply it block-wise. With a frozen ACE
-/// projector the Fock-free Hamiltonian applies and the rank-N_φ projector
-/// supplies the exchange — two skinny GEMM-shaped passes, zero pair FFTs.
-pub(crate) fn serial_apply_h(
-    sys: &KsSystem,
-    rho: &[f64],
-    psi: &CMat,
-    a: [f64; 3],
-    ace: Option<&AceOperator>,
-) -> Result<CMat, PtError> {
-    if let Some(op) = ace {
-        let h = sys.local_hamiltonian(rho, a)?;
-        let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
-        h.apply_block(psi, &mut hpsi);
-        op.apply_block(psi, &mut hpsi);
-        return Ok(hpsi);
-    }
-    let phi = if sys.hybrid.is_some() {
-        Some(psi)
-    } else {
-        None
-    };
-    let h = sys.hamiltonian(rho, phi, a)?;
-    let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
-    h.apply_block(psi, &mut hpsi);
-    Ok(hpsi)
-}
-
-/// In-process ACE build: one exact exchange application over `phi` (the
-/// α-scaled screened Fock loop, W = V_X Φ), then the small Cholesky/TRSM
-/// factorization on the driver.
-pub(crate) fn serial_build_ace(sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
-    let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
-    let kernel = sys.exchange_kernel()?.clone();
-    let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
-    AceOperator::new(&sys.grids, &fock, phi)
 }
 
 /// The live ACE projector plus its position in the refresh window, owned
@@ -861,11 +799,15 @@ pub(crate) fn ace_ptcn_step(
     Ok(stats)
 }
 
-/// The in-process execution strategy: serial `HΨ` and the driver-side
-/// residual (the [`StepKernels`] defaults).
-pub(crate) struct SerialKernels;
+/// The one-rank execution strategy: everything in process on the
+/// installed pool — the `N_p = 1` case of Alg. 2 / Alg. 3 without a
+/// `Comm`, no engine and no rank thread.
+pub(crate) struct InlineKernels;
 
-impl StepKernels for SerialKernels {
+impl StepKernels for InlineKernels {
+    /// Build the Hamiltonian (Fock operator over `Φ = Ψ` included) and
+    /// apply it block-wise; with a frozen ACE projector the Fock-free
+    /// Hamiltonian applies and the projector supplies the exchange.
     fn apply_h(
         &mut self,
         sys: &KsSystem,
@@ -874,7 +816,33 @@ impl StepKernels for SerialKernels {
         a: [f64; 3],
         ace: Option<&AceOperator>,
     ) -> Result<CMat, PtError> {
-        serial_apply_h(sys, rho, psi, a, ace)
+        let h = match ace {
+            Some(_) => sys.local_hamiltonian(rho, a)?,
+            None => sys.hamiltonian(rho, sys.hybrid.map(|_| psi), a)?,
+        };
+        let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
+        h.apply_block(psi, &mut hpsi);
+        if let Some(op) = ace {
+            op.apply_block(psi, &mut hpsi);
+        }
+        Ok(hpsi)
+    }
+
+    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
+        let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
+        let kernel = sys.exchange_kernel()?.clone();
+        let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
+        AceOperator::new(&sys.grids, &fock, phi)
+    }
+
+    fn residual(
+        &mut self,
+        psi_f: &CMat,
+        hpsi_f: &CMat,
+        psi_half: &CMat,
+        dt: f64,
+    ) -> Result<CMat, PtError> {
+        Ok(pt_residual(psi_f, hpsi_f, psi_half, dt))
     }
 }
 
@@ -884,7 +852,9 @@ impl Propagator for PtCnPropagator {
     }
 
     /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
-    /// per the resolved [`ExchangeMode`].
+    /// per the resolved [`ExchangeMode`] and every `HΨ`/residual run per
+    /// the system's layout: inline for one rank, on the persistent rank
+    /// team (spawned on the first such step) for more.
     fn step(
         &mut self,
         sys: &KsSystem,
@@ -892,8 +862,22 @@ impl Propagator for PtCnPropagator {
         state: &mut TdState,
         dt: f64,
     ) -> Result<StepStats, PtError> {
+        let cfg = sys.distributed.unwrap_or_default();
+        cfg.validate()?;
+        let mode = resolve_exchange(self.exchange, sys)?;
+        let (mut inline, mut on_engine);
+        let kernels: &mut dyn StepKernels = if cfg.ranks == 1 {
+            inline = InlineKernels;
+            &mut inline
+        } else {
+            on_engine = EngineKernels {
+                engine: acquire_engine(&mut self.engine, cfg)?,
+                cfg,
+            };
+            &mut on_engine
+        };
         let sp = pt_trace::span("ptcn_step");
-        let mut stats = match resolve_exchange(self.exchange, sys)? {
+        let mut stats = match mode {
             ExchangeMode::Full => ptcn_step_with(
                 &self.opts,
                 sys,
@@ -901,7 +885,7 @@ impl Propagator for PtCnPropagator {
                 state,
                 dt,
                 &mut self.mixer,
-                &mut SerialKernels,
+                kernels,
                 None,
                 None,
                 None,
@@ -918,7 +902,7 @@ impl Propagator for PtCnPropagator {
                 mode.inner_substeps(),
                 &mut self.mixer,
                 &mut self.ace,
-                &mut SerialKernels,
+                kernels,
             ),
         }?;
         stats.phases.reconcile(sp.finish_secs());

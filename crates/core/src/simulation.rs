@@ -616,14 +616,6 @@ impl<'a> SimulationBuilder<'a> {
         }
         let propagator: Box<dyn Propagator> = match self.propagator {
             Some(p) => p,
-            None if self.sys.distributed.is_some() => {
-                // the system asked for a ranks × threads decomposition:
-                // drive PT-CN through the virtual MPI runtime
-                Box::new(crate::distributed::DistributedPtCnPropagator {
-                    exchange: self.exchange,
-                    ..Default::default()
-                })
-            }
             None => Box::new(PtCnPropagator {
                 exchange: self.exchange,
                 ..Default::default()

@@ -17,6 +17,7 @@
 //! dedicated core slice (the paper's one-GPU-per-rank analogue).
 
 use crate::error::PtError;
+use crate::fock::PairLoop;
 use crate::grids::PwGrids;
 use pt_linalg::CMat;
 use pt_mpi::{Comm, Wire};
@@ -175,18 +176,18 @@ impl DistributedConfig {
 
 /// Distributed Fock exchange application (Alg. 2).
 ///
-/// `fock` must have been built with the same Φ on every rank (its defining
-/// orbitals are broadcast band-by-band *inside* this routine, so callers
-/// pass the **local** slice of Φ and receive `V_X ψ` for their local ψ
-/// bands). Returns the local output block (columns ↔ `dist.local_bands`).
+/// Φ is broadcast band-by-band *inside* this routine, so callers pass the
+/// **local** slice of Φ and receive `V_X ψ` for their local ψ bands
+/// (columns ↔ `dist.local_bands`).
 ///
-/// The per-band accumulate loop — the (φ_i, ψ_j) FFT/kernel work that is
-/// ~95 % of a hybrid step — runs on the calling thread's current pool
-/// (the rank's pinned pool under [`pt_mpi::run_ranks_pinned`]). Band
-/// chunking depends only on the local band count and each band's
-/// accumulator is owned by exactly one task that folds the broadcast
-/// order `i = 0..n_bands` sequentially, so the output bits depend on
-/// neither the thread count nor the rank count (with a `Wire::F64` wire).
+/// The pair solves — ~95 % of a hybrid step — are the same
+/// `PairLoop` the in-process
+/// [`FockOperator::apply_block`](crate::FockOperator::apply_block) runs,
+/// fed one broadcast band at a time on the calling thread's current pool
+/// (the rank's pinned pool under [`pt_mpi::run_ranks_pinned`]): every ψ
+/// band's accumulator folds `i = 0..n_bands` in broadcast order, so with a
+/// `Wire::F64` wire the output bits depend on neither the thread count nor
+/// the rank count, and equal the in-process apply's.
 pub fn distributed_fock_apply(
     comm: &mut Comm,
     grids: &PwGrids,
@@ -196,55 +197,15 @@ pub fn distributed_fock_apply(
     alpha: f64,
     kernel: &crate::fock::ScreenedKernel,
 ) -> CMat {
-    let ng = grids.ng();
-    let nw = grids.n_wfc();
-    assert_eq!(phi_local.nrows(), ng);
-    assert_eq!(psi_local.nrows(), ng);
     let nb_local = dist.n_local(comm.rank());
+    assert_eq!(phi_local.nrows(), grids.ng());
     assert_eq!(phi_local.ncols(), nb_local);
     assert_eq!(psi_local.ncols(), nb_local);
-
-    // local ψ in real space (reused across the i loop), band-parallel
-    let psi_real: Vec<Vec<c64>> = pt_par::parallel_map(nb_local, |j| {
-        let mut r = vec![c64::ZERO; nw];
-        grids.to_real_wfc(psi_local.col(j), &mut r);
-        r
-    });
-
-    // shape-only chunking: one task owns a contiguous run of local bands
-    // (min 1 so the zero-local-bands edge case keeps a valid chunk size).
-    // Each chunk carries its band accumulators AND its pair-FFT scratch
-    // buffer, so the broadcast loop allocates nothing per iteration.
-    let band_chunk = nb_local
-        .div_ceil(pt_par::chunk_count(nb_local.max(1)))
-        .max(1);
-    struct BandChunk {
-        /// First local band of this chunk.
-        start: usize,
-        /// One accumulator per band in the chunk (real-space V_X ψ_j).
-        accs: Vec<Vec<c64>>,
-        /// Scratch for the pair density / Poisson solve.
-        pair: Vec<c64>,
-    }
-    let mut chunks: Vec<BandChunk> = (0..nb_local.div_ceil(band_chunk))
-        .map(|c| {
-            let start = c * band_chunk;
-            let end = (start + band_chunk).min(nb_local);
-            BandChunk {
-                start,
-                accs: (start..end).map(|_| vec![c64::ZERO; nw]).collect(),
-                pair: vec![c64::ZERO; nw],
-            }
-        })
-        .collect();
-
-    // Alg. 2: for every band i, the owner broadcasts φ_i, everyone
-    // accumulates onto its local (V_X ψ_j).
-    pt_trace::counter_add(
-        pt_trace::Counter::PairFfts,
-        (dist.n_bands * nb_local) as u64,
-    );
-    let mut phi_real = vec![c64::ZERO; nw];
+    let mut pairs = PairLoop::new(grids, kernel, alpha, psi_local);
+    // Alg. 2: for every band i, the owner broadcasts φ_i, everyone folds
+    // it onto its local (V_X ψ_j). One real-space buffer serves the whole
+    // loop (to_real_wfc overwrites it fully).
+    let mut phi_real = vec![c64::ZERO; grids.n_wfc()];
     for i in 0..dist.n_bands {
         let owner = dist.owner(i);
         let mut phi_i: Vec<c64> = if owner == comm.rank() {
@@ -253,45 +214,68 @@ pub fn distributed_fock_apply(
             Vec::new()
         };
         comm.bcast_c64(owner, &mut phi_i);
-        // φ_i to real space once per rank (buffer hoisted out of the loop;
-        // to_real_wfc overwrites it fully)
         grids.to_real_wfc(&phi_i, &mut phi_real);
-        let phi_real = &phi_real;
-        let psi_real = &psi_real;
-        pt_par::parallel_chunks_mut(&mut chunks, 1, |_c, chunk| {
-            let BandChunk { start, accs, pair } = &mut chunk[0];
-            for (dj, acc_j) in accs.iter_mut().enumerate() {
-                let j = *start + dj;
-                for ((p, f), s) in pair.iter_mut().zip(phi_real).zip(&psi_real[j]) {
-                    *p = f.conj() * *s;
-                }
-                grids.fft_wfc.forward_serial(pair);
-                for (z, &k) in pair.iter_mut().zip(&kernel.values) {
-                    *z = z.scale(k);
-                }
-                grids.fft_wfc.inverse_serial(pair);
-                for ((o, f), v) in acc_j.iter_mut().zip(phi_real).zip(pair.iter()) {
-                    *o += (*f * *v).scale(-alpha);
-                }
-            }
-        });
+        pairs.accumulate(std::slice::from_ref(&phi_real));
     }
-    // gather back to sphere coefficients, band-parallel (each accumulator
-    // is replaced by its coefficient vector in place)
-    pt_par::parallel_chunks_mut(&mut chunks, 1, |_c, chunk| {
-        for acc_j in chunk[0].accs.iter_mut() {
-            let mut coeffs = vec![c64::ZERO; ng];
-            grids.to_coeffs_wfc(acc_j, &mut coeffs);
-            *acc_j = coeffs;
+    pairs.finish()
+}
+
+/// Per-chunk overlap partials `T_c = A[c]^H B[c]` over the fixed
+/// [`OVERLAP_CHUNK_ROWS`]-row grid of the rows `a`/`b` hold, flattened in
+/// ascending chunk order (`nb × nb` values each). Every partial is a fixed
+/// sequential dot product over its chunk's rows and one pool task, so the
+/// bits are free of the thread count and of which rank holds the chunk.
+fn overlap_chunk_partials(a: &CMat, b: &CMat) -> Vec<c64> {
+    let (nrows, nb) = (a.nrows(), a.ncols());
+    let mut flat = vec![c64::ZERO; nrows.div_ceil(OVERLAP_CHUNK_ROWS) * nb * nb];
+    pt_par::parallel_chunks_mut(&mut flat, nb * nb, |c, t| {
+        let r0 = c * OVERLAP_CHUNK_ROWS;
+        let r1 = (r0 + OVERLAP_CHUNK_ROWS).min(nrows);
+        for j in 0..nb {
+            let bj = &b.col(j)[r0..r1];
+            for i in 0..nb {
+                t[i + j * nb] = zdotc(&a.col(i)[r0..r1], bj);
+            }
         }
     });
-    let mut out = CMat::zeros(ng, nb_local);
-    for chunk in &chunks {
-        for (dj, coeffs) in chunk.accs.iter().enumerate() {
-            out.col_mut(chunk.start + dj).copy_from_slice(coeffs);
+    flat
+}
+
+/// Lines 4-5 of Alg. 3 on the rows the blocks hold: the rotation `Ψ_f S`
+/// and `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f S) − Ψ_{n+1/2}`, one column per
+/// pool task (every element is computed independently).
+fn assemble_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, s: Vec<c64>, dt: f64) -> CMat {
+    use pt_linalg::{gemm, Op};
+    let (nrows, nb) = (psi_f.nrows(), psi_f.ncols());
+    let s = CMat::from_vec(nb, nb, s);
+    let mut rot = CMat::zeros(nrows, nb);
+    gemm(c64::ONE, psi_f, Op::None, &s, Op::None, c64::ZERO, &mut rot);
+    let mut resid = CMat::zeros(nrows, nb);
+    pt_par::parallel_chunks_mut(resid.data_mut(), nrows.max(1), |j, rcol| {
+        let (pc, hc, rotc, halfc) = (psi_f.col(j), hpsi_f.col(j), rot.col(j), psi_half.col(j));
+        for (i, r) in rcol.iter_mut().enumerate() {
+            let rhs = hc[i] - rotc[i];
+            *r = pc[i] + rhs.mul_i().scale(0.5 * dt) - halfc[i];
+        }
+    });
+    resid
+}
+
+/// The PT fixed-point residual
+/// `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f (Ψ_f^H H_f Ψ_f)) − Ψ_{n+1/2}` on
+/// full blocks — the `N_p = 1` case of Alg. 3 without a `Comm`: the same
+/// chunk partials, the same ascending fold from zero and the same
+/// assembly as [`distributed_residual`], so its bits equal the gathered
+/// rank result on every ranks × threads layout.
+pub fn pt_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, dt: f64) -> CMat {
+    let block = psi_f.ncols() * psi_f.ncols();
+    let mut s = vec![c64::ZERO; block];
+    for chunk in overlap_chunk_partials(psi_f, hpsi_f).chunks_exact(block) {
+        for (a, v) in s.iter_mut().zip(chunk) {
+            *a += *v;
         }
     }
-    out
+    assemble_residual(psi_f, hpsi_f, psi_half, s, dt)
 }
 
 /// Distributed PT residual evaluation (Alg. 3).
@@ -317,10 +301,11 @@ pub fn distributed_fock_apply(
 /// the chunks in ascending index order on every rank. Both the chunk grid
 /// and the combine order depend only on `ng` — never on the rank or
 /// thread count — so with a [`Wire::F64`] wire the residual bits are
-/// **identical for every ranks × threads layout** (the fixed-chunk
-/// reduction tree that closed the old ~1e-12 cross-rank gap). A
-/// [`Wire::F32`] wire quantizes the alltoallv layout flips and gives that
-/// up (the tree reduction itself always moves full-precision partials).
+/// **identical for every ranks × threads layout**, and identical to the
+/// comm-free [`pt_residual`] (which shares the partials, the fold and the
+/// assembly). A [`Wire::F32`] wire quantizes the alltoallv layout flips
+/// and gives that up (the tree reduction itself always moves
+/// full-precision partials).
 pub fn distributed_residual(
     comm: &mut Comm,
     dist: BandDistribution,
@@ -330,7 +315,6 @@ pub fn distributed_residual(
     psi_half: &CMat,
     dt: f64,
 ) -> CMat {
-    use pt_linalg::{gemm, Op};
     let np = comm.size();
     assert_eq!(np, dist.n_ranks, "communicator vs distribution size");
     let nb_local = dist.n_local(comm.rank());
@@ -366,57 +350,15 @@ pub fn distributed_residual(
     let gh = flip_to_g(comm, hpsi_f);
     let ghalf = flip_to_g(comm, psi_half);
 
-    // lines 2-3: per-chunk overlap partials on the fixed row grid, then a
-    // chunk-ordered re-association (see the determinism note above). Each
-    // local chunk's nb×nb partial is one pool task (chunks are independent
-    // and internally sequential, so bits are thread-count-free too).
+    // lines 2-3: chunk partials on my rows, then the chunk-ordered
+    // reduction. Ranks ascend ⇒ global chunk index ascends: the tree joins
+    // the per-rank ascending folds in a rank-ascending prefix chain — the
+    // fixed `(((0 + T_0) + T_1) + …)` association on every rank count
     let nb = dist.n_bands;
-    let my_rows = rows_of(comm.rank());
-    let n_my_chunks = my_rows.len().div_ceil(OVERLAP_CHUNK_ROWS);
-    let partials: Vec<CMat> = pt_par::parallel_map(n_my_chunks, |c| {
-        let r0 = c * OVERLAP_CHUNK_ROWS;
-        let r1 = (r0 + OVERLAP_CHUNK_ROWS).min(my_rows.len());
-        let mut t = CMat::zeros(nb, nb);
-        for j in 0..nb {
-            let ghj = &gh.col(j)[r0..r1];
-            for i in 0..nb {
-                t[(i, j)] = zdotc(&gp.col(i)[r0..r1], ghj);
-            }
-        }
-        t
-    });
-    let flat: Vec<c64> = partials.iter().flat_map(|t| t.data().to_vec()).collect();
-    // ranks ascend ⇒ global chunk index ascends: the tree reduction joins
-    // the per-rank ascending folds in a rank-ascending prefix chain, which
-    // is exactly the fixed `(((T_0 + T_1) + T_2) + …)` association the old
-    // allgatherv-everything combine used — same bits, but each rank now
-    // receives O(nb²) instead of O(ng/64 × nb²)
-    let summed = comm.tree_reduce_chunks_c64(&flat, nb * nb);
-    let mut s_global = CMat::zeros(nb, nb);
-    s_global.data_mut().copy_from_slice(&summed);
+    let s_global = comm.tree_reduce_chunks_c64(&overlap_chunk_partials(&gp, &gh), nb * nb);
 
     // lines 4-5: rotation and residual on my rows
-    let mut rot = CMat::zeros(gp.nrows(), nb);
-    gemm(
-        c64::ONE,
-        &gp,
-        Op::None,
-        &s_global,
-        Op::None,
-        c64::ZERO,
-        &mut rot,
-    );
-    let nrows = gp.nrows();
-    let mut resid_g = CMat::zeros(nrows, nb);
-    // element-wise assembly, one column per pool task (bit-deterministic:
-    // every element is computed independently)
-    pt_par::parallel_chunks_mut(resid_g.data_mut(), nrows.max(1), |j, rcol| {
-        let (gpc, ghc, rotc, ghalfc) = (gp.col(j), gh.col(j), rot.col(j), ghalf.col(j));
-        for (i, r) in rcol.iter_mut().enumerate() {
-            let rhs = ghc[i] - rotc[i];
-            *r = gpc[i] + rhs.mul_i().scale(0.5 * dt) - ghalfc[i];
-        }
-    });
+    let resid_g = assemble_residual(&gp, &gh, &ghalf, s_global, dt);
 
     // line 6: back to band layout
     let send_back: Vec<Vec<c64>> = (0..np)
@@ -446,7 +388,7 @@ mod tests {
     use super::*;
     use crate::fock::{FockMode, FockOperator, ScreenedKernel};
     use pt_lattice::silicon_cubic_supercell;
-    use pt_mpi::{run_ranks, Wire};
+    use pt_mpi::{run_ranks_pinned, Wire};
 
     fn rand_block(ng: usize, nb: usize, seed: u64) -> CMat {
         CMat::rand_normalized(ng, nb, seed)
@@ -546,57 +488,80 @@ mod tests {
         assert!(matches!(bad.validate(), Err(PtError::InvalidConfig(_))));
     }
 
+    /// The layouts every inline-vs-rank bit test walks.
+    const LAYOUTS: [(usize, usize); 6] = [(1, 1), (1, 4), (2, 1), (2, 4), (3, 1), (3, 4)];
+
+    fn assert_same_bits(want: &CMat, got: &CMat, what: &str) {
+        assert_eq!((want.nrows(), want.ncols()), (got.nrows(), got.ncols()));
+        for (i, (x, y)) in want.data().iter().zip(got.data()).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what} [{i}]: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// Run `f` on every rank of `layout` (pinned pools) over the rank's
+    /// local columns and gather the local results into the full block.
+    fn gathered(
+        layout: RankLayout,
+        wire: Wire,
+        ng: usize,
+        nb: usize,
+        f: impl Fn(&mut Comm, BandDistribution) -> CMat + Sync,
+    ) -> (CMat, pt_mpi::StatsSnapshot) {
+        let dist = BandDistribution {
+            n_bands: nb,
+            n_ranks: layout.ranks,
+        };
+        let (outs, stats) = run_ranks_pinned(layout, wire, |comm| f(comm, dist));
+        let mut full = CMat::zeros(ng, nb);
+        for (rank, out) in outs.iter().enumerate() {
+            for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
+                full.col_mut(b).copy_from_slice(out.col(lj));
+            }
+        }
+        (full, stats)
+    }
+
+    fn gathered_fock(
+        layout: RankLayout,
+        wire: Wire,
+        grids: &PwGrids,
+        phi: &CMat,
+        psi: &CMat,
+        kernel: &ScreenedKernel,
+    ) -> (CMat, pt_mpi::StatsSnapshot) {
+        gathered(layout, wire, grids.ng(), psi.ncols(), |comm, dist| {
+            let take = |m: &CMat| dist.take_local(comm.rank(), m);
+            distributed_fock_apply(comm, grids, dist, &take(phi), &take(psi), 0.25, kernel)
+        })
+    }
+
     #[test]
-    fn distributed_matches_serial() {
+    fn distributed_fock_equals_the_in_process_apply_to_the_bit() {
         let s = silicon_cubic_supercell(1, 1, 1);
         let grids = PwGrids::new(&s, 2.0);
         let ng = grids.ng();
-        let nb = 6;
-        let phi = rand_block(ng, nb, 3);
-        let psi = rand_block(ng, nb, 4);
-        let kernel = ScreenedKernel::new(&grids, 0.11);
-        // serial reference
-        let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let mut want = CMat::zeros(ng, nb);
-        fock.apply_block(&grids, &psi, &mut want);
-        // distributed over 3 ranks
-        let np = 3;
-        let dist = BandDistribution {
-            n_bands: nb,
-            n_ranks: np,
-        };
-        let grids_ref = &grids;
-        let phi_ref = &phi;
-        let psi_ref = &psi;
-        let kern_ref = &kernel;
-        let (outs, stats) = run_ranks(np, Wire::F64, move |comm| {
-            let rank = comm.rank();
-            let mine = dist.local_bands(rank);
-            let take = |m: &CMat| dist.take_local(rank, m);
-            let out = distributed_fock_apply(
-                comm,
-                grids_ref,
-                dist,
-                &take(phi_ref),
-                &take(psi_ref),
-                0.25,
-                kern_ref,
-            );
-            (mine, out)
-        });
-        let mut err = 0.0f64;
-        for (mine, out) in outs {
-            for (lj, &b) in mine.iter().enumerate() {
-                for (x, y) in out.col(lj).iter().zip(want.col(b)) {
-                    err = err.max((*x - *y).abs());
-                }
+        // 6 bands: uneven over 4 ranks' worth of layouts; 2 bands on 4
+        // ranks: bandless tail ranks still join every broadcast
+        for (nb, layouts) in [(6usize, &LAYOUTS[..]), (2, &[(4usize, 1usize)][..])] {
+            let phi = rand_block(ng, nb, 3);
+            let psi = rand_block(ng, nb, 4);
+            let kernel = ScreenedKernel::new(&grids, 0.11);
+            let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
+            let mut want = CMat::zeros(ng, nb);
+            fock.apply_block(&grids, &psi, &mut want);
+            for &(ranks, threads) in layouts {
+                let layout = RankLayout::new(ranks, threads);
+                let (got, stats) = gathered_fock(layout, Wire::F64, &grids, &phi, &psi, &kernel);
+                assert_same_bits(&want, &got, &format!("nb={nb} {ranks}x{threads}"));
+                // §3.2 volume: receivers = (N_p−1) per bcast, N_e bcasts of N_G c64
+                let np = ranks as u64;
+                assert_eq!(stats.bcast_bytes, (np - 1) * (nb * ng) as u64 * 16);
+                assert_eq!(stats.bcast_calls, np * nb as u64);
             }
         }
-        assert!(err < 1e-11, "distributed vs serial: {err}");
-        // §3.2 volume: receivers = (N_p−1) per bcast, N_e bcasts of N_G c64
-        let want_bytes = (np as u64 - 1) * nb as u64 * ng as u64 * 16;
-        assert_eq!(stats.bcast_bytes, want_bytes);
-        assert_eq!(stats.bcast_calls, (np * nb) as u64);
     }
 
     #[test]
@@ -612,116 +577,30 @@ mod tests {
         let mut want = CMat::zeros(ng, nb);
         fock.apply_block(&grids, &psi, &mut want);
         let np = 2;
-        let dist = BandDistribution {
-            n_bands: nb,
-            n_ranks: np,
-        };
-        let (grids_ref, phi_ref, psi_ref, kern_ref) = (&grids, &phi, &psi, &kernel);
-        let (outs, stats) = run_ranks(np, Wire::F32, move |comm| {
-            let rank = comm.rank();
-            let mine = dist.local_bands(rank);
-            let take = |m: &CMat| dist.take_local(rank, m);
-            let out = distributed_fock_apply(
-                comm,
-                grids_ref,
-                dist,
-                &take(phi_ref),
-                &take(psi_ref),
-                0.25,
-                kern_ref,
-            );
-            (mine, out)
-        });
+        let (got, stats) = gathered_fock(
+            RankLayout::new(np, 1),
+            Wire::F32,
+            &grids,
+            &phi,
+            &psi,
+            &kernel,
+        );
         // volume is halved relative to f64
         assert_eq!(
             stats.bcast_bytes,
             (np as u64 - 1) * nb as u64 * ng as u64 * 8
         );
-        let mut err = 0.0f64;
-        for (mine, out) in outs {
-            for (lj, &b) in mine.iter().enumerate() {
-                for (x, y) in out.col(lj).iter().zip(want.col(b)) {
-                    err = err.max((*x - *y).abs());
-                }
-            }
-        }
+        let err = want.max_diff(&got);
         // f32 wire: ~1e-7 relative loss on the broadcast orbitals (§3.2:
         // "negligible changes in the accuracy")
         assert!(err < 1e-5, "f32 wire error too large: {err}");
         assert!(err > 1e-12, "error suspiciously zero — wire not exercised?");
     }
 
-    #[test]
-    fn distributed_residual_matches_serial() {
-        use pt_linalg::{gemm, Op};
-        let s = silicon_cubic_supercell(1, 1, 1);
-        let grids = PwGrids::new(&s, 2.0);
-        let ng = grids.ng();
-        let nb = 6;
-        let psi = rand_block(ng, nb, 21);
-        let hpsi = rand_block(ng, nb, 22);
-        let half = rand_block(ng, nb, 23);
-        let dt = 0.7;
-        // serial reference: R = Ψ + i dt/2 (HΨ − Ψ(Ψ^H HΨ)) − Ψ_half
-        let mut sg = CMat::zeros(nb, nb);
-        gemm(
-            c64::ONE,
-            &psi,
-            Op::ConjTrans,
-            &hpsi,
-            Op::None,
-            c64::ZERO,
-            &mut sg,
-        );
-        let mut rot = CMat::zeros(ng, nb);
-        gemm(c64::ONE, &psi, Op::None, &sg, Op::None, c64::ZERO, &mut rot);
-        let mut want = CMat::zeros(ng, nb);
-        for j in 0..nb {
-            for i in 0..ng {
-                let rhs = hpsi[(i, j)] - rot[(i, j)];
-                want[(i, j)] = psi[(i, j)] + rhs.mul_i().scale(0.5 * dt) - half[(i, j)];
-            }
-        }
-        for np in [2usize, 3] {
-            let dist = BandDistribution {
-                n_bands: nb,
-                n_ranks: np,
-            };
-            let (p_, h_, f_) = (&psi, &hpsi, &half);
-            let (outs, stats) = run_ranks(np, Wire::F64, move |comm| {
-                let rank = comm.rank();
-                let mine = dist.local_bands(rank);
-                let take = |m: &CMat| dist.take_local(rank, m);
-                let r = distributed_residual(comm, dist, ng, &take(p_), &take(h_), &take(f_), dt);
-                (mine, r)
-            });
-            // three forward flips + one backward per rank
-            assert_eq!(stats.alltoallv_calls, 4 * np as u64);
-            // the overlap partials travel by the tree reduction now — the
-            // allgatherv-everything path is gone, and the received volume
-            // is the O(nb²)-per-rank law: one prefix hop plus one
-            // broadcast delivery for every rank but one of each
-            assert_eq!(stats.allgatherv_calls, 0);
-            assert_eq!(stats.tree_reduce_calls, np as u64);
-            assert_eq!(
-                stats.tree_reduce_bytes,
-                2 * (np as u64 - 1) * (nb * nb) as u64 * 16
-            );
-            let mut err = 0.0f64;
-            for (mine, out) in outs {
-                for (lj, &b) in mine.iter().enumerate() {
-                    for (x, y) in out.col(lj).iter().zip(want.col(b)) {
-                        err = err.max((*x - *y).abs());
-                    }
-                }
-            }
-            assert!(err < 1e-11, "np={np}: distributed residual error {err}");
-        }
-    }
-
-    /// Pure-algebra helper: the serial PT residual reference for random
-    /// blocks of any (ng, nb) extent.
-    fn serial_residual(ng: usize, nb: usize, seeds: [u64; 3], dt: f64) -> (CMat, CMat, CMat, CMat) {
+    /// Random blocks of any (ng, nb) extent plus the PT residual written
+    /// as plain GEMM algebra — the independent reference the chunked
+    /// evaluation is held to (to rounding, not bits).
+    fn gemm_residual(ng: usize, nb: usize, seeds: [u64; 3], dt: f64) -> (CMat, CMat, CMat, CMat) {
         use pt_linalg::{gemm, Op};
         let psi = rand_block(ng, nb, seeds[0]);
         let hpsi = rand_block(ng, nb, seeds[1]);
@@ -749,45 +628,49 @@ mod tests {
     }
 
     #[test]
-    fn distributed_residual_is_bit_identical_across_rank_counts() {
-        // the fixed-chunk reduction tree: same bits for every rank count,
-        // including sizes that straddle chunk boundaries unevenly
+    fn distributed_residual_equals_the_comm_free_one_to_the_bit() {
+        // the fixed-chunk reduction: same bits for every ranks × threads
+        // layout and for the comm-free evaluation, including sizes that
+        // straddle chunk boundaries unevenly
+        let dt = 0.7;
+        let layouts = LAYOUTS.iter().copied().chain([(5, 1)]);
         for (ng, nb) in [(200usize, 5usize), (64, 3), (65, 2), (700, 4)] {
-            let dt = 0.7;
-            let (psi, hpsi, half, _) = serial_residual(ng, nb, [61, 62, 63], dt);
-            let mut reference: Option<CMat> = None;
-            for np in [1usize, 2, 3, 5] {
-                let dist = BandDistribution {
-                    n_bands: nb,
-                    n_ranks: np,
-                };
-                let (p_, h_, f_) = (&psi, &hpsi, &half);
-                let (outs, _) = run_ranks(np, Wire::F64, move |comm| {
-                    let rank = comm.rank();
-                    let mine = dist.local_bands(rank);
-                    let take = |m: &CMat| dist.take_local(rank, m);
-                    let r =
-                        distributed_residual(comm, dist, ng, &take(p_), &take(h_), &take(f_), dt);
-                    (mine, r)
-                });
-                let mut full = CMat::zeros(ng, nb);
-                for (mine, out) in outs {
-                    for (lj, &b) in mine.iter().enumerate() {
-                        full.col_mut(b).copy_from_slice(out.col(lj));
-                    }
-                }
-                match &reference {
-                    None => reference = Some(full),
-                    Some(want) => {
-                        for (i, (x, y)) in want.data().iter().zip(full.data()).enumerate() {
-                            assert!(
-                                x.re.to_bits() == y.re.to_bits()
-                                    && x.im.to_bits() == y.im.to_bits(),
-                                "ng={ng} nb={nb} np={np} [{i}]: {x:?} vs {y:?}"
-                            );
-                        }
-                    }
-                }
+            let (psi, hpsi, half, algebra) = gemm_residual(ng, nb, [61, 62, 63], dt);
+            let want = pt_residual(&psi, &hpsi, &half, dt);
+            let err = want.max_diff(&algebra);
+            assert!(err < 1e-11, "ng={ng} nb={nb}: vs GEMM algebra {err}");
+            for (ranks, threads) in layouts.clone() {
+                let (got, stats) = gathered(
+                    RankLayout::new(ranks, threads),
+                    Wire::F64,
+                    ng,
+                    nb,
+                    |comm, dist| {
+                        let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                        distributed_residual(
+                            comm,
+                            dist,
+                            ng,
+                            &take(&psi),
+                            &take(&hpsi),
+                            &take(&half),
+                            dt,
+                        )
+                    },
+                );
+                assert_same_bits(&want, &got, &format!("ng={ng} nb={nb} {ranks}x{threads}"));
+                // three forward flips + one backward per rank
+                let np = ranks as u64;
+                assert_eq!(stats.alltoallv_calls, 4 * np);
+                // the overlap partials travel by the tree reduction and the
+                // received volume is the O(nb²)-per-rank law: one prefix
+                // hop plus one broadcast delivery for every rank but one
+                assert_eq!(stats.allgatherv_calls, 0);
+                assert_eq!(stats.tree_reduce_calls, np);
+                assert_eq!(
+                    stats.tree_reduce_bytes,
+                    2 * (np - 1) * (nb * nb) as u64 * 16
+                );
             }
         }
     }
@@ -795,74 +678,19 @@ mod tests {
     #[test]
     fn distributed_residual_edge_cases_more_ranks_than_rows_or_bands() {
         // ng < np: some ranks own zero sphere rows; nb < np: some ranks
-        // own zero bands. Both must still reproduce the serial residual.
+        // own zero bands. Both must still reproduce the comm-free bits
+        // (and, to rounding, the GEMM algebra).
         let dt = 0.3;
         for (ng, nb, np) in [(3usize, 2usize, 5usize), (8, 2, 4), (5, 7, 6), (1, 1, 3)] {
-            let (psi, hpsi, half, want) = serial_residual(ng, nb, [31, 32, 33], dt);
-            let dist = BandDistribution {
-                n_bands: nb,
-                n_ranks: np,
-            };
-            let (p_, h_, f_) = (&psi, &hpsi, &half);
-            let (outs, _) = run_ranks(np, Wire::F64, move |comm| {
-                let rank = comm.rank();
-                let mine = dist.local_bands(rank);
-                let take = |m: &CMat| dist.take_local(rank, m);
-                let r = distributed_residual(comm, dist, ng, &take(p_), &take(h_), &take(f_), dt);
-                (mine, r)
+            let (psi, hpsi, half, algebra) = gemm_residual(ng, nb, [31, 32, 33], dt);
+            let want = pt_residual(&psi, &hpsi, &half, dt);
+            let err = want.max_diff(&algebra);
+            assert!(err < 1e-12, "ng={ng} nb={nb}: vs GEMM algebra {err}");
+            let (got, _) = gathered(RankLayout::new(np, 1), Wire::F64, ng, nb, |comm, dist| {
+                let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                distributed_residual(comm, dist, ng, &take(&psi), &take(&hpsi), &take(&half), dt)
             });
-            let mut err = 0.0f64;
-            for (mine, out) in outs {
-                for (lj, &b) in mine.iter().enumerate() {
-                    for (x, y) in out.col(lj).iter().zip(want.col(b)) {
-                        err = err.max((*x - *y).abs());
-                    }
-                }
-            }
-            assert!(err < 1e-12, "ng={ng} nb={nb} np={np}: residual error {err}");
+            assert_same_bits(&want, &got, &format!("ng={ng} nb={nb} np={np}"));
         }
-    }
-
-    #[test]
-    fn distributed_fock_handles_more_ranks_than_bands() {
-        let s = silicon_cubic_supercell(1, 1, 1);
-        let grids = PwGrids::new(&s, 2.0);
-        let ng = grids.ng();
-        let nb = 2;
-        let np = 4;
-        let phi = rand_block(ng, nb, 41);
-        let psi = rand_block(ng, nb, 42);
-        let kernel = ScreenedKernel::new(&grids, 0.11);
-        let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let mut want = CMat::zeros(ng, nb);
-        fock.apply_block(&grids, &psi, &mut want);
-        let dist = BandDistribution {
-            n_bands: nb,
-            n_ranks: np,
-        };
-        let (g, ph, ps, k) = (&grids, &phi, &psi, &kernel);
-        let (outs, _) = run_ranks(np, Wire::F64, move |comm| {
-            let rank = comm.rank();
-            let mine = dist.local_bands(rank);
-            let out = distributed_fock_apply(
-                comm,
-                g,
-                dist,
-                &dist.take_local(rank, ph),
-                &dist.take_local(rank, ps),
-                0.25,
-                k,
-            );
-            (mine, out)
-        });
-        let mut err = 0.0f64;
-        for (mine, out) in outs {
-            for (lj, &b) in mine.iter().enumerate() {
-                for (x, y) in out.col(lj).iter().zip(want.col(b)) {
-                    err = err.max((*x - *y).abs());
-                }
-            }
-        }
-        assert!(err < 1e-11, "bandless ranks broke Alg. 2: {err}");
     }
 }

@@ -61,7 +61,7 @@ pub enum PtError {
         /// Steps completed before the cancellation was honored.
         completed_steps: usize,
     },
-    /// The persistent rank engine behind a distributed propagator died
+    /// The persistent rank engine behind a `ranks > 1` PT-CN run died
     /// from an earlier rank failure: its world is gone, so later work on
     /// it is refused with this typed error instead of hanging.
     EngineDown {

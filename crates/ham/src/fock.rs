@@ -9,10 +9,16 @@
 //! `K(G) = 4π (1 − e^{−G²/4ω²})/G²` has the finite limit `π/ω²` at G = 0,
 //! so Γ-point calculations need no divergence correction.
 //!
-//! [`FockMode`] selects the execution layout, mirroring the paper's GPU
-//! optimization stages (§3.2): `BandByBand` parallelizes inside one 3-D
-//! FFT at a time (stage 1); `Batched` runs many pair-FFTs concurrently
-//! (stage 2, the batched-CUFFT analogue).
+//! There is **one** body of the pair solve in this crate
+//! (`pair_accumulate`: product → forward FFT → kernel → inverse FFT →
+//! accumulate) and one loop around it (`PairLoop`): every ψ band owns an
+//! accumulator that folds `φ_i`, `i = 0..N_φ`, in ascending order from
+//! zero, one ψ-band chunk per pool task (the paper's batched-CUFFT stage,
+//! §3.2). [`FockOperator::apply_block`] feeds it all of Φ at once; the
+//! distributed Alg. 2 driver ([`crate::distributed_fock_apply`]) feeds it
+//! one broadcast band at a time — so the in-process result is the
+//! `N_p = 1` case of the distributed one, bit for bit, on every
+//! ranks × threads layout.
 //!
 //! In the PT-CN hot path this operator is rarely applied directly: the
 //! [ACE compression](crate::AceOperator) spends one block application
@@ -62,13 +68,145 @@ impl ScreenedKernel {
     }
 }
 
-/// Execution layout for the pair-FFT loop.
+/// Execution layout for the pair-FFT loop. A single layout is left (one
+/// ψ-band chunk per pool task, serial FFTs inside); the enum stays only
+/// because the frozen `benchmark/src/layers.rs` names `FockMode::Batched`
+/// in its `FockOperator::new` calls.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FockMode {
-    /// One pair at a time, parallelism inside each 3-D FFT (paper stage 1).
-    BandByBand,
-    /// All pairs of one `ψ_j` batched, parallel across pairs (stage 2+).
+    /// All pairs of one `ψ_j` folded by one task, parallel across bands.
     Batched,
+}
+
+/// One Poisson-like pair solve of Alg. 2, accumulated:
+/// `acc(r) += −α φ_i(r) · IFFT[K · FFT(φ_i* ψ_j)](r)`, all on the
+/// wavefunction grid with serial FFTs (`pair` is caller-owned scratch).
+/// The grid convolution is the exact integral, no volume factor (the
+/// uniform-orbital test pins it).
+fn pair_accumulate(
+    grids: &PwGrids,
+    kernel: &ScreenedKernel,
+    alpha: f64,
+    phi: &[c64],
+    psi: &[c64],
+    pair: &mut [c64],
+    acc: &mut [c64],
+) {
+    // charge-like quantity φ_i*(r) ψ_j(r)
+    for ((p, f), s) in pair.iter_mut().zip(phi).zip(psi) {
+        *p = f.conj() * *s;
+    }
+    grids.fft_wfc.forward_serial(pair);
+    for (z, &k) in pair.iter_mut().zip(&kernel.values) {
+        *z = z.scale(k);
+    }
+    grids.fft_wfc.inverse_serial(pair);
+    for ((o, f), v) in acc.iter_mut().zip(phi).zip(pair.iter()) {
+        *o += (*f * *v).scale(-alpha);
+    }
+}
+
+/// The ψ side of Alg. 2's pair loop: the real-space ψ bands and one
+/// accumulator per band, cut into shape-only chunks (one pool task each,
+/// carrying its own pair scratch so folding allocates nothing).
+///
+/// Each accumulator is owned by exactly one task and folds the φ it is
+/// handed in call order from zero, so `V_X ψ_j` depends on neither the
+/// thread count nor on how the caller batches [`PairLoop::accumulate`]
+/// calls — all of Φ at once in process, one broadcast band at a time
+/// under a `Comm`.
+pub(crate) struct PairLoop<'a> {
+    grids: &'a PwGrids,
+    kernel: &'a ScreenedKernel,
+    alpha: f64,
+    psi_real: Vec<Vec<c64>>,
+    chunks: Vec<BandChunk>,
+}
+
+struct BandChunk {
+    /// First ψ band of this chunk.
+    start: usize,
+    /// One accumulator per band in the chunk (real-space `V_X ψ_j`).
+    accs: Vec<Vec<c64>>,
+    /// Scratch for the pair density / Poisson solve.
+    pair: Vec<c64>,
+}
+
+impl<'a> PairLoop<'a> {
+    /// ψ (columns, sphere coefficients) to real space, zeroed accumulators.
+    pub(crate) fn new(
+        grids: &'a PwGrids,
+        kernel: &'a ScreenedKernel,
+        alpha: f64,
+        psi: &CMat,
+    ) -> Self {
+        assert_eq!(psi.nrows(), grids.ng());
+        let (nw, n_psi) = (grids.n_wfc(), psi.ncols());
+        let psi_real: Vec<Vec<c64>> = pt_par::parallel_map(n_psi, |j| {
+            let mut r = vec![c64::ZERO; nw];
+            grids.to_real_wfc(psi.col(j), &mut r);
+            r
+        });
+        // min 1 so a ψ block without bands keeps a valid chunk size
+        let band_chunk = n_psi.div_ceil(pt_par::chunk_count(n_psi.max(1))).max(1);
+        let chunks = (0..n_psi.div_ceil(band_chunk))
+            .map(|c| {
+                let start = c * band_chunk;
+                let end = (start + band_chunk).min(n_psi);
+                BandChunk {
+                    start,
+                    accs: (start..end).map(|_| vec![c64::ZERO; nw]).collect(),
+                    pair: vec![c64::ZERO; nw],
+                }
+            })
+            .collect();
+        PairLoop {
+            grids,
+            kernel,
+            alpha,
+            psi_real,
+            chunks,
+        }
+    }
+
+    /// Fold the real-space defining orbitals `phis`, in slice order, onto
+    /// every ψ band's accumulator: `phis.len() × N_ψ` pair solves.
+    pub(crate) fn accumulate(&mut self, phis: &[Vec<c64>]) {
+        pt_trace::counter_add(
+            pt_trace::Counter::PairFfts,
+            (phis.len() * self.psi_real.len()) as u64,
+        );
+        let (grids, kernel, alpha, psi_real) =
+            (self.grids, self.kernel, self.alpha, &self.psi_real);
+        pt_par::parallel_chunks_mut(&mut self.chunks, 1, |_c, chunk| {
+            let BandChunk { start, accs, pair } = &mut chunk[0];
+            for phi in phis {
+                for (dj, acc) in accs.iter_mut().enumerate() {
+                    pair_accumulate(grids, kernel, alpha, phi, &psi_real[*start + dj], pair, acc);
+                }
+            }
+        });
+    }
+
+    /// Back to sphere coefficients: column `j` is `V_X ψ_j`.
+    pub(crate) fn finish(mut self) -> CMat {
+        let (grids, ng) = (self.grids, self.grids.ng());
+        // band-parallel; each accumulator is replaced by its coefficients
+        pt_par::parallel_chunks_mut(&mut self.chunks, 1, |_c, chunk| {
+            for acc in chunk[0].accs.iter_mut() {
+                let mut coeffs = vec![c64::ZERO; ng];
+                grids.to_coeffs_wfc(acc, &mut coeffs);
+                *acc = coeffs;
+            }
+        });
+        let mut out = CMat::zeros(ng, self.psi_real.len());
+        for chunk in &self.chunks {
+            for (dj, coeffs) in chunk.accs.iter().enumerate() {
+                out.col_mut(chunk.start + dj).copy_from_slice(coeffs);
+            }
+        }
+        out
+    }
 }
 
 /// The exchange operator with a frozen set of defining orbitals Φ.
@@ -79,7 +217,6 @@ pub struct FockOperator {
     /// Mixing fraction α (0.25 for HSE06).
     pub alpha: f64,
     kernel: ScreenedKernel,
-    mode: FockMode,
 }
 
 impl FockOperator {
@@ -90,7 +227,7 @@ impl FockOperator {
         phi: &CMat,
         alpha: f64,
         kernel: ScreenedKernel,
-        mode: FockMode,
+        _mode: FockMode,
     ) -> Self {
         assert_eq!(phi.nrows(), grids.ng());
         let phi_real: Vec<Vec<c64>> = pt_par::parallel_map(phi.ncols(), |i| {
@@ -102,7 +239,6 @@ impl FockOperator {
             phi_real,
             alpha,
             kernel,
-            mode,
         }
     }
 
@@ -111,170 +247,27 @@ impl FockOperator {
         self.phi_real.len()
     }
 
-    /// Execution mode.
-    pub fn mode(&self) -> FockMode {
-        self.mode
-    }
-
-    /// Change the execution mode (used by the stage-ablation benches).
-    pub fn set_mode(&mut self, mode: FockMode) {
-        self.mode = mode;
-    }
-
-    /// Apply to one orbital: `out += (V_X ψ)` in sphere coefficients.
+    /// Apply to one orbital: `out += (V_X ψ)` in sphere coefficients —
+    /// [`FockOperator::apply_block`] on a one-column block.
     pub fn apply(&self, grids: &PwGrids, psi: &[c64], out: &mut [c64]) {
-        let nw = grids.n_wfc();
-        let mut psi_real = vec![c64::ZERO; nw];
-        grids.to_real_wfc(psi, &mut psi_real);
-        let acc_real = self.apply_real(grids, &psi_real);
-        // back to sphere coefficients and accumulate
-        let mut acc = acc_real;
-        let mut coeffs = vec![c64::ZERO; grids.ng()];
-        grids.to_coeffs_wfc(&mut acc, &mut coeffs);
-        for (o, c) in out.iter_mut().zip(&coeffs) {
-            *o += *c;
-        }
+        let psi = CMat::from_vec(psi.len(), 1, psi.to_vec());
+        let mut col = CMat::from_vec(out.len(), 1, out.to_vec());
+        self.apply_block(grids, &psi, &mut col);
+        out.copy_from_slice(col.col(0));
     }
 
-    /// Core pair loop on real-space input, returning `(V_X ψ)(r)` on the
-    /// wavefunction grid. Exposed for the distributed Alg. 2 driver.
-    pub fn apply_real(&self, grids: &PwGrids, psi_real: &[c64]) -> Vec<c64> {
-        let nw = grids.n_wfc();
-        // one Poisson-like solve per defining orbital, either mode
-        pt_trace::counter_add(pt_trace::Counter::PairFfts, self.phi_real.len() as u64);
-        match self.mode {
-            FockMode::BandByBand => {
-                let mut acc = vec![c64::ZERO; nw];
-                let mut pair = vec![c64::ZERO; nw];
-                for phi in &self.phi_real {
-                    // charge-like quantity φ_i*(r) ψ(r)
-                    for ((p, f), s) in pair.iter_mut().zip(phi).zip(psi_real) {
-                        *p = f.conj() * *s;
-                    }
-                    // Poisson-like solve with the screened kernel
-                    grids.fft_wfc.forward(&mut pair);
-                    for (z, &k) in pair.iter_mut().zip(&self.kernel.values) {
-                        *z = z.scale(k);
-                    }
-                    grids.fft_wfc.inverse(&mut pair);
-                    // accumulate −α φ_i(r) v_i(r); the grid convolution
-                    // IFFT(K·FFT(pair)) is the exact integral, no volume
-                    // factor (see uniform-orbital test for the pinning)
-                    for ((o, f), v) in acc.iter_mut().zip(phi).zip(&pair) {
-                        *o += (*f * *v).scale(-self.alpha);
-                    }
-                }
-                acc
-            }
-            FockMode::Batched => {
-                // one accumulator (and one pair scratch) per φ-chunk, φ in
-                // index order inside a chunk
-                let n_phi = self.phi_real.len();
-                let kc = pt_par::chunk_count(n_phi);
-                let partials: Vec<Vec<c64>> = pt_par::parallel_map(kc, |c| {
-                    let mut acc = vec![c64::ZERO; nw];
-                    let mut pair = vec![c64::ZERO; nw];
-                    for phi in &self.phi_real[pt_par::chunk_range(n_phi, kc, c)] {
-                        for ((p, f), s) in pair.iter_mut().zip(phi).zip(psi_real) {
-                            *p = f.conj() * *s;
-                        }
-                        grids.fft_wfc.forward_serial(&mut pair);
-                        for (z, &k) in pair.iter_mut().zip(&self.kernel.values) {
-                            *z = z.scale(k);
-                        }
-                        grids.fft_wfc.inverse_serial(&mut pair);
-                        for ((o, f), v) in acc.iter_mut().zip(phi).zip(&pair) {
-                            *o += (*f * *v).scale(-self.alpha);
-                        }
-                    }
-                    acc
-                });
-                // chunk-ordered left accumulate from zero (not a pairwise
-                // tree: the pinned trajectories carry this association)
-                let mut acc = vec![c64::ZERO; nw];
-                for part in &partials {
-                    for (x, y) in acc.iter_mut().zip(part) {
-                        *x += *y;
-                    }
-                }
-                acc
-            }
-        }
-    }
-
-    /// Apply to a block: `out[:, j] += V_X ψ_j`.
-    ///
-    /// In [`FockMode::Batched`] this is **band-pair parallel**: the
-    /// N_φ × N_ψ pair solves are cut into `(ψ-band, φ-chunk)` pool tasks
-    /// (the paper's batched-CUFFT stage over Alg. 2's pair loop), each
-    /// running its FFTs serially. The φ-chunking depends only on the two
-    /// band counts, and per-band partials are combined in φ-chunk order,
-    /// so results are bit-identical for every thread count.
-    /// [`FockMode::BandByBand`] keeps the stage-1 layout: one pair at a
-    /// time with parallelism inside each 3-D FFT.
+    /// Apply to a block: `out[:, j] += V_X ψ_j` — the `N_p = 1` case of
+    /// Alg. 2 without a `Comm`: one `PairLoop` folding all of Φ in
+    /// ascending order, so the bits equal the gathered result of
+    /// [`crate::distributed_fock_apply`] on any ranks × threads layout.
     pub fn apply_block(&self, grids: &PwGrids, psi: &CMat, out: &mut CMat) {
-        assert_eq!(psi.nrows(), grids.ng());
         assert_eq!(out.nrows(), psi.nrows());
         assert_eq!(out.ncols(), psi.ncols());
-        if self.mode == FockMode::BandByBand {
-            for j in 0..psi.ncols() {
-                // split borrow: copy column out, apply, write back
-                let mut col = out.col(j).to_vec();
-                self.apply(grids, psi.col(j), &mut col);
-                out.col_mut(j).copy_from_slice(&col);
-            }
-            return;
+        let mut pairs = PairLoop::new(grids, &self.kernel, self.alpha, psi);
+        pairs.accumulate(&self.phi_real);
+        for (o, v) in out.data_mut().iter_mut().zip(pairs.finish().data()) {
+            *o += *v;
         }
-        let n_psi = psi.ncols();
-        let n_phi = self.phi_real.len();
-        if n_psi == 0 || n_phi == 0 {
-            return;
-        }
-        let nw = grids.n_wfc();
-        let ng = grids.ng();
-        pt_trace::counter_add(pt_trace::Counter::PairFfts, (n_phi * n_psi) as u64);
-        // ψ_j → real space, band-parallel
-        let psi_real: Vec<Vec<c64>> = pt_par::parallel_map(n_psi, |j| {
-            let mut r = vec![c64::ZERO; nw];
-            grids.to_real_wfc(psi.col(j), &mut r);
-            r
-        });
-        // pair solves: task (j, c) owns ψ_j against the c-th φ-chunk
-        let kc = pair_phi_chunks(n_phi, n_psi);
-        let partials: Vec<Vec<c64>> = pt_par::parallel_map(n_psi * kc, |t| {
-            let (j, c) = (t / kc, t % kc);
-            let mut acc = vec![c64::ZERO; nw];
-            let mut pair = vec![c64::ZERO; nw];
-            for i in pt_par::chunk_range(n_phi, kc, c) {
-                let phi = &self.phi_real[i];
-                for ((p, f), s) in pair.iter_mut().zip(phi).zip(&psi_real[j]) {
-                    *p = f.conj() * *s;
-                }
-                grids.fft_wfc.forward_serial(&mut pair);
-                for (z, &k) in pair.iter_mut().zip(&self.kernel.values) {
-                    *z = z.scale(k);
-                }
-                grids.fft_wfc.inverse_serial(&mut pair);
-                for ((o, f), v) in acc.iter_mut().zip(phi).zip(&pair) {
-                    *o += (*f * *v).scale(-self.alpha);
-                }
-            }
-            acc
-        });
-        // per band: combine φ-chunks in order, back to sphere coefficients
-        pt_par::parallel_chunks_mut(out.data_mut(), ng, |j, ocol| {
-            let mut acc = vec![c64::ZERO; nw];
-            for part in &partials[j * kc..(j + 1) * kc] {
-                for (x, y) in acc.iter_mut().zip(part) {
-                    *x += *y;
-                }
-            }
-            let mut coeffs = vec![c64::ZERO; ng];
-            grids.to_coeffs_wfc(&mut acc, &mut coeffs);
-            for (o, z) in ocol.iter_mut().zip(&coeffs) {
-                *o += *z;
-            }
-        });
     }
 
     /// Exchange energy `E_x = ½ Σ_j f_j ⟨ψ_j|V_X ψ_j⟩` for the orbitals
@@ -288,13 +281,6 @@ impl FockOperator {
                 .map(|j| 0.5 * occ[j] * pt_num::complex::zdotc(psi.col(j), v.col(j)).re),
         )
     }
-}
-
-/// Number of φ-chunks the pair loop is cut into. Depends only on the band
-/// counts (never the thread count) so chunk-ordered accumulation stays
-/// bit-deterministic; sized so a full block application yields ~64 tasks.
-fn pair_phi_chunks(n_phi: usize, n_psi: usize) -> usize {
-    (64 / n_psi.max(1)).clamp(1, n_phi)
 }
 
 #[cfg(test)]
@@ -330,21 +316,6 @@ mod tests {
             .unwrap()
             .0;
         assert!((k.values[idx] / kbare.values[idx] - 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn modes_agree() {
-        let (_s, g) = grids();
-        let phi = rand_block(g.ng(), 3, 11);
-        let psi = rand_block(g.ng(), 2, 22);
-        let kern = ScreenedKernel::new(&g, 0.11);
-        let f1 = FockOperator::new(&g, &phi, 0.25, kern.clone(), FockMode::BandByBand);
-        let f2 = FockOperator::new(&g, &phi, 0.25, kern, FockMode::Batched);
-        let mut o1 = CMat::zeros(g.ng(), 2);
-        let mut o2 = CMat::zeros(g.ng(), 2);
-        f1.apply_block(&g, &psi, &mut o1);
-        f2.apply_block(&g, &psi, &mut o2);
-        assert!(o1.max_diff(&o2) < 1e-11, "{}", o1.max_diff(&o2));
     }
 
     #[test]
@@ -430,24 +401,24 @@ mod tests {
     }
 
     #[test]
-    fn multi_phi_chunks_are_thread_count_independent() {
-        // 70 defining orbitals > 64 chunks: some chunks fold two φ before
-        // the chunk-ordered accumulate — the association no fixture reaches
+    fn apply_block_is_thread_count_independent_past_64_bands() {
+        // 70 ψ bands > 64 chunks: some pool tasks own two accumulators —
+        // the chunk shape no fixture reaches
         let s = silicon_cubic_supercell(1, 1, 1);
         let g = PwGrids::new(&s, 2.0);
-        let phi = rand_block(g.ng(), 70, 88);
-        let psi = rand_block(g.ng(), 1, 99);
+        let phi = rand_block(g.ng(), 3, 88);
+        let psi = rand_block(g.ng(), 70, 99);
         let kern = ScreenedKernel::new(&g, 0.11);
         let f = FockOperator::new(&g, &phi, 0.25, kern, FockMode::Batched);
         let run = |threads: usize| {
             pt_par::ThreadPool::new(threads).install(|| {
-                let mut out = vec![c64::ZERO; g.ng()];
-                f.apply(&g, psi.col(0), &mut out);
+                let mut out = CMat::zeros(g.ng(), 70);
+                f.apply_block(&g, &psi, &mut out);
                 out
             })
         };
         let (o1, o4) = (run(1), run(4));
-        assert!(o1.iter().zip(&o4).all(|(a, b)| {
+        assert!(o1.data().iter().zip(o4.data()).all(|(a, b)| {
             a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
         }));
     }

@@ -10,12 +10,13 @@
 //! * Kleinman–Bylander nonlocal pseudopotential,
 //! * the **Fock exchange operator** `V_X[P]` (Eq. 3), evaluated exactly as
 //!   Alg. 2: one Poisson-like FFT solve per orbital pair on the
-//!   wavefunction grid, with band-by-band / band-pair-batched (pt-par
-//!   threads) / distributed (pt-mpi) execution paths mirroring the paper's
-//!   optimization stages,
+//!   wavefunction grid — one pair-solve loop, run in process (pt-par
+//!   threads) or fed by the band broadcasts of a pt-mpi rank team, with
+//!   identical bits,
 //! * total-energy assembly including the Ewald ion–ion term,
-//! * the distributed layout flips (band-index ↔ G-space) and residual
-//!   evaluation of Alg. 3.
+//! * the PT residual of Alg. 3 on the fixed 64-row chunk grid, comm-free
+//!   ([`pt_residual`]) or with the band-index ↔ G-space layout flips of a
+//!   rank team ([`distributed_residual`]).
 
 mod ace;
 mod density;
@@ -30,7 +31,7 @@ mod system;
 pub use ace::AceOperator;
 pub use density::{density_from_orbitals, density_residual, integrate};
 pub use distributed::{
-    distributed_fock_apply, distributed_residual, BandDistribution, DistributedConfig,
+    distributed_fock_apply, distributed_residual, pt_residual, BandDistribution, DistributedConfig,
     OVERLAP_CHUNK_ROWS,
 };
 pub use error::PtError;

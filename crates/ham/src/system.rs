@@ -187,12 +187,14 @@ pub struct KsSystem {
     /// Occupations (2.0 per doubly occupied band).
     pub occupations: Vec<f64>,
     /// Dedicated thread pool (None = inherit the surrounding pool /
-    /// `PT_NUM_THREADS`). Set via [`KsSystemBuilder::parallelism`].
+    /// `PT_NUM_THREADS`). Set via [`KsSystemBuilder::parallelism`]; a
+    /// system with a layout and no explicit parallelism gets a
+    /// `layout.cores()`-wide one.
     pub pool: Option<Arc<ThreadPool>>,
-    /// Ranks × threads decomposition for distributed drivers (None =
-    /// everything runs in-process on the pool above). Set via
-    /// [`KsSystemBuilder::distributed`]; `pt-core`'s distributed PT-CN
-    /// propagator reads it to spawn virtual-MPI ranks with pinned pools.
+    /// Ranks × threads decomposition (None = 1 × the pool above). Set via
+    /// [`KsSystemBuilder::distributed`]; `pt-core`'s PT-CN propagator
+    /// reads it at step time: one rank runs inline on the installed pool,
+    /// more spawn virtual-MPI ranks with pinned pools.
     pub distributed: Option<DistributedConfig>,
     /// How propagation evaluates the exchange contribution (only
     /// meaningful for hybrid systems). Set via
@@ -265,7 +267,9 @@ impl KsSystemBuilder {
 
     /// Threading for everything driven through this system
     /// (`Parallelism::threads(n)` pins a dedicated n-thread pool; the
-    /// default inherits the surrounding pool, i.e. `PT_NUM_THREADS`).
+    /// default inherits the surrounding pool, i.e. `PT_NUM_THREADS` — or,
+    /// with a [`KsSystemBuilder::distributed`] layout, pins one as wide as
+    /// the layout's cores).
     /// `scf_loop` and `Simulation::run` install the pool around their
     /// whole loops, so every FFT/GEMM/Fock kernel inherits it.
     /// `Parallelism::ranks_threads(r, t)` additionally implies a
@@ -276,12 +280,15 @@ impl KsSystemBuilder {
         self
     }
 
-    /// Run distributed drivers as `cfg.ranks` virtual-MPI rank threads,
-    /// each with its own pinned `cfg.threads_per_rank`-wide pool — the
-    /// paper's one-GPU-plus-CPU-slice per MPI rank, in process. With this
-    /// set, `SimulationBuilder` defaults to the distributed PT-CN
-    /// propagator, so a hybrid run is driven as ranks × threads straight
-    /// from the builder API. Validated in [`KsSystemBuilder::build`].
+    /// Run PT-CN as `cfg.ranks` virtual-MPI rank threads, each with its
+    /// own pinned `cfg.threads_per_rank`-wide pool — the paper's
+    /// one-GPU-plus-CPU-slice per MPI rank, in process (one rank needs no
+    /// rank thread: the step runs inline). The layout's cores are also the
+    /// pool everything replicated computes on (SCF, density, mixing,
+    /// re-orthonormalization): without an explicit
+    /// [`KsSystemBuilder::parallelism`] the system gets a dedicated
+    /// `cfg.layout().cores()`-wide pool. Validated in
+    /// [`KsSystemBuilder::build`].
     pub fn distributed(mut self, cfg: DistributedConfig) -> Self {
         self.distributed = Some(cfg);
         self
@@ -353,6 +360,12 @@ impl KsSystemBuilder {
         if let Some(d) = &distributed {
             d.validate()?;
         }
+        // a layout's cores are the pool the job computes on, not whatever
+        // pool happens to surround the caller
+        let parallelism = match (self.parallelism.num_threads, &distributed) {
+            (None, Some(d)) => Parallelism::threads(d.layout().cores()),
+            _ => self.parallelism,
+        };
         let occupations = match self.occupations {
             Some(occ) => {
                 if occ.is_empty() {
@@ -421,7 +434,7 @@ impl KsSystemBuilder {
             kernel,
             e_ewald,
             occupations,
-            pool: self.parallelism.build_pool(),
+            pool: parallelism.build_pool(),
             distributed,
             exchange_mode: self.exchange_mode,
         })
@@ -837,6 +850,29 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(sys.distributed, Some(DistributedConfig::new(3, 1)));
+    }
+
+    #[test]
+    fn a_layouts_cores_are_the_pool_the_system_computes_on() {
+        let width = |b: KsSystemBuilder| {
+            let sys = b.ecut(2.0).xc(XcKind::Lda).build().unwrap();
+            // whatever surrounds the caller must not leak in
+            ThreadPool::new(1).install(|| sys.install(pt_par::current_num_threads))
+        };
+        let si8 = || KsSystem::builder(silicon_cubic_supercell(1, 1, 1));
+        assert_eq!(width(si8().distributed(DistributedConfig::new(2, 2))), 4);
+        assert_eq!(width(si8().distributed(DistributedConfig::new(1, 3))), 3);
+        // an explicit parallelism still wins
+        assert_eq!(
+            width(
+                si8()
+                    .distributed(DistributedConfig::new(2, 2))
+                    .parallelism(Parallelism::threads(2))
+            ),
+            2
+        );
+        // no layout, no parallelism: inherit
+        assert_eq!(width(si8()), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use pt_ham::{DistributedConfig, ExchangeMode, HybridConfig, KsSystem, PtError};
 use pt_io::Json;
 use pt_lattice::silicon_cubic_supercell;
 use pt_num::units::attosecond_to_au;
-use pt_par::{Parallelism, RankLayout};
+use pt_par::RankLayout;
 use pt_scf::{scf_loop, ScfOptions};
 use pt_xc::XcKind;
 
@@ -354,10 +354,11 @@ impl JobSpec {
         })
     }
 
-    /// Build the Kohn–Sham system this spec describes. Serial jobs
-    /// (`ranks == 1`) carry their thread width as the system's pool so
-    /// SCF and propagation both run at the scheduled width; distributed
-    /// jobs get a [`DistributedConfig`] (each rank pins its own pool).
+    /// Build the Kohn–Sham system this spec describes. The layout goes
+    /// onto the system as its [`DistributedConfig`]: the system then
+    /// computes on a dedicated pool as wide as the cores the scheduler
+    /// charged (SCF and everything replicated), and PT-CN runs inline on
+    /// it for one rank or on a rank team with pinned pools for more.
     pub fn build_system(&self) -> Result<KsSystem, PtError> {
         let [a, b, c] = self.system.supercell;
         let mut builder = KsSystem::builder(silicon_cubic_supercell(a, b, c))
@@ -370,15 +371,12 @@ impl JobSpec {
         if let Some(nb) = self.system.bands {
             builder = builder.occupations(vec![2.0; nb]);
         }
-        if self.layout.ranks > 1 {
-            builder = builder.distributed(DistributedConfig::new(
+        builder
+            .distributed(DistributedConfig::new(
                 self.layout.ranks,
                 self.layout.threads_per_rank,
-            ));
-        } else {
-            builder = builder.parallelism(Parallelism::threads(self.layout.threads_per_rank));
-        }
-        builder.build()
+            ))
+            .build()
     }
 
     /// Converge the ground state and assemble a fresh [`Simulation`] for

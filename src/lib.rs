@@ -18,9 +18,11 @@
 //!   [`par`] fixed-worker thread pool (`PT_NUM_THREADS`, bit-deterministic
 //!   for any thread count) through its chunk-ordered `parallel_*`
 //!   primitives; a `ranks × threads_per_rank` layout
-//!   ([`ham::DistributedConfig`] on the builder) additionally pins a
-//!   dedicated pool to every rank thread and drives hybrid PT-CN through
-//!   the distributed propagator ([`core::DistributedPtCnPropagator`]).
+//!   ([`ham::DistributedConfig`] on the builder) sizes the system's pool
+//!   to its cores and is read by the one PT-CN propagator
+//!   ([`core::PtCnPropagator`]) at step time: one rank runs inline on that
+//!   pool, more run on a persistent rank team with a pinned pool per rank
+//!   thread — bit-identical either way.
 //! * **Layer B (Summit model)** — machine constants ([`summit`]) and the
 //!   anchored performance model ([`perf`]) that regenerate every table and
 //!   figure of the paper's evaluation.
@@ -97,10 +99,9 @@ pub mod prelude {
     pub use pt_core::{
         current_density, density_matrix_distance, latest_checkpoint, max_stable_rk4_dt,
         orthonormality_error, CancelToken, CheckpointPolicy, CurrentObserver, DipoleNormObserver,
-        DistributedPtCnPropagator, EnergyObserver, LaserPulse, Observer, ObserverContext,
-        OrthonormalityObserver, Propagator, PropagatorState, PtCnOptions, PtCnPropagator, PtError,
-        Rk4Options, Rk4Propagator, RunCheckpoint, Simulation, SimulationBuilder, StepStats,
-        StepUpdate, TdState, TimeSeries,
+        EnergyObserver, LaserPulse, Observer, ObserverContext, OrthonormalityObserver, Propagator,
+        PropagatorState, PtCnOptions, PtCnPropagator, PtError, Rk4Options, Rk4Propagator,
+        RunCheckpoint, Simulation, SimulationBuilder, StepStats, StepUpdate, TdState, TimeSeries,
     };
     pub use pt_ham::{
         DistributedConfig, ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, SystemSignature,

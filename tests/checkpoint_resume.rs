@@ -1,11 +1,20 @@
 //! The `pt-io` acceptance path: a run checkpointed at step k and resumed
 //! produces a `TimeSeries` with `to_bits`-equal channels to the
-//! uninterrupted run — serially and at the 2 × 2 ranks × threads layout —
-//! and malformed snapshots surface as typed `PtError`s, never panics.
+//! uninterrupted 1 × 1 run — on every ranks × threads layout, and across
+//! layouts (a snapshot is layout-free: the resumed run honours the layout
+//! of the system it is resumed on) — and malformed snapshots surface as
+//! typed `PtError`s, never panics.
 
 use pwdft_rt::core::{latest_checkpoint, RunCheckpoint};
+use pwdft_rt::mpi::rank_threads_spawned;
 use pwdft_rt::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// `rank_threads_spawned` is process-global and the tests of this binary
+/// run concurrently: every test that steps a `ranks > 1` layout holds this
+/// lock, so the cross-layout test can assert exact spawn counts.
+static RANK_TEAMS: Mutex<()> = Mutex::new(());
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pt_ckpt_{}_{tag}", std::process::id()));
@@ -54,76 +63,163 @@ fn laser() -> LaserPulse {
     LaserPulse::paper_380nm(0.02, attosecond_to_au(200.0), attosecond_to_au(100.0))
 }
 
-#[test]
-fn serial_killed_and_resumed_run_is_bit_identical() {
-    let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
-    let steps = 4usize;
-    let uninterrupted = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
+/// The 4-band HSE06 fixture on `layout` (`None` = no layout: inline on the
+/// surrounding pool). `system_mode` goes on the system builder.
+fn hybrid_system(layout: Option<(usize, usize)>, system_mode: Option<ExchangeMode>) -> KsSystem {
+    let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+        .ecut(2.0)
+        .xc(XcKind::Pbe)
+        .hybrid(HybridConfig::hse06())
+        .occupations(vec![2.0; 4]);
+    if let Some(mode) = system_mode {
+        b = b.exchange_mode(mode);
+    }
+    if let Some((ranks, threads)) = layout {
+        b = b.distributed(DistributedConfig::new(ranks, threads));
+    }
+    b.build().unwrap()
+}
+
+/// A laser-driven run from `psi0`, optionally with a run-level exchange
+/// mode and per-step snapshots into `ckpt_dir` (all of them kept).
+fn run_steps(
+    sys: &KsSystem,
+    psi0: &pwdft_rt::linalg::CMat,
+    steps: usize,
+    run_mode: Option<ExchangeMode>,
+    ckpt_dir: Option<&Path>,
+) -> TimeSeries {
+    let mut b = SimulationBuilder::new(sys)
+        .initial_orbitals(psi0.clone())
         .laser(laser())
         .dt(attosecond_to_au(25.0))
         .steps(steps)
-        .standard_observers()
+        .standard_observers();
+    if let Some(mode) = run_mode {
+        b = b.exchange_mode(mode);
+    }
+    if let Some(dir) = ckpt_dir {
+        b = b.checkpoint_every(1, dir).checkpoint_keep(steps);
+    }
+    b.build().unwrap().run().unwrap()
+}
+
+fn resume_and_finish(sys: &KsSystem, snapshot: &Path) -> TimeSeries {
+    Simulation::resume(sys, snapshot).unwrap().run().unwrap()
+}
+
+#[test]
+fn killed_and_resumed_run_is_bit_identical_on_and_across_layouts() {
+    let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
+    let plain = hybrid_system(None, None);
+    let gs = scf_loop(&plain, ScfOptions::default()).expect("SCF converges");
+    let steps = 2usize;
+    // the shared reference: the uninterrupted inline trajectory
+    let uninterrupted = run_steps(&plain, &gs.orbitals, steps, None, None);
+    assert_eq!(uninterrupted.propagator, "pt-cn");
+
+    // a job kill at step k means the process vanishes and only the disk
+    // state survives — here: the step-1 snapshot, mid-window
+    let mut mids = Vec::new();
+    for layout in [None, Some((2, 2))] {
+        let sys = hybrid_system(layout, None);
+        let dir = tmp_dir(&format!("layout_{layout:?}").replace(['(', ')', ',', ' '], "_"));
+        let checkpointed = run_steps(&sys, &gs.orbitals, steps, None, Some(&dir));
+        assert_series_bits_eq(&uninterrupted, &checkpointed);
+        let mid = dir.join("ckpt_00000001.ptio");
+        let ck = RunCheckpoint::read(&mid).unwrap();
+        assert_eq!((ck.series.len(), ck.steps_remaining), (1, 1));
+        // hybrid snapshot carries Φ explicitly (Φ = Ψ in the PT gauge)
+        let phi = ck.phi.as_ref().expect("hybrid snapshot records phi");
+        assert_eq!((phi.nrows(), phi.ncols()), (ck.psi.nrows(), ck.psi.ncols()));
+        let merged = resume_and_finish(&sys, &mid);
+        assert_eq!(merged.propagator, "pt-cn");
+        assert_series_bits_eq(&uninterrupted, &merged);
+        // the final snapshot reports a finished window and resumes to a no-op
+        let last = latest_checkpoint(&dir).unwrap().expect("snapshot written");
+        let ck_last = RunCheckpoint::read(&last).unwrap();
+        assert_eq!((ck_last.series.len(), ck_last.steps_remaining), (steps, 0));
+        assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &last));
+        mids.push((dir, mid));
+    }
+
+    // across layouts: the snapshot written at 2 × 2 finishes inline on the
+    // plain system without spawning a single rank thread...
+    let before = rank_threads_spawned();
+    assert_series_bits_eq(&uninterrupted, &resume_and_finish(&plain, &mids[1].1));
+    assert_eq!(rank_threads_spawned(), before, "one rank runs inline");
+    // ...and the inline run's snapshot finishes on a 2 × 1 system's own
+    // rank team: the resumed run honours the system's layout
+    let two_by_one = hybrid_system(Some((2, 1)), None);
+    assert_series_bits_eq(&uninterrupted, &resume_and_finish(&two_by_one, &mids[0].1));
+    assert_eq!(rank_threads_spawned() - before, 2, "one team of two ranks");
+    for (dir, _) in mids {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+#[test]
+fn an_explicit_propagator_honours_the_systems_layout() {
+    // which side of the ranks == 1 selection runs is decided by the system,
+    // not by the propagator's type: a hand-built PtCnPropagator on a 2 × 1
+    // system spawns its rank team
+    let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
+    let sys = hybrid_system(Some((2, 1)), None);
+    let psi0 = pwdft_rt::linalg::CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 5);
+    let before = rank_threads_spawned();
+    let series = SimulationBuilder::new(&sys)
+        .initial_orbitals(psi0)
+        .dt(attosecond_to_au(25.0))
+        .steps(1)
+        .propagator(Box::new(PtCnPropagator::default()))
         .build()
         .unwrap()
         .run()
         .unwrap();
+    assert_eq!(series.propagator, "pt-cn");
+    assert_eq!(rank_threads_spawned() - before, 2);
+}
 
-    // the same 4-step run with rolling snapshots every 2 steps (keep=2
-    // retains both the mid-window and the final one)
-    let dir = tmp_dir("serial");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .checkpoint_every(2, &dir)
-        .build()
-        .unwrap();
-    sim.run().unwrap();
+/// A snapshot of the former distributed propagator type: same sections,
+/// tag `"pt-cn-dist"`, plus a `prop/dist` layout section.
+fn retag_as_pt_cn_dist(src: &Path, dst: &Path) {
+    let f = SnapshotFile::open(src).unwrap();
+    let mut w = SnapshotWriter::create(dst);
+    for name in f.section_names() {
+        if name == "prop/name" {
+            assert_eq!(f.str(name).unwrap(), "pt-cn");
+            w.put_str(name, "pt-cn-dist").unwrap();
+        } else if let Ok(v) = f.u64s(name) {
+            w.put_u64s(name, &v).unwrap();
+        } else if let Ok(v) = f.f64s(name) {
+            w.put_f64s(name, &v).unwrap();
+        } else if let Ok(v) = f.str(name) {
+            w.put_str(name, &v).unwrap();
+        } else {
+            w.put_cmat(name, &f.cmat(name).unwrap(), Wire::F64).unwrap();
+        }
+    }
+    w.put_u64s("prop/dist", &[2, 2, 0]).unwrap();
+    w.finish().unwrap();
+}
 
-    // a job kill at step k means the process vanishes and only the disk
-    // state survives — here: the step-2 snapshot, mid-window
-    let mid = dir.join("ckpt_00000002.ptio");
-    assert!(mid.exists(), "mid-window snapshot missing");
-    let ck_mid = RunCheckpoint::read(&mid).unwrap();
-    assert_eq!(ck_mid.series.len(), 2);
-    assert_eq!(ck_mid.steps_remaining, 2);
-    assert!(ck_mid.phi.is_none(), "semi-local run must not store phi");
-    let mut resumed = Simulation::resume(&sys, &mid).unwrap();
-    let merged = resumed.run().unwrap();
+#[test]
+fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
+    let sys = lda_system();
+    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let dir = tmp_dir("legacy_tag");
+    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, None, Some(&dir));
+    let legacy = dir.join("legacy.ptio");
+    retag_as_pt_cn_dist(&dir.join("ckpt_00000001.ptio"), &legacy);
+    assert!(matches!(
+        RunCheckpoint::read(&legacy).unwrap().propagator,
+        PropagatorState::PtCn { .. }
+    ));
+    // the recorded 2 × 2 layout is ignored: this system has none
+    let merged = resume_and_finish(&sys, &legacy);
+    assert_eq!(merged.propagator, "pt-cn");
     assert_series_bits_eq(&uninterrupted, &merged);
-
-    // the final snapshot reports a finished window and resumes to a no-op
-    let last = latest_checkpoint(&dir).unwrap().expect("snapshot written");
-    let ck_last = RunCheckpoint::read(&last).unwrap();
-    assert_eq!(ck_last.series.len(), 4);
-    assert_eq!(ck_last.steps_remaining, 0);
-    let restored = Simulation::resume(&sys, &last).unwrap().run().unwrap();
-    assert_series_bits_eq(&uninterrupted, &restored);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // rolling retention: keep=1 leaves exactly one (the newest) snapshot
-    let dir2 = tmp_dir("keep1");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .checkpoint_every(1, &dir2)
-        .checkpoint_keep(1)
-        .build()
-        .unwrap();
-    sim.run().unwrap();
-    let files: Vec<_> = std::fs::read_dir(&dir2)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.file_name().into_string().unwrap()))
-        .collect();
-    assert_eq!(files, vec!["ckpt_00000004.ptio".to_string()], "{files:?}");
-    let _ = std::fs::remove_dir_all(dir2);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -162,193 +258,53 @@ fn rolling_pruning_never_touches_another_runs_snapshots() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-#[test]
-fn distributed_2x2_killed_and_resumed_run_is_bit_identical() {
-    // the acceptance layout: ranks × threads = 2 × 2 through the builder
-    // API (hybrid HSE06, distributed PT-CN selected automatically)
-    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-        .ecut(2.0)
-        .xc(XcKind::Pbe)
-        .hybrid(HybridConfig::hse06())
-        .occupations(vec![2.0; 4])
-        .distributed(DistributedConfig::new(2, 2))
-        .build()
-        .unwrap();
-    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
-    let steps = 2usize;
-    let uninterrupted = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(uninterrupted.propagator, "pt-cn-dist");
-
-    let dir = tmp_dir("dist");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .checkpoint_every(1, &dir)
-        .build()
-        .unwrap();
-    sim.run().unwrap();
-    // resume from the step-1 snapshot and finish the trajectory
-    let mid = dir.join("ckpt_00000001.ptio");
-    assert!(mid.exists());
-    let ck = RunCheckpoint::read(&mid).unwrap();
-    assert_eq!(ck.steps_remaining, 1);
-    // hybrid snapshot carries Φ explicitly (Φ = Ψ in the PT gauge)
-    let phi = ck.phi.as_ref().expect("hybrid snapshot records phi");
-    assert_eq!((phi.nrows(), phi.ncols()), (ck.psi.nrows(), ck.psi.ncols()));
-    let mut resumed = Simulation::resume(&sys, &mid).unwrap();
-    let merged = resumed.run().unwrap();
-    assert_eq!(merged.propagator, "pt-cn-dist");
-    assert_series_bits_eq(&uninterrupted, &merged);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// `system_mode: true` pins `Ace { refresh_interval: 3 }` on the system
-/// builder; `false` leaves the system at `Full` so the run can set the
-/// mode through `SimulationBuilder::exchange_mode` instead.
-fn hybrid_ace_system(distributed: Option<DistributedConfig>, system_mode: bool) -> KsSystem {
-    let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-        .ecut(2.0)
-        .xc(XcKind::Pbe)
-        .hybrid(HybridConfig::hse06())
-        .occupations(vec![2.0; 4]);
-    if system_mode {
-        b = b.exchange_mode(ExchangeMode::Ace {
-            refresh_interval: 3,
-        });
-    }
-    if let Some(cfg) = distributed {
-        b = b.distributed(cfg);
-    }
-    b.build().unwrap()
-}
-
 /// Kill/resume **inside an ACE refresh window** (`refresh_interval: 3`,
 /// snapshot after step 2 — the projector was built at step 1 and is not
 /// due for rebuild until step 4). The snapshot carries the frozen ξ
 /// verbatim; a resume that rebuilt it from the restored Ψ would produce a
 /// different projector and bit-diverge from the uninterrupted run.
 #[test]
-fn ace_mid_refresh_window_resume_is_bit_identical() {
-    // the mode arrives via the run-level override here — the snapshot
-    // must round-trip it so the resumed propagator keeps ACE without the
-    // system saying so
-    let sys = hybrid_ace_system(None, false);
+fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
+    let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
     let mode = ExchangeMode::Ace {
         refresh_interval: 3,
     };
-    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+    let plain = hybrid_system(None, None);
+    let gs = scf_loop(&plain, ScfOptions::default()).expect("SCF converges");
     let steps = 4usize;
-    let uninterrupted = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .exchange_mode(mode)
-        .standard_observers()
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let uninterrupted = run_steps(&plain, &gs.orbitals, steps, Some(mode), None);
 
-    let dir = tmp_dir("ace_serial");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .exchange_mode(mode)
-        .standard_observers()
-        .checkpoint_every(1, &dir)
-        .checkpoint_keep(steps)
-        .build()
-        .unwrap();
-    sim.run().unwrap();
-
-    let mid = dir.join("ckpt_00000002.ptio");
-    let ck = RunCheckpoint::read(&mid).unwrap();
-    assert_eq!(ck.steps_remaining, 2);
-    match &ck.propagator {
-        PropagatorState::PtCn { exchange, ace, .. } => {
-            assert_eq!(
-                *exchange,
-                Some(ExchangeMode::Ace {
-                    refresh_interval: 3
-                })
-            );
-            let cap = ace.as_ref().expect("mid-window snapshot must carry ξ");
-            assert_eq!(
-                cap.steps_since_refresh, 2,
-                "refresh at step 1, two steps propagated under the frozen ξ"
-            );
-            assert_eq!(cap.xi.nrows(), ck.psi.nrows());
+    // inline, the mode arrives via the run-level override — the snapshot
+    // must round-trip it so the resumed propagator keeps ACE without the
+    // system saying so; at 2 × 2 it comes from the system builder
+    for (layout, system_mode, run_mode) in
+        [(None, None, Some(mode)), (Some((2, 2)), Some(mode), None)]
+    {
+        let sys = hybrid_system(layout, system_mode);
+        let dir = tmp_dir(if layout.is_some() {
+            "ace_2x2"
+        } else {
+            "ace_inline"
+        });
+        run_steps(&sys, &gs.orbitals, steps, run_mode, Some(&dir));
+        let mid = dir.join("ckpt_00000002.ptio");
+        let ck = RunCheckpoint::read(&mid).unwrap();
+        assert_eq!(ck.steps_remaining, 2);
+        match &ck.propagator {
+            PropagatorState::PtCn { exchange, ace, .. } => {
+                assert_eq!(*exchange, run_mode);
+                let cap = ace.as_ref().expect("mid-window snapshot must carry ξ");
+                assert_eq!(
+                    cap.steps_since_refresh, 2,
+                    "refresh at step 1, two steps propagated under the frozen ξ"
+                );
+                assert_eq!(cap.xi.nrows(), ck.psi.nrows());
+            }
+            other => panic!("expected PtCn state, got {other:?}"),
         }
-        other => panic!("expected PtCn state, got {other:?}"),
+        assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &mid));
+        let _ = std::fs::remove_dir_all(dir);
     }
-    let mut resumed = Simulation::resume(&sys, &mid).unwrap();
-    let merged = resumed.run().unwrap();
-    assert_series_bits_eq(&uninterrupted, &merged);
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// The same mid-refresh-window contract at the 2 × 2 ranks × threads
-/// layout: the distributed propagator restores the snapshotted ξ and
-/// finishes the window bit-identically to the uninterrupted run.
-#[test]
-fn distributed_ace_mid_refresh_window_resume_is_bit_identical() {
-    // here the mode comes from the system builder (no run-level override)
-    let sys = hybrid_ace_system(Some(DistributedConfig::new(2, 2)), true);
-    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
-    let steps = 3usize;
-    let uninterrupted = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(uninterrupted.propagator, "pt-cn-dist");
-
-    let dir = tmp_dir("ace_dist");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .checkpoint_every(1, &dir)
-        .checkpoint_keep(steps)
-        .build()
-        .unwrap();
-    sim.run().unwrap();
-
-    let mid = dir.join("ckpt_00000002.ptio");
-    let ck = RunCheckpoint::read(&mid).unwrap();
-    match &ck.propagator {
-        PropagatorState::PtCnDistributed { ace, .. } => {
-            let cap = ace.as_ref().expect("mid-window snapshot must carry ξ");
-            assert_eq!(cap.steps_since_refresh, 2);
-        }
-        other => panic!("expected PtCnDistributed state, got {other:?}"),
-    }
-    let mut resumed = Simulation::resume(&sys, &mid).unwrap();
-    let merged = resumed.run().unwrap();
-    assert_series_bits_eq(&uninterrupted, &merged);
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -556,7 +512,9 @@ fn cancelled_then_resumed_run_is_bit_identical() {
     let partial = sim.take_partial_series().expect("partial series kept");
     assert_eq!(partial.len(), 2);
     // and the cancel wrote a resumable boundary snapshot
-    assert!(dir.join("ckpt_00000002.ptio").exists());
+    let boundary = RunCheckpoint::read(dir.join("ckpt_00000002.ptio")).unwrap();
+    assert_eq!((boundary.series.len(), boundary.steps_remaining), (2, 2));
+    assert!(boundary.phi.is_none(), "semi-local run must not store phi");
     let mut resumed = Simulation::resume_latest(&sys, &dir)
         .unwrap()
         .expect("cancel snapshot found");

@@ -302,7 +302,7 @@ fn ace_projector_build_and_apply_over_the_ranks_threads_grid() {
 
 /// ACE-mode engine reuse: building `W = V_X Φ` for successive refreshes on
 /// ONE parked rank team gives exactly the bits of spawning a fresh team
-/// per refresh — the distributed propagator's every-K-steps projector
+/// per refresh — the PT-CN propagator's every-K-steps projector
 /// rebuild costs no determinism.
 #[test]
 fn ace_refresh_on_a_reused_engine_matches_fresh_spawn_bits() {
@@ -336,7 +336,7 @@ fn ace_refresh_on_a_reused_engine_matches_fresh_spawn_bits() {
 /// Engine reuse is invisible in the numbers: submitting a sequence of
 /// "steps" (Alg. 2 + Alg. 3 with step-dependent inputs) to ONE parked
 /// rank team produces exactly the bits of spawning a fresh team per step
-/// (`run_ranks_pinned`). This is what lets the distributed propagator
+/// (`run_ranks_pinned`). This is what lets the PT-CN propagator
 /// keep its team alive for a whole `Simulation::run` without any
 /// determinism cost.
 #[test]
@@ -396,8 +396,8 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
 
 /// The acceptance path: a hybrid PT-CN run driven as ranks × threads
 /// through the public builder API produces bit-identical observables on
-/// every layout (2 × 2 vs 1 × 1 here — the distributed propagator is
-/// selected automatically from `KsSystemBuilder::distributed`).
+/// every layout (2 × 2 on the rank engine vs 1 × 1 inline here — the
+/// propagator reads the layout from `KsSystemBuilder::distributed`).
 #[test]
 fn hybrid_distributed_run_via_builders_is_layout_invariant() {
     let run_layout = |ranks: usize, threads: usize| -> TimeSeries {
@@ -426,7 +426,7 @@ fn hybrid_distributed_run_via_builders_is_layout_invariant() {
     };
     let ts11 = run_layout(1, 1);
     let ts22 = run_layout(2, 2);
-    assert_eq!(ts11.propagator, "pt-cn-dist");
+    assert_eq!(ts11.propagator, "pt-cn");
     assert_eq!(ts11.len(), ts22.len());
     assert_eq!(ts11.channel_names(), ts22.channel_names());
     for name in ts11.channel_names() {
@@ -476,7 +476,7 @@ fn hybrid_ace_run_via_builders_is_layout_invariant() {
     };
     let ts11 = run_layout(1, 1);
     let ts22 = run_layout(2, 2);
-    assert_eq!(ts11.propagator, "pt-cn-dist");
+    assert_eq!(ts11.propagator, "pt-cn");
     assert_eq!(ts11.len(), ts22.len());
     for name in ts11.channel_names() {
         assert_bits_eq(

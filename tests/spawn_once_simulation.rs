@@ -44,7 +44,7 @@ fn a_multi_step_distributed_run_spawns_one_rank_team() {
     let workers_before = worker_threads_spawned();
 
     let ts = sim.run().expect("distributed propagation succeeds");
-    assert_eq!(ts.propagator, "pt-cn-dist");
+    assert_eq!(ts.propagator, "pt-cn");
     assert!(ts.len() >= steps, "all steps must have run");
 
     // the whole run — every HΨ and residual of every step — spawned
