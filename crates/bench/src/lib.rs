@@ -3,45 +3,9 @@
 //! Each `src/bin/*.rs` target regenerates one table or figure of the
 //! paper (the real Layer-A kernels are timed by the `benchmark/` package,
 //! `src/layers.rs` there). The formatting helpers here render the
-//! "paper vs model" comparisons recorded in `EXPERIMENTS.md`.
+//! "paper vs model" comparisons.
 
 use pt_perf::{CostModel, PAPER_GPU_COUNTS, PAPER_TABLE1_PER_SCF_TOTAL, PAPER_TABLE1_TOTAL};
-
-/// Honest-bench flagging: the `reliability` string recorded in every
-/// timing artifact.
-///
-/// A wall-clock speedup measured on a host with fewer cores than the
-/// widest configuration in the sweep is scheduling noise, not scaling —
-/// a 1-core CI runner produces a flat curve for *correct* code. Rather
-/// than leave that for a human to infer from `host_cores`, every
-/// `BENCH_*.json` carries this verdict, and the bins print it where a
-/// log skimmer cannot miss it. `needed_cores` is the widest parallelism
-/// the bench times (or 2 for pure-throughput benches, which still need
-/// an idle core to time anything).
-pub fn speedup_reliability(host_cores: usize, needed_cores: usize) -> String {
-    if host_cores >= needed_cores {
-        format!("ok: host_cores={host_cores} >= needed_cores={needed_cores}")
-    } else {
-        format!(
-            "UNRELIABLE: host_cores={host_cores} < needed_cores={needed_cores} — \
-             wall-clock speedups on this host are scheduling noise, not scaling"
-        )
-    }
-}
-
-/// Attach the [`speedup_reliability`] verdict to a bench artifact and, if
-/// the verdict is bad, shout it on stderr too.
-pub fn flag_reliability(
-    table: pt_io::Table,
-    host_cores: usize,
-    needed_cores: usize,
-) -> pt_io::Table {
-    let verdict = speedup_reliability(host_cores, needed_cores);
-    if verdict.starts_with("UNRELIABLE") {
-        eprintln!("*** {verdict} ***");
-    }
-    table.meta("reliability", pt_io::Value::Str(verdict))
-}
 
 /// Render Table 1 (component wall-clock times + totals + speedups).
 pub fn render_table1(model: &CostModel) -> String {
@@ -121,26 +85,6 @@ pub fn render_table2(model: &CostModel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reliability_verdicts_are_loud_and_carry_the_numbers() {
-        let ok = speedup_reliability(8, 4);
-        assert!(ok.starts_with("ok:"), "{ok}");
-        assert!(ok.contains("host_cores=8") && ok.contains("needed_cores=4"));
-        let bad = speedup_reliability(1, 4);
-        assert!(bad.starts_with("UNRELIABLE: host_cores=1"), "{bad}");
-        assert!(bad.contains("noise"));
-        // boundary: exactly enough cores is ok
-        assert!(speedup_reliability(4, 4).starts_with("ok:"));
-        // and the verdict lands in the artifact metadata
-        let t = flag_reliability(pt_io::Table::new(), 1, 4);
-        let json = pt_io::Json::parse(&t.to_json()).unwrap();
-        let v = json
-            .get("reliability")
-            .and_then(pt_io::Json::as_str)
-            .unwrap();
-        assert!(v.starts_with("UNRELIABLE"), "{v}");
-    }
 
     #[test]
     fn renders_are_nonempty_and_have_all_columns() {

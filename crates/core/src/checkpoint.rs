@@ -109,6 +109,12 @@ pub struct RunCheckpoint {
     pub laser: Option<LaserPulse>,
     /// Propagator options + internal state.
     pub propagator: PropagatorState,
+    /// The exchange mode a legacy snapshot pinned on its propagator (the
+    /// optional `prop/exch` section of the former per-propagator
+    /// override; never written any more). Resume refuses a system whose
+    /// [`pt_ham::KsSystem::exchange_mode`] differs rather than switching
+    /// silently.
+    pub pinned_exchange: Option<ExchangeMode>,
     /// Every step recorded so far (all observer channels).
     pub series: TimeSeries,
 }
@@ -241,6 +247,7 @@ impl RunCheckpoint {
             None
         };
         let propagator = read_propagator(&f, &schema)?;
+        let pinned_exchange = read_pinned_exchange(&f, &schema)?;
         let series = read_series(&f, &schema)?;
         Ok(RunCheckpoint {
             signature,
@@ -253,6 +260,7 @@ impl RunCheckpoint {
             rho,
             laser,
             propagator,
+            pinned_exchange,
             series,
         })
     }
@@ -306,21 +314,7 @@ fn write_propagator(
     // under the exact frozen projector the killed run was using, or the
     // resumed trajectory would silently diverge bit-wise from the
     // uninterrupted one.
-    let write_exchange = |w: &mut SnapshotWriter,
-                          exchange: &Option<ExchangeMode>,
-                          ace: &Option<AceCapture>|
-     -> Result<(), PtError> {
-        if let Some(mode) = exchange {
-            let coded: [u64; 3] = match *mode {
-                ExchangeMode::Full => [0, 0, 0],
-                ExchangeMode::Ace { refresh_interval } => [1, refresh_interval as u64, 0],
-                ExchangeMode::AceMts {
-                    refresh_interval,
-                    inner_substeps,
-                } => [2, refresh_interval as u64, inner_substeps as u64],
-            };
-            w.put_u64s("prop/exch", &coded)?;
-        }
+    let write_ace = |w: &mut SnapshotWriter, ace: &Option<AceCapture>| -> Result<(), PtError> {
         if let Some(a) = ace {
             w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
             w.put_cmat("prop/ace_xi", &a.xi, wire)?;
@@ -331,12 +325,11 @@ fn write_propagator(
         PropagatorState::PtCn {
             opts,
             anderson,
-            exchange,
             ace,
         } => {
             w.put_str("prop/name", "pt-cn")?;
             write_ptcn(w, opts)?;
-            write_exchange(w, exchange, ace)?;
+            write_ace(w, ace)?;
             write_anderson(w, anderson)
         }
         PropagatorState::Rk4 { opts } => {
@@ -428,24 +421,8 @@ fn read_propagator(
             fs,
         }))
     };
-    // Sections absent in pre-ACE snapshots; `f.has` gating keeps the old
-    // format readable (absent → mode/projector default to `None`).
-    let read_exchange = || -> Result<Option<ExchangeMode>, PtError> {
-        if !f.has("prop/exch") {
-            return Ok(None);
-        }
-        match f.u64s("prop/exch")?.as_slice() {
-            [0, _, _] => Ok(Some(ExchangeMode::Full)),
-            [1, r, _] => Ok(Some(ExchangeMode::Ace {
-                refresh_interval: *r as usize,
-            })),
-            [2, r, s] => Ok(Some(ExchangeMode::AceMts {
-                refresh_interval: *r as usize,
-                inner_substeps: *s as usize,
-            })),
-            other => Err(schema(format!("'prop/exch' holds {other:?}"))),
-        }
-    };
+    // Section absent in pre-ACE snapshots; `f.has` gating keeps the old
+    // format readable (absent → no projector).
     let read_ace = || -> Result<Option<AceCapture>, PtError> {
         if !f.has("prop/ace") {
             return Ok(None);
@@ -467,7 +444,6 @@ fn read_propagator(
         "pt-cn" | "pt-cn-dist" => Ok(PropagatorState::PtCn {
             opts: read_ptcn()?,
             anderson: read_anderson()?,
-            exchange: read_exchange()?,
             ace: read_ace()?,
         }),
         "rk4" => {
@@ -478,6 +454,37 @@ fn read_propagator(
         }
         _ => Ok(PropagatorState::Opaque { name }),
     }
+}
+
+/// The optional `prop/exch` section of a legacy snapshot: `[tag, refresh
+/// interval, inner substeps]`, written when the run pinned an exchange
+/// mode on its propagator. Tag 2 is the removed `AceMts` mode — refused
+/// here as [`PtError::InvalidConfig`] (not a schema defect:
+/// `resume_latest` must surface it, not fall back to an older snapshot of
+/// the same run).
+fn read_pinned_exchange(
+    f: &SnapshotFile,
+    schema: &impl Fn(String) -> PtError,
+) -> Result<Option<ExchangeMode>, PtError> {
+    if !f.has("prop/exch") {
+        return Ok(None);
+    }
+    let mode = match f.u64s("prop/exch")?.as_slice() {
+        [0, _, _] => ExchangeMode::Full,
+        [1, r, _] => ExchangeMode::Ace {
+            refresh_interval: *r as usize,
+        },
+        [2, r, s] => {
+            return Err(PtError::InvalidConfig(format!(
+                "snapshot was taken under the removed AceMts exchange mode \
+                 (refresh interval {r}, {s} inner substeps); it cannot be resumed — \
+                 rerun under ExchangeMode::Full or ExchangeMode::Ace"
+            )))
+        }
+        other => return Err(schema(format!("'prop/exch' holds {other:?}"))),
+    };
+    mode.validate()?;
+    Ok(Some(mode))
 }
 
 fn write_series(w: &mut SnapshotWriter, s: &TimeSeries) -> Result<(), PtError> {

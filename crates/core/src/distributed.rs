@@ -204,12 +204,16 @@ mod tests {
     use pt_par::RankLayout;
     use pt_xc::XcKind;
 
-    fn hybrid_sys(cfg: Option<DistributedConfig>) -> KsSystem {
-        let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+    fn hybrid_builder() -> pt_ham::KsSystemBuilder {
+        KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
             .ecut(2.0)
             .xc(XcKind::Pbe)
             .hybrid(pt_ham::HybridConfig::hse06())
-            .occupations(vec![2.0; 4]);
+            .occupations(vec![2.0; 4])
+    }
+
+    fn hybrid_sys(cfg: Option<DistributedConfig>) -> KsSystem {
+        let mut b = hybrid_builder();
         if let Some(c) = cfg {
             b = b.distributed(c);
         }
@@ -272,14 +276,15 @@ mod tests {
 
     #[test]
     fn ace_step_on_two_ranks_advances_and_captures_the_projector() {
-        let sys = hybrid_sys(Some(DistributedConfig::new(2, 1)));
-        let gs = pt_scf::scf_loop(&sys, pt_scf::ScfOptions::default()).unwrap();
-        let mut prop = PtCnPropagator::with_exchange(
-            Default::default(),
-            ExchangeMode::Ace {
+        let sys = hybrid_builder()
+            .distributed(DistributedConfig::new(2, 1))
+            .exchange_mode(ExchangeMode::Ace {
                 refresh_interval: 2,
-            },
-        );
+            })
+            .build()
+            .unwrap();
+        let gs = pt_scf::scf_loop(&sys, pt_scf::ScfOptions::default()).unwrap();
+        let mut prop = PtCnPropagator::default();
         let mut state = TdState::new(gs.orbitals.clone());
         let dt = pt_num::units::attosecond_to_au(25.0);
         let s1 = prop.step(&sys, None, &mut state, dt).unwrap();
@@ -287,13 +292,7 @@ mod tests {
         let s2 = prop.step(&sys, None, &mut state, dt).unwrap();
         assert!(s2.converged);
         match prop.capture() {
-            PropagatorState::PtCn { exchange, ace, .. } => {
-                assert_eq!(
-                    exchange,
-                    Some(ExchangeMode::Ace {
-                        refresh_interval: 2
-                    })
-                );
+            PropagatorState::PtCn { ace, .. } => {
                 let cap = ace.expect("two ACE steps must leave a captured projector");
                 assert_eq!(cap.steps_since_refresh, 2, "interval-2 window exhausted");
                 assert_eq!(cap.xi.nrows(), sys.grids.ng());

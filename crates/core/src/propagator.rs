@@ -94,8 +94,9 @@ impl StepPhases {
         self.other = (wall - self.named_sum()).max(0.0);
     }
 
-    /// Fold a substep's phases into an accumulating total (`wall`/`other`
-    /// included — an outer ACE step re-reconciles against its own span).
+    /// Fold one refresh round's phases into the step's accumulating total
+    /// (`wall`/`other` included — the step re-reconciles against its own
+    /// span).
     pub(crate) fn absorb(&mut self, sub: &StepPhases) {
         self.wall += sub.wall;
         self.h_apply += sub.h_apply;
@@ -153,10 +154,7 @@ pub enum PropagatorState {
         /// Anderson history at the capture point (the last step's fixed
         /// point; PT-CN resets it at the start of each step).
         anderson: Option<AndersonState>,
-        /// Explicit exchange-mode override (`None` reads
-        /// `KsSystem::exchange_mode`).
-        exchange: Option<ExchangeMode>,
-        /// Live ACE projector + refresh position (ACE modes only) — the
+        /// Live ACE projector + refresh position (`Ace` mode only) — the
         /// exact ξ that was applied at capture, so a resume landing
         /// mid-refresh-window reuses it instead of rebuilding from the
         /// (by now different) restored Ψ.
@@ -183,7 +181,7 @@ pub enum PropagatorState {
 pub struct AceCapture {
     /// Projector columns ξ (N_G × N_φ).
     pub xi: CMat,
-    /// Outer steps completed since ξ was last rebuilt.
+    /// Steps completed since ξ was last rebuilt.
     pub steps_since_refresh: usize,
 }
 
@@ -196,7 +194,6 @@ pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagato
         PropagatorState::PtCn {
             opts,
             anderson,
-            exchange,
             ace,
         } => {
             let mixer = anderson.map(BandAndersonMixer::from_state).transpose()?;
@@ -205,7 +202,6 @@ pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagato
             Ok(Box::new(PtCnPropagator {
                 opts,
                 mixer,
-                exchange,
                 ace: ace.map(AceRefreshState::from_capture),
                 engine: None,
             }))
@@ -297,6 +293,9 @@ pub struct Rk4Options {
 /// lazily on its first such step (see [`crate::distributed`]). Both sides
 /// produce the same bits.
 ///
+/// How the exchange is evaluated is read off the system the same way
+/// ([`KsSystem::exchange_mode`]).
+///
 /// Owns its [`BandAndersonMixer`] across steps (reset at the start of
 /// every step, as Alg. 1 requires) so the mixer history is part of the
 /// propagator's capturable state ([`Propagator::capture`]). The engine is
@@ -306,9 +305,6 @@ pub struct PtCnPropagator {
     /// Options.
     pub opts: PtCnOptions,
     pub(crate) mixer: Option<BandAndersonMixer>,
-    /// Explicit exchange-mode override; `None` (the default) reads
-    /// `KsSystem::exchange_mode` at step time.
-    pub exchange: Option<ExchangeMode>,
     pub(crate) ace: Option<AceRefreshState>,
     /// The spawn-once rank team of a `ranks > 1` layout.
     pub(crate) engine: Option<RankEngine>,
@@ -321,7 +317,6 @@ impl Clone for PtCnPropagator {
         PtCnPropagator {
             opts: self.opts,
             mixer: self.mixer.clone(),
-            exchange: self.exchange,
             ace: self.ace.clone(),
             engine: None,
         }
@@ -336,22 +331,12 @@ impl PtCnPropagator {
             ..Default::default()
         }
     }
-
-    /// Propagator with an explicit exchange mode overriding the system's.
-    pub fn with_exchange(opts: PtCnOptions, mode: ExchangeMode) -> Self {
-        PtCnPropagator {
-            opts,
-            exchange: Some(mode),
-            ..Default::default()
-        }
-    }
 }
 
 impl fmt::Debug for PtCnPropagator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PtCnPropagator")
             .field("opts", &self.opts)
-            .field("exchange", &self.exchange)
             .field(
                 "anderson_history_len",
                 &self.mixer.as_ref().map(BandAndersonMixer::history_len),
@@ -586,25 +571,6 @@ impl AceRefreshState {
     }
 }
 
-/// Resolve the effective exchange mode of a PT-CN step: an explicit
-/// propagator override wins over `KsSystem::exchange_mode`; ACE modes on
-/// a non-hybrid system are a typed error (there is nothing to compress).
-pub(crate) fn resolve_exchange(
-    override_mode: Option<ExchangeMode>,
-    sys: &KsSystem,
-) -> Result<ExchangeMode, PtError> {
-    let mode = override_mode.unwrap_or(sys.exchange_mode);
-    mode.validate()?;
-    if mode != ExchangeMode::Full && sys.hybrid.is_none() {
-        return Err(PtError::InvalidConfig(
-            "ACE exchange modes require a hybrid functional (there is no \
-             exchange operator to compress on a semi-local system)"
-                .into(),
-        ));
-    }
-    Ok(mode)
-}
-
 /// Cap on self-consistent projector rounds per refresh step. The round
 /// map contracts by an O(dt·coupling) factor per pass — measured ≈0.1
 /// per round at dt = 25 as on the Si-8 smoke system, stronger at smaller
@@ -613,17 +579,16 @@ pub(crate) fn resolve_exchange(
 /// reported like an unconverged fixed point.
 const ACE_MAX_REFRESH_ROUNDS: usize = 12;
 
-/// One outer ACE/MTS step.
+/// One PT-CN step under [`ExchangeMode::Ace`].
 ///
-/// **Stale window** (no refresh due): run `inner_substeps` PT-CN substeps
-/// of `dt / inner_substeps` that all apply the cached frozen projector
-/// inside their fixed points. Freezing across the whole fixed point is
-/// the entire win: `Full` rebuilds the pair-FFT Fock operator from the
-/// live ψ_f on every iteration, a stale-window ACE step runs zero pair
-/// FFTs.
+/// **Stale window** (no refresh due): one PT-CN step that applies the
+/// cached frozen projector inside its fixed point. Freezing across the
+/// whole fixed point is the entire win: `Full` rebuilds the pair-FFT Fock
+/// operator from the live ψ_f on every iteration, a stale-window ACE step
+/// runs zero pair FFTs.
 ///
-/// **Refresh step** (every `refresh_interval` outer steps): the projector
-/// is rebuilt *self-consistently*. ξ_n from Ψ_n is exact for the t_n
+/// **Refresh step** (every `refresh_interval` steps): the projector is
+/// rebuilt *self-consistently*. ξ_n from Ψ_n is exact for the t_n
 /// residual (in the PT gauge Ψ_n is the exchange's defining Φ), but a
 /// fixed point solved under it differs from `Full` — which sees
 /// V_X[ψ_f] — by an O(dt) operator discrepancy, i.e. an O(dt²) per-step
@@ -643,7 +608,6 @@ pub(crate) fn ace_ptcn_step(
     state: &mut TdState,
     dt: f64,
     refresh_interval: usize,
-    inner_substeps: usize,
     mixer_slot: &mut Option<BandAndersonMixer>,
     ace_slot: &mut Option<AceRefreshState>,
     kernels: &mut dyn StepKernels,
@@ -656,48 +620,34 @@ pub(crate) fn ace_ptcn_step(
         }
         None => true,
     };
-    let sub_dt = dt / inner_substeps as f64;
 
     if !refresh_due {
         let ace = ace_slot
             .as_mut()
             .expect("invariant: refresh_due is false only when the slot holds a valid projector");
-        let mut total = StepStats {
-            converged: true,
-            ..StepStats::default()
-        };
-        for _ in 0..inner_substeps {
-            let s = ptcn_step_with(
-                opts,
-                sys,
-                laser,
-                state,
-                sub_dt,
-                mixer_slot,
-                kernels,
-                Some(&ace.op),
-                None,
-                None,
-                None,
-            )?;
-            total.scf_iterations += s.scf_iterations;
-            total.h_applications += s.h_applications;
-            total.rho_residual = s.rho_residual;
-            total.converged &= s.converged;
-            total.phases.absorb(&s.phases);
-        }
+        let stats = ptcn_step_with(
+            opts,
+            sys,
+            laser,
+            state,
+            dt,
+            mixer_slot,
+            kernels,
+            Some(&ace.op),
+            None,
+            None,
+            None,
+        )?;
         ace.steps_since_refresh += 1;
-        return Ok(total);
+        return Ok(stats);
     }
 
     // Refresh step: self-consistent projector rounds. ξ_n (from Ψ_n) is
-    // pinned for the t_n residual of the first substep; ξ_f starts equal
-    // and is refined from each round's converged *raw* iterate (the
-    // pre-re-orthonormalization block `Full` feeds its Fock operator).
-    // Rounds restart from the same Ψ_n, so the accepted trajectory is the
-    // one solved under the final projector — later substeps of an MTS
-    // window use ξ_f at t_n too, which is exactly the accepted staleness
-    // MTS trades on.
+    // pinned for the t_n residual; ξ_f starts equal and is refined from
+    // each round's converged *raw* iterate (the pre-re-orthonormalization
+    // block `Full` feeds its Fock operator). Rounds restart from the same
+    // Ψ_n, so the accepted trajectory is the one solved under the final
+    // projector.
     let sp = pt_trace::span("ace_build");
     let xi_n = kernels.build_ace(sys, &state.psi)?;
     let mut total_phases = StepPhases {
@@ -706,7 +656,7 @@ pub(crate) fn ace_ptcn_step(
     };
     let mut xi_f = xi_n.clone();
     let mut prev_rho: Option<Vec<f64>> = None;
-    let mut prev_raws: Option<Vec<CMat>> = None;
+    let mut prev_raw: Option<CMat> = None;
     let mut accepted: Option<(TdState, StepStats)> = None;
     let mut total_scf = 0usize;
     let mut total_h = 0usize;
@@ -716,51 +666,31 @@ pub(crate) fn ace_ptcn_step(
     while rounds < ACE_MAX_REFRESH_ROUNDS {
         rounds += 1;
         pt_trace::counter_add(pt_trace::Counter::AceRefreshRounds, 1);
-        if rounds > 1 {
-            let raws = prev_raws
-                .as_ref()
-                .expect("invariant: every completed round stores its raw iterates before looping");
+        if let Some(raw) = &prev_raw {
             let sp = pt_trace::span("ace_build");
-            xi_f = kernels.build_ace(
-                sys,
-                raws.last()
-                    .expect("invariant: inner_substeps >= 1, so raws is non-empty"),
-            )?;
+            xi_f = kernels.build_ace(sys, raw)?;
             total_phases.ace_build += sp.finish_secs();
         }
+        // warm-start the fixed point at the previous round's converged
+        // iterate: the rounds change ξ_f by the O(rho_tol-bound) drift
+        // only, so later rounds converge in a couple of Anderson passes
+        // instead of re-solving from Ψ_{n+1/2}
         let mut trial = state.clone();
-        let mut raws: Vec<CMat> = Vec::with_capacity(inner_substeps);
-        let mut stats = StepStats {
-            converged: true,
-            ..StepStats::default()
-        };
-        for s in 0..inner_substeps {
-            // warm-start each substep's fixed point at the previous
-            // round's converged iterate for the same substep: the rounds
-            // change ξ_f by the O(rho_tol-bound) drift only, so later
-            // rounds converge in a couple of Anderson passes instead of
-            // re-solving from Ψ_{n+1/2}
-            let mut raw_s = CMat::zeros(0, 0);
-            let st = ptcn_step_with(
-                opts,
-                sys,
-                laser,
-                &mut trial,
-                sub_dt,
-                mixer_slot,
-                kernels,
-                Some(&xi_f),
-                if s == 0 { Some(&xi_n) } else { None },
-                prev_raws.as_ref().map(|r| &r[s]),
-                Some(&mut raw_s),
-            )?;
-            raws.push(raw_s);
-            stats.scf_iterations += st.scf_iterations;
-            stats.h_applications += st.h_applications;
-            stats.rho_residual = st.rho_residual;
-            stats.converged &= st.converged;
-            total_phases.absorb(&st.phases);
-        }
+        let mut raw = CMat::zeros(0, 0);
+        let stats = ptcn_step_with(
+            opts,
+            sys,
+            laser,
+            &mut trial,
+            dt,
+            mixer_slot,
+            kernels,
+            Some(&xi_f),
+            Some(&xi_n),
+            prev_raw.as_ref(),
+            Some(&mut raw),
+        )?;
+        total_phases.absorb(&stats.phases);
         total_scf += stats.scf_iterations;
         total_h += stats.h_applications;
         let sp = pt_trace::span("density");
@@ -770,7 +700,7 @@ pub(crate) fn ace_ptcn_step(
             drift = density_residual(&rho, prev, sys.grids.volume);
         }
         prev_rho = Some(rho);
-        prev_raws = Some(raws);
+        prev_raw = Some(raw);
         accepted = Some((trial, stats));
         if drift < opts.rho_tol {
             outer_converged = true;
@@ -852,7 +782,7 @@ impl Propagator for PtCnPropagator {
     }
 
     /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
-    /// per the resolved [`ExchangeMode`] and every `HΨ`/residual run per
+    /// per the system's [`ExchangeMode`] and every `HΨ`/residual run per
     /// the system's layout: inline for one rank, on the persistent rank
     /// team (spawned on the first such step) for more.
     fn step(
@@ -864,7 +794,16 @@ impl Propagator for PtCnPropagator {
     ) -> Result<StepStats, PtError> {
         let cfg = sys.distributed.unwrap_or_default();
         cfg.validate()?;
-        let mode = resolve_exchange(self.exchange, sys)?;
+        // `KsSystem`'s fields are public: a hand-assembled system gets the
+        // builder's checks here
+        sys.exchange_mode.validate()?;
+        if sys.exchange_mode != ExchangeMode::Full && sys.hybrid.is_none() {
+            return Err(PtError::InvalidConfig(
+                "ACE exchange requires a hybrid functional (there is no \
+                 exchange operator to compress on a semi-local system)"
+                    .into(),
+            ));
+        }
         let (mut inline, mut on_engine);
         let kernels: &mut dyn StepKernels = if cfg.ranks == 1 {
             inline = InlineKernels;
@@ -877,7 +816,7 @@ impl Propagator for PtCnPropagator {
             &mut on_engine
         };
         let sp = pt_trace::span("ptcn_step");
-        let mut stats = match mode {
+        let mut stats = match sys.exchange_mode {
             ExchangeMode::Full => ptcn_step_with(
                 &self.opts,
                 sys,
@@ -891,15 +830,13 @@ impl Propagator for PtCnPropagator {
                 None,
                 None,
             ),
-            mode => ace_ptcn_step(
+            ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
                 &self.opts,
                 sys,
                 laser,
                 state,
                 dt,
-                mode.refresh_interval()
-                    .expect("invariant: the non-Full match arm only sees ACE modes, which carry an interval"),
-                mode.inner_substeps(),
+                refresh_interval,
                 &mut self.mixer,
                 &mut self.ace,
                 kernels,
@@ -913,7 +850,6 @@ impl Propagator for PtCnPropagator {
         PropagatorState::PtCn {
             opts: self.opts,
             anderson: self.mixer.as_ref().map(BandAndersonMixer::state),
-            exchange: self.exchange,
             ace: self.ace.as_ref().map(AceRefreshState::capture),
         }
     }
@@ -1020,17 +956,21 @@ mod tests {
     use pt_scf::{scf_loop, ScfOptions};
     use pt_xc::XcKind;
 
+    fn hybrid_sys(mode: ExchangeMode) -> KsSystem {
+        KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Pbe)
+            .hybrid(HybridConfig::hse06())
+            .exchange_mode(mode)
+            .build()
+            .unwrap()
+    }
+
     fn ground_state(hybrid: bool) -> (KsSystem, CMat) {
-        let s = silicon_cubic_supercell(1, 1, 1);
         let sys = if hybrid {
-            KsSystem::builder(s)
-                .ecut(2.0)
-                .xc(XcKind::Pbe)
-                .hybrid(HybridConfig::hse06())
-                .build()
-                .unwrap()
+            hybrid_sys(ExchangeMode::Full)
         } else {
-            KsSystem::builder(s)
+            KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
                 .ecut(2.5)
                 .xc(XcKind::Lda)
                 .build()
@@ -1196,14 +1136,13 @@ mod tests {
         let mut full = PtCnPropagator::new(PtCnOptions::default());
         let mut st_full = TdState::new(psi0.clone());
         full.step(&sys, None, &mut st_full, dt).unwrap();
-        let mut prop = PtCnPropagator::with_exchange(
-            PtCnOptions::default(),
-            ExchangeMode::Ace {
-                refresh_interval: 1,
-            },
-        );
+        // same problem, same ground state (SCF does not read the mode)
+        let ace_sys = hybrid_sys(ExchangeMode::Ace {
+            refresh_interval: 1,
+        });
+        let mut prop = PtCnPropagator::default();
         let mut st = TdState::new(psi0);
-        let stats = prop.step(&sys, None, &mut st, dt).unwrap();
+        let stats = prop.step(&ace_sys, None, &mut st, dt).unwrap();
         assert!(stats.converged);
         assert!((st.t - dt).abs() < 1e-15);
         assert!(orthonormality_error(&st.psi) < 1e-9);
@@ -1213,42 +1152,19 @@ mod tests {
     }
 
     #[test]
-    fn ace_mts_advances_t_by_exactly_dt_per_outer_step() {
-        let (sys, psi0) = ground_state(true);
-        let mut prop = PtCnPropagator::with_exchange(
-            PtCnOptions::default(),
-            ExchangeMode::AceMts {
-                refresh_interval: 2,
-                inner_substeps: 2,
-            },
-        );
-        let mut st = TdState::new(psi0);
-        let dt = pt_num::units::attosecond_to_au(40.0);
-        let stats = prop.step(&sys, None, &mut st, dt).unwrap();
-        // dt/2 + dt/2 is exact in floating point
-        assert!((st.t - dt).abs() < 1e-18, "t = {} after MTS step", st.t);
-        // two substeps, each ≥ 2 H applications (residual + ≥1 SCF)
-        assert!(stats.h_applications >= 4, "{}", stats.h_applications);
-        let ace = prop.ace.as_ref().unwrap();
-        assert_eq!(ace.steps_since_refresh, 1);
-        // second outer step inside the window must NOT rebuild ξ
-        prop.step(&sys, None, &mut st, dt).unwrap();
-        assert_eq!(prop.ace.as_ref().unwrap().steps_since_refresh, 2);
-        // third outer step re-opens the window
-        prop.step(&sys, None, &mut st, dt).unwrap();
-        assert_eq!(prop.ace.as_ref().unwrap().steps_since_refresh, 1);
-    }
-
-    #[test]
     fn ace_on_semilocal_system_is_a_typed_error() {
-        let (sys, psi0) = ground_state(false);
-        let mut prop = PtCnPropagator::with_exchange(
-            PtCnOptions::default(),
-            ExchangeMode::Ace {
-                refresh_interval: 1,
-            },
-        );
-        let mut st = TdState::new(psi0);
+        // the builder refuses this; a hand-assembled system (public
+        // fields) is caught at step time, before any physics — no SCF needed
+        let mut sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Lda)
+            .build()
+            .unwrap();
+        sys.exchange_mode = ExchangeMode::Ace {
+            refresh_interval: 1,
+        };
+        let mut prop = PtCnPropagator::default();
+        let mut st = TdState::new(CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 7));
         assert!(matches!(
             prop.step(&sys, None, &mut st, 0.1),
             Err(PtError::InvalidConfig(_))

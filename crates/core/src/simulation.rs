@@ -33,7 +33,7 @@ use crate::checkpoint::{checkpoint_path, CheckpointPolicy, RunCheckpoint, RunChe
 use crate::laser::LaserPulse;
 use crate::observables::{current_density, orthonormality_error};
 use crate::propagator::{propagator_from_state, Propagator, PtCnPropagator, StepStats, TdState};
-use pt_ham::{integrate, ExchangeMode, KsSystem, PtError};
+use pt_ham::{integrate, KsSystem, PtError};
 use pt_linalg::CMat;
 use pt_mpi::Wire;
 use pt_par::{Parallelism, ThreadPool};
@@ -420,7 +420,6 @@ pub struct SimulationBuilder<'a> {
     ckpt_wire: Wire,
     cancel: Option<CancelToken>,
     tap: Option<StepTap<'a>>,
-    exchange: Option<ExchangeMode>,
 }
 
 impl<'a> SimulationBuilder<'a> {
@@ -441,7 +440,6 @@ impl<'a> SimulationBuilder<'a> {
             ckpt_wire: Wire::F64,
             cancel: None,
             tap: None,
-            exchange: None,
         }
     }
 
@@ -469,24 +467,11 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Select the propagator (default: PT-CN with paper options — the
-    /// distributed variant when the system carries a
-    /// [`pt_ham::KsSystemBuilder::distributed`] config). Boxed so the
-    /// choice can be made at runtime.
+    /// Select the propagator (default: PT-CN with paper options; it
+    /// reads the layout and the exchange mode off the system at step
+    /// time). Boxed so the choice can be made at runtime.
     pub fn propagator(mut self, p: Box<dyn Propagator>) -> Self {
         self.propagator = Some(p);
-        self
-    }
-
-    /// Override the exchange evaluation mode for the default PT-CN
-    /// propagator (serial or distributed): `Full` pair-FFT Fock, an
-    /// `Ace { .. }` projector refreshed every K steps, or
-    /// `AceMts { .. }` with local substeps on top. Defaults to the
-    /// system's [`pt_ham::KsSystemBuilder::exchange_mode`]. Incompatible
-    /// with an explicit [`SimulationBuilder::propagator`] — configure the
-    /// propagator's own `exchange` field there instead.
-    pub fn exchange_mode(mut self, mode: ExchangeMode) -> Self {
-        self.exchange = Some(mode);
         self
     }
 
@@ -604,23 +589,9 @@ impl<'a> SimulationBuilder<'a> {
                 got: psi.ncols(),
             });
         }
-        if let Some(mode) = self.exchange {
-            mode.validate()?;
-            if self.propagator.is_some() {
-                return Err(PtError::InvalidConfig(
-                    "exchange_mode conflicts with an explicit propagator — set the \
-                     propagator's own exchange field instead"
-                        .into(),
-                ));
-            }
-        }
-        let propagator: Box<dyn Propagator> = match self.propagator {
-            Some(p) => p,
-            None => Box::new(PtCnPropagator {
-                exchange: self.exchange,
-                ..Default::default()
-            }),
-        };
+        let propagator = self
+            .propagator
+            .unwrap_or_else(|| Box::<PtCnPropagator>::default());
         let checkpoint = match self.ckpt_every_dir {
             Some((every, dir)) => {
                 let policy = CheckpointPolicy {
@@ -953,6 +924,15 @@ impl<'a> Simulation<'a> {
                 "snapshot occupations do not match the system's".into(),
             ));
         }
+        if let Some(pinned) = ck.pinned_exchange {
+            if pinned != sys.exchange_mode {
+                return Err(PtError::InvalidConfig(format!(
+                    "snapshot pins exchange mode {pinned:?} but the system it is resumed on \
+                     is set to {:?}; build the system with that exchange_mode",
+                    sys.exchange_mode
+                )));
+            }
+        }
         if ck.psi.nrows() != sys.grids.ng() {
             return Err(PtError::ShapeMismatch {
                 context: "snapshot orbital rows (plane waves)",
@@ -1140,53 +1120,6 @@ mod tests {
                 .build(),
             Err(PtError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn exchange_mode_flows_to_the_default_propagator_and_rejects_conflicts() {
-        let sys = small_sys();
-        let ng = sys.grids.ng();
-        let nb = sys.n_bands();
-        let mode = ExchangeMode::Ace {
-            refresh_interval: 2,
-        };
-        // explicit propagator + exchange_mode is ambiguous: refuse
-        assert!(matches!(
-            SimulationBuilder::new(&sys)
-                .dt(0.1)
-                .steps(1)
-                .initial_orbitals(CMat::zeros(ng, nb))
-                .propagator(Box::new(PtCnPropagator::default()))
-                .exchange_mode(mode)
-                .build(),
-            Err(PtError::InvalidConfig(_))
-        ));
-        // zero interval is caught at build time
-        assert!(matches!(
-            SimulationBuilder::new(&sys)
-                .dt(0.1)
-                .steps(1)
-                .initial_orbitals(CMat::zeros(ng, nb))
-                .exchange_mode(ExchangeMode::Ace {
-                    refresh_interval: 0
-                })
-                .build(),
-            Err(PtError::InvalidConfig(_))
-        ));
-        // the default propagator carries the mode (visible in its capture)
-        let sim = SimulationBuilder::new(&sys)
-            .dt(0.1)
-            .steps(1)
-            .initial_orbitals(CMat::zeros(ng, nb))
-            .exchange_mode(mode)
-            .build()
-            .unwrap();
-        match sim.propagator.capture() {
-            crate::propagator::PropagatorState::PtCn { exchange, .. } => {
-                assert_eq!(exchange, Some(mode));
-            }
-            other => panic!("expected PtCn capture, got {other:?}"),
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! across the few SCF iterations of a PT-CN step. On this CPU runtime the
 //! CPU trade-off applies: the PT-CN propagator refreshes ξ once per
 //! `ace_refresh_interval` steps and applies `V_ACE` inside every
-//! fixed-point iteration (`ExchangeMode::Ace`/`AceMts` in `system.rs`).
+//! fixed-point iteration (`ExchangeMode::Ace` in `system.rs`).
 
 use crate::error::PtError;
 use crate::fock::FockOperator;

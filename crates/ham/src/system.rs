@@ -43,78 +43,35 @@ impl HybridConfig {
 /// configuration (Jia & Lin, arXiv:1809.09609): the ACE projector
 /// `ξ = W L^{-H}` is refreshed from Ψ_n every `refresh_interval` steps and
 /// the rank-N_φ `−ξ(ξ^H ψ)` stands in for the Fock loop inside the fixed
-/// point. `AceMts` additionally runs each outer step as `inner_substeps`
-/// PT-CN substeps of `dt / inner_substeps` sharing one frozen ξ — the
-/// exchange rides a coarser time grid than the local parts
-/// (arXiv:2110.07670).
+/// point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
     /// Exact pair-FFT Fock on every fixed-point iteration.
     #[default]
     Full,
-    /// ACE projector refreshed every `refresh_interval` outer steps.
+    /// ACE projector refreshed every `refresh_interval` steps.
     Ace {
         /// Steps between projector rebuilds (1 = refresh every step).
         refresh_interval: usize,
     },
-    /// ACE + multiple time stepping: `inner_substeps` local substeps per
-    /// outer step, exchange frozen across them.
-    AceMts {
-        /// Outer steps between projector rebuilds.
-        refresh_interval: usize,
-        /// Local-part substeps per outer step (≥ 1).
-        inner_substeps: usize,
-    },
 }
 
 impl ExchangeMode {
-    /// Check the intervals; [`PtError::InvalidConfig`] on zero counts.
+    /// Check the interval; [`PtError::InvalidConfig`] on a zero count.
     pub fn validate(&self) -> Result<(), PtError> {
-        match *self {
-            ExchangeMode::Full => Ok(()),
-            ExchangeMode::Ace { refresh_interval } => {
-                if refresh_interval == 0 {
-                    return Err(PtError::InvalidConfig(
-                        "ace_refresh_interval must be at least 1".into(),
-                    ));
-                }
-                Ok(())
-            }
-            ExchangeMode::AceMts {
-                refresh_interval,
-                inner_substeps,
-            } => {
-                if refresh_interval == 0 {
-                    return Err(PtError::InvalidConfig(
-                        "ace_refresh_interval must be at least 1".into(),
-                    ));
-                }
-                if inner_substeps == 0 {
-                    return Err(PtError::InvalidConfig(
-                        "ace_inner_substeps must be at least 1".into(),
-                    ));
-                }
-                Ok(())
-            }
+        if self.refresh_interval() == Some(0) {
+            return Err(PtError::InvalidConfig(
+                "ace_refresh_interval must be at least 1".into(),
+            ));
         }
+        Ok(())
     }
 
     /// Steps between ACE projector rebuilds (`None` for [`ExchangeMode::Full`]).
     pub fn refresh_interval(&self) -> Option<usize> {
         match *self {
             ExchangeMode::Full => None,
-            ExchangeMode::Ace { refresh_interval }
-            | ExchangeMode::AceMts {
-                refresh_interval, ..
-            } => Some(refresh_interval),
-        }
-    }
-
-    /// Local-part substeps per outer step (1 unless MTS).
-    pub fn inner_substeps(&self) -> usize {
-        match *self {
-            ExchangeMode::AceMts { inner_substeps, .. } => inner_substeps,
-            _ => 1,
+            ExchangeMode::Ace { refresh_interval } => Some(refresh_interval),
         }
     }
 }
@@ -198,8 +155,8 @@ pub struct KsSystem {
     pub distributed: Option<DistributedConfig>,
     /// How propagation evaluates the exchange contribution (only
     /// meaningful for hybrid systems). Set via
-    /// [`KsSystemBuilder::exchange_mode`]; propagators resolve it at step
-    /// time (an explicit mode on the propagator overrides it).
+    /// [`KsSystemBuilder::exchange_mode`] — the one place a run says it;
+    /// the PT-CN propagator reads it at step time.
     pub exchange_mode: ExchangeMode,
 }
 
@@ -272,9 +229,6 @@ impl KsSystemBuilder {
     /// the layout's cores).
     /// `scf_loop` and `Simulation::run` install the pool around their
     /// whole loops, so every FFT/GEMM/Fock kernel inherits it.
-    /// `Parallelism::ranks_threads(r, t)` additionally implies a
-    /// full-precision [`KsSystemBuilder::distributed`] config when none
-    /// is set explicitly.
     pub fn parallelism(mut self, p: Parallelism) -> Self {
         self.parallelism = p;
         self
@@ -295,8 +249,8 @@ impl KsSystemBuilder {
     }
 
     /// How propagation evaluates the exchange contribution (default:
-    /// [`ExchangeMode::Full`]). `Ace`/`AceMts` require a hybrid functional
-    /// — requesting them on a semi-local system is rejected in
+    /// [`ExchangeMode::Full`]). `Ace` requires a hybrid functional —
+    /// requesting it on a semi-local system is rejected in
     /// [`KsSystemBuilder::build`].
     pub fn exchange_mode(mut self, mode: ExchangeMode) -> Self {
         self.exchange_mode = mode;
@@ -344,25 +298,17 @@ impl KsSystemBuilder {
         self.exchange_mode.validate()?;
         if self.exchange_mode != ExchangeMode::Full && self.hybrid.is_none() {
             return Err(PtError::InvalidConfig(
-                "ACE exchange modes require a hybrid functional (there is no \
+                "ACE exchange requires a hybrid functional (there is no \
                  exchange operator to compress on a semi-local system)"
                     .into(),
             ));
         }
-        // `Parallelism::ranks_threads` is the pt-par view of the same
-        // decomposition: without an explicit DistributedConfig it implies
-        // one (full-precision wire), so the layout actually drives rank
-        // spawning instead of silently degrading to a plain pool
-        let distributed = self.distributed.or(self
-            .parallelism
-            .rank_layout
-            .map(|l| DistributedConfig::new(l.ranks, l.threads_per_rank)));
-        if let Some(d) = &distributed {
+        if let Some(d) = &self.distributed {
             d.validate()?;
         }
         // a layout's cores are the pool the job computes on, not whatever
         // pool happens to surround the caller
-        let parallelism = match (self.parallelism.num_threads, &distributed) {
+        let parallelism = match (self.parallelism.num_threads, &self.distributed) {
             (None, Some(d)) => Parallelism::threads(d.layout().cores()),
             _ => self.parallelism,
         };
@@ -435,7 +381,7 @@ impl KsSystemBuilder {
             e_ewald,
             occupations,
             pool: parallelism.build_pool(),
-            distributed,
+            distributed: self.distributed,
             exchange_mode: self.exchange_mode,
         })
     }
@@ -759,7 +705,7 @@ mod tests {
                 .build(),
             Err(PtError::InvalidConfig(_))
         ));
-        // zero intervals are rejected
+        // a zero interval is rejected
         assert!(matches!(
             KsSystem::builder(s.clone())
                 .ecut(2.0)
@@ -770,29 +716,16 @@ mod tests {
                 .build(),
             Err(PtError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            KsSystem::builder(s.clone())
-                .ecut(2.0)
-                .hybrid(HybridConfig::hse06())
-                .exchange_mode(ExchangeMode::AceMts {
-                    refresh_interval: 2,
-                    inner_substeps: 0
-                })
-                .build(),
-            Err(PtError::InvalidConfig(_))
-        ));
         // a well-formed ACE config lands on the system
         let sys = KsSystem::builder(s)
             .ecut(2.0)
             .hybrid(HybridConfig::hse06())
-            .exchange_mode(ExchangeMode::AceMts {
+            .exchange_mode(ExchangeMode::Ace {
                 refresh_interval: 2,
-                inner_substeps: 3,
             })
             .build()
             .unwrap();
         assert_eq!(sys.exchange_mode.refresh_interval(), Some(2));
-        assert_eq!(sys.exchange_mode.inner_substeps(), 3);
         assert_eq!(ExchangeMode::default(), ExchangeMode::Full);
     }
 
@@ -830,26 +763,6 @@ mod tests {
             .expect("custom occupations bypass the closed-shell assert");
         assert_eq!(sys.n_bands(), 1);
         assert!((sys.occupations[0] - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn rank_layout_parallelism_implies_a_distributed_config() {
-        let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-            .ecut(2.0)
-            .xc(XcKind::Lda)
-            .parallelism(Parallelism::ranks_threads(2, 2))
-            .build()
-            .unwrap();
-        assert_eq!(sys.distributed, Some(DistributedConfig::new(2, 2)));
-        // an explicit config wins over the layout-derived one
-        let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-            .ecut(2.0)
-            .xc(XcKind::Lda)
-            .parallelism(Parallelism::ranks_threads(2, 2))
-            .distributed(DistributedConfig::new(3, 1))
-            .build()
-            .unwrap();
-        assert_eq!(sys.distributed, Some(DistributedConfig::new(3, 1)));
     }
 
     #[test]

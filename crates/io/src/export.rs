@@ -1,10 +1,8 @@
 //! Run-artifact export: columnar tables → JSON / CSV.
 //!
-//! `pt-bench` artifacts (`BENCH_*.json`) and exported `TimeSeries` all
-//! share one shape: a handful of scalar metadata fields plus named
-//! equal-length `f64` columns. [`Table`] models exactly that, and its
-//! serializers replace the hand-rolled `format!` JSON the bench binaries
-//! used to assemble by string concatenation.
+//! Exported `TimeSeries` and the per-job `metrics.json` share one shape:
+//! a handful of scalar metadata fields plus named equal-length `f64`
+//! columns. [`Table`] models exactly that.
 //!
 //! Numbers are written with Rust's shortest round-trip `f64` formatting,
 //! so `parse::<f64>()` on any emitted value recovers the exact bits.

@@ -625,10 +625,9 @@ impl Comm {
     }
 }
 
-/// Rank count requested via `PT_NUM_RANKS` (default 1). The CI matrix and
-/// the `bench_ranks_threads` sweep use this the way `PT_NUM_THREADS` sizes
-/// the global compute pool — one knob per axis of the ranks × threads
-/// composition.
+/// Rank count requested via `PT_NUM_RANKS` (default 1). The CI matrix
+/// uses this the way `PT_NUM_THREADS` sizes the global compute pool — one
+/// knob per axis of the ranks × threads composition.
 pub fn env_ranks() -> usize {
     std::env::var("PT_NUM_RANKS")
         .ok()

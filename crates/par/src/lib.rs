@@ -22,8 +22,8 @@
 //! * `PT_NUM_THREADS` sizes the lazily-built [`global`] pool (default:
 //!   available parallelism).
 //! * [`ThreadPool::install`] scopes a specific pool over a closure — the
-//!   determinism tests and the thread-scaling bench use this to compare
-//!   thread counts inside one process.
+//!   determinism tests use this to compare thread counts inside one
+//!   process.
 //! * [`Parallelism`] is the plain-data config surfaced by
 //!   `KsSystemBuilder::parallelism` / `SimulationBuilder::parallelism`.
 
@@ -64,11 +64,6 @@ impl RankLayout {
         }
     }
 
-    /// Total compute threads the layout occupies.
-    pub fn total_threads(&self) -> usize {
-        self.ranks * self.threads_per_rank
-    }
-
     /// The host's available parallelism (1 if it cannot be queried).
     pub fn host_cores() -> usize {
         std::thread::available_parallelism()
@@ -76,27 +71,20 @@ impl RankLayout {
             .unwrap_or(1)
     }
 
-    /// Cores this layout occupies — [`RankLayout::total_threads`] under
-    /// its scheduling name: the quantity a job server charges against its
-    /// core budget.
+    /// Cores (compute threads) this layout occupies,
+    /// `ranks × threads_per_rank` — the quantity a job server charges
+    /// against its core budget.
     pub fn cores(&self) -> usize {
-        self.total_threads()
-    }
-
-    /// Whether the layout fits within an explicit core budget (a server's
-    /// configured capacity, as opposed to the physical
-    /// [host](RankLayout::fits_host)).
-    pub fn fits_budget(&self, budget_cores: usize) -> bool {
-        self.total_threads() <= budget_cores
+        self.ranks * self.threads_per_rank
     }
 
     /// Whether `ranks × threads_per_rank` fits the host's cores.
     /// Oversubscription is allowed (it cannot change results — the
     /// determinism contract is schedule-independent) but contends for
-    /// cores; `bench_ranks_threads` records `host_cores` so sweeps on
-    /// small machines are read correctly.
+    /// cores; the benchmark records `host_cores` and reports rows that
+    /// need more as not applicable.
     pub fn fits_host(&self) -> bool {
-        self.total_threads() <= Self::host_cores()
+        self.cores() <= Self::host_cores()
     }
 
     /// Validate the layout: both extents must be nonzero. Returns a
@@ -110,11 +98,6 @@ impl RankLayout {
         }
         Ok(())
     }
-
-    /// The per-rank [`Parallelism`] this layout pins to each rank thread.
-    pub fn per_rank(&self) -> Parallelism {
-        Parallelism::threads(self.threads_per_rank)
-    }
 }
 
 /// How much threading a component should use. Plain data so builders can
@@ -124,11 +107,6 @@ pub struct Parallelism {
     /// `Some(n)` pins a dedicated n-thread pool; `None` inherits the
     /// calling thread's current pool (ultimately `PT_NUM_THREADS`).
     pub num_threads: Option<usize>,
-    /// `Some(layout)` additionally requests a `ranks × threads_per_rank`
-    /// decomposition for components that drive the virtual MPI runtime
-    /// (each rank thread then gets its own pinned `threads_per_rank`-wide
-    /// pool). Components that do not run ranks ignore this field.
-    pub rank_layout: Option<RankLayout>,
 }
 
 impl Parallelism {
@@ -141,20 +119,6 @@ impl Parallelism {
     pub fn threads(n: usize) -> Self {
         Parallelism {
             num_threads: Some(n.max(1)),
-            rank_layout: None,
-        }
-    }
-
-    /// A `ranks × threads_per_rank` layout: rank-running components spawn
-    /// `ranks` rank threads, each with its own pinned pool (the
-    /// `KsSystemBuilder` derives a full-precision `DistributedConfig`
-    /// from it when none was given explicitly); everything else sees a
-    /// dedicated `threads_per_rank`-wide pool.
-    pub fn ranks_threads(ranks: usize, threads_per_rank: usize) -> Self {
-        let layout = RankLayout::new(ranks, threads_per_rank);
-        Parallelism {
-            num_threads: Some(layout.threads_per_rank),
-            rank_layout: Some(layout),
         }
     }
 
@@ -181,21 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn rank_layout_budget_arithmetic() {
-        let l = RankLayout::new(2, 3);
-        assert_eq!(l.cores(), 6);
-        assert!(l.fits_budget(6));
-        assert!(l.fits_budget(7));
-        assert!(!l.fits_budget(5));
-        assert!(!l.fits_budget(0));
-    }
-
-    #[test]
     fn rank_layout_shapes_and_validation() {
         let l = RankLayout::new(3, 2);
-        assert_eq!(l.total_threads(), 6);
+        assert_eq!(l.cores(), 6);
         assert!(l.validate().is_ok());
-        assert_eq!(l.per_rank(), Parallelism::threads(2));
         // constructor clamps; a hand-built zero layout fails validation
         assert_eq!(RankLayout::new(0, 0), RankLayout::new(1, 1));
         assert!(RankLayout {
@@ -213,15 +166,5 @@ mod tests {
         // a 1×1 layout always fits
         assert!(RankLayout::new(1, 1).fits_host());
         assert!(RankLayout::host_cores() >= 1);
-    }
-
-    #[test]
-    fn ranks_threads_parallelism_carries_both_views() {
-        let p = Parallelism::ranks_threads(2, 3);
-        assert_eq!(p.num_threads, Some(3));
-        assert_eq!(p.rank_layout, Some(RankLayout::new(2, 3)));
-        // the non-rank view builds a per-rank-width pool
-        assert_eq!(p.build_pool().unwrap().num_threads(), 3);
-        assert_eq!(Parallelism::inherit().rank_layout, None);
     }
 }

@@ -270,8 +270,7 @@ fn worker_loop(shared: &Shared) {
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 /// `PT_NUM_THREADS` as parsed (whitespace-trimmed, ≥ 1), if set — the one
-/// place the env var's parsing rule lives; [`global`] and the rank/thread
-/// sweep benches share it.
+/// place the env var's parsing rule lives.
 pub fn env_threads() -> Option<usize> {
     std::env::var("PT_NUM_THREADS")
         .ok()

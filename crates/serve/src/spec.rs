@@ -34,9 +34,8 @@ pub struct SystemSpec {
     /// pseudopotential electron count).
     pub bands: Option<usize>,
     /// Exchange evaluation during propagation: full pair-FFT Fock, or the
-    /// ACE projector (optionally with multiple time stepping). JSON keys:
-    /// `"exchange": "full" | "ace" | "ace_mts"` plus
-    /// `"ace_refresh_interval"` / `"ace_inner_substeps"`; absent → full.
+    /// ACE projector. JSON keys: `"exchange": "full" | "ace"` plus, for
+    /// `"ace"`, `"ace_refresh_interval"` (default 1); absent → full.
     pub exchange: ExchangeMode,
 }
 
@@ -105,7 +104,16 @@ impl JobSpec {
             .get("ecut")
             .and_then(Json::as_f64)
             .ok_or_else(|| bad("'system.ecut' (number) is required"))?;
-        let xc = match sys.get("xc").and_then(Json::as_str) {
+        // an optional string key: absent is the default, a present value
+        // of any other JSON type is an error — never the default
+        let opt_str = |key: &str| match sys.get(key) {
+            None => Ok(None),
+            Some(j) => j
+                .as_str()
+                .map(Some)
+                .ok_or_else(|| bad(&format!("'system.{key}' must be a string"))),
+        };
+        let xc = match opt_str("xc")? {
             Some("lda") | None => XcKind::Lda,
             Some("pbe") => XcKind::Pbe,
             Some(other) => return Err(bad(&format!("unknown xc '{other}' (lda|pbe)"))),
@@ -124,27 +132,31 @@ impl JobSpec {
                     as usize,
             ),
         };
-        let sys_int = |key: &str, default: u64| match sys.get(key) {
-            None => Ok(default),
-            Some(j) => j
-                .as_u64()
-                .filter(|&x| x >= 1)
-                .ok_or_else(|| bad(&format!("'system.{key}' must be a positive integer"))),
-        };
-        let exchange = match sys.get("exchange").and_then(Json::as_str) {
-            Some("full") | None => ExchangeMode::Full,
-            Some("ace") => ExchangeMode::Ace {
-                refresh_interval: sys_int("ace_refresh_interval", 1)? as usize,
-            },
-            Some("ace_mts") => ExchangeMode::AceMts {
-                refresh_interval: sys_int("ace_refresh_interval", 1)? as usize,
-                inner_substeps: sys_int("ace_inner_substeps", 1)? as usize,
-            },
-            Some(other) => {
-                return Err(bad(&format!(
-                    "unknown exchange '{other}' (full|ace|ace_mts)"
-                )))
+        const MTS_REMOVED: &str = "the 'ace_mts' exchange mode and its 'ace_inner_substeps' \
+             key were removed (slower and less accurate than 'ace' at the same \
+             refresh interval); use \"exchange\": \"ace\"";
+        if sys.get("ace_inner_substeps").is_some() {
+            return Err(bad(MTS_REMOVED));
+        }
+        let exchange = match opt_str("exchange")? {
+            Some("full") | None => {
+                if sys.get("ace_refresh_interval").is_some() {
+                    return Err(bad(
+                        "'system.ace_refresh_interval' needs \"exchange\": \"ace\"",
+                    ));
+                }
+                ExchangeMode::Full
             }
+            Some("ace") => ExchangeMode::Ace {
+                refresh_interval: match sys.get("ace_refresh_interval") {
+                    None => 1,
+                    Some(j) => j.as_u64().filter(|&x| x >= 1).ok_or_else(|| {
+                        bad("'system.ace_refresh_interval' must be a positive integer")
+                    })? as usize,
+                },
+            },
+            Some("ace_mts") => return Err(bad(MTS_REMOVED)),
+            Some(other) => return Err(bad(&format!("unknown exchange '{other}' (full|ace)"))),
         };
         let laser = match v.get("laser") {
             None | Some(Json::Null) => None,
@@ -238,20 +250,6 @@ impl JobSpec {
                     Json::Num(refresh_interval as f64),
                 ));
             }
-            ExchangeMode::AceMts {
-                refresh_interval,
-                inner_substeps,
-            } => {
-                sys.push(("exchange".to_string(), Json::Str("ace_mts".into())));
-                sys.push((
-                    "ace_refresh_interval".to_string(),
-                    Json::Num(refresh_interval as f64),
-                ));
-                sys.push((
-                    "ace_inner_substeps".to_string(),
-                    Json::Num(inner_substeps as f64),
-                ));
-            }
         }
         let mut pairs = vec![
             ("name".to_string(), Json::Str(self.name.clone())),
@@ -310,7 +308,7 @@ impl JobSpec {
         self.system.exchange.validate()?;
         if self.system.exchange != ExchangeMode::Full && !self.system.hybrid {
             return Err(PtError::InvalidConfig(
-                "job spec: ACE exchange modes require 'system.hybrid': true".into(),
+                "job spec: ACE exchange requires 'system.hybrid': true".into(),
             ));
         }
         if !(self.dt_as.is_finite() && self.dt_as > 0.0) {
@@ -451,14 +449,9 @@ mod tests {
         h.layout = RankLayout::new(2, 2);
         assert_eq!(JobSpec::from_json(&h.to_json()).unwrap(), h);
         assert_eq!(h.cores(), 4);
-        // ACE variants round-trip too
+        // the ACE variant round-trips too
         h.system.exchange = ExchangeMode::Ace {
             refresh_interval: 4,
-        };
-        assert_eq!(JobSpec::from_json(&h.to_json()).unwrap(), h);
-        h.system.exchange = ExchangeMode::AceMts {
-            refresh_interval: 2,
-            inner_substeps: 3,
         };
         assert_eq!(JobSpec::from_json(&h.to_json()).unwrap(), h);
     }
@@ -483,11 +476,29 @@ mod tests {
             r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": "exx"}, "dt_as": 25.0, "steps": 2}"#,
             // zero interval
             r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": "ace", "ace_refresh_interval": 0}, "dt_as": 25.0, "steps": 2}"#,
+            // a present key of the wrong JSON type is never the default
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": 3}, "dt_as": 25.0, "steps": 2}"#,
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": null}, "dt_as": 25.0, "steps": 2}"#,
+            r#"{"name": "a", "system": {"ecut": 2.0, "xc": ["pbe"]}, "dt_as": 25.0, "steps": 2}"#,
+            // an interval without the mode that reads it
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "ace_refresh_interval": 4}, "dt_as": 25.0, "steps": 2}"#,
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": "full", "ace_refresh_interval": 4}, "dt_as": 25.0, "steps": 2}"#,
         ] {
             assert!(
                 matches!(JobSpec::from_json(bad), Err(PtError::InvalidConfig(_))),
                 "{bad}"
             );
+        }
+        // the removed MTS mode: a typed error that names the removal
+        for removed in [
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": "ace_mts", "ace_refresh_interval": 2, "ace_inner_substeps": 2}, "dt_as": 25.0, "steps": 2}"#,
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": "ace_mts"}, "dt_as": 25.0, "steps": 2}"#,
+            r#"{"name": "a", "system": {"ecut": 2.0, "hybrid": true, "exchange": "ace", "ace_inner_substeps": 2}, "dt_as": 25.0, "steps": 2}"#,
+        ] {
+            match JobSpec::from_json(removed) {
+                Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("removed"), "{msg}"),
+                other => panic!("{removed}: expected InvalidConfig, got {other:?}"),
+            }
         }
     }
 

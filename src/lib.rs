@@ -74,8 +74,8 @@
 //! }
 //! ```
 //!
-//! See `examples/quickstart.rs` for the five-minute tour, `DESIGN.md` for
-//! the system inventory, and `EXPERIMENTS.md` for paper-vs-model records.
+//! See `examples/quickstart.rs` for the five-minute tour and `DESIGN.md`
+//! for the system inventory.
 
 pub use pt_core as core;
 pub use pt_fft as fft;

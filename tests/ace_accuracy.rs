@@ -14,12 +14,16 @@
 
 use pwdft_rt::prelude::*;
 
-fn hybrid_system() -> KsSystem {
+/// The one problem under `mode`: the mode is a property of the system, so
+/// each run gets its own `KsSystem`; they all share the one SCF ground
+/// state (SCF does not read `exchange_mode`).
+fn hybrid_system(mode: ExchangeMode) -> KsSystem {
     KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
         .ecut(2.0)
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
         .occupations(vec![2.0; 4])
+        .exchange_mode(mode)
         .build()
         .unwrap()
 }
@@ -27,16 +31,13 @@ fn hybrid_system() -> KsSystem {
 /// Both the Full reference and every ACE run use the same tightened
 /// PT-CN options, routed through an explicit propagator so the 1e-8
 /// comparison is not limited by the default 1e-6 fixed-point tolerance.
-fn run_mode(sys: &KsSystem, gs: &ScfResult, mode: Option<ExchangeMode>) -> TimeSeries {
-    let opts = PtCnOptions {
+fn run_mode(gs: &ScfResult, mode: ExchangeMode) -> TimeSeries {
+    let sys = &hybrid_system(mode);
+    let prop = PtCnPropagator::new(PtCnOptions {
         rho_tol: 1e-10,
         max_scf: 80,
         ..PtCnOptions::default()
-    };
-    let prop: Box<dyn Propagator> = match mode {
-        None => Box::new(PtCnPropagator::new(opts)),
-        Some(m) => Box::new(PtCnPropagator::with_exchange(opts, m)),
-    };
+    });
     let series = SimulationBuilder::new(sys)
         .initial_orbitals(gs.orbitals.clone())
         .laser(LaserPulse::paper_380nm(
@@ -46,7 +47,7 @@ fn run_mode(sys: &KsSystem, gs: &ScfResult, mode: Option<ExchangeMode>) -> TimeS
         ))
         .dt(attosecond_to_au(25.0))
         .steps(20)
-        .propagator(prop)
+        .propagator(Box::new(prop))
         .standard_observers()
         .build()
         .unwrap()
@@ -75,11 +76,11 @@ fn max_channel_err(a: &TimeSeries, b: &TimeSeries, name: &str) -> f64 {
 
 #[test]
 fn ace_1_tracks_full_observables_and_larger_intervals_degrade_gracefully() {
-    let sys = hybrid_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
-    let full = run_mode(&sys, &gs, None);
+    let gs =
+        scf_loop(&hybrid_system(ExchangeMode::Full), ScfOptions::default()).expect("SCF converges");
+    let full = run_mode(&gs, ExchangeMode::Full);
     let err_vs_full = |mode: ExchangeMode| -> (f64, f64) {
-        let series = run_mode(&sys, &gs, Some(mode));
+        let series = run_mode(&gs, mode);
         let dipole = ["dipole_x", "dipole_y", "dipole_z"]
             .iter()
             .map(|ch| max_channel_err(&full, &series, ch))
@@ -116,20 +117,5 @@ fn ace_1_tracks_full_observables_and_larger_intervals_degrade_gracefully() {
         dip2 >= dip1 && dip5 >= dip1,
         "stale projectors cannot beat per-step refresh: \
          dip2 = {dip2:e}, dip5 = {dip5:e}, dip1 = {dip1:e}"
-    );
-
-    // MTS rides on the same frozen projector: substepping the local parts
-    // must not disturb the exchange accuracy class
-    let (dip_mts, en_mts) = err_vs_full(ExchangeMode::AceMts {
-        refresh_interval: 2,
-        inner_substeps: 2,
-    });
-    assert!(
-        dip_mts.is_finite() && dip_mts <= 5e-2,
-        "AceMts dipole error: {dip_mts:e}"
-    );
-    assert!(
-        en_mts.is_finite() && en_mts <= 5e-2,
-        "AceMts energy error: {en_mts:e}"
     );
 }

@@ -63,30 +63,27 @@ fn laser() -> LaserPulse {
     LaserPulse::paper_380nm(0.02, attosecond_to_au(200.0), attosecond_to_au(100.0))
 }
 
-/// The 4-band HSE06 fixture on `layout` (`None` = no layout: inline on the
-/// surrounding pool). `system_mode` goes on the system builder.
-fn hybrid_system(layout: Option<(usize, usize)>, system_mode: Option<ExchangeMode>) -> KsSystem {
+/// The 4-band HSE06 fixture under `mode` on `layout` (`None` = no layout:
+/// inline on the surrounding pool).
+fn hybrid_system(layout: Option<(usize, usize)>, mode: ExchangeMode) -> KsSystem {
     let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
         .ecut(2.0)
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
-        .occupations(vec![2.0; 4]);
-    if let Some(mode) = system_mode {
-        b = b.exchange_mode(mode);
-    }
+        .occupations(vec![2.0; 4])
+        .exchange_mode(mode);
     if let Some((ranks, threads)) = layout {
         b = b.distributed(DistributedConfig::new(ranks, threads));
     }
     b.build().unwrap()
 }
 
-/// A laser-driven run from `psi0`, optionally with a run-level exchange
-/// mode and per-step snapshots into `ckpt_dir` (all of them kept).
+/// A laser-driven run from `psi0`, optionally with per-step snapshots
+/// into `ckpt_dir` (all of them kept).
 fn run_steps(
     sys: &KsSystem,
     psi0: &pwdft_rt::linalg::CMat,
     steps: usize,
-    run_mode: Option<ExchangeMode>,
     ckpt_dir: Option<&Path>,
 ) -> TimeSeries {
     let mut b = SimulationBuilder::new(sys)
@@ -95,9 +92,6 @@ fn run_steps(
         .dt(attosecond_to_au(25.0))
         .steps(steps)
         .standard_observers();
-    if let Some(mode) = run_mode {
-        b = b.exchange_mode(mode);
-    }
     if let Some(dir) = ckpt_dir {
         b = b.checkpoint_every(1, dir).checkpoint_keep(steps);
     }
@@ -111,20 +105,20 @@ fn resume_and_finish(sys: &KsSystem, snapshot: &Path) -> TimeSeries {
 #[test]
 fn killed_and_resumed_run_is_bit_identical_on_and_across_layouts() {
     let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
-    let plain = hybrid_system(None, None);
+    let plain = hybrid_system(None, ExchangeMode::Full);
     let gs = scf_loop(&plain, ScfOptions::default()).expect("SCF converges");
     let steps = 2usize;
     // the shared reference: the uninterrupted inline trajectory
-    let uninterrupted = run_steps(&plain, &gs.orbitals, steps, None, None);
+    let uninterrupted = run_steps(&plain, &gs.orbitals, steps, None);
     assert_eq!(uninterrupted.propagator, "pt-cn");
 
     // a job kill at step k means the process vanishes and only the disk
     // state survives — here: the step-1 snapshot, mid-window
     let mut mids = Vec::new();
     for layout in [None, Some((2, 2))] {
-        let sys = hybrid_system(layout, None);
+        let sys = hybrid_system(layout, ExchangeMode::Full);
         let dir = tmp_dir(&format!("layout_{layout:?}").replace(['(', ')', ',', ' '], "_"));
-        let checkpointed = run_steps(&sys, &gs.orbitals, steps, None, Some(&dir));
+        let checkpointed = run_steps(&sys, &gs.orbitals, steps, Some(&dir));
         assert_series_bits_eq(&uninterrupted, &checkpointed);
         let mid = dir.join("ckpt_00000001.ptio");
         let ck = RunCheckpoint::read(&mid).unwrap();
@@ -150,7 +144,7 @@ fn killed_and_resumed_run_is_bit_identical_on_and_across_layouts() {
     assert_eq!(rank_threads_spawned(), before, "one rank runs inline");
     // ...and the inline run's snapshot finishes on a 2 × 1 system's own
     // rank team: the resumed run honours the system's layout
-    let two_by_one = hybrid_system(Some((2, 1)), None);
+    let two_by_one = hybrid_system(Some((2, 1)), ExchangeMode::Full);
     assert_series_bits_eq(&uninterrupted, &resume_and_finish(&two_by_one, &mids[0].1));
     assert_eq!(rank_threads_spawned() - before, 2, "one team of two ranks");
     for (dir, _) in mids {
@@ -164,7 +158,7 @@ fn an_explicit_propagator_honours_the_systems_layout() {
     // not by the propagator's type: a hand-built PtCnPropagator on a 2 × 1
     // system spawns its rank team
     let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
-    let sys = hybrid_system(Some((2, 1)), None);
+    let sys = hybrid_system(Some((2, 1)), ExchangeMode::Full);
     let psi0 = pwdft_rt::linalg::CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 5);
     let before = rank_threads_spawned();
     let series = SimulationBuilder::new(&sys)
@@ -180,15 +174,15 @@ fn an_explicit_propagator_honours_the_systems_layout() {
     assert_eq!(rank_threads_spawned() - before, 2);
 }
 
-/// A snapshot of the former distributed propagator type: same sections,
-/// tag `"pt-cn-dist"`, plus a `prop/dist` layout section.
-fn retag_as_pt_cn_dist(src: &Path, dst: &Path) {
+/// Craft a legacy snapshot from a current one: the same sections with
+/// `prop/name` retagged as `tag`, plus one extra `u64` section.
+fn craft_legacy(src: &Path, dst: &Path, tag: &str, extra: (&str, [u64; 3])) {
     let f = SnapshotFile::open(src).unwrap();
     let mut w = SnapshotWriter::create(dst);
     for name in f.section_names() {
         if name == "prop/name" {
             assert_eq!(f.str(name).unwrap(), "pt-cn");
-            w.put_str(name, "pt-cn-dist").unwrap();
+            w.put_str(name, tag).unwrap();
         } else if let Ok(v) = f.u64s(name) {
             w.put_u64s(name, &v).unwrap();
         } else if let Ok(v) = f.f64s(name) {
@@ -199,7 +193,7 @@ fn retag_as_pt_cn_dist(src: &Path, dst: &Path) {
             w.put_cmat(name, &f.cmat(name).unwrap(), Wire::F64).unwrap();
         }
     }
-    w.put_u64s("prop/dist", &[2, 2, 0]).unwrap();
+    w.put_u64s(extra.0, &extra.1).unwrap();
     w.finish().unwrap();
 }
 
@@ -208,9 +202,16 @@ fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
     let sys = lda_system();
     let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
     let dir = tmp_dir("legacy_tag");
-    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, None, Some(&dir));
+    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
+    // the former distributed propagator type's snapshot: tag
+    // "pt-cn-dist" plus a `prop/dist` layout section
     let legacy = dir.join("legacy.ptio");
-    retag_as_pt_cn_dist(&dir.join("ckpt_00000001.ptio"), &legacy);
+    craft_legacy(
+        &dir.join("ckpt_00000001.ptio"),
+        &legacy,
+        "pt-cn-dist",
+        ("prop/dist", [2, 2, 0]),
+    );
     assert!(matches!(
         RunCheckpoint::read(&legacy).unwrap().propagator,
         PropagatorState::PtCn { .. }
@@ -269,30 +270,24 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
     let mode = ExchangeMode::Ace {
         refresh_interval: 3,
     };
-    let plain = hybrid_system(None, None);
+    let plain = hybrid_system(None, mode);
     let gs = scf_loop(&plain, ScfOptions::default()).expect("SCF converges");
     let steps = 4usize;
-    let uninterrupted = run_steps(&plain, &gs.orbitals, steps, Some(mode), None);
+    let uninterrupted = run_steps(&plain, &gs.orbitals, steps, None);
 
-    // inline, the mode arrives via the run-level override — the snapshot
-    // must round-trip it so the resumed propagator keeps ACE without the
-    // system saying so; at 2 × 2 it comes from the system builder
-    for (layout, system_mode, run_mode) in
-        [(None, None, Some(mode)), (Some((2, 2)), Some(mode), None)]
-    {
-        let sys = hybrid_system(layout, system_mode);
+    for layout in [None, Some((2, 2))] {
+        let sys = hybrid_system(layout, mode);
         let dir = tmp_dir(if layout.is_some() {
             "ace_2x2"
         } else {
             "ace_inline"
         });
-        run_steps(&sys, &gs.orbitals, steps, run_mode, Some(&dir));
+        run_steps(&sys, &gs.orbitals, steps, Some(&dir));
         let mid = dir.join("ckpt_00000002.ptio");
         let ck = RunCheckpoint::read(&mid).unwrap();
         assert_eq!(ck.steps_remaining, 2);
         match &ck.propagator {
-            PropagatorState::PtCn { exchange, ace, .. } => {
-                assert_eq!(*exchange, run_mode);
+            PropagatorState::PtCn { ace, .. } => {
                 let cap = ace.as_ref().expect("mid-window snapshot must carry ξ");
                 assert_eq!(
                     cap.steps_since_refresh, 2,
@@ -303,7 +298,37 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
             other => panic!("expected PtCn state, got {other:?}"),
         }
         assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &mid));
+        if layout.is_none() {
+            legacy_exchange_pins_are_checked_never_followed(&mid);
+        }
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Snapshots of the former per-propagator exchange override carry a
+/// `prop/exch = [tag, refresh interval, inner substeps]` section. The mode
+/// now lives on the system only, so the pin is *checked* against the
+/// system a snapshot is resumed on; the removed MTS mode (tag 2) is
+/// refused by the reader.
+fn legacy_exchange_pins_are_checked_never_followed(snapshot: &Path) {
+    let crafted = snapshot.with_file_name("legacy_exch.ptio");
+    craft_legacy(snapshot, &crafted, "pt-cn", ("prop/exch", [2, 2, 2]));
+    match RunCheckpoint::read(&crafted) {
+        Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("AceMts"), "{msg}"),
+        other => panic!("expected InvalidConfig naming AceMts, got {other:?}"),
+    }
+    craft_legacy(snapshot, &crafted, "pt-cn", ("prop/exch", [1, 2, 0]));
+    let ace2 = hybrid_system(
+        None,
+        ExchangeMode::Ace {
+            refresh_interval: 2,
+        },
+    );
+    assert!(Simulation::resume(&ace2, &crafted).is_ok());
+    match Simulation::resume(&hybrid_system(None, ExchangeMode::Full), &crafted) {
+        Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("exchange mode"), "{msg}"),
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("a snapshot pinned to Ace{{2}} silently resumed under Full"),
     }
 }
 

@@ -125,9 +125,12 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
         .occupations(vec![2.0; 4])
+        .exchange_mode(ExchangeMode::Ace {
+            refresh_interval: 3,
+        })
         .parallelism(Parallelism::threads(1))
         .build()
-        .expect("valid system");
+        .expect("valid ACE system");
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
     // no observers: the only pair-FFT source left is the propagator itself
     let mut sim = SimulationBuilder::new(&sys)
@@ -139,11 +142,8 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
         ))
         .dt(attosecond_to_au(25.0))
         .steps(5)
-        .exchange_mode(ExchangeMode::Ace {
-            refresh_interval: 3,
-        })
         .build()
-        .expect("valid ACE simulation");
+        .expect("valid simulation");
 
     // snapshot (pair_ffts, ace_refresh_rounds) at every committed step
     let deltas: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
