@@ -4,7 +4,9 @@
 //! N_e² Poisson-like equations per application, each of which is a pair of
 //! 3-D FFTs on the wavefunction grid (60×90×120 for the 1536-atom system).
 //! These sizes are 2,3,5-smooth by construction, so the core transform here
-//! is a recursive mixed-radix (2/3/4/5) Cooley–Tukey; arbitrary sizes fall
+//! is an iterative Stockham autosort FFT: one pass per radix (hard-coded
+//! 2/3/4/5 butterflies, per-pass twiddle tables), unit-stride on every axis
+//! of the 3-D grid (see [`Plan1d::process_strided`]). Arbitrary sizes fall
 //! back to Bluestein's chirp-z algorithm so property tests can exercise any
 //! length.
 //!
@@ -16,9 +18,10 @@
 //!   3-D transforms) — the "step 2" batched CUFFT analogue, which is the
 //!   profitable layout on wide machines.
 //!
-//! Conventions: `forward` computes X_k = Σ_j x_j e^{-2πi jk/n} (no scaling);
-//! `inverse` applies the conjugate transform and divides by n, so
-//! `inverse(forward(x)) == x`.
+//! Conventions: `forward` computes X_k = Σ_j x_j e^{-2πi jk/n} (no scaling).
+//! [`Fft3::inverse`] applies the conjugate transform and divides by N once,
+//! so `inverse(forward(x)) == x`; a bare [`Plan1d`] and
+//! [`Fft3::inverse_unscaled_serial`] leave the division to the caller.
 
 mod plan;
 mod three_d;

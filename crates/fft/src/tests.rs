@@ -1,7 +1,9 @@
 //! Correctness tests: every transform is checked against the naive O(n²)
 //! DFT and against algebraic invariants (roundtrip, Parseval, linearity,
 //! shift theorem). Property tests cover arbitrary (including prime) sizes,
-//! which exercise the Bluestein path.
+//! which exercise the Bluestein path. Relative contracts — strided ==
+//! one sequence at a time, parallel == serial, batch == loop — are held at
+//! exact `to_bits`.
 
 use crate::{next_smooth, Direction, Fft3, Plan1d};
 use proptest::prelude::*;
@@ -20,13 +22,29 @@ fn naive_dft(x: &[c64], dir: Direction) -> Vec<c64> {
             let phase = sign * 2.0 * std::f64::consts::PI * (j * k % n) as f64 / n as f64;
             acc += xj * c64::cis(phase);
         }
-        *o = if dir == Direction::Inverse {
-            acc / n as f64
-        } else {
-            acc
-        };
+        *o = acc;
     }
     out
+}
+
+/// One sequence through `plan` with freshly allocated scratch.
+fn transform(plan: &Plan1d, data: &mut [c64], dir: Direction) {
+    let mut scratch = vec![c64::ZERO; plan.scratch_len(1)];
+    plan.process(data, &mut scratch, dir);
+}
+
+/// Forward then inverse then the 1/n a plan leaves to its caller.
+fn roundtrip(plan: &Plan1d, data: &mut [c64]) {
+    transform(plan, data, Direction::Forward);
+    transform(plan, data, Direction::Inverse);
+    let inv_n = 1.0 / plan.len() as f64;
+    for z in data.iter_mut() {
+        *z = z.scale(inv_n);
+    }
+}
+
+fn bits(a: &[c64]) -> Vec<(u64, u64)> {
+    a.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
 }
 
 fn random_signal(n: usize, seed: u64) -> Vec<c64> {
@@ -47,29 +65,18 @@ fn max_err(a: &[c64], b: &[c64]) -> f64 {
 
 #[test]
 fn matches_naive_dft_many_sizes() {
-    // smooth sizes take the mixed-radix path, primes the Bluestein path
-    for n in [
-        1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 20, 24, 25, 30, 31, 36, 45, 60,
-    ] {
+    // every 2,3,5-smooth length up to 128 (the paper's 60/90/120 lines
+    // among them) through the Stockham passes, both directions
+    for n in (1usize..=128).filter(|&n| next_smooth(n) == n) {
         let plan = Plan1d::new(n);
         let x = random_signal(n, n as u64);
-        let mut y = x.clone();
-        plan.transform(&mut y, Direction::Forward);
-        let want = naive_dft(&x, Direction::Forward);
-        let err = max_err(&y, &want);
-        assert!(err < 1e-10 * (n as f64), "n={n} err={err}");
-    }
-}
-
-#[test]
-fn inverse_matches_naive_dft() {
-    for n in [3usize, 7, 12, 18, 29, 40] {
-        let plan = Plan1d::new(n);
-        let x = random_signal(n, 1000 + n as u64);
-        let mut y = x.clone();
-        plan.transform(&mut y, Direction::Inverse);
-        let want = naive_dft(&x, Direction::Inverse);
-        assert!(max_err(&y, &want) < 1e-11 * n as f64, "n={n}");
+        let scale = x.iter().map(|z| z.abs()).sum::<f64>();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut y = x.clone();
+            transform(&plan, &mut y, dir);
+            let err = max_err(&y, &naive_dft(&x, dir));
+            assert!(err < 1e-12 * scale, "n={n} {dir:?} err={err}");
+        }
     }
 }
 
@@ -80,10 +87,54 @@ fn paper_grid_lines_roundtrip() {
         let plan = Plan1d::new(n);
         let x = random_signal(n, n as u64 * 7);
         let mut y = x.clone();
-        plan.transform(&mut y, Direction::Forward);
-        plan.transform(&mut y, Direction::Inverse);
+        roundtrip(&plan, &mut y);
         assert!(max_err(&x, &y) < 1e-12, "n={n}");
     }
+}
+
+#[test]
+fn bluestein_lengths_match_naive_dft() {
+    for n in [7usize, 11, 13, 14, 17, 29, 31] {
+        let plan = Plan1d::new(n);
+        let x = random_signal(n, 1000 + n as u64);
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut y = x.clone();
+            transform(&plan, &mut y, dir);
+            let err = max_err(&y, &naive_dft(&x, dir));
+            assert!(err < 1e-11 * n as f64, "n={n} {dir:?} err={err}");
+        }
+    }
+}
+
+#[test]
+fn strided_equals_one_sequence_at_a_time() {
+    // smooth with an even and an odd number of passes, and Bluestein
+    for n in [8usize, 15, 24, 60, 7] {
+        let plan = Plan1d::new(n);
+        for s0 in [1usize, 3, 8, 15] {
+            let x = random_signal(n * s0, (n * 100 + s0) as u64);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut strided = x.clone();
+                let mut scratch = vec![c64::ZERO; plan.scratch_len(s0)];
+                plan.process_strided(&mut strided, &mut scratch, s0, dir);
+                for c in 0..s0 {
+                    let mut seq: Vec<c64> = (0..n).map(|j| x[j * s0 + c]).collect();
+                    transform(&plan, &mut seq, dir);
+                    let col: Vec<c64> = (0..n).map(|j| strided[j * s0 + c]).collect();
+                    assert_eq!(bits(&col), bits(&seq), "n={n} s0={s0} c={c} {dir:?}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "scratch too small")]
+fn strided_scratch_requirement_is_asserted() {
+    let plan = Plan1d::new(12);
+    let mut data = vec![c64::ZERO; 12 * 3];
+    let mut scratch = vec![c64::ZERO; 12];
+    plan.process_strided(&mut data, &mut scratch, 3, Direction::Forward);
 }
 
 #[test]
@@ -92,7 +143,7 @@ fn delta_transforms_to_constant() {
     let plan = Plan1d::new(n);
     let mut x = vec![c64::ZERO; n];
     x[0] = c64::ONE;
-    plan.transform(&mut x, Direction::Forward);
+    transform(&plan, &mut x, Direction::Forward);
     for v in &x {
         assert!((*v - c64::ONE).abs() < 1e-13);
     }
@@ -106,7 +157,7 @@ fn plane_wave_transforms_to_delta() {
     let mut x: Vec<c64> = (0..n)
         .map(|j| c64::cis(2.0 * std::f64::consts::PI * (j * k0) as f64 / n as f64))
         .collect();
-    plan.transform(&mut x, Direction::Forward);
+    transform(&plan, &mut x, Direction::Forward);
     for (k, v) in x.iter().enumerate() {
         let want = if k == k0 { n as f64 } else { 0.0 };
         assert!(
@@ -122,7 +173,7 @@ fn parseval_identity() {
     let plan = Plan1d::new(n);
     let x = random_signal(n, 99);
     let mut y = x.clone();
-    plan.transform(&mut y, Direction::Forward);
+    transform(&plan, &mut y, Direction::Forward);
     let ex: f64 = x.iter().map(|z| z.norm_sqr()).sum();
     let ey: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / n as f64;
     assert!((ex - ey).abs() < 1e-12 * ex);
@@ -163,14 +214,54 @@ fn fft3_roundtrip_and_naive_small() {
 }
 
 #[test]
+fn fft3_non_smooth_roundtrip() {
+    // Bluestein on two axes: 7 as rows (s0 = 1), 11 as interleaved columns
+    // (s0 = 7)
+    let fft = Fft3::new(7, 11, 6);
+    let x = random_signal(fft.len(), 41);
+    let mut y = x.clone();
+    fft.forward_serial(&mut y);
+    let parseval: f64 = y.iter().map(|z| z.norm_sqr()).sum::<f64>() / fft.len() as f64;
+    let energy: f64 = x.iter().map(|z| z.norm_sqr()).sum();
+    assert!((parseval - energy).abs() < 1e-12 * energy);
+    fft.inverse_serial(&mut y);
+    assert!(max_err(&y, &x) < 1e-12, "roundtrip");
+}
+
+#[test]
 fn fft3_serial_equals_parallel() {
-    let fft = Fft3::new(12, 10, 9);
-    let x = random_signal(12 * 10 * 9, 17);
-    let mut a = x.clone();
-    let mut b = x.clone();
-    fft.forward(&mut a);
-    fft.forward_serial(&mut b);
-    assert!(max_err(&a, &b) < 1e-12);
+    // smooth grid, and one whose x and y lines are Bluestein
+    for (nx, ny, nz) in [(12, 10, 9), (7, 11, 6)] {
+        let fft = Fft3::new(nx, ny, nz);
+        let x = random_signal(fft.len(), 17);
+        let mut serial = x.clone();
+        fft.forward_serial(&mut serial);
+        let mut serial_inv = x.clone();
+        fft.inverse_serial(&mut serial_inv);
+        for threads in [1, 4] {
+            pt_par::ThreadPool::new(threads).install(|| {
+                let mut a = x.clone();
+                fft.forward(&mut a);
+                assert_eq!(bits(&a), bits(&serial), "forward on {threads} threads");
+                let mut b = x.clone();
+                fft.inverse(&mut b);
+                assert_eq!(bits(&b), bits(&serial_inv), "inverse on {threads} threads");
+            });
+        }
+    }
+}
+
+#[test]
+fn fft3_unscaled_inverse_differs_by_n_only() {
+    let fft = Fft3::new(6, 5, 4);
+    let x = random_signal(fft.len(), 3);
+    let mut scaled = x.clone();
+    fft.inverse_serial(&mut scaled);
+    let mut unscaled = x.clone();
+    fft.inverse_unscaled_serial(&mut unscaled);
+    let inv_n = 1.0 / fft.len() as f64;
+    let rescaled: Vec<c64> = unscaled.iter().map(|z| z.scale(inv_n)).collect();
+    assert_eq!(bits(&rescaled), bits(&scaled));
 }
 
 #[test]
@@ -185,8 +276,12 @@ fn fft3_batch_equals_loop() {
     for chunk in b.chunks_mut(n) {
         fft.forward_serial(chunk);
     }
-    assert!(max_err(&a, &b) < 1e-12);
+    assert_eq!(bits(&a), bits(&b));
     fft.inverse_batch(&mut a);
+    for chunk in b.chunks_mut(n) {
+        fft.inverse_serial(chunk);
+    }
+    assert_eq!(bits(&a), bits(&b));
     assert!(max_err(&a, &x) < 1e-12);
 }
 
@@ -198,8 +293,7 @@ proptest! {
         let plan = Plan1d::new(n);
         let x = random_signal(n, seed);
         let mut y = x.clone();
-        plan.transform(&mut y, Direction::Forward);
-        plan.transform(&mut y, Direction::Inverse);
+        roundtrip(&plan, &mut y);
         prop_assert!(max_err(&x, &y) < 1e-10);
     }
 
@@ -210,11 +304,11 @@ proptest! {
         let y = random_signal(n, seed + 1);
         let alpha = c64::new(0.7, -0.3);
         let mut lhs: Vec<c64> = x.iter().zip(&y).map(|(a, b)| *a * alpha + *b).collect();
-        plan.transform(&mut lhs, Direction::Forward);
+        transform(&plan, &mut lhs, Direction::Forward);
         let mut fx = x.clone();
         let mut fy = y.clone();
-        plan.transform(&mut fx, Direction::Forward);
-        plan.transform(&mut fy, Direction::Forward);
+        transform(&plan, &mut fx, Direction::Forward);
+        transform(&plan, &mut fy, Direction::Forward);
         let rhs: Vec<c64> = fx.iter().zip(&fy).map(|(a, b)| *a * alpha + *b).collect();
         prop_assert!(max_err(&lhs, &rhs) < 1e-9);
     }
@@ -236,8 +330,8 @@ proptest! {
         let shifted: Vec<c64> = (0..n).map(|j| x[(j + shift) % n]).collect();
         let mut fx = x.clone();
         let mut fs = shifted;
-        plan.transform(&mut fx, Direction::Forward);
-        plan.transform(&mut fs, Direction::Forward);
+        transform(&plan, &mut fx, Direction::Forward);
+        transform(&plan, &mut fs, Direction::Forward);
         for k in 0..n {
             let phase = c64::cis(2.0 * std::f64::consts::PI * (k * shift % n) as f64 / n as f64);
             let want = fx[k] * phase;

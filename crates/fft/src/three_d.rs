@@ -5,15 +5,51 @@
 //! x fastest. A [`Fft3`] owns three 1-D plans and exposes
 //!
 //! * [`Fft3::forward`]/[`Fft3::inverse`] — one transform, parallel over
-//!   FFT lines on the `pt-par` pool (the "band-by-band" execution of the
-//!   paper: one orbital at a time keeps the device busy via
-//!   intra-transform parallelism);
+//!   independent columns on the `pt-par` pool (the "band-by-band"
+//!   execution of the paper: one orbital at a time keeps the device busy
+//!   via intra-transform parallelism);
 //! * [`Fft3::forward_batch`]/[`Fft3::inverse_batch`] — many independent
-//!   transforms, parallel *across* the batch with serial lines inside (the
+//!   transforms, parallel *across* the batch with serial passes inside (the
 //!   paper's "batched CUFFT" layout that saturates bandwidth).
+//!
+//! Every axis is one [`Plan1d::process_strided`] call over an `[n][s0]`
+//! block, unit-stride inside: x as rows (`s0 = 1`), y once per z-slab
+//! (`s0 = nx`), z once over the grid (`s0 = nx·ny`). No line is ever
+//! gathered, and each column gets the same arithmetic however the columns
+//! are dealt to threads, so the parallel and serial entries agree to the
+//! bit on any pool.
+//!
+//! Scratch is one grid-sized buffer per thread, grown on that thread's
+//! first transform and reused by every `Fft3` after it: a warm serial
+//! transform allocates nothing.
 
 use crate::plan::{Direction, Plan1d};
 use pt_num::c64;
+use std::cell::RefCell;
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<c64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on the first `len` elements of this thread's scratch buffer.
+fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [c64]) -> R) -> R {
+    SCRATCH.with(|cell| {
+        let mut buf = cell.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, c64::ZERO);
+        }
+        f(&mut buf[..len])
+    })
+}
+
+/// Transform every `[plan.len()][s0]` block of `data` along its first index.
+fn axis_pass(plan: &Plan1d, data: &mut [c64], s0: usize, dir: Direction) {
+    with_scratch(plan.scratch_len(s0), |scratch| {
+        for block in data.chunks_exact_mut(plan.len() * s0) {
+            plan.process_strided(block, scratch, s0, dir);
+        }
+    });
+}
 
 /// A 3-D FFT of fixed dimensions.
 pub struct Fft3 {
@@ -58,26 +94,30 @@ impl Fft3 {
 
     /// Parallel forward transform (unscaled).
     pub fn forward(&self, data: &mut [c64]) {
-        pt_trace::counter_add(pt_trace::Counter::FftTransforms, 1);
-        self.process_par(data, Direction::Forward);
+        self.transform(data, Direction::Forward, pt_par::current_num_threads());
     }
 
     /// Parallel inverse transform (scaled by 1/N).
     pub fn inverse(&self, data: &mut [c64]) {
-        pt_trace::counter_add(pt_trace::Counter::FftTransforms, 1);
-        self.process_par(data, Direction::Inverse);
+        self.transform(data, Direction::Inverse, pt_par::current_num_threads());
+        self.scale_inverse(data);
     }
 
     /// Single-threaded forward transform.
     pub fn forward_serial(&self, data: &mut [c64]) {
-        pt_trace::counter_add(pt_trace::Counter::FftTransforms, 1);
-        self.process_serial(data, Direction::Forward);
+        self.transform(data, Direction::Forward, 1);
     }
 
-    /// Single-threaded inverse transform.
+    /// Single-threaded inverse transform (scaled by 1/N).
     pub fn inverse_serial(&self, data: &mut [c64]) {
-        pt_trace::counter_add(pt_trace::Counter::FftTransforms, 1);
-        self.process_serial(data, Direction::Inverse);
+        self.inverse_unscaled_serial(data);
+        self.scale_inverse(data);
+    }
+
+    /// Single-threaded inverse transform **without** the 1/N, for callers
+    /// that fold it into a factor they apply anyway.
+    pub fn inverse_unscaled_serial(&self, data: &mut [c64]) {
+        self.transform(data, Direction::Inverse, 1);
     }
 
     /// Forward-transform a batch of `data.len()/len()` independent grids,
@@ -99,113 +139,64 @@ impl Fft3 {
             "batch length must be a multiple of grid size"
         );
         pt_trace::counter_add(pt_trace::Counter::FftBatches, 1);
-        pt_trace::counter_add(pt_trace::Counter::FftTransforms, (data.len() / n) as u64);
         // one band per pool task: dynamic claiming load-balances uneven
         // band counts, and each transform is serial inside (the paper's
         // batched-CUFFT layout)
-        pt_par::parallel_chunks_mut(data, n, |_band, grid| self.process_serial(grid, dir));
+        pt_par::parallel_chunks_mut(data, n, |_band, grid| match dir {
+            Direction::Forward => self.forward_serial(grid),
+            Direction::Inverse => self.inverse_serial(grid),
+        });
     }
 
-    fn process_serial(&self, data: &mut [c64], dir: Direction) {
-        assert_eq!(data.len(), self.len(), "grid size mismatch");
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let mut scratch = vec![
-            c64::ZERO;
-            self.px
-                .scratch_len()
-                .max(self.py.scratch_len())
-                .max(self.pz.scratch_len())
-        ];
-        // x lines are contiguous
-        for row in data.chunks_mut(nx) {
-            self.px.process(row, &mut scratch, dir);
-        }
-        // y lines within each z-slab
-        let mut line = vec![c64::ZERO; ny.max(nz)];
-        for iz in 0..nz {
-            let slab = &mut data[iz * nx * ny..(iz + 1) * nx * ny];
-            for ix in 0..nx {
-                for iy in 0..ny {
-                    line[iy] = slab[ix + nx * iy];
-                }
-                self.py.process(&mut line[..ny], &mut scratch, dir);
-                for iy in 0..ny {
-                    slab[ix + nx * iy] = line[iy];
-                }
-            }
-        }
-        // z lines stride across slabs
-        let nl = nx * ny;
-        for l in 0..nl {
-            for iz in 0..nz {
-                line[iz] = data[l + nl * iz];
-            }
-            self.pz.process(&mut line[..nz], &mut scratch, dir);
-            for iz in 0..nz {
-                data[l + nl * iz] = line[iz];
-            }
+    /// The inverse's one 1/N per 3-D transform.
+    fn scale_inverse(&self, data: &mut [c64]) {
+        let inv_n = 1.0 / self.len() as f64;
+        for z in data.iter_mut() {
+            *z = z.scale(inv_n);
         }
     }
 
-    fn process_par(&self, data: &mut [c64], dir: Direction) {
+    /// Unnormalized transform of one grid, its independent columns dealt to
+    /// `tasks` pool tasks (1 = serial on the calling thread).
+    fn transform(&self, data: &mut [c64], dir: Direction, tasks: usize) {
         assert_eq!(data.len(), self.len(), "grid size mismatch");
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        // x axis: contiguous rows, one scratch per task
-        let rows = lines_per_task(ny * nz);
-        pt_par::parallel_chunks_mut(data, rows * nx, |_, block| {
-            let mut scratch = vec![c64::ZERO; self.px.scratch_len()];
-            for row in block.chunks_mut(nx) {
-                self.px.process(row, &mut scratch, dir);
-            }
+        pt_trace::counter_add(pt_trace::Counter::FftTransforms, 1);
+        let (nx, nz, nl) = (self.nx, self.nz, self.nx * self.ny);
+        // x rows and y columns never leave their z-slab
+        pt_par::parallel_chunks_mut(data, nz.div_ceil(tasks) * nl, |_, slabs| {
+            axis_pass(&self.px, slabs, 1, dir);
+            axis_pass(&self.py, slabs, nx, dir);
         });
-        // y axis: independent z-slabs
-        let slabs = lines_per_task(nz);
-        pt_par::parallel_chunks_mut(data, slabs * nx * ny, |_, block| {
-            let mut line = vec![c64::ZERO; ny];
-            let mut scratch = vec![c64::ZERO; self.py.scratch_len()];
-            for slab in block.chunks_mut(nx * ny) {
-                for ix in 0..nx {
-                    for iy in 0..ny {
-                        line[iy] = slab[ix + nx * iy];
-                    }
-                    self.py.process(&mut line, &mut scratch, dir);
-                    for iy in 0..ny {
-                        slab[ix + nx * iy] = line[iy];
-                    }
+        // z columns span every slab
+        let tasks = tasks.min(nl);
+        if tasks == 1 {
+            return axis_pass(&self.pz, data, nl, dir);
+        }
+        // hand task `t` the segment `chunk_range(nl, tasks, t)` of every
+        // z-row; it stages them as a compact `[nz][width]` block in its own
+        // scratch, transforms that, and copies the rows back
+        let mut columns: Vec<Vec<&mut [c64]>> =
+            (0..tasks).map(|_| Vec::with_capacity(nz)).collect();
+        for mut row in data.chunks_exact_mut(nl) {
+            for (t, segments) in columns.iter_mut().enumerate() {
+                let (segment, rest) = row.split_at_mut(pt_par::chunk_range(nl, tasks, t).len());
+                segments.push(segment);
+                row = rest;
+            }
+        }
+        pt_par::parallel_chunks_mut(&mut columns, 1, |_, task| {
+            let segments = &mut task[0];
+            let width = segments[0].len();
+            with_scratch(nz * width + self.pz.scratch_len(width), |buf| {
+                let (block, scratch) = buf.split_at_mut(nz * width);
+                for (row, segment) in block.chunks_exact_mut(width).zip(segments.iter()) {
+                    row.copy_from_slice(segment);
                 }
-            }
-        });
-        // z axis: transpose into line-major scratch, transform, scatter back
-        let nl = nx * ny;
-        let mut buf = vec![c64::ZERO; data.len()];
-        {
-            let src: &[c64] = data;
-            let lines = lines_per_task(nl);
-            pt_par::parallel_chunks_mut(&mut buf, lines * nz, |task, block| {
-                let mut scratch = vec![c64::ZERO; self.pz.scratch_len()];
-                for (k, lbuf) in block.chunks_mut(nz).enumerate() {
-                    let l = task * lines + k;
-                    for (iz, v) in lbuf.iter_mut().enumerate() {
-                        *v = src[l + nl * iz];
-                    }
-                    self.pz.process(lbuf, &mut scratch, dir);
+                self.pz.process_strided(block, scratch, width, dir);
+                for (row, segment) in block.chunks_exact(width).zip(segments.iter_mut()) {
+                    segment.copy_from_slice(row);
                 }
             });
-        }
-        pt_par::parallel_chunks_mut(data, slabs * nl, |task, block| {
-            for (k, slab) in block.chunks_mut(nl).enumerate() {
-                let iz = task * slabs + k;
-                for (l, v) in slab.iter_mut().enumerate() {
-                    *v = buf[l * nz + iz];
-                }
-            }
         });
     }
-}
-
-/// Lines handed to one pool task of an axis pass, so that a pass over
-/// `n_lines` (positive: every plan length is) runs as at most
-/// `pt_par::chunk_count(n_lines)` tasks, each allocating its scratch once.
-fn lines_per_task(n_lines: usize) -> usize {
-    n_lines.div_ceil(pt_par::chunk_count(n_lines))
 }

@@ -81,11 +81,13 @@ pub enum FockMode {
 /// One Poisson-like pair solve of Alg. 2, accumulated:
 /// `acc(r) += −α φ_i(r) · IFFT[K · FFT(φ_i* ψ_j)](r)`, all on the
 /// wavefunction grid with serial FFTs (`pair` is caller-owned scratch).
-/// The grid convolution is the exact integral, no volume factor (the
+/// `kernel_over_n` is `K(G)/N`: the inverse transform's 1/N rides on the
+/// kernel multiply, so the inverse itself runs unscaled. The grid
+/// convolution is the exact integral, no volume factor (the
 /// uniform-orbital test pins it).
 fn pair_accumulate(
     grids: &PwGrids,
-    kernel: &ScreenedKernel,
+    kernel_over_n: &[f64],
     alpha: f64,
     phi: &[c64],
     psi: &[c64],
@@ -97,10 +99,10 @@ fn pair_accumulate(
         *p = f.conj() * *s;
     }
     grids.fft_wfc.forward_serial(pair);
-    for (z, &k) in pair.iter_mut().zip(&kernel.values) {
+    for (z, &k) in pair.iter_mut().zip(kernel_over_n) {
         *z = z.scale(k);
     }
-    grids.fft_wfc.inverse_serial(pair);
+    grids.fft_wfc.inverse_unscaled_serial(pair);
     for ((o, f), v) in acc.iter_mut().zip(phi).zip(pair.iter()) {
         *o += (*f * *v).scale(-alpha);
     }
@@ -117,7 +119,8 @@ fn pair_accumulate(
 /// under a `Comm`.
 pub(crate) struct PairLoop<'a> {
     grids: &'a PwGrids,
-    kernel: &'a ScreenedKernel,
+    /// `K(G)/N` on the wavefunction grid (see [`pair_accumulate`]).
+    kernel_over_n: Vec<f64>,
     alpha: f64,
     psi_real: Vec<Vec<c64>>,
     chunks: Vec<BandChunk>,
@@ -134,14 +137,10 @@ struct BandChunk {
 
 impl<'a> PairLoop<'a> {
     /// ψ (columns, sphere coefficients) to real space, zeroed accumulators.
-    pub(crate) fn new(
-        grids: &'a PwGrids,
-        kernel: &'a ScreenedKernel,
-        alpha: f64,
-        psi: &CMat,
-    ) -> Self {
+    pub(crate) fn new(grids: &'a PwGrids, kernel: &ScreenedKernel, alpha: f64, psi: &CMat) -> Self {
         assert_eq!(psi.nrows(), grids.ng());
         let (nw, n_psi) = (grids.n_wfc(), psi.ncols());
+        let kernel_over_n = kernel.values.iter().map(|k| k / nw as f64).collect();
         let psi_real: Vec<Vec<c64>> = pt_par::parallel_map(n_psi, |j| {
             let mut r = vec![c64::ZERO; nw];
             grids.to_real_wfc(psi.col(j), &mut r);
@@ -162,7 +161,7 @@ impl<'a> PairLoop<'a> {
             .collect();
         PairLoop {
             grids,
-            kernel,
+            kernel_over_n,
             alpha,
             psi_real,
             chunks,
@@ -177,7 +176,7 @@ impl<'a> PairLoop<'a> {
             (phis.len() * self.psi_real.len()) as u64,
         );
         let (grids, kernel, alpha, psi_real) =
-            (self.grids, self.kernel, self.alpha, &self.psi_real);
+            (self.grids, &self.kernel_over_n, self.alpha, &self.psi_real);
         pt_par::parallel_chunks_mut(&mut self.chunks, 1, |_c, chunk| {
             let BandChunk { start, accs, pair } = &mut chunk[0];
             for phi in phis {

@@ -83,7 +83,7 @@ impl PwGrids {
         for (c, &idx) in coeffs.iter().zip(&self.sphere.fft_index) {
             out[idx] = *c;
         }
-        self.fft_wfc.forward_scaled_inverse(out, self.volume);
+        scaled_synthesis(&self.fft_wfc, out, self.volume);
     }
 
     /// Gather real-space values on the wavefunction grid back to sphere
@@ -106,7 +106,7 @@ impl PwGrids {
         for (c, &idx) in coeffs.iter().zip(&self.sphere_in_dense) {
             out[idx] = *c;
         }
-        self.fft_dense.forward_scaled_inverse(out, self.volume);
+        scaled_synthesis(&self.fft_dense, out, self.volume);
     }
 
     /// Gather dense-grid real-space values to sphere coefficients.
@@ -121,20 +121,14 @@ impl PwGrids {
     }
 }
 
-/// Extension trait hook: a "scaled inverse" that turns scattered sphere
-/// coefficients into Ω^{-1/2}-normalized real-space values in one pass.
-trait ScaledInverse {
-    fn forward_scaled_inverse(&self, data: &mut [c64], volume: f64);
-}
-
-impl ScaledInverse for Fft3 {
-    fn forward_scaled_inverse(&self, data: &mut [c64], volume: f64) {
-        // values(r_j) = Ω^{-1/2} Σ_G c_G e^{iG r_j} = (N/√Ω) · inverse(c)
-        self.inverse_serial(data);
-        let s = self.len() as f64 / volume.sqrt();
-        for z in data.iter_mut() {
-            *z = z.scale(s);
-        }
+/// Scattered sphere coefficients to Ω^{-1/2}-normalized real-space values:
+/// `ψ(r_j) = Ω^{-1/2} Σ_G c_G e^{iG·r_j}` is the *unscaled* inverse
+/// transform times the one factor 1/√Ω.
+fn scaled_synthesis(fft: &Fft3, data: &mut [c64], volume: f64) {
+    fft.inverse_unscaled_serial(data);
+    let s = 1.0 / volume.sqrt();
+    for z in data.iter_mut() {
+        *z = z.scale(s);
     }
 }
 
