@@ -38,7 +38,6 @@ pub use error::PtError;
 pub use fock::{FockMode, FockOperator, ScreenedKernel};
 pub use grids::PwGrids;
 pub use hamiltonian::Hamiltonian;
-pub use hartree::hartree_potential;
 pub use system::{
     Energies, ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, Potentials, SystemSignature,
 };

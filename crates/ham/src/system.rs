@@ -7,7 +7,7 @@ use crate::error::PtError;
 use crate::fock::{FockMode, FockOperator, ScreenedKernel};
 use crate::grids::PwGrids;
 use crate::hamiltonian::Hamiltonian;
-use crate::hartree::hartree_potential;
+use crate::hartree::coulomb_kernel;
 use pt_lattice::{ewald_energy, Structure};
 use pt_linalg::CMat;
 use pt_num::c64;
@@ -363,11 +363,7 @@ impl KsSystemBuilder {
             NonlocalPs::new(&structure, &grids.sphere)
                 .map_err(|e| PtError::InvalidConfig(e.to_string()))?,
         );
-        let xc = XcGridEvaluator::new(
-            self.xc_kind,
-            grids.gv_dense.clone(),
-            structure.cell.volume(),
-        );
+        let xc = XcGridEvaluator::new(self.xc_kind, grids.volume);
         let kernel = self.hybrid.map(|h| ScreenedKernel::new(&grids, h.omega));
         let e_ewald = ewald_energy(&structure);
         Ok(KsSystem {
@@ -468,26 +464,35 @@ impl KsSystem {
         self.occupations.len()
     }
 
-    /// Assemble potentials from a density.
+    /// Assemble potentials from a density: one pass of the semi-local
+    /// pipeline ([`XcGridEvaluator::evaluate`]) with the Coulomb kernel
+    /// riding along, so ρ(G) is transformed once for Hartree and XC. The
+    /// sums run in grid order on the calling thread; the returned `v_total`
+    /// is the only allocation of a warm call.
     pub fn potentials(&self, rho: &[f64]) -> Potentials {
         let g = &self.grids;
-        let (vh, e_hartree) = hartree_potential(rho, &g.fft_dense, &g.gv_dense, g.volume);
-        let (e_xc, vxc) = self.xc.evaluate(rho);
-        let dv = g.volume / g.n_dense() as f64;
         let mut v_total = vec![0.0; g.n_dense()];
-        let mut int_vxc_rho = 0.0;
-        let mut e_loc_ps = 0.0;
-        for i in 0..g.n_dense() {
-            v_total[i] = self.vps_loc_r[i] + vh[i] + vxc[i];
-            int_vxc_rho += vxc[i] * rho[i];
-            e_loc_ps += self.vps_loc_r[i] * rho[i];
-        }
+        let (mut vh_rho, mut vxc_rho, mut vps_rho) = (0.0, 0.0, 0.0);
+        let e_xc = self.xc.evaluate(
+            &g.fft_dense,
+            &g.gv_dense,
+            rho,
+            coulomb_kernel,
+            |i, vxc, vh| {
+                let vps = self.vps_loc_r[i];
+                v_total[i] = vps + vh + vxc;
+                vh_rho += vh * rho[i];
+                vxc_rho += vxc * rho[i];
+                vps_rho += vps * rho[i];
+            },
+        );
+        let dv = g.volume / g.n_dense() as f64;
         Potentials {
             v_total,
-            e_hartree,
+            e_hartree: 0.5 * vh_rho * dv,
             e_xc,
-            int_vxc_rho: int_vxc_rho * dv,
-            e_loc_ps: e_loc_ps * dv,
+            int_vxc_rho: vxc_rho * dv,
+            e_loc_ps: vps_rho * dv,
         }
     }
 
@@ -847,6 +852,28 @@ mod tests {
             "{} vs {want}",
             p.e_xc
         );
+    }
+
+    #[test]
+    fn potentials_are_bit_identical_on_1_and_4_threads() {
+        for xc in [XcKind::Pbe, XcKind::Lda] {
+            let sys = si8(2.0, xc, None);
+            let mut rng = pt_num::rng::XorShift64::new(11);
+            let rho: Vec<f64> = (0..sys.grids.n_dense())
+                .map(|_| 32.0 / sys.grids.volume * (1.0 + rng.next_centered()))
+                .collect();
+            let on = |threads| ThreadPool::new(threads).install(|| sys.potentials(&rho));
+            let (a, b) = (on(1), on(4));
+            let bits = |p: &Potentials| {
+                [p.e_hartree, p.e_xc, p.int_vxc_rho, p.e_loc_ps]
+                    .iter()
+                    .chain(&p.v_total)
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<u64>>()
+            };
+            assert_eq!(bits(&a), bits(&b), "{xc:?}");
+            assert!(a.v_total.iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]

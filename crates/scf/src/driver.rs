@@ -146,7 +146,7 @@ fn scf_loop_inner(sys: &KsSystem, opts: ScfOptions) -> Result<ScfResult, PtError
                 sys.hamiltonian(&rho, phi_frozen.as_ref(), [0.0; 3])?
             } else {
                 // semi-local bootstrap Hamiltonian
-                semi_local_hamiltonian(sys, &rho)
+                sys.local_hamiltonian(&rho, [0.0; 3])?
             };
             let r = lowest_eigenpairs(&h, &mut orbitals, opts.davidson);
             eigenvalues.copy_from_slice(&r.eigenvalues);
@@ -201,18 +201,6 @@ fn scf_loop_inner(sys: &KsSystem, opts: ScfOptions) -> Result<ScfResult, PtError
         scf_iterations: total_iters,
         rho_residual,
     })
-}
-
-/// A Hamiltonian with the hybrid part switched off (semi-local bootstrap).
-fn semi_local_hamiltonian(sys: &KsSystem, rho: &[f64]) -> pt_ham::Hamiltonian {
-    let pots = sys.potentials(rho);
-    pt_ham::Hamiltonian {
-        grids: std::sync::Arc::clone(&sys.grids),
-        vloc_r: pots.v_total,
-        nonlocal: std::sync::Arc::clone(&sys.nonlocal),
-        fock: None,
-        a_field: [0.0; 3],
-    }
 }
 
 #[cfg(test)]

@@ -7,14 +7,15 @@
 //!   potential `v_xc = ∂f/∂ρ − ∇·(2 ∂f/∂σ ∇ρ)` using G-space derivatives
 //!   (σ = |∇ρ|²). The short-range Fock part lives in `pt-ham`.
 //!
-//! Derivative strategy: LDA derivatives are analytic; PBE derivatives use
-//! high-order central differences of the (cheap, smooth) energy density.
-//! This trades a few ulps of accuracy for immunity to transcription errors
-//! in the long PBE derivative chains — the derivative consistency is
-//! enforced by tests instead of by hand algebra.
+//! Derivative strategy: every partial is analytic — one fused
+//! `(ε_xc, ∂f/∂ρ, ∂f/∂σ)` evaluation per grid point ([`pbe_exc_vxc`],
+//! [`lda_exc_vxc`]). The finite-difference stencils of the energy density
+//! that used to stand in for the PBE chain survive as test oracles only:
+//! they pin the closed forms, and the closed forms in turn are free of the
+//! stencils' round-off floor where `∂f/∂σ` is small.
 
 mod functional;
 mod grid;
 
-pub use functional::{lda_exc_vxc, pbe_exc, XcKind};
+pub use functional::{lda_exc_vxc, pbe_exc, pbe_exc_vxc, XcKind};
 pub use grid::XcGridEvaluator;
