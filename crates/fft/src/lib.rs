@@ -5,10 +5,14 @@
 //! 3-D FFTs on the wavefunction grid (60×90×120 for the 1536-atom system).
 //! These sizes are 2,3,5-smooth by construction, so the core transform here
 //! is an iterative Stockham autosort FFT: one pass per radix (hard-coded
-//! 2/3/4/5 butterflies, per-pass twiddle tables), unit-stride on every axis
-//! of the 3-D grid (see [`Plan1d::process_strided`]). Arbitrary sizes fall
-//! back to Bluestein's chirp-z algorithm so property tests can exercise any
-//! length.
+//! 2/3/4/5 butterflies, per-pass twiddle tables), batched on every axis of
+//! the 3-D grid (contiguous rows through [`Plan1d::process_rows`],
+//! interleaved columns through [`Plan1d::process_strided`]). Arbitrary
+//! sizes fall back to Bluestein's chirp-z algorithm so property tests can
+//! exercise any length. Orbitals — a G-sphere of coefficients on a mostly
+//! empty grid — transform through [`Fft3::synthesis_serial`] /
+//! [`Fft3::analysis_serial`], which skip the 1-D passes a [`SphereMap`]
+//! shows to carry only zeros.
 //!
 //! Two batching modes mirror the paper's GPU optimization stages (§3.2):
 //!
@@ -24,9 +28,11 @@
 //! [`Fft3::inverse_unscaled_serial`] leave the division to the caller.
 
 mod plan;
+mod sphere;
 mod three_d;
 
 pub use plan::{next_smooth, Direction, Plan1d};
+pub use sphere::SphereMap;
 pub use three_d::Fft3;
 
 #[cfg(test)]

@@ -6,16 +6,23 @@
 //!
 //! Smooth lengths run as an iterative Stockham autosort transform: stage
 //! `i` of radix `r` reads `src`, writes `dst`, and the two buffers swap.
-//! With `m` butterflies left per sequence and `s` interleaved sequences
-//! (the caller's `s0` times the radices already done),
+//! With `m` butterflies left per sequence, `sp` the product of the radices
+//! already done and `c < s0` the sequence, a pass computes
 //!
 //! ```text
-//! dst[q + s·(r·p + j)] = ω^{p·j} · Σ_k src[q + s·(p + m·k)] · ω_r^{j·k}
+//! dst[c, t + sp·(r·p + j)] = ω^{p·j} · Σ_k src[c, t + sp·(p + m·k)] · ω_r^{j·k}
 //! ```
 //!
-//! for `p < m`, `j < r`, `q < s` — the `q` loop is unit-stride on both
-//! sides whatever the axis, and the output lands in natural order with no
-//! bit-reversal pass.
+//! for `p < m`, `j < r`, `t < sp`, and the output lands in natural order
+//! with no bit-reversal pass. Where `[c, e]` lives is the buffer's
+//! [`Layout`]: interleaved at `c + s0·e` (the y and z axes of a grid, and
+//! every buffer between two passes) or row-major at `c·n + e` (x rows,
+//! which only the first pass reads and only the last pass writes — the
+//! transposition rides on a read and a write that happen anyway). Either
+//! way `dst` is a run of blocks of `r` lines, one line per `j`, that the
+//! inner loop fills unit-stride: interleaved, block `p` has lines of all
+//! `s0·sp` pairs `(t, c)`; row-major (`m = 1`), block `c` has lines of all
+//! `sp` values of `t`. [`Reads`] is the matching map into `src`.
 
 use pt_num::c64;
 
@@ -96,16 +103,44 @@ impl Stage {
         }
     }
 
-    fn pass<const INV: bool>(&self, s: usize, src: &[c64], dst: &mut [c64]) {
+    fn pass<const INV: bool>(&self, len: usize, src: &[c64], reads: Reads, dst: &mut [c64]) {
         let tw = &self.tw[usize::from(INV)];
         match self.radix {
-            2 => pass(self.m, s, tw, src, dst, butterfly2),
-            3 => pass(self.m, s, tw, src, dst, butterfly3::<INV>),
-            4 => pass(self.m, s, tw, src, dst, butterfly4::<INV>),
-            5 => pass(self.m, s, tw, src, dst, butterfly5::<INV>),
+            2 => pass(self.m, len, tw, src, reads, dst, butterfly2),
+            3 => pass(self.m, len, tw, src, reads, dst, butterfly3::<INV>),
+            4 => pass(self.m, len, tw, src, reads, dst, butterfly4::<INV>),
+            5 => pass(self.m, len, tw, src, reads, dst, butterfly5::<INV>),
             r => unreachable!("factorize_smooth never yields radix {r}"),
         }
     }
+}
+
+/// Where a buffer keeps element `e` of sequence `c`: at `c·seq + e·elem`.
+#[derive(Clone, Copy)]
+struct Layout {
+    seq: usize,
+    elem: usize,
+}
+
+impl Layout {
+    /// `[n][s0]`: element `e` of every sequence side by side.
+    fn interleaved(s0: usize) -> Self {
+        Layout { seq: 1, elem: s0 }
+    }
+
+    /// `[rows][n]`: every sequence contiguous.
+    fn row_major(n: usize) -> Self {
+        Layout { seq: n, elem: 1 }
+    }
+}
+
+/// Where a pass finds its inputs: entry `u` of input line `k` of block `g`
+/// at `src[g·block + k·line + u·stride]`.
+#[derive(Clone, Copy)]
+struct Reads {
+    block: usize,
+    line: usize,
+    stride: usize,
 }
 
 /// `z · (−i)` forward, `z · (+i)` inverse: the only place a butterfly sees
@@ -155,33 +190,58 @@ fn butterfly5<const INV: bool>(a: [c64; 5]) -> [c64; 5] {
     [a[0] + t1 + t2, m1 + n1, m2 + n2, m2 - n2, m1 - n1]
 }
 
-/// The pass body shared by every radix (see the module docs for the index
-/// map). Inputs and outputs are cut into length-`s` rows before the `q`
-/// loop so it runs without bounds checks.
+/// One pass of radix `R`. Unit-stride reads — every pass but the first and
+/// last of a row-major batch — get a copy of the body with the stride a
+/// constant, so their reads lose the bounds checks as well (15 % of a y or
+/// z pass on the paper's 60×90×120).
 #[inline(always)]
 fn pass<const R: usize>(
     m: usize,
-    s: usize,
+    len: usize,
     tw: &[c64],
     src: &[c64],
+    reads: Reads,
     dst: &mut [c64],
     butterfly: impl Fn([c64; R]) -> [c64; R],
 ) {
-    for (p, out) in dst.chunks_exact_mut(R * s).enumerate() {
-        let rows: [&[c64]; R] = std::array::from_fn(|k| &src[s * (p + m * k)..][..s]);
-        let mut out = out.chunks_exact_mut(s);
+    if reads.stride == 1 {
+        pass_body::<R, true>(m, len, tw, src, reads, dst, butterfly)
+    } else {
+        pass_body::<R, false>(m, len, tw, src, reads, dst, butterfly)
+    }
+}
+
+/// The pass body shared by every radix and both layouts (see the module
+/// docs for the index map): `dst` is cut into blocks of `R` lines of `len`
+/// before the inner loop so it writes without bounds checks. A block's
+/// twiddle row is `p = g mod m` — `g` itself when blocks are `p`, 0 when
+/// they are sequences (`m = 1`).
+#[inline(always)]
+fn pass_body<const R: usize, const UNIT: bool>(
+    m: usize,
+    len: usize,
+    tw: &[c64],
+    src: &[c64],
+    reads: Reads,
+    dst: &mut [c64],
+    butterfly: impl Fn([c64; R]) -> [c64; R],
+) {
+    let stride = if UNIT { 1 } else { reads.stride };
+    for (g, out) in dst.chunks_exact_mut(R * len).enumerate() {
+        let lines: [&[c64]; R] = std::array::from_fn(|k| {
+            &src[g * reads.block + k * reads.line..][..(len - 1) * stride + 1]
+        });
+        let mut out = out.chunks_exact_mut(len);
         let out: [&mut [c64]; R] =
-            std::array::from_fn(|_| out.next().expect("R rows of s per butterfly"));
+            std::array::from_fn(|_| out.next().expect("R lines of len per block"));
+        let p = g % m;
         let w = &tw[p * (R - 1)..][..R - 1];
-        for q in 0..s {
-            let mut a = [c64::ZERO; R];
-            for k in 0..R {
-                a[k] = rows[k][q];
-            }
+        for u in 0..len {
+            let a: [c64; R] = std::array::from_fn(|k| lines[k][u * stride]);
             let b = butterfly(a);
-            out[0][q] = b[0];
+            out[0][u] = b[0];
             for j in 1..R {
-                out[j][q] = if p == 0 { b[j] } else { b[j] * w[j - 1] };
+                out[j][u] = if p == 0 { b[j] } else { b[j] * w[j - 1] };
             }
         }
     }
@@ -265,10 +325,10 @@ impl Plan1d {
         self.n == 1
     }
 
-    /// Scratch length [`Plan1d::process_strided`] needs for `s0`
-    /// interleaved sequences: the whole `n·s0` block for smooth lengths
+    /// Scratch length [`Plan1d::process_strided`] / [`Plan1d::process_rows`]
+    /// need for `s0` sequences: the whole `n·s0` block for smooth lengths
     /// (the Stockham passes ping-pong between data and scratch); Bluestein
-    /// lengths work one column at a time in two length-m buffers.
+    /// lengths work one sequence at a time in two length-m buffers.
     pub fn scratch_len(&self, s0: usize) -> usize {
         match &self.kind {
             Kind::Smooth { .. } => self.n * s0,
@@ -293,19 +353,53 @@ impl Plan1d {
         s0: usize,
         dir: Direction,
     ) {
+        self.run(data, scratch, s0, Layout::interleaved(s0), dir);
+    }
+
+    /// [`Plan1d::process_strided`] for `rows` contiguous sequences laid out
+    /// `[rows][n]` (element `j` of sequence `c` at `data[c·n + j]`): same
+    /// scratch, same arithmetic per sequence, and the batch shares every
+    /// pass.
+    pub fn process_rows(&self, data: &mut [c64], scratch: &mut [c64], rows: usize, dir: Direction) {
+        self.run(data, scratch, rows, Layout::row_major(self.n), dir);
+    }
+
+    /// Transform the `s0` sequences `data` holds in layout `ends`.
+    fn run(&self, data: &mut [c64], scratch: &mut [c64], s0: usize, ends: Layout, dir: Direction) {
         assert!(s0 > 0, "need at least one sequence");
         assert_eq!(data.len(), self.n * s0, "data length mismatch");
         assert!(scratch.len() >= self.scratch_len(s0), "scratch too small");
         match &self.kind {
             Kind::Smooth { stages } => {
                 let (mut src, mut dst) = (data, &mut scratch[..self.n * s0]);
-                let mut s = s0;
-                for stage in stages {
+                let mut sp = 1;
+                for (i, stage) in stages.iter().enumerate() {
+                    // `data`'s layout at both ends, interleaved in between
+                    let from = if i == 0 {
+                        ends
+                    } else {
+                        Layout::interleaved(s0)
+                    };
+                    let rows_out = i + 1 == stages.len() && ends.elem == 1;
+                    let (len, block, stride) = if rows_out {
+                        // a block per sequence, lines along `t` (a lone
+                        // sequence is both layouts and lands here too)
+                        (sp, from.seq, from.elem)
+                    } else {
+                        // a block per `p`, lines along `(t, c)`
+                        (s0 * sp, from.elem * sp, from.seq)
+                    };
+                    let line = from.elem * sp * stage.m;
+                    let reads = Reads {
+                        block,
+                        line,
+                        stride,
+                    };
                     match dir {
-                        Direction::Forward => stage.pass::<false>(s, src, dst),
-                        Direction::Inverse => stage.pass::<true>(s, src, dst),
+                        Direction::Forward => stage.pass::<false>(len, src, reads, dst),
+                        Direction::Inverse => stage.pass::<true>(len, src, reads, dst),
                     }
-                    s *= stage.radix;
+                    sp *= stage.radix;
                     std::mem::swap(&mut src, &mut dst);
                 }
                 if stages.len() % 2 == 1 {
@@ -327,8 +421,8 @@ impl Plan1d {
                 let (a, inner_scratch) = scratch[..2 * m].split_at_mut(*m);
                 for c in 0..s0 {
                     // a_j = x_j * chirp_j, zero padded
-                    let column = data[c..].iter().step_by(s0);
-                    for ((aj, &x), &w) in a.iter_mut().zip(column).zip(chirp) {
+                    let sequence = data[c * ends.seq..].iter().step_by(ends.elem);
+                    for ((aj, &x), &w) in a.iter_mut().zip(sequence).zip(chirp) {
                         *aj = conj_if_inverse(x) * w;
                     }
                     a[self.n..].fill(c64::ZERO);
@@ -337,8 +431,8 @@ impl Plan1d {
                         *aj *= *kj;
                     }
                     inner.process(a, inner_scratch, Direction::Inverse);
-                    let column = data[c..].iter_mut().step_by(s0);
-                    for ((x, &aj), &w) in column.zip(a.iter()).zip(chirp) {
+                    let sequence = data[c * ends.seq..].iter_mut().step_by(ends.elem);
+                    for ((x, &aj), &w) in sequence.zip(a.iter()).zip(chirp) {
                         *x = conj_if_inverse(aj * w);
                     }
                 }

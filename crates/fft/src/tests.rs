@@ -1,12 +1,15 @@
 //! Correctness tests: every transform is checked against the naive O(n²)
 //! DFT and against algebraic invariants (roundtrip, Parseval, linearity,
 //! shift theorem). Property tests cover arbitrary (including prime) sizes,
-//! which exercise the Bluestein path. Relative contracts — strided ==
-//! one sequence at a time, parallel == serial, batch == loop — are held at
-//! exact `to_bits`.
+//! which exercise the Bluestein path. Relative contracts — strided and
+//! row-major == one sequence at a time, parallel == serial, batch == loop,
+//! sphere-limited == scatter/gather around the full transform — are held
+//! at exact `to_bits` (`==` where a skipped zero line may flip the sign of
+//! an exact zero).
 
 use crate::{next_smooth, Direction, Fft3, Plan1d};
 use proptest::prelude::*;
+use pt_lattice::{Cell, GSphere};
 use pt_num::c64;
 
 fn naive_dft(x: &[c64], dir: Direction) -> Vec<c64> {
@@ -138,6 +141,38 @@ fn strided_scratch_requirement_is_asserted() {
 }
 
 #[test]
+fn rows_equal_one_sequence_at_a_time() {
+    // every smooth length (one pass: rows in and out of the same pass; odd
+    // and even pass counts) and two Bluestein lengths
+    let smooth = (1usize..=128).filter(|&n| next_smooth(n) == n);
+    for n in smooth.chain([7, 11]) {
+        let plan = Plan1d::new(n);
+        for rows in [1usize, 3, 8, 15] {
+            let x = random_signal(n * rows, (n * 100 + rows) as u64);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut batched = x.clone();
+                let mut scratch = vec![c64::ZERO; plan.scratch_len(rows)];
+                plan.process_rows(&mut batched, &mut scratch, rows, dir);
+                let mut looped = x.clone();
+                for row in looped.chunks_exact_mut(n) {
+                    transform(&plan, row, dir);
+                }
+                assert_eq!(bits(&batched), bits(&looped), "n={n} rows={rows} {dir:?}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "scratch too small")]
+fn rows_scratch_requirement_is_asserted() {
+    let plan = Plan1d::new(12);
+    let mut data = vec![c64::ZERO; 12 * 3];
+    let mut scratch = vec![c64::ZERO; 12];
+    plan.process_rows(&mut data, &mut scratch, 3, Direction::Forward);
+}
+
+#[test]
 fn delta_transforms_to_constant() {
     let n = 24;
     let plan = Plan1d::new(n);
@@ -215,8 +250,7 @@ fn fft3_roundtrip_and_naive_small() {
 
 #[test]
 fn fft3_non_smooth_roundtrip() {
-    // Bluestein on two axes: 7 as rows (s0 = 1), 11 as interleaved columns
-    // (s0 = 7)
+    // Bluestein on two axes: 7 as rows, 11 as interleaved columns (s0 = 7)
     let fft = Fft3::new(7, 11, 6);
     let x = random_signal(fft.len(), 41);
     let mut y = x.clone();
@@ -283,6 +317,89 @@ fn fft3_batch_equals_loop() {
     }
     assert_eq!(bits(&a), bits(&b));
     assert!(max_err(&a, &x) < 1e-12);
+}
+
+/// The index sets the sphere-limited tests run on `dims`: the G-sphere of
+/// an orthorhombic and of a sheared cell (cutoff at half the grid's own, as
+/// the wavefunction sphere sits on the dense grid), G = 0 alone, and a set
+/// with a coefficient in every x-row (nothing to skip).
+fn index_sets(dims: (usize, usize, usize)) -> Vec<(&'static str, Vec<usize>)> {
+    let (nx, ny, nz) = dims;
+    let h = 0.7;
+    let (lx, ly, lz) = (nx as f64 * h, ny as f64 * h, nz as f64 * h);
+    let ecut = 0.5 * (std::f64::consts::PI / (2.0 * h)).powi(2);
+    let sheared = Cell::new([
+        [lx, 0.0, 0.0],
+        [0.2 * lx, ly, 0.0],
+        [0.1 * lx, -0.15 * ly, lz],
+    ]);
+    let sphere = |cell: &Cell| GSphere::new(cell, ecut, dims).fft_index;
+    vec![
+        ("orthorhombic", sphere(&Cell::orthorhombic(lx, ly, lz))),
+        ("sheared", sphere(&sheared)),
+        ("G = 0", vec![0]),
+        ("every row", (0..ny * nz).map(|r| r * nx + r % nx).collect()),
+    ]
+}
+
+const SPHERE_GRIDS: [(usize, usize, usize); 3] = [(12, 10, 9), (15, 15, 15), (7, 11, 6)];
+
+#[test]
+fn sphere_limited_transforms_equal_scatter_and_gather_around_full_ones() {
+    // `==` on re/im, not `to_bits`: a skipped all-zero line stays +0 where
+    // the butterflies may compute −0, so an output that is exactly zero
+    // (nowhere else) may differ in sign
+    let same = |a: &[c64], b: &[c64]| a.iter().zip(b).all(|(x, y)| x.re == y.re && x.im == y.im);
+    for dims in SPHERE_GRIDS {
+        let fft = Fft3::new(dims.0, dims.1, dims.2);
+        for (name, index) in index_sets(dims) {
+            let map = fft.sphere_map(&index);
+            let coeffs = random_signal(index.len(), 7 + index.len() as u64);
+            let mut limited = vec![c64::ONE; fft.len()];
+            fft.synthesis_serial(&map, &coeffs, &mut limited);
+            let mut full = vec![c64::ZERO; fft.len()];
+            for (c, &i) in coeffs.iter().zip(&index) {
+                full[i] = *c;
+            }
+            fft.inverse_unscaled_serial(&mut full);
+            assert!(same(&limited, &full), "synthesis {name} on {dims:?}");
+
+            let values = random_signal(fft.len(), 11 + index.len() as u64);
+            let mut gathered = vec![c64::ZERO; index.len()];
+            fft.analysis_serial(&map, &mut values.clone(), &mut gathered);
+            let mut full = values;
+            fft.forward_serial(&mut full);
+            let want: Vec<c64> = index.iter().map(|&i| full[i]).collect();
+            assert!(same(&gathered, &want), "analysis {name} on {dims:?}");
+        }
+    }
+}
+
+#[test]
+fn analysis_is_the_adjoint_of_synthesis() {
+    // gather∘F and F^H∘scatter, both unscaled: ⟨analysis(v), c⟩ = ⟨v, synthesis(c)⟩
+    let dot = |a: &[c64], b: &[c64]| {
+        a.iter()
+            .zip(b)
+            .fold(c64::ZERO, |s, (x, y)| s + x.conj() * *y)
+    };
+    for dims in SPHERE_GRIDS {
+        let fft = Fft3::new(dims.0, dims.1, dims.2);
+        for (name, index) in index_sets(dims) {
+            let map = fft.sphere_map(&index);
+            let c = random_signal(index.len(), 3);
+            let v = random_signal(fft.len(), 5);
+            let mut av = vec![c64::ZERO; index.len()];
+            fft.analysis_serial(&map, &mut v.clone(), &mut av);
+            let mut sc = vec![c64::ZERO; fft.len()];
+            fft.synthesis_serial(&map, &c, &mut sc);
+            let (lhs, rhs) = (dot(&av, &c), dot(&v, &sc));
+            assert!(
+                (lhs - rhs).abs() < 1e-13 * lhs.abs().max(1.0),
+                "{name} on {dims:?}: {lhs:?} vs {rhs:?}"
+            );
+        }
+    }
 }
 
 proptest! {

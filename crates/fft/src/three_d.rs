@@ -12,12 +12,16 @@
 //!   transforms, parallel *across* the batch with serial passes inside (the
 //!   paper's "batched CUFFT" layout that saturates bandwidth).
 //!
-//! Every axis is one [`Plan1d::process_strided`] call over an `[n][s0]`
-//! block, unit-stride inside: x as rows (`s0 = 1`), y once per z-slab
-//! (`s0 = nx`), z once over the grid (`s0 = nx·ny`). No line is ever
-//! gathered, and each column gets the same arithmetic however the columns
-//! are dealt to threads, so the parallel and serial entries agree to the
-//! bit on any pool.
+//! Every axis is one batched [`Plan1d`] call per block, its inner loops
+//! unit-stride on the writing side: per z-slab, x as the slab's `ny`
+//! contiguous rows ([`Plan1d::process_rows`]) and y as its `nx`
+//! interleaved columns ([`Plan1d::process_strided`], `s0 = nx`); z once
+//! over the grid (`s0 = nx·ny`). No line is ever gathered, and each line
+//! gets the same arithmetic however the lines are batched or dealt to
+//! threads, so the parallel and serial entries agree to the bit on any
+//! pool. Coefficients on a G-sphere go through the sphere-limited entries
+//! of [`crate::SphereMap`]'s module instead, which skip the lines that
+//! carry only zeros.
 //!
 //! Scratch is one grid-sized buffer per thread, grown on that thread's
 //! first transform and reused by every `Fft3` after it: a warm serial
@@ -32,7 +36,7 @@ thread_local! {
 }
 
 /// Run `f` on the first `len` elements of this thread's scratch buffer.
-fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [c64]) -> R) -> R {
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [c64]) -> R) -> R {
     SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         if buf.len() < len {
@@ -42,23 +46,14 @@ fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [c64]) -> R) -> R {
     })
 }
 
-/// Transform every `[plan.len()][s0]` block of `data` along its first index.
-fn axis_pass(plan: &Plan1d, data: &mut [c64], s0: usize, dir: Direction) {
-    with_scratch(plan.scratch_len(s0), |scratch| {
-        for block in data.chunks_exact_mut(plan.len() * s0) {
-            plan.process_strided(block, scratch, s0, dir);
-        }
-    });
-}
-
 /// A 3-D FFT of fixed dimensions.
 pub struct Fft3 {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    px: Plan1d,
-    py: Plan1d,
-    pz: Plan1d,
+    pub(crate) nx: usize,
+    pub(crate) ny: usize,
+    pub(crate) nz: usize,
+    pub(crate) px: Plan1d,
+    pub(crate) py: Plan1d,
+    pub(crate) pz: Plan1d,
 }
 
 impl Fft3 {
@@ -148,6 +143,13 @@ impl Fft3 {
         });
     }
 
+    /// Scratch for the x and the y pass over one z-slab.
+    pub(crate) fn slab_scratch_len(&self) -> usize {
+        self.px
+            .scratch_len(self.ny)
+            .max(self.py.scratch_len(self.nx))
+    }
+
     /// The inverse's one 1/N per 3-D transform.
     fn scale_inverse(&self, data: &mut [c64]) {
         let inv_n = 1.0 / self.len() as f64;
@@ -161,16 +163,23 @@ impl Fft3 {
     fn transform(&self, data: &mut [c64], dir: Direction, tasks: usize) {
         assert_eq!(data.len(), self.len(), "grid size mismatch");
         pt_trace::counter_add(pt_trace::Counter::FftTransforms, 1);
-        let (nx, nz, nl) = (self.nx, self.nz, self.nx * self.ny);
-        // x rows and y columns never leave their z-slab
+        let (nx, ny, nz, nl) = (self.nx, self.ny, self.nz, self.nx * self.ny);
+        // x rows and y columns never leave their z-slab: both passes run on
+        // it while it is in cache, x as one batch of its `ny` rows
         pt_par::parallel_chunks_mut(data, nz.div_ceil(tasks) * nl, |_, slabs| {
-            axis_pass(&self.px, slabs, 1, dir);
-            axis_pass(&self.py, slabs, nx, dir);
+            with_scratch(self.slab_scratch_len(), |scratch| {
+                for slab in slabs.chunks_exact_mut(nl) {
+                    self.px.process_rows(slab, scratch, ny, dir);
+                    self.py.process_strided(slab, scratch, nx, dir);
+                }
+            });
         });
         // z columns span every slab
         let tasks = tasks.min(nl);
         if tasks == 1 {
-            return axis_pass(&self.pz, data, nl, dir);
+            return with_scratch(self.pz.scratch_len(nl), |scratch| {
+                self.pz.process_strided(data, scratch, nl, dir);
+            });
         }
         // hand task `t` the segment `chunk_range(nl, tasks, t)` of every
         // z-row; it stages them as a compact `[nz][width]` block in its own

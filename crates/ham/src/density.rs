@@ -6,8 +6,8 @@
 //! chunk, accumulated in chunk order).
 
 use crate::grids::PwGrids;
+use crate::scratch::with_scratch;
 use pt_linalg::CMat;
-use pt_num::c64;
 
 /// Compute the density on the dense grid. `orbitals` columns are sphere
 /// coefficient vectors; `occ[i]` their occupations (2.0 for closed shell).
@@ -16,19 +16,20 @@ pub fn density_from_orbitals(grids: &PwGrids, orbitals: &CMat, occ: &[f64]) -> V
     assert_eq!(orbitals.ncols(), occ.len());
     let nd = grids.n_dense();
     let nb = orbitals.ncols();
-    // one partial density (and one real-space scratch) per band chunk,
-    // bands accumulated in index order inside a chunk
+    // one partial density per band chunk, bands accumulated in index order
+    // inside a chunk; the real-space orbital is per-thread scratch
     let k = pt_par::chunk_count(nb);
     let partials: Vec<Vec<f64>> = pt_par::parallel_map(k, |c| {
         let mut acc = vec![0.0f64; nd];
-        let mut work = vec![c64::ZERO; nd];
-        for i in pt_par::chunk_range(nb, k, c) {
-            grids.to_real_dense(orbitals.col(i), &mut work);
-            let f = occ[i];
-            for (a, z) in acc.iter_mut().zip(&work) {
-                *a += f * z.norm_sqr();
+        with_scratch(nd, |work| {
+            for i in pt_par::chunk_range(nb, k, c) {
+                grids.to_real_dense(orbitals.col(i), work);
+                let f = occ[i];
+                for (a, z) in acc.iter_mut().zip(work.iter()) {
+                    *a += f * z.norm_sqr();
+                }
             }
-        }
+        });
         acc
     });
     // chunk-ordered left accumulate from zero (not a pairwise tree: the
@@ -61,6 +62,7 @@ pub fn density_residual(rho_new: &[f64], rho_old: &[f64], volume: f64) -> f64 {
 mod tests {
     use super::*;
     use pt_lattice::silicon_cubic_supercell;
+    use pt_num::c64;
 
     #[test]
     fn density_integrates_to_electron_count() {

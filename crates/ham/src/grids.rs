@@ -13,7 +13,7 @@
 //! orthonormal under the plain ℓ² inner product, so all `pt-linalg` overlap
 //! machinery applies unchanged.
 
-use pt_fft::Fft3;
+use pt_fft::{Fft3, SphereMap};
 use pt_lattice::{fft_dims_for_cutoff, GSphere, GridGVectors, Structure};
 use pt_num::c64;
 
@@ -35,6 +35,10 @@ pub struct PwGrids {
     pub gv_dense: GridGVectors,
     /// Sphere → dense-grid scatter indices.
     pub sphere_in_dense: Vec<usize>,
+    /// The lines of the wavefunction grid the sphere touches.
+    map_wfc: SphereMap,
+    /// The lines of the dense grid the sphere touches.
+    map_dense: SphereMap,
 }
 
 impl PwGrids {
@@ -44,12 +48,16 @@ impl PwGrids {
         let ddims = fft_dims_for_cutoff(&structure.cell, 4.0 * ecut);
         let sphere = GSphere::new(&structure.cell, ecut, wdims);
         let sphere_in_dense = sphere.fft_index_in(ddims);
+        let fft_wfc = Fft3::new(wdims.0, wdims.1, wdims.2);
+        let fft_dense = Fft3::new(ddims.0, ddims.1, ddims.2);
         PwGrids {
             ecut,
             volume: structure.cell.volume(),
-            fft_wfc: Fft3::new(wdims.0, wdims.1, wdims.2),
+            map_wfc: fft_wfc.sphere_map(&sphere.fft_index),
+            fft_wfc,
             gv_wfc: GridGVectors::new(&structure.cell, wdims),
-            fft_dense: Fft3::new(ddims.0, ddims.1, ddims.2),
+            map_dense: fft_dense.sphere_map(&sphere_in_dense),
+            fft_dense,
             gv_dense: GridGVectors::new(&structure.cell, ddims),
             sphere_in_dense,
             sphere,
@@ -77,58 +85,46 @@ impl PwGrids {
     /// Real-space orbital values on the **wavefunction grid** (serial FFT;
     /// used inside batched loops).
     pub fn to_real_wfc(&self, coeffs: &[c64], out: &mut [c64]) {
-        debug_assert_eq!(coeffs.len(), self.ng());
-        debug_assert_eq!(out.len(), self.n_wfc());
-        out.fill(c64::ZERO);
-        for (c, &idx) in coeffs.iter().zip(&self.sphere.fft_index) {
-            out[idx] = *c;
-        }
-        scaled_synthesis(&self.fft_wfc, out, self.volume);
+        self.synthesis(&self.fft_wfc, &self.map_wfc, coeffs, out);
     }
 
     /// Gather real-space values on the wavefunction grid back to sphere
-    /// coefficients (adjoint of [`PwGrids::to_real_wfc`]).
+    /// coefficients (adjoint of [`PwGrids::to_real_wfc`]); `values` is
+    /// work space.
     pub fn to_coeffs_wfc(&self, values: &mut [c64], out: &mut [c64]) {
-        debug_assert_eq!(values.len(), self.n_wfc());
-        debug_assert_eq!(out.len(), self.ng());
-        self.fft_wfc.forward_serial(values);
-        let scale = self.volume.sqrt() / self.n_wfc() as f64;
-        for (o, &idx) in out.iter_mut().zip(&self.sphere.fft_index) {
-            *o = values[idx].scale(scale);
-        }
+        self.analysis(&self.fft_wfc, &self.map_wfc, values, out);
     }
 
     /// Real-space orbital values on the **dense grid**.
     pub fn to_real_dense(&self, coeffs: &[c64], out: &mut [c64]) {
-        debug_assert_eq!(coeffs.len(), self.ng());
-        debug_assert_eq!(out.len(), self.n_dense());
-        out.fill(c64::ZERO);
-        for (c, &idx) in coeffs.iter().zip(&self.sphere_in_dense) {
-            out[idx] = *c;
-        }
-        scaled_synthesis(&self.fft_dense, out, self.volume);
+        self.synthesis(&self.fft_dense, &self.map_dense, coeffs, out);
     }
 
-    /// Gather dense-grid real-space values to sphere coefficients.
+    /// Gather dense-grid real-space values to sphere coefficients;
+    /// `values` is work space.
     pub fn to_coeffs_dense(&self, values: &mut [c64], out: &mut [c64]) {
-        debug_assert_eq!(values.len(), self.n_dense());
-        debug_assert_eq!(out.len(), self.ng());
-        self.fft_dense.forward_serial(values);
-        let scale = self.volume.sqrt() / self.n_dense() as f64;
-        for (o, &idx) in out.iter_mut().zip(&self.sphere_in_dense) {
-            *o = values[idx].scale(scale);
+        self.analysis(&self.fft_dense, &self.map_dense, values, out);
+    }
+
+    /// Sphere coefficients to Ω^{-1/2}-normalized real-space values:
+    /// `ψ(r_j) = Ω^{-1/2} Σ_G c_G e^{iG·r_j}` is the *unscaled* inverse
+    /// transform times the one factor 1/√Ω.
+    fn synthesis(&self, fft: &Fft3, map: &SphereMap, coeffs: &[c64], out: &mut [c64]) {
+        fft.synthesis_serial(map, coeffs, out);
+        let s = 1.0 / self.volume.sqrt();
+        for z in out.iter_mut() {
+            *z = z.scale(s);
         }
     }
-}
 
-/// Scattered sphere coefficients to Ω^{-1/2}-normalized real-space values:
-/// `ψ(r_j) = Ω^{-1/2} Σ_G c_G e^{iG·r_j}` is the *unscaled* inverse
-/// transform times the one factor 1/√Ω.
-fn scaled_synthesis(fft: &Fft3, data: &mut [c64], volume: f64) {
-    fft.inverse_unscaled_serial(data);
-    let s = 1.0 / volume.sqrt();
-    for z in data.iter_mut() {
-        *z = z.scale(s);
+    /// The adjoint of [`PwGrids::synthesis`] under the grid quadrature
+    /// `Ω/N Σ_j`: the forward transform at the sphere's G times √Ω/N.
+    fn analysis(&self, fft: &Fft3, map: &SphereMap, values: &mut [c64], out: &mut [c64]) {
+        fft.analysis_serial(map, values, out);
+        let s = self.volume.sqrt() / fft.len() as f64;
+        for c in out.iter_mut() {
+            *c = c.scale(s);
+        }
     }
 }
 

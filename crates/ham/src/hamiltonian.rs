@@ -2,6 +2,7 @@
 
 use crate::fock::FockOperator;
 use crate::grids::PwGrids;
+use crate::scratch::with_scratch;
 use pt_linalg::CMat;
 use pt_num::c64;
 use pt_pseudo::NonlocalPs;
@@ -83,16 +84,17 @@ impl Hamiltonian {
         for ((o, p), k) in out.iter_mut().zip(psi).zip(kin) {
             *o = p.scale(*k);
         }
-        let mut dense = vec![c64::ZERO; g.n_dense()];
-        g.to_real_dense(psi, &mut dense);
-        for (z, &v) in dense.iter_mut().zip(&self.vloc_r) {
-            *z = z.scale(v);
-        }
-        let mut vloc_psi = vec![c64::ZERO; g.ng()];
-        g.to_coeffs_dense(&mut dense, &mut vloc_psi);
-        for (o, v) in out.iter_mut().zip(&vloc_psi) {
-            *o += *v;
-        }
+        with_scratch(g.n_dense() + g.ng(), |work| {
+            let (dense, vloc_psi) = work.split_at_mut(g.n_dense());
+            g.to_real_dense(psi, dense);
+            for (z, &v) in dense.iter_mut().zip(&self.vloc_r) {
+                *z = z.scale(v);
+            }
+            g.to_coeffs_dense(dense, vloc_psi);
+            for (o, v) in out.iter_mut().zip(vloc_psi.iter()) {
+                *o += *v;
+            }
+        });
         self.nonlocal.apply(psi, out);
     }
 

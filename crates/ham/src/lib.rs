@@ -26,6 +26,7 @@ mod fock;
 mod grids;
 mod hamiltonian;
 mod hartree;
+mod scratch;
 mod system;
 
 pub use ace::AceOperator;

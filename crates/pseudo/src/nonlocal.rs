@@ -218,13 +218,12 @@ impl NonlocalPs {
         Ok(NonlocalPs { projectors })
     }
 
-    /// Apply `V_NL` to a single orbital's coefficients: `out += V_NL ψ`.
+    /// Apply `V_NL` to a single orbital's coefficients: `out += V_NL ψ`,
+    /// one projector at a time (its amplitude depends on `psi` alone, so
+    /// nothing needs staging).
     pub fn apply(&self, psi: &[c64], out: &mut [c64]) {
-        let amps: Vec<c64> = pt_par::parallel_map(self.projectors.len(), |p| {
-            let proj = &self.projectors[p];
-            pt_num::complex::zdotc(&proj.beta, psi).scale(proj.h)
-        });
-        for (proj, amp) in self.projectors.iter().zip(amps) {
+        for proj in &self.projectors {
+            let amp = pt_num::complex::zdotc(&proj.beta, psi).scale(proj.h);
             pt_num::complex::zaxpy(amp, &proj.beta, out);
         }
     }
@@ -235,11 +234,7 @@ impl NonlocalPs {
         assert_eq!(psis.len(), out.len());
         assert_eq!(psis.len() % ng, 0);
         pt_par::parallel_chunks_mut(out, ng, |b, o| {
-            let p = &psis[b * ng..(b + 1) * ng];
-            for proj in &self.projectors {
-                let amp = pt_num::complex::zdotc(&proj.beta, p).scale(proj.h);
-                pt_num::complex::zaxpy(amp, &proj.beta, o);
-            }
+            self.apply(&psis[b * ng..(b + 1) * ng], o);
         });
     }
 
