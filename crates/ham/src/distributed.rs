@@ -4,7 +4,14 @@
 //! bands `p, p+N_p, p+2N_p, …` (the cyclic map keeps loads balanced when
 //! N_e % N_p ≠ 0). The Fock exchange loop broadcasts one owner's orbital at
 //! a time (`MPI_Bcast`, optionally f32 on the wire) while every rank solves
-//! the Poisson-like equations for its local bands — exactly Alg. 2.
+//! the Poisson-like equations for its local bands — exactly Alg. 2, N²/P
+//! solves per rank. The in-process operator halves that count when it is
+//! applied to its own defining block (see [`crate::fock`]); the rank loop
+//! deliberately does not: pairs whose two bands share a rank are 1/(2P) of
+//! the work, and harvesting them needs stored pair potentials or an
+//! allgather that would foreclose overlapping the broadcast with the
+//! solves. Its pair terms carry the same global-index orientation as the
+//! in-process ones, so the gathered result has the in-process bits.
 //!
 //! The total broadcast volume is `N_p × N_G × N_e × sizeof(wire scalar)`
 //! summed over receivers (§3.2) — asserted by the `val-comm` integration
@@ -180,14 +187,17 @@ impl DistributedConfig {
 /// **local** slice of Φ and receive `V_X ψ` for their local ψ bands
 /// (columns ↔ `dist.local_bands`).
 ///
-/// The pair solves — ~95 % of a hybrid step — are the same
-/// `PairLoop` the in-process
-/// [`FockOperator::apply_block`](crate::FockOperator::apply_block) runs,
+/// The pair solves — ~95 % of a hybrid step — run in the general
+/// `PairLoop` of the in-process
+/// [`FockOperator::apply_block`](crate::FockOperator::apply_block),
 /// fed one broadcast band at a time on the calling thread's current pool
 /// (the rank's pinned pool under [`pt_mpi::run_ranks_pinned`]): every ψ
-/// band's accumulator folds `i = 0..n_bands` in broadcast order, so with a
-/// `Wire::F64` wire the output bits depend on neither the thread count nor
-/// the rank count, and equal the in-process apply's.
+/// band's accumulator folds `i = 0..n_bands` in broadcast order, and every
+/// pair term is oriented by the global indices of its two bands (local
+/// column `lj` is band `dist.local_bands(rank)[lj]`, the broadcast band is
+/// `i`) — so with a `Wire::F64` wire the output bits depend on neither the
+/// thread count nor the rank count, and equal the in-process apply's,
+/// whichever of its two schedules that ran.
 pub fn distributed_fock_apply(
     comm: &mut Comm,
     grids: &PwGrids,
@@ -201,7 +211,8 @@ pub fn distributed_fock_apply(
     assert_eq!(phi_local.nrows(), grids.ng());
     assert_eq!(phi_local.ncols(), nb_local);
     assert_eq!(psi_local.ncols(), nb_local);
-    let mut pairs = PairLoop::new(grids, kernel, alpha, psi_local);
+    let my_bands = dist.local_bands(comm.rank());
+    let mut pairs = PairLoop::new(grids, kernel, alpha, psi_local, my_bands);
     // Alg. 2: for every band i, the owner broadcasts φ_i, everyone folds
     // it onto its local (V_X ψ_j). One real-space buffer serves the whole
     // loop (to_real_wfc overwrites it fully).
@@ -215,9 +226,11 @@ pub fn distributed_fock_apply(
         };
         comm.bcast_c64(owner, &mut phi_i);
         grids.to_real_wfc(&phi_i, &mut phi_real);
-        pairs.accumulate(std::slice::from_ref(&phi_real));
+        pairs.accumulate(i, &phi_real);
     }
-    pairs.finish()
+    let mut out = CMat::zeros(grids.ng(), nb_local);
+    pairs.finish_onto(&mut out);
+    out
 }
 
 /// Per-chunk overlap partials `T_c = A[c]^H B[c]` over the fixed

@@ -43,3 +43,13 @@ static ALLOCATOR: Counting = Counting;
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
+
+/// Allocations on this thread and `pt_trace` counter activity in the
+/// process during `f`.
+pub fn cost_of(f: impl FnOnce()) -> (u64, pt_trace::CounterSnapshot) {
+    let mark = pt_trace::mark();
+    let before = allocations();
+    f();
+    let allocated = allocations() - before;
+    (allocated, pt_trace::counters_since(&mark))
+}

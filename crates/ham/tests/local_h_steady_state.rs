@@ -10,7 +10,6 @@
 
 mod common;
 
-use common::allocations;
 use pt_ham::{density_from_orbitals, KsSystem};
 use pt_lattice::silicon_cubic_supercell;
 use pt_linalg::CMat;
@@ -18,12 +17,8 @@ use pt_trace::Counter;
 
 /// Allocations on this thread and transforms in the process during `f`.
 fn cost_of(f: impl FnOnce()) -> (u64, u64) {
-    let mark = pt_trace::mark();
-    let before = allocations();
-    f();
-    let allocated = allocations() - before;
-    let transforms = pt_trace::counters_since(&mark).get(Counter::FftTransforms);
-    (allocated, transforms)
+    let (allocated, counted) = common::cost_of(f);
+    (allocated, counted.get(Counter::FftTransforms))
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::allocations;
+use common::cost_of;
 use pt_ham::KsSystem;
 use pt_lattice::silicon_cubic_supercell;
 use pt_trace::Counter;
@@ -34,13 +34,12 @@ fn warm_potentials_calls_allocate_once_and_run_a_fixed_transform_count() {
         pool.install(|| {
             // first call on this thread grows the scratch
             let mut sink = sys.potentials(&rho).e_xc;
-            let mark = pt_trace::mark();
-            let before = allocations();
-            for _ in 0..CALLS {
-                sink += sys.potentials(&rho).e_xc;
-            }
-            let allocated = allocations() - before;
-            let counted = pt_trace::counters_since(&mark).get(Counter::FftTransforms);
+            let (allocated, counted) = cost_of(|| {
+                for _ in 0..CALLS {
+                    sink += sys.potentials(&rho).e_xc;
+                }
+            });
+            let counted = counted.get(Counter::FftTransforms);
             assert!(sink.is_finite());
             assert!(allocated <= CALLS, "{xc:?}: {allocated} allocations");
             assert_eq!(counted, transforms * CALLS, "{xc:?} transforms");

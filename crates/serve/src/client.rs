@@ -98,6 +98,9 @@ impl Client {
             path: addr.to_string(),
             reason: format!("connecting: {e}"),
         })?;
+        // request/response frames are small: never wait to coalesce them
+        // (a socket that refuses the option still works, only slower)
+        let _ = stream.set_nodelay(true);
         Ok(Client { stream })
     }
 

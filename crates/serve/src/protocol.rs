@@ -27,14 +27,18 @@ fn io_err(what: &str, e: &std::io::Error) -> PtError {
     }
 }
 
-/// Serialize `msg` and write it as one frame.
+/// Serialize `msg` and write it as one frame — length prefix and body in
+/// **one** write: two small writes on a TCP socket meet Nagle's algorithm
+/// and the peer's delayed ACK, ~88 ms per round trip on loopback.
 pub fn write_frame(w: &mut impl Write, msg: &Json) -> Result<(), PtError> {
     let body = msg.dump();
     let n = u32::try_from(body.len()).map_err(|_| {
         PtError::InvalidConfig(format!("frame of {} bytes exceeds u32", body.len()))
     })?;
-    w.write_all(&n.to_le_bytes())
-        .and_then(|()| w.write_all(body.as_bytes()))
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&n.to_le_bytes());
+    frame.extend_from_slice(body.as_bytes());
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| io_err("writing frame", &e))
 }
@@ -116,6 +120,33 @@ mod tests {
         assert!(check_response(got_a).is_ok());
         let err = check_response(got_b).unwrap_err();
         assert!(err.to_string().contains("nope"), "{err}");
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct CountingWrite {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWrite {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = CountingWrite {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        let msg = ok_response(vec![("job".to_string(), Json::Num(7.0))]);
+        write_frame(&mut w, &msg).unwrap();
+        assert_eq!(w.writes, 1, "prefix and body must leave in one segment");
+        let got = read_frame(&mut &w.bytes[..]).unwrap().unwrap();
+        assert_eq!(got.get("job").and_then(Json::as_u64), Some(7));
     }
 
     #[test]

@@ -266,6 +266,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, PtError> {
                 break;
             }
             let Ok(stream) = conn else { continue };
+            // as in `Client::connect`: small frames, never coalesced
+            let _ = stream.set_nodelay(true);
             let conn_shared = listen_shared.clone();
             // pt-analyze: allow(raw-thread-spawn) — one IO thread per client connection (blocking protocol reads); determinism contract is untouched, job compute happens in runners
             std::thread::spawn(move || handle_conn(&conn_shared, stream));
