@@ -5,13 +5,15 @@
 //! … the maximum mixing dimension is set to 20." This is the part whose
 //! memory footprint (up to 20 copies of Ψ) the paper parks in the 512 GB
 //! host RAM of Summit's fat nodes.
+//!
+//! The history lives for one fixed point: Alg. 1 starts every step's
+//! solve from an empty one, so a mixer is a local of the PT-CN step —
+//! never propagator state, never part of a snapshot.
 
-use pt_ham::PtError;
 use pt_linalg::{lstsq, CMat};
 use pt_num::c64;
 
 /// Per-band Anderson mixer over complex coefficient vectors.
-#[derive(Clone)]
 pub struct BandAndersonMixer {
     depth: usize,
     beta: f64,
@@ -19,26 +21,6 @@ pub struct BandAndersonMixer {
     /// history per band: iterates and residuals
     xs: Vec<Vec<Vec<c64>>>,
     fs: Vec<Vec<Vec<c64>>>,
-}
-
-/// A serializable copy of a mixer's configuration + history — what a run
-/// snapshot records so the propagator's internal state survives
-/// checkpoint/restart. (PT-CN resets the history at the start of every
-/// step, so at a step boundary this holds the *last* fixed point's record;
-/// restoring it is informational for diagnostics and keeps the capture
-/// total.)
-#[derive(Clone, Debug, PartialEq)]
-pub struct AndersonState {
-    /// History depth bound.
-    pub depth: usize,
-    /// Relaxation β.
-    pub beta: f64,
-    /// Bands mixed.
-    pub n_bands: usize,
-    /// Per-band iterate history (outer: band; inner: history entries).
-    pub xs: Vec<Vec<Vec<c64>>>,
-    /// Per-band residual history.
-    pub fs: Vec<Vec<Vec<c64>>>,
 }
 
 impl BandAndersonMixer {
@@ -56,61 +38,6 @@ impl BandAndersonMixer {
     /// Stored history length (same for every band).
     pub fn history_len(&self) -> usize {
         self.xs.first().map(|h| h.len()).unwrap_or(0)
-    }
-
-    /// Bands this mixer was sized for.
-    pub fn n_bands(&self) -> usize {
-        self.n_bands
-    }
-
-    /// Configured history depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Configured relaxation β.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
-    /// Snapshot the mixer (configuration + full history) for
-    /// checkpointing.
-    pub fn state(&self) -> AndersonState {
-        AndersonState {
-            depth: self.depth,
-            beta: self.beta,
-            n_bands: self.n_bands,
-            xs: self.xs.clone(),
-            fs: self.fs.clone(),
-        }
-    }
-
-    /// Rebuild a mixer from a captured [`AndersonState`]. Inconsistent
-    /// histories (band count mismatch, ragged entry counts) are a typed
-    /// error — a snapshot, not a caller, is the usual source.
-    pub fn from_state(s: AndersonState) -> Result<Self, PtError> {
-        if s.xs.len() != s.n_bands || s.fs.len() != s.n_bands {
-            return Err(PtError::InvalidConfig(format!(
-                "Anderson state has {} iterate / {} residual bands, expected {}",
-                s.xs.len(),
-                s.fs.len(),
-                s.n_bands
-            )));
-        }
-        let hist = s.xs.first().map(|h| h.len()).unwrap_or(0);
-        let uniform = s.xs.iter().all(|h| h.len() == hist) && s.fs.iter().all(|h| h.len() == hist);
-        if !uniform {
-            return Err(PtError::InvalidConfig(
-                "Anderson state has ragged per-band history lengths".into(),
-            ));
-        }
-        Ok(BandAndersonMixer {
-            depth: s.depth,
-            beta: s.beta,
-            n_bands: s.n_bands,
-            xs: s.xs,
-            fs: s.fs,
-        })
     }
 
     /// Memory footprint in units of one wavefunction block (the paper's
@@ -168,16 +95,6 @@ impl BandAndersonMixer {
             }
         }
         out
-    }
-
-    /// Clear all history (called at the start of each PT-CN time step).
-    pub fn reset(&mut self) {
-        for h in &mut self.xs {
-            h.clear();
-        }
-        for h in &mut self.fs {
-            h.clear();
-        }
     }
 }
 

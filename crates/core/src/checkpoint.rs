@@ -1,22 +1,28 @@
 //! The run-checkpoint schema: what `Simulation` persists through `pt-io`
 //! and how it comes back.
 //!
-//! A checkpoint captures the **full resumable state** of an rt-TDDFT run
-//! at a step boundary: ψ orbitals (and, for hybrids, the exchange
-//! orbitals Φ — equal to ψ in the parallel-transport gauge), the step
-//! density, occupations, time/step bookkeeping, laser parameters, the
-//! propagator's capturable state ([`PropagatorState`], incl. the Anderson
-//! mixer history) and every accumulated [`TimeSeries`] channel. With the
-//! default [`Wire::F64`] payloads a killed-and-resumed trajectory is
-//! bit-identical to an uninterrupted one; [`Wire::F32`] halves the orbital
-//! payload bytes and gives that guarantee up (~1e-7 relative loss on ψ).
+//! A checkpoint holds what the next step of a resumed run **reads**, at a
+//! step boundary, and nothing else: the ψ orbitals, occupations and shape
+//! fingerprint (revalidated against the system), time/step bookkeeping,
+//! laser parameters, the propagator's options and its one piece of
+//! cross-step state ([`PropagatorState`]: the ACE projector ξ with its
+//! window position) and every accumulated [`TimeSeries`] channel. What a
+//! resume recomputes or starts empty is not state: Φ (bit-for-bit ψ in
+//! the parallel-transport gauge), the density, the Anderson history
+//! (Alg. 1 starts each step's fixed point from an empty one). A snapshot
+//! is therefore one ψ-sized block (two under ACE) plus small change, and a
+//! killed-and-resumed trajectory is bit-identical to an uninterrupted one.
+//!
+//! Sections are read **by name** and unknown ones are ignored, so files
+//! written before the capture shrank (with `phi`, `rho`,
+//! `prop/anderson/*`) resume to the same bits. Before adding a section,
+//! say what resume reads from it.
 //!
 //! The byte-level container (magic, version, section table, per-section
 //! CRC-32) lives in [`pt_io::format`]; this module only defines which
 //! sections exist and what they mean — see `DESIGN.md` ("Snapshot format
 //! & resume semantics") for the full layout.
 
-use crate::anderson_c::AndersonState;
 use crate::laser::LaserPulse;
 use crate::propagator::{AceCapture, PropagatorState, PtCnOptions, Rk4Options, StepStats};
 use crate::simulation::TimeSeries;
@@ -24,7 +30,6 @@ use pt_ham::{ExchangeMode, PtError, SystemSignature};
 use pt_io::{SnapshotFile, SnapshotWriter};
 use pt_linalg::CMat;
 use pt_mpi::Wire;
-use pt_num::c64;
 use std::path::{Path, PathBuf};
 
 /// How a [`crate::Simulation`] emits rolling snapshots from inside its
@@ -41,10 +46,6 @@ pub struct CheckpointPolicy {
     /// (a previous run's, a different trajectory sharing the directory)
     /// are never deleted.
     pub keep: usize,
-    /// Payload precision for the orbital-sized sections. [`Wire::F64`]
-    /// (default) preserves the bit-exact resume guarantee; [`Wire::F32`]
-    /// halves those bytes at ~1e-7 relative loss.
-    pub wire: Wire,
 }
 
 impl CheckpointPolicy {
@@ -97,14 +98,9 @@ pub struct RunCheckpoint {
     pub dt: f64,
     /// Occupations of the system (revalidated on resume).
     pub occupations: Vec<f64>,
-    /// Propagated orbitals.
+    /// Propagated orbitals (for hybrids also the exchange orbitals: in the
+    /// PT gauge Φ = Ψ).
     pub psi: CMat,
-    /// Exchange orbitals Φ (hybrids; `None` for semi-local runs — in the
-    /// PT gauge Φ = Ψ, stored explicitly so the capture is self-contained).
-    pub phi: Option<CMat>,
-    /// Density of `psi` (diagnostic/validation copy; resume recomputes it
-    /// from ψ).
-    pub rho: Vec<f64>,
     /// Laser coupling.
     pub laser: Option<LaserPulse>,
     /// Propagator options + internal state.
@@ -119,52 +115,31 @@ pub struct RunCheckpoint {
     pub series: TimeSeries,
 }
 
-/// Borrowed view of a run state for zero-copy serialization: the time
-/// loop writes snapshots through this (ψ, ρ, occupations and the growing
-/// `TimeSeries` are *borrowed*, never cloned, so a checkpoint does not
-/// transiently double the run's memory). [`RunCheckpoint::write`]
-/// delegates here.
-pub struct RunCheckpointView<'a> {
-    /// See [`RunCheckpoint::signature`].
-    pub signature: SystemSignature,
-    /// See [`RunCheckpoint::steps_remaining`].
-    pub steps_remaining: usize,
-    /// See [`RunCheckpoint::t`].
-    pub t: f64,
-    /// See [`RunCheckpoint::dt`].
-    pub dt: f64,
-    /// See [`RunCheckpoint::occupations`].
-    pub occupations: &'a [f64],
-    /// See [`RunCheckpoint::psi`].
-    pub psi: &'a CMat,
-    /// See [`RunCheckpoint::phi`].
-    pub phi: Option<&'a CMat>,
-    /// See [`RunCheckpoint::rho`].
-    pub rho: &'a [f64],
-    /// See [`RunCheckpoint::laser`].
-    pub laser: Option<&'a LaserPulse>,
-    /// See [`RunCheckpoint::propagator`].
-    pub propagator: &'a PropagatorState,
-    /// See [`RunCheckpoint::series`].
-    pub series: &'a TimeSeries,
+/// Borrowed view of a run state: the time loop writes snapshots through
+/// this (ψ, occupations and the growing `TimeSeries` are *borrowed*, never
+/// cloned, so a checkpoint does not transiently double the run's memory).
+/// Fields as on [`RunCheckpoint`].
+pub(crate) struct RunCheckpointView<'a> {
+    pub(crate) signature: SystemSignature,
+    pub(crate) steps_remaining: usize,
+    pub(crate) t: f64,
+    pub(crate) dt: f64,
+    pub(crate) occupations: &'a [f64],
+    pub(crate) psi: &'a CMat,
+    pub(crate) laser: Option<&'a LaserPulse>,
+    pub(crate) propagator: &'a PropagatorState,
+    pub(crate) series: &'a TimeSeries,
 }
 
 impl RunCheckpointView<'_> {
     /// Serialize into `path` (atomically: temporary sibling + rename).
-    /// `wire` selects the payload precision of the orbital-sized matrix
-    /// sections; everything else is always exact `f64`/`u64`.
-    pub fn write(&self, path: impl AsRef<Path>, wire: Wire) -> Result<(), PtError> {
-        let path = path.as_ref();
+    pub(crate) fn write(&self, path: &Path, wire: Wire) -> Result<(), PtError> {
         let mut w = SnapshotWriter::create(path);
         w.put_u64s("sig", &self.signature.to_words())?;
         w.put_u64s("steps", &[self.steps_remaining as u64])?;
         w.put_f64s("time", &[self.t, self.dt])?;
         w.put_f64s("occ", self.occupations)?;
         w.put_cmat("psi", self.psi, wire)?;
-        if let Some(phi) = self.phi {
-            w.put_cmat("phi", phi, wire)?;
-        }
-        w.put_f64s("rho", self.rho)?;
         if let Some(l) = self.laser {
             w.put_f64s(
                 "laser",
@@ -186,8 +161,14 @@ impl RunCheckpointView<'_> {
 }
 
 impl RunCheckpoint {
-    /// Borrow every field as a [`RunCheckpointView`].
-    pub fn view(&self) -> RunCheckpointView<'_> {
+    /// Serialize into `path` (atomically: temporary sibling + rename).
+    /// `wire` selects the payload precision of the orbital-sized matrix
+    /// sections (ψ, ξ); everything else is always exact `f64`/`u64`. The
+    /// time loop always writes [`Wire::F64`], which is what the bit-exact
+    /// resume guarantee rests on; re-writing a snapshot at [`Wire::F32`]
+    /// halves those bytes and gives the guarantee up (~1e-7 relative loss
+    /// on ψ).
+    pub fn write(&self, path: impl AsRef<Path>, wire: Wire) -> Result<(), PtError> {
         RunCheckpointView {
             signature: self.signature,
             steps_remaining: self.steps_remaining,
@@ -195,17 +176,11 @@ impl RunCheckpoint {
             dt: self.dt,
             occupations: &self.occupations,
             psi: &self.psi,
-            phi: self.phi.as_ref(),
-            rho: &self.rho,
             laser: self.laser.as_ref(),
             propagator: &self.propagator,
             series: &self.series,
         }
-    }
-
-    /// Serialize into `path` — see [`RunCheckpointView::write`].
-    pub fn write(&self, path: impl AsRef<Path>, wire: Wire) -> Result<(), PtError> {
-        self.view().write(path, wire)
+        .write(path.as_ref(), wire)
     }
 
     /// Read a checkpoint back (container defects — truncation, CRC,
@@ -224,14 +199,18 @@ impl RunCheckpoint {
             [t, dt] => (*t, *dt),
             other => return Err(schema(format!("'time' holds {} values", other.len()))),
         };
+        // the checks `SimulationBuilder::build` makes on the same two
+        // values: a CRC-valid file is still outside input
+        if !dt.is_finite() || dt <= 0.0 {
+            return Err(schema(format!(
+                "'time' holds step size {dt}, which is not positive and finite"
+            )));
+        }
+        if !t.is_finite() {
+            return Err(schema(format!("'time' holds non-finite time {t}")));
+        }
         let occupations = f.f64s("occ")?;
         let psi = f.cmat("psi")?;
-        let phi = if f.has("phi") {
-            Some(f.cmat("phi")?)
-        } else {
-            None
-        };
-        let rho = f.f64s("rho")?;
         let laser = if f.has("laser") {
             match f.f64s("laser")?.as_slice() {
                 [a0, omega, t0, sigma, px, py, pz] => Some(LaserPulse {
@@ -256,8 +235,6 @@ impl RunCheckpoint {
             dt,
             occupations,
             psi,
-            phi,
-            rho,
             laser,
             propagator,
             pinned_exchange,
@@ -271,66 +248,28 @@ fn write_propagator(
     state: &PropagatorState,
     wire: Wire,
 ) -> Result<(), PtError> {
-    let write_ptcn = |w: &mut SnapshotWriter, opts: &PtCnOptions| -> Result<(), PtError> {
-        w.put_f64s("prop/ptcn_f", &[opts.rho_tol, opts.beta])?;
-        w.put_u64s(
-            "prop/ptcn_u",
-            &[
-                opts.max_scf as u64,
-                opts.anderson_depth as u64,
-                u64::from(opts.strict),
-            ],
-        )
-    };
-    let write_anderson =
-        |w: &mut SnapshotWriter, a: &Option<AndersonState>| -> Result<(), PtError> {
-            let Some(a) = a else { return Ok(()) };
-            let hist = a.xs.first().map(|h| h.len()).unwrap_or(0);
-            let vec_len = a.xs.first().and_then(|h| h.first()).map_or(0, Vec::len);
+    match state {
+        PropagatorState::PtCn { opts, ace } => {
+            w.put_str("prop/name", "pt-cn")?;
+            w.put_f64s("prop/ptcn_f", &[opts.rho_tol, opts.beta])?;
             w.put_u64s(
-                "prop/anderson/meta",
+                "prop/ptcn_u",
                 &[
-                    a.n_bands as u64,
-                    a.depth as u64,
-                    hist as u64,
-                    vec_len as u64,
+                    opts.max_scf as u64,
+                    opts.anderson_depth as u64,
+                    u64::from(opts.strict),
                 ],
             )?;
-            w.put_f64s("prop/anderson/beta", &[a.beta])?;
-            let flatten = |hists: &[Vec<Vec<c64>>]| -> CMat {
-                let mut m = CMat::zeros(vec_len, a.n_bands * hist);
-                for (b, h) in hists.iter().enumerate() {
-                    for (k, v) in h.iter().enumerate() {
-                        m.col_mut(b * hist + k).copy_from_slice(v);
-                    }
-                }
-                m
-            };
-            w.put_cmat("prop/anderson/xs", &flatten(&a.xs), wire)?;
-            w.put_cmat("prop/anderson/fs", &flatten(&a.fs), wire)
-        };
-    // The ACE projector ξ is snapshotted **verbatim** (never rebuilt from
-    // the restored Ψ): a resume mid-refresh-window must keep propagating
-    // under the exact frozen projector the killed run was using, or the
-    // resumed trajectory would silently diverge bit-wise from the
-    // uninterrupted one.
-    let write_ace = |w: &mut SnapshotWriter, ace: &Option<AceCapture>| -> Result<(), PtError> {
-        if let Some(a) = ace {
-            w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
-            w.put_cmat("prop/ace_xi", &a.xi, wire)?;
-        }
-        Ok(())
-    };
-    match state {
-        PropagatorState::PtCn {
-            opts,
-            anderson,
-            ace,
-        } => {
-            w.put_str("prop/name", "pt-cn")?;
-            write_ptcn(w, opts)?;
-            write_ace(w, ace)?;
-            write_anderson(w, anderson)
+            // The ACE projector ξ is snapshotted **verbatim** (never
+            // rebuilt from the restored Ψ): a resume mid-refresh-window
+            // must keep propagating under the exact frozen projector the
+            // killed run was using, or the resumed trajectory would
+            // silently diverge bit-wise from the uninterrupted one.
+            if let Some(a) = ace {
+                w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
+                w.put_cmat("prop/ace_xi", &a.xi, wire)?;
+            }
+            Ok(())
         }
         PropagatorState::Rk4 { opts } => {
             w.put_str("prop/name", "rk4")?;
@@ -375,52 +314,6 @@ fn read_propagator(
             strict,
         })
     };
-    let read_anderson = || -> Result<Option<AndersonState>, PtError> {
-        if !f.has("prop/anderson/meta") {
-            return Ok(None);
-        }
-        let (n_bands, depth, hist, vec_len) = match f.u64s("prop/anderson/meta")?.as_slice() {
-            [n, d, h, v] => (*n as usize, *d as usize, *h as usize, *v as usize),
-            other => {
-                return Err(schema(format!(
-                    "'prop/anderson/meta' holds {} values",
-                    other.len()
-                )))
-            }
-        };
-        let beta = match f.f64s("prop/anderson/beta")?.as_slice() {
-            [b] => *b,
-            other => {
-                return Err(schema(format!(
-                    "'prop/anderson/beta' holds {} values",
-                    other.len()
-                )))
-            }
-        };
-        let unflatten = |m: &CMat| -> Result<Vec<Vec<Vec<c64>>>, PtError> {
-            if m.nrows() != vec_len || m.ncols() != n_bands * hist {
-                return Err(schema(format!(
-                    "anderson history matrix is {}x{}, expected {}x{}",
-                    m.nrows(),
-                    m.ncols(),
-                    vec_len,
-                    n_bands * hist
-                )));
-            }
-            Ok((0..n_bands)
-                .map(|b| (0..hist).map(|k| m.col(b * hist + k).to_vec()).collect())
-                .collect())
-        };
-        let xs = unflatten(&f.cmat("prop/anderson/xs")?)?;
-        let fs = unflatten(&f.cmat("prop/anderson/fs")?)?;
-        Ok(Some(AndersonState {
-            depth,
-            beta,
-            n_bands,
-            xs,
-            fs,
-        }))
-    };
     // Section absent in pre-ACE snapshots; `f.has` gating keeps the old
     // format readable (absent → no projector).
     let read_ace = || -> Result<Option<AceCapture>, PtError> {
@@ -443,7 +336,6 @@ fn read_propagator(
         // run is resumed on
         "pt-cn" | "pt-cn-dist" => Ok(PropagatorState::PtCn {
             opts: read_ptcn()?,
-            anderson: read_anderson()?,
             ace: read_ace()?,
         }),
         "rk4" => {

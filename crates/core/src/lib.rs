@@ -44,9 +44,10 @@
 //! Long trajectories survive job-time limits through the `pt-io` snapshot
 //! subsystem: `SimulationBuilder::checkpoint_every` emits rolling
 //! [`RunCheckpoint`]s from inside the time loop and [`Simulation::resume`]
-//! reconstructs the run — bit-identical continuation at the default
-//! [`pt_mpi::Wire::F64`] payloads (see `DESIGN.md`, "Snapshot format &
-//! resume semantics").
+//! reconstructs the run, continuing bit-identically (see `DESIGN.md`,
+//! "Snapshot format & resume semantics"). A snapshot holds what the next
+//! step of a resumed run reads — ψ, the clock, the laser, the options, the
+//! ACE projector, the series — and nothing a resume recomputes.
 
 mod anderson_c;
 pub mod checkpoint;
@@ -57,8 +58,8 @@ mod propagator;
 mod simulation;
 mod stability;
 
-pub use anderson_c::{AndersonState, BandAndersonMixer};
-pub use checkpoint::{latest_checkpoint, CheckpointPolicy, RunCheckpoint, RunCheckpointView};
+pub use anderson_c::BandAndersonMixer;
+pub use checkpoint::{latest_checkpoint, CheckpointPolicy, RunCheckpoint};
 pub use laser::LaserPulse;
 pub use observables::{current_density, density_matrix_distance, orthonormality_error};
 pub use propagator::{

@@ -7,7 +7,7 @@
 //! reused across systems and boxed for runtime selection
 //! (`Box<dyn Propagator>`).
 
-use crate::anderson_c::{AndersonState, BandAndersonMixer};
+use crate::anderson_c::BandAndersonMixer;
 use crate::distributed::{acquire_engine, EngineKernels};
 use crate::laser::LaserPulse;
 use pt_ham::{
@@ -128,8 +128,9 @@ pub trait Propagator {
     ) -> Result<StepStats, PtError>;
 
     /// Capture everything needed to reconstruct this propagator
-    /// mid-trajectory (options plus internal state like the Anderson mixer
-    /// history) — what a run snapshot records. The default is
+    /// mid-trajectory (options plus whatever internal state the *next*
+    /// step reads, like a live ACE projector) — what a run snapshot
+    /// records. The default is
     /// [`PropagatorState::Opaque`], which round-trips the name but cannot
     /// be reconstructed: custom propagators should override this to become
     /// resumable.
@@ -151,9 +152,6 @@ pub enum PropagatorState {
     PtCn {
         /// Options.
         opts: PtCnOptions,
-        /// Anderson history at the capture point (the last step's fixed
-        /// point; PT-CN resets it at the start of each step).
-        anderson: Option<AndersonState>,
         /// Live ACE projector + refresh position (`Ace` mode only) — the
         /// exact ξ that was applied at capture, so a resume landing
         /// mid-refresh-window reuses it instead of rebuilding from the
@@ -191,21 +189,13 @@ pub struct AceCapture {
 /// the caller must supply one (`Simulation::resume_with`).
 pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagator>, PtError> {
     match state {
-        PropagatorState::PtCn {
+        // the rank engine is runtime-only state: rebuilt lazily on the
+        // first post-resume step, never part of the snapshot
+        PropagatorState::PtCn { opts, ace } => Ok(Box::new(PtCnPropagator {
             opts,
-            anderson,
-            ace,
-        } => {
-            let mixer = anderson.map(BandAndersonMixer::from_state).transpose()?;
-            // the rank engine is runtime-only state: rebuilt lazily on the
-            // first post-resume step, never part of the snapshot
-            Ok(Box::new(PtCnPropagator {
-                opts,
-                mixer,
-                ace: ace.map(AceRefreshState::from_capture),
-                engine: None,
-            }))
-        }
+            ace: ace.map(AceRefreshState::from_capture),
+            engine: None,
+        })),
         PropagatorState::Rk4 { opts } => Ok(Box::new(Rk4Propagator { opts })),
         PropagatorState::Opaque { name } => Err(PtError::InvalidConfig(format!(
             "snapshot was taken with propagator '{name}', which cannot be reconstructed; \
@@ -296,27 +286,26 @@ pub struct Rk4Options {
 /// How the exchange is evaluated is read off the system the same way
 /// ([`KsSystem::exchange_mode`]).
 ///
-/// Owns its [`BandAndersonMixer`] across steps (reset at the start of
-/// every step, as Alg. 1 requires) so the mixer history is part of the
-/// propagator's capturable state ([`Propagator::capture`]). The engine is
-/// runtime-only state: never cloned, captured or snapshotted.
+/// The only state that crosses a step boundary is the ACE projector ξ
+/// with its position in the refresh window ([`Propagator::capture`]
+/// records exactly that, beside the options); the Anderson history is a
+/// local of each step's fixed point. The engine is runtime-only state:
+/// never cloned, captured or snapshotted.
 #[derive(Default)]
 pub struct PtCnPropagator {
     /// Options.
     pub opts: PtCnOptions,
-    pub(crate) mixer: Option<BandAndersonMixer>,
     pub(crate) ace: Option<AceRefreshState>,
     /// The spawn-once rank team of a `ranks > 1` layout.
     pub(crate) engine: Option<RankEngine>,
 }
 
 impl Clone for PtCnPropagator {
-    /// Clones configuration, mixer history and the ACE refresh state; the
-    /// clone rebuilds its own rank engine lazily.
+    /// Clones configuration and the ACE refresh state; the clone rebuilds
+    /// its own rank engine lazily.
     fn clone(&self) -> Self {
         PtCnPropagator {
             opts: self.opts,
-            mixer: self.mixer.clone(),
             ace: self.ace.clone(),
             engine: None,
         }
@@ -337,10 +326,6 @@ impl fmt::Debug for PtCnPropagator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PtCnPropagator")
             .field("opts", &self.opts)
-            .field(
-                "anderson_history_len",
-                &self.mixer.as_ref().map(BandAndersonMixer::history_len),
-            )
             .field("engine", &self.engine)
             .finish()
     }
@@ -439,7 +424,6 @@ pub(crate) fn ptcn_step_with(
     laser: Option<&LaserPulse>,
     state: &mut TdState,
     dt: f64,
-    mixer_slot: &mut Option<BandAndersonMixer>,
     kernels: &mut dyn StepKernels,
     ace: Option<&AceOperator>,
     ace_n: Option<&AceOperator>,
@@ -447,7 +431,6 @@ pub(crate) fn ptcn_step_with(
     raw_psi_out: Option<&mut CMat>,
 ) -> Result<StepStats, PtError> {
     opts.validate()?;
-    let nb = state.psi.ncols();
     let mut stats = StepStats::default();
 
     // line 1: initial residual R_n at time t_n
@@ -478,19 +461,11 @@ pub(crate) fn ptcn_step_with(
         _ => psi_half.clone(),
     };
 
-    // lines 3-10: fixed point via Anderson mixing. The mixer persists on
-    // the propagator (its history is capturable state for checkpoints) but
-    // is reset here — each step's fixed point starts with a clean history,
-    // so resumed and uninterrupted trajectories agree bit for bit.
-    let mixer = match mixer_slot {
-        Some(m)
-            if m.n_bands() == nb && m.depth() == opts.anderson_depth && m.beta() == opts.beta =>
-        {
-            m.reset();
-            m
-        }
-        slot => slot.insert(BandAndersonMixer::new(nb, opts.anderson_depth, opts.beta)),
-    };
+    // lines 3-10: fixed point via Anderson mixing. Each fixed point starts
+    // from an empty history, which is why nothing of the mixer outlives
+    // this call and a resumed trajectory agrees with an uninterrupted one
+    // bit for bit without it.
+    let mut mixer = BandAndersonMixer::new(state.psi.ncols(), opts.anderson_depth, opts.beta);
     let sp = pt_trace::span("density");
     let mut rho_f = sys.density(&psi_f);
     stats.phases.density += sp.finish_secs();
@@ -608,7 +583,6 @@ pub(crate) fn ace_ptcn_step(
     state: &mut TdState,
     dt: f64,
     refresh_interval: usize,
-    mixer_slot: &mut Option<BandAndersonMixer>,
     ace_slot: &mut Option<AceRefreshState>,
     kernels: &mut dyn StepKernels,
 ) -> Result<StepStats, PtError> {
@@ -631,7 +605,6 @@ pub(crate) fn ace_ptcn_step(
             laser,
             state,
             dt,
-            mixer_slot,
             kernels,
             Some(&ace.op),
             None,
@@ -683,7 +656,6 @@ pub(crate) fn ace_ptcn_step(
             laser,
             &mut trial,
             dt,
-            mixer_slot,
             kernels,
             Some(&xi_f),
             Some(&xi_n),
@@ -818,17 +790,7 @@ impl Propagator for PtCnPropagator {
         let sp = pt_trace::span("ptcn_step");
         let mut stats = match sys.exchange_mode {
             ExchangeMode::Full => ptcn_step_with(
-                &self.opts,
-                sys,
-                laser,
-                state,
-                dt,
-                &mut self.mixer,
-                kernels,
-                None,
-                None,
-                None,
-                None,
+                &self.opts, sys, laser, state, dt, kernels, None, None, None, None,
             ),
             ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
                 &self.opts,
@@ -837,7 +799,6 @@ impl Propagator for PtCnPropagator {
                 state,
                 dt,
                 refresh_interval,
-                &mut self.mixer,
                 &mut self.ace,
                 kernels,
             ),
@@ -849,7 +810,6 @@ impl Propagator for PtCnPropagator {
     fn capture(&self) -> PropagatorState {
         PropagatorState::PtCn {
             opts: self.opts,
-            anderson: self.mixer.as_ref().map(BandAndersonMixer::state),
             ace: self.ace.as_ref().map(AceRefreshState::capture),
         }
     }

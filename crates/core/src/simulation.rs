@@ -417,7 +417,6 @@ pub struct SimulationBuilder<'a> {
     parallelism: Parallelism,
     ckpt_every_dir: Option<(usize, PathBuf)>,
     ckpt_keep: usize,
-    ckpt_wire: Wire,
     cancel: Option<CancelToken>,
     tap: Option<StepTap<'a>>,
 }
@@ -437,7 +436,6 @@ impl<'a> SimulationBuilder<'a> {
             parallelism: Parallelism::inherit(),
             ckpt_every_dir: None,
             ckpt_keep: 2,
-            ckpt_wire: Wire::F64,
             cancel: None,
             tap: None,
         }
@@ -491,8 +489,7 @@ impl<'a> SimulationBuilder<'a> {
     /// Emit a rolling snapshot into `dir` after every `every` completed
     /// steps (the file is `ckpt_<absolute step>.ptio`; the directory is
     /// created on first write). A killed run resumes from the newest one
-    /// via [`Simulation::resume`] and — at the default
-    /// [`Wire::F64`] payloads — continues **bit-identically** to an
+    /// via [`Simulation::resume`] and continues **bit-identically** to an
     /// uninterrupted run.
     pub fn checkpoint_every(mut self, every: usize, dir: impl Into<PathBuf>) -> Self {
         self.ckpt_every_dir = Some((every, dir.into()));
@@ -503,15 +500,6 @@ impl<'a> SimulationBuilder<'a> {
     /// pruned after each write).
     pub fn checkpoint_keep(mut self, keep: usize) -> Self {
         self.ckpt_keep = keep;
-        self
-    }
-
-    /// Payload precision of the orbital-sized snapshot sections.
-    /// [`Wire::F32`] halves those bytes — mirroring the §3.2 f32 wire
-    /// optimization — but a resume from such a snapshot is only ~1e-7
-    /// accurate, no longer bit-exact.
-    pub fn checkpoint_wire(mut self, wire: Wire) -> Self {
-        self.ckpt_wire = wire;
         self
     }
 
@@ -598,7 +586,6 @@ impl<'a> SimulationBuilder<'a> {
                     every,
                     dir,
                     keep: self.ckpt_keep,
-                    wire: self.ckpt_wire,
                 };
                 policy.validate()?;
                 Some(policy)
@@ -717,7 +704,7 @@ impl<'a> Simulation<'a> {
                 // then surface the typed non-failure
                 if let Some(policy) = self.checkpoint.clone() {
                     let remaining = self.n_steps - local_step;
-                    if let Err(e) = self.write_checkpoint(&policy, &series, remaining, None) {
+                    if let Err(e) = self.write_checkpoint(&policy, &series, remaining) {
                         self.partial = Some(series);
                         return Err(e);
                     }
@@ -815,7 +802,7 @@ impl<'a> Simulation<'a> {
                 if (local_step + 1) % policy.every == 0 {
                     let policy = policy.clone();
                     let remaining = self.n_steps - (local_step + 1);
-                    if let Err(e) = self.write_checkpoint(&policy, &series, remaining, rho) {
+                    if let Err(e) = self.write_checkpoint(&policy, &series, remaining) {
                         self.partial = Some(series);
                         return Err(e);
                     }
@@ -825,16 +812,15 @@ impl<'a> Simulation<'a> {
         Ok(series)
     }
 
-    /// Serialize the current run state into `policy.dir` (borrowing ψ, ρ
-    /// and the series — no clones of orbital-sized data) and prune the
-    /// oldest of this run's own snapshots past `policy.keep`. `rho` reuses
-    /// the observer-step density when one was already computed.
+    /// Serialize the current run state into `policy.dir` (borrowing ψ and
+    /// the series — no clones of orbital-sized data but the ACE projector
+    /// the propagator captures) and prune the oldest of this run's own
+    /// snapshots past `policy.keep`.
     fn write_checkpoint(
         &mut self,
         policy: &CheckpointPolicy,
         series: &TimeSeries,
         steps_remaining: usize,
-        rho: Option<Vec<f64>>,
     ) -> Result<(), PtError> {
         let _sp = pt_trace::span("checkpoint_write");
         pt_trace::counter_add(pt_trace::Counter::CheckpointWrites, 1);
@@ -842,10 +828,6 @@ impl<'a> Simulation<'a> {
             path: policy.dir.display().to_string(),
             reason: e.to_string(),
         })?;
-        let rho = match rho {
-            Some(r) => r,
-            None => self.sys.density(&self.state.psi),
-        };
         let propagator = self.propagator.capture();
         let view = RunCheckpointView {
             signature: self.sys.signature(),
@@ -854,15 +836,13 @@ impl<'a> Simulation<'a> {
             dt: self.dt,
             occupations: &self.sys.occupations,
             psi: &self.state.psi,
-            // parallel-transport gauge: Φ = Ψ defines the exchange
-            phi: self.sys.hybrid.map(|_| &self.state.psi),
-            rho: &rho,
             laser: self.laser.as_ref(),
             propagator: &propagator,
             series,
         };
         let path = checkpoint_path(&policy.dir, series.len());
-        view.write(&path, policy.wire)?;
+        // exact payloads: the bit-exact resume guarantee rests on them
+        view.write(&path, Wire::F64)?;
         // a cancel right after a rolling boundary rewrites the same step's
         // file (atomically); don't double-track it or pruning would try to
         // delete it twice
@@ -883,9 +863,9 @@ impl<'a> Simulation<'a> {
     /// observer pipeline and the propagator recorded in the snapshot.
     /// `run` on the result takes the remaining steps and returns the
     /// *full* series (restored + new steps) — bit-identical to an
-    /// uninterrupted run when the snapshot was written at the default
-    /// [`Wire::F64`] payloads and the original run used the standard
-    /// observers.
+    /// uninterrupted run when the original run used the standard
+    /// observers (the time loop writes exact payloads; the lossy re-write
+    /// is [`RunCheckpoint::write`]'s caveat).
     ///
     /// The snapshot must have been taken against a system of the same
     /// shape: the recorded [`pt_ham::SystemSignature`] and occupations are
@@ -945,13 +925,6 @@ impl<'a> Simulation<'a> {
                 context: "snapshot orbital columns (occupied bands)",
                 expected: sys.n_bands(),
                 got: ck.psi.ncols(),
-            });
-        }
-        if ck.rho.len() != sys.grids.n_dense() {
-            return Err(PtError::ShapeMismatch {
-                context: "snapshot density on the dense grid",
-                expected: sys.grids.n_dense(),
-                got: ck.rho.len(),
             });
         }
         let propagator = match propagator {
@@ -1024,8 +997,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// Turn checkpointing on for this (typically resumed) simulation:
-    /// rolling [`Wire::F64`] snapshots into `dir` every `every` steps,
-    /// keeping the newest two.
+    /// rolling snapshots into `dir` every `every` steps, keeping the
+    /// newest two.
     pub fn checkpoint_every(
         mut self,
         every: usize,
@@ -1035,7 +1008,6 @@ impl<'a> Simulation<'a> {
             every,
             dir: dir.into(),
             keep: 2,
-            wire: Wire::F64,
         };
         policy.validate()?;
         self.checkpoint = Some(policy);

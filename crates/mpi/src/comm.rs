@@ -428,20 +428,6 @@ impl Comm {
         }
     }
 
-    /// Allreduce (sum) of complex data (overlap matrices, Alg. 3 line 3).
-    pub fn allreduce_sum_c64(&mut self, data: &mut [c64]) {
-        // reuse the f64 path over the interleaved representation
-        let mut flat: Vec<f64> = Vec::with_capacity(2 * data.len());
-        for z in data.iter() {
-            flat.push(z.re);
-            flat.push(z.im);
-        }
-        self.allreduce_sum_f64(&mut flat);
-        for (z, ch) in data.iter_mut().zip(flat.chunks_exact(2)) {
-            *z = c64::new(ch[0], ch[1]);
-        }
-    }
-
     /// Pairwise `MPI_Alltoallv` for complex data: `send[j]` goes to rank
     /// `j`; returns the received blocks indexed by source rank. Used for
     /// the band-index ↔ G-space layout flips (Alg. 3 lines 1 and 6).
@@ -474,28 +460,6 @@ impl Comm {
             };
         }
         recv
-    }
-
-    /// `MPI_Allgatherv` for f64 data: every rank contributes a block, all
-    /// ranks receive all blocks (used after the XC potential evaluation,
-    /// §3.4 / Table 2).
-    pub fn allgatherv_f64(&mut self, mine: &[f64]) -> Vec<Vec<f64>> {
-        self.stats.add(&self.stats.allgatherv_calls, 1);
-        let p = self.size;
-        let mut out: Vec<Vec<f64>> = (0..p).map(|_| Vec::new()).collect();
-        out[self.rank] = mine.to_vec();
-        for round in 1..p {
-            let dst = (self.rank + round) % p;
-            let src = (self.rank + p - round) % p;
-            self.stats
-                .add(&self.stats.allgatherv_bytes, 8 * mine.len() as u64);
-            self.send_payload(dst, TAG_AGV + round as u64, Payload::F64(mine.to_vec()));
-            match self.recv_payload(src, TAG_AGV + round as u64) {
-                Payload::F64(v) => out[src] = v,
-                _ => panic!("allgatherv type mismatch"),
-            }
-        }
-        out
     }
 
     /// `MPI_Allgatherv` for complex data: every rank contributes a block,
@@ -707,20 +671,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_c64_matches_serial_sum() {
-        let (out, _) = run_ranks(6, Wire::F64, |comm| {
-            let r = comm.rank() as f64;
-            let mut data = vec![c64::new(r, -r), c64::new(1.0, 1.0)];
-            comm.allreduce_sum_c64(&mut data);
-            data
-        });
-        for v in out {
-            assert_eq!(v[0], c64::new(15.0, -15.0));
-            assert_eq!(v[1], c64::new(6.0, 6.0));
-        }
-    }
-
-    #[test]
     fn alltoallv_transposes_blocks() {
         let np = 5;
         let (out, _) = run_ranks(np, Wire::F64, |comm| {
@@ -734,20 +684,6 @@ mod tests {
             for (src, block) in recv.iter().enumerate() {
                 assert_eq!(block.len(), r + 1, "rank {r} from {src}");
                 assert_eq!(block[0], c64::new(src as f64, r as f64));
-            }
-        }
-    }
-
-    #[test]
-    fn allgatherv_collects_everything() {
-        let (out, _) = run_ranks(4, Wire::F64, |comm| {
-            let mine = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.allgatherv_f64(&mine)
-        });
-        for recv in out {
-            for (src, block) in recv.iter().enumerate() {
-                assert_eq!(block.len(), src + 1);
-                assert!(block.iter().all(|&v| v == src as f64));
             }
         }
     }

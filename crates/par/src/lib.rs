@@ -35,8 +35,7 @@ pub use ops::{
     parallel_reduce, tree_combine,
 };
 pub use pool::{
-    current_num_threads, env_threads, global, pools_built, with_current, worker_threads_spawned,
-    ThreadPool,
+    current_num_threads, global, pools_built, with_current, worker_threads_spawned, ThreadPool,
 };
 
 use std::sync::Arc;

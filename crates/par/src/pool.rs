@@ -271,7 +271,7 @@ static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
 /// `PT_NUM_THREADS` as parsed (whitespace-trimmed, ≥ 1), if set — the one
 /// place the env var's parsing rule lives.
-pub fn env_threads() -> Option<usize> {
+fn env_threads() -> Option<usize> {
     std::env::var("PT_NUM_THREADS")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())

@@ -703,7 +703,7 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, PtError> {
         .ok_or_else(|| PtError::InvalidConfig("'spec' (object) is required".into()))?;
     let spec = JobSpec::from_value(spec_value)?;
     spec.validate()?;
-    let (id, dir) = {
+    let id = {
         let mut st = shared.lock_state();
         let id = st.next_id;
         // admission can reject (never-fits) — do it before anything
@@ -723,7 +723,7 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, PtError> {
             JobRecord {
                 id,
                 spec,
-                dir: dir.clone(),
+                dir,
                 state: JobState::Queued,
                 error: None,
                 progress: JobProgress::default(),
@@ -732,9 +732,8 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, PtError> {
                 steps_at_run_start: 0,
             },
         );
-        (id, dir)
+        id
     };
-    let _ = dir;
     kick(shared);
     Ok(ok_response(vec![("job".to_string(), Json::Num(id as f64))]))
 }

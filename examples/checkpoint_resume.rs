@@ -60,6 +60,16 @@ fn main() -> Result<(), PtError> {
         ck.t,
         ck.series.channel_names().len(),
     );
+    // a snapshot holds what a resume reads: one ψ-sized block + small change
+    println!(
+        "snapshot is {} B; ψ alone is 16·ng·nb = {} B",
+        std::fs::metadata(&snapshot).map_or(0, |m| m.len()),
+        16 * ck.psi.nrows() * ck.psi.ncols(),
+    );
+    println!(
+        "sections: {}",
+        SnapshotFile::open(&snapshot)?.section_names().join(" ")
+    );
 
     // "job 2": resume and finish the trajectory
     let merged = Simulation::resume(&sys, &snapshot)?.run()?;

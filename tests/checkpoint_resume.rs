@@ -2,14 +2,20 @@
 //! produces a `TimeSeries` with `to_bits`-equal channels to the
 //! uninterrupted 1 × 1 run — on every ranks × threads layout, and across
 //! layouts (a snapshot is layout-free: the resumed run honours the layout
-//! of the system it is resumed on) — and malformed snapshots surface as
-//! typed `PtError`s, never panics.
+//! of the system it is resumed on) — a snapshot holds exactly the sections
+//! a resume reads (ψ-sized, not history-sized), files from before the
+//! capture shrank still resume to the same bits, and malformed snapshots
+//! surface as typed `PtError`s, never panics.
 
+use pwdft_rt::core::checkpoint::checkpoint_path;
 use pwdft_rt::core::{latest_checkpoint, RunCheckpoint};
+use pwdft_rt::linalg::CMat;
 use pwdft_rt::mpi::rank_threads_spawned;
+use pwdft_rt::num::c64;
 use pwdft_rt::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// `rank_threads_spawned` is process-global and the tests of this binary
 /// run concurrently: every test that steps a `ranks > 1` layout holds this
@@ -51,12 +57,27 @@ fn assert_series_bits_eq(a: &TimeSeries, b: &TimeSeries) {
     }
 }
 
+/// Whether any observer sample of the two series differs in any bit.
+fn some_channel_bit_differs(a: &TimeSeries, b: &TimeSeries) -> bool {
+    assert_eq!(a.channel_names(), b.channel_names());
+    a.channel_names().into_iter().any(|name| {
+        let (x, y) = (a.channel(name).unwrap(), b.channel(name).unwrap());
+        x.iter().zip(y).any(|(p, q)| p.to_bits() != q.to_bits())
+    })
+}
+
 fn lda_system() -> KsSystem {
     KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
         .ecut(2.0)
         .xc(XcKind::Lda)
         .build()
         .unwrap()
+}
+
+/// The LDA Si-8 ground state, converged once per test binary.
+fn lda_ground_state() -> &'static ScfResult {
+    static GS: OnceLock<ScfResult> = OnceLock::new();
+    GS.get_or_init(|| scf_loop(&lda_system(), ScfOptions::default()).expect("SCF converges"))
 }
 
 fn laser() -> LaserPulse {
@@ -78,20 +99,37 @@ fn hybrid_system(layout: Option<(usize, usize)>, mode: ExchangeMode) -> KsSystem
     b.build().unwrap()
 }
 
-/// A laser-driven run from `psi0`, optionally with per-step snapshots
-/// into `ckpt_dir` (all of them kept).
-fn run_steps(
-    sys: &KsSystem,
-    psi0: &pwdft_rt::linalg::CMat,
-    steps: usize,
-    ckpt_dir: Option<&Path>,
-) -> TimeSeries {
-    let mut b = SimulationBuilder::new(sys)
+/// The ground state of every [`hybrid_system`] (layout and exchange mode
+/// do not enter the SCF), converged once per test binary.
+fn hybrid_ground_state() -> &'static ScfResult {
+    static GS: OnceLock<ScfResult> = OnceLock::new();
+    GS.get_or_init(|| {
+        let sys = hybrid_system(None, ExchangeMode::Full);
+        scf_loop(&sys, ScfOptions::default()).expect("SCF converges")
+    })
+}
+
+/// Refresh at step 1, not due again before step 3: the step-1 snapshot of
+/// a run under this mode is mid-window.
+const ACE2: ExchangeMode = ExchangeMode::Ace {
+    refresh_interval: 2,
+};
+
+/// A laser-driven run from `psi0`, not yet built: 25 as steps, the
+/// standard observers.
+fn laser_run<'a>(sys: &'a KsSystem, psi0: &CMat, steps: usize) -> SimulationBuilder<'a> {
+    SimulationBuilder::new(sys)
         .initial_orbitals(psi0.clone())
         .laser(laser())
         .dt(attosecond_to_au(25.0))
         .steps(steps)
-        .standard_observers();
+        .standard_observers()
+}
+
+/// [`laser_run`] to the end, optionally with per-step snapshots into
+/// `ckpt_dir` (all of them kept).
+fn run_steps(sys: &KsSystem, psi0: &CMat, steps: usize, ckpt_dir: Option<&Path>) -> TimeSeries {
+    let mut b = laser_run(sys, psi0, steps);
     if let Some(dir) = ckpt_dir {
         b = b.checkpoint_every(1, dir).checkpoint_keep(steps);
     }
@@ -106,7 +144,7 @@ fn resume_and_finish(sys: &KsSystem, snapshot: &Path) -> TimeSeries {
 fn killed_and_resumed_run_is_bit_identical_on_and_across_layouts() {
     let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
     let plain = hybrid_system(None, ExchangeMode::Full);
-    let gs = scf_loop(&plain, ScfOptions::default()).expect("SCF converges");
+    let gs = hybrid_ground_state();
     let steps = 2usize;
     // the shared reference: the uninterrupted inline trajectory
     let uninterrupted = run_steps(&plain, &gs.orbitals, steps, None);
@@ -123,9 +161,8 @@ fn killed_and_resumed_run_is_bit_identical_on_and_across_layouts() {
         let mid = dir.join("ckpt_00000001.ptio");
         let ck = RunCheckpoint::read(&mid).unwrap();
         assert_eq!((ck.series.len(), ck.steps_remaining), (1, 1));
-        // hybrid snapshot carries Φ explicitly (Φ = Ψ in the PT gauge)
-        let phi = ck.phi.as_ref().expect("hybrid snapshot records phi");
-        assert_eq!((phi.nrows(), phi.ncols()), (ck.psi.nrows(), ck.psi.ncols()));
+        // Φ = Ψ in the PT gauge: no snapshot stores it
+        assert!(!SnapshotFile::open(&mid).unwrap().has("phi"));
         let merged = resume_and_finish(&sys, &mid);
         assert_eq!(merged.propagator, "pt-cn");
         assert_series_bits_eq(&uninterrupted, &merged);
@@ -159,7 +196,7 @@ fn an_explicit_propagator_honours_the_systems_layout() {
     // system spawns its rank team
     let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
     let sys = hybrid_system(Some((2, 1)), ExchangeMode::Full);
-    let psi0 = pwdft_rt::linalg::CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 5);
+    let psi0 = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 5);
     let before = rank_threads_spawned();
     let series = SimulationBuilder::new(&sys)
         .initial_orbitals(psi0)
@@ -174,44 +211,63 @@ fn an_explicit_propagator_honours_the_systems_layout() {
     assert_eq!(rank_threads_spawned() - before, 2);
 }
 
-/// Craft a legacy snapshot from a current one: the same sections with
-/// `prop/name` retagged as `tag`, plus one extra `u64` section.
-fn craft_legacy(src: &Path, dst: &Path, tag: &str, extra: (&str, [u64; 3])) {
+/// One section's payload, as the tests edit it.
+enum Section {
+    U64s(Vec<u64>),
+    F64s(Vec<f64>),
+    Str(String),
+    Mat(CMat),
+}
+
+/// Re-write the snapshot `src` as `dst`: `edit` gets every section of
+/// `src` by name and may drop, replace or add any. The result is a valid
+/// container (fresh CRCs), so what a test provokes with it is a *schema*
+/// defect or a legacy layout, never a checksum failure.
+fn recraft(src: &Path, dst: &Path, edit: impl FnOnce(&mut BTreeMap<String, Section>)) {
     let f = SnapshotFile::open(src).unwrap();
+    let mut sections: BTreeMap<String, Section> = f
+        .section_names()
+        .into_iter()
+        .map(|name| {
+            let payload = if let Ok(v) = f.u64s(name) {
+                Section::U64s(v)
+            } else if let Ok(v) = f.f64s(name) {
+                Section::F64s(v)
+            } else if let Ok(v) = f.str(name) {
+                Section::Str(v)
+            } else {
+                Section::Mat(f.cmat(name).unwrap())
+            };
+            (name.to_string(), payload)
+        })
+        .collect();
+    edit(&mut sections);
     let mut w = SnapshotWriter::create(dst);
-    for name in f.section_names() {
-        if name == "prop/name" {
-            assert_eq!(f.str(name).unwrap(), "pt-cn");
-            w.put_str(name, tag).unwrap();
-        } else if let Ok(v) = f.u64s(name) {
-            w.put_u64s(name, &v).unwrap();
-        } else if let Ok(v) = f.f64s(name) {
-            w.put_f64s(name, &v).unwrap();
-        } else if let Ok(v) = f.str(name) {
-            w.put_str(name, &v).unwrap();
-        } else {
-            w.put_cmat(name, &f.cmat(name).unwrap(), Wire::F64).unwrap();
+    for (name, payload) in &sections {
+        match payload {
+            Section::U64s(v) => w.put_u64s(name, v),
+            Section::F64s(v) => w.put_f64s(name, v),
+            Section::Str(v) => w.put_str(name, v),
+            Section::Mat(m) => w.put_cmat(name, m, Wire::F64),
         }
+        .unwrap();
     }
-    w.put_u64s(extra.0, &extra.1).unwrap();
     w.finish().unwrap();
 }
 
 #[test]
 fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let dir = tmp_dir("legacy_tag");
     let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
     // the former distributed propagator type's snapshot: tag
     // "pt-cn-dist" plus a `prop/dist` layout section
     let legacy = dir.join("legacy.ptio");
-    craft_legacy(
-        &dir.join("ckpt_00000001.ptio"),
-        &legacy,
-        "pt-cn-dist",
-        ("prop/dist", [2, 2, 0]),
-    );
+    recraft(&checkpoint_path(&dir, 1), &legacy, |s| {
+        s.insert("prop/name".into(), Section::Str("pt-cn-dist".into()));
+        s.insert("prop/dist".into(), Section::U64s(vec![2, 2, 0]));
+    });
     assert!(matches!(
         RunCheckpoint::read(&legacy).unwrap().propagator,
         PropagatorState::PtCn { .. }
@@ -223,13 +279,189 @@ fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Adding a section to the capture means editing this list — and saying
+/// what `Simulation::resume` reads from it.
+#[test]
+fn a_fresh_snapshot_holds_exactly_the_sections_resume_reads() {
+    let common = ["laser", "occ", "psi", "sig", "steps", "time"];
+    let ptcn = ["prop/name", "prop/ptcn_f", "prop/ptcn_u"];
+    let ptcn_ace = [&ptcn[..], &["prop/ace", "prop/ace_xi"]].concat();
+    let rk4 = ["prop/name", "prop/rk4"];
+    let per_series = ["a", "channels", "propagator", "stats", "stats_resid", "t"];
+    let check = |tag: &str, sys: &KsSystem, gs: &ScfResult, prop_sections: &[&str]| {
+        let dir = tmp_dir(&format!("sections_{tag}"));
+        let propagator: Box<dyn Propagator> = if prop_sections.contains(&"prop/rk4") {
+            Box::<Rk4Propagator>::default()
+        } else {
+            Box::<PtCnPropagator>::default()
+        };
+        let series = laser_run(sys, &gs.orbitals, 1)
+            .propagator(propagator)
+            .checkpoint_every(1, &dir)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let mut want: Vec<String> = common
+            .iter()
+            .chain(prop_sections)
+            .map(|n| n.to_string())
+            .chain(per_series.iter().map(|n| format!("series/{n}")))
+            .chain(
+                series
+                    .channel_names()
+                    .iter()
+                    .map(|c| format!("series/ch/{c}")),
+            )
+            .collect();
+        want.sort_unstable();
+        let snapshot = SnapshotFile::open(checkpoint_path(&dir, 1)).unwrap();
+        assert_eq!(snapshot.section_names(), want, "{tag}: the capture changed");
+        let _ = std::fs::remove_dir_all(dir);
+    };
+    let (hybrid_gs, lda_gs) = (hybrid_ground_state(), lda_ground_state());
+    check(
+        "full",
+        &hybrid_system(None, ExchangeMode::Full),
+        hybrid_gs,
+        &ptcn,
+    );
+    check("ace2", &hybrid_system(None, ACE2), hybrid_gs, &ptcn_ace);
+    check("lda", &lda_system(), lda_gs, &ptcn);
+    check("rk4", &lda_system(), lda_gs, &rk4);
+}
+
+/// A snapshot is one ψ-sized block (two under ACE: ξ), the series, and a
+/// couple of KiB of headers and options — whatever the fixed point did.
+#[test]
+fn snapshot_size_is_psi_plus_small_change() {
+    let size = |p: PathBuf| std::fs::metadata(p).unwrap().len();
+    let hybrid_gs = &hybrid_ground_state().orbitals;
+    let lda_gs = &lda_ground_state().orbitals;
+    for (tag, sys, psi0, blocks) in [
+        (
+            "full",
+            hybrid_system(None, ExchangeMode::Full),
+            hybrid_gs,
+            1,
+        ),
+        ("ace2", hybrid_system(None, ACE2), hybrid_gs, 2),
+        ("lda", lda_system(), lda_gs, 1),
+    ] {
+        let dir = tmp_dir(&format!("size_{tag}"));
+        let series = run_steps(&sys, psi0, 2, Some(&dir));
+        let per_step = 8 * (series.channel_names().len() + 8);
+        for step in [1, 2] {
+            let max = 16 * sys.grids.ng() * sys.n_bands() * blocks + per_step * step + 2048;
+            let got = size(checkpoint_path(&dir, step));
+            assert!(got <= max as u64, "{tag} step {step}: {got} B > {max} B");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // two runs that differ only in how many fixed-point iterations their
+    // last step took write the same number of bytes: nothing in a snapshot
+    // scales with the Anderson history
+    let sys = lda_system();
+    let [few, many] = [3usize, 40].map(|max_scf| {
+        let dir = tmp_dir(&format!("size_scf{max_scf}"));
+        let opts = PtCnOptions {
+            max_scf,
+            ..PtCnOptions::default()
+        };
+        let series = laser_run(&sys, lda_gs, 1)
+            .propagator(Box::new(PtCnPropagator::new(opts)))
+            .checkpoint_every(1, &dir)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        let bytes = size(checkpoint_path(&dir, 1));
+        let _ = std::fs::remove_dir_all(dir);
+        (series.stats[0].scf_iterations, bytes)
+    });
+    assert!(
+        few.0 < many.0,
+        "max_scf did not cut the fixed point short: {few:?} vs {many:?}"
+    );
+    assert_eq!(few.1, many.1, "{few:?} vs {many:?}");
+}
+
+/// The flip side of the allow-list: the two orbital-sized sections a
+/// snapshot does carry are read — drop one and resume refuses, nudge one
+/// coefficient and the continued trajectory moves.
+#[test]
+fn the_orbital_sized_sections_are_live() {
+    let sys = hybrid_system(None, ACE2);
+    let dir = tmp_dir("live");
+    // step 2 runs under the ξ frozen at step 1
+    let uninterrupted = run_steps(&sys, &hybrid_ground_state().orbitals, 2, Some(&dir));
+    let crafted = dir.join("crafted.ptio");
+    for name in ["psi", "prop/ace_xi"] {
+        recraft(&checkpoint_path(&dir, 1), &crafted, |s| {
+            s.remove(name);
+        });
+        assert!(
+            matches!(
+                Simulation::resume(&sys, &crafted),
+                Err(PtError::SnapshotFormat { .. })
+            ),
+            "a snapshot without '{name}' resumed"
+        );
+        recraft(&checkpoint_path(&dir, 1), &crafted, |s| {
+            match s.get_mut(name) {
+                Some(Section::Mat(m)) => m[(0, 0)] += c64::real(1e-6),
+                _ => panic!("'{name}' is not a matrix section"),
+            }
+        });
+        assert!(
+            some_channel_bit_differs(&uninterrupted, &resume_and_finish(&sys, &crafted)),
+            "perturbing '{name}' left the continued trajectory unchanged: is it still read?"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Snapshots written before the capture shrank also carry `phi` (= ψ),
+/// `rho` and the Anderson history of the last fixed point —
+/// `prop/anderson/{meta,beta,xs,fs}`: `[n_bands, depth, hist, ng]`, `[β]`
+/// and two `ng × n_bands·hist` matrices. The reader takes the sections it
+/// needs by name and ignores those.
+#[test]
+fn a_snapshot_from_before_the_shrink_still_resumes() {
+    let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
+    let plain = hybrid_system(None, ExchangeMode::Full);
+    let dir = tmp_dir("pre_shrink");
+    let uninterrupted = run_steps(&plain, &hybrid_ground_state().orbitals, 2, Some(&dir));
+    let legacy = dir.join("legacy.ptio");
+    recraft(&checkpoint_path(&dir, 1), &legacy, |s| {
+        let Some(Section::Mat(psi)) = s.get("psi") else {
+            panic!("'psi' is not a matrix section");
+        };
+        let (psi, hist) = (psi.clone(), 3);
+        let history = CMat::from_fn(psi.nrows(), psi.ncols() * hist, |i, j| psi[(i, j / hist)]);
+        let meta = [psi.ncols(), 20, hist, psi.nrows()].map(|v| v as u64);
+        s.insert("rho".into(), Section::F64s(plain.density(&psi)));
+        s.insert("prop/anderson/meta".into(), Section::U64s(meta.to_vec()));
+        s.insert("prop/anderson/beta".into(), Section::F64s(vec![1.0]));
+        s.insert("prop/anderson/xs".into(), Section::Mat(history.clone()));
+        s.insert("prop/anderson/fs".into(), Section::Mat(history));
+        s.insert("phi".into(), Section::Mat(psi));
+    });
+    for layout in [None, Some((2, 2))] {
+        let sys = hybrid_system(layout, ExchangeMode::Full);
+        assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &legacy));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn rolling_pruning_never_touches_another_runs_snapshots() {
     // a stale high-numbered snapshot from an earlier trajectory shares the
     // directory: the new run's rolling window must neither delete it nor
     // let it crowd out (i.e. cause deletion of) the new run's own files
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let dir = tmp_dir("stale");
     std::fs::create_dir_all(&dir).unwrap();
     let stale = dir.join("ckpt_99999999.ptio");
@@ -245,15 +477,12 @@ fn rolling_pruning_never_touches_another_runs_snapshots() {
         .unwrap();
     sim.run().unwrap();
     assert!(stale.exists(), "stale snapshot was deleted");
-    let own = dir.join("ckpt_00000003.ptio");
+    let own = checkpoint_path(&dir, 3);
     assert!(
         own.exists(),
         "the run's own newest snapshot was pruned away"
     );
-    assert!(
-        !dir.join("ckpt_00000001.ptio").exists(),
-        "keep=1 not applied"
-    );
+    assert!(!checkpoint_path(&dir, 1).exists(), "keep=1 not applied");
     // the surviving own snapshot resumes fine
     assert!(Simulation::resume(&sys, &own).is_ok());
     let _ = std::fs::remove_dir_all(dir);
@@ -271,7 +500,7 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
         refresh_interval: 3,
     };
     let plain = hybrid_system(None, mode);
-    let gs = scf_loop(&plain, ScfOptions::default()).expect("SCF converges");
+    let gs = hybrid_ground_state();
     let steps = 4usize;
     let uninterrupted = run_steps(&plain, &gs.orbitals, steps, None);
 
@@ -283,7 +512,7 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
             "ace_inline"
         });
         run_steps(&sys, &gs.orbitals, steps, Some(&dir));
-        let mid = dir.join("ckpt_00000002.ptio");
+        let mid = checkpoint_path(&dir, 2);
         let ck = RunCheckpoint::read(&mid).unwrap();
         assert_eq!(ck.steps_remaining, 2);
         match &ck.propagator {
@@ -312,19 +541,18 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
 /// refused by the reader.
 fn legacy_exchange_pins_are_checked_never_followed(snapshot: &Path) {
     let crafted = snapshot.with_file_name("legacy_exch.ptio");
-    craft_legacy(snapshot, &crafted, "pt-cn", ("prop/exch", [2, 2, 2]));
+    let pin = |exch: [u64; 3]| {
+        recraft(snapshot, &crafted, |s| {
+            s.insert("prop/exch".into(), Section::U64s(exch.to_vec()));
+        })
+    };
+    pin([2, 2, 2]);
     match RunCheckpoint::read(&crafted) {
         Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("AceMts"), "{msg}"),
         other => panic!("expected InvalidConfig naming AceMts, got {other:?}"),
     }
-    craft_legacy(snapshot, &crafted, "pt-cn", ("prop/exch", [1, 2, 0]));
-    let ace2 = hybrid_system(
-        None,
-        ExchangeMode::Ace {
-            refresh_interval: 2,
-        },
-    );
-    assert!(Simulation::resume(&ace2, &crafted).is_ok());
+    pin([1, 2, 0]);
+    assert!(Simulation::resume(&hybrid_system(None, ACE2), &crafted).is_ok());
     match Simulation::resume(&hybrid_system(None, ExchangeMode::Full), &crafted) {
         Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("exchange mode"), "{msg}"),
         Err(other) => panic!("expected InvalidConfig, got {other:?}"),
@@ -335,7 +563,7 @@ fn legacy_exchange_pins_are_checked_never_followed(snapshot: &Path) {
 #[test]
 fn snapshot_from_a_different_system_shape_is_a_typed_error() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let dir = tmp_dir("shape");
     let mut sim = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
@@ -381,7 +609,7 @@ fn snapshot_from_a_different_system_shape_is_a_typed_error() {
 #[test]
 fn malformed_snapshots_never_panic() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let dir = tmp_dir("malformed");
     let mut sim = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
@@ -394,6 +622,24 @@ fn malformed_snapshots_never_panic() {
     sim.run().unwrap();
     let ckpt = latest_checkpoint(&dir).unwrap().unwrap();
     let good = std::fs::read(&ckpt).unwrap();
+
+    // a CRC-valid file is still outside input: a step size or a clock the
+    // builder would refuse is refused here too, never stepped with
+    let crafted = dir.join("crafted.ptio");
+    let (t, dt) = (sim.state().t, sim.dt());
+    for time in [[t, f64::NAN], [t, 0.0], [t, -dt], [f64::INFINITY, dt]] {
+        recraft(&ckpt, &crafted, |s| {
+            s.insert("time".into(), Section::F64s(time.to_vec()));
+        });
+        assert!(
+            matches!(
+                Simulation::resume(&sys, &crafted),
+                Err(PtError::SnapshotFormat { .. })
+            ),
+            "time = {time:?}"
+        );
+    }
+    std::fs::remove_file(&crafted).unwrap();
 
     // truncations at every interesting depth
     for keep in [0usize, 10, 23, good.len() / 2, good.len() - 1] {
@@ -445,31 +691,16 @@ fn malformed_snapshots_never_panic() {
 #[test]
 fn f32_payload_snapshots_resume_close_but_not_bit_exact() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
-    let steps = 2usize;
-    let uninterrupted = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let gs = lda_ground_state();
     let dir = tmp_dir("f32");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(laser())
-        .dt(attosecond_to_au(25.0))
-        .steps(steps)
-        .standard_observers()
-        .checkpoint_every(1, &dir)
-        .checkpoint_wire(Wire::F32)
-        .build()
+    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
+    // the time loop only writes exact payloads; re-writing a snapshot at
+    // f32 is `RunCheckpoint::write`'s lossy option
+    let mid = dir.join("mid_f32.ptio");
+    RunCheckpoint::read(checkpoint_path(&dir, 1))
+        .unwrap()
+        .write(&mid, Wire::F32)
         .unwrap();
-    sim.run().unwrap();
-    let mid = dir.join("ckpt_00000001.ptio");
     let mut resumed = Simulation::resume(&sys, &mid).unwrap();
     let merged = resumed.run().unwrap();
     // the ψ payload was quantized to f32: trajectories agree to ~1e-6
@@ -494,7 +725,7 @@ fn f32_payload_snapshots_resume_close_but_not_bit_exact() {
 #[test]
 fn cancelled_then_resumed_run_is_bit_identical() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let steps = 4usize;
     let uninterrupted = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
@@ -537,9 +768,11 @@ fn cancelled_then_resumed_run_is_bit_identical() {
     let partial = sim.take_partial_series().expect("partial series kept");
     assert_eq!(partial.len(), 2);
     // and the cancel wrote a resumable boundary snapshot
-    let boundary = RunCheckpoint::read(dir.join("ckpt_00000002.ptio")).unwrap();
+    let boundary = RunCheckpoint::read(checkpoint_path(&dir, 2)).unwrap();
     assert_eq!((boundary.series.len(), boundary.steps_remaining), (2, 2));
-    assert!(boundary.phi.is_none(), "semi-local run must not store phi");
+    assert!(!SnapshotFile::open(checkpoint_path(&dir, 2))
+        .unwrap()
+        .has("phi"));
     let mut resumed = Simulation::resume_latest(&sys, &dir)
         .unwrap()
         .expect("cancel snapshot found");
@@ -551,7 +784,7 @@ fn cancelled_then_resumed_run_is_bit_identical() {
 #[test]
 fn resume_latest_skips_corrupt_snapshots_in_favor_of_older_valid_ones() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let dir = tmp_dir("skipnewest");
     let mut sim = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
@@ -567,7 +800,7 @@ fn resume_latest_skips_corrupt_snapshots_in_favor_of_older_valid_ones() {
     // corrupt the newest snapshot the way a kill -9 mid-write would:
     // truncate it — resume_latest must fall back to the step-2 snapshot
     // and still finish with identical bits
-    let newest = dir.join("ckpt_00000003.ptio");
+    let newest = checkpoint_path(&dir, 3);
     let bytes = std::fs::read(&newest).unwrap();
     std::fs::write(&newest, &bytes[..bytes.len() / 3]).unwrap();
     let mut resumed = Simulation::resume_latest(&sys, &dir)
@@ -591,7 +824,7 @@ fn resume_latest_skips_corrupt_snapshots_in_favor_of_older_valid_ones() {
 #[test]
 fn exported_series_tables_round_trip_through_json_and_csv() {
     let sys = lda_system();
-    let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+    let gs = lda_ground_state();
     let series = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(25.0))
