@@ -212,16 +212,19 @@ impl RunCheckpoint {
         let occupations = f.f64s("occ")?;
         let psi = f.cmat("psi")?;
         let laser = if f.has("laser") {
-            match f.f64s("laser")?.as_slice() {
-                [a0, omega, t0, sigma, px, py, pz] => Some(LaserPulse {
+            let l = match f.f64s("laser")?.as_slice() {
+                [a0, omega, t0, sigma, px, py, pz] => LaserPulse {
                     a0: *a0,
                     omega: *omega,
                     t0: *t0,
                     sigma: *sigma,
                     polarization: [*px, *py, *pz],
-                }),
+                },
                 other => return Err(schema(format!("'laser' holds {} values", other.len()))),
-            }
+            };
+            l.validate()
+                .map_err(|msg| schema(format!("'laser': {msg}")))?;
+            Some(l)
         } else {
             None
         };

@@ -26,33 +26,34 @@
 //!
 //! # Layout invariance
 //!
-//! With a `Wire::F64` wire the observables of a run are **bit-identical
-//! for every `ranks × threads_per_rank` layout**, inline or on the
-//! engine: the in-process kernels are the `N_p = 1` case of the rank
-//! ones (one pair-solve loop, one chunked residual — see `pt-ham`), band
+//! The rank path ships `f64` on the wire, so the observables of a run are
+//! **bit-identical for every `ranks × threads_per_rank` layout**, inline
+//! or on the engine: the in-process kernels are the `N_p = 1` case of the
+//! rank ones (one pair-solve loop, one chunked residual — see `pt-ham`), band
 //! ownership only partitions work whose per-band results are computed
 //! independently in a fixed order, the broadcast loop accumulates
 //! `i = 0..N_e` identically on every rank count, and the residual's
 //! tree reduction joins fixed 64-row chunks in ascending order
-//! regardless of which rank owns them. A `Wire::F32` wire trades that
-//! for half the broadcast volume (~1e-7 relative loss, §3.2
-//! optimization 4).
+//! regardless of which rank owns them. (`pt_ham`'s kernels also take a
+//! `Wire::F32` communicator — half the broadcast volume at ~1e-7
+//! relative loss, §3.2 optimization 4 — which no run selects.)
 
 use crate::propagator::StepKernels;
 use pt_ham::{
-    distributed_fock_apply, distributed_residual, AceOperator, BandDistribution, DistributedConfig,
-    KsSystem, PtError,
+    distributed_fock_apply, distributed_residual, AceOperator, BandDistribution, KsSystem, PtError,
 };
 use pt_linalg::CMat;
-use pt_mpi::{Comm, EnginePoisoned, RankEngine};
+use pt_mpi::{Comm, EnginePoisoned, RankEngine, Wire};
+use pt_par::RankLayout;
 
-/// Reuse the parked rank team when it matches `cfg`; build it on first
-/// use or after a layout/wire change. A poisoned engine is never reused
-/// or silently replaced — the caller gets the typed error so the failure
-/// stays visible.
+/// Reuse the parked rank team when it matches `layout`; build it on first
+/// use or after a layout change. The PT-CN rank path always ships `f64`
+/// (the exact wire every layout-invariance guarantee rests on). A
+/// poisoned engine is never reused or silently replaced — the caller gets
+/// the typed error so the failure stays visible.
 pub(crate) fn acquire_engine(
     slot: &mut Option<RankEngine>,
-    cfg: DistributedConfig,
+    layout: RankLayout,
 ) -> Result<&mut RankEngine, PtError> {
     let stale = match slot {
         Some(e) => {
@@ -61,7 +62,7 @@ pub(crate) fn acquire_engine(
                     cause: cause.to_string(),
                 });
             }
-            e.layout() != cfg.layout() || e.wire() != cfg.wire
+            e.layout() != layout
         }
         None => false,
     };
@@ -70,7 +71,7 @@ pub(crate) fn acquire_engine(
     }
     Ok(match slot {
         Some(e) => e,
-        None => slot.insert(RankEngine::new(cfg.layout(), cfg.wire)),
+        None => slot.insert(RankEngine::new(layout, Wire::F64)),
     })
 }
 
@@ -79,7 +80,6 @@ pub(crate) fn acquire_engine(
 /// parked rank team — no threads are spawned here.
 pub(crate) struct EngineKernels<'e> {
     pub(crate) engine: &'e mut RankEngine,
-    pub(crate) cfg: DistributedConfig,
 }
 
 impl EngineKernels<'_> {
@@ -95,7 +95,7 @@ impl EngineKernels<'_> {
     ) -> Result<CMat, PtError> {
         let dist = BandDistribution {
             n_bands,
-            n_ranks: self.cfg.ranks,
+            n_ranks: self.engine.layout().ranks,
         };
         let sp = pt_trace::span("engine_run");
         let (blocks, wire) = self
@@ -200,8 +200,6 @@ mod tests {
     use crate::propagator::{InlineKernels, Propagator, PropagatorState, PtCnPropagator, TdState};
     use pt_ham::ExchangeMode;
     use pt_lattice::silicon_cubic_supercell;
-    use pt_mpi::Wire;
-    use pt_par::RankLayout;
     use pt_xc::XcKind;
 
     fn hybrid_builder() -> pt_ham::KsSystemBuilder {
@@ -212,16 +210,12 @@ mod tests {
             .occupations(vec![2.0; 4])
     }
 
-    fn hybrid_sys(cfg: Option<DistributedConfig>) -> KsSystem {
+    fn hybrid_sys(layout: Option<RankLayout>) -> KsSystem {
         let mut b = hybrid_builder();
-        if let Some(c) = cfg {
-            b = b.distributed(c);
+        if let Some(l) = layout {
+            b = b.layout(l);
         }
         b.build().unwrap()
-    }
-
-    fn engine_for(cfg: DistributedConfig) -> RankEngine {
-        RankEngine::new(cfg.layout(), cfg.wire)
     }
 
     fn assert_same_bits(want: &CMat, got: &CMat, what: &str) {
@@ -257,11 +251,9 @@ mod tests {
         }
         for ranks in [1usize, 2, 3] {
             for threads in [1usize, 4] {
-                let cfg = DistributedConfig::new(ranks, threads);
-                let mut engine = engine_for(cfg);
+                let mut engine = RankEngine::new(RankLayout::new(ranks, threads), Wire::F64);
                 let mut kernels = EngineKernels {
                     engine: &mut engine,
-                    cfg,
                 };
                 // twice on the same engine: the parked team is reused and
                 // the second pass's bits must not drift
@@ -277,7 +269,7 @@ mod tests {
     #[test]
     fn ace_step_on_two_ranks_advances_and_captures_the_projector() {
         let sys = hybrid_builder()
-            .distributed(DistributedConfig::new(2, 1))
+            .layout(RankLayout::new(2, 1))
             .exchange_mode(ExchangeMode::Ace {
                 refresh_interval: 2,
             })
@@ -306,8 +298,8 @@ mod tests {
         // an explicitly constructed propagator honours the layout too:
         // which side runs is decided by the system, never by a type
         let dt = pt_num::units::attosecond_to_au(25.0);
-        let team_after_a_step = |cfg: Option<DistributedConfig>| {
-            let sys = hybrid_sys(cfg);
+        let team_after_a_step = |layout: Option<RankLayout>| {
+            let sys = hybrid_sys(layout);
             let mut state = TdState::new(CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 41));
             pt_linalg::orthonormalize_columns(&mut state.psi, 0.0);
             let mut prop = PtCnPropagator::default();
@@ -315,36 +307,35 @@ mod tests {
             prop.engine.map(|e| e.layout())
         };
         assert_eq!(
-            team_after_a_step(Some(DistributedConfig::new(2, 1))),
+            team_after_a_step(Some(RankLayout::new(2, 1))),
             Some(RankLayout::new(2, 1))
         );
         // one rank runs inline: no engine, no rank thread
-        assert_eq!(team_after_a_step(Some(DistributedConfig::new(1, 3))), None);
+        assert_eq!(team_after_a_step(Some(RankLayout::new(1, 3))), None);
         assert_eq!(team_after_a_step(None), None);
     }
 
     #[test]
-    fn acquire_rebuilds_only_on_layout_or_wire_change() {
+    fn acquire_rebuilds_only_on_layout_change() {
         let mut slot: Option<RankEngine> = None;
-        let cfg = DistributedConfig::new(2, 1);
-        acquire_engine(&mut slot, cfg).unwrap();
+        let layout = RankLayout::new(2, 1);
+        acquire_engine(&mut slot, layout).unwrap();
         let before = pt_mpi::rank_threads_spawned();
-        acquire_engine(&mut slot, cfg).unwrap();
+        acquire_engine(&mut slot, layout).unwrap();
         assert_eq!(
             pt_mpi::rank_threads_spawned(),
             before,
             "matching layout must reuse the parked team"
         );
-        acquire_engine(&mut slot, DistributedConfig::new(3, 1)).unwrap();
+        acquire_engine(&mut slot, RankLayout::new(3, 1)).unwrap();
         assert_eq!(slot.as_ref().unwrap().layout().ranks, 3);
-        acquire_engine(&mut slot, DistributedConfig::new(3, 1).wire(Wire::F32)).unwrap();
-        assert_eq!(slot.as_ref().unwrap().wire(), Wire::F32);
+        assert_eq!(slot.as_ref().unwrap().wire(), Wire::F64);
     }
 
     #[test]
     fn a_poisoned_engine_yields_the_typed_engine_down_error() {
-        let cfg = DistributedConfig::new(2, 1);
-        let mut eng = engine_for(cfg);
+        let layout = RankLayout::new(2, 1);
+        let mut eng = RankEngine::new(layout, Wire::F64);
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             eng.run(|comm| {
                 if comm.rank() == 1 {
@@ -358,7 +349,7 @@ mod tests {
             engine: Some(eng),
             ..Default::default()
         };
-        let sys = hybrid_sys(Some(cfg));
+        let sys = hybrid_sys(Some(layout));
         let mut state = TdState::new(CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 41));
         let err = prop.step(&sys, None, &mut state, 25.0).unwrap_err();
         match err {

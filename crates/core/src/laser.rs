@@ -33,6 +33,27 @@ impl LaserPulse {
         }
     }
 
+    /// Check the pulse: every field finite and the envelope width
+    /// positive (σ = 0 makes `A(t₀)` a 0/0 NaN and `A` zero everywhere
+    /// else). Returns a human-readable complaint for callers to wrap in
+    /// their error type.
+    pub fn validate(&self) -> Result<(), String> {
+        let [px, py, pz] = self.polarization;
+        if ![self.a0, self.omega, self.t0, self.sigma, px, py, pz]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            return Err(format!("laser pulse fields must be finite, got {self:?}"));
+        }
+        if self.sigma <= 0.0 {
+            return Err(format!(
+                "laser envelope width sigma must be positive, got {}",
+                self.sigma
+            ));
+        }
+        Ok(())
+    }
+
     /// Vector potential A(t).
     pub fn a_field(&self, t: f64) -> [f64; 3] {
         let tau = t - self.t0;

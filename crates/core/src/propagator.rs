@@ -276,7 +276,7 @@ pub struct Rk4Options {
 /// The implicit parallel-transport Crank–Nicolson propagator (Alg. 1) —
 /// the one PT-CN type, for every ranks × threads layout.
 ///
-/// The layout is read from [`KsSystem::distributed`] at step time (none =
+/// The layout is read from [`KsSystem::layout`] at step time (none =
 /// 1 × the installed pool). With one rank every `HΨ` and residual runs
 /// **inline** on the installed pool — no engine, no rank thread; with more
 /// they are jobs on a persistent [`RankEngine`] the propagator builds
@@ -764,31 +764,21 @@ impl Propagator for PtCnPropagator {
         state: &mut TdState,
         dt: f64,
     ) -> Result<StepStats, PtError> {
-        let cfg = sys.distributed.unwrap_or_default();
-        cfg.validate()?;
-        // `KsSystem`'s fields are public: a hand-assembled system gets the
-        // builder's checks here
-        sys.exchange_mode.validate()?;
-        if sys.exchange_mode != ExchangeMode::Full && sys.hybrid.is_none() {
-            return Err(PtError::InvalidConfig(
-                "ACE exchange requires a hybrid functional (there is no \
-                 exchange operator to compress on a semi-local system)"
-                    .into(),
-            ));
-        }
         let (mut inline, mut on_engine);
-        let kernels: &mut dyn StepKernels = if cfg.ranks == 1 {
-            inline = InlineKernels;
-            &mut inline
-        } else {
-            on_engine = EngineKernels {
-                engine: acquire_engine(&mut self.engine, cfg)?,
-                cfg,
-            };
-            &mut on_engine
+        let kernels: &mut dyn StepKernels = match sys.layout() {
+            Some(layout) if layout.ranks > 1 => {
+                on_engine = EngineKernels {
+                    engine: acquire_engine(&mut self.engine, layout)?,
+                };
+                &mut on_engine
+            }
+            _ => {
+                inline = InlineKernels;
+                &mut inline
+            }
         };
         let sp = pt_trace::span("ptcn_step");
-        let mut stats = match sys.exchange_mode {
+        let mut stats = match sys.exchange_mode() {
             ExchangeMode::Full => ptcn_step_with(
                 &self.opts, sys, laser, state, dt, kernels, None, None, None, None,
             ),
@@ -1112,23 +1102,42 @@ mod tests {
     }
 
     #[test]
-    fn ace_on_semilocal_system_is_a_typed_error() {
-        // the builder refuses this; a hand-assembled system (public
-        // fields) is caught at step time, before any physics — no SCF needed
-        let mut sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-            .ecut(2.0)
-            .xc(XcKind::Lda)
-            .build()
-            .unwrap();
-        sys.exchange_mode = ExchangeMode::Ace {
-            refresh_interval: 1,
-        };
-        let mut prop = PtCnPropagator::default();
-        let mut st = TdState::new(CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 7));
-        assert!(matches!(
-            prop.step(&sys, None, &mut st, 0.1),
-            Err(PtError::InvalidConfig(_))
-        ));
+    fn ace_system_stripped_of_its_hybrid_is_a_typed_error_on_every_layout() {
+        // the builder refuses ACE on a semi-local system and the exchange
+        // mode cannot be written after build; `hybrid` can. The projector
+        // build is the first thing an ACE step does, so the step fails
+        // typed before any physics — inline and on a rank team alike
+        for layout in [None, Some(pt_par::RankLayout::new(2, 1))] {
+            let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+                .ecut(2.0)
+                .xc(XcKind::Pbe)
+                .hybrid(HybridConfig::hse06())
+                .occupations(vec![2.0; 4])
+                .exchange_mode(ExchangeMode::Ace {
+                    refresh_interval: 1,
+                });
+            if let Some(l) = layout {
+                b = b.layout(l);
+            }
+            let mut sys = b.build().unwrap();
+            sys.hybrid = None;
+            let mut prop = PtCnPropagator::default();
+            let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 7);
+            let mut st = TdState::new(psi.clone());
+            assert_eq!(
+                prop.step(&sys, None, &mut st, 0.1).err(),
+                Some(PtError::MissingExchangeOrbitals),
+                "{layout:?}"
+            );
+            // the state is untouched: no half-step, no NaN
+            assert_eq!(st.t, 0.0);
+            assert!(st
+                .psi
+                .data()
+                .iter()
+                .all(|z| z.re.is_finite() && z.im.is_finite()));
+            assert_eq!(st.psi.max_diff(&psi), 0.0);
+        }
     }
 
     #[test]

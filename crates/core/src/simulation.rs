@@ -36,7 +36,6 @@ use crate::propagator::{propagator_from_state, Propagator, PtCnPropagator, StepS
 use pt_ham::{integrate, KsSystem, PtError};
 use pt_linalg::CMat;
 use pt_mpi::Wire;
-use pt_par::{Parallelism, ThreadPool};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -414,7 +413,6 @@ pub struct SimulationBuilder<'a> {
     propagator: Option<Box<dyn Propagator>>,
     observers: Vec<Box<dyn Observer>>,
     initial: Option<CMat>,
-    parallelism: Parallelism,
     ckpt_every_dir: Option<(usize, PathBuf)>,
     ckpt_keep: usize,
     cancel: Option<CancelToken>,
@@ -433,7 +431,6 @@ impl<'a> SimulationBuilder<'a> {
             propagator: None,
             observers: Vec::new(),
             initial: None,
-            parallelism: Parallelism::inherit(),
             ckpt_every_dir: None,
             ckpt_keep: 2,
             cancel: None,
@@ -526,15 +523,6 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Threading for this run. `Parallelism::threads(n)` pins a dedicated
-    /// n-thread pool installed around the whole time loop; the default
-    /// inherits the system's pool (`KsSystemBuilder::parallelism`) or,
-    /// failing that, the surrounding pool (`PT_NUM_THREADS`).
-    pub fn parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
-        self
-    }
-
     /// Validate and assemble the [`Simulation`]. Misuse returns
     /// [`PtError`]; nothing on this path panics.
     pub fn build(self) -> Result<Simulation<'a>, PtError> {
@@ -551,6 +539,9 @@ impl<'a> SimulationBuilder<'a> {
                 "start time must be finite, got {}",
                 self.t0
             )));
+        }
+        if let Some(l) = &self.laser {
+            l.validate().map_err(PtError::InvalidConfig)?;
         }
         let n_steps = self
             .n_steps
@@ -601,7 +592,6 @@ impl<'a> SimulationBuilder<'a> {
             observers: self.observers,
             state: TdState { psi, t: self.t0 },
             partial: None,
-            pool: self.parallelism.build_pool(),
             checkpoint,
             ckpt_written: Vec::new(),
             resume_base: None,
@@ -634,7 +624,6 @@ pub struct Simulation<'a> {
     observers: Vec<Box<dyn Observer>>,
     state: TdState,
     partial: Option<TimeSeries>,
-    pool: Option<Arc<ThreadPool>>,
     checkpoint: Option<CheckpointPolicy>,
     /// Snapshots THIS simulation wrote, oldest first — the rolling window
     /// `CheckpointPolicy::keep` prunes over. Scoped to the run on purpose:
@@ -674,15 +663,11 @@ impl<'a> Simulation<'a> {
     /// the steps recorded so far stay retrievable via
     /// [`Simulation::take_partial_series`].
     ///
-    /// The whole loop runs under the configured thread pool — this run's
-    /// [`SimulationBuilder::parallelism`] override if set, else the
-    /// system's ([`KsSystem::install`]).
+    /// The whole loop runs under the system's pool ([`KsSystem::install`]:
+    /// its layout's cores, or the surrounding pool when it has none).
     pub fn run(&mut self) -> Result<TimeSeries, PtError> {
         let sys = self.sys;
-        match self.pool.clone() {
-            Some(p) => p.install(|| self.run_inner()),
-            None => sys.install(|| self.run_inner()),
-        }
+        sys.install(|| self.run_inner())
     }
 
     fn run_inner(&mut self) -> Result<TimeSeries, PtError> {
@@ -905,11 +890,11 @@ impl<'a> Simulation<'a> {
             ));
         }
         if let Some(pinned) = ck.pinned_exchange {
-            if pinned != sys.exchange_mode {
+            if pinned != sys.exchange_mode() {
                 return Err(PtError::InvalidConfig(format!(
                     "snapshot pins exchange mode {pinned:?} but the system it is resumed on \
                      is set to {:?}; build the system with that exchange_mode",
-                    sys.exchange_mode
+                    sys.exchange_mode()
                 )));
             }
         }
@@ -943,7 +928,6 @@ impl<'a> Simulation<'a> {
                 t: ck.t,
             },
             partial: None,
-            pool: None,
             checkpoint: None,
             ckpt_written: Vec::new(),
             resume_base: Some(ck.series),
@@ -1075,6 +1059,40 @@ mod tests {
                 .build(),
             Err(PtError::InvalidConfig(_))
         ));
+        // a degenerate or non-finite pulse: A(t) would be NaN or zero
+        let pulse = LaserPulse::paper_380nm(0.02, 0.0, 20.0);
+        for laser in [
+            LaserPulse {
+                sigma: 0.0,
+                ..pulse
+            },
+            LaserPulse {
+                sigma: -1.0,
+                ..pulse
+            },
+            LaserPulse {
+                a0: f64::NAN,
+                ..pulse
+            },
+            LaserPulse {
+                t0: f64::INFINITY,
+                ..pulse
+            },
+            LaserPulse {
+                polarization: [0.0, f64::NAN, 1.0],
+                ..pulse
+            },
+        ] {
+            assert!(matches!(
+                SimulationBuilder::new(&sys)
+                    .laser(laser)
+                    .dt(0.1)
+                    .steps(1)
+                    .initial_orbitals(CMat::zeros(ng, nb))
+                    .build(),
+                Err(PtError::InvalidConfig(_))
+            ));
+        }
         // wrong orbital shape
         assert!(matches!(
             SimulationBuilder::new(&sys)

@@ -23,8 +23,8 @@
 //! only show as the sign of an output that is exactly zero.
 
 use crate::plan::Direction;
-use crate::three_d::{with_scratch, Fft3};
-use pt_num::c64;
+use crate::three_d::{Fft3, SCRATCH};
+use pt_num::{c64, with_scratch};
 use std::ops::Range;
 
 /// Which lines of a grid a set of coefficients touches.
@@ -111,7 +111,7 @@ impl Fft3 {
         }
         let dir = Direction::Inverse;
         let len = self.slab_scratch_len().max(self.pz.scratch_len(nl));
-        with_scratch(len, |scratch| {
+        with_scratch(&SCRATCH, len, |scratch| {
             for run in &map.row_runs {
                 let rows = &mut out[run.start * nx..run.end * nx];
                 self.px.process_rows(rows, scratch, run.len(), dir);
@@ -142,7 +142,7 @@ impl Fft3 {
             .max(self.pz.scratch_len(ncols));
         // stage blocks and plan scratch from one call: the thread's buffer
         // is one non-re-entrant borrow
-        with_scratch(nz * ncols + ny * nkx + plan_scratch, |buf| {
+        with_scratch(&SCRATCH, nz * ncols + ny * nkx + plan_scratch, |buf| {
             let (kept, buf) = buf.split_at_mut(nz * ncols);
             let (slab_kx, scratch) = buf.split_at_mut(ny * nkx);
             let slabs = values.chunks_exact_mut(nx * ny);

@@ -28,22 +28,11 @@
 //! transform allocates nothing.
 
 use crate::plan::{Direction, Plan1d};
-use pt_num::c64;
+use pt_num::{c64, with_scratch};
 use std::cell::RefCell;
 
 thread_local! {
-    static SCRATCH: RefCell<Vec<c64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `f` on the first `len` elements of this thread's scratch buffer.
-pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [c64]) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, c64::ZERO);
-        }
-        f(&mut buf[..len])
-    })
+    pub(crate) static SCRATCH: RefCell<Vec<c64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A 3-D FFT of fixed dimensions.
@@ -167,7 +156,7 @@ impl Fft3 {
         // x rows and y columns never leave their z-slab: both passes run on
         // it while it is in cache, x as one batch of its `ny` rows
         pt_par::parallel_chunks_mut(data, nz.div_ceil(tasks) * nl, |_, slabs| {
-            with_scratch(self.slab_scratch_len(), |scratch| {
+            with_scratch(&SCRATCH, self.slab_scratch_len(), |scratch| {
                 for slab in slabs.chunks_exact_mut(nl) {
                     self.px.process_rows(slab, scratch, ny, dir);
                     self.py.process_strided(slab, scratch, nx, dir);
@@ -177,7 +166,7 @@ impl Fft3 {
         // z columns span every slab
         let tasks = tasks.min(nl);
         if tasks == 1 {
-            return with_scratch(self.pz.scratch_len(nl), |scratch| {
+            return with_scratch(&SCRATCH, self.pz.scratch_len(nl), |scratch| {
                 self.pz.process_strided(data, scratch, nl, dir);
             });
         }
@@ -196,7 +185,7 @@ impl Fft3 {
         pt_par::parallel_chunks_mut(&mut columns, 1, |_, task| {
             let segments = &mut task[0];
             let width = segments[0].len();
-            with_scratch(nz * width + self.pz.scratch_len(width), |buf| {
+            with_scratch(&SCRATCH, nz * width + self.pz.scratch_len(width), |buf| {
                 let (block, scratch) = buf.split_at_mut(nz * width);
                 for (row, segment) in block.chunks_exact_mut(width).zip(segments.iter()) {
                     row.copy_from_slice(segment);

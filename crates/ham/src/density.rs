@@ -6,8 +6,9 @@
 //! chunk, accumulated in chunk order).
 
 use crate::grids::PwGrids;
-use crate::scratch::with_scratch;
+use crate::scratch::SCRATCH;
 use pt_linalg::CMat;
+use pt_num::with_scratch;
 
 /// Compute the density on the dense grid. `orbitals` columns are sphere
 /// coefficient vectors; `occ[i]` their occupations (2.0 for closed shell).
@@ -21,7 +22,7 @@ pub fn density_from_orbitals(grids: &PwGrids, orbitals: &CMat, occ: &[f64]) -> V
     let k = pt_par::chunk_count(nb);
     let partials: Vec<Vec<f64>> = pt_par::parallel_map(k, |c| {
         let mut acc = vec![0.0f64; nd];
-        with_scratch(nd, |work| {
+        with_scratch(&SCRATCH, nd, |work| {
             for i in pt_par::chunk_range(nb, k, c) {
                 grids.to_real_dense(orbitals.col(i), work);
                 let f = occ[i];

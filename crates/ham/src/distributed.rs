@@ -14,8 +14,11 @@
 //! in-process ones, so the gathered result has the in-process bits.
 //!
 //! The total broadcast volume is `N_p × N_G × N_e × sizeof(wire scalar)`
-//! summed over receivers (§3.2) — asserted by the `val-comm` integration
-//! test against the byte counters of `pt-mpi`.
+//! summed over receivers (§3.2) — asserted against the byte counters of
+//! `pt-mpi`, at both wire precisions, by the
+//! `tests/distributed_and_model.rs::alg2_volume_law_and_f32_wire`
+//! integration test. The PT-CN rank path always ships `f64`; the f32 wire
+//! is exercised by that test and the unit tests below.
 //!
 //! Both distributed hot paths thread their rank-local compute over the
 //! calling thread's current pool — under
@@ -23,14 +26,12 @@
 //! `ranks × threads_per_rank` layout maps each rank's band loop onto its
 //! dedicated core slice (the paper's one-GPU-per-rank analogue).
 
-use crate::error::PtError;
 use crate::fock::PairLoop;
 use crate::grids::PwGrids;
 use pt_linalg::CMat;
-use pt_mpi::{Comm, Wire};
+use pt_mpi::Comm;
 use pt_num::c64;
 use pt_num::complex::zdotc;
-use pt_par::RankLayout;
 use std::ops::Range;
 
 /// Row width of one overlap-reduction chunk — the fixed grid the Alg. 3
@@ -116,68 +117,6 @@ impl BandDistribution {
             lm.col_mut(lj).copy_from_slice(m.col(b));
         }
         lm
-    }
-}
-
-/// How a distributed run decomposes the host: how many virtual-MPI ranks,
-/// how wide each rank's pinned compute pool is, and the wire precision of
-/// the collectives. Surfaced on `KsSystemBuilder::distributed` so a hybrid
-/// PT-CN run can be driven as ranks × threads from the public API.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DistributedConfig {
-    /// Number of virtual-MPI ranks (one OS thread each).
-    pub ranks: usize,
-    /// Width of each rank's pinned [`pt_par::ThreadPool`].
-    pub threads_per_rank: usize,
-    /// Wire precision for the Alg. 2 broadcasts (`Wire::F32` halves the
-    /// volume at ~1e-7 relative loss — observables then differ across
-    /// layouts at that level instead of being bit-identical).
-    pub wire: Wire,
-}
-
-impl Default for DistributedConfig {
-    /// One rank, one thread, full precision — the serial-equivalent
-    /// layout every other layout is measured against.
-    fn default() -> Self {
-        DistributedConfig {
-            ranks: 1,
-            threads_per_rank: 1,
-            wire: Wire::F64,
-        }
-    }
-}
-
-impl DistributedConfig {
-    /// A `ranks × threads_per_rank` config with full-precision wire.
-    pub fn new(ranks: usize, threads_per_rank: usize) -> Self {
-        DistributedConfig {
-            ranks,
-            threads_per_rank,
-            wire: Wire::F64,
-        }
-    }
-
-    /// Switch the collective wire format.
-    pub fn wire(mut self, wire: Wire) -> Self {
-        self.wire = wire;
-        self
-    }
-
-    /// The `pt_par` view of the decomposition.
-    pub fn layout(&self) -> RankLayout {
-        RankLayout {
-            ranks: self.ranks,
-            threads_per_rank: self.threads_per_rank,
-        }
-    }
-
-    /// Validate extents (both must be nonzero). Oversubscribing the host
-    /// is allowed — it cannot change results, only wall time; see
-    /// [`RankLayout::fits_host`].
-    pub fn validate(&self) -> Result<(), PtError> {
-        self.layout()
-            .validate()
-            .map_err(|msg| PtError::InvalidConfig(format!("distributed config: {msg}")))
     }
 }
 
@@ -313,10 +252,10 @@ pub fn pt_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, dt: f64) -> CMa
 /// rows, computed by the chunk's single owner; the global combine walks
 /// the chunks in ascending index order on every rank. Both the chunk grid
 /// and the combine order depend only on `ng` — never on the rank or
-/// thread count — so with a [`Wire::F64`] wire the residual bits are
+/// thread count — so with a [`Wire::F64`](pt_mpi::Wire::F64) wire the residual bits are
 /// **identical for every ranks × threads layout**, and identical to the
 /// comm-free [`pt_residual`] (which shares the partials, the fold and the
-/// assembly). A [`Wire::F32`] wire quantizes the alltoallv layout flips
+/// assembly). A [`Wire::F32`](pt_mpi::Wire::F32) wire quantizes the alltoallv layout flips
 /// and gives that up (the tree reduction itself always moves
 /// full-precision partials).
 pub fn distributed_residual(
@@ -402,6 +341,7 @@ mod tests {
     use crate::fock::{FockMode, FockOperator, ScreenedKernel};
     use pt_lattice::silicon_cubic_supercell;
     use pt_mpi::{run_ranks_pinned, Wire};
+    use pt_par::RankLayout;
 
     fn rand_block(ng: usize, nb: usize, seed: u64) -> CMat {
         CMat::rand_normalized(ng, nb, seed)
@@ -484,21 +424,6 @@ mod tests {
             }
             assert_eq!(covered, ng);
         }
-    }
-
-    #[test]
-    fn distributed_config_validates_and_carries_the_layout() {
-        let cfg = DistributedConfig::new(2, 3).wire(Wire::F32);
-        assert!(cfg.validate().is_ok());
-        assert_eq!(cfg.layout(), RankLayout::new(2, 3));
-        assert_eq!(cfg.wire, Wire::F32);
-        assert_eq!(DistributedConfig::default(), DistributedConfig::new(1, 1));
-        let bad = DistributedConfig {
-            ranks: 0,
-            threads_per_rank: 1,
-            wire: Wire::F64,
-        };
-        assert!(matches!(bad.validate(), Err(PtError::InvalidConfig(_))));
     }
 
     /// The layouts every inline-vs-rank bit test walks.

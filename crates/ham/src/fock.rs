@@ -50,9 +50,9 @@
 //! `ExchangeMode` on the system builder for the refresh policy.
 
 use crate::grids::PwGrids;
-use crate::scratch::with_scratch;
+use crate::scratch::SCRATCH;
 use pt_linalg::CMat;
-use pt_num::c64;
+use pt_num::{c64, with_scratch};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -182,7 +182,7 @@ fn gather_onto(grids: &PwGrids, accs: &[c64], out: &mut CMat) {
     let (nw, ng) = (grids.n_wfc(), grids.ng());
     assert_eq!(accs.len(), out.ncols() * nw);
     pt_par::parallel_chunks_mut(out.data_mut(), ng, |j, col| {
-        with_scratch(nw + ng, |work| {
+        with_scratch(&SCRATCH, nw + ng, |work| {
             let (values, coeffs) = work.split_at_mut(nw);
             values.copy_from_slice(&accs[j * nw..(j + 1) * nw]);
             grids.to_coeffs_wfc(values, coeffs);
@@ -253,7 +253,7 @@ impl<'a> PairLoop<'a> {
         let band_chunk = n_psi.div_ceil(pt_par::chunk_count(n_psi.max(1))).max(1);
         let (term, psi_index, psi_real) = (self.term, &self.psi_index, &self.psi_real);
         pt_par::parallel_chunks_mut(&mut self.accs, band_chunk * nw, |c, accs| {
-            with_scratch(nw, |pair| {
+            with_scratch(&SCRATCH, nw, |pair| {
                 for (dk, phi) in phis.chunks_exact(nw).enumerate() {
                     for (dj, acc) in accs.chunks_exact_mut(nw).enumerate() {
                         let j = c * band_chunk + dj;
@@ -462,7 +462,7 @@ impl FockOperator {
         let fold = OrderedFold::new(&mut accs, nw);
         fold.run(pairs.len(), |p| {
             let (a, b) = pairs[p];
-            with_scratch(nw, |u| {
+            with_scratch(&SCRATCH, nw, |u| {
                 term.solve(band(a), band(b), u);
                 fold.commit(b, a, |acc| term.fold_onto(band(a), u, false, acc));
                 if a != b {

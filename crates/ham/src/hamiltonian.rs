@@ -2,9 +2,9 @@
 
 use crate::fock::FockOperator;
 use crate::grids::PwGrids;
-use crate::scratch::with_scratch;
+use crate::scratch::SCRATCH;
 use pt_linalg::CMat;
-use pt_num::c64;
+use pt_num::{c64, with_scratch};
 use pt_pseudo::NonlocalPs;
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ impl Hamiltonian {
         for ((o, p), k) in out.iter_mut().zip(psi).zip(kin) {
             *o = p.scale(*k);
         }
-        with_scratch(g.n_dense() + g.ng(), |work| {
+        with_scratch(&SCRATCH, g.n_dense() + g.ng(), |work| {
             let (dense, vloc_psi) = work.split_at_mut(g.n_dense());
             g.to_real_dense(psi, dense);
             for (z, &v) in dense.iter_mut().zip(&self.vloc_r) {

@@ -32,8 +32,7 @@ mod system;
 pub use ace::AceOperator;
 pub use density::{density_from_orbitals, density_residual, integrate};
 pub use distributed::{
-    distributed_fock_apply, distributed_residual, pt_residual, BandDistribution, DistributedConfig,
-    OVERLAP_CHUNK_ROWS,
+    distributed_fock_apply, distributed_residual, pt_residual, BandDistribution, OVERLAP_CHUNK_ROWS,
 };
 pub use error::PtError;
 pub use fock::{FockMode, FockOperator, ScreenedKernel};

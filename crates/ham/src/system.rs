@@ -2,7 +2,6 @@
 //! assembly from a density.
 
 use crate::density::density_from_orbitals;
-use crate::distributed::DistributedConfig;
 use crate::error::PtError;
 use crate::fock::{FockMode, FockOperator, ScreenedKernel};
 use crate::grids::PwGrids;
@@ -11,7 +10,7 @@ use crate::hartree::coulomb_kernel;
 use pt_lattice::{ewald_energy, Structure};
 use pt_linalg::CMat;
 use pt_num::c64;
-use pt_par::{Parallelism, ThreadPool};
+use pt_par::{RankLayout, ThreadPool};
 use pt_pseudo::{LocalPotential, NonlocalPs};
 use pt_xc::{XcGridEvaluator, XcKind};
 use std::sync::Arc;
@@ -143,21 +142,11 @@ pub struct KsSystem {
     pub e_ewald: f64,
     /// Occupations (2.0 per doubly occupied band).
     pub occupations: Vec<f64>,
-    /// Dedicated thread pool (None = inherit the surrounding pool /
-    /// `PT_NUM_THREADS`). Set via [`KsSystemBuilder::parallelism`]; a
-    /// system with a layout and no explicit parallelism gets a
-    /// `layout.cores()`-wide one.
-    pub pool: Option<Arc<ThreadPool>>,
-    /// Ranks × threads decomposition (None = 1 × the pool above). Set via
-    /// [`KsSystemBuilder::distributed`]; `pt-core`'s PT-CN propagator
-    /// reads it at step time: one rank runs inline on the installed pool,
-    /// more spawn virtual-MPI ranks with pinned pools.
-    pub distributed: Option<DistributedConfig>,
-    /// How propagation evaluates the exchange contribution (only
-    /// meaningful for hybrid systems). Set via
-    /// [`KsSystemBuilder::exchange_mode`] — the one place a run says it;
-    /// the PT-CN propagator reads it at step time.
-    pub exchange_mode: ExchangeMode,
+    /// The `layout.cores()`-wide pool of a system with a layout (None =
+    /// inherit the surrounding pool / `PT_NUM_THREADS`).
+    pool: Option<Arc<ThreadPool>>,
+    layout: Option<RankLayout>,
+    exchange_mode: ExchangeMode,
 }
 
 /// Builder for [`KsSystem`] — the validated entry point of the setup path.
@@ -183,8 +172,7 @@ pub struct KsSystemBuilder {
     xc_kind: XcKind,
     hybrid: Option<HybridConfig>,
     occupations: Option<Vec<f64>>,
-    parallelism: Parallelism,
-    distributed: Option<DistributedConfig>,
+    layout: Option<RankLayout>,
     exchange_mode: ExchangeMode,
 }
 
@@ -198,8 +186,7 @@ impl KsSystemBuilder {
             xc_kind: XcKind::Pbe,
             hybrid: None,
             occupations: None,
-            parallelism: Parallelism::inherit(),
-            distributed: None,
+            layout: None,
             exchange_mode: ExchangeMode::Full,
         }
     }
@@ -222,29 +209,18 @@ impl KsSystemBuilder {
         self
     }
 
-    /// Threading for everything driven through this system
-    /// (`Parallelism::threads(n)` pins a dedicated n-thread pool; the
-    /// default inherits the surrounding pool, i.e. `PT_NUM_THREADS` — or,
-    /// with a [`KsSystemBuilder::distributed`] layout, pins one as wide as
-    /// the layout's cores).
-    /// `scf_loop` and `Simulation::run` install the pool around their
-    /// whole loops, so every FFT/GEMM/Fock kernel inherits it.
-    pub fn parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
-        self
-    }
-
-    /// Run PT-CN as `cfg.ranks` virtual-MPI rank threads, each with its
-    /// own pinned `cfg.threads_per_rank`-wide pool — the paper's
-    /// one-GPU-plus-CPU-slice per MPI rank, in process (one rank needs no
-    /// rank thread: the step runs inline). The layout's cores are also the
-    /// pool everything replicated computes on (SCF, density, mixing,
-    /// re-orthonormalization): without an explicit
-    /// [`KsSystemBuilder::parallelism`] the system gets a dedicated
-    /// `cfg.layout().cores()`-wide pool. Validated in
-    /// [`KsSystemBuilder::build`].
-    pub fn distributed(mut self, cfg: DistributedConfig) -> Self {
-        self.distributed = Some(cfg);
+    /// The run's execution layout — the paper's one MPI rank per GPU plus
+    /// a CPU-thread slice, in process. The system computes on a dedicated
+    /// `layout.cores()`-wide pool: `scf_loop` and `Simulation::run`
+    /// install it around their whole loops, so SCF and everything PT-CN
+    /// replicates (density, mixing, re-orthonormalization) run on it. One
+    /// rank runs PT-CN inline on that pool; more run every `HΨ` and
+    /// residual on a rank team of `layout.ranks` threads, each with its
+    /// own pinned `threads_per_rank`-wide pool. Unset, the system inherits
+    /// the surrounding pool (`PT_NUM_THREADS`) and runs inline. Zero
+    /// extents are rejected in [`KsSystemBuilder::build`].
+    pub fn layout(mut self, layout: RankLayout) -> Self {
+        self.layout = Some(layout);
         self
     }
 
@@ -303,15 +279,10 @@ impl KsSystemBuilder {
                     .into(),
             ));
         }
-        if let Some(d) = &self.distributed {
-            d.validate()?;
+        if let Some(l) = &self.layout {
+            l.validate()
+                .map_err(|msg| PtError::InvalidConfig(format!("layout: {msg}")))?;
         }
-        // a layout's cores are the pool the job computes on, not whatever
-        // pool happens to surround the caller
-        let parallelism = match (self.parallelism.num_threads, &self.distributed) {
-            (None, Some(d)) => Parallelism::threads(d.layout().cores()),
-            _ => self.parallelism,
-        };
         let occupations = match self.occupations {
             Some(occ) => {
                 if occ.is_empty() {
@@ -376,8 +347,10 @@ impl KsSystemBuilder {
             kernel,
             e_ewald,
             occupations,
-            pool: parallelism.build_pool(),
-            distributed: self.distributed,
+            // a layout's cores are the pool the job computes on, not
+            // whatever pool happens to surround the caller
+            pool: self.layout.map(|l| Arc::new(ThreadPool::new(l.cores()))),
+            layout: self.layout,
             exchange_mode: self.exchange_mode,
         })
     }
@@ -457,6 +430,20 @@ impl KsSystem {
             Some(p) => p.install(f),
             None => f(),
         }
+    }
+
+    /// The execution layout set through [`KsSystemBuilder::layout`]
+    /// (`None`: the surrounding pool; PT-CN runs inline). The PT-CN
+    /// propagator reads its rank count at step time.
+    pub fn layout(&self) -> Option<RankLayout> {
+        self.layout
+    }
+
+    /// How propagation evaluates the exchange contribution, set through
+    /// [`KsSystemBuilder::exchange_mode`] (only meaningful for hybrid
+    /// systems; the builder refuses `Ace` on a semi-local one).
+    pub fn exchange_mode(&self) -> ExchangeMode {
+        self.exchange_mode
     }
 
     /// Number of occupied bands.
@@ -730,7 +717,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        assert_eq!(sys.exchange_mode.refresh_interval(), Some(2));
+        assert_eq!(sys.exchange_mode().refresh_interval(), Some(2));
         assert_eq!(ExchangeMode::default(), ExchangeMode::Full);
     }
 
@@ -778,19 +765,26 @@ mod tests {
             ThreadPool::new(1).install(|| sys.install(pt_par::current_num_threads))
         };
         let si8 = || KsSystem::builder(silicon_cubic_supercell(1, 1, 1));
-        assert_eq!(width(si8().distributed(DistributedConfig::new(2, 2))), 4);
-        assert_eq!(width(si8().distributed(DistributedConfig::new(1, 3))), 3);
-        // an explicit parallelism still wins
-        assert_eq!(
-            width(
-                si8()
-                    .distributed(DistributedConfig::new(2, 2))
-                    .parallelism(Parallelism::threads(2))
-            ),
-            2
-        );
-        // no layout, no parallelism: inherit
+        assert_eq!(width(si8().layout(RankLayout::new(2, 2))), 4);
+        assert_eq!(width(si8().layout(RankLayout::new(1, 3))), 3);
+        // no layout: inherit
         assert_eq!(width(si8()), 1);
+        // a zero extent (a literal; `RankLayout::new` clamps) is refused
+        for bad in [
+            RankLayout {
+                ranks: 0,
+                threads_per_rank: 2,
+            },
+            RankLayout {
+                ranks: 2,
+                threads_per_rank: 0,
+            },
+        ] {
+            assert!(matches!(
+                si8().ecut(2.0).layout(bad).build(),
+                Err(PtError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

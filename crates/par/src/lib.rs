@@ -24,8 +24,9 @@
 //! * [`ThreadPool::install`] scopes a specific pool over a closure — the
 //!   determinism tests use this to compare thread counts inside one
 //!   process.
-//! * [`Parallelism`] is the plain-data config surfaced by
-//!   `KsSystemBuilder::parallelism` / `SimulationBuilder::parallelism`.
+//! * [`RankLayout`] is a run's one layout value, set through
+//!   `KsSystemBuilder::layout`: the system computes on a dedicated
+//!   `layout.cores()`-wide pool (unset: the surrounding pool).
 
 mod ops;
 mod pool;
@@ -37,8 +38,6 @@ pub use ops::{
 pub use pool::{
     current_num_threads, global, pools_built, with_current, worker_threads_spawned, ThreadPool,
 };
-
-use std::sync::Arc;
 
 /// A ranks × threads decomposition of the host's cores — the in-process
 /// analogue of the paper's "one MPI rank per GPU plus a CPU-thread slice"
@@ -86,7 +85,8 @@ impl RankLayout {
         self.cores() <= Self::host_cores()
     }
 
-    /// Validate the layout: both extents must be nonzero. Returns a
+    /// Validate the layout: both extents must be nonzero and their
+    /// product ([`RankLayout::cores`]) must fit a `usize`. Returns a
     /// human-readable complaint for builders to wrap in their error type.
     pub fn validate(&self) -> Result<(), String> {
         if self.ranks == 0 {
@@ -95,53 +95,19 @@ impl RankLayout {
         if self.threads_per_rank == 0 {
             return Err("rank layout needs at least 1 thread per rank".into());
         }
-        Ok(())
-    }
-}
-
-/// How much threading a component should use. Plain data so builders can
-/// carry it; turn it into a pool with [`Parallelism::build_pool`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Parallelism {
-    /// `Some(n)` pins a dedicated n-thread pool; `None` inherits the
-    /// calling thread's current pool (ultimately `PT_NUM_THREADS`).
-    pub num_threads: Option<usize>,
-}
-
-impl Parallelism {
-    /// Inherit the surrounding pool (the default).
-    pub fn inherit() -> Self {
-        Parallelism::default()
-    }
-
-    /// Pin a dedicated pool of `n` threads (clamped to at least 1).
-    pub fn threads(n: usize) -> Self {
-        Parallelism {
-            num_threads: Some(n.max(1)),
+        if self.ranks.checked_mul(self.threads_per_rank).is_none() {
+            return Err(format!(
+                "rank layout {} × {} overflows the core count",
+                self.ranks, self.threads_per_rank
+            ));
         }
-    }
-
-    /// Build the dedicated pool, if one was requested.
-    pub fn build_pool(&self) -> Option<Arc<ThreadPool>> {
-        self.num_threads.map(|n| Arc::new(ThreadPool::new(n)))
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallelism_config_builds_pools() {
-        assert!(Parallelism::inherit().build_pool().is_none());
-        let p = Parallelism::threads(3).build_pool().expect("pool");
-        assert_eq!(p.num_threads(), 3);
-        // zero is clamped, never a panic
-        assert_eq!(
-            Parallelism::threads(0).build_pool().unwrap().num_threads(),
-            1
-        );
-    }
 
     #[test]
     fn rank_layout_shapes_and_validation() {

@@ -77,7 +77,7 @@ fn initial_orbitals(sys: &KsSystem) -> CMat {
 ///
 /// The whole loop runs under the system's configured thread pool
 /// ([`KsSystem::install`]), so every Davidson/FFT/GEMM/Fock kernel inside
-/// inherits the `KsSystemBuilder::parallelism` choice.
+/// runs on the pool of the system's `KsSystemBuilder::layout`.
 pub fn scf_loop(sys: &KsSystem, opts: ScfOptions) -> Result<ScfResult, PtError> {
     let _sp = pt_trace::span("scf_loop");
     sys.install(|| scf_loop_inner(sys, opts))

@@ -10,7 +10,7 @@
 //! sufficient to finish the job bit-exactly.
 
 use pt_core::{LaserPulse, Simulation, SimulationBuilder};
-use pt_ham::{DistributedConfig, ExchangeMode, HybridConfig, KsSystem, PtError};
+use pt_ham::{ExchangeMode, HybridConfig, KsSystem, PtError};
 use pt_io::Json;
 use pt_lattice::silicon_cubic_supercell;
 use pt_num::units::attosecond_to_au;
@@ -317,6 +317,12 @@ impl JobSpec {
                 self.dt_as
             )));
         }
+        // JSON carries no non-finite number, so what this refuses from a
+        // parsed spec is a zero or negative sigma_as
+        if let Some(l) = self.laser_pulse() {
+            l.validate()
+                .map_err(|msg| PtError::InvalidConfig(format!("job spec: {msg}")))?;
+        }
         if self.steps == 0 {
             return Err(PtError::InvalidConfig(
                 "job spec: steps must be at least 1".into(),
@@ -352,11 +358,13 @@ impl JobSpec {
         })
     }
 
-    /// Build the Kohn–Sham system this spec describes. The layout goes
-    /// onto the system as its [`DistributedConfig`]: the system then
-    /// computes on a dedicated pool as wide as the cores the scheduler
-    /// charged (SCF and everything replicated), and PT-CN runs inline on
-    /// it for one rank or on a rank team with pinned pools for more.
+    /// Build the Kohn–Sham system this spec describes. The spec's
+    /// [`RankLayout`] goes onto the system as is
+    /// ([`KsSystemBuilder::layout`](pt_ham::KsSystemBuilder::layout)): the
+    /// system then computes on a dedicated pool as wide as the cores the
+    /// scheduler charged (SCF and everything replicated), and PT-CN runs
+    /// inline on it for one rank or on a rank team with pinned pools for
+    /// more.
     pub fn build_system(&self) -> Result<KsSystem, PtError> {
         let [a, b, c] = self.system.supercell;
         let mut builder = KsSystem::builder(silicon_cubic_supercell(a, b, c))
@@ -369,12 +377,7 @@ impl JobSpec {
         if let Some(nb) = self.system.bands {
             builder = builder.occupations(vec![2.0; nb]);
         }
-        builder
-            .distributed(DistributedConfig::new(
-                self.layout.ranks,
-                self.layout.threads_per_rank,
-            ))
-            .build()
+        builder.layout(self.layout).build()
     }
 
     /// Converge the ground state and assemble a fresh [`Simulation`] for
@@ -529,6 +532,9 @@ mod tests {
             r#"{"name": "x", "system": {"ecut": 2.0}, "dt_as": 25.0, "steps": 2, "ranks": 0}"#,
             r#"{"name": "", "system": {"ecut": 2.0}, "dt_as": 25.0, "steps": 2}"#,
             r#"{"name": "x", "system": {"ecut": 2.0}, "dt_as": 25.0, "steps": 2, "checkpoint_every": 0}"#,
+            // sigma 0: A(t0) = a0·exp(−0/0)·sin 0 is NaN, every sample with it
+            r#"{"name": "x", "system": {"ecut": 2.0}, "laser": {"a0": 0.02, "t0_as": 0, "sigma_as": 0}, "dt_as": 25.0, "steps": 2}"#,
+            r#"{"name": "x", "system": {"ecut": 2.0}, "laser": {"a0": 0.02, "t0_as": 200, "sigma_as": -100}, "dt_as": 25.0, "steps": 2}"#,
         ] {
             assert!(
                 matches!(JobSpec::from_json(bad), Err(PtError::InvalidConfig(_))),

@@ -31,22 +31,11 @@
 use crate::functional::{lda_exc_vxc, pbe_exc_vxc, XcKind};
 use pt_fft::Fft3;
 use pt_lattice::GridGVectors;
-use pt_num::c64;
+use pt_num::{c64, with_scratch};
 use std::cell::RefCell;
 
 thread_local! {
     static SCRATCH: RefCell<Vec<c64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `f` on the first `len` elements of this thread's scratch buffer.
-fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [c64]) -> R) -> R {
-    SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, c64::ZERO);
-        }
-        f(&mut buf[..len])
-    })
 }
 
 /// Visit every grid point in index order as `f(idx, mirror)`: `mirror` is
@@ -151,7 +140,7 @@ impl XcGridEvaluator {
         };
         let mut e = 0.0;
         match self.kind {
-            XcKind::Lda => with_scratch(n, |a| {
+            XcKind::Lda => with_scratch(&SCRATCH, n, |a| {
                 spectrum(a);
                 for_each_point(gv.dims, |idx, mirror| {
                     a[idx] = a[idx].scale(even_kernel(idx, mirror));
@@ -164,7 +153,7 @@ impl XcGridEvaluator {
                     sink(i, v, rider.re);
                 }
             }),
-            XcKind::Pbe => with_scratch(4 * n, |work| {
+            XcKind::Pbe => with_scratch(&SCRATCH, 4 * n, |work| {
                 let (a, rest) = work.split_at_mut(n);
                 let (b, rest) = rest.split_at_mut(n);
                 let (c, d) = rest.split_at_mut(n);

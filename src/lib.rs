@@ -17,12 +17,12 @@
 //!   real data movement and byte accounting. Everything executes on the
 //!   [`par`] fixed-worker thread pool (`PT_NUM_THREADS`, bit-deterministic
 //!   for any thread count) through its chunk-ordered `parallel_*`
-//!   primitives; a `ranks × threads_per_rank` layout
-//!   ([`ham::DistributedConfig`] on the builder) sizes the system's pool
-//!   to its cores and is read by the one PT-CN propagator
-//!   ([`core::PtCnPropagator`]) at step time: one rank runs inline on that
-//!   pool, more run on a persistent rank team with a pinned pool per rank
-//!   thread — bit-identical either way.
+//!   primitives; a `ranks × threads_per_rank` [`par::RankLayout`] — the
+//!   run's one layout value, set with [`ham::KsSystemBuilder::layout`] —
+//!   sizes the system's pool to its cores and is read by the one PT-CN
+//!   propagator ([`core::PtCnPropagator`]) at step time: one rank runs
+//!   inline on that pool, more run on a persistent rank team with a pinned
+//!   pool per rank thread — bit-identical either way.
 //! * **Layer B (Summit model)** — machine constants ([`summit`]) and the
 //!   anchored performance model ([`perf`]) that regenerate every table and
 //!   figure of the paper's evaluation.
@@ -103,9 +103,7 @@ pub mod prelude {
         PropagatorState, PtCnOptions, PtCnPropagator, PtError, Rk4Options, Rk4Propagator,
         RunCheckpoint, Simulation, SimulationBuilder, StepStats, StepUpdate, TdState, TimeSeries,
     };
-    pub use pt_ham::{
-        DistributedConfig, ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, SystemSignature,
-    };
+    pub use pt_ham::{ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, SystemSignature};
     pub use pt_io::{
         latest_valid_snapshot, scan_snapshots, Json, SnapshotFile, SnapshotScan, SnapshotWriter,
         Table,
@@ -113,7 +111,7 @@ pub mod prelude {
     pub use pt_lattice::silicon_cubic_supercell;
     pub use pt_mpi::Wire;
     pub use pt_num::units::{attosecond_to_au, au_to_attosecond};
-    pub use pt_par::{Parallelism, RankLayout, ThreadPool};
+    pub use pt_par::{RankLayout, ThreadPool};
     pub use pt_scf::{scf_loop, ScfOptions, ScfResult};
     pub use pt_serve::{Client, CorePackingScheduler, JobSpec, JobState, ServerConfig};
     pub use pt_xc::XcKind;

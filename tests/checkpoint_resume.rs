@@ -94,7 +94,7 @@ fn hybrid_system(layout: Option<(usize, usize)>, mode: ExchangeMode) -> KsSystem
         .occupations(vec![2.0; 4])
         .exchange_mode(mode);
     if let Some((ranks, threads)) = layout {
-        b = b.distributed(DistributedConfig::new(ranks, threads));
+        b = b.layout(RankLayout::new(ranks, threads));
     }
     b.build().unwrap()
 }
@@ -637,6 +637,39 @@ fn malformed_snapshots_never_panic() {
                 Err(PtError::SnapshotFormat { .. })
             ),
             "time = {time:?}"
+        );
+    }
+    // ...and so is a pulse the builder would refuse: σ = 0 makes A(t₀) a
+    // 0/0 NaN, a NaN amplitude poisons every H application. The same
+    // section with the builder's pulse resumes.
+    let section = |p: LaserPulse| {
+        let [px, py, pz] = p.polarization;
+        Section::F64s(vec![p.a0, p.omega, p.t0, p.sigma, px, py, pz])
+    };
+    let pulse = laser();
+    recraft(&ckpt, &crafted, |s| {
+        s.insert("laser".into(), section(pulse));
+    });
+    assert!(Simulation::resume(&sys, &crafted).is_ok());
+    for bad in [
+        LaserPulse {
+            sigma: 0.0,
+            ..pulse
+        },
+        LaserPulse {
+            a0: f64::NAN,
+            ..pulse
+        },
+    ] {
+        recraft(&ckpt, &crafted, |s| {
+            s.insert("laser".into(), section(bad));
+        });
+        assert!(
+            matches!(
+                Simulation::resume(&sys, &crafted),
+                Err(PtError::SnapshotFormat { .. })
+            ),
+            "laser = {bad:?}"
         );
     }
     std::fs::remove_file(&crafted).unwrap();

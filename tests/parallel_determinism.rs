@@ -6,7 +6,8 @@
 //! so parallel execution is a fixed re-association of the sequential one —
 //! these tests assert exact (`to_bits`) equality, not tolerances. They
 //! exercise the config plumbing too: thread counts are pinned through
-//! `KsSystemBuilder::parallelism` and `SimulationBuilder::parallelism`.
+//! `KsSystemBuilder::layout` (a `1 × threads` layout runs inline on a
+//! dedicated `threads`-wide pool).
 
 use pwdft_rt::ham::{
     distributed_fock_apply, distributed_residual, AceOperator, BandDistribution, FockMode,
@@ -24,7 +25,7 @@ fn hybrid_pipeline(threads: usize) -> (ScfResult, TimeSeries) {
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
         .occupations(vec![2.0; 4])
-        .parallelism(Parallelism::threads(threads))
+        .layout(RankLayout::new(1, threads))
         .build()
         .expect("valid system");
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
@@ -117,7 +118,7 @@ fn semilocal_scf_is_bit_identical_at_1_and_4_threads() {
         let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
             .ecut(3.0)
             .xc(XcKind::Lda)
-            .parallelism(Parallelism::threads(threads))
+            .layout(RankLayout::new(1, threads))
             .build()
             .unwrap();
         scf_loop(&sys, ScfOptions::default()).expect("SCF converges")
@@ -397,7 +398,7 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
 /// The acceptance path: a hybrid PT-CN run driven as ranks × threads
 /// through the public builder API produces bit-identical observables on
 /// every layout (2 × 2 on the rank engine vs 1 × 1 inline here — the
-/// propagator reads the layout from `KsSystemBuilder::distributed`).
+/// propagator reads the layout set by `KsSystemBuilder::layout`).
 #[test]
 fn hybrid_distributed_run_via_builders_is_layout_invariant() {
     let run_layout = |ranks: usize, threads: usize| -> TimeSeries {
@@ -406,7 +407,7 @@ fn hybrid_distributed_run_via_builders_is_layout_invariant() {
             .xc(XcKind::Pbe)
             .hybrid(HybridConfig::hse06())
             .occupations(vec![2.0; 4])
-            .distributed(DistributedConfig::new(ranks, threads))
+            .layout(RankLayout::new(ranks, threads))
             .build()
             .expect("valid distributed system");
         let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
@@ -456,7 +457,7 @@ fn hybrid_ace_run_via_builders_is_layout_invariant() {
             .exchange_mode(ExchangeMode::Ace {
                 refresh_interval: 2,
             })
-            .distributed(DistributedConfig::new(ranks, threads))
+            .layout(RankLayout::new(ranks, threads))
             .build()
             .expect("valid distributed ACE system");
         let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
@@ -493,8 +494,8 @@ fn hybrid_ace_run_via_builders_is_layout_invariant() {
 
 #[test]
 fn install_scoping_matches_builder_plumbing() {
-    // pinning threads via ThreadPool::install around a default-parallelism
-    // system must give the same bits as the builder route
+    // pinning threads via ThreadPool::install around a layout-free system
+    // must give the same bits as the builder route
     let via_install = |threads: usize| {
         let pool = ThreadPool::new(threads);
         pool.install(|| {
@@ -513,7 +514,7 @@ fn install_scoping_matches_builder_plumbing() {
         let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
             .ecut(2.0)
             .xc(XcKind::Lda)
-            .parallelism(Parallelism::threads(4))
+            .layout(RankLayout::new(1, 4))
             .build()
             .unwrap();
         scf_loop(&sys, ScfOptions::default())

@@ -22,7 +22,7 @@ fn a_multi_step_distributed_run_spawns_one_rank_team() {
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
         .occupations(vec![2.0; 4])
-        .distributed(DistributedConfig::new(ranks, threads))
+        .layout(RankLayout::new(ranks, threads))
         .build()
         .expect("valid distributed system");
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");

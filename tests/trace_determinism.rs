@@ -31,7 +31,7 @@ fn hybrid_layout_run(ranks: usize, threads: usize) -> TimeSeries {
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
         .occupations(vec![2.0; 4])
-        .distributed(DistributedConfig::new(ranks, threads))
+        .layout(RankLayout::new(ranks, threads))
         .build()
         .expect("valid distributed system");
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
@@ -128,7 +128,7 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
         .exchange_mode(ExchangeMode::Ace {
             refresh_interval: 3,
         })
-        .parallelism(Parallelism::threads(1))
+        .layout(RankLayout::new(1, 1))
         .build()
         .expect("valid ACE system");
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
