@@ -21,10 +21,10 @@
 //! is exercised by that test and the unit tests below.
 //!
 //! Both distributed hot paths thread their rank-local compute over the
-//! calling thread's current pool — under
-//! [`pt_mpi::run_ranks_pinned`] that is the rank's own pinned pool, so a
-//! `ranks × threads_per_rank` layout maps each rank's band loop onto its
-//! dedicated core slice (the paper's one-GPU-per-rank analogue).
+//! calling thread's current pool — on a [`pt_mpi::RankEngine`] that is
+//! the rank's own pinned pool, so a `ranks × threads_per_rank` layout maps
+//! each rank's band loop onto its dedicated core slice (the paper's
+//! one-GPU-per-rank analogue).
 
 use crate::fock::PairLoop;
 use crate::grids::PwGrids;
@@ -130,7 +130,7 @@ impl BandDistribution {
 /// `PairLoop` of the in-process
 /// [`FockOperator::apply_block`](crate::FockOperator::apply_block),
 /// fed one broadcast band at a time on the calling thread's current pool
-/// (the rank's pinned pool under [`pt_mpi::run_ranks_pinned`]): every ψ
+/// (the rank's pinned pool on a [`pt_mpi::RankEngine`]): every ψ
 /// band's accumulator folds `i = 0..n_bands` in broadcast order, and every
 /// pair term is oriented by the global indices of its two bands (local
 /// column `lj` is band `dist.local_bands(rank)[lj]`, the broadcast band is
@@ -340,7 +340,7 @@ mod tests {
     use super::*;
     use crate::fock::{FockMode, FockOperator, ScreenedKernel};
     use pt_lattice::silicon_cubic_supercell;
-    use pt_mpi::{run_ranks_pinned, Wire};
+    use pt_mpi::{RankEngine, Wire};
     use pt_par::RankLayout;
 
     fn rand_block(ng: usize, nb: usize, seed: u64) -> CMat {
@@ -452,7 +452,9 @@ mod tests {
             n_bands: nb,
             n_ranks: layout.ranks,
         };
-        let (outs, stats) = run_ranks_pinned(layout, wire, |comm| f(comm, dist));
+        let (outs, stats) = RankEngine::new(layout, wire)
+            .run(|comm| f(comm, dist))
+            .expect("fresh engine");
         let mut full = CMat::zeros(ng, nb);
         for (rank, out) in outs.iter().enumerate() {
             for (lj, &b) in dist.local_bands(rank).iter().enumerate() {

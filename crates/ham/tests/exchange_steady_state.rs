@@ -19,7 +19,7 @@ use pt_ham::{
 };
 use pt_lattice::silicon_cubic_supercell;
 use pt_linalg::CMat;
-use pt_mpi::{run_ranks_pinned, Wire};
+use pt_mpi::{RankEngine, Wire};
 use pt_par::RankLayout;
 use pt_trace::Counter;
 
@@ -102,10 +102,12 @@ fn warm_exchange_applications_run_a_fixed_count_of_solves_and_allocations() {
             n_ranks: ranks,
         };
         let (_, solves, _) = cost_of(|| {
-            run_ranks_pinned(RankLayout::new(ranks, 1), Wire::F64, |comm| {
-                let local = dist.take_local(comm.rank(), &phi);
-                distributed_fock_apply(comm, &g, dist, &local, &local, 0.25, &kernel)
-            });
+            RankEngine::new(RankLayout::new(ranks, 1), Wire::F64)
+                .run(|comm| {
+                    let local = dist.take_local(comm.rank(), &phi);
+                    distributed_fock_apply(comm, &g, dist, &local, &local, 0.25, &kernel)
+                })
+                .expect("fresh engine");
         });
         assert_eq!(solves, (n * n) as u64, "{ranks} ranks");
     }

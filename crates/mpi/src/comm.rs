@@ -1,25 +1,25 @@
-//! Rank threads, point-to-point messaging and collectives.
+//! Point-to-point messaging and collectives of one rank's world (the rank
+//! threads themselves belong to [`crate::RankEngine`]).
 
 use crate::stats::CommStats;
 use pt_num::{c32, c64};
-use pt_par::{RankLayout, ThreadPool};
-use std::any::Any;
 // pt-analyze: allow(nondeterministic-iteration) — HashMap is keyed-lookup-only here (the Comm stash below); it is never iterated
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
+use std::panic::panic_any;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// Panic payload of a rank that aborted because a *peer* died (the poison
-/// cascade below). Kept distinguishable from real failures so the job
-/// re-raises the original defect, not a secondary "peer died" panic.
+/// cascade below, or a send to a peer that already left the world). Kept
+/// distinguishable from real failures so the job re-raises the original
+/// defect, not a secondary "peer died" panic.
 pub(crate) struct PeerDied(pub(crate) String);
 
-/// Process-wide count of rank threads ever spawned, by the `run_ranks`
-/// family and by [`crate::RankEngine`] alike. Spawn-once acceptance tests
-/// read this through [`rank_threads_spawned`] to prove a multi-step run
-/// created its rank team exactly once.
+/// Process-wide count of rank threads ever spawned by
+/// [`crate::RankEngine::new`]. Spawn-once acceptance tests read this
+/// through [`rank_threads_spawned`] to prove a multi-step run created its
+/// rank team exactly once.
 static RANK_THREADS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 /// Total rank threads spawned by this process so far (monotone counter;
@@ -69,125 +69,9 @@ pub struct Comm {
     wire: Wire,
 }
 
-/// Spawn `np` rank threads running `f(comm)` and return their results in
-/// rank order. Panics in any rank propagate with their original payload
-/// (failure injection semantics: a dead rank aborts the whole virtual job,
-/// like a real MPI fault, and the panic message survives for tests to
-/// assert on); peers blocked in a receive are poisoned awake, so the job
-/// aborts instead of deadlocking. Each rank inherits the caller's compute
-/// pool; use [`run_ranks_pinned`] to give every rank its own dedicated
-/// pool.
-pub fn run_ranks<T, F>(np: usize, wire: Wire, f: F) -> (Vec<T>, crate::StatsSnapshot)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    run_ranks_impl(np, wire, None, f)
-}
-
-/// [`run_ranks`] with rank-pinned compute pools: spawn `layout.ranks` rank
-/// threads and install a dedicated `layout.threads_per_rank`-wide
-/// [`ThreadPool`] on each for the whole lifetime of its closure — the
-/// in-process analogue of the paper's one-GPU-plus-CPU-slice per MPI rank.
-/// Every `pt_par` primitive (and hence every parallel hot path in the
-/// distributed Alg. 2/3 routines) reached from `f` on that rank runs on
-/// its own pool, so ranks never contend for the global pool's workers.
-pub fn run_ranks_pinned<T, F>(
-    layout: RankLayout,
-    wire: Wire,
-    f: F,
-) -> (Vec<T>, crate::StatsSnapshot)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    run_ranks_impl(layout.ranks, wire, Some(layout.threads_per_rank), f)
-}
-
-fn run_ranks_impl<T, F>(
-    np: usize,
-    wire: Wire,
-    threads_per_rank: Option<usize>,
-    f: F,
-) -> (Vec<T>, crate::StatsSnapshot)
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    assert!(np > 0);
-    let stats = Arc::new(CommStats::default());
-    let mut txs = Vec::with_capacity(np);
-    let mut rxs = Vec::with_capacity(np);
-    for _ in 0..np {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let mut results: Vec<Option<T>> = (0..np).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(np);
-        for (rank, (rx, slot)) in rxs.drain(..).zip(results.iter_mut()).enumerate() {
-            let txs = txs.clone();
-            let stats = Arc::clone(&stats);
-            let fref = &f;
-            note_rank_thread_spawned();
-            handles.push(scope.spawn(move || {
-                let mut comm = Comm::from_parts(rank, np, txs, rx, stats, wire);
-                let r = catch_unwind(AssertUnwindSafe(|| match threads_per_rank {
-                    // the pool lives exactly as long as the rank closure:
-                    // built before, installed around, dropped after
-                    Some(n) => ThreadPool::new(n).install(|| fref(&mut comm)),
-                    None => fref(&mut comm),
-                }));
-                match r {
-                    Ok(v) => *slot = Some(v),
-                    Err(payload) => {
-                        // a dead rank can never answer its peers: poison
-                        // them so blocked receives abort the job (a real
-                        // MPI fault) instead of deadlocking it
-                        comm.poison_peers();
-                        resume_unwind(payload);
-                    }
-                }
-            }));
-        }
-        // Join every rank before re-raising so no handle leaks, then
-        // propagate the first (rank-order) *original* panic — `expect`
-        // would replace the injected message with a generic one (and a
-        // secondary PeerDied cascade would mask the root cause), so
-        // failure-injection tests couldn't assert on it.
-        let mut first_original: Option<Box<dyn Any + Send>> = None;
-        let mut first_cascade: Option<Box<dyn Any + Send>> = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                if payload.downcast_ref::<PeerDied>().is_none() {
-                    first_original.get_or_insert(payload);
-                } else {
-                    first_cascade.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_original.or(first_cascade) {
-            match payload.downcast::<PeerDied>() {
-                // unwrap the cascade marker so the message stays visible
-                Ok(peer_died) => resume_unwind(Box::new(peer_died.0)),
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-    });
-    let out = results
-        .into_iter()
-        .map(|r| r.expect("rank produced no result"))
-        .collect();
-    let snap = stats.snapshot();
-    (out, snap)
-}
-
 impl Comm {
-    /// Assemble a communicator handle from pre-wired world channels. The
-    /// `run_ranks` family and the persistent [`crate::RankEngine`] build
-    /// their worlds through this single constructor so both share the
-    /// exact same messaging semantics (stash, poison, stats).
+    /// Assemble a communicator handle from the world channels
+    /// [`crate::RankEngine::new`] wired.
     pub(crate) fn from_parts(
         rank: usize,
         size: usize,
@@ -231,13 +115,19 @@ impl Comm {
     }
 
     fn send_payload(&self, dst: usize, tag: u64, payload: Payload) {
-        self.senders[dst]
-            .send(Envelope {
-                src: self.rank,
-                tag,
-                payload,
-            })
-            .expect("receiver hung up");
+        let envelope = Envelope {
+            src: self.rank,
+            tag,
+            payload,
+        };
+        if self.senders[dst].send(envelope).is_err() {
+            // only a rank that died drops its receiver mid-job: this is a
+            // cascade of that death, never the root cause
+            panic_any(PeerDied(format!(
+                "virtual MPI: rank {dst} died before rank {} could send it tag {tag:#x}",
+                self.rank
+            )));
+        }
     }
 
     fn recv_payload(&mut self, src: usize, tag: u64) -> Payload {
@@ -589,17 +479,6 @@ impl Comm {
     }
 }
 
-/// Rank count requested via `PT_NUM_RANKS` (default 1). The CI matrix
-/// uses this the way `PT_NUM_THREADS` sizes the global compute pool — one
-/// knob per axis of the ranks × threads composition.
-pub fn env_ranks() -> usize {
-    std::env::var("PT_NUM_RANKS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 const TAG_BCAST: u64 = 1 << 32;
 const TAG_REDUCE: u64 = 2 << 32;
 const TAG_REDUCE_BC: u64 = 3 << 32;
@@ -613,12 +492,25 @@ const TAG_POISON: u64 = u64::MAX;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RankEngine, StatsSnapshot};
+    use pt_par::RankLayout;
+
+    /// Run `f` once on a fresh `np × 1` engine.
+    fn on_ranks<T: Send + 'static>(
+        np: usize,
+        wire: Wire,
+        f: impl Fn(&mut Comm) -> T + Sync,
+    ) -> (Vec<T>, StatsSnapshot) {
+        RankEngine::new(RankLayout::new(np, 1), wire)
+            .run(f)
+            .expect("fresh engine")
+    }
 
     #[test]
     fn bcast_delivers_to_all_ranks() {
         for np in [1usize, 2, 3, 4, 5, 8] {
             for root in [0, np - 1] {
-                let (out, stats) = run_ranks(np, Wire::F64, |comm| {
+                let (out, stats) = on_ranks(np, Wire::F64, |comm| {
                     let mut data = if comm.rank() == root {
                         vec![c64::new(1.5, -2.5); 100]
                     } else {
@@ -639,7 +531,7 @@ mod tests {
 
     #[test]
     fn bcast_f32_wire_halves_volume_and_loses_little() {
-        let (out, stats) = run_ranks(4, Wire::F32, |comm| {
+        let (out, stats) = on_ranks(4, Wire::F32, |comm| {
             let mut data = if comm.rank() == 0 {
                 vec![c64::new(0.123456789, 9.87654321); 50]
             } else {
@@ -657,7 +549,7 @@ mod tests {
     #[test]
     fn allreduce_sums_across_ranks() {
         for np in [1usize, 2, 3, 5, 7] {
-            let (out, _) = run_ranks(np, Wire::F64, |comm| {
+            let (out, _) = on_ranks(np, Wire::F64, |comm| {
                 let mut data = vec![comm.rank() as f64 + 1.0, 10.0];
                 comm.allreduce_sum_f64(&mut data);
                 data
@@ -673,7 +565,7 @@ mod tests {
     #[test]
     fn alltoallv_transposes_blocks() {
         let np = 5;
-        let (out, _) = run_ranks(np, Wire::F64, |comm| {
+        let (out, _) = on_ranks(np, Wire::F64, |comm| {
             let r = comm.rank();
             let send: Vec<Vec<c64>> = (0..np)
                 .map(|j| vec![c64::new(r as f64, j as f64); j + 1])
@@ -690,7 +582,7 @@ mod tests {
 
     #[test]
     fn allgatherv_c64_collects_everything_and_respects_the_wire() {
-        let (out, stats) = run_ranks(3, Wire::F64, |comm| {
+        let (out, stats) = on_ranks(3, Wire::F64, |comm| {
             let mine = vec![c64::new(comm.rank() as f64, -1.0); comm.rank() + 2];
             comm.allgatherv_c64(&mine)
         });
@@ -703,7 +595,7 @@ mod tests {
         // each rank sends its block to p−1 peers at 16 bytes per c64
         assert_eq!(stats.allgatherv_bytes, 2 * (2 + 3 + 4) * 16);
         // f32 wire halves the volume
-        let (_, stats32) = run_ranks(3, Wire::F32, |comm| {
+        let (_, stats32) = on_ranks(3, Wire::F32, |comm| {
             let mine = vec![c64::new(comm.rank() as f64, -1.0); comm.rank() + 2];
             comm.allgatherv_c64(&mine)
         });
@@ -736,7 +628,7 @@ mod tests {
                     }
                 }
                 let (base, rem) = (nc / np, nc % np);
-                let (out, stats) = run_ranks(np, Wire::F64, |comm| {
+                let (out, stats) = on_ranks(np, Wire::F64, |comm| {
                     let r = comm.rank();
                     let start = r * base + r.min(rem);
                     let count = base + usize::from(r < rem);
@@ -766,7 +658,7 @@ mod tests {
     fn barrier_and_out_of_order_tags() {
         // ranks exchange p2p messages in a crossing pattern while using
         // collectives, exercising the stash
-        let (out, _) = run_ranks(3, Wire::F64, |comm| {
+        let (out, _) = on_ranks(3, Wire::F64, |comm| {
             let r = comm.rank();
             let next = (r + 1) % 3;
             let prev = (r + 2) % 3;
@@ -779,65 +671,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "injected rank failure")]
-    fn rank_failure_aborts_job_with_original_payload() {
-        // the panic that aborts the job must carry the injected message
-        // (not a generic "rank thread panicked") so failure-injection
-        // tests can assert on what actually went wrong
-        let _ = run_ranks(3, Wire::F64, |comm| {
-            if comm.rank() == 1 {
-                panic!("injected rank failure");
-            }
-            // others would block forever waiting on the dead rank if the
-            // scope didn't propagate; they return immediately here.
-            comm.rank()
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "rank 1 hardware fault")]
-    fn rank_panic_unblocks_peers_waiting_on_it() {
-        // ranks 0 and 2 block on a message only rank 1 could send; rank
-        // 1's death must poison them awake and the job must re-raise the
-        // *original* defect, not the secondary peer-died cascade
-        let _ = run_ranks(3, Wire::F64, |comm| {
-            if comm.rank() == 1 {
-                panic!("rank 1 hardware fault");
-            }
-            let v = comm.recv_c64(1, 99);
-            v.len()
-        });
-    }
-
-    #[test]
-    fn first_rank_panic_payload_wins_in_rank_order() {
-        // two ranks die with different messages; the re-raised payload is
-        // rank 0's (deterministic pick, independent of finish order)
-        let r = std::panic::catch_unwind(|| {
-            run_ranks(4, Wire::F64, |comm| {
-                match comm.rank() {
-                    0 => panic!("failure on rank 0"),
-                    2 => panic!("failure on rank 2"),
-                    _ => {}
-                }
-                comm.rank()
-            })
-        });
-        let payload = r.expect_err("job must abort");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .expect("panic payload is a string");
-        assert_eq!(msg, "failure on rank 0");
-    }
-
-    #[test]
     fn stash_preserves_fifo_order_per_tag() {
         // rank 0 sends a burst of same-tag messages to rank 1 while rank 1
         // first drains a *different* tag, forcing the whole burst through
         // the out-of-order stash; FIFO order must survive
-        let (out, _) = run_ranks(2, Wire::F64, |comm| {
+        let (out, _) = on_ranks(2, Wire::F64, |comm| {
             if comm.rank() == 0 {
                 for i in 0..32 {
                     comm.send_c64(1, 7, &[c64::real(i as f64)]);
@@ -852,25 +690,5 @@ mod tests {
             }
         });
         assert_eq!(out[1], (0..32).map(|i| i as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pinned_ranks_get_their_own_pools() {
-        use pt_par::current_num_threads;
-        let layout = RankLayout::new(3, 2);
-        let (widths, _) = run_ranks_pinned(layout, Wire::F64, |comm| {
-            // the rank closure sees its dedicated pool, not the global one
-            let w = current_num_threads();
-            comm.barrier();
-            w
-        });
-        assert_eq!(widths, vec![2, 2, 2]);
-        // and the collectives still work under pinned pools
-        let (sums, _) = run_ranks_pinned(RankLayout::new(2, 3), Wire::F64, |comm| {
-            let mut v = vec![comm.rank() as f64 + 1.0];
-            comm.allreduce_sum_f64(&mut v);
-            v[0]
-        });
-        assert_eq!(sums, vec![3.0, 3.0]);
     }
 }

@@ -1,20 +1,20 @@
 //! The persistent rank engine: spawn-once rank teams parked on channels.
 //!
 //! The paper's execution model keeps one MPI rank per GPU alive for the
-//! whole propagation. [`super::run_ranks_pinned`] re-creates its rank
-//! threads and their pinned compute pools on *every* call — fine for a
-//! one-shot collective, wasteful inside the PT-CN fixed point where HΨ is
-//! applied dozens of times per step. [`RankEngine`] is the rank analogue
-//! of the install-around-the-loop pool pattern: rank threads and their
-//! pinned [`ThreadPool`]s are created exactly once, park on a job channel
-//! between work items, and answer through a single mpsc fan-in, so the
-//! per-job cost is a channel round-trip instead of thread creation.
+//! whole propagation, and the PT-CN fixed point applies HΨ dozens of times
+//! per step. [`RankEngine`] is the rank analogue of the
+//! install-around-the-loop pool pattern and the only way a rank team
+//! runs: rank threads and their pinned [`ThreadPool`]s are created exactly
+//! once, park on a job channel between work items, and answer through a
+//! single mpsc fan-in, so the per-job cost is a channel round-trip instead
+//! of thread creation.
 //!
-//! Fault semantics match `run_ranks`: a rank panic mid-job poisons peers
-//! blocked in a receive (no deadlock), the job aborts by re-raising the
-//! first *original* panic payload in rank order, and the engine is dead
-//! afterwards — further [`RankEngine::run`] calls return the typed
-//! [`EnginePoisoned`] error instead of hanging on a half-dead world.
+//! Fault semantics: a rank panic mid-job poisons peers blocked in a
+//! receive (no deadlock) and a peer that sends to the dead rank unwinds as
+//! a cascade too; the job aborts by re-raising the first *original* panic
+//! payload in rank order, and the engine is dead afterwards — further
+//! [`RankEngine::run`] calls return the typed [`EnginePoisoned`] error
+//! instead of hanging on a half-dead world.
 
 use crate::comm::{note_rank_thread_spawned, Comm, Envelope, PeerDied, Wire};
 use crate::stats::{CommStats, StatsSnapshot};
@@ -87,10 +87,9 @@ impl std::fmt::Debug for RankEngine {
 }
 
 impl RankEngine {
-    /// Spawn the rank team. Each rank thread builds its pinned pool
-    /// immediately and parks on its job channel; the world channels are
-    /// wired exactly like `run_ranks`, so every collective behaves
-    /// identically on the engine.
+    /// Spawn the rank team over an all-to-all channel mesh. Each rank
+    /// thread builds its pinned pool immediately and parks on its job
+    /// channel.
     pub fn new(layout: RankLayout, wire: Wire) -> Self {
         let np = layout.ranks;
         assert!(np > 0, "engine needs at least one rank");
@@ -177,9 +176,8 @@ impl RankEngine {
     /// Blocks until every rank has reported. If any rank panics, the
     /// survivors are poisoned awake / shut down, the engine is marked
     /// dead, and the first original panic payload (rank order) is
-    /// re-raised — the same abort contract as `run_ranks`, so failure
-    /// injection observes identical messages on both paths. A dead
-    /// engine returns [`EnginePoisoned`] instead.
+    /// re-raised, so failure injection can assert on the injected
+    /// message. A dead engine returns [`EnginePoisoned`] instead.
     pub fn run<T, F>(&mut self, f: F) -> Result<(Vec<T>, StatsSnapshot), EnginePoisoned>
     where
         T: Send + 'static,
@@ -217,9 +215,9 @@ impl RankEngine {
             }
         }
         if errs.iter().any(Option::is_some) {
-            // Same re-raise policy as run_ranks: the first (rank-order)
-            // *original* payload wins over PeerDied cascades, and a pure
-            // cascade is unwrapped so its message stays assertable.
+            // The first (rank-order) *original* payload wins over PeerDied
+            // cascades, and a pure cascade is unwrapped so its message
+            // stays assertable.
             let mut first_original: Option<BoxedAny> = None;
             let mut first_cascade: Option<BoxedAny> = None;
             for payload in errs.into_iter().flatten() {
@@ -319,11 +317,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_ranks_pinned;
     use pt_num::c64;
 
     #[test]
-    fn engine_runs_collectives_and_matches_run_ranks_bits() {
+    fn engine_runs_collectives_and_matches_fresh_team_bits() {
         let layout = RankLayout::new(3, 2);
         let job = |comm: &mut Comm| {
             let mut data = if comm.rank() == 0 {
@@ -338,20 +335,23 @@ mod tests {
             comm.allreduce_sum_f64(&mut sum);
             (data, sum[0])
         };
-        let (want, _) = run_ranks_pinned(layout, Wire::F64, job);
         let mut engine = RankEngine::new(layout, Wire::F64);
-        let (got, delta) = engine.run(job).unwrap();
-        assert_eq!(got.len(), want.len());
-        for ((gd, gs), (wd, ws)) in got.iter().zip(&want) {
-            assert_eq!(gs.to_bits(), ws.to_bits());
-            assert_eq!(gd.len(), wd.len());
-            for (a, b) in gd.iter().zip(wd) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
+        for _ in 0..3 {
+            // the reference spawns a fresh team for every call
+            let (want, _) = RankEngine::new(layout, Wire::F64).run(job).unwrap();
+            let (got, delta) = engine.run(job).unwrap();
+            assert_eq!(got.len(), want.len());
+            for ((gd, gs), (wd, ws)) in got.iter().zip(&want) {
+                assert_eq!(gs.to_bits(), ws.to_bits());
+                assert_eq!(gd.len(), wd.len());
+                for (a, b) in gd.iter().zip(wd) {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits());
+                    assert_eq!(a.im.to_bits(), b.im.to_bits());
+                }
             }
+            assert_eq!(delta.bcast_calls, 3);
+            assert_eq!(delta.allreduce_calls, 3);
         }
-        assert_eq!(delta.bcast_calls, 3);
-        assert_eq!(delta.allreduce_calls, 3);
     }
 
     #[test]
@@ -483,5 +483,84 @@ mod tests {
             .copied()
             .expect("panic payload is a string");
         assert_eq!(msg, "engine failure on rank 1");
+    }
+
+    #[test]
+    fn a_send_to_a_dead_rank_reports_the_rank_that_died() {
+        // rank 0 keeps sending until rank 1's receiver is gone: the failed
+        // send is a cascade of rank 1's death, not a second root cause
+        let mut engine = RankEngine::new(RankLayout::new(2, 1), Wire::F64);
+        let aborted = catch_unwind(AssertUnwindSafe(|| {
+            let _ = engine.run(|comm| -> usize {
+                if comm.rank() == 1 {
+                    panic!("root cause on rank 1");
+                }
+                loop {
+                    comm.send_c64(1, 7, &[c64::ONE]);
+                }
+            });
+        }));
+        let payload = aborted.expect_err("job must abort");
+        assert_eq!(panic_message(payload.as_ref()), "root cause on rank 1");
+        assert_eq!(engine.poison_cause(), Some("root cause on rank 1"));
+    }
+
+    /// The collectives a rank can die in front of.
+    const COLLECTIVES: [&str; 6] = [
+        "bcast_c64 as root",
+        "bcast_c64 as non-root",
+        "allreduce_sum_f64",
+        "alltoallv_c64",
+        "tree_reduce_chunks_c64",
+        "barrier",
+    ];
+
+    fn enter(comm: &mut Comm, op: &str, victim: usize) {
+        let np = comm.size();
+        match op {
+            "bcast_c64 as root" => comm.bcast_c64(victim, &mut vec![c64::ONE; 8]),
+            "bcast_c64 as non-root" => comm.bcast_c64((victim + 1) % np, &mut vec![c64::ONE; 8]),
+            "allreduce_sum_f64" => comm.allreduce_sum_f64(&mut [1.0; 8]),
+            "alltoallv_c64" => drop(comm.alltoallv_c64(vec![vec![c64::ONE; 8]; np])),
+            "tree_reduce_chunks_c64" => drop(comm.tree_reduce_chunks_c64(&[c64::ONE; 8], 4)),
+            "barrier" => comm.barrier(),
+            _ => unreachable!("unknown collective {op}"),
+        }
+    }
+
+    #[test]
+    fn a_rank_dying_before_any_collective_is_the_reported_cause_never_a_hang() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for np in 2..=4 {
+                for victim in 0..np {
+                    for op in COLLECTIVES {
+                        let cause = format!("victim {victim} before {op}");
+                        let mut engine = RankEngine::new(RankLayout::new(np, 1), Wire::F64);
+                        let aborted = catch_unwind(AssertUnwindSafe(|| {
+                            let _ = engine.run(|comm| {
+                                if comm.rank() == victim {
+                                    panic!("{cause}");
+                                }
+                                enter(comm, op, victim);
+                            });
+                        }));
+                        let raised = aborted.err().map(|p| panic_message(p.as_ref()));
+                        let next = engine.run(|comm| comm.rank()).err().map(|e| e.cause);
+                        tx.send((cause, raised, next)).unwrap();
+                    }
+                }
+            }
+        });
+        let wait = std::time::Duration::from_secs(60);
+        for _ in 0..(2 + 3 + 4) * COLLECTIVES.len() {
+            let (cause, raised, next) = rx.recv_timeout(wait).expect("a rank death hung the job");
+            assert_eq!(raised.as_deref(), Some(cause.as_str()), "re-raised payload");
+            assert_eq!(
+                next.as_deref(),
+                Some(cause.as_str()),
+                "EnginePoisoned cause"
+            );
+        }
     }
 }

@@ -7,10 +7,10 @@
 //! overlap matrices and densities, and the wire format is optionally
 //! single precision (§3.2 optimization 4).
 //!
-//! This crate reproduces that substrate in-process: every rank is a thread
-//! (with [`run_ranks_pinned`], a thread owning its own pinned `pt-par`
-//! compute pool — the paper's one-GPU-plus-CPU-slice per rank),
-//! point-to-point messages are `std::sync::mpsc` channels, and the
+//! This crate reproduces that substrate in-process: every rank is a
+//! thread of a persistent [`RankEngine`], spawned once and owning its own
+//! pinned `pt-par` compute pool (the paper's one-GPU-plus-CPU-slice per
+//! rank), point-to-point messages are `std::sync::mpsc` channels, and the
 //! collectives use the same algorithms real MPI implementations use for
 //! large messages (binomial-tree broadcast, reduce+bcast allreduce,
 //! pairwise alltoallv).
@@ -24,6 +24,6 @@ mod comm;
 mod engine;
 mod stats;
 
-pub use comm::{env_ranks, rank_threads_spawned, run_ranks, run_ranks_pinned, Comm, Wire};
+pub use comm::{rank_threads_spawned, Comm, Wire};
 pub use engine::{EnginePoisoned, RankEngine};
 pub use stats::{CommStats, StatsSnapshot};

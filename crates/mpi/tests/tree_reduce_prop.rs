@@ -10,8 +10,9 @@
 //! ownership; the property test is what pins that alignment.
 
 use proptest::prelude::*;
-use pt_mpi::{run_ranks, Wire};
+use pt_mpi::{RankEngine, Wire};
 use pt_num::c64;
+use pt_par::RankLayout;
 
 /// The fixed Alg. 3 chunk height (pt-ham's `OVERLAP_CHUNK_ROWS`).
 const CHUNK_ROWS: usize = 64;
@@ -76,20 +77,22 @@ proptest! {
         let want: Vec<Vec<c64>> = vec![chunks.concat()];
         let reference = linear_combine(&want, nb);
 
+        let mut engine = RankEngine::new(RankLayout::new(np, 1), Wire::F64);
+
         // linear path: allgatherv of per-rank flats + receiver-side fold
-        let (linear, _) = run_ranks(np, Wire::F64, |comm| {
+        let (linear, _) = engine.run(|comm| {
             let (start, count) = chunk_range(nc, np, comm.rank());
             let mine: Vec<c64> = chunks[start..start + count].concat();
             let gathered = comm.allgatherv_c64(&mine);
             linear_combine(&gathered, nb)
-        });
+        }).expect("healthy engine");
 
         // tree path: prefix chain + binomial redistribution
-        let (tree, _) = run_ranks(np, Wire::F64, |comm| {
+        let (tree, _) = engine.run(|comm| {
             let (start, count) = chunk_range(nc, np, comm.rank());
             let mine: Vec<c64> = chunks[start..start + count].concat();
             comm.tree_reduce_chunks_c64(&mine, nb * nb)
-        });
+        }).expect("healthy engine");
 
         prop_assert_eq!(linear.len(), np);
         prop_assert_eq!(tree.len(), np);

@@ -9,34 +9,16 @@ use pwdft_rt::ham::{
 };
 use pwdft_rt::lattice::silicon_cubic_supercell;
 use pwdft_rt::linalg::CMat;
-use pwdft_rt::mpi::{run_ranks, Wire};
-use pwdft_rt::num::c64;
-
-fn rand_block(ng: usize, nb: usize, seed: u64) -> CMat {
-    let mut s = seed | 1;
-    let mut rnd = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-    };
-    let mut m = CMat::from_fn(ng, nb, |_, _| c64::new(rnd(), rnd()));
-    for j in 0..nb {
-        let nrm = pwdft_rt::num::complex::znrm2(m.col(j));
-        for z in m.col_mut(j) {
-            *z = z.scale(1.0 / nrm);
-        }
-    }
-    m
-}
+use pwdft_rt::mpi::{RankEngine, Wire};
+use pwdft_rt::par::RankLayout;
 
 fn main() {
     let s = silicon_cubic_supercell(1, 1, 1);
     let grids = PwGrids::new(&s, 2.0);
     let (ng, nb) = (grids.ng(), 8);
     println!("N_G = {ng}, N_e = {nb}");
-    let phi = rand_block(ng, nb, 3);
-    let psi = rand_block(ng, nb, 4);
+    let phi = CMat::rand_normalized(ng, nb, 3);
+    let psi = CMat::rand_normalized(ng, nb, 4);
     let kernel = ScreenedKernel::new(&grids, 0.11);
     let reference = {
         let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
@@ -51,23 +33,15 @@ fn main() {
                 n_ranks: np,
             };
             let (g, ph, ps, k) = (&grids, &phi, &psi, &kernel);
-            let (outs, stats) = run_ranks(np, wire, move |comm| {
-                let mine = dist.local_bands(comm.rank());
-                let take = |m: &CMat| {
-                    let mut lm = CMat::zeros(ng, mine.len());
-                    for (lj, &b) in mine.iter().enumerate() {
-                        lm.col_mut(lj).copy_from_slice(m.col(b));
-                    }
-                    lm
-                };
-                (
-                    mine.clone(),
-                    distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k),
-                )
-            });
+            let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), wire)
+                .run(move |comm| {
+                    let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                    distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
+                })
+                .expect("fresh engine");
             let mut err = 0.0f64;
-            for (mine, out) in &outs {
-                for (lj, &b) in mine.iter().enumerate() {
+            for (rank, out) in outs.iter().enumerate() {
+                for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
                     for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
                         err = err.max((*x - *y).abs());
                     }

@@ -6,14 +6,11 @@ use pwdft_rt::ham::{
 };
 use pwdft_rt::lattice::silicon_cubic_supercell;
 use pwdft_rt::linalg::CMat;
-use pwdft_rt::mpi::{run_ranks, Wire};
+use pwdft_rt::mpi::{Comm, RankEngine, Wire};
 use pwdft_rt::num::c64;
+use pwdft_rt::par::RankLayout;
 
-fn rand_block(ng: usize, nb: usize, seed: u64) -> CMat {
-    CMat::rand_normalized(ng, nb, seed)
-}
-
-/// val-comm: the Alg. 2 broadcast volume follows N_p·N_G·N_e exactly, and
+/// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly, and
 /// the f32 wire (§3.2 optimization 4) halves it while perturbing the
 /// result by less than 1e-5.
 #[test]
@@ -21,8 +18,8 @@ fn alg2_volume_law_and_f32_wire() {
     let s = silicon_cubic_supercell(1, 1, 1);
     let grids = PwGrids::new(&s, 2.0);
     let (ng, nb, np) = (grids.ng(), 6, 3);
-    let phi = rand_block(ng, nb, 3);
-    let psi = rand_block(ng, nb, 4);
+    let phi = CMat::rand_normalized(ng, nb, 3);
+    let psi = CMat::rand_normalized(ng, nb, 4);
     let kernel = ScreenedKernel::new(&grids, 0.11);
     let reference = {
         let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
@@ -37,28 +34,20 @@ fn alg2_volume_law_and_f32_wire() {
             n_ranks: np,
         };
         let (g, ph, ps, k) = (&grids, &phi, &psi, &kernel);
-        let (outs, stats) = run_ranks(np, wire, move |comm| {
-            let mine = dist.local_bands(comm.rank());
-            let take = |m: &CMat| {
-                let mut lm = CMat::zeros(ng, mine.len());
-                for (lj, &b) in mine.iter().enumerate() {
-                    lm.col_mut(lj).copy_from_slice(m.col(b));
-                }
-                lm
-            };
-            (
-                mine.clone(),
-                distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k),
-            )
-        });
+        let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), wire)
+            .run(move |comm| {
+                let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
+            })
+            .expect("fresh engine");
         assert_eq!(
             stats.bcast_bytes,
             (np as u64 - 1) * nb as u64 * ng as u64 * bytes
         );
         volumes.push(stats.bcast_bytes);
         let mut err = 0.0f64;
-        for (mine, out) in &outs {
-            for (lj, &b) in mine.iter().enumerate() {
+        for (rank, out) in outs.iter().enumerate() {
+            for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
                 for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
                     err = err.max((*x - *y).abs());
                 }
@@ -105,9 +94,9 @@ fn layout_flip_roundtrip() {
     let np = 4;
     let ng = 64;
     let nb = 8;
-    let full = rand_block(ng, nb, 5);
+    let full = CMat::rand_normalized(ng, nb, 5);
     let fref = &full;
-    let (outs, _) = run_ranks(np, Wire::F64, move |comm| {
+    let flip_and_back = move |comm: &mut Comm| {
         let r = comm.rank();
         // band layout: rank owns bands r, r+np, ...
         let mine: Vec<usize> = (0..nb).filter(|b| b % np == r).collect();
@@ -137,7 +126,10 @@ fn layout_flip_roundtrip() {
             }
         }
         (mine, mine_data)
-    });
+    };
+    let (outs, _) = RankEngine::new(RankLayout::new(np, 1), Wire::F64)
+        .run(flip_and_back)
+        .expect("fresh engine");
     for (mine, data) in outs {
         for (bi, &b) in mine.iter().enumerate() {
             for (x, y) in data[bi].iter().zip(full.col(b)) {

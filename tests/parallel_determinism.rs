@@ -14,7 +14,7 @@ use pwdft_rt::ham::{
     FockOperator, PwGrids, ScreenedKernel,
 };
 use pwdft_rt::linalg::CMat;
-use pwdft_rt::mpi::{run_ranks_pinned, RankEngine};
+use pwdft_rt::mpi::RankEngine;
 use pwdft_rt::prelude::*;
 
 /// Ground state + 3 PT-CN steps of laser-driven hybrid (HSE06) silicon on
@@ -156,7 +156,7 @@ fn assert_cmat_bits_eq(name: &str, a: &CMat, b: &CMat) {
 /// The ranks × threads grid, driven through the persistent
 /// [`RankEngine`]: both the distributed Fock application (Alg. 2) and the
 /// distributed residual (Alg. 3) must produce the *same bits* on every
-/// layout in {1,2,3} ranks × {1,4} threads-per-rank. The residual's
+/// layout in {1,2,3,4} ranks × {1,4} threads-per-rank. The residual's
 /// overlap sums are re-associated over the fixed `OVERLAP_CHUNK_ROWS`
 /// grid (one owner per chunk on any rank count, combine in chunk order),
 /// which is what closed the old ~1e-12 cross-rank gap.
@@ -213,13 +213,7 @@ fn distributed_fock_and_residual_over_the_ranks_threads_grid() {
     };
 
     let (fock_ref, resid_ref) = run_layout(1, 1);
-    // the CI matrix widens the grid along the rank axis via PT_NUM_RANKS
-    let mut rank_counts = vec![1usize, 2, 3];
-    let env = pwdft_rt::mpi::env_ranks();
-    if !rank_counts.contains(&env) {
-        rank_counts.push(env);
-    }
-    for ranks in rank_counts {
+    for ranks in 1..=4 {
         for threads in [1usize, 4] {
             let (fock, resid) = run_layout(ranks, threads);
             // Alg. 2 and Alg. 3: bit-identical across the whole grid
@@ -231,7 +225,7 @@ fn distributed_fock_and_residual_over_the_ranks_threads_grid() {
 
 /// The ACE projector over the same grid: ξ built from the distributed
 /// `W = V_X Φ` (Alg. 2 over the wire, driver-side Cholesky/trsm) must be
-/// bit-identical on every layout in {1,2,3} ranks × {1,4} threads, the
+/// bit-identical on every layout in {1,2,3,4} ranks × {1,4} threads, the
 /// serial build must be bit-stable across thread counts, and the
 /// projector apply `−ξ(ξ^Hψ)` must be bit-stable across thread counts —
 /// together these are why an ACE-mode distributed run is layout-invariant
@@ -272,12 +266,7 @@ fn ace_projector_build_and_apply_over_the_ranks_threads_grid() {
         AceOperator::from_w(&phi, gather_bands(dist, ng, &blocks)).unwrap()
     };
     let xi_ref = dist_ace(1, 1).xi().clone();
-    let mut rank_counts = vec![1usize, 2, 3];
-    let env = pwdft_rt::mpi::env_ranks();
-    if !rank_counts.contains(&env) {
-        rank_counts.push(env);
-    }
-    for ranks in rank_counts {
+    for ranks in 1..=4 {
         for threads in [1usize, 4] {
             let ace = dist_ace(ranks, threads);
             assert_cmat_bits_eq(
@@ -327,7 +316,9 @@ fn ace_refresh_on_a_reused_engine_matches_fresh_spawn_bits() {
             }
         };
         let (reused, _) = engine.run(job).expect("healthy engine");
-        let (fresh, _) = run_ranks_pinned(layout, Wire::F64, job);
+        let (fresh, _) = RankEngine::new(layout, Wire::F64)
+            .run(job)
+            .expect("fresh engine");
         let a = AceOperator::from_w(&phi, gather_bands(dist, ng, &reused)).unwrap();
         let b = AceOperator::from_w(&phi, gather_bands(dist, ng, &fresh)).unwrap();
         assert_cmat_bits_eq(&format!("refresh {refresh} ξ"), a.xi(), b.xi());
@@ -336,8 +327,8 @@ fn ace_refresh_on_a_reused_engine_matches_fresh_spawn_bits() {
 
 /// Engine reuse is invisible in the numbers: submitting a sequence of
 /// "steps" (Alg. 2 + Alg. 3 with step-dependent inputs) to ONE parked
-/// rank team produces exactly the bits of spawning a fresh team per step
-/// (`run_ranks_pinned`). This is what lets the PT-CN propagator
+/// rank team produces exactly the bits of a fresh `RankEngine` per step.
+/// This is what lets the PT-CN propagator
 /// keep its team alive for a whole `Simulation::run` without any
 /// determinism cost.
 #[test]
@@ -387,7 +378,9 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
             }
         };
         let (reused, _) = engine.run(job).expect("healthy engine");
-        let (fresh, _) = run_ranks_pinned(layout, Wire::F64, job);
+        let (fresh, _) = RankEngine::new(layout, Wire::F64)
+            .run(job)
+            .expect("fresh engine");
         for (r, (a, b)) in reused.iter().zip(&fresh).enumerate() {
             assert_cmat_bits_eq(&format!("step {step} rank {r} fock"), &a.0, &b.0);
             assert_cmat_bits_eq(&format!("step {step} rank {r} residual"), &a.1, &b.1);
