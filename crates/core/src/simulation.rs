@@ -85,6 +85,33 @@ pub struct StepUpdate<'a> {
     pub samples: &'a [(String, f64)],
 }
 
+impl StepUpdate<'_> {
+    /// Every column of this step except `t`, named exactly as
+    /// [`TimeSeries::to_table`] names them — the vector potential and
+    /// step stats, then every observer sample — so a live stream of
+    /// these agrees with the final table.
+    pub fn columns(&self) -> Vec<(String, f64)> {
+        let step = step_columns(self.a_field, self.stats).map(|(name, v)| (name.to_string(), v));
+        step.into_iter()
+            .chain(self.samples.iter().cloned())
+            .collect()
+    }
+}
+
+/// One step's columns between `t` and the observer channels, in table
+/// order — the only place their names are spelled.
+fn step_columns(a: [f64; 3], stats: &StepStats) -> [(&'static str, f64); 7] {
+    [
+        ("a_x", a[0]),
+        ("a_y", a[1]),
+        ("a_z", a[2]),
+        ("scf_iterations", stats.scf_iterations as f64),
+        ("h_applications", stats.h_applications as f64),
+        ("rho_residual", stats.rho_residual),
+        ("converged", if stats.converged { 1.0 } else { 0.0 }),
+    ]
+}
+
 /// A per-step callback observing committed steps (see [`StepUpdate`]).
 pub type StepTap<'a> = Box<dyn FnMut(&StepUpdate<'_>) + Send + 'a>;
 
@@ -348,28 +375,17 @@ impl TimeSeries {
         let mut table =
             pt_io::Table::new().meta("propagator", pt_io::Value::Str(self.propagator.clone()));
         table.column("t", self.t.clone())?;
-        for (d, axis) in ["a_x", "a_y", "a_z"].iter().enumerate() {
-            table.column(axis, self.a_field.iter().map(|a| a[d]).collect())?;
+        let rows: Vec<_> = self
+            .a_field
+            .iter()
+            .zip(&self.stats)
+            .map(|(a, s)| step_columns(*a, s))
+            .collect();
+        // the names, even for an empty series
+        let names = step_columns([0.0; 3], &StepStats::default());
+        for (k, (name, _)) in names.iter().enumerate() {
+            table.column(name, rows.iter().map(|r| r[k].1).collect())?;
         }
-        table.column(
-            "scf_iterations",
-            self.stats.iter().map(|s| s.scf_iterations as f64).collect(),
-        )?;
-        table.column(
-            "h_applications",
-            self.stats.iter().map(|s| s.h_applications as f64).collect(),
-        )?;
-        table.column(
-            "rho_residual",
-            self.stats.iter().map(|s| s.rho_residual).collect(),
-        )?;
-        table.column(
-            "converged",
-            self.stats
-                .iter()
-                .map(|s| if s.converged { 1.0 } else { 0.0 })
-                .collect(),
-        )?;
         for (name, col) in &self.channels {
             table.column(name, col.clone())?;
         }

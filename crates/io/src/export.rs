@@ -7,8 +7,10 @@
 //! Numbers are written with Rust's shortest round-trip `f64` formatting,
 //! so `parse::<f64>()` on any emitted value recovers the exact bits.
 //! Non-finite values (which JSON cannot represent) are emitted as `null`
-//! in JSON and `nan`/`inf` in CSV.
+//! in JSON and `nan`/`inf` in CSV. JSON numbers and strings go through
+//! [`crate::json`]'s writer, the one the wire protocol uses.
 
+use crate::json::{write_escaped, write_num};
 use pt_ham::PtError;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -82,24 +84,28 @@ impl Table {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         for (k, v) in &self.meta {
-            let _ = write!(out, "  {}: ", json_str(k));
+            out.push_str("  ");
+            write_escaped(&mut out, k);
+            out.push_str(": ");
             match v {
                 Value::U64(u) => {
                     let _ = write!(out, "{u}");
                 }
-                Value::F64(x) => out.push_str(&json_num(*x)),
-                Value::Str(s) => out.push_str(&json_str(s)),
+                Value::F64(x) => write_num(&mut out, *x),
+                Value::Str(s) => write_escaped(&mut out, s),
             }
             out.push_str(",\n");
         }
         let _ = write!(out, "  \"n_rows\": {},\n  \"columns\": {{", self.n_rows());
         for (i, (name, col)) in self.columns.iter().enumerate() {
-            let _ = write!(out, "\n    {}: [", json_str(name));
+            out.push_str("\n    ");
+            write_escaped(&mut out, name);
+            out.push_str(": [");
             for (j, v) in col.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&json_num(*v));
+                write_num(&mut out, *v);
             }
             out.push(']');
             if i + 1 < self.columns.len() {
@@ -163,38 +169,6 @@ fn write_file(path: &Path, content: &str) -> Result<(), PtError> {
     })
 }
 
-/// JSON number: shortest round-trip formatting; non-finite → `null`.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // bare integers like "3" are valid JSON numbers; keep them as-is
-        s
-    } else {
-        "null".to_string()
-    }
-}
-
-/// JSON string with the escapes the artifact names can contain.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,6 +189,26 @@ mod tests {
         assert!(j.contains("\"host_cores\": 4"));
         assert!(j.contains("\"n_rows\": 3"));
         assert!(j.contains("\"energy\": [-1.25, -1.5, null]"), "{j}");
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let mut t = Table::new()
+            .meta("name \"q\"\n", Value::Str("tab\there\u{1}".into()))
+            .meta("n", Value::U64(u64::MAX))
+            .meta("x", Value::F64(-0.0));
+        t.column("t", vec![0.0, 2.5]).unwrap();
+        t.column("e", vec![f64::INFINITY, 0.1]).unwrap();
+        assert_eq!(
+            t.to_json(),
+            "{\n  \"name \\\"q\\\"\\n\": \"tab\\there\\u0001\",\n  \"n\": 18446744073709551615,\n  \
+             \"x\": -0,\n  \"n_rows\": 2,\n  \"columns\": {\n    \"t\": [0, 2.5],\n    \
+             \"e\": [null, 0.1]\n  }\n}\n"
+        );
+        assert_eq!(
+            Table::new().to_json(),
+            "{\n  \"n_rows\": 0,\n  \"columns\": {}\n}\n"
+        );
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The job-server subsystem speaks JSON both ways — `JobSpec`s arrive as
 //! JSON text, protocol frames carry JSON payloads, and exported
 //! [`crate::Table`]s are JSON — but the build environment is offline, so
-//! there is no serde. [`Json`] is the hand-rolled counterpart of
-//! [`crate::export`]'s writers: a recursive-descent parser with a depth
-//! cap whose failures are typed [`PtError::InvalidConfig`]s (position and
-//! reason included, never a panic), plus a serializer that round-trips
-//! `f64`s via Rust's shortest representation exactly like the `Table`
-//! writers do.
+//! there is no serde. [`Json`] is hand-rolled: a recursive-descent parser
+//! with a depth cap whose failures are typed [`PtError::InvalidConfig`]s
+//! (position and reason included, never a panic), plus the crate's one
+//! JSON writer — numbers round-trip `f64`s via Rust's shortest
+//! representation, non-finite ones become `null` — which
+//! [`crate::Table::to_json`] writes its numbers and strings through too.
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map): dumped
 //! specs and protocol frames stay diff-stable, and duplicate keys are a
@@ -67,13 +67,7 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Num(x) => write_num(out, *x),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
@@ -162,7 +156,17 @@ pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// A JSON number: shortest round-trip formatting; non-finite → `null`.
+pub(crate) fn write_num(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A JSON string, quoted, with every character JSON requires escaped.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

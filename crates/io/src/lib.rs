@@ -16,8 +16,9 @@
 //!   default `f64` payloads).
 //! * [`export`] — columnar [`export::Table`] → JSON / CSV, used by the
 //!   `pt-bench` artifact writers and `TimeSeries` export.
-//! * [`json`] — a hand-rolled JSON value ([`Json`]): parser + serializer
-//!   for job specs and the `pt-serve` wire protocol (no serde offline).
+//! * [`json`] — a hand-rolled JSON value ([`Json`]): parser + the crate's
+//!   one JSON writer, for job specs, the `pt-serve` wire protocol and
+//!   [`Table::to_json`]'s numbers and strings (no serde offline).
 //! * [`scan`] — checkpoint-directory scanning: validate every
 //!   `ckpt_*.ptio` and pick the [newest resumable
 //!   one](latest_valid_snapshot), skipping corrupt/truncated files.

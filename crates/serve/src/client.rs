@@ -3,7 +3,7 @@
 //! any number of sequential requests.
 
 use crate::hub::JobState;
-use crate::protocol::{check_response, read_frame, write_frame};
+use crate::protocol::{check_response, f64_column, read_frame, write_frame};
 use crate::server::read_port_file;
 use crate::spec::JobSpec;
 use pt_ham::PtError;
@@ -109,13 +109,19 @@ impl Client {
         Self::connect(&read_port_file(run_dir)?)
     }
 
+    /// The next reply frame, checked; a connection closed in its place
+    /// is a typed error naming `what` was in flight.
+    fn reply(&mut self, what: &str) -> Result<Json, PtError> {
+        let frame = read_frame(&mut self.stream)?.ok_or_else(|| PtError::Io {
+            path: "<pt-serve socket>".into(),
+            reason: format!("server closed the connection mid-{what}"),
+        })?;
+        check_response(frame)
+    }
+
     fn request(&mut self, msg: &Json) -> Result<Json, PtError> {
         write_frame(&mut self.stream, msg)?;
-        let reply = read_frame(&mut self.stream)?.ok_or_else(|| PtError::Io {
-            path: "<pt-serve socket>".into(),
-            reason: "server closed the connection mid-request".into(),
-        })?;
-        check_response(reply)
+        self.reply("request")
     }
 
     /// Submit a job; returns its server-assigned id. Never-fitting or
@@ -199,13 +205,10 @@ impl Client {
             .ok_or_else(|| PtError::InvalidConfig("malformed fetch response".into()))
     }
 
-    /// A column from a fetched table (see [`Client::fetch`]).
+    /// A column from a fetched table (see [`Client::fetch`]). A
+    /// non-finite sample, stored as `null`, comes back as NaN in its row.
     pub fn table_column(table: &Json, name: &str) -> Option<Vec<f64>> {
-        table
-            .get("columns")?
-            .get(name)?
-            .as_arr()
-            .map(|a| a.iter().filter_map(Json::as_f64).collect())
+        f64_column(table.get("columns")?.get(name)?)
     }
 
     /// Stream one channel of a job, starting `after` rows in. Each
@@ -230,27 +233,18 @@ impl Client {
             ]),
         )?;
         loop {
-            let frame = read_frame(&mut self.stream)?.ok_or_else(|| PtError::Io {
-                path: "<pt-serve socket>".into(),
-                reason: "server closed the connection mid-tail".into(),
-            })?;
-            let frame = check_response(frame)?;
-            let nums = |k: &str| -> Vec<f64> {
-                frame
-                    .get(k)
-                    .and_then(Json::as_arr)
-                    .map(|a| a.iter().filter_map(Json::as_f64).collect())
-                    .unwrap_or_default()
-            };
+            let frame = self.reply("tail")?;
+            let malformed = || PtError::InvalidConfig("malformed tail frame".into());
+            let nums = |k: &str| frame.get(k).and_then(f64_column).ok_or_else(malformed);
             let state = frame
                 .get("state")
                 .and_then(Json::as_str)
                 .and_then(JobState::parse)
-                .ok_or_else(|| PtError::InvalidConfig("malformed tail frame".into()))?;
+                .ok_or_else(malformed)?;
             on_chunk(&TailChunk {
                 start: frame.get("start").and_then(Json::as_u64).unwrap_or(0) as usize,
-                t: nums("t"),
-                values: nums("values"),
+                t: nums("t")?,
+                values: nums("values")?,
                 state: state.clone(),
             });
             if frame.get("done").and_then(Json::as_bool) == Some(true) {
@@ -279,11 +273,7 @@ impl Client {
             ]),
         )?;
         loop {
-            let frame = read_frame(&mut self.stream)?.ok_or_else(|| PtError::Io {
-                path: "<pt-serve socket>".into(),
-                reason: "server closed the connection mid-stats".into(),
-            })?;
-            let frame = check_response(frame)?;
+            let frame = self.reply("stats")?;
             let int = |k: &str| frame.get(k).and_then(Json::as_u64).unwrap_or(0);
             let jobs = frame
                 .get("jobs")
@@ -363,5 +353,27 @@ impl Client {
             }
             std::thread::sleep(Duration::from_millis(50));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_nan_sample_keeps_its_row_in_a_fetched_column() {
+        let mut table = pt_io::Table::new();
+        table.column("t", vec![0.1, 0.2, 0.3]).unwrap();
+        table.column("energy", vec![-1.0, f64::NAN, -1.2]).unwrap();
+        let fetched = Json::parse(&table.to_json()).unwrap();
+        let energy = Client::table_column(&fetched, "energy").unwrap();
+        assert_eq!(energy.len(), 3, "the NaN row vanished");
+        assert!(energy[1].is_nan());
+        assert_eq!((energy[0], energy[2]), (-1.0, -1.2));
+        assert_eq!(Client::table_column(&fetched, "missing"), None);
+        // an entry that is neither a number nor `null` spoils the column
+        // instead of silently shortening it
+        let bad = Json::parse(r#"{"columns": {"x": [1, "2"]}}"#).unwrap();
+        assert_eq!(Client::table_column(&bad, "x"), None);
     }
 }

@@ -10,8 +10,10 @@
 //! cursor into the progress columns, so any number of live tails can
 //! follow one job without backpressure into the time loop.
 
+use crate::protocol::f64_column;
 use crate::spec::JobSpec;
-use pt_core::{CancelToken, StepStats, StepUpdate, TimeSeries};
+use pt_core::CancelToken;
+use pt_io::Json;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -118,46 +120,26 @@ impl JobProgress {
         names
     }
 
-    /// Rebuild progress from an already-recorded series — used to
-    /// republish the restored prefix of a resumed job and to rehydrate
-    /// completed jobs after a server restart.
-    pub fn absorb_series(&mut self, series: &TimeSeries) {
-        for i in 0..series.len() {
-            let mut samples = stats_samples(series.a_field[i], &series.stats[i]);
-            for name in series.channel_names() {
-                if let Some(col) = series.channel(name) {
-                    samples.push((name.to_string(), col[i]));
-                }
+    /// Progress holding every column of a result table (the parsed
+    /// `result.json` shape, `TimeSeries::to_table` as JSON) — the one
+    /// builder behind a resumed job's restored prefix and a done job
+    /// rehydrated after a restart. A column that does not decode is
+    /// skipped.
+    pub fn from_table(table: &Json) -> JobProgress {
+        let mut progress = JobProgress::default();
+        let columns = table.get("columns").and_then(Json::as_obj);
+        for (name, col) in columns.unwrap_or_default() {
+            let Some(values) = f64_column(col) else {
+                continue;
+            };
+            if name == "t" {
+                progress.t = values;
+            } else {
+                progress.channels.insert(name.clone(), values);
             }
-            self.push_step(series.t[i], &samples);
         }
+        progress
     }
-}
-
-/// The non-observer columns of one step, named exactly as
-/// `TimeSeries::to_table` names them — so live-streamed columns and the
-/// final fetched table agree.
-pub fn stats_samples(a_field: [f64; 3], stats: &StepStats) -> Vec<(String, f64)> {
-    vec![
-        ("a_x".to_string(), a_field[0]),
-        ("a_y".to_string(), a_field[1]),
-        ("a_z".to_string(), a_field[2]),
-        ("scf_iterations".to_string(), stats.scf_iterations as f64),
-        ("h_applications".to_string(), stats.h_applications as f64),
-        ("rho_residual".to_string(), stats.rho_residual),
-        (
-            "converged".to_string(),
-            if stats.converged { 1.0 } else { 0.0 },
-        ),
-    ]
-}
-
-/// Flatten a [`StepUpdate`] into the full column sample list for one step
-/// (stats columns + every observer sample).
-pub fn update_samples(u: &StepUpdate<'_>) -> Vec<(String, f64)> {
-    let mut samples = stats_samples(u.a_field, u.stats);
-    samples.extend(u.samples.iter().cloned());
-    samples
 }
 
 /// One tracked job: spec, on-disk home, live state and progress.
@@ -188,6 +170,22 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
+    /// A queued job with no progress yet — every record starts here,
+    /// whether submitted or recovered from disk.
+    pub fn queued(id: u64, spec: JobSpec, dir: PathBuf) -> JobRecord {
+        JobRecord {
+            id,
+            spec,
+            dir,
+            state: JobState::Queued,
+            error: None,
+            progress: JobProgress::default(),
+            cancel: CancelToken::new(),
+            run_started_us: None,
+            steps_at_run_start: 0,
+        }
+    }
+
     /// Steps per wall-clock second of the current run attempt, measured
     /// on the pt-trace monotonic clock (`now_us` is passed in so this
     /// crate never reads a clock itself). `None` until the job is active
@@ -293,5 +291,18 @@ mod tests {
         assert_eq!(p.channel("energy"), Some(&[-1.0, -1.1][..]));
         assert_eq!(p.channel("missing"), None);
         assert_eq!(p.channel_names(), vec!["t", "a_z", "energy"]);
+    }
+
+    #[test]
+    fn a_nan_sample_keeps_its_row_in_progress_from_a_result_table() {
+        let mut table = pt_io::Table::new();
+        table.column("t", vec![0.1, 0.2, 0.3]).unwrap();
+        table.column("energy", vec![-1.0, f64::NAN, -1.2]).unwrap();
+        let p = JobProgress::from_table(&Json::parse(&table.to_json()).unwrap());
+        assert_eq!(p.channel("t"), Some(&[0.1, 0.2, 0.3][..]));
+        let energy = p.channel("energy").unwrap();
+        assert_eq!(energy.len(), 3, "the NaN row vanished");
+        assert!(energy[1].is_nan());
+        assert_eq!((energy[0], energy[2]), (-1.0, -1.2));
     }
 }

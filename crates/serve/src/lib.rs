@@ -39,7 +39,7 @@ mod server;
 mod spec;
 
 pub use client::{Client, JobRate, JobStatus, StatsFrame, TailChunk};
-pub use hub::{stats_samples, update_samples, JobEvent, JobProgress, JobRecord, JobState};
+pub use hub::JobState;
 pub use protocol::{
     check_response, error_response, ok_response, read_frame, write_frame, MAX_FRAME,
 };

@@ -4,12 +4,14 @@
 //! a little-endian `u32` byte length followed by that many bytes of UTF-8
 //! JSON (parsed with [`pt_io::Json`]; no external serialization dep).
 //! Requests are objects with a `"cmd"` key (`submit`, `status`, `tail`,
-//! `cancel`, `fetch`, `shutdown`); responses carry `"ok": true` plus
-//! command-specific fields, or `"ok": false` with an `"error"` string.
-//! `tail` is the one streaming command: the server keeps sending frames
-//! (`done: false`) until the job reaches a terminal state or `follow` was
+//! `stats`, `cancel`, `fetch`, `shutdown`); responses carry `"ok": true`
+//! plus command-specific fields, or `"ok": false` with an `"error"`
+//! string. `tail` and `stats` stream: the server keeps sending frames
+//! (`done: false`) until the stream's end condition holds or `follow` was
 //! false, then closes the stream with a `done: true` frame. A connection
-//! handles any number of sequential requests.
+//! handles any number of sequential requests. In a number column (a
+//! fetched table's, a tail frame's `t` and `values`) a non-finite sample
+//! is `null`, which [`f64_column`] reads back as NaN.
 
 use pt_ham::PtError;
 use pt_io::Json;
@@ -99,6 +101,19 @@ pub fn check_response(msg: Json) -> Result<Json, PtError> {
             "malformed response: missing 'ok'".into(),
         )),
     }
+}
+
+/// Decode a number column: `null` (a non-finite sample) becomes NaN, so
+/// the column keeps its length and stays row-aligned with `t`. `None`
+/// for a non-array or an entry that is neither a number nor `null`.
+pub(crate) fn f64_column(v: &Json) -> Option<Vec<f64>> {
+    v.as_arr()?
+        .iter()
+        .map(|x| match x {
+            Json::Null => Some(f64::NAN),
+            x => x.as_f64(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -35,11 +35,11 @@
 //! are caught by the supervisor and become typed `failed` states, not a
 //! dead server.
 
-use crate::hub::{update_samples, JobEvent, JobProgress, JobRecord, JobState};
+use crate::hub::{JobEvent, JobProgress, JobRecord, JobState};
 use crate::protocol::{error_response, ok_response, read_frame, write_frame};
 use crate::scheduler::CorePackingScheduler;
 use crate::spec::JobSpec;
-use pt_core::{CancelToken, Simulation};
+use pt_core::Simulation;
 use pt_ham::PtError;
 use pt_io::Json;
 use std::collections::BTreeMap;
@@ -48,7 +48,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -126,13 +126,12 @@ struct ServerState {
 
 struct Shared {
     state: Mutex<ServerState>,
-    /// Notified on every job state/progress change (tail waiters).
+    /// Notified on every job state/progress change (long-poll waiters).
     cv: Condvar,
-    /// Cloned into each runner; `Mutex` only to stay `Sync` across rustc
-    /// versions where `mpsc::Sender` is not.
-    events: Mutex<Sender<JobEvent>>,
+    /// Cloned into each runner.
+    events: Sender<JobEvent>,
     /// Signals the owner that a client requested shutdown.
-    shutdown_req: Mutex<Sender<()>>,
+    shutdown_req: Sender<()>,
     runners: Mutex<Vec<JoinHandle<()>>>,
     stop: AtomicBool,
     jobs_dir: PathBuf,
@@ -140,16 +139,7 @@ struct Shared {
 
 impl Shared {
     fn lock_state(&self) -> MutexGuard<'_, ServerState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn sender(&self) -> Sender<JobEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -192,7 +182,7 @@ impl ServerHandle {
                     .shared
                     .runners
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
                 r.drain(..).collect()
             };
             if handles.is_empty() {
@@ -210,7 +200,7 @@ impl ServerHandle {
                 let _ = h.join();
             }
         }
-        let _ = self.shared.sender().send(JobEvent::Stop);
+        let _ = self.shared.events.send(JobEvent::Stop);
         if let Some(j) = self.pump_join.take() {
             let _ = j.join();
         }
@@ -245,8 +235,8 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, PtError> {
     let shared = Arc::new(Shared {
         state: Mutex::new(state),
         cv: Condvar::new(),
-        events: Mutex::new(tx),
-        shutdown_req: Mutex::new(sd_tx),
+        events: tx,
+        shutdown_req: sd_tx,
         runners: Mutex::new(Vec::new()),
         stop: AtomicBool::new(false),
         jobs_dir,
@@ -308,17 +298,7 @@ fn recover_jobs(jobs_dir: &Path, state: &mut ServerState) {
             .map_err(|e| io_err(&spec_path, "reading job spec", &e))
             .and_then(|text| JobSpec::from_json(&text));
         let mut record = match spec {
-            Ok(spec) => JobRecord {
-                id,
-                spec,
-                dir: dir.clone(),
-                state: JobState::Queued,
-                error: None,
-                progress: JobProgress::default(),
-                cancel: CancelToken::new(),
-                run_started_us: None,
-                steps_at_run_start: 0,
-            },
+            Ok(spec) => JobRecord::queued(id, spec, dir.clone()),
             Err(e) => {
                 // keep the slot visible: the directory exists, so the job
                 // existed — surfacing "failed: unreadable spec" beats
@@ -328,26 +308,20 @@ fn recover_jobs(jobs_dir: &Path, state: &mut ServerState) {
                 )
                 .expect("invariant: the placeholder spec literal is valid JSON");
                 spec.name = format!("job_{id:08}");
-                state.jobs.insert(
-                    id,
-                    JobRecord {
-                        id,
-                        spec,
-                        dir,
-                        state: JobState::Failed,
-                        error: Some(format!("recovery: {e}")),
-                        progress: JobProgress::default(),
-                        cancel: CancelToken::new(),
-                        run_started_us: None,
-                        steps_at_run_start: 0,
-                    },
-                );
+                let mut record = JobRecord::queued(id, spec, dir);
+                record.state = JobState::Failed;
+                record.error = Some(format!("recovery: {e}"));
+                state.jobs.insert(id, record);
                 continue;
             }
         };
         if dir.join("result.json").exists() {
             record.state = JobState::Done;
-            rehydrate_progress(&mut record);
+            // reload the streamed columns so `tail` keeps working across
+            // restarts; an unreadable table still leaves the job done
+            if let Ok(table) = read_result(&dir) {
+                record.progress = JobProgress::from_table(&table);
+            }
         } else if dir.join("cancelled").exists() {
             record.state = JobState::Cancelled;
         } else if let Ok(msg) = std::fs::read_to_string(dir.join("failed")) {
@@ -361,53 +335,34 @@ fn recover_jobs(jobs_dir: &Path, state: &mut ServerState) {
     }
 }
 
-/// Reload a completed job's streamed columns from its `result.json`, so
-/// `tail` keeps working across restarts.
-fn rehydrate_progress(record: &mut JobRecord) {
-    let path = record.dir.join("result.json");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return;
-    };
-    let Ok(table) = Json::parse(&text) else {
-        return;
-    };
-    let Some(cols) = table.get("columns").and_then(Json::as_obj) else {
-        return;
-    };
-    let decode = |j: &Json| -> Option<Vec<f64>> {
-        j.as_arr()
-            .map(|a| a.iter().filter_map(Json::as_f64).collect())
-    };
-    for (name, col) in cols {
-        let Some(values) = decode(col) else { continue };
-        if name == "t" {
-            record.progress.t = values;
-        } else {
-            record.progress.channels.insert(name.clone(), values);
-        }
-    }
+/// A done job's `result.json`, parsed.
+fn read_result(dir: &Path) -> Result<Json, PtError> {
+    let path = dir.join("result.json");
+    let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, "reading result", &e))?;
+    Json::parse(&text)
 }
 
-/// Run `start_batch` under the lock and spawn a supervised runner for
-/// every job the scheduler releases.
+/// Start what fits: every job `start_batch` releases turns running, with
+/// its run clock and step baseline reset. Returns the ids whose runners
+/// the caller spawns once the state lock is released.
+fn dispatch(st: &mut ServerState) -> Vec<u64> {
+    let _sp = pt_trace::span("sched_dispatch");
+    let batch = st.scheduler.start_batch();
+    for &(id, _) in &batch {
+        if let Some(j) = st.jobs.get_mut(&id) {
+            j.state = JobState::Running;
+            j.run_started_us = Some(pt_trace::monotonic_us());
+            j.steps_at_run_start = j.progress.steps_done();
+        }
+        pt_trace::counter_add(pt_trace::Counter::SchedDispatches, 1);
+    }
+    batch.into_iter().map(|(id, _)| id).collect()
+}
+
+/// [`dispatch`] under the lock, then wake waiters and spawn a supervised
+/// runner for every job it released.
 fn kick(shared: &Arc<Shared>) {
-    let to_start: Vec<u64> = {
-        let _sp = pt_trace::span("sched_dispatch");
-        let mut st = shared.lock_state();
-        let batch = st.scheduler.start_batch();
-        batch
-            .iter()
-            .map(|&(id, _)| {
-                if let Some(j) = st.jobs.get_mut(&id) {
-                    j.state = JobState::Running;
-                    j.run_started_us = Some(pt_trace::monotonic_us());
-                    j.steps_at_run_start = j.progress.steps_done();
-                }
-                pt_trace::counter_add(pt_trace::Counter::SchedDispatches, 1);
-                id
-            })
-            .collect()
-    };
+    let to_start = dispatch(&mut shared.lock_state());
     shared.cv.notify_all();
     for id in to_start {
         spawn_runner(shared, id);
@@ -420,7 +375,7 @@ fn kick(shared: &Arc<Shared>) {
 /// server itself never goes down with a job.
 fn spawn_runner(shared: &Arc<Shared>, id: u64) {
     let runner_shared = shared.clone();
-    let tx = shared.sender();
+    let tx = shared.events.clone();
     // pt-analyze: allow(raw-thread-spawn) — per-job supervisor thread (catch_unwind boundary); the simulation inside it draws all compute threads from its pinned pt-par/pt-mpi layout
     let handle = std::thread::spawn(move || {
         let dir = {
@@ -451,7 +406,7 @@ fn spawn_runner(shared: &Arc<Shared>, id: u64) {
     shared
         .runners
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
         .push(handle);
 }
 
@@ -489,8 +444,10 @@ fn run_job(shared: &Arc<Shared>, id: u64, tx: &Sender<JobEvent>) -> Result<(), P
         Some(sim) => {
             resumed = true;
             if let Some(series) = sim.restored_series() {
-                let mut progress = JobProgress::default();
-                progress.absorb_series(series);
+                // through the result table, so the restored prefix serves
+                // exactly what a rehydrated `result.json` would
+                let table = Json::parse(&series.to_table()?.to_json())?;
+                let progress = JobProgress::from_table(&table);
                 let _ = tx.send(JobEvent::Restored { id, progress });
             }
             sim
@@ -511,7 +468,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, tx: &Sender<JobEvent>) -> Result<(), P
         let _ = tap_tx.send(JobEvent::Step {
             id,
             t: u.t,
-            samples: update_samples(u),
+            samples: u.columns(),
             durable,
         });
     });
@@ -562,8 +519,7 @@ fn write_trace_artifacts(
 /// cores drain.
 fn pump(shared: &Arc<Shared>, rx: &Receiver<JobEvent>) {
     while let Ok(ev) = rx.recv() {
-        let mut to_start: Vec<u64> = Vec::new();
-        {
+        let to_start = {
             let mut st = shared.lock_state();
             match ev {
                 JobEvent::Stop => break,
@@ -581,6 +537,7 @@ fn pump(shared: &Arc<Shared>, rx: &Receiver<JobEvent>) {
                             }
                         }
                     }
+                    Vec::new()
                 }
                 JobEvent::Restored { id, progress } => {
                     if let Some(j) = st.jobs.get_mut(&id) {
@@ -592,18 +549,15 @@ fn pump(shared: &Arc<Shared>, rx: &Receiver<JobEvent>) {
                             j.steps_at_run_start = j.progress.steps_done();
                         }
                     }
+                    Vec::new()
                 }
-                JobEvent::Finished { id } => {
-                    settle(&mut st, id, JobState::Done, None, &mut to_start);
-                }
+                JobEvent::Finished { id } => settle(&mut st, id, JobState::Done, None),
                 JobEvent::Failed { id, error } => {
-                    settle(&mut st, id, JobState::Failed, Some(error), &mut to_start);
+                    settle(&mut st, id, JobState::Failed, Some(error))
                 }
-                JobEvent::Cancelled { id } => {
-                    settle(&mut st, id, JobState::Cancelled, None, &mut to_start);
-                }
+                JobEvent::Cancelled { id } => settle(&mut st, id, JobState::Cancelled, None),
             }
-        }
+        };
         shared.cv.notify_all();
         for id in to_start {
             spawn_runner(shared, id);
@@ -611,15 +565,9 @@ fn pump(shared: &Arc<Shared>, rx: &Receiver<JobEvent>) {
     }
 }
 
-/// Move a job to a terminal state, return its cores and promote whatever
-/// now fits.
-fn settle(
-    st: &mut ServerState,
-    id: u64,
-    terminal: JobState,
-    error: Option<String>,
-    to_start: &mut Vec<u64>,
-) {
+/// Move a job to a terminal state, return its cores and [`dispatch`]
+/// whatever now fits.
+fn settle(st: &mut ServerState, id: u64, terminal: JobState, error: Option<String>) -> Vec<u64> {
     let active_cores = st
         .jobs
         .get(&id)
@@ -632,15 +580,7 @@ fn settle(
         j.state = terminal;
         j.error = error;
     }
-    for (bid, _) in st.scheduler.start_batch() {
-        if let Some(j) = st.jobs.get_mut(&bid) {
-            j.state = JobState::Running;
-            j.run_started_us = Some(pt_trace::monotonic_us());
-            j.steps_at_run_start = j.progress.steps_done();
-        }
-        pt_trace::counter_add(pt_trace::Counter::SchedDispatches, 1);
-        to_start.push(bid);
-    }
+    dispatch(st)
 }
 
 /// One client connection: a loop of length-prefixed requests. Exits on
@@ -661,11 +601,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             "fetch" => respond(&mut stream, handle_fetch(shared, &msg)),
             "shutdown" => {
                 let _ = respond(&mut stream, Ok(ok_response(vec![])));
-                let _ = shared
-                    .shutdown_req
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .send(());
+                let _ = shared.shutdown_req.send(());
                 return;
             }
             other => respond(
@@ -718,20 +654,7 @@ fn handle_submit(shared: &Arc<Shared>, msg: &Json) -> Result<Json, PtError> {
             st.scheduler.withdraw(id);
             return Err(e);
         }
-        st.jobs.insert(
-            id,
-            JobRecord {
-                id,
-                spec,
-                dir,
-                state: JobState::Queued,
-                error: None,
-                progress: JobProgress::default(),
-                cancel: CancelToken::new(),
-                run_started_us: None,
-                steps_at_run_start: 0,
-            },
-        );
+        st.jobs.insert(id, JobRecord::queued(id, spec, dir));
         id
     };
     kick(shared);
@@ -782,16 +705,6 @@ fn handle_status(shared: &Arc<Shared>) -> Json {
     ok_response(vec![
         ("jobs".to_string(), Json::Arr(jobs)),
         ("scheduler".to_string(), scheduler),
-        // top-level mirrors for one-field consumers (same lock, same
-        // instant as the scheduler object above)
-        (
-            "queue_depth".to_string(),
-            Json::Num(st.scheduler.queued() as f64),
-        ),
-        (
-            "cores_in_use".to_string(),
-            Json::Num(st.scheduler.in_use() as f64),
-        ),
     ])
 }
 
@@ -847,16 +760,48 @@ fn handle_fetch(shared: &Arc<Shared>, msg: &Json) -> Result<Json, PtError> {
             state.as_str()
         )));
     }
-    let path = dir.join("result.json");
-    let text = std::fs::read_to_string(&path).map_err(|e| io_err(&path, "reading result", &e))?;
-    let table = Json::parse(&text)?;
-    Ok(ok_response(vec![("table".to_string(), table)]))
+    Ok(ok_response(vec![("table".to_string(), read_result(&dir)?)]))
 }
 
-/// The streaming command. Each frame carries the rows past the client's
-/// cursor for one channel; with `follow: true` the handler waits on the
-/// condvar for more until the job is terminal.
-fn handle_tail(shared: &Arc<Shared>, stream: &mut TcpStream, msg: &Json) -> Result<(), PtError> {
+/// The condvar long-poll behind both streaming commands. `next` looks at
+/// the state under the lock and returns the next frame with whether it
+/// ends the stream, an error that ends it, or `None` to wait — woken by
+/// every job change, re-checked at least every 200 ms. Frames are written
+/// with the lock released.
+fn long_poll(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    mut next: impl FnMut(&ServerState) -> Option<Result<(Json, bool), PtError>>,
+) -> Result<(), PtError> {
+    loop {
+        let polled = {
+            let mut st = shared.lock_state();
+            loop {
+                if let Some(polled) = next(&st) {
+                    break polled;
+                }
+                st = shared
+                    .cv
+                    .wait_timeout(st, Duration::from_millis(200))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+        };
+        let (frame, done) = match polled {
+            Ok(frame) => frame,
+            Err(e) => return respond(stream, Err(e)),
+        };
+        write_frame(stream, &frame)?;
+        if done {
+            return Ok(());
+        }
+    }
+}
+
+/// `cmd: "tail"`. Each frame carries the rows past the client's cursor
+/// for one channel; with `follow: true` the stream waits for more until
+/// the job is terminal.
+fn handle_tail(shared: &Shared, stream: &mut TcpStream, msg: &Json) -> Result<(), PtError> {
     let id = match job_id_of(msg) {
         Ok(id) => id,
         Err(e) => return respond(stream, Err(e)),
@@ -864,166 +809,112 @@ fn handle_tail(shared: &Arc<Shared>, stream: &mut TcpStream, msg: &Json) -> Resu
     let channel = msg.get("channel").and_then(Json::as_str).unwrap_or("t");
     let mut cursor = msg.get("after").and_then(Json::as_u64).unwrap_or(0) as usize;
     let follow = msg.get("follow").and_then(Json::as_bool).unwrap_or(false);
-    loop {
-        enum Batch {
-            Rows {
-                t: Vec<f64>,
-                values: Vec<f64>,
-                state: &'static str,
-                done: bool,
-            },
-            Gone(PtError),
-        }
-        let batch = {
-            let mut st = shared.lock_state();
-            loop {
-                let Some(j) = st.jobs.get(&id) else {
-                    break Batch::Gone(PtError::InvalidConfig(format!("unknown job {id}")));
-                };
-                let n = j.progress.steps_done();
-                let terminal = j.state.is_terminal();
-                if n > cursor || terminal || !follow {
-                    let col = j.progress.channel(channel);
-                    if col.is_none() && n > 0 && channel != "t" {
-                        break Batch::Gone(PtError::InvalidConfig(format!(
-                            "job {id} has no channel '{channel}' (available: {})",
-                            j.progress.channel_names().join(", ")
-                        )));
-                    }
-                    let hi = n.max(cursor);
-                    let slice = |v: &[f64]| v.get(cursor..hi.min(v.len())).unwrap_or(&[]).to_vec();
-                    break Batch::Rows {
-                        t: slice(&j.progress.t),
-                        values: col.map(slice).unwrap_or_default(),
-                        state: j.state.as_str(),
-                        done: terminal || !follow,
-                    };
-                }
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(200))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = guard;
-            }
+    long_poll(shared, stream, |st| {
+        let Some(j) = st.jobs.get(&id) else {
+            return Some(Err(PtError::InvalidConfig(format!("unknown job {id}"))));
         };
-        match batch {
-            Batch::Gone(e) => return respond(stream, Err(e)),
-            Batch::Rows {
-                t,
-                values,
-                state,
-                done,
-            } => {
-                cursor += t.len();
-                let nums = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::Num).collect());
-                write_frame(
-                    stream,
-                    &ok_response(vec![
-                        ("start".to_string(), Json::Num((cursor - t.len()) as f64)),
-                        ("t".to_string(), nums(t)),
-                        ("values".to_string(), nums(values)),
-                        ("state".to_string(), Json::Str(state.to_string())),
-                        ("done".to_string(), Json::Bool(done)),
-                    ]),
-                )?;
-                if done {
-                    return Ok(());
-                }
-            }
+        let n = j.progress.steps_done();
+        let terminal = j.state.is_terminal();
+        if n <= cursor && !terminal && follow {
+            return None;
         }
-    }
+        let col = j.progress.channel(channel);
+        if col.is_none() && n > 0 && channel != "t" {
+            return Some(Err(PtError::InvalidConfig(format!(
+                "job {id} has no channel '{channel}' (available: {})",
+                j.progress.channel_names().join(", ")
+            ))));
+        }
+        let (start, hi) = (cursor, n.max(cursor));
+        cursor = hi;
+        let rows = |v: &[f64]| {
+            let rows = v.get(start..hi.min(v.len())).unwrap_or(&[]);
+            Json::Arr(rows.iter().map(|&x| Json::Num(x)).collect())
+        };
+        let done = terminal || !follow;
+        let frame = ok_response(vec![
+            ("start".to_string(), Json::Num(start as f64)),
+            ("t".to_string(), rows(&j.progress.t)),
+            ("values".to_string(), rows(col.unwrap_or(&[]))),
+            ("state".to_string(), Json::Str(j.state.as_str().to_string())),
+            ("done".to_string(), Json::Bool(done)),
+        ]);
+        Some(Ok((frame, done)))
+    })
 }
 
 /// The live telemetry stream (`cmd: "stats"`): server-wide throughput,
 /// queue depth and core utilization, plus a per-active-job step rate —
-/// all timestamped on the pt-trace monotonic clock. Uses the same
-/// condvar long-poll as `tail`: with `follow: true` a frame goes out
-/// whenever total committed steps advance, until every job is terminal;
-/// without it, exactly one frame. When tracing is armed the frame also
-/// carries the global counter values (FFT batches, pair FFTs, wire
-/// bytes, …) so a dashboard can difference them.
-fn handle_stats(shared: &Arc<Shared>, stream: &mut TcpStream, msg: &Json) -> Result<(), PtError> {
+/// all timestamped on the pt-trace monotonic clock. With `follow: true`
+/// a frame goes out whenever total committed steps advance, until every
+/// job is terminal; without it, exactly one frame. When tracing is armed
+/// the frame also carries the global counter values (FFT batches, pair
+/// FFTs, wire bytes, …) so a dashboard can difference them.
+fn handle_stats(shared: &Shared, stream: &mut TcpStream, msg: &Json) -> Result<(), PtError> {
     let follow = msg.get("follow").and_then(Json::as_bool).unwrap_or(false);
     // (t_us, steps_total) at the previous frame: the stream's cursor
     let mut prev: Option<(u64, usize)> = None;
-    loop {
-        let (frame, done) = {
-            let mut st = shared.lock_state();
-            loop {
-                let steps_total: usize = st
-                    .jobs
-                    .values()
-                    .map(|j| j.progress.steps_done())
-                    .sum::<usize>();
-                let all_terminal = st.jobs.values().all(|j| j.state.is_terminal());
-                let advanced = prev.is_none_or(|(_, s)| steps_total > s);
-                if advanced || all_terminal || !follow {
-                    let now_us = pt_trace::monotonic_us();
-                    let rate = match prev {
-                        Some((t0, s0)) if now_us > t0 => {
-                            (steps_total - s0) as f64 / ((now_us - t0) as f64 / 1e6)
-                        }
-                        _ => 0.0,
-                    };
-                    prev = Some((now_us, steps_total));
-                    let jobs: Vec<Json> = st
-                        .jobs
-                        .values()
-                        .filter(|j| j.state.is_active())
-                        .map(|j| {
-                            Json::Obj(vec![
-                                ("id".to_string(), Json::Num(j.id as f64)),
-                                ("state".to_string(), Json::Str(j.state.as_str().to_string())),
-                                (
-                                    "steps_done".to_string(),
-                                    Json::Num(j.progress.steps_done() as f64),
-                                ),
-                                (
-                                    "steps_per_second".to_string(),
-                                    Json::Num(j.steps_per_second(now_us).unwrap_or(0.0)),
-                                ),
-                            ])
-                        })
-                        .collect();
-                    let done = all_terminal || !follow;
-                    let mut pairs = vec![
-                        ("t_us".to_string(), Json::Num(now_us as f64)),
-                        (
-                            "queue_depth".to_string(),
-                            Json::Num(st.scheduler.queued() as f64),
-                        ),
-                        (
-                            "cores_in_use".to_string(),
-                            Json::Num(st.scheduler.in_use() as f64),
-                        ),
-                        (
-                            "budget_cores".to_string(),
-                            Json::Num(st.scheduler.budget() as f64),
-                        ),
-                        ("steps_total".to_string(), Json::Num(steps_total as f64)),
-                        ("steps_per_second".to_string(), Json::Num(rate)),
-                        ("jobs".to_string(), Json::Arr(jobs)),
-                        ("done".to_string(), Json::Bool(done)),
-                    ];
-                    if pt_trace::is_enabled() {
-                        let counters = pt_trace::counters()
-                            .iter()
-                            .map(|(name, v)| (name.to_string(), Json::Num(v as f64)))
-                            .collect();
-                        pairs.push(("counters".to_string(), Json::Obj(counters)));
-                    }
-                    break (ok_response(pairs), done);
-                }
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(200))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = guard;
-            }
-        };
-        write_frame(stream, &frame)?;
-        if done {
-            return Ok(());
+    long_poll(shared, stream, |st| {
+        let steps_total: usize = st.jobs.values().map(|j| j.progress.steps_done()).sum();
+        let all_terminal = st.jobs.values().all(|j| j.state.is_terminal());
+        let advanced = prev.is_none_or(|(_, s)| steps_total > s);
+        if !(advanced || all_terminal || !follow) {
+            return None;
         }
-    }
+        let now_us = pt_trace::monotonic_us();
+        let rate = match prev {
+            Some((t0, s0)) if now_us > t0 => {
+                (steps_total - s0) as f64 / ((now_us - t0) as f64 / 1e6)
+            }
+            _ => 0.0,
+        };
+        prev = Some((now_us, steps_total));
+        let jobs: Vec<Json> = st
+            .jobs
+            .values()
+            .filter(|j| j.state.is_active())
+            .map(|j| {
+                Json::Obj(vec![
+                    ("id".to_string(), Json::Num(j.id as f64)),
+                    ("state".to_string(), Json::Str(j.state.as_str().to_string())),
+                    (
+                        "steps_done".to_string(),
+                        Json::Num(j.progress.steps_done() as f64),
+                    ),
+                    (
+                        "steps_per_second".to_string(),
+                        Json::Num(j.steps_per_second(now_us).unwrap_or(0.0)),
+                    ),
+                ])
+            })
+            .collect();
+        let done = all_terminal || !follow;
+        let mut pairs = vec![
+            ("t_us".to_string(), Json::Num(now_us as f64)),
+            (
+                "queue_depth".to_string(),
+                Json::Num(st.scheduler.queued() as f64),
+            ),
+            (
+                "cores_in_use".to_string(),
+                Json::Num(st.scheduler.in_use() as f64),
+            ),
+            (
+                "budget_cores".to_string(),
+                Json::Num(st.scheduler.budget() as f64),
+            ),
+            ("steps_total".to_string(), Json::Num(steps_total as f64)),
+            ("steps_per_second".to_string(), Json::Num(rate)),
+            ("jobs".to_string(), Json::Arr(jobs)),
+            ("done".to_string(), Json::Bool(done)),
+        ];
+        if pt_trace::is_enabled() {
+            let counters = pt_trace::counters()
+                .iter()
+                .map(|(name, v)| (name.to_string(), Json::Num(v as f64)))
+                .collect();
+            pairs.push(("counters".to_string(), Json::Obj(counters)));
+        }
+        Some(Ok((ok_response(pairs), done)))
+    })
 }

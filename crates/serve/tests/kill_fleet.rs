@@ -5,6 +5,7 @@
 //! newest valid snapshot and finish the whole fleet with final series
 //! **bit-identical** to uninterrupted in-process references.
 
+use pt_io::Json;
 use pt_par::RankLayout;
 use pt_serve::{Client, JobSpec, JobState, LaserSpec, SystemSpec};
 use pt_xc::XcKind;
@@ -187,6 +188,24 @@ fn sigkill_mid_fleet_then_restart_completes_every_job_bit_exactly() {
         .unwrap();
     assert_eq!(state, JobState::Done);
     assert_eq!(replayed, specs[1].steps);
+
+    // every fetched column replays through `tail` to the bit, whichever
+    // way the job's progress was rebuilt: rehydrated from `result.json`
+    // (done before the kill) or restored prefix plus live steps (resumed)
+    for &id in &ids {
+        let table = client2.fetch(id).unwrap();
+        let columns = table.get("columns").and_then(Json::as_obj).unwrap();
+        for (name, _) in columns {
+            let mut tailed = Vec::new();
+            client2
+                .tail(id, name, 0, false, |chunk| {
+                    tailed.extend_from_slice(&chunk.values)
+                })
+                .unwrap();
+            let want = Client::table_column(&table, name).unwrap();
+            assert_bits_eq(&format!("job {id} tailed {name}"), &tailed, &want);
+        }
+    }
 
     // clean shutdown this time
     client2.shutdown().unwrap();

@@ -61,6 +61,25 @@ fn assert_table_matches_series(table: &pt_io::Json, series: &pt_core::TimeSeries
     }
 }
 
+/// Replay every column of a fetched table through `tail` and compare bit
+/// for bit: the job's live progress serves exactly what it fetches.
+fn assert_tails_match_table(client: &mut Client, job: u64, table: &pt_io::Json) {
+    let columns = table.get("columns").and_then(pt_io::Json::as_obj).unwrap();
+    for (name, _) in columns {
+        let mut tailed: Vec<f64> = Vec::new();
+        client
+            .tail(job, name, 0, false, |chunk| {
+                tailed.extend_from_slice(&chunk.values)
+            })
+            .unwrap();
+        let want = Client::table_column(table, name).unwrap();
+        assert_eq!(tailed.len(), want.len(), "tailed '{name}' length");
+        for (i, (a, b)) in tailed.iter().zip(&want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "tailed '{name}'[{i}]");
+        }
+    }
+}
+
 #[test]
 fn concurrent_jobs_match_solo_references_and_live_tails() {
     let dir = tmp_dir("fleet");
@@ -165,6 +184,9 @@ fn cancelled_job_resumes_on_restart_with_identical_bits() {
         assert_eq!(row2.state, JobState::Done, "{:?}", row2.error);
         let table = client2.fetch(job).unwrap();
         assert_table_matches_series(&table, &reference);
+        // the resumed job's progress (restored prefix plus live steps)
+        // tails every column exactly as fetched
+        assert_tails_match_table(&mut client2, job, &table);
         handle2.stop();
     } else {
         // tiny systems can finish before the cancel lands; the run must
@@ -174,6 +196,43 @@ fn cancelled_job_resumes_on_restart_with_identical_bits() {
         assert_table_matches_series(&table, &reference);
         handle.stop();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_nan_sample_keeps_its_row_in_a_recovered_done_job() {
+    // a done job on disk whose energy column holds a NaN (written `null`)
+    let dir = tmp_dir("nan");
+    let job_dir = dir.join("jobs").join("job_00000000");
+    std::fs::create_dir_all(&job_dir).unwrap();
+    let spec = serial_spec("nan", 3);
+    std::fs::write(job_dir.join("spec.json"), spec.to_json()).unwrap();
+    let mut result = pt_io::Table::new();
+    result.column("t", vec![1.0, 2.0, 3.0]).unwrap();
+    result.column("energy", vec![-1.0, f64::NAN, -1.2]).unwrap();
+    result.write_json(job_dir.join("result.json")).unwrap();
+
+    let handle = start(ServerConfig::new(&dir, 2)).unwrap();
+    let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+    assert_eq!(client.wait_terminal(0, WAIT).unwrap().state, JobState::Done);
+    let assert_in_place = |what: &str, energy: &[f64]| {
+        assert_eq!(energy.len(), 3, "{what}: the NaN row vanished");
+        assert!(energy[1].is_nan(), "{what}: {energy:?}");
+        assert_eq!((energy[0], energy[2]), (-1.0, -1.2), "{what}");
+    };
+    // the rehydrated progress serves the column through `tail` ...
+    let mut tailed = Vec::new();
+    client
+        .tail(0, "energy", 0, false, |chunk| {
+            assert_eq!(chunk.t.len(), chunk.values.len(), "tail frame out of line");
+            tailed.extend_from_slice(&chunk.values);
+        })
+        .unwrap();
+    assert_in_place("tailed", &tailed);
+    // ... and `fetch` serves the table itself
+    let table = client.fetch(0).unwrap();
+    assert_in_place("fetched", &Client::table_column(&table, "energy").unwrap());
+    handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
