@@ -11,10 +11,10 @@
 //! and every subsequent `HΨ` application and residual evaluation is a job
 //! submitted to the same parked team. Each `HΨ` job applies the local
 //! (kinetic + V_loc + V_NL) part to the rank's cyclic share of the bands
-//! and joins the Alg. 2 broadcast loop for the Fock exchange
-//! ([`pt_ham::distributed_fock_apply`]); the fixed-point residual runs
-//! G-space-parallel via [`pt_ham::distributed_residual`] with its tree
-//! chunk reduction. The parallel-transport algebra around them (density,
+//! and joins the Fock exchange — the Alg. 2 broadcast loop, then the
+//! rank's dealt pair tiles ([`pt_ham::distributed_fock_apply`]); the
+//! fixed-point residual runs G-space-parallel via
+//! [`pt_ham::distributed_residual`] with its tree chunk reduction. The parallel-transport algebra around them (density,
 //! Anderson mixing, re-orthonormalization) runs replicated on the driver
 //! thread, on the system's `layout.cores()`-wide pool.
 //!
@@ -29,12 +29,12 @@
 //! The rank path ships `f64` on the wire, so the observables of a run are
 //! **bit-identical for every `ranks × threads_per_rank` layout**, inline
 //! or on the engine: the in-process kernels are the `N_p = 1` case of the
-//! rank ones (one pair-solve loop, one chunked residual — see `pt-ham`), band
-//! ownership only partitions work whose per-band results are computed
-//! independently in a fixed order, the broadcast loop accumulates
-//! `i = 0..N_e` identically on every rank count, and the residual's
-//! tree reduction joins fixed 64-row chunks in ascending order
-//! regardless of which rank owns them. (`pt_ham`'s kernels also take a
+//! rank ones (one pair term and one partner-chunk fold, one chunked
+//! residual — see `pt-ham`), band ownership only partitions work whose
+//! per-band results are computed independently in a fixed order, every
+//! band folds the same exchange partials in the same order whichever
+//! rank's tile made them, and the residual's tree reduction joins fixed
+//! 64-row chunks in ascending order regardless of which rank owns them. (`pt_ham`'s kernels also take a
 //! `Wire::F32` communicator — half the broadcast volume at ~1e-7
 //! relative loss, §3.2 optimization 4 — which no run selects.)
 
@@ -117,10 +117,11 @@ impl EngineKernels<'_> {
 
 impl StepKernels for EngineKernels<'_> {
     /// Local parts rank-parallel by band, exchange either via the Alg. 2
-    /// broadcast loop or — with a frozen ACE projector — via the
-    /// rank-local `−ξ(ξ^H ψ)` projector apply. In the ACE branch ξ lives
-    /// on the driver and reaches every rank by shared-memory reference:
-    /// the wire carries no pair FFTs and no broadcast bands at all.
+    /// broadcast loop and the dealt pair tiles or — with a frozen ACE
+    /// projector — via the rank-local `−ξ(ξ^H ψ)` projector apply. In the
+    /// ACE branch ξ lives on the driver and reaches every rank by
+    /// shared-memory reference: the wire carries no pair FFTs and no
+    /// broadcast bands at all.
     fn apply_h(
         &mut self,
         sys: &KsSystem,
@@ -155,8 +156,9 @@ impl StepKernels for EngineKernels<'_> {
         })
     }
 
-    /// The rank team computes `W = V_X Φ` with the Alg. 2 broadcast loop
-    /// (the one place pair FFTs still run under ACE), the driver factors
+    /// The rank team computes `W = V_X Φ` with the Alg. 2 broadcast loop and
+    /// the dealt pair tiles (the one place pair FFTs still run under ACE),
+    /// the driver factors
     /// the gathered W — layout-independent, so ξ carries W's bits.
     fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
         let alpha = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
@@ -264,6 +266,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_rank_dying_mid_tile_is_the_reported_cause_then_engine_down_never_a_hang() {
+        // the victim sends half of the partials its tiles owe other ranks,
+        // then dies: its peers may be waiting for the rest, in HΨ or in the
+        // ACE build, and must unwind instead of hanging; the job re-raises
+        // the victim's payload and the next call is the typed EngineDown
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sys = hybrid_sys(None);
+            let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 17);
+            let rho = sys.density(&psi);
+            let call = |k: &mut EngineKernels, phase: &str| match phase {
+                "HΨ" => k.apply_h(&sys, &rho, &psi, [0.0; 3], None).map(drop),
+                _ => k.build_ace(&sys, &psi).map(drop),
+            };
+            for np in 2..=4 {
+                let dist = BandDistribution {
+                    n_bands: sys.n_bands(),
+                    n_ranks: np,
+                };
+                for victim in 0..np {
+                    let owed = dist
+                        .exchange_tiles(victim)
+                        .iter()
+                        .flat_map(|t| t.partials())
+                        .filter(|&(_, band)| dist.owner(band) != victim)
+                        .count();
+                    if owed < 2 {
+                        continue;
+                    }
+                    for phase in ["HΨ", "ACE build"] {
+                        let cause = format!("rank {victim} of {np} dies mid-tile in {phase}");
+                        let mut engine = RankEngine::new(RankLayout::new(np, 1), Wire::F64);
+                        engine
+                            .run(|comm| {
+                                if comm.rank() == victim {
+                                    comm.fail_after_sends(owed / 2, &cause);
+                                }
+                            })
+                            .unwrap();
+                        let mut kernels = EngineKernels {
+                            engine: &mut engine,
+                        };
+                        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            call(&mut kernels, phase)
+                        }))
+                        .err()
+                        .and_then(|p| p.downcast_ref::<String>().cloned());
+                        let next = match call(&mut kernels, phase) {
+                            Err(PtError::EngineDown { cause }) => Some(cause),
+                            _ => None,
+                        };
+                        tx.send((np, cause, raised, next)).unwrap();
+                    }
+                }
+            }
+        });
+        let mut victims = [0usize; 5];
+        loop {
+            match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+                Ok((np, cause, raised, next)) => {
+                    assert_eq!(raised.as_deref(), Some(cause.as_str()), "re-raised payload");
+                    assert_eq!(next.as_deref(), Some(cause.as_str()), "EngineDown cause");
+                    victims[np] += 1;
+                }
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(e) => panic!("a rank dying mid-tile hung the job: {e}"),
+            }
+        }
+        // every rank count had a victim with partials left to send
+        assert!(victims[2..].iter().all(|&v| v >= 2), "{victims:?}");
     }
 
     #[test]

@@ -2,31 +2,38 @@
 //!
 //! Wavefunctions are distributed by **band index** (§3.1): rank p owns
 //! bands `p, p+N_p, p+2N_p, …` (the cyclic map keeps loads balanced when
-//! N_e % N_p ≠ 0). The Fock exchange loop broadcasts one owner's orbital at
-//! a time (`MPI_Bcast`, optionally f32 on the wire) while every rank solves
-//! the Poisson-like equations for its local bands — exactly Alg. 2, N²/P
-//! solves per rank. The in-process operator halves that count when it is
-//! applied to its own defining block (see [`crate::fock`]); the rank loop
-//! deliberately does not: pairs whose two bands share a rank are 1/(2P) of
-//! the work, and harvesting them needs stored pair potentials or an
-//! allgather that would foreclose overlapping the broadcast with the
-//! solves. Its pair terms carry the same global-index orientation as the
-//! in-process ones, so the gathered result has the in-process bits.
+//! N_e % N_p ≠ 0). The Fock exchange broadcasts one owner's orbital at a
+//! time (`MPI_Bcast`, optionally f32 on the wire), so every rank holds all
+//! of Φ, and then distributes *pairs*, not bands (the (i, j) pair-block
+//! dealing of arXiv:2009.03555): applied to its own defining block — every
+//! PT-gauge call — the N(N+1)/2 canonical pairs are cut into the
+//! self-contained [`ExchangeTile`]s of [`crate::fock`], a shape-only deal
+//! gives each tile to one rank, and every partial a tile completes travels
+//! point-to-point to its band's owner, which folds them in ascending
+//! partner-chunk order. Each pair is solved once on any layout, N(N+1)/2P
+//! per rank; the pair terms, partials and fold are the in-process ones, so
+//! the gathered result has the in-process bits. Handed Φ ≠ Ψ, the ranks
+//! run the general N_φ × N_ψ/P schedule on their own ψ bands instead.
 //!
-//! The total broadcast volume is `N_p × N_G × N_e × sizeof(wire scalar)`
-//! summed over receivers (§3.2) — asserted against the byte counters of
-//! `pt-mpi`, at both wire precisions, by the
+//! Two volume laws, asserted against the byte counters of `pt-mpi` at both
+//! wire precisions by the
 //! `tests/distributed_and_model.rs::alg2_volume_law_and_f32_wire`
-//! integration test. The PT-CN rank path always ships `f64`; the f32 wire
-//! is exercised by that test and the unit tests below.
+//! integration test: the broadcasts move `(N_p − 1) × N_G × N_e ×
+//! sizeof(wire scalar)` summed over receivers (§3.2), and a
+//! self-application's partials `(partials whose tile rank ≠ band owner) ×
+//! N_wfc × sizeof(wire scalar)` point-to-point. The PT-CN rank path always
+//! ships `f64`; the f32 wire is exercised by that test and the unit tests
+//! below.
 //!
 //! Both distributed hot paths thread their rank-local compute over the
 //! calling thread's current pool — on a [`pt_mpi::RankEngine`] that is
 //! the rank's own pinned pool, so a `ranks × threads_per_rank` layout maps
-//! each rank's band loop onto its dedicated core slice (the paper's
+//! each rank's tiles onto its dedicated core slice (the paper's
 //! one-GPU-per-rank analogue).
 
-use crate::fock::PairLoop;
+use crate::fock::{
+    exchange_tiles, fold_partial, gather_onto, same_bits, ExchangeTile, PairTerm, PartnerChunks,
+};
 use crate::grids::PwGrids;
 use pt_linalg::CMat;
 use pt_mpi::Comm;
@@ -107,6 +114,19 @@ impl BandDistribution {
         (c_start * OVERLAP_CHUNK_ROWS).min(ng)..(c_end * OVERLAP_CHUNK_ROWS).min(ng)
     }
 
+    /// The exchange tiles of a self-application dealt to `rank`, in the
+    /// lexicographic order it runs them. The deal is a function of
+    /// `(n_bands, n_ranks)` alone: tile after tile in that order, each to
+    /// the least-loaded rank, the lowest rank on ties — so per-rank solve
+    /// counts differ by at most the largest tile (68 / 68 at 16 bands on
+    /// 2 ranks). Ranks beyond the tile count get none.
+    pub fn exchange_tiles(&self, rank: usize) -> Vec<ExchangeTile> {
+        deal(*self)
+            .into_iter()
+            .filter_map(|(tile, r)| (r == rank).then_some(tile))
+            .collect()
+    }
+
     /// Extract `rank`'s local columns of a band-major matrix (a test and
     /// driver convenience: the band-layout "scatter" of a replicated
     /// block).
@@ -120,23 +140,48 @@ impl BandDistribution {
     }
 }
 
+/// The deal behind [`BandDistribution::exchange_tiles`]: every tile of a
+/// self-application with its rank — the tiles taken in lexicographic
+/// order, each to the least-loaded rank, the lowest on ties. Dealing in the
+/// order the tiles run keeps the ranks' progress aligned with the order
+/// their partials are folded in: at 16 bands on 2 ranks no rank ever waits
+/// for a partial.
+fn deal(dist: BandDistribution) -> Vec<(ExchangeTile, usize)> {
+    let mut load = vec![0usize; dist.n_ranks];
+    exchange_tiles(dist.n_bands)
+        .into_iter()
+        .map(|tile| {
+            // min_by_key keeps the first minimum: the lowest rank on ties
+            let r = (0..dist.n_ranks)
+                .min_by_key(|&r| load[r])
+                .expect("invariant: a band distribution has a rank");
+            load[r] += tile.solves();
+            (tile, r)
+        })
+        .collect()
+}
+
 /// Distributed Fock exchange application (Alg. 2).
 ///
 /// Φ is broadcast band-by-band *inside* this routine, so callers pass the
 /// **local** slice of Φ and receive `V_X ψ` for their local ψ bands
 /// (columns ↔ `dist.local_bands`).
 ///
-/// The pair solves — ~95 % of a hybrid step — run in the general
-/// `PairLoop` of the in-process
-/// [`FockOperator::apply_block`](crate::FockOperator::apply_block),
-/// fed one broadcast band at a time on the calling thread's current pool
-/// (the rank's pinned pool on a [`pt_mpi::RankEngine`]): every ψ
-/// band's accumulator folds `i = 0..n_bands` in broadcast order, and every
-/// pair term is oriented by the global indices of its two bands (local
-/// column `lj` is band `dist.local_bands(rank)[lj]`, the broadcast band is
-/// `i`) — so with a `Wire::F64` wire the output bits depend on neither the
-/// thread count nor the rank count, and equal the in-process apply's,
-/// whichever of its two schedules that ran.
+/// The pair solves — a third of a hybrid step on the benchmark's Si-8,
+/// nearly all of it at the paper's size — run on the calling thread's
+/// current pool (the rank's pinned pool on a [`pt_mpi::RankEngine`]). Like
+/// [`FockOperator::apply_block`](crate::FockOperator::apply_block), this
+/// recognises a self-application by its bits: if every rank was handed
+/// local Φ and Ψ that are equal `to_bits` (one 1-value allreduce decides
+/// for all — bandless ranks hold two empty, trivially equal blocks), each
+/// rank solves its dealt tiles ([`BandDistribution::exchange_tiles`]),
+/// sends every partial of a band it does not own to the band's owner and
+/// folds its own bands' partials in ascending partner-chunk order as they
+/// are made or arrive. Otherwise every rank runs the general schedule on
+/// its own ψ bands. Either way each partial is the in-process one — the
+/// same pair terms, oriented by global band index, in the same order — so
+/// with a `Wire::F64` wire the output bits depend on neither the thread
+/// count nor the rank count, and equal the in-process apply's.
 pub fn distributed_fock_apply(
     comm: &mut Comm,
     grids: &PwGrids,
@@ -150,26 +195,141 @@ pub fn distributed_fock_apply(
     assert_eq!(phi_local.nrows(), grids.ng());
     assert_eq!(phi_local.ncols(), nb_local);
     assert_eq!(psi_local.ncols(), nb_local);
-    let my_bands = dist.local_bands(comm.rank());
-    let mut pairs = PairLoop::new(grids, kernel, alpha, psi_local, my_bands);
-    // Alg. 2: for every band i, the owner broadcasts φ_i, everyone folds
-    // it onto its local (V_X ψ_j). One real-space buffer serves the whole
-    // loop (to_real_wfc overwrites it fully).
-    let mut phi_real = vec![c64::ZERO; grids.n_wfc()];
-    for i in 0..dist.n_bands {
-        let owner = dist.owner(i);
-        let mut phi_i: Vec<c64> = if owner == comm.rank() {
-            phi_local.col(dist.local_index(i)).to_vec()
-        } else {
-            Vec::new()
-        };
-        comm.bcast_c64(owner, &mut phi_i);
-        grids.to_real_wfc(&phi_i, &mut phi_real);
-        pairs.accumulate(i, &phi_real);
-    }
+    // every rank must take the same branch: count the ranks handed Φ ≠ Ψ
+    let mut general = [f64::from(u8::from(!same_bits(phi_local, psi_local)))];
+    comm.allreduce_sum_f64(&mut general);
+    let phi_real = broadcast_phi(comm, grids, dist, phi_local);
+    let term = PairTerm::new(grids, kernel, alpha);
     let mut out = CMat::zeros(grids.ng(), nb_local);
-    pairs.finish_onto(&mut out);
+    if general[0] == 0.0 {
+        let accs = fold_dealt_tiles(comm, dist, term, &phi_real, grids.n_wfc());
+        gather_onto(grids, &accs, &mut out);
+    } else {
+        let my_bands = dist.local_bands(comm.rank());
+        term.apply_general(&phi_real, psi_local, &my_bands, &mut out);
+    }
     out
+}
+
+/// Alg. 2's broadcast loop: for every band i the owner broadcasts φ_i and
+/// every rank keeps it in real space — all of Φ, band after band.
+fn broadcast_phi(
+    comm: &mut Comm,
+    grids: &PwGrids,
+    dist: BandDistribution,
+    phi_local: &CMat,
+) -> Vec<c64> {
+    let nw = grids.n_wfc();
+    let mut phi_real = vec![c64::ZERO; dist.n_bands * nw];
+    let mut phi_i = Vec::with_capacity(grids.ng());
+    for (i, real) in phi_real.chunks_exact_mut(nw).enumerate() {
+        let owner = dist.owner(i);
+        phi_i.clear();
+        if owner == comm.rank() {
+            phi_i.extend_from_slice(phi_local.col(dist.local_index(i)));
+        }
+        comm.bcast_c64(owner, &mut phi_i);
+        grids.to_real_wfc(&phi_i, real);
+    }
+    phi_real
+}
+
+/// A self-application's share of this rank: solve the dealt tiles, send
+/// each partial of a band owned elsewhere to its owner, fold the partials
+/// of the rank's own bands in ascending partner-chunk order, and return
+/// those accumulators (real space, local band after local band).
+///
+/// *No deadlock:* tiles are made and handed on in lexicographic order on
+/// every rank, a band's partials come from lexicographically ascending
+/// tiles, and a rank only ever waits for a partial of a tile before the
+/// one it is handing on. The lexicographically first tile not yet handed
+/// on therefore waits on nothing unsent, and sends never block.
+fn fold_dealt_tiles(
+    comm: &mut Comm,
+    dist: BandDistribution,
+    term: PairTerm,
+    phi_real: &[c64],
+    nw: usize,
+) -> Vec<c64> {
+    let rank = comm.rank();
+    let chunks = PartnerChunks::new(dist.n_bands);
+    let mut fold = OwnedPartials {
+        dist,
+        chunks,
+        tile_rank: deal(dist).into_iter().map(|(t, r)| (t.chunks, r)).collect(),
+        nw,
+        accs: vec![c64::ZERO; dist.n_local(rank) * nw],
+        next: vec![0; dist.n_local(rank)],
+    };
+    term.run_tiles(
+        phi_real,
+        &dist.exchange_tiles(rank),
+        |chunk, band, partial| {
+            let owner = dist.owner(band);
+            if owner == rank {
+                fold.fold_own(comm, chunk, band, partial);
+            } else {
+                comm.send_c64(owner, fold.tag(chunk, band), partial);
+            }
+        },
+    );
+    for band in dist.local_bands(rank) {
+        fold.receive_until(comm, band, chunks.count());
+    }
+    fold.accs
+}
+
+/// The accumulators of a rank's own bands during a self-application, each
+/// folding its partials in ascending partner-chunk order.
+struct OwnedPartials {
+    dist: BandDistribution,
+    chunks: PartnerChunks,
+    /// Rank of every tile, by its chunk pair.
+    tile_rank: Vec<((usize, usize), usize)>,
+    nw: usize,
+    accs: Vec<c64>,
+    /// Per local band: the partner chunk it folds next.
+    next: Vec<usize>,
+}
+
+impl OwnedPartials {
+    /// Message tag of partial `p_chunk(band)` (below the collectives' tags).
+    fn tag(&self, chunk: usize, band: usize) -> u64 {
+        (band * self.chunks.count() + chunk) as u64
+    }
+
+    /// The rank whose tile makes `p_chunk(band)`.
+    fn source(&self, chunk: usize, band: usize) -> usize {
+        let own = self.chunks.of(band);
+        let key = (chunk.min(own), chunk.max(own));
+        self.tile_rank
+            .iter()
+            .find_map(|&(chunks, r)| (chunks == key).then_some(r))
+            .expect("invariant: every pair of chunks has a tile")
+    }
+
+    /// Fold onto `band` (owned here) the partials other ranks send it,
+    /// until it has every chunk below `upto`. The ones this rank makes
+    /// below `upto` are already folded: its tiles are handed on in
+    /// lexicographic order, which is ascending chunk order per band.
+    fn receive_until(&mut self, comm: &mut Comm, band: usize, upto: usize) {
+        let lj = self.dist.local_index(band);
+        while self.next[lj] < upto {
+            let chunk = self.next[lj];
+            let partial = comm.recv_c64(self.source(chunk, band), self.tag(chunk, band));
+            fold_partial(&mut self.accs[lj * self.nw..(lj + 1) * self.nw], &partial);
+            self.next[lj] += 1;
+        }
+    }
+
+    /// Fold a partial this rank made for one of its own bands, after the
+    /// lower chunks other ranks owe it.
+    fn fold_own(&mut self, comm: &mut Comm, chunk: usize, band: usize, partial: &[c64]) {
+        self.receive_until(comm, band, chunk);
+        let lj = self.dist.local_index(band);
+        fold_partial(&mut self.accs[lj * self.nw..(lj + 1) * self.nw], partial);
+        self.next[lj] = chunk + 1;
+    }
 }
 
 /// Per-chunk overlap partials `T_c = A[c]^H B[c]` over the fixed
@@ -478,29 +638,137 @@ mod tests {
         })
     }
 
+    /// Partials of a self-application that cross ranks: made by a tile of
+    /// one rank for a band another owns.
+    fn remote_partials(dist: BandDistribution) -> u64 {
+        let per_rank = (0..dist.n_ranks).map(|rank| {
+            dist.exchange_tiles(rank)
+                .iter()
+                .map(|tile| {
+                    tile.partials()
+                        .filter(|&(_, band)| dist.owner(band) != rank)
+                        .count()
+                })
+                .sum::<usize>()
+        });
+        per_rank.sum::<usize>() as u64
+    }
+
     #[test]
     fn distributed_fock_equals_the_in_process_apply_to_the_bit() {
         let s = silicon_cubic_supercell(1, 1, 1);
         let grids = PwGrids::new(&s, 2.0);
-        let ng = grids.ng();
-        // 6 bands: uneven over 4 ranks' worth of layouts; 2 bands on 4
-        // ranks: bandless tail ranks still join every broadcast
-        for (nb, layouts) in [(6usize, &LAYOUTS[..]), (2, &[(4usize, 1usize)][..])] {
+        let (ng, nw) = (grids.ng(), grids.n_wfc() as u64);
+        let kernel = ScreenedKernel::new(&grids, 0.11);
+        // 6 bands: uneven over the layouts' rank counts; 2 bands on 4
+        // ranks: bandless (and tileless) tail ranks still join every
+        // collective; 70 bands: uneven chunks (18, 18, 18, 16), tiles of up
+        // to 324 solves and multi-band pool tasks
+        let cases: [(usize, &[(usize, usize)]); 3] = [
+            (6, &LAYOUTS),
+            (2, &[(4, 1)]),
+            (70, &[(1, 4), (2, 1), (3, 4)]),
+        ];
+        for (nb, layouts) in cases {
             let phi = rand_block(ng, nb, 3);
             let psi = rand_block(ng, nb, 4);
-            let kernel = ScreenedKernel::new(&grids, 0.11);
             let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-            let mut want = CMat::zeros(ng, nb);
-            fock.apply_block(&grids, &psi, &mut want);
-            for &(ranks, threads) in layouts {
-                let layout = RankLayout::new(ranks, threads);
-                let (got, stats) = gathered_fock(layout, Wire::F64, &grids, &phi, &psi, &kernel);
-                assert_same_bits(&want, &got, &format!("nb={nb} {ranks}x{threads}"));
-                // §3.2 volume: receivers = (N_p−1) per bcast, N_e bcasts of N_G c64
-                let np = ranks as u64;
-                assert_eq!(stats.bcast_bytes, (np - 1) * (nb * ng) as u64 * 16);
-                assert_eq!(stats.bcast_calls, np * nb as u64);
+            for (what, psi) in [("Φ ≠ Ψ", &psi), ("Φ = Ψ", &phi)] {
+                let self_application = std::ptr::eq(psi, &phi);
+                let (want, general) = pt_par::ThreadPool::new(1).install(|| {
+                    let mut want = CMat::zeros(ng, nb);
+                    fock.apply_block(&grids, psi, &mut want);
+                    let mut general = CMat::zeros(ng, nb);
+                    fock.apply_general(&grids, psi, &mut general);
+                    (want, general)
+                });
+                assert_same_bits(&want, &general, &format!("nb={nb} {what}: general"));
+                for &(ranks, threads) in layouts {
+                    let layout = RankLayout::new(ranks, threads);
+                    let (got, stats) = gathered_fock(layout, Wire::F64, &grids, &phi, psi, &kernel);
+                    let at = format!("nb={nb} {what} {ranks}x{threads}");
+                    assert_same_bits(&want, &got, &at);
+                    // §3.2 volume: receivers = (N_p−1) per bcast, N_e
+                    // bcasts of N_G c64, plus one agreement value per rank
+                    let np = ranks as u64;
+                    assert_eq!(stats.bcast_bytes, (np - 1) * (nb * ng) as u64 * 16, "{at}");
+                    assert_eq!(stats.bcast_calls, np * nb as u64, "{at}");
+                    assert_eq!(stats.allreduce_calls, np, "{at}");
+                    // the partial law: only a self-application sends them
+                    let dist = BandDistribution {
+                        n_bands: nb,
+                        n_ranks: ranks,
+                    };
+                    let partials = if self_application {
+                        remote_partials(dist)
+                    } else {
+                        0
+                    };
+                    assert_eq!(stats.p2p_bytes, partials * nw * 16, "{at}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn the_tile_deal_covers_every_pair_once_and_balances_the_solves() {
+        let s = silicon_cubic_supercell(1, 1, 1);
+        let grids = PwGrids::new(&s, 2.0);
+        let kernel = ScreenedKernel::new(&grids, 0.11);
+        for n in [1usize, 2, 5, 6, 16, 70] {
+            for np in 1..=5 {
+                let dist = BandDistribution {
+                    n_bands: n,
+                    n_ranks: np,
+                };
+                let dealt: Vec<Vec<ExchangeTile>> =
+                    (0..np).map(|r| dist.exchange_tiles(r)).collect();
+                // a pure function of (N, P): each rank's own thread and
+                // pool deal it the same tiles the driver computes
+                let (on_ranks, _) = RankEngine::new(RankLayout::new(np, 2), Wire::F64)
+                    .run(|comm| dist.exchange_tiles(comm.rank()))
+                    .expect("fresh engine");
+                assert_eq!(on_ranks, dealt, "n={n} np={np}");
+                let mut solved = vec![0u32; n * n];
+                for tiles in &dealt {
+                    assert!(tiles.windows(2).all(|w| w[0].chunks < w[1].chunks));
+                    for (a, b) in tiles.iter().flat_map(ExchangeTile::pairs) {
+                        solved[a * n + b] += 1;
+                    }
+                }
+                for a in 0..n {
+                    for b in 0..n {
+                        let want = u32::from(a <= b);
+                        assert_eq!(solved[a * n + b], want, "n={n} np={np} ({a}, {b})");
+                    }
+                }
+                let loads: Vec<usize> = dealt
+                    .iter()
+                    .map(|tiles| tiles.iter().map(ExchangeTile::solves).sum::<usize>())
+                    .collect();
+                let largest = dealt.iter().flatten().map(ExchangeTile::solves).max();
+                let (lo, hi) = (loads.iter().min(), loads.iter().max());
+                assert!(
+                    hi.zip(lo).map(|(h, l)| h - l) <= largest,
+                    "n={n} np={np}: loads {loads:?}"
+                );
+                if n == 16 && np == 2 {
+                    assert_eq!(loads, [68, 68]);
+                }
+            }
+        }
+        // fewer bands than ranks: ranks that own no band — and, for 1 band,
+        // no tile — still join the agreement, every broadcast and the sends
+        for (n, np) in [(1usize, 3usize), (2, 5)] {
+            let phi = rand_block(grids.ng(), n, 11);
+            let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
+            let mut want = CMat::zeros(grids.ng(), n);
+            fock.apply_block(&grids, &phi, &mut want);
+            let layout = RankLayout::new(np, 1);
+            let (got, stats) = gathered_fock(layout, Wire::F64, &grids, &phi, &phi, &kernel);
+            assert_same_bits(&want, &got, &format!("n={n} np={np}"));
+            assert_eq!(stats.allreduce_calls, np as u64);
+            assert_eq!(stats.bcast_calls, (np * n) as u64);
         }
     }
 

@@ -19,23 +19,52 @@
 //! `k`, `j` being **global** band indices. K is real and even, so
 //! `conj(S(b, a)) = S(a, b)` and the two lines are the same function of
 //! any Φ, Ψ: which one runs is an evaluation-order choice, made by the
-//! indices alone. `PairTerm::pair_accumulate` is its one body; every
-//! accumulator folds its partners in ascending `k` from zero.
+//! indices alone. `PairTerm::pair_accumulate` is its one body.
+//!
+//! # One fold order: partner chunks
+//!
+//! The partners of every band are cut into fixed **partner chunks**:
+//! `PARTNER_CHUNKS` = 4 chunks of ⌈N_φ/4⌉ bands (the last may be narrower),
+//! a function of N_φ alone, never of the rank or thread count. Band `j`'s
+//! terms from the partners of chunk `c` fold ascending from zero into the
+//! partial `p_c(j)`, and `V_X ψ_j = ((0 + p_0(j)) + p_1(j)) + …` — the
+//! fixed-chunk argument of the Alg. 3 overlap reduction
+//! ([`crate::OVERLAP_CHUNK_ROWS`]) applied to partners. A constant chunk
+//! *count* keeps the partials linear in N.
 //!
 //! # Two schedules, one result
 //!
-//! * **General** (`PairLoop`): N_φ × N_ψ solves, one ψ-band chunk per
-//!   pool task (the paper's batched-CUFFT stage, §3.2).
-//!   [`FockOperator::apply_block`] feeds it all of Φ at once for a ψ that
-//!   is not the defining block (Davidson's trial blocks); the distributed
-//!   Alg. 2 driver ([`crate::distributed_fock_apply`]) feeds it one
-//!   broadcast band at a time.
-//! * **Self-application**: when `apply_block` is handed the very block the
-//!   operator was built from — every PT-gauge call (the PT-CN `HΨ`, the
-//!   ACE build `W = V_X Φ`, the exchange energy) — `S(φ_a, φ_b)` serves
-//!   pair (a, b) *and* pair (b, a), so only the N(N+1)/2 canonical pairs
-//!   `a ≤ b` are solved, each folded onto band `b` as its partner `a` and,
-//!   conjugated, onto band `a` as its partner `b` (`OrderedFold`).
+//! * **General** (`PairTerm::apply_general`): N_φ × N_ψ solves, one ψ-band
+//!   chunk per pool task (the paper's batched-CUFFT stage, §3.2), each
+//!   band's running partial in the thread's scratch, flushed onto its
+//!   accumulator at every chunk boundary. [`FockOperator::apply_block`]
+//!   runs it for a ψ that is not the defining block (Davidson's trial
+//!   blocks), [`crate::distributed_fock_apply`] when its ranks were handed
+//!   Φ ≠ Ψ.
+//! * **Self-application, by tiles**: when `apply_block` is handed the very
+//!   block the operator was built from — every PT-gauge call (the PT-CN
+//!   `HΨ`, the ACE build `W = V_X Φ`, the exchange energy) —
+//!   `S(φ_a, φ_b)` serves pair (a, b) *and* pair (b, a), so only the
+//!   N(N+1)/2 canonical pairs `a ≤ b` are solved, each folded onto band
+//!   `b` as its partner `a` and, conjugated, onto band `a` as its partner
+//!   `b`. The pairs are cut into [`ExchangeTile`]s: tile `(c1 ≤ c2)` holds
+//!   the pairs `a ∈ c1, b ∈ c2` (`a ≤ b` on the diagonal), solved in
+//!   lexicographic order.
+//!
+//! **A tile is self-contained.** Its pairs feed exactly the partials
+//! `p_{c1}(b)` for `b ∈ c2` and `p_{c2}(a)` for `a ∈ c1`, and no other
+//! tile feeds them; lexicographic pair order hands each of them its
+//! partners ascending (band `j` of a diagonal tile meets `k < j` in pair
+//! (k, j), itself in (j, j), `k > j` in (j, k)). So a tile's partials
+//! carry the same bits on whichever thread or rank it ran, and tiles in
+//! lexicographic order hand every band its partials in ascending chunk
+//! order (band `j` of chunk `c_j` gets `p_c(j)` from tile
+//! `(min(c, c_j), max(c, c_j))`, which ascends with `c`). In process, the
+//! tiles run a pool's width at a time, one task per tile owning its
+//! partials, which are folded onto the accumulators in tile order after
+//! each dispatch; on ranks, tiles are dealt by a shape-only deal and each
+//! partial travels to its band's owner ([`crate::distributed_fock_apply`]).
+//! Nothing ever waits for a sibling task.
 //!
 //! Under the index orientation both schedules evaluate the same
 //! expressions in the same per-band order, so they agree **to the bit** —
@@ -53,8 +82,7 @@ use crate::grids::PwGrids;
 use crate::scratch::SCRATCH;
 use pt_linalg::CMat;
 use pt_num::{c64, with_scratch};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::ops::Range;
 
 /// The (possibly screened) electron–electron interaction kernel in G-space.
 #[derive(Clone, Debug)]
@@ -112,17 +140,143 @@ pub enum FockMode {
     Batched,
 }
 
+/// Number of partner chunks a band set is cut into (module docs).
+const PARTNER_CHUNKS: usize = 4;
+
+/// The shape-only partner chunks of `n` bands: ⌈n/4⌉ bands each, the
+/// last possibly narrower.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PartnerChunks {
+    n: usize,
+    width: usize,
+}
+
+impl PartnerChunks {
+    pub(crate) fn new(n: usize) -> Self {
+        PartnerChunks {
+            n,
+            width: n.div_ceil(PARTNER_CHUNKS).max(1),
+        }
+    }
+
+    /// Number of chunks (≤ 4; fewer below 4 bands or when ⌈n/4⌉ rounds up).
+    pub(crate) fn count(self) -> usize {
+        self.n.div_ceil(self.width)
+    }
+
+    /// The chunk band `band` lies in.
+    pub(crate) fn of(self, band: usize) -> usize {
+        band / self.width
+    }
+
+    /// The bands of chunk `c`.
+    fn bands(self, c: usize) -> Range<usize> {
+        (c * self.width).min(self.n)..((c + 1) * self.width).min(self.n)
+    }
+}
+
+/// One tile of a self-application: the canonical pairs `a ≤ b` with `a`
+/// in partner chunk `chunks.0` and `b` in partner chunk `chunks.1` — the
+/// unit of work in process and on ranks. A tile completes every partial
+/// it feeds (module docs), so where it runs never changes a bit.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExchangeTile {
+    /// Its two partner chunks, `chunks.0 ≤ chunks.1`.
+    pub chunks: (usize, usize),
+    /// The bands of `chunks.0` (the `a` side) and of `chunks.1` (`b`).
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl ExchangeTile {
+    fn is_diagonal(&self) -> bool {
+        self.chunks.0 == self.chunks.1
+    }
+
+    /// Its pairs `(a, b)`, in the lexicographic order they are solved.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.rows
+            .clone()
+            .flat_map(move |a| (a.max(self.cols.start)..self.cols.end).map(move |b| (a, b)))
+    }
+
+    /// Pair solves it runs.
+    pub fn solves(&self) -> usize {
+        self.pairs().count()
+    }
+
+    /// The partials it completes, as `(partner chunk, band)`, in the order
+    /// they are laid out and handed on: `p_{c1}(b)` for every band `b` of
+    /// `c2`, then — off the diagonal — `p_{c2}(a)` for every band `a` of
+    /// `c1`.
+    pub fn partials(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let (c1, c2) = self.chunks;
+        let mirrored = if self.is_diagonal() {
+            0..0
+        } else {
+            self.rows.clone()
+        };
+        self.cols
+            .clone()
+            .map(move |b| (c1, b))
+            .chain(mirrored.map(move |a| (c2, a)))
+    }
+
+    /// Positions, in [`ExchangeTile::partials`] order, of the two partials
+    /// pair (a, b) feeds: band `b`'s and band `a`'s.
+    fn slots(&self, a: usize, b: usize) -> (usize, usize) {
+        let to_a = if self.is_diagonal() {
+            a - self.cols.start
+        } else {
+            self.cols.len() + a - self.rows.start
+        };
+        (b - self.cols.start, to_a)
+    }
+}
+
+/// The tiles of a self-application of `n` bands, lexicographic in their
+/// chunk pair — the order that hands every band its partials ascending.
+pub(crate) fn exchange_tiles(n: usize) -> Vec<ExchangeTile> {
+    let chunks = PartnerChunks::new(n);
+    let count = chunks.count();
+    let mut tiles = Vec::with_capacity(count * (count + 1) / 2);
+    for c1 in 0..count {
+        tiles.extend((c1..count).map(|c2| ExchangeTile {
+            chunks: (c1, c2),
+            rows: chunks.bands(c1),
+            cols: chunks.bands(c2),
+        }));
+    }
+    tiles
+}
+
+/// `acc += partial`, element by element: one step of a band's ascending
+/// fold over its partner chunks.
+pub(crate) fn fold_partial(acc: &mut [c64], partial: &[c64]) {
+    for (a, p) in acc.iter_mut().zip(partial) {
+        *a += *p;
+    }
+}
+
 /// What every pair term of one exchange application shares. All fields
 /// live on the wavefunction grid; FFTs are serial (the callers parallelise
-/// over bands or pairs) and `pair` / `u` is caller-owned scratch.
+/// over bands or tiles) and `pair` / `u` is caller-owned scratch.
 #[derive(Clone, Copy)]
-struct PairTerm<'a> {
+pub(crate) struct PairTerm<'a> {
     grids: &'a PwGrids,
     kernel: &'a ScreenedKernel,
     alpha: f64,
 }
 
-impl PairTerm<'_> {
+impl<'a> PairTerm<'a> {
+    pub(crate) fn new(grids: &'a PwGrids, kernel: &'a ScreenedKernel, alpha: f64) -> Self {
+        PairTerm {
+            grids,
+            kernel,
+            alpha,
+        }
+    }
+
     /// One Poisson-like solve of Alg. 2:
     /// `pair ← S(a, b) = IFFT[(K/N) · FFT(conj(a) · b)]`. The grid
     /// convolution is the exact integral, no volume factor (the
@@ -140,27 +294,33 @@ impl PairTerm<'_> {
     }
 
     /// `acc += −α φ · u`, or `−α φ · conj(u)` for a `mirrored` term (one
-    /// whose solve ran with its two sides exchanged).
-    fn fold_onto(&self, phi: &[c64], u: &[c64], mirrored: bool, acc: &mut [c64]) {
+    /// whose solve ran with its two sides exchanged). The `first` term of
+    /// a partial starts it instead — `acc = 0 + …`, the bits of folding
+    /// onto zeros without writing them first.
+    fn fold_onto(&self, phi: &[c64], u: &[c64], mirrored: bool, first: bool, acc: &mut [c64]) {
+        let scale = -self.alpha;
         let terms = acc.iter_mut().zip(phi).zip(u);
-        if mirrored {
-            for ((o, f), v) in terms {
-                *o += (*f * v.conj()).scale(-self.alpha);
+        match (mirrored, first) {
+            (false, false) => terms.for_each(|((o, f), v)| *o += (*f * *v).scale(scale)),
+            (true, false) => terms.for_each(|((o, f), v)| *o += (*f * v.conj()).scale(scale)),
+            (false, true) => {
+                terms.for_each(|((o, f), v)| *o = c64::ZERO + (*f * *v).scale(scale));
             }
-        } else {
-            for ((o, f), v) in terms {
-                *o += (*f * *v).scale(-self.alpha);
+            (true, true) => {
+                terms.for_each(|((o, f), v)| *o = c64::ZERO + (*f * v.conj()).scale(scale));
             }
         }
     }
 
     /// The term partner `k` (real-space `phi`) contributes to band `j`
-    /// (real-space `psi`), accumulated — oriented by the global band
-    /// indices as the module docs define it.
+    /// (real-space `psi`), folded onto the partial `acc` (started by it if
+    /// `first`) — oriented by the global band indices as the module docs
+    /// define it.
     fn pair_accumulate(
         &self,
         (k, phi): (usize, &[c64]),
         (j, psi): (usize, &[c64]),
+        first: bool,
         pair: &mut [c64],
         acc: &mut [c64],
     ) {
@@ -170,7 +330,116 @@ impl PairTerm<'_> {
         } else {
             self.solve(phi, psi, pair);
         }
-        self.fold_onto(phi, pair, mirrored, acc);
+        self.fold_onto(phi, pair, mirrored, first, acc);
+    }
+
+    /// The general schedule of Alg. 2's pair loop: `out[:, j] += V_X ψ_j`
+    /// for the ψ columns (column `j` is global band `psi_index[j]`) against
+    /// every partner of the real-space Φ `phi_real` (band after band). The
+    /// ψ bands are cut into shape-only chunks, one pool task each; a band
+    /// folds each partner chunk into a running partial in the thread's
+    /// scratch and flushes it onto its accumulator at the chunk boundary,
+    /// so `V_X ψ_j` depends on neither the thread count nor the rank count.
+    pub(crate) fn apply_general(
+        self,
+        phi_real: &[c64],
+        psi: &CMat,
+        psi_index: &[usize],
+        out: &mut CMat,
+    ) {
+        let (grids, nw) = (self.grids, self.grids.n_wfc());
+        assert_eq!(psi.nrows(), grids.ng());
+        assert_eq!(psi_index.len(), psi.ncols());
+        let n_phi = phi_real.len() / nw;
+        let n_psi = psi.ncols();
+        pt_trace::counter_add(pt_trace::Counter::PairFfts, (n_phi * n_psi) as u64);
+        let chunks = PartnerChunks::new(n_phi);
+        let mut psi_real = vec![c64::ZERO; n_psi * nw];
+        pt_par::parallel_chunks_mut(&mut psi_real, nw, |j, r| grids.to_real_wfc(psi.col(j), r));
+        let mut accs = vec![c64::ZERO; psi_real.len()];
+        // min 1 so a ψ block without bands keeps a valid chunk size
+        let band_chunk = n_psi.div_ceil(pt_par::chunk_count(n_psi.max(1))).max(1);
+        pt_par::parallel_chunks_mut(&mut accs, band_chunk * nw, |c, accs| {
+            with_scratch(&SCRATCH, 2 * nw, |work| {
+                let (pair, partial) = work.split_at_mut(nw);
+                for (dj, acc) in accs.chunks_exact_mut(nw).enumerate() {
+                    let j = c * band_chunk + dj;
+                    let psi_j = (psi_index[j], &psi_real[j * nw..(j + 1) * nw]);
+                    for chunk in 0..chunks.count() {
+                        let partners = chunks.bands(chunk);
+                        for k in partners.clone() {
+                            let phi_k = &phi_real[k * nw..(k + 1) * nw];
+                            let first = k == partners.start;
+                            self.pair_accumulate((k, phi_k), psi_j, first, pair, partial);
+                        }
+                        fold_partial(acc, partial);
+                    }
+                }
+            });
+        });
+        gather_onto(grids, &accs, out);
+    }
+
+    /// Solve every pair of `tile` against the real-space Φ and leave its
+    /// partials in `partials` (in [`ExchangeTile::partials`] order):
+    /// `u = S(φ_a, φ_b)` into the thread's scratch, `−α φ_a u` onto band
+    /// `b`'s partial, then `−α φ_b conj(u)` onto band `a`'s. Each partial's
+    /// first term — from the chunk's first `a`, or off the diagonal its
+    /// first `b` — starts it.
+    fn solve_tile(self, phi_real: &[c64], tile: &ExchangeTile, partials: &mut [c64]) {
+        let nw = self.grids.n_wfc();
+        let band = |i: usize| &phi_real[i * nw..(i + 1) * nw];
+        with_scratch(&SCRATCH, nw, |u| {
+            for (a, b) in tile.pairs() {
+                self.solve(band(a), band(b), u);
+                let (to_b, to_a) = tile.slots(a, b);
+                let first_a = a == tile.rows.start;
+                let to_b = &mut partials[to_b * nw..(to_b + 1) * nw];
+                self.fold_onto(band(a), u, false, first_a, to_b);
+                if a != b {
+                    let first_b = b == tile.cols.start;
+                    let to_a = &mut partials[to_a * nw..(to_a + 1) * nw];
+                    self.fold_onto(band(b), u, true, first_b, to_a);
+                }
+            }
+        });
+    }
+
+    /// The self-application schedule over `tiles` (lexicographic), handing
+    /// every partial to `emit(partner chunk, band, partial)` in tile order —
+    /// so a band is handed the partials of these tiles in ascending chunk
+    /// order. A pool of T threads solves T tiles per dispatch, each task
+    /// owning its tile's partials, and hands them on before the next
+    /// dispatch: T tiles of partials are held, and on a one-thread rank
+    /// they travel while its later tiles run.
+    pub(crate) fn run_tiles(
+        self,
+        phi_real: &[c64],
+        tiles: &[ExchangeTile],
+        mut emit: impl FnMut(usize, usize, &[c64]),
+    ) {
+        let nw = self.grids.n_wfc();
+        let solves = tiles.iter().map(ExchangeTile::solves).sum::<usize>();
+        pt_trace::counter_add(pt_trace::Counter::PairFfts, solves as u64);
+        let Some(stride) = tiles.iter().map(|t| t.partials().count() * nw).max() else {
+            return;
+        };
+        let batch = pt_par::current_num_threads().min(tiles.len());
+        let mut slots = vec![c64::ZERO; batch * stride];
+        for group in tiles.chunks(batch) {
+            pt_par::parallel_chunks_mut(
+                &mut slots[..group.len() * stride],
+                stride,
+                |t, partials| {
+                    self.solve_tile(phi_real, &group[t], partials);
+                },
+            );
+            for (tile, partials) in group.iter().zip(slots.chunks_exact(stride)) {
+                for ((chunk, band), partial) in tile.partials().zip(partials.chunks_exact(nw)) {
+                    emit(chunk, band, partial);
+                }
+            }
+        }
     }
 }
 
@@ -178,7 +447,7 @@ impl PairTerm<'_> {
 /// to sphere coefficients, added onto the columns of `out`. Band-parallel;
 /// the transform destroys its input, so each band goes through the
 /// thread's scratch.
-fn gather_onto(grids: &PwGrids, accs: &[c64], out: &mut CMat) {
+pub(crate) fn gather_onto(grids: &PwGrids, accs: &[c64], out: &mut CMat) {
     let (nw, ng) = (grids.n_wfc(), grids.ng());
     assert_eq!(accs.len(), out.ncols() * nw);
     pt_par::parallel_chunks_mut(out.data_mut(), ng, |j, col| {
@@ -193,173 +462,15 @@ fn gather_onto(grids: &PwGrids, accs: &[c64], out: &mut CMat) {
     });
 }
 
-/// The general schedule of Alg. 2's pair loop: the real-space ψ bands and
-/// one accumulator per band, cut into shape-only chunks (one pool task
-/// each; pair scratch is the thread's, so folding allocates nothing).
-///
-/// Each accumulator is owned by exactly one task and folds the φ it is
-/// handed in call order from zero, so `V_X ψ_j` depends on neither the
-/// thread count nor on how the caller batches [`PairLoop::accumulate`]
-/// calls — all of Φ at once in process, one broadcast band at a time
-/// under a `Comm`.
-pub(crate) struct PairLoop<'a> {
-    term: PairTerm<'a>,
-    /// Global band index of every ψ column (orients its pair terms).
-    psi_index: Vec<usize>,
-    /// Real-space ψ, band after band (N_ψ × N_wfc).
-    psi_real: Vec<c64>,
-    /// Real-space `V_X ψ_j` accumulators, same layout.
-    accs: Vec<c64>,
-}
-
-impl<'a> PairLoop<'a> {
-    /// ψ (columns, sphere coefficients; column `j` is global band
-    /// `psi_index[j]`) to real space, zeroed accumulators.
-    pub(crate) fn new(
-        grids: &'a PwGrids,
-        kernel: &'a ScreenedKernel,
-        alpha: f64,
-        psi: &CMat,
-        psi_index: Vec<usize>,
-    ) -> Self {
-        assert_eq!(psi.nrows(), grids.ng());
-        assert_eq!(psi_index.len(), psi.ncols());
-        let nw = grids.n_wfc();
-        let mut psi_real = vec![c64::ZERO; psi.ncols() * nw];
-        pt_par::parallel_chunks_mut(&mut psi_real, nw, |j, r| grids.to_real_wfc(psi.col(j), r));
-        PairLoop {
-            term: PairTerm {
-                grids,
-                kernel,
-                alpha,
-            },
-            psi_index,
-            accs: vec![c64::ZERO; psi_real.len()],
-            psi_real,
-        }
-    }
-
-    /// Fold the real-space defining orbitals `phis` (band after band,
-    /// global indices `first, first + 1, …`), in that order, onto every ψ
-    /// band's accumulator: one pair solve per (φ, ψ) pair.
-    pub(crate) fn accumulate(&mut self, first: usize, phis: &[c64]) {
-        let nw = self.term.grids.n_wfc();
-        let n_psi = self.psi_index.len();
-        pt_trace::counter_add(
-            pt_trace::Counter::PairFfts,
-            (phis.len() / nw * n_psi) as u64,
-        );
-        // min 1 so a ψ block without bands keeps a valid chunk size
-        let band_chunk = n_psi.div_ceil(pt_par::chunk_count(n_psi.max(1))).max(1);
-        let (term, psi_index, psi_real) = (self.term, &self.psi_index, &self.psi_real);
-        pt_par::parallel_chunks_mut(&mut self.accs, band_chunk * nw, |c, accs| {
-            with_scratch(&SCRATCH, nw, |pair| {
-                for (dk, phi) in phis.chunks_exact(nw).enumerate() {
-                    for (dj, acc) in accs.chunks_exact_mut(nw).enumerate() {
-                        let j = c * band_chunk + dj;
-                        let psi = &psi_real[j * nw..(j + 1) * nw];
-                        term.pair_accumulate((first + dk, phi), (psi_index[j], psi), pair, acc);
-                    }
-                }
-            });
-        });
-    }
-
-    /// Back to sphere coefficients: `out[:, j] += V_X ψ_j`.
-    pub(crate) fn finish_onto(self, out: &mut CMat) {
-        gather_onto(self.term.grids, &self.accs, out);
-    }
-}
-
-/// The accumulators of the self-application schedule: band `j` accepts the
-/// term of partner `k` only once it holds partners `0..k`, so any number
-/// of tasks may solve pairs concurrently and every band still folds in
-/// ascending partner order from zero — the one fold order of this crate.
-///
-/// Tasks that find their band not ready yield and retry. That cannot
-/// deadlock when tasks are pool-claimed in ascending order over the
-/// lexicographic pair list: every earlier pair of the earliest unfinished
-/// one is done, which is exactly what its two commits wait for, and the
-/// thread that claimed it waits on nothing else. A 1-thread or nested
-/// region runs in index order and never waits. A task that unwinds marks
-/// the fold abandoned so waiters give up (their results are discarded by
-/// the panic the pool re-raises) instead of spinning forever.
-struct OrderedFold<'a> {
-    /// Per band: the partner it accepts next, and its accumulator.
-    bands: Vec<Mutex<(usize, &'a mut [c64])>>,
-    abandoned: AtomicBool,
-}
-
-impl<'a> OrderedFold<'a> {
-    /// One band per `nw` elements of `accs`, each expecting partner 0.
-    fn new(accs: &'a mut [c64], nw: usize) -> Self {
-        OrderedFold {
-            bands: accs
-                .chunks_exact_mut(nw)
-                .map(|a| Mutex::new((0, a)))
-                .collect(),
-            abandoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Run `task(i)` for `i in 0..tasks` as **one** pool dispatch.
-    fn run(&self, tasks: usize, task: impl Fn(usize) + Sync) {
-        struct AbandonOnUnwind<'f>(&'f AtomicBool);
-        impl Drop for AbandonOnUnwind<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, Ordering::Release);
-                }
-            }
-        }
-        pt_par::parallel_for(tasks, |i| {
-            let _guard = AbandonOnUnwind(&self.abandoned);
-            task(i);
-        });
-    }
-
-    /// Apply `fold` to `band`'s accumulator as its partner `partner`,
-    /// waiting until every lower partner has been folded.
-    fn commit(&self, band: usize, partner: usize, fold: impl FnOnce(&mut [c64])) {
-        loop {
-            if self.abandoned.load(Ordering::Acquire) {
-                return;
-            }
-            // a poisoned lock is an unwinding sibling: abandoned as well
-            let Ok(mut slot) = self.bands[band].lock() else {
-                return;
-            };
-            if slot.0 == partner {
-                fold(slot.1);
-                slot.0 += 1;
-                return;
-            }
-            drop(slot);
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Same shape and the same bits in every element (stops at the first
 /// difference).
-fn same_bits(a: &CMat, b: &CMat) -> bool {
+pub(crate) fn same_bits(a: &CMat, b: &CMat) -> bool {
     let bits = |z: &c64| (z.re.to_bits(), z.im.to_bits());
     (a.nrows(), a.ncols()) == (b.nrows(), b.ncols())
         && a.data()
             .iter()
             .zip(b.data())
             .all(|(x, y)| bits(x) == bits(y))
-}
-
-/// The pairs `a ≤ b` of `n` bands in lexicographic order — the order that
-/// hands every band its partners ascending: band `j` meets `k < j` in
-/// pair (k, j), itself in (j, j), then `k > j` in (j, k).
-fn canonical_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::with_capacity(n * (n + 1) / 2);
-    for a in 0..n {
-        pairs.extend((a..n).map(|b| (a, b)));
-    }
-    pairs
 }
 
 /// The exchange operator with a frozen set of defining orbitals Φ.
@@ -433,44 +544,29 @@ impl FockOperator {
         same_bits(psi, &self.phi)
     }
 
-    /// The `N_p = 1` case of Alg. 2 without a `Comm`: one `PairLoop`
-    /// folding all of Φ in ascending order.
-    fn apply_general(&self, grids: &PwGrids, psi: &CMat, out: &mut CMat) {
-        let psi_index = (0..psi.ncols()).collect();
-        let mut pairs = PairLoop::new(grids, &self.kernel, self.alpha, psi, psi_index);
-        pairs.accumulate(0, &self.phi_real);
-        pairs.finish_onto(out);
+    fn term<'a>(&'a self, grids: &'a PwGrids) -> PairTerm<'a> {
+        PairTerm::new(grids, &self.kernel, self.alpha)
     }
 
-    /// `out[:, j] += V_X φ_j` from the canonical pairs `a ≤ b` alone: one
-    /// pool dispatch over the lexicographic pair list — which hands every
-    /// band its partners in ascending order — each task solving
-    /// `u = S(φ_a, φ_b)` into its thread's scratch and committing
-    /// `−α φ_a u` to band `b`, then `−α φ_b conj(u)` to band `a`. Φ's
-    /// real-space bands serve both sides of every pair.
+    /// The `N_p = 1` case of Alg. 2 without a `Comm`: the general schedule
+    /// over all of Φ.
+    pub(crate) fn apply_general(&self, grids: &PwGrids, psi: &CMat, out: &mut CMat) {
+        let psi_index: Vec<usize> = (0..psi.ncols()).collect();
+        self.term(grids)
+            .apply_general(&self.phi_real, psi, &psi_index, out);
+    }
+
+    /// `out[:, j] += V_X φ_j` from the canonical pairs `a ≤ b` alone: every
+    /// tile, each partial folded onto its band's accumulator in tile order —
+    /// ascending in partner chunk for every band (module docs).
     fn apply_to_self(&self, grids: &PwGrids, out: &mut CMat) {
-        let (n, nw) = (self.n_phi(), grids.n_wfc());
-        let term = PairTerm {
-            grids,
-            kernel: &self.kernel,
-            alpha: self.alpha,
-        };
-        let band = |i: usize| &self.phi_real[i * nw..(i + 1) * nw];
-        let pairs = canonical_pairs(n);
-        pt_trace::counter_add(pt_trace::Counter::PairFfts, pairs.len() as u64);
-        let mut accs = vec![c64::ZERO; n * nw];
-        let fold = OrderedFold::new(&mut accs, nw);
-        fold.run(pairs.len(), |p| {
-            let (a, b) = pairs[p];
-            with_scratch(&SCRATCH, nw, |u| {
-                term.solve(band(a), band(b), u);
-                fold.commit(b, a, |acc| term.fold_onto(band(a), u, false, acc));
-                if a != b {
-                    fold.commit(a, b, |acc| term.fold_onto(band(b), u, true, acc));
-                }
+        let nw = grids.n_wfc();
+        let mut accs = vec![c64::ZERO; self.n_phi() * nw];
+        let tiles = exchange_tiles(self.n_phi());
+        self.term(grids)
+            .run_tiles(&self.phi_real, &tiles, |_, band, partial| {
+                fold_partial(&mut accs[band * nw..(band + 1) * nw], partial);
             });
-        });
-        drop(fold);
         gather_onto(grids, &accs, out);
     }
 
@@ -626,7 +722,7 @@ mod tests {
     }
 
     /// `V_X Φ` through `apply_block` (the self-application schedule) and
-    /// through the general `PairLoop` forced onto the defining block.
+    /// through the general schedule forced onto the defining block.
     fn both_schedules(g: &PwGrids, f: &FockOperator, phi: &CMat) -> (CMat, CMat) {
         assert!(f.is_defining_block(phi));
         let mut own = CMat::zeros(g.ng(), phi.ncols());
@@ -636,18 +732,49 @@ mod tests {
         (own, general)
     }
 
+    /// The partner-chunk fold written out serially from its definition:
+    /// `V_X ψ_j = ((0 + p_0(j)) + p_1(j)) + …`, each `p_c(j)` the terms of
+    /// chunk `c`'s partners folded ascending from zero.
+    fn partner_chunk_fold(g: &PwGrids, f: &FockOperator, psi: &CMat) -> CMat {
+        let (nw, n) = (g.n_wfc(), f.n_phi());
+        let term = f.term(g);
+        let chunks = PartnerChunks::new(n);
+        let (mut psi_j, mut pair, mut partial) = (
+            vec![c64::ZERO; nw],
+            vec![c64::ZERO; nw],
+            vec![c64::ZERO; nw],
+        );
+        let mut accs = vec![c64::ZERO; psi.ncols() * nw];
+        for (j, acc) in accs.chunks_exact_mut(nw).enumerate() {
+            g.to_real_wfc(psi.col(j), &mut psi_j);
+            for c in 0..chunks.count() {
+                partial.fill(c64::ZERO);
+                for k in chunks.bands(c) {
+                    let phi_k = &f.phi_real[k * nw..(k + 1) * nw];
+                    term.pair_accumulate((k, phi_k), (j, &psi_j), false, &mut pair, &mut partial);
+                }
+                fold_partial(acc, &partial);
+            }
+        }
+        let mut out = CMat::zeros(g.ng(), psi.ncols());
+        gather_onto(g, &accs, &mut out);
+        out
+    }
+
     #[test]
     fn self_application_equals_the_general_schedule_to_the_bit() {
-        // the index-oriented pair term makes the N(N+1)/2 schedule and the
-        // N² schedule one function; 70 > 64 bands reaches multi-band
-        // chunks on the general side
+        // both schedules are the partner-chunk fold of one index-oriented
+        // pair term: N ≤ 4 gives one-band chunks, 5 and 6 two-band ones
+        // with a short last chunk (5), 70 chunks of 18 and a short one,
+        // multi-band pool tasks on the general side and tiles of up to 324
+        // solves
         let s = silicon_cubic_supercell(1, 1, 1);
         let g = PwGrids::new(&s, 2.0);
         let kern = ScreenedKernel::new(&g, 0.11);
-        for n in [1usize, 2, 5, 16, 70] {
+        for n in [1usize, 2, 5, 6, 16, 70] {
             let phi = rand_block(g.ng(), n, 100 + n as u64);
             let f = FockOperator::new(&g, &phi, 0.25, kern.clone(), FockMode::Batched);
-            let want = pt_par::ThreadPool::new(1).install(|| both_schedules(&g, &f, &phi).1);
+            let want = pt_par::ThreadPool::new(1).install(|| partner_chunk_fold(&g, &f, &phi));
             assert!(want.data().iter().any(|z| z.abs() > 1e-6), "n={n}: trivial");
             for threads in [1usize, 2, 4] {
                 let (own, general) =
@@ -711,67 +838,46 @@ mod tests {
     }
 
     #[test]
-    fn ordered_fold_hands_every_band_its_partners_in_ascending_order() {
-        let n = 23;
-        let pairs = canonical_pairs(n);
-        assert_eq!(pairs.len(), n * (n + 1) / 2);
-        pt_par::ThreadPool::new(4).install(|| {
-            // one slot per band, counting the partners folded so far
-            let mut accs = vec![c64::ZERO; n];
-            let fold = OrderedFold::new(&mut accs, 1);
-            let take = |acc: &mut [c64], partner: usize| {
-                assert_eq!(acc[0].re, partner as f64);
-                acc[0].re += 1.0;
-            };
-            fold.run(pairs.len(), |p| {
-                let (a, b) = pairs[p];
-                fold.commit(b, a, |acc| take(acc, a));
-                if a != b {
-                    fold.commit(a, b, |acc| take(acc, b));
+    fn tiles_complete_every_partial_once_with_its_partners_ascending() {
+        // the tile-completeness argument of the module docs, walked: every
+        // canonical pair is solved in exactly one tile, every partial
+        // p_c(j) is laid out by exactly one tile and receives exactly the
+        // bands of chunk c, ascending, and tiles in lexicographic order
+        // hand every band its partials in ascending chunk order
+        for n in [1usize, 2, 3, 5, 6, 16, 23, 70] {
+            let chunks = PartnerChunks::new(n);
+            let tiles = exchange_tiles(n);
+            let mut solved = vec![0usize; n * n];
+            let mut next_chunk = vec![0usize; n];
+            for tile in &tiles {
+                let laid_out: Vec<(usize, usize)> = tile.partials().collect();
+                let mut partners: Vec<Vec<usize>> = vec![Vec::new(); laid_out.len()];
+                for (a, b) in tile.pairs() {
+                    assert!(a <= b, "n={n} {tile:?}: ({a}, {b}) is not canonical");
+                    solved[a * n + b] += 1;
+                    let (to_b, to_a) = tile.slots(a, b);
+                    partners[to_b].push(a);
+                    assert_eq!(laid_out[to_b].1, b, "n={n} {tile:?}");
+                    if a != b {
+                        partners[to_a].push(b);
+                        assert_eq!(laid_out[to_a].1, a, "n={n} {tile:?}");
+                    }
                 }
-            });
-            drop(fold);
-            assert!(accs.iter().all(|z| z.re == n as f64));
-        });
-    }
-
-    #[test]
-    fn a_panicking_pair_task_is_a_panic_on_the_caller_never_a_hang() {
-        // without the abandon flag, every later pair of the panicked
-        // task's two bands would wait for its commits forever
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let pool = pt_par::ThreadPool::new(4);
-            pool.install(|| {
-                let n = 16;
-                let pairs = canonical_pairs(n);
-                let mut accs = vec![c64::ZERO; n];
-                let fold = OrderedFold::new(&mut accs, 1);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fold.run(pairs.len(), |p| {
-                        let (a, b) = pairs[p];
-                        if p == 40 {
-                            panic!("injected pair-task failure");
-                        }
-                        fold.commit(b, a, |acc| acc[0].re += 1.0);
-                        if a != b {
-                            fold.commit(a, b, |acc| acc[0].re += 1.0);
-                        }
-                    });
-                }));
-                tx.send(outcome.is_err()).unwrap();
-                // the pool and the per-thread scratch survive it
-                let s = silicon_cubic_supercell(1, 1, 1);
-                let g = PwGrids::new(&s, 2.0);
-                let phi = rand_block(g.ng(), n, 5);
-                let kern = ScreenedKernel::new(&g, 0.11);
-                let f = FockOperator::new(&g, &phi, 0.25, kern, FockMode::Batched);
-                let (own, general) = both_schedules(&g, &f, &phi);
-                tx.send(same_bits(&own, &general)).unwrap();
-            });
-        });
-        let wait = std::time::Duration::from_secs(120);
-        assert!(rx.recv_timeout(wait).expect("the ordered fold hung"));
-        assert!(rx.recv_timeout(wait).expect("the next application hung"));
+                assert_eq!(tile.solves(), tile.pairs().count());
+                for (&(c, band), got) in laid_out.iter().zip(&partners) {
+                    let want: Vec<usize> = chunks.bands(c).collect();
+                    assert_eq!(got, &want, "n={n} {tile:?}: partial p_{c}({band})");
+                    assert_eq!(next_chunk[band], c, "n={n}: band {band} out of order");
+                    next_chunk[band] += 1;
+                }
+            }
+            for a in 0..n {
+                for b in 0..n {
+                    assert_eq!(solved[a * n + b], usize::from(a <= b), "n={n} ({a}, {b})");
+                }
+            }
+            assert!(next_chunk.iter().all(|&c| c == chunks.count()), "n={n}");
+            assert!(chunks.count() <= PARTNER_CHUNKS, "n={n}");
+        }
     }
 }

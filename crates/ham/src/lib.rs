@@ -10,9 +10,9 @@
 //! * Kleinman–Bylander nonlocal pseudopotential,
 //! * the **Fock exchange operator** `V_X[P]` (Eq. 3), evaluated exactly as
 //!   Alg. 2: one Poisson-like FFT solve per orbital pair on the
-//!   wavefunction grid — one pair-solve loop, run in process (pt-par
-//!   threads) or fed by the band broadcasts of a pt-mpi rank team, with
-//!   identical bits,
+//!   wavefunction grid — one pair term and one partner-chunk fold, run in
+//!   process (pt-par threads) or as tiles dealt over a pt-mpi rank team,
+//!   with identical bits,
 //! * total-energy assembly including the Ewald ion–ion term,
 //! * the PT residual of Alg. 3 on the fixed 64-row chunk grid, comm-free
 //!   ([`pt_residual`]) or with the band-index ↔ G-space layout flips of a
@@ -35,7 +35,7 @@ pub use distributed::{
     distributed_fock_apply, distributed_residual, pt_residual, BandDistribution, OVERLAP_CHUNK_ROWS,
 };
 pub use error::PtError;
-pub use fock::{FockMode, FockOperator, ScreenedKernel};
+pub use fock::{ExchangeTile, FockMode, FockOperator, ScreenedKernel};
 pub use grids::PwGrids;
 pub use hamiltonian::Hamiltonian;
 pub use system::{

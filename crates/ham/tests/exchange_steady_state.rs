@@ -1,12 +1,13 @@
 //! A warm exchange application is a fixed amount of work. Building a
 //! `FockOperator` and applying it to its own defining block allocates the
 //! same 5 times at any band count (the Φ copy and the real-space Φ; the
-//! pair list, the accumulator block, its per-band locks, and nothing per
-//! pair), runs exactly N(N+1)/2 pair solves and N + N(N+1) + N transforms
-//! (Φ → grid, forward + inverse per pair, accumulators → sphere). Applied
-//! to any other block — one flipped bit is enough — it runs the general
-//! N_φ × N_ψ schedule, pinned the same way, and the rank loop of Alg. 2
-//! runs N² solves summed over its ranks.
+//! tile list, the accumulator block, the buffer of tile partials, and
+//! nothing per pair or per partial), runs exactly N(N+1)/2 pair solves and
+//! N + N(N+1) + N transforms (Φ → grid, forward + inverse per pair,
+//! accumulators → sphere). Applied to any other block — one flipped bit is
+//! enough — it runs the general N_φ × N_ψ schedule, pinned the same way.
+//! On ranks, a self-application solves each canonical pair once summed
+//! over the ranks, and Φ ≠ Ψ keeps N_φ × N_ψ.
 //!
 //! One `#[test]` in a binary of its own, like `local_h_steady_state.rs`:
 //! the allocation count is per thread but `pt_trace`'s counters are
@@ -39,8 +40,9 @@ fn warm_exchange_applications_run_a_fixed_count_of_solves_and_allocations() {
     /// This test's share of every window: the kernel handed to the
     /// operator is a clone (two tables).
     const KERNEL_CLONE: u64 = 2;
-    /// Operator: Φ copy + real-space Φ. Self-application: pair list +
-    /// accumulators + their locks. Plus this test's output block.
+    /// Operator: Φ copy + real-space Φ. Self-application: tile list +
+    /// accumulators + the buffer of tile partials. Plus this test's output
+    /// block.
     const SELF_ALLOCATIONS: u64 = KERNEL_CLONE + 2 + 3 + 1;
     /// Operator as above; general application: ψ indices + real-space ψ +
     /// accumulators (the output block is reused).
@@ -93,22 +95,40 @@ fn warm_exchange_applications_run_a_fixed_count_of_solves_and_allocations() {
         }
     });
 
-    // Alg. 2 keeps its N² solves whatever the rank count
+    // on ranks: a self-application solves each canonical pair once,
+    // whatever the rank count; Φ ≠ Ψ keeps N_φ × N_ψ
     let n = 6;
     let phi = CMat::rand_normalized(g.ng(), n, 5);
+    let psi = CMat::rand_normalized(g.ng(), n, 6);
     for ranks in [1usize, 2, 3] {
         let dist = BandDistribution {
             n_bands: n,
             n_ranks: ranks,
         };
-        let (_, solves, _) = cost_of(|| {
-            RankEngine::new(RankLayout::new(ranks, 1), Wire::F64)
-                .run(|comm| {
-                    let local = dist.take_local(comm.rank(), &phi);
-                    distributed_fock_apply(comm, &g, dist, &local, &local, 0.25, &kernel)
-                })
-                .expect("fresh engine");
-        });
-        assert_eq!(solves, (n * n) as u64, "{ranks} ranks");
+        let solves_against = |psi: &CMat| {
+            let (_, solves, _) = cost_of(|| {
+                RankEngine::new(RankLayout::new(ranks, 1), Wire::F64)
+                    .run(|comm| {
+                        let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                        distributed_fock_apply(
+                            comm,
+                            &g,
+                            dist,
+                            &take(&phi),
+                            &take(psi),
+                            0.25,
+                            &kernel,
+                        )
+                    })
+                    .expect("fresh engine");
+            });
+            solves
+        };
+        assert_eq!(
+            solves_against(&phi),
+            (n * (n + 1) / 2) as u64,
+            "{ranks} ranks, Φ = Ψ"
+        );
+        assert_eq!(solves_against(&psi), (n * n) as u64, "{ranks} ranks, Φ ≠ Ψ");
     }
 }

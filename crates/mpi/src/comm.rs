@@ -67,6 +67,9 @@ pub struct Comm {
     stash: HashMap<(usize, u64), VecDeque<Payload>>,
     stats: Arc<CommStats>,
     wire: Wire,
+    /// Armed by [`Comm::fail_after_sends`]: point-to-point sends still to
+    /// go out, and the panic message that replaces the next one.
+    fault: Option<(usize, String)>,
 }
 
 impl Comm {
@@ -88,6 +91,7 @@ impl Comm {
             stash: HashMap::new(), // pt-analyze: allow(nondeterministic-iteration) — construction of the keyed-lookup-only stash above
             stats,
             wire,
+            fault: None,
         }
     }
 
@@ -171,8 +175,22 @@ impl Comm {
         }
     }
 
+    /// Fault injection for tests of rank death: this rank lets `sends`
+    /// more [`Comm::send_c64`] calls go out, then panics with `cause` in
+    /// place of the next — a rank dying between two point-to-point
+    /// messages. A rank's `Comm` lives as long as its
+    /// [`crate::RankEngine`], so one job can arm it for the next.
+    pub fn fail_after_sends(&mut self, sends: usize, cause: &str) {
+        self.fault = Some((sends, cause.to_string()));
+    }
+
     /// Point-to-point send of complex data (wire conversion applied).
-    pub fn send_c64(&self, dst: usize, tag: u64, data: &[c64]) {
+    pub fn send_c64(&mut self, dst: usize, tag: u64, data: &[c64]) {
+        match self.fault.take() {
+            Some((0, cause)) => panic!("{cause}"),
+            Some((left, cause)) => self.fault = Some((left - 1, cause)),
+            None => {}
+        }
         let bytes = self.c64_wire_bytes(data.len());
         self.stats.add(&self.stats.p2p_bytes, bytes);
         match self.wire {

@@ -505,6 +505,36 @@ mod tests {
         assert_eq!(engine.poison_cause(), Some("root cause on rank 1"));
     }
 
+    #[test]
+    fn an_armed_rank_dies_in_place_of_its_next_send_after_the_allowed_ones() {
+        let mut engine = RankEngine::new(RankLayout::new(2, 1), Wire::F64);
+        // armed in one job, it fires in the next: the Comm outlives jobs
+        engine
+            .run(|comm| {
+                if comm.rank() == 0 {
+                    comm.fail_after_sends(2, "rank 0 dies at its third send");
+                }
+            })
+            .unwrap();
+        let aborted = catch_unwind(AssertUnwindSafe(|| {
+            let _ = engine.run(|comm| {
+                for tag in 0..3 {
+                    if comm.rank() == 0 {
+                        comm.send_c64(1, tag, &[c64::ONE]);
+                    } else {
+                        comm.recv_c64(0, tag);
+                    }
+                }
+            });
+        }));
+        let payload = aborted.expect_err("job must abort");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "rank 0 dies at its third send"
+        );
+        assert_eq!(engine.stats().p2p_bytes, 2 * 16, "two sends went out");
+    }
+
     /// The collectives a rank can die in front of.
     const COLLECTIVES: [&str; 6] = [
         "bcast_c64 as root",

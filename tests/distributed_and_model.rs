@@ -10,55 +10,75 @@ use pwdft_rt::mpi::{Comm, RankEngine, Wire};
 use pwdft_rt::num::c64;
 use pwdft_rt::par::RankLayout;
 
-/// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly, and
-/// the f32 wire (§3.2 optimization 4) halves it while perturbing the
-/// result by less than 1e-5.
+/// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly; a
+/// self-application adds its partials, N_wfc values each for every partial
+/// whose tile and band live on different ranks; and the f32 wire (§3.2
+/// optimization 4) halves both while perturbing the result by less than
+/// 1e-5.
 #[test]
 fn alg2_volume_law_and_f32_wire() {
     let s = silicon_cubic_supercell(1, 1, 1);
     let grids = PwGrids::new(&s, 2.0);
-    let (ng, nb, np) = (grids.ng(), 6, 3);
+    let (ng, nw, nb, np) = (grids.ng(), grids.n_wfc(), 6, 3);
     let phi = CMat::rand_normalized(ng, nb, 3);
     let psi = CMat::rand_normalized(ng, nb, 4);
     let kernel = ScreenedKernel::new(&grids, 0.11);
-    let reference = {
-        let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let mut out = CMat::zeros(ng, nb);
-        f.apply_block(&grids, &psi, &mut out);
-        out
+    let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
+    let dist = BandDistribution {
+        n_bands: nb,
+        n_ranks: np,
     };
-    let mut volumes = Vec::new();
-    for (wire, bytes) in [(Wire::F64, 16u64), (Wire::F32, 8u64)] {
-        let dist = BandDistribution {
-            n_bands: nb,
-            n_ranks: np,
-        };
-        let (g, ph, ps, k) = (&grids, &phi, &psi, &kernel);
-        let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), wire)
-            .run(move |comm| {
-                let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
-            })
-            .expect("fresh engine");
-        assert_eq!(
-            stats.bcast_bytes,
-            (np as u64 - 1) * nb as u64 * ng as u64 * bytes
-        );
-        volumes.push(stats.bcast_bytes);
-        let mut err = 0.0f64;
-        for (rank, out) in outs.iter().enumerate() {
-            for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
-                for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
-                    err = err.max((*x - *y).abs());
-                }
-            }
-        }
-        match wire {
-            Wire::F64 => assert!(err < 1e-11, "f64 wire must be exact: {err:.2e}"),
-            Wire::F32 => assert!(err < 1e-5, "f32 wire error too large: {err:.2e}"),
+    // partials made by one rank's tile for a band another rank owns
+    let mut remote = 0u64;
+    for rank in 0..np {
+        for tile in dist.exchange_tiles(rank) {
+            remote += tile
+                .partials()
+                .filter(|&(_, band)| dist.owner(band) != rank)
+                .count() as u64;
         }
     }
-    assert_eq!(volumes[0], 2 * volumes[1], "f32 must halve the volume");
+    assert!(remote > 0);
+    let mut volumes = Vec::new();
+    for (wire, bytes) in [(Wire::F64, 16u64), (Wire::F32, 8u64)] {
+        for (psi, partials) in [(&psi, 0), (&phi, remote)] {
+            let reference = {
+                let mut out = CMat::zeros(ng, nb);
+                f.apply_block(&grids, psi, &mut out);
+                out
+            };
+            let (g, ph, ps, k) = (&grids, &phi, psi, &kernel);
+            let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), wire)
+                .run(move |comm| {
+                    let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                    distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
+                })
+                .expect("fresh engine");
+            assert_eq!(
+                stats.bcast_bytes,
+                (np as u64 - 1) * nb as u64 * ng as u64 * bytes
+            );
+            assert_eq!(stats.p2p_bytes, partials * nw as u64 * bytes);
+            volumes.push(stats.bcast_bytes + stats.p2p_bytes);
+            let mut err = 0.0f64;
+            for (rank, out) in outs.iter().enumerate() {
+                for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
+                    for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
+                        err = err.max((*x - *y).abs());
+                    }
+                }
+            }
+            match wire {
+                Wire::F64 => assert!(err == 0.0, "f64 wire must be exact: {err:.2e}"),
+                Wire::F32 => assert!(err < 1e-5, "f32 wire error too large: {err:.2e}"),
+            }
+        }
+    }
+    assert_eq!(
+        volumes[..2],
+        [2 * volumes[2], 2 * volumes[3]],
+        "f32 must halve the volume"
+    );
 }
 
 /// Headline claims of the abstract, regenerated by the model: 1.5 h/fs at
