@@ -213,7 +213,7 @@ pub struct PtCnOptions {
     pub max_scf: usize,
     /// Anderson history depth (paper: 20).
     pub anderson_depth: usize,
-    /// Anderson relaxation β.
+    /// Anderson relaxation β (positive).
     pub beta: f64,
     /// When `true`, a step whose fixed point stays above `rho_tol` after
     /// `max_scf` iterations returns [`PtError::NotConverged`] instead of
@@ -254,9 +254,11 @@ impl PtCnOptions {
                 "PT-CN Anderson history depth must be at least 1".into(),
             ));
         }
-        if !self.beta.is_finite() {
+        // β = 0 would mix nothing in: the density never moves, so the
+        // residual reads 0 and an unconverged step reports convergence
+        if !self.beta.is_finite() || self.beta <= 0.0 {
             return Err(PtError::InvalidConfig(format!(
-                "PT-CN mixing parameter beta must be finite, got {}",
+                "PT-CN mixing parameter beta must be positive and finite, got {}",
                 self.beta
             )));
         }
@@ -963,6 +965,14 @@ mod tests {
             },
             PtCnOptions {
                 beta: f64::INFINITY,
+                ..Default::default()
+            },
+            PtCnOptions {
+                beta: 0.0,
+                ..Default::default()
+            },
+            PtCnOptions {
+                beta: -0.5,
                 ..Default::default()
             },
         ];

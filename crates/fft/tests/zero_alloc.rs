@@ -8,46 +8,14 @@
 
 use pt_fft::Fft3;
 use pt_num::c64;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialized
-// thread-local `Cell` without a destructor, so bumping it neither allocates
-// nor touches freed TLS.
-unsafe impl GlobalAlloc for Counting {
-    // SAFETY: `layout` is the caller's, passed through as received.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr` came from `System` under this `layout` (all three
-    // methods forward there).
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    // SAFETY: `ptr`/`layout` describe a live `System` block, as above.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: pt_num::CountingAlloc = pt_num::CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = pt_num::allocations();
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    pt_num::allocations() - before
 }
 
 #[test]

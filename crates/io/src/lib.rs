@@ -14,8 +14,8 @@
 //!   and every accumulated `TimeSeries` channel — such that a killed and
 //!   resumed trajectory is bit-identical to an uninterrupted one (at the
 //!   default `f64` payloads).
-//! * [`export`] — columnar [`export::Table`] → JSON / CSV, used by the
-//!   `pt-bench` artifact writers and `TimeSeries` export.
+//! * [`export`] — columnar [`export::Table`] → JSON / CSV, used by
+//!   `TimeSeries` export.
 //! * [`json`] — a hand-rolled JSON value ([`Json`]): parser + the crate's
 //!   one JSON writer, for job specs, the `pt-serve` wire protocol and
 //!   [`Table::to_json`]'s numbers and strings (no serde offline).

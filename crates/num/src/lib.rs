@@ -5,12 +5,15 @@
 //! "single-precision MPI" wire format of the paper (§3.2, optimization 4),
 //! special functions needed by the pseudopotential and screened-exchange
 //! kernels, physical constants / unit conversions (Hartree atomic
-//! units), and the per-thread scratch buffer body ([`with_scratch`]).
+//! units), the per-thread scratch buffer body ([`with_scratch`]), and the
+//! counting allocator the allocation-budget tests install
+//! ([`CountingAlloc`]).
 //!
 //! Everything downstream (FFT, linear algebra, Hamiltonian) is written
 //! against these types, so this crate is dependency-free.
 
 pub mod complex;
+mod counting;
 pub mod reduce;
 pub mod rng;
 mod scratch;
@@ -18,5 +21,6 @@ pub mod special;
 pub mod units;
 
 pub use complex::{c32, c64};
+pub use counting::{allocations, CountingAlloc};
 pub use scratch::with_scratch;
 pub use special::{erf, erfc, gamma_half_int};

@@ -1,15 +1,22 @@
 //! Structured generators for every table and figure of the paper.
 
+use crate::machine;
 use crate::model::{CostModel, Problem};
 use crate::reference::*;
 
+/// The GPU counts Fig. 9 shows.
+pub(crate) const FIG9_GPUS: [usize; 5] = [36, 72, 144, 288, 768];
+
+/// The GPU counts Fig. 10 shows.
+pub(crate) const FIG10_GPUS: [usize; 7] = [36, 72, 144, 288, 384, 768, 1536];
+
 /// One column of Table 1.
 #[derive(Clone, Debug)]
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     /// GPU count.
     pub gpus: usize,
-    /// (component name, modelled seconds, paper seconds at the anchors).
-    pub components: Vec<(String, f64)>,
+    /// (component name, modelled per-SCF seconds), in Table 1 order.
+    pub components: Vec<(&'static str, f64)>,
     /// Modelled per-SCF total.
     pub per_scf: f64,
     /// Modelled step total.
@@ -21,15 +28,15 @@ pub struct Table1Row {
 }
 
 /// Regenerate Table 1.
-pub fn table1(model: &CostModel) -> Vec<Table1Row> {
+pub(crate) fn table1(model: &CostModel) -> Vec<Table1Row> {
     let pr = Problem::paper_1536();
     let cpu = model.cpu_step(3072, &pr);
     PAPER_GPU_COUNTS
         .iter()
         .map(|&p| {
-            let components = crate::model::COMPONENT_NAMES
+            let components = PAPER_COMPONENT_ANCHORS
                 .iter()
-                .map(|n| (n.to_string(), model.component(n, p, &pr)))
+                .map(|&(n, ..)| (n, model.time(n, p, &pr)))
                 .collect();
             let per_scf = model.per_scf(p, &pr);
             let total = model.step_total(p, &pr);
@@ -47,35 +54,39 @@ pub fn table1(model: &CostModel) -> Vec<Table1Row> {
 
 /// One column of Table 2.
 #[derive(Clone, Debug)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// GPU count.
     pub gpus: usize,
-    /// (class, modelled seconds per step).
-    pub classes: Vec<(String, f64)>,
+    /// (class, modelled seconds per step), in Table 2 order.
+    pub classes: Vec<(&'static str, f64)>,
     /// Total MPI time.
     pub mpi_total: f64,
 }
 
-/// Regenerate Table 2.
-pub fn table2(model: &CostModel) -> Vec<Table2Row> {
-    let pr = Problem::paper_1536();
-    PAPER_GPU_COUNTS
-        .iter()
-        .map(|&p| {
-            let classes: Vec<(String, f64)> = [
-                "memcpy",
-                "alltoallv",
-                "allreduce",
-                "bcast",
-                "allgatherv",
-                "computation",
-            ]
+impl Table2Row {
+    /// Modelled seconds per step of one class.
+    pub fn class(&self, name: &str) -> f64 {
+        self.classes
             .iter()
-            .map(|n| (n.to_string(), model.table2_class(n, p, &pr)))
-            .collect();
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("unknown Table 2 class {name}"))
+            .1
+    }
+}
+
+/// Table 2's operation classes at each of `gpus` (Table 2 itself, and
+/// Fig. 10 without `allgatherv`).
+pub(crate) fn table2(model: &CostModel, gpus: &[usize]) -> Vec<Table2Row> {
+    let pr = Problem::paper_1536();
+    gpus.iter()
+        .map(|&p| {
+            let classes: Vec<(&'static str, f64)> = PAPER_TABLE2_ANCHORS
+                .iter()
+                .map(|&(n, ..)| (n, model.time(n, p, &pr)))
+                .collect();
             let mpi_total = classes
                 .iter()
-                .filter(|(n, _)| n != "memcpy" && n != "computation")
+                .filter(|(n, _)| *n != "memcpy" && *n != "computation")
                 .map(|(_, t)| t)
                 .sum();
             Table2Row {
@@ -87,68 +98,43 @@ pub fn table2(model: &CostModel) -> Vec<Table2Row> {
         .collect()
 }
 
-/// One bar of Fig. 3 (Fock exchange wall time per 50 as step across the
-/// optimization stages, 1536 atoms, 72 GPUs vs 3072 CPU cores).
-#[derive(Clone, Debug)]
-pub struct Fig3Stage {
-    /// Stage label.
-    pub label: &'static str,
-    /// Wall time (s) for the 24 exchange applications of one step.
-    pub seconds: f64,
-}
-
-/// Regenerate Fig. 3. Stage composition (§3.2):
+/// Regenerate Fig. 3: (stage label, wall time in s of the 24 exchange
+/// applications of one 50 as step), 1536 atoms, 72 GPUs against the 3072
+/// CPU cores. Stage composition (§3.2):
 /// 1. band-by-band CUFFT port (unsaturated HBM), staged copies, f64 bcast;
 /// 2. batched CUFFT (saturated HBM);
 /// 3. GPUDirect / CUDA-aware MPI (drops the staging copies, but implicit
 ///    syncs — Fig. 2 — keep the bcast unoverlapped);
 /// 4. single-precision MPI (halves the wire volume);
 /// 5. explicit async copy + CPU bcast overlap (hides ~half the bcast).
-pub fn fig3_stages(model: &CostModel) -> Vec<Fig3Stage> {
+pub(crate) fn fig3_stages(model: &CostModel) -> Vec<(&'static str, f64)> {
     let pr = Problem::paper_1536();
     let p = 72;
     let apps = PAPER_FOCK_APPS_PER_STEP as f64;
-    let comp = model.component("fock_comp", p, &pr); // batched, per SCF
+    let comp = model.time("fock_comp", p, &pr); // batched, per SCF
     let band_by_band_slowdown = 2.6; // HBM utilization ~0.35 vs 0.9
-    let bcast_f64 = pr.n_bands as f64 * pr.ng as f64 * 16.0 / model.machine.bcast_rank_bw(p);
+    let bcast_f64 = pr.n_bands as f64 * pr.ng as f64 * 16.0 / machine::bcast_rank_bw(p);
     let bcast_f32 = bcast_f64 / 2.0;
-    let stage_copies = model
-        .machine
-        .memcpy_time(2.0 * pr.n_bands as f64 * pr.ng as f64 * 16.0);
+    let stage_copies = machine::memcpy_time(2.0 * pr.n_bands as f64 * pr.ng as f64 * 16.0);
     let cuda_aware_sync = 1.2; // Fig. 2: implicit CPU-GPU syncs
-    let overlapped_visible = model.component("fock_mpi", p, &pr);
+    let overlapped_visible = model.time("fock_mpi", p, &pr);
     let cpu = PAPER_CPU_STEP_SECONDS * 0.95;
     vec![
-        Fig3Stage {
-            label: "CPU 3072 cores",
-            seconds: cpu,
-        },
-        Fig3Stage {
-            label: "GPU band-by-band",
-            seconds: apps * (comp * band_by_band_slowdown + bcast_f64 + stage_copies),
-        },
-        Fig3Stage {
-            label: "+ batched CUFFT",
-            seconds: apps * (comp + bcast_f64 + stage_copies),
-        },
-        Fig3Stage {
-            label: "+ GPUDirect",
-            seconds: apps * (comp + bcast_f64 * cuda_aware_sync),
-        },
-        Fig3Stage {
-            label: "+ f32 MPI",
-            seconds: apps * (comp + bcast_f32 * cuda_aware_sync),
-        },
-        Fig3Stage {
-            label: "+ overlap",
-            seconds: apps * (comp + overlapped_visible),
-        },
+        ("CPU 3072 cores", cpu),
+        (
+            "GPU band-by-band",
+            apps * (comp * band_by_band_slowdown + bcast_f64 + stage_copies),
+        ),
+        ("+ batched CUFFT", apps * (comp + bcast_f64 + stage_copies)),
+        ("+ GPUDirect", apps * (comp + bcast_f64 * cuda_aware_sync)),
+        ("+ f32 MPI", apps * (comp + bcast_f32 * cuda_aware_sync)),
+        ("+ overlap", apps * (comp + overlapped_visible)),
     ]
 }
 
 /// One group of Fig. 6 (RK4 vs PT-CN wall time for 50 as).
 #[derive(Clone, Debug)]
-pub struct Fig6Row {
+pub(crate) struct Fig6Row {
     /// GPU count.
     pub gpus: usize,
     /// RK4 (100 × 0.5 as) seconds.
@@ -158,7 +144,7 @@ pub struct Fig6Row {
 }
 
 /// Regenerate Fig. 6 (36–768 GPUs).
-pub fn fig6_rows(model: &CostModel) -> Vec<Fig6Row> {
+pub(crate) fn fig6_rows(model: &CostModel) -> Vec<Fig6Row> {
     let pr = Problem::paper_1536();
     [36, 72, 144, 288, 384, 768]
         .iter()
@@ -170,12 +156,13 @@ pub fn fig6_rows(model: &CostModel) -> Vec<Fig6Row> {
         .collect()
 }
 
-/// Fig. 7 rows: (gpus, total, h_psi, residual, density, anderson, others)
-/// with communication included (a) and computation-only variants (b).
-pub fn fig7_rows(model: &CostModel) -> Vec<(usize, [f64; 6], [f64; 4])> {
+/// Per-SCF phase times at each of `gpus`: (gpus, [step total, HΨ,
+/// residual, density, anderson, others] with communication included —
+/// Fig. 7(a), and Fig. 9 without the total — and [HΨ, residual, density,
+/// anderson] computation only — Fig. 7(b)).
+pub(crate) fn fig7_rows(model: &CostModel, gpus: &[usize]) -> Vec<(usize, [f64; 6], [f64; 4])> {
     let pr = Problem::paper_1536();
-    PAPER_GPU_COUNTS
-        .iter()
+    gpus.iter()
         .map(|&p| {
             let with_comm = [
                 model.step_total(p, &pr),
@@ -187,10 +174,10 @@ pub fn fig7_rows(model: &CostModel) -> Vec<(usize, [f64; 6], [f64; 4])> {
             ];
             // (b): MPI and memcpy excluded
             let comp_only = [
-                model.component("fock_comp", p, &pr) + model.component("local_semilocal", p, &pr),
-                model.component("residual_comp", p, &pr),
-                model.component("density_comp", p, &pr),
-                model.component("anderson_comp", p, &pr),
+                model.time("fock_comp", p, &pr) + model.time("local_semilocal", p, &pr),
+                model.time("residual_comp", p, &pr),
+                model.time("density_comp", p, &pr),
+                model.time("anderson_comp", p, &pr),
             ];
             (p, with_comm, comp_only)
         })
@@ -199,7 +186,7 @@ pub fn fig7_rows(model: &CostModel) -> Vec<(usize, [f64; 6], [f64; 4])> {
 
 /// One point of Fig. 8 (weak scaling).
 #[derive(Clone, Debug)]
-pub struct Fig8Row {
+pub(crate) struct Fig8Row {
     /// Atom count.
     pub atoms: usize,
     /// GPUs (= atoms/2).
@@ -211,7 +198,7 @@ pub struct Fig8Row {
 }
 
 /// Regenerate Fig. 8 (48 → 1536 atoms, GPUs = atoms/2).
-pub fn fig8_rows(model: &CostModel) -> Vec<Fig8Row> {
+pub(crate) fn fig8_rows(model: &CostModel) -> Vec<Fig8Row> {
     let sizes = [48usize, 96, 192, 384, 768, 1536];
     let t0 = model.step_total(sizes[0] / 2, &Problem::silicon(sizes[0]));
     sizes
@@ -221,42 +208,6 @@ pub fn fig8_rows(model: &CostModel) -> Vec<Fig8Row> {
             gpus: n / 2,
             seconds: model.step_total(n / 2, &Problem::silicon(n)),
             ideal: t0 * (n as f64 / sizes[0] as f64).powi(2),
-        })
-        .collect()
-}
-
-/// Fig. 9 rows: per-SCF breakdown (HΨ, residual, density, anderson,
-/// others) across GPU counts.
-pub fn fig9_rows(model: &CostModel) -> Vec<(usize, [f64; 5])> {
-    let pr = Problem::paper_1536();
-    [36usize, 72, 144, 288, 768]
-        .iter()
-        .map(|&p| {
-            (
-                p,
-                [
-                    model.h_psi(p, &pr),
-                    model.residual(p, &pr),
-                    model.density(p, &pr),
-                    model.anderson(p, &pr),
-                    model.others(p, &pr),
-                ],
-            )
-        })
-        .collect()
-}
-
-/// Fig. 10 rows: per-step operation-class times across GPU counts.
-pub fn fig10_rows(model: &CostModel) -> Vec<(usize, Vec<(String, f64)>)> {
-    let pr = Problem::paper_1536();
-    [36usize, 72, 144, 288, 384, 768, 1536]
-        .iter()
-        .map(|&p| {
-            let classes = ["bcast", "memcpy", "alltoallv", "allreduce", "computation"]
-                .iter()
-                .map(|n| (n.to_string(), model.table2_class(n, p, &pr)))
-                .collect();
-            (p, classes)
         })
         .collect()
 }
@@ -271,17 +222,11 @@ mod tests {
         let stages = fig3_stages(&m);
         assert_eq!(stages.len(), 6);
         for w in stages.windows(2) {
-            assert!(
-                w[1].seconds < w[0].seconds,
-                "{} ({:.0}s) should beat {} ({:.0}s)",
-                w[1].label,
-                w[1].seconds,
-                w[0].label,
-                w[0].seconds
-            );
+            let ((was, t0), (now, t1)) = (w[0], w[1]);
+            assert!(t1 < t0, "{now} ({t1:.0}s) should beat {was} ({t0:.0}s)");
         }
         // final GPU stage ≈ 7× faster than the CPU bar (§3.2/Fig. 3)
-        let ratio = stages[0].seconds / stages.last().unwrap().seconds;
+        let ratio = stages[0].1 / stages.last().unwrap().1;
         assert!(ratio > 5.0 && ratio < 10.0, "CPU/GPU ratio {ratio:.1}");
     }
 
@@ -323,12 +268,13 @@ mod tests {
     #[test]
     fn fig9_h_psi_dominates_everywhere() {
         let m = CostModel::new();
-        for (p, parts) in fig9_rows(&m) {
-            let total: f64 = parts.iter().sum();
+        for (p, parts, _) in fig7_rows(&m, &FIG9_GPUS) {
+            let phases = &parts[1..];
+            let total: f64 = phases.iter().sum();
             assert!(
-                parts[0] / total > 0.6,
+                phases[0] / total > 0.6,
                 "HΨ at {p} GPUs: {:.2}",
-                parts[0] / total
+                phases[0] / total
             );
         }
     }
@@ -336,15 +282,11 @@ mod tests {
     #[test]
     fn fig10_bcast_becomes_dominant_class() {
         let m = CostModel::new();
-        let rows = fig10_rows(&m);
+        let rows = table2(&m, &FIG10_GPUS);
         // at 36 GPUs computation dominates; at 1536 bcast dominates comm
-        let (_, first) = &rows[0];
-        let comp36 = first.iter().find(|(n, _)| n == "computation").unwrap().1;
-        let bcast36 = first.iter().find(|(n, _)| n == "bcast").unwrap().1;
-        assert!(comp36 > 20.0 * bcast36);
-        let (_, last) = rows.last().unwrap();
-        let comp = last.iter().find(|(n, _)| n == "computation").unwrap().1;
-        let bcast = last.iter().find(|(n, _)| n == "bcast").unwrap().1;
+        assert!(rows[0].class("computation") > 20.0 * rows[0].class("bcast"));
+        let last = rows.last().unwrap();
+        let (comp, bcast) = (last.class("computation"), last.class("bcast"));
         assert!(
             bcast > comp,
             "at 1536 GPUs MPI_Bcast ({bcast:.0}s) must exceed computation ({comp:.0}s)"
@@ -374,24 +316,12 @@ mod tests {
     #[test]
     fn table2_mpi_total_grows_past_768() {
         let m = CostModel::new();
-        let rows = table2(&m);
+        let rows = table2(&m, &PAPER_GPU_COUNTS);
         let mpi: Vec<f64> = rows.iter().map(|r| r.mpi_total).collect();
         assert!(mpi[7] > mpi[5], "MPI total must keep growing: {mpi:?}");
         // computation shrinks monotonically
         for w in rows.windows(2) {
-            let a = w[0]
-                .classes
-                .iter()
-                .find(|(n, _)| n == "computation")
-                .unwrap()
-                .1;
-            let b = w[1]
-                .classes
-                .iter()
-                .find(|(n, _)| n == "computation")
-                .unwrap()
-                .1;
-            assert!(b < a);
+            assert!(w[1].class("computation") < w[0].class("computation"));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The anchored component cost model.
 
+use crate::machine;
 use crate::reference::*;
-use pt_summit::Summit;
 
 /// A PT-CN + hybrid-functional problem instance.
 #[derive(Clone, Copy, Debug)]
@@ -35,37 +35,73 @@ impl Problem {
     }
 }
 
-/// One modelled component: anchored power law in P times physical size
-/// scaling.
+/// How a row's time scales with the problem, relative to the 1536-atom
+/// reference: `Size(a, b, log)` is `t ∝ N_e^a · N_G^b`, times `ln N_G`
+/// when `log` is set (FFT work).
+#[derive(Clone, Copy, Debug)]
+struct Size(f64, f64, bool);
+
+/// N_e²/P pair solves of N_G log N_G each (the exchange computation).
+const PAIR_SOLVES: Size = Size(2.0, 1.0, true);
+/// One N_G log N_G transform per band.
+const BAND_FFTS: Size = Size(1.0, 1.0, true);
+/// Every band's N_G coefficients once: broadcast receive volume (4 B each
+/// in f32), transposes, staging copies, mixing.
+const BAND_VOLUME: Size = Size(1.0, 1.0, false);
+/// One N_e × N_e matrix (overlaps and their reduction).
+const BAND_MATRIX: Size = Size(2.0, 0.0, false);
+/// The density grid, ∝ N_G.
+const DENSITY_GRID: Size = Size(0.0, 1.0, false);
+
+/// The size scaling of every anchored row, by the name it has in
+/// [`PAPER_COMPONENT_ANCHORS`] or [`PAPER_TABLE2_ANCHORS`].
+const SIZE_EXPONENTS: [(&str, Size); 17] = [
+    ("fock_mpi", BAND_VOLUME),
+    ("fock_comp", PAIR_SOLVES),
+    ("local_semilocal", BAND_FFTS),
+    ("residual_alltoallv", BAND_VOLUME),
+    ("residual_allreduce", BAND_MATRIX),
+    ("residual_comp", BAND_MATRIX),
+    ("anderson_memcpy", BAND_VOLUME),
+    ("anderson_comp", BAND_VOLUME),
+    ("density_comp", BAND_FFTS),
+    ("density_allreduce", DENSITY_GRID),
+    ("others", DENSITY_GRID),
+    ("memcpy", BAND_VOLUME),
+    ("alltoallv", BAND_VOLUME),
+    ("allreduce", BAND_MATRIX),
+    ("bcast", BAND_VOLUME),
+    ("allgatherv", DENSITY_GRID),
+    ("computation", PAIR_SOLVES),
+];
+
+/// One modelled row: the power law in P through its two published
+/// anchors, times its physical size scaling.
 #[derive(Clone, Copy, Debug)]
 struct Component {
     t36: f64,
     gamma: f64,
-    /// physical size exponents (relative to the 1536-atom reference):
-    /// t ∝ ne^a · ng^b · (extra log ng factor if `log_ng`)
-    a_ne: f64,
-    b_ng: f64,
-    log_ng: bool,
+    size: Size,
 }
 
 impl Component {
-    fn anchored(t36: f64, t3072: f64, a_ne: f64, b_ng: f64, log_ng: bool) -> Self {
+    fn anchored(name: &str, t36: f64, t3072: f64) -> Self {
+        let (_, size) = SIZE_EXPONENTS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .unwrap_or_else(|| panic!("no size exponents for {name}"));
         let gamma = (t3072 / t36).ln() / (3072.0f64 / 36.0).ln();
-        Component {
-            t36,
-            gamma,
-            a_ne,
-            b_ng,
-            log_ng,
-        }
+        let size = *size;
+        Component { t36, gamma, size }
     }
 
     /// Time (s) at `p` GPUs for problem `pr`.
     fn time(&self, p: usize, pr: &Problem) -> f64 {
+        let Size(a_ne, b_ng, log_ng) = self.size;
         let reference = Problem::paper_1536();
         let ne_ratio = pr.n_bands as f64 / reference.n_bands as f64;
         let ng_ratio = pr.ng as f64 / reference.ng as f64;
-        let log_ratio = if self.log_ng {
+        let log_ratio = if log_ng {
             (pr.ng as f64).ln() / (reference.ng as f64).ln()
         } else {
             1.0
@@ -73,122 +109,66 @@ impl Component {
         // size scaling is applied at fixed GPUs-per-work ratio; the
         // P-dependence uses the effective P normalized by problem size so
         // that weak scaling (P ∝ N) stays anchored
-        let size = ne_ratio.powf(self.a_ne) * ng_ratio.powf(self.b_ng) * log_ratio;
+        let size = ne_ratio.powf(a_ne) * ng_ratio.powf(b_ng) * log_ratio;
         self.t36 * size * (p as f64 / 36.0).powf(self.gamma)
     }
 }
 
-/// Names of the per-SCF components, in Table 1 order.
-pub const COMPONENT_NAMES: [&str; 11] = [
-    "fock_mpi",
-    "fock_comp",
-    "local_semilocal",
-    "residual_alltoallv",
-    "residual_allreduce",
-    "residual_comp",
-    "anderson_memcpy",
-    "anderson_comp",
-    "density_comp",
-    "density_allreduce",
-    "others",
-];
-
-/// The assembled cost model.
+/// The assembled cost model: Table 1's per-SCF components and Table 2's
+/// per-step operation classes, each anchored to the paper's values at
+/// P = 36 and P = 3072.
 pub struct CostModel {
-    /// Machine description (power, bandwidths — used by Fig. 3/6 logic).
-    pub machine: Summit,
-    components: Vec<(String, Component)>,
-    table2: Vec<(String, Component)>,
+    rows: Vec<(&'static str, Component)>,
 }
 
 impl CostModel {
     /// Build the model anchored to the paper's Table 1/Table 2.
     pub fn new() -> Self {
-        // physical size exponents per component:
-        //   fock comp: N_e²/P pair solves of N_G log N_G      → a=2, b=1(log)
-        //   fock mpi: each rank receives N_e·N_G·4 B           → a=1, b=1
-        //   local/semilocal, density, anderson, residual comp: N_e·N_G(log)
-        //   overlap allreduce: N_e² matrix                     → a=2, b=0
-        //   density allreduce: density grid ∝ N_G              → a=0, b=1
-        //   alltoallv: N_e·N_G/P per rank                      → a=1, b=1
-        //   others: density-grid work ∝ N_G                    → a=0, b=1
-        let spec: [(&str, f64, f64, f64, f64, bool); 11] = [
-            ("fock_mpi", 0.71, 8.074, 1.0, 1.0, false),
-            ("fock_comp", 90.99, 1.43, 2.0, 1.0, true),
-            ("local_semilocal", 0.337, 0.00404, 1.0, 1.0, true),
-            ("residual_alltoallv", 0.884, 0.056, 1.0, 1.0, false),
-            ("residual_allreduce", 0.354, 0.5243, 2.0, 0.0, false),
-            ("residual_comp", 1.43, 0.023, 2.0, 0.0, false),
-            ("anderson_memcpy", 1.64235, 0.0202, 1.0, 1.0, false),
-            ("anderson_comp", 2.3, 0.04, 1.0, 1.0, false),
-            ("density_comp", 0.1349, 0.0016, 1.0, 1.0, true),
-            ("density_allreduce", 0.123, 0.171, 0.0, 1.0, false),
-            ("others", 2.66, 1.85, 0.0, 1.0, false),
-        ];
-        let components = spec
-            .iter()
-            .map(|&(n, t36, t3072, a, b, lg)| {
-                (n.to_string(), Component::anchored(t36, t3072, a, b, lg))
-            })
-            .collect();
-        let t2spec: [(&str, f64, f64, f64, f64, bool); 6] = [
-            ("memcpy", 60.80, 2.24, 1.0, 1.0, false),
-            ("alltoallv", 20.97, 0.68, 1.0, 1.0, false),
-            ("allreduce", 11.50, 16.62, 2.0, 0.0, false),
-            ("bcast", 18.78, 193.89, 1.0, 1.0, false),
-            ("allgatherv", 0.44, 1.24, 0.0, 1.0, false),
-            ("computation", 2341.40, 71.96, 2.0, 1.0, true),
-        ];
-        let table2 = t2spec
-            .iter()
-            .map(|&(n, t36, t3072, a, b, lg)| {
-                (n.to_string(), Component::anchored(t36, t3072, a, b, lg))
-            })
-            .collect();
+        let anchors = PAPER_COMPONENT_ANCHORS.iter().chain(&PAPER_TABLE2_ANCHORS);
+        let rows = anchors.map(|&(n, t36, t3072)| (n, Component::anchored(n, t36, t3072)));
         CostModel {
-            machine: Summit::default(),
-            components,
-            table2,
+            rows: rows.collect(),
         }
     }
 
-    /// Per-SCF time of one named component.
-    pub fn component(&self, name: &str, p: usize, pr: &Problem) -> f64 {
-        self.components
+    /// Time of one anchored row: a Table 1 component's per-SCF seconds or
+    /// a Table 2 class's per-step seconds.
+    pub fn time(&self, row: &str, p: usize, pr: &Problem) -> f64 {
+        let (_, c) = self
+            .rows
             .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("unknown component {name}"))
-            .1
-            .time(p, pr)
+            .find(|(n, _)| *n == row)
+            .unwrap_or_else(|| panic!("unknown cost-model row {row}"));
+        c.time(p, pr)
     }
 
     /// Per-SCF HΨ time (Fock mpi + comp + local/semilocal).
     pub fn h_psi(&self, p: usize, pr: &Problem) -> f64 {
-        self.component("fock_mpi", p, pr)
-            + self.component("fock_comp", p, pr)
-            + self.component("local_semilocal", p, pr)
+        self.time("fock_mpi", p, pr)
+            + self.time("fock_comp", p, pr)
+            + self.time("local_semilocal", p, pr)
     }
 
     /// Per-SCF residual-related time (Alg. 3).
     pub fn residual(&self, p: usize, pr: &Problem) -> f64 {
-        self.component("residual_alltoallv", p, pr)
-            + self.component("residual_allreduce", p, pr)
-            + self.component("residual_comp", p, pr)
+        self.time("residual_alltoallv", p, pr)
+            + self.time("residual_allreduce", p, pr)
+            + self.time("residual_comp", p, pr)
     }
 
     /// Per-SCF Anderson mixing time.
     pub fn anderson(&self, p: usize, pr: &Problem) -> f64 {
-        self.component("anderson_memcpy", p, pr) + self.component("anderson_comp", p, pr)
+        self.time("anderson_memcpy", p, pr) + self.time("anderson_comp", p, pr)
     }
 
     /// Per-SCF density evaluation time.
     pub fn density(&self, p: usize, pr: &Problem) -> f64 {
-        self.component("density_comp", p, pr) + self.component("density_allreduce", p, pr)
+        self.time("density_comp", p, pr) + self.time("density_allreduce", p, pr)
     }
 
     /// Per-SCF "others" (§3.4 CPU-side) time.
     pub fn others(&self, p: usize, pr: &Problem) -> f64 {
-        self.component("others", p, pr)
+        self.time("others", p, pr)
     }
 
     /// Full per-SCF time (Table 1 "per SCF time").
@@ -215,21 +195,10 @@ impl CostModel {
     /// CPU-side potential updates.
     pub fn rk4_50as(&self, p: usize, pr: &Problem) -> f64 {
         let wire_bytes = 8.0; // f32 complex
-        let full_bcast =
-            pr.n_bands as f64 * pr.ng as f64 * wire_bytes / self.machine.bcast_rank_bw(p);
-        let comp = self.component("fock_comp", p, pr) + self.component("local_semilocal", p, pr);
+        let full_bcast = pr.n_bands as f64 * pr.ng as f64 * wire_bytes / machine::bcast_rank_bw(p);
+        let comp = self.time("fock_comp", p, pr) + self.time("local_semilocal", p, pr);
         let stage = comp + full_bcast + self.density(p, pr) + self.others(p, pr);
         100.0 * 4.0 * stage
-    }
-
-    /// Table 2 class time per step.
-    pub fn table2_class(&self, name: &str, p: usize, pr: &Problem) -> f64 {
-        self.table2
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("unknown table2 class {name}"))
-            .1
-            .time(p, pr)
     }
 
     /// CPU-baseline step time at `cores` cores (§6: 8874 s at 3072; the
@@ -258,14 +227,15 @@ mod tests {
     fn anchors_are_exact_at_endpoints() {
         let m = CostModel::new();
         let pr = Problem::paper_1536();
-        for (name, t36, t3072) in PAPER_COMPONENT_ANCHORS {
-            let a = m.component(name, 36, &pr);
-            let b = m.component(name, 3072, &pr);
-            assert!((a - t36).abs() < 1e-9 * t36, "{name} @36: {a} vs {t36}");
-            assert!(
-                (b - t3072).abs() < 1e-9 * t3072,
-                "{name} @3072: {b} vs {t3072}"
-            );
+        let anchors = PAPER_COMPONENT_ANCHORS.iter().chain(&PAPER_TABLE2_ANCHORS);
+        for &(name, t36, t3072) in anchors {
+            for (p, want) in [(36, t36), (3072, t3072)] {
+                let got = m.time(name, p, &pr);
+                assert!(
+                    (got - want).abs() < 1e-9 * want,
+                    "{name} @{p}: {got} vs {want}"
+                );
+            }
         }
     }
 
@@ -373,7 +343,7 @@ mod tests {
         let m = CostModel::new();
         let pr = Problem::paper_1536();
         for (i, &p) in PAPER_GPU_COUNTS.iter().enumerate() {
-            let t = m.table2_class("bcast", p, &pr);
+            let t = m.time("bcast", p, &pr);
             let want = PAPER_TABLE2_BCAST[i];
             // endpoint-anchored power law vs the paper's (fluctuating, §7)
             // mid-range measurements: demand the shape within ±45 %

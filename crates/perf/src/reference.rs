@@ -14,7 +14,8 @@ pub const PAPER_TABLE1_TOTAL: [f64; 8] = [2453.8, 1269.1, 783.0, 393.9, 323.2, 2
 pub const PAPER_TABLE1_SPEEDUP: [f64; 8] = [3.6, 7.0, 11.3, 22.5, 27.4, 34.0, 33.8, 30.9];
 
 /// Per-SCF component anchors from Table 1 at P = 36 and P = 3072
-/// (seconds): (name, t36, t3072).
+/// (seconds): (name, t36, t3072), in Table 1 order. `CostModel` builds its
+/// components from these and nothing else.
 pub const PAPER_COMPONENT_ANCHORS: [(&str, f64, f64); 11] = [
     ("fock_mpi", 0.71, 8.074),
     ("fock_comp", 90.99, 1.43),
@@ -29,7 +30,9 @@ pub const PAPER_COMPONENT_ANCHORS: [(&str, f64, f64); 11] = [
     ("others", 2.66, 1.85),
 ];
 
-/// Table 2 anchors (per 50 as step, seconds): (class, t36, t3072).
+/// Table 2 anchors (per 50 as step, seconds): (class, t36, t3072), in
+/// Table 2 order. `CostModel` builds its operation classes from these and
+/// nothing else.
 pub const PAPER_TABLE2_ANCHORS: [(&str, f64, f64); 6] = [
     ("memcpy", 60.80, 2.24),
     ("alltoallv", 20.97, 0.68),

@@ -21,7 +21,7 @@ pub struct ScfOptions {
     pub davidson: DavidsonOptions,
     /// Anderson depth / mixing step.
     pub mix_depth: usize,
-    /// Linear mixing parameter β.
+    /// Linear mixing parameter β (positive).
     pub mix_beta: f64,
 }
 
@@ -106,9 +106,11 @@ fn scf_loop_inner(sys: &KsSystem, opts: ScfOptions) -> Result<ScfResult, PtError
             "Anderson mixing depth must be at least 1".into(),
         ));
     }
-    if !opts.mix_beta.is_finite() {
+    // β = 0 never moves the density: the loop would burn `max_scf`
+    // iterations before reporting `NotConverged`
+    if !opts.mix_beta.is_finite() || opts.mix_beta <= 0.0 {
         return Err(PtError::InvalidConfig(format!(
-            "mixing parameter beta must be finite, got {}",
+            "mixing parameter beta must be positive and finite, got {}",
             opts.mix_beta
         )));
     }
@@ -264,6 +266,30 @@ mod tests {
                 scf_loop(&sys, o).map(|r| r.rho_residual),
                 Err(PtError::InvalidConfig(_))
             ));
+        }
+    }
+
+    #[test]
+    fn scf_rejects_a_mixing_step_that_cannot_move_the_density() {
+        let s = silicon_cubic_supercell(1, 1, 1);
+        let sys = pt_ham::KsSystem::builder(s)
+            .ecut(2.0)
+            .xc(XcKind::Lda)
+            .build()
+            .unwrap();
+        for mix_beta in [0.0, -0.5, f64::NAN] {
+            let o = ScfOptions {
+                mix_beta,
+                max_scf: 3,
+                ..Default::default()
+            };
+            assert!(
+                matches!(
+                    scf_loop(&sys, o).map(|r| r.rho_residual),
+                    Err(PtError::InvalidConfig(_))
+                ),
+                "beta {mix_beta}"
+            );
         }
     }
 

@@ -63,5 +63,9 @@ fn main() -> Result<(), PtError> {
         "gauge-invariant agreement (density-matrix distance): {:.2e}",
         density_matrix_distance(&finals[0], &finals[1])
     );
+    println!(
+        "PT-CN step / RK4 ceiling = {:.1}x larger time step",
+        window / ceiling
+    );
     Ok(())
 }

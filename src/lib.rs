@@ -23,9 +23,9 @@
 //!   propagator ([`core::PtCnPropagator`]) at step time: one rank runs
 //!   inline on that pool, more run on a persistent rank team with a pinned
 //!   pool per rank thread — bit-identical either way.
-//! * **Layer B (Summit model)** — machine constants ([`summit`]) and the
-//!   anchored performance model ([`perf`]) that regenerate every table and
-//!   figure of the paper's evaluation.
+//! * **Layer B (Summit model)** — the anchored Summit performance model
+//!   ([`perf`]) that regenerates every table and figure of the paper's
+//!   evaluation as one report (`examples/paper_artifacts.rs`).
 //! * **Serving layer** — [`serve`]: a std-only simulation job server
 //!   (queue + core-packing scheduler over [`par::RankLayout`] widths,
 //!   live observable streaming over length-prefixed JSON/TCP, and
@@ -90,7 +90,6 @@ pub use pt_perf as perf;
 pub use pt_pseudo as pseudo;
 pub use pt_scf as scf;
 pub use pt_serve as serve;
-pub use pt_summit as summit;
 pub use pt_trace as trace;
 pub use pt_xc as xc;
 

@@ -101,8 +101,7 @@ fn paper_headlines_hold_in_model() {
     assert!(m.step_total(768, &pr) < m.step_total(384, &pr));
     assert!(m.step_total(3072, &pr) > 0.95 * m.step_total(768, &pr));
     // power parity claim (§6): 72 GPUs ≲ 3072-core power, ~7x faster
-    let mach = pwdft_rt::summit::Summit::default();
-    assert!(mach.gpu_run_power(72) < mach.cpu_run_power(3072));
+    assert!(pwdft_rt::perf::gpu_run_power(72) < pwdft_rt::perf::cpu_run_power(3072));
     let ratio = m.cpu_step(3072, &pr) / m.step_total(72, &pr);
     assert!(ratio > 5.0 && ratio < 9.0, "same-power speedup {ratio:.1}");
 }
