@@ -133,13 +133,13 @@ pub(crate) struct RunCheckpointView<'a> {
 
 impl RunCheckpointView<'_> {
     /// Serialize into `path` (atomically: temporary sibling + rename).
-    pub(crate) fn write(&self, path: &Path, wire: Wire) -> Result<(), PtError> {
+    pub(crate) fn write(&self, path: &Path) -> Result<(), PtError> {
         let mut w = SnapshotWriter::create(path);
         w.put_u64s("sig", &self.signature.to_words())?;
         w.put_u64s("steps", &[self.steps_remaining as u64])?;
         w.put_f64s("time", &[self.t, self.dt])?;
         w.put_f64s("occ", self.occupations)?;
-        w.put_cmat("psi", self.psi, wire)?;
+        w.put_cmat("psi", self.psi)?;
         if let Some(l) = self.laser {
             w.put_f64s(
                 "laser",
@@ -154,21 +154,18 @@ impl RunCheckpointView<'_> {
                 ],
             )?;
         }
-        write_propagator(&mut w, self.propagator, wire)?;
+        write_propagator(&mut w, self.propagator)?;
         write_series(&mut w, self.series)?;
         w.finish()
     }
 }
 
 impl RunCheckpoint {
-    /// Serialize into `path` (atomically: temporary sibling + rename).
-    /// `wire` selects the payload precision of the orbital-sized matrix
-    /// sections (ψ, ξ); everything else is always exact `f64`/`u64`. The
-    /// time loop always writes [`Wire::F64`], which is what the bit-exact
-    /// resume guarantee rests on; re-writing a snapshot at [`Wire::F32`]
-    /// halves those bytes and gives the guarantee up (~1e-7 relative loss
-    /// on ψ).
-    pub fn write(&self, path: impl AsRef<Path>, wire: Wire) -> Result<(), PtError> {
+    /// Serialize into `path` (atomically: temporary sibling + rename),
+    /// every section at its exact bits — what the bit-exact resume
+    /// guarantee rests on. The [`Wire`] argument is kept for existing
+    /// callers and ignored.
+    pub fn write(&self, path: impl AsRef<Path>, _wire: Wire) -> Result<(), PtError> {
         RunCheckpointView {
             signature: self.signature,
             steps_remaining: self.steps_remaining,
@@ -180,7 +177,7 @@ impl RunCheckpoint {
             propagator: &self.propagator,
             series: &self.series,
         }
-        .write(path.as_ref(), wire)
+        .write(path.as_ref())
     }
 
     /// Read a checkpoint back (container defects — truncation, CRC,
@@ -246,11 +243,7 @@ impl RunCheckpoint {
     }
 }
 
-fn write_propagator(
-    w: &mut SnapshotWriter,
-    state: &PropagatorState,
-    wire: Wire,
-) -> Result<(), PtError> {
+fn write_propagator(w: &mut SnapshotWriter, state: &PropagatorState) -> Result<(), PtError> {
     match state {
         PropagatorState::PtCn { opts, ace } => {
             w.put_str("prop/name", "pt-cn")?;
@@ -270,7 +263,7 @@ fn write_propagator(
             // silently diverge bit-wise from the uninterrupted one.
             if let Some(a) = ace {
                 w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
-                w.put_cmat("prop/ace_xi", &a.xi, wire)?;
+                w.put_cmat("prop/ace_xi", &a.xi)?;
             }
             Ok(())
         }

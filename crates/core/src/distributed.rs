@@ -34,9 +34,7 @@
 //! per-band results are computed independently in a fixed order, every
 //! band folds the same exchange partials in the same order whichever
 //! rank's tile made them, and the residual's tree reduction joins fixed
-//! 64-row chunks in ascending order regardless of which rank owns them. (`pt_ham`'s kernels also take a
-//! `Wire::F32` communicator — half the broadcast volume at ~1e-7
-//! relative loss, §3.2 optimization 4 — which no run selects.)
+//! 64-row chunks in ascending order regardless of which rank owns them.
 
 use crate::propagator::StepKernels;
 use pt_ham::{
@@ -47,10 +45,9 @@ use pt_mpi::{Comm, EnginePoisoned, RankEngine, Wire};
 use pt_par::RankLayout;
 
 /// Reuse the parked rank team when it matches `layout`; build it on first
-/// use or after a layout change. The PT-CN rank path always ships `f64`
-/// (the exact wire every layout-invariance guarantee rests on). A
-/// poisoned engine is never reused or silently replaced — the caller gets
-/// the typed error so the failure stays visible.
+/// use or after a layout change. A poisoned engine is never reused or
+/// silently replaced — the caller gets the typed error so the failure
+/// stays visible.
 pub(crate) fn acquire_engine(
     slot: &mut Option<RankEngine>,
     layout: RankLayout,
@@ -404,7 +401,6 @@ mod tests {
         );
         acquire_engine(&mut slot, RankLayout::new(3, 1)).unwrap();
         assert_eq!(slot.as_ref().unwrap().layout().ranks, 3);
-        assert_eq!(slot.as_ref().unwrap().wire(), Wire::F64);
     }
 
     #[test]

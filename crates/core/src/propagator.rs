@@ -186,7 +186,7 @@ pub struct AceCapture {
 /// Rebuild a boxed [`Propagator`] from a captured [`PropagatorState`].
 /// [`PropagatorState::Opaque`] is a typed error: the snapshot records that
 /// the original run used a propagator this crate cannot reconstruct, so
-/// the caller must supply one (`Simulation::resume_with`).
+/// the run cannot be resumed — only PT-CN and RK4 states are rebuilt.
 pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagator>, PtError> {
     match state {
         // the rank engine is runtime-only state: rebuilt lazily on the
@@ -199,7 +199,7 @@ pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagato
         PropagatorState::Rk4 { opts } => Ok(Box::new(Rk4Propagator { opts })),
         PropagatorState::Opaque { name } => Err(PtError::InvalidConfig(format!(
             "snapshot was taken with propagator '{name}', which cannot be reconstructed; \
-             resume with an explicit propagator"
+             only pt-cn and rk4 runs resume from a snapshot"
         ))),
     }
 }

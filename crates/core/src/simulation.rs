@@ -35,7 +35,6 @@ use crate::observables::{current_density, orthonormality_error};
 use crate::propagator::{propagator_from_state, Propagator, PtCnPropagator, StepStats, TdState};
 use pt_ham::{integrate, KsSystem, PtError};
 use pt_linalg::CMat;
-use pt_mpi::Wire;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -842,8 +841,7 @@ impl<'a> Simulation<'a> {
             series,
         };
         let path = checkpoint_path(&policy.dir, series.len());
-        // exact payloads: the bit-exact resume guarantee rests on them
-        view.write(&path, Wire::F64)?;
+        view.write(&path)?;
         // a cancel right after a rolling boundary rewrites the same step's
         // file (atomically); don't double-track it or pruning would try to
         // delete it twice
@@ -865,27 +863,13 @@ impl<'a> Simulation<'a> {
     /// `run` on the result takes the remaining steps and returns the
     /// *full* series (restored + new steps) — bit-identical to an
     /// uninterrupted run when the original run used the standard
-    /// observers (the time loop writes exact payloads; the lossy re-write
-    /// is [`RunCheckpoint::write`]'s caveat).
+    /// observers.
     ///
     /// The snapshot must have been taken against a system of the same
     /// shape: the recorded [`pt_ham::SystemSignature`] and occupations are
-    /// revalidated and a mismatch is a typed error.
+    /// revalidated and a mismatch is a typed error, as is a propagator
+    /// this crate cannot rebuild ([`crate::PropagatorState::Opaque`]).
     pub fn resume(sys: &'a KsSystem, path: impl AsRef<Path>) -> Result<Simulation<'a>, PtError> {
-        Self::resume_with(sys, path, standard_observer_pipeline(), None)
-    }
-
-    /// [`Simulation::resume`] with a custom observer pipeline and/or an
-    /// explicit propagator (required when the snapshot records a
-    /// propagator this crate cannot reconstruct). For a bit-identical
-    /// continuation the pipeline must emit the same channels as the
-    /// original run's.
-    pub fn resume_with(
-        sys: &'a KsSystem,
-        path: impl AsRef<Path>,
-        observers: Vec<Box<dyn Observer>>,
-        propagator: Option<Box<dyn Propagator>>,
-    ) -> Result<Simulation<'a>, PtError> {
         let ck = RunCheckpoint::read(path)?;
         let want = sys.signature();
         if ck.signature != want {
@@ -928,17 +912,13 @@ impl<'a> Simulation<'a> {
                 got: ck.psi.ncols(),
             });
         }
-        let propagator = match propagator {
-            Some(p) => p,
-            None => propagator_from_state(ck.propagator)?,
-        };
         Ok(Simulation {
             sys,
             laser: ck.laser,
             dt: ck.dt,
             n_steps: ck.steps_remaining,
-            propagator,
-            observers,
+            propagator: propagator_from_state(ck.propagator)?,
+            observers: standard_observer_pipeline(),
             state: TdState {
                 psi: ck.psi,
                 t: ck.t,

@@ -3,8 +3,8 @@
 //! Wavefunctions are distributed by **band index** (§3.1): rank p owns
 //! bands `p, p+N_p, p+2N_p, …` (the cyclic map keeps loads balanced when
 //! N_e % N_p ≠ 0). The Fock exchange broadcasts one owner's orbital at a
-//! time (`MPI_Bcast`, optionally f32 on the wire), so every rank holds all
-//! of Φ, and then distributes *pairs*, not bands (the (i, j) pair-block
+//! time (`MPI_Bcast`), so every rank holds all of Φ, and then
+//! distributes *pairs*, not bands (the (i, j) pair-block
 //! dealing of arXiv:2009.03555): applied to its own defining block — every
 //! PT-gauge call — the N(N+1)/2 canonical pairs are cut into the
 //! self-contained [`ExchangeTile`]s of [`crate::fock`], a shape-only deal
@@ -15,15 +15,13 @@
 //! the gathered result has the in-process bits. Handed Φ ≠ Ψ, the ranks
 //! run the general N_φ × N_ψ/P schedule on their own ψ bands instead.
 //!
-//! Two volume laws, asserted against the byte counters of `pt-mpi` at both
-//! wire precisions by the
+//! Two volume laws, asserted against the byte counters of `pt-mpi` by the
 //! `tests/distributed_and_model.rs::alg2_volume_law_and_f32_wire`
-//! integration test: the broadcasts move `(N_p − 1) × N_G × N_e ×
-//! sizeof(wire scalar)` summed over receivers (§3.2), and a
+//! integration test and the unit tests below: the broadcasts move
+//! `(N_p − 1) × N_G × N_e × 16` bytes summed over receivers (§3.2), and a
 //! self-application's partials `(partials whose tile rank ≠ band owner) ×
-//! N_wfc × sizeof(wire scalar)` point-to-point. The PT-CN rank path always
-//! ships `f64`; the f32 wire is exercised by that test and the unit tests
-//! below.
+//! N_wfc × 16` point-to-point. Every message is `f64`, which is why the
+//! gathered result has the in-process bits on every layout.
 //!
 //! Both distributed hot paths thread their rank-local compute over the
 //! calling thread's current pool — on a [`pt_mpi::RankEngine`] that is
@@ -179,9 +177,9 @@ fn deal(dist: BandDistribution) -> Vec<(ExchangeTile, usize)> {
 /// folds its own bands' partials in ascending partner-chunk order as they
 /// are made or arrive. Otherwise every rank runs the general schedule on
 /// its own ψ bands. Either way each partial is the in-process one — the
-/// same pair terms, oriented by global band index, in the same order — so
-/// with a `Wire::F64` wire the output bits depend on neither the thread
-/// count nor the rank count, and equal the in-process apply's.
+/// same pair terms, oriented by global band index, in the same order, and
+/// every message is `f64` — so the output bits depend on neither the
+/// thread count nor the rank count, and equal the in-process apply's.
 pub fn distributed_fock_apply(
     comm: &mut Comm,
     grids: &PwGrids,
@@ -412,12 +410,10 @@ pub fn pt_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, dt: f64) -> CMa
 /// rows, computed by the chunk's single owner; the global combine walks
 /// the chunks in ascending index order on every rank. Both the chunk grid
 /// and the combine order depend only on `ng` — never on the rank or
-/// thread count — so with a [`Wire::F64`](pt_mpi::Wire::F64) wire the residual bits are
-/// **identical for every ranks × threads layout**, and identical to the
-/// comm-free [`pt_residual`] (which shares the partials, the fold and the
-/// assembly). A [`Wire::F32`](pt_mpi::Wire::F32) wire quantizes the alltoallv layout flips
-/// and gives that up (the tree reduction itself always moves
-/// full-precision partials).
+/// thread count — and the layout flips move exact `f64`, so the residual
+/// bits are **identical for every ranks × threads layout**, and identical
+/// to the comm-free [`pt_residual`] (which shares the partials, the fold
+/// and the assembly).
 pub fn distributed_residual(
     comm: &mut Comm,
     dist: BandDistribution,
@@ -603,7 +599,6 @@ mod tests {
     /// local columns and gather the local results into the full block.
     fn gathered(
         layout: RankLayout,
-        wire: Wire,
         ng: usize,
         nb: usize,
         f: impl Fn(&mut Comm, BandDistribution) -> CMat + Sync,
@@ -612,7 +607,7 @@ mod tests {
             n_bands: nb,
             n_ranks: layout.ranks,
         };
-        let (outs, stats) = RankEngine::new(layout, wire)
+        let (outs, stats) = RankEngine::new(layout, Wire::F64)
             .run(|comm| f(comm, dist))
             .expect("fresh engine");
         let mut full = CMat::zeros(ng, nb);
@@ -626,13 +621,12 @@ mod tests {
 
     fn gathered_fock(
         layout: RankLayout,
-        wire: Wire,
         grids: &PwGrids,
         phi: &CMat,
         psi: &CMat,
         kernel: &ScreenedKernel,
     ) -> (CMat, pt_mpi::StatsSnapshot) {
-        gathered(layout, wire, grids.ng(), psi.ncols(), |comm, dist| {
+        gathered(layout, grids.ng(), psi.ncols(), |comm, dist| {
             let take = |m: &CMat| dist.take_local(comm.rank(), m);
             distributed_fock_apply(comm, grids, dist, &take(phi), &take(psi), 0.25, kernel)
         })
@@ -685,7 +679,7 @@ mod tests {
                 assert_same_bits(&want, &general, &format!("nb={nb} {what}: general"));
                 for &(ranks, threads) in layouts {
                     let layout = RankLayout::new(ranks, threads);
-                    let (got, stats) = gathered_fock(layout, Wire::F64, &grids, &phi, psi, &kernel);
+                    let (got, stats) = gathered_fock(layout, &grids, &phi, psi, &kernel);
                     let at = format!("nb={nb} {what} {ranks}x{threads}");
                     assert_same_bits(&want, &got, &at);
                     // §3.2 volume: receivers = (N_p−1) per bcast, N_e
@@ -765,44 +759,11 @@ mod tests {
             let mut want = CMat::zeros(grids.ng(), n);
             fock.apply_block(&grids, &phi, &mut want);
             let layout = RankLayout::new(np, 1);
-            let (got, stats) = gathered_fock(layout, Wire::F64, &grids, &phi, &phi, &kernel);
+            let (got, stats) = gathered_fock(layout, &grids, &phi, &phi, &kernel);
             assert_same_bits(&want, &got, &format!("n={n} np={np}"));
             assert_eq!(stats.allreduce_calls, np as u64);
             assert_eq!(stats.bcast_calls, (np * n) as u64);
         }
-    }
-
-    #[test]
-    fn f32_wire_error_is_small() {
-        let s = silicon_cubic_supercell(1, 1, 1);
-        let grids = PwGrids::new(&s, 2.0);
-        let ng = grids.ng();
-        let nb = 4;
-        let phi = rand_block(ng, nb, 7);
-        let psi = rand_block(ng, nb, 8);
-        let kernel = ScreenedKernel::new(&grids, 0.11);
-        let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-        let mut want = CMat::zeros(ng, nb);
-        fock.apply_block(&grids, &psi, &mut want);
-        let np = 2;
-        let (got, stats) = gathered_fock(
-            RankLayout::new(np, 1),
-            Wire::F32,
-            &grids,
-            &phi,
-            &psi,
-            &kernel,
-        );
-        // volume is halved relative to f64
-        assert_eq!(
-            stats.bcast_bytes,
-            (np as u64 - 1) * nb as u64 * ng as u64 * 8
-        );
-        let err = want.max_diff(&got);
-        // f32 wire: ~1e-7 relative loss on the broadcast orbitals (§3.2:
-        // "negligible changes in the accuracy")
-        assert!(err < 1e-5, "f32 wire error too large: {err}");
-        assert!(err > 1e-12, "error suspiciously zero — wire not exercised?");
     }
 
     /// Random blocks of any (ng, nb) extent plus the PT residual written
@@ -848,12 +809,8 @@ mod tests {
             let err = want.max_diff(&algebra);
             assert!(err < 1e-11, "ng={ng} nb={nb}: vs GEMM algebra {err}");
             for (ranks, threads) in layouts.clone() {
-                let (got, stats) = gathered(
-                    RankLayout::new(ranks, threads),
-                    Wire::F64,
-                    ng,
-                    nb,
-                    |comm, dist| {
+                let (got, stats) =
+                    gathered(RankLayout::new(ranks, threads), ng, nb, |comm, dist| {
                         let take = |m: &CMat| dist.take_local(comm.rank(), m);
                         distributed_residual(
                             comm,
@@ -864,8 +821,7 @@ mod tests {
                             &take(&half),
                             dt,
                         )
-                    },
-                );
+                    });
                 assert_same_bits(&want, &got, &format!("ng={ng} nb={nb} {ranks}x{threads}"));
                 // three forward flips + one backward per rank
                 let np = ranks as u64;
@@ -894,7 +850,7 @@ mod tests {
             let want = pt_residual(&psi, &hpsi, &half, dt);
             let err = want.max_diff(&algebra);
             assert!(err < 1e-12, "ng={ng} nb={nb}: vs GEMM algebra {err}");
-            let (got, _) = gathered(RankLayout::new(np, 1), Wire::F64, ng, nb, |comm, dist| {
+            let (got, _) = gathered(RankLayout::new(np, 1), ng, nb, |comm, dist| {
                 let take = |m: &CMat| dist.take_local(comm.rank(), m);
                 distributed_residual(comm, dist, ng, &take(&psi), &take(&hpsi), &take(&half), dt)
             });

@@ -15,23 +15,23 @@
 //! ```
 //!
 //! Section kinds: `u64` arrays, `f64` arrays, UTF-8 strings, and complex
-//! column-major matrices whose payload is either full `f64` pairs or —
-//! mirroring [`pt_mpi::Wire`]'s single-precision wire mode — `f32` pairs
-//! at half the bytes (~1e-7 relative loss; a snapshot written that way can
-//! no longer resume bit-exactly).
+//! column-major matrices of `f64` pairs — every value round-trips to the
+//! bit. Kind 5, a retired `f32` matrix payload, is refused: a quantized ψ
+//! could never resume bit-exactly.
 //!
 //! Every payload carries its own CRC-32; [`SnapshotFile::open`] verifies
-//! all of them (plus magic, version and table bounds) before returning, so
-//! truncation and corruption surface as [`PtError::SnapshotFormat`] — the
-//! reader never panics on malformed input. [`SnapshotWriter::finish`]
+//! all of them (plus magic, version, table bounds and that no section is
+//! named twice) before returning, so truncation and corruption surface as
+//! [`PtError::SnapshotFormat`] — the reader never panics on malformed
+//! input. [`SnapshotWriter::finish`]
 //! writes to a temporary sibling and renames it into place, so a crash
 //! mid-write can never leave a half-written file under the final name.
 
 use crate::crc32::crc32;
 use pt_ham::PtError;
 use pt_linalg::CMat;
-use pt_mpi::Wire;
 use pt_num::c64;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -40,6 +40,8 @@ pub const MAGIC: [u8; 8] = *b"PTIOSNAP";
 /// Current container format version.
 pub const FORMAT_VERSION: u32 = 1;
 const HEADER_LEN: usize = 24;
+/// Kind tag of the retired single-precision complex-matrix payload.
+const RETIRED_F32_MATRIX: u8 = 5;
 
 /// Payload type of one section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,7 +50,6 @@ enum Kind {
     F64s,
     Str,
     CMatF64,
-    CMatF32,
 }
 
 impl Kind {
@@ -58,7 +59,6 @@ impl Kind {
             Kind::F64s => 2,
             Kind::Str => 3,
             Kind::CMatF64 => 4,
-            Kind::CMatF32 => 5,
         }
     }
 
@@ -68,7 +68,6 @@ impl Kind {
             2 => Some(Kind::F64s),
             3 => Some(Kind::Str),
             4 => Some(Kind::CMatF64),
-            5 => Some(Kind::CMatF32),
             _ => None,
         }
     }
@@ -79,7 +78,6 @@ impl Kind {
             Kind::F64s => "f64 array",
             Kind::Str => "string",
             Kind::CMatF64 => "complex matrix (f64)",
-            Kind::CMatF32 => "complex matrix (f32)",
         }
     }
 }
@@ -155,33 +153,16 @@ impl SnapshotWriter {
         self.push(name, Kind::Str, value.as_bytes().to_vec())
     }
 
-    /// Add a complex column-major matrix section. `wire` selects the
-    /// payload precision: [`Wire::F64`] round-trips bit-exactly,
-    /// [`Wire::F32`] halves the bytes at ~1e-7 relative loss.
-    pub fn put_cmat(&mut self, name: &str, m: &CMat, wire: Wire) -> Result<(), PtError> {
-        let scalar = match wire {
-            Wire::F64 => 8,
-            Wire::F32 => 4,
-        };
-        let mut bytes = Vec::with_capacity(16 + 2 * scalar * m.data().len());
+    /// Add a complex column-major matrix section (exact bits).
+    pub fn put_cmat(&mut self, name: &str, m: &CMat) -> Result<(), PtError> {
+        let mut bytes = Vec::with_capacity(16 + 16 * m.data().len());
         bytes.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
         bytes.extend_from_slice(&(m.ncols() as u64).to_le_bytes());
-        match wire {
-            Wire::F64 => {
-                for z in m.data() {
-                    bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
-                    bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
-                }
-                self.push(name, Kind::CMatF64, bytes)
-            }
-            Wire::F32 => {
-                for z in m.data() {
-                    bytes.extend_from_slice(&(z.re as f32).to_bits().to_le_bytes());
-                    bytes.extend_from_slice(&(z.im as f32).to_bits().to_le_bytes());
-                }
-                self.push(name, Kind::CMatF32, bytes)
-            }
+        for z in m.data() {
+            bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
         }
+        self.push(name, Kind::CMatF64, bytes)
     }
 
     /// Assemble the container and write it atomically (temporary sibling +
@@ -259,8 +240,9 @@ impl<'a> Cursor<'a> {
 }
 
 impl SnapshotFile {
-    /// Read and verify `path`: magic, format version, table bounds, and
-    /// the CRC-32 of every section payload. Any defect — including plain
+    /// Read and verify `path`: magic, format version, table bounds, the
+    /// CRC-32 of every section payload, and that every section has a
+    /// known kind and a name of its own. Any defect — including plain
     /// truncation — is a typed [`PtError::SnapshotFormat`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, PtError> {
         let path = path.as_ref();
@@ -323,6 +305,16 @@ impl SnapshotFile {
                     format!("section table truncated at entry {i}"),
                 ));
             };
+            if tag == RETIRED_F32_MATRIX {
+                return Err(format_err(
+                    path,
+                    format!(
+                        "section '{name}' holds a retired f32 complex-matrix payload \
+                         (kind {tag}); a single-precision matrix cannot resume \
+                         bit-exactly and is not read"
+                    ),
+                ));
+            }
             let Some(kind) = Kind::from_tag(tag) else {
                 return Err(format_err(
                     path,
@@ -346,13 +338,22 @@ impl SnapshotFile {
                     format!("crc mismatch in section '{name}': stored {crc:#010x}, computed {got:#010x}"),
                 ));
             }
-            sections.insert(
-                name,
-                Section {
-                    kind,
-                    payload: payload.to_vec(),
-                },
-            );
+            // the writer refuses duplicates, but a CRC-valid file is still
+            // outside input: a second copy must not silently win
+            match sections.entry(name) {
+                Entry::Occupied(e) => {
+                    return Err(format_err(
+                        path,
+                        format!("section '{}' appears twice", e.key()),
+                    ))
+                }
+                Entry::Vacant(e) => {
+                    e.insert(Section {
+                        kind,
+                        payload: payload.to_vec(),
+                    });
+                }
+            }
         }
         Ok(SnapshotFile {
             path: path.to_path_buf(),
@@ -375,7 +376,7 @@ impl SnapshotFile {
             .sections
             .get(name)
             .ok_or_else(|| format_err(&self.path, format!("missing section '{name}'")))?;
-        if s.kind != want && !(want == Kind::CMatF64 && s.kind == Kind::CMatF32) {
+        if s.kind != want {
             return Err(format_err(
                 &self.path,
                 format!(
@@ -435,15 +436,9 @@ impl SnapshotFile {
             .map_err(|_| format_err(&self.path, format!("section '{name}' is not valid UTF-8")))
     }
 
-    /// A complex matrix section (either payload precision; `f32` payloads
-    /// are widened back to `f64` on read, like [`pt_mpi::Wire::F32`]
-    /// receive paths).
+    /// A complex matrix section (exact bits).
     pub fn cmat(&self, name: &str) -> Result<CMat, PtError> {
         let s = self.section(name, Kind::CMatF64)?;
-        let scalar = match s.kind {
-            Kind::CMatF64 => 8usize,
-            _ => 4,
-        };
         let mut cur = Cursor {
             bytes: &s.payload,
             pos: 0,
@@ -459,7 +454,7 @@ impl SnapshotFile {
         // must fall through to the typed error, not overflow (the read
         // path's no-panic contract)
         let n = nrows.checked_mul(ncols).filter(|&n| {
-            n.checked_mul(2 * scalar)
+            n.checked_mul(16)
                 .and_then(|b| b.checked_add(16))
                 .is_some_and(|want| s.payload.len() == want)
         });
@@ -473,48 +468,20 @@ impl SnapshotFile {
             ));
         };
         let mut data = Vec::with_capacity(n);
-        match s.kind {
-            Kind::CMatF64 => {
-                for pair in s.payload[16..].chunks_exact(16) {
-                    let re = f64::from_bits(u64::from_le_bytes(
-                        pair[..8]
-                            .try_into()
-                            .expect("invariant: 16-byte chunk halves"),
-                    ));
-                    let im = f64::from_bits(u64::from_le_bytes(
-                        pair[8..]
-                            .try_into()
-                            .expect("invariant: 16-byte chunk halves"),
-                    ));
-                    data.push(c64::new(re, im));
-                }
-            }
-            _ => {
-                for pair in s.payload[16..].chunks_exact(8) {
-                    let re = f32::from_bits(u32::from_le_bytes(
-                        pair[..4]
-                            .try_into()
-                            .expect("invariant: 8-byte chunk halves"),
-                    ));
-                    let im = f32::from_bits(u32::from_le_bytes(
-                        pair[4..]
-                            .try_into()
-                            .expect("invariant: 8-byte chunk halves"),
-                    ));
-                    data.push(c64::new(re as f64, im as f64));
-                }
-            }
+        for pair in s.payload[16..].chunks_exact(16) {
+            let re = f64::from_bits(u64::from_le_bytes(
+                pair[..8]
+                    .try_into()
+                    .expect("invariant: 16-byte chunk halves"),
+            ));
+            let im = f64::from_bits(u64::from_le_bytes(
+                pair[8..]
+                    .try_into()
+                    .expect("invariant: 16-byte chunk halves"),
+            ));
+            data.push(c64::new(re, im));
         }
         Ok(CMat::from_vec(nrows, ncols, data))
-    }
-
-    /// The wire precision a matrix section was written with.
-    pub fn cmat_wire(&self, name: &str) -> Result<Wire, PtError> {
-        let s = self.section(name, Kind::CMatF64)?;
-        Ok(match s.kind {
-            Kind::CMatF32 => Wire::F32,
-            _ => Wire::F64,
-        })
     }
 
     /// Typed convenience: a `u64` section expected to hold exactly one
@@ -543,9 +510,46 @@ mod tests {
         w.put_u64s("meta", &[3, u64::MAX, 0]).unwrap();
         w.put_f64s("t", &[0.25, -1.5e-300, f64::MAX]).unwrap();
         w.put_str("prop/name", "pt-cn").unwrap();
-        w.put_cmat("psi", &CMat::rand_normalized(17, 3, 9), Wire::F64)
-            .unwrap();
+        w.put_cmat("psi", &CMat::rand_normalized(17, 3, 9)).unwrap();
         w.finish().unwrap();
+    }
+
+    /// A hand-assembled container holding `sections` (name, kind tag,
+    /// payload) in order, every CRC valid — what the writer would produce
+    /// if it did not check its input.
+    fn container(sections: &[(&str, u8, &[u8])]) -> Vec<u8> {
+        let payload_len: usize = sections.iter().map(|(_, _, p)| p.len()).sum();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&((HEADER_LEN + payload_len) as u64).to_le_bytes());
+        for (_, _, payload) in sections {
+            bytes.extend_from_slice(payload);
+        }
+        let mut offset = HEADER_LEN;
+        for (name, tag, payload) in sections {
+            bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.push(*tag);
+            bytes.extend_from_slice(&(offset as u64).to_le_bytes());
+            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+            offset += payload.len();
+        }
+        bytes
+    }
+
+    /// The `SnapshotFormat` reason `open` gives for `bytes`.
+    fn open_error(tag: &str, bytes: &[u8]) -> String {
+        let path = tmp_path(tag);
+        std::fs::write(&path, bytes).unwrap();
+        let got = SnapshotFile::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        match got {
+            Err(PtError::SnapshotFormat { reason, .. }) => reason,
+            other => panic!("expected a SnapshotFormat error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -565,30 +569,7 @@ mod tests {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-        assert_eq!(f.cmat_wire("psi").unwrap(), Wire::F64);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn f32_payload_mode_halves_bytes_and_loses_little() {
-        let p64 = tmp_path("wire64");
-        let p32 = tmp_path("wire32");
-        let m = CMat::rand_normalized(64, 4, 21);
-        for (p, wire) in [(&p64, Wire::F64), (&p32, Wire::F32)] {
-            let mut w = SnapshotWriter::create(p);
-            w.put_cmat("psi", &m, wire).unwrap();
-            w.finish().unwrap();
-        }
-        let len64 = std::fs::metadata(&p64).unwrap().len();
-        let len32 = std::fs::metadata(&p32).unwrap().len();
-        assert!(len32 < len64, "{len32} !< {len64}");
-        let f = SnapshotFile::open(&p32).unwrap();
-        assert_eq!(f.cmat_wire("psi").unwrap(), Wire::F32);
-        let got = f.cmat("psi").unwrap();
-        let err = got.max_diff(&m);
-        assert!(err > 0.0 && err < 1e-6, "f32 payload error {err}");
-        std::fs::remove_file(&p64).unwrap();
-        std::fs::remove_file(&p32).unwrap();
     }
 
     #[test]
@@ -654,25 +635,47 @@ mod tests {
         let mut payload = Vec::new();
         payload.extend_from_slice(&(1u64 << 60).to_le_bytes());
         payload.extend_from_slice(&2u64.to_le_bytes());
-        let name = b"m";
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.extend_from_slice(&((HEADER_LEN + payload.len()) as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        bytes.extend_from_slice(name);
-        bytes.push(4); // CMatF64
-        bytes.extend_from_slice(&(HEADER_LEN as u64).to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let bytes = container(&[("m", Kind::CMatF64.tag(), &payload)]);
         let path = tmp_path("hugehdr");
         std::fs::write(&path, &bytes).unwrap();
         let f = SnapshotFile::open(&path).unwrap();
         let err = f.cmat("m").unwrap_err();
         assert!(matches!(err, PtError::SnapshotFormat { .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_section_named_twice_is_a_typed_error_not_a_silent_overwrite() {
+        // two CRC-valid copies of "steps": the reader must not let the
+        // later one win
+        let (first, second) = (7u64.to_le_bytes(), 9u64.to_le_bytes());
+        let u64s = Kind::U64s.tag();
+        let bytes = container(&[("steps", u64s, &first), ("steps", u64s, &second)]);
+        let reason = open_error("twice", &bytes);
+        assert!(reason.contains("'steps' appears twice"), "{reason}");
+        // the same two payloads under two names still load
+        let bytes = container(&[("a", u64s, &first), ("b", u64s, &second)]);
+        let path = tmp_path("twice_ok");
+        std::fs::write(&path, &bytes).unwrap();
+        let f = SnapshotFile::open(&path).unwrap();
+        assert_eq!((f.u64("a").unwrap(), f.u64("b").unwrap()), (7, 9));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_retired_f32_matrix_section_is_refused_at_open() {
+        // kind 5 held a single-precision matrix: 16-byte header, f32 pairs
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&0.5f32.to_le_bytes());
+        payload.extend_from_slice(&(-0.25f32).to_le_bytes());
+        let bytes = container(&[("psi", RETIRED_F32_MATRIX, &payload)]);
+        let reason = open_error("retired", &bytes);
+        assert!(
+            reason.contains("'psi'") && reason.contains("retired f32"),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -6,14 +6,12 @@
 //! supplies the persistence layer:
 //!
 //! * [`format`] — a versioned, CRC-checked, little-endian binary
-//!   **snapshot container** (named typed sections; complex matrices
-//!   optionally stored as `f32` payloads, mirroring [`pt_mpi::Wire`]).
-//!   `pt-core` serializes the full resumable state of a run into it —
-//!   ψ orbitals, exchange orbitals Φ, density, occupations, step/time,
-//!   laser parameters, propagator options incl. Anderson mixer history,
-//!   and every accumulated `TimeSeries` channel — such that a killed and
-//!   resumed trajectory is bit-identical to an uninterrupted one (at the
-//!   default `f64` payloads).
+//!   **snapshot container** (named typed sections, every value stored at
+//!   its exact bits). `pt-core` serializes what the next step of a
+//!   resumed run reads into it — ψ orbitals, occupations, step/time,
+//!   laser parameters, propagator options and the live ACE projector, and
+//!   every accumulated `TimeSeries` channel — such that a killed and
+//!   resumed trajectory is bit-identical to an uninterrupted one.
 //! * [`export`] — columnar [`export::Table`] → JSON / CSV, used by
 //!   `TimeSeries` export.
 //! * [`json`] — a hand-rolled JSON value ([`Json`]): parser + the crate's

@@ -1,10 +1,9 @@
 //! Property test: arbitrary random orbital blocks survive the snapshot
-//! container bit-exactly at `Wire::F64` and to ~1e-6 at `Wire::F32`.
+//! container bit-exactly.
 
 use proptest::prelude::*;
 use pt_io::{SnapshotFile, SnapshotWriter};
 use pt_linalg::CMat;
-use pt_mpi::Wire;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -17,7 +16,7 @@ proptest! {
         ));
         let m = CMat::rand_normalized(nrows, ncols, seed);
         let mut w = SnapshotWriter::create(&path);
-        w.put_cmat("block", &m, Wire::F64).unwrap();
+        w.put_cmat("block", &m).unwrap();
         w.put_u64s("dims", &[nrows as u64, ncols as u64]).unwrap();
         w.finish().unwrap();
         let f = SnapshotFile::open(&path).unwrap();
@@ -28,13 +27,6 @@ proptest! {
             prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
             prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
-
-        // f32 payload: half the matrix bytes, ~1e-7 relative loss
-        let mut w = SnapshotWriter::create(&path);
-        w.put_cmat("block", &m, Wire::F32).unwrap();
-        w.finish().unwrap();
-        let got32 = SnapshotFile::open(&path).unwrap().cmat("block").unwrap();
-        prop_assert!(got32.max_diff(&m) < 1e-6);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,8 +1,10 @@
 //! Point-to-point messaging and collectives of one rank's world (the rank
-//! threads themselves belong to [`crate::RankEngine`]).
+//! threads themselves belong to [`crate::RankEngine`]). Every payload
+//! travels at full `f64` precision — the wire the bit-for-bit layout
+//! invariance of the distributed kernels rests on.
 
 use crate::stats::CommStats;
-use pt_num::{c32, c64};
+use pt_num::c64;
 // pt-analyze: allow(nondeterministic-iteration) — HashMap is keyed-lookup-only here (the Comm stash below); it is never iterated
 use std::collections::{HashMap, VecDeque};
 use std::panic::panic_any;
@@ -32,22 +34,39 @@ pub(crate) fn note_rank_thread_spawned() {
     RANK_THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Wire precision for complex payloads (§3.2 optimization 4: sending
-/// wavefunctions in single precision halves the broadcast volume; values
-/// are converted back to f64 before any computation).
+/// Wire precision of complex payloads. A single precision is left: every
+/// message is `f64`, because a quantized wire would make the bits of a run
+/// depend on its rank layout. The enum stays only because the frozen
+/// `benchmark/src/layers.rs` names `Wire::F64` in its
+/// `RankEngine::new(layout, Wire::F64)` and `RunCheckpoint::write` calls,
+/// which keep the parameter and ignore it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Wire {
     /// Full double precision on the wire.
     F64,
-    /// Single-precision wire format (half the bytes, ~1e-7 relative loss).
-    F32,
 }
 
 /// A tagged message between ranks.
+#[derive(Clone)]
 pub(crate) enum Payload {
     C64(Vec<c64>),
-    C32(Vec<c32>),
     F64(Vec<f64>),
+}
+
+impl Payload {
+    fn into_c64(self) -> Vec<c64> {
+        match self {
+            Payload::C64(v) => v,
+            Payload::F64(_) => panic!("type mismatch: expected complex payload"),
+        }
+    }
+
+    fn into_f64(self) -> Vec<f64> {
+        match self {
+            Payload::F64(v) => v,
+            Payload::C64(_) => panic!("type mismatch: expected real payload"),
+        }
+    }
 }
 
 pub(crate) struct Envelope {
@@ -66,7 +85,6 @@ pub struct Comm {
     // pt-analyze: allow(nondeterministic-iteration) — accessed only by exact (src, tag) key (entry/get_mut/remove); no code path iterates the map, so its order can't leak into results
     stash: HashMap<(usize, u64), VecDeque<Payload>>,
     stats: Arc<CommStats>,
-    wire: Wire,
     /// Armed by [`Comm::fail_after_sends`]: point-to-point sends still to
     /// go out, and the panic message that replaces the next one.
     fault: Option<(usize, String)>,
@@ -81,7 +99,6 @@ impl Comm {
         senders: Vec<Sender<Envelope>>,
         receiver: Receiver<Envelope>,
         stats: Arc<CommStats>,
-        wire: Wire,
     ) -> Self {
         Comm {
             rank,
@@ -90,7 +107,6 @@ impl Comm {
             receiver,
             stash: HashMap::new(), // pt-analyze: allow(nondeterministic-iteration) — construction of the keyed-lookup-only stash above
             stats,
-            wire,
             fault: None,
         }
     }
@@ -105,12 +121,6 @@ impl Comm {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Wire precision in force for complex payloads.
-    #[inline]
-    pub fn wire(&self) -> Wire {
-        self.wire
     }
 
     /// Shared statistics handle.
@@ -184,39 +194,46 @@ impl Comm {
         self.fault = Some((sends, cause.to_string()));
     }
 
-    /// Point-to-point send of complex data (wire conversion applied).
+    /// Point-to-point send of complex data.
     pub fn send_c64(&mut self, dst: usize, tag: u64, data: &[c64]) {
         match self.fault.take() {
             Some((0, cause)) => panic!("{cause}"),
             Some((left, cause)) => self.fault = Some((left - 1, cause)),
             None => {}
         }
-        let bytes = self.c64_wire_bytes(data.len());
-        self.stats.add(&self.stats.p2p_bytes, bytes);
-        match self.wire {
-            Wire::F64 => self.send_payload(dst, tag, Payload::C64(data.to_vec())),
-            Wire::F32 => self.send_payload(
-                dst,
-                tag,
-                Payload::C32(data.iter().map(|z| z.to_c32()).collect()),
-            ),
-        }
+        self.stats
+            .add(&self.stats.p2p_bytes, 16 * data.len() as u64);
+        self.send_payload(dst, tag, Payload::C64(data.to_vec()));
     }
 
     /// Point-to-point receive of complex data.
     pub fn recv_c64(&mut self, src: usize, tag: u64) -> Vec<c64> {
-        match self.recv_payload(src, tag) {
-            Payload::C64(v) => v,
-            Payload::C32(v) => v.into_iter().map(|z| z.to_c64()).collect(),
-            Payload::F64(_) => panic!("type mismatch: expected complex payload"),
-        }
+        self.recv_payload(src, tag).into_c64()
     }
 
-    fn c64_wire_bytes(&self, n: usize) -> u64 {
-        match self.wire {
-            Wire::F64 => 16 * n as u64,
-            Wire::F32 => 8 * n as u64,
+    /// Binomial-tree broadcast under every collective that broadcasts:
+    /// `root` passes its payload in and every rank gets the root's back. A rank receives from the parent
+    /// named by the lowest set bit of its root-relative rank `r`, then
+    /// forwards to the children `r + mask` for every `mask` below that
+    /// bit. Byte accounting is the caller's: each collective counts its
+    /// own class.
+    fn bcast_tree(&mut self, root: usize, tag: u64, mut payload: Payload) -> Payload {
+        let p = self.size;
+        let r = (self.rank + p - root) % p;
+        let lsb = if r == 0 {
+            p.next_power_of_two()
+        } else {
+            r & r.wrapping_neg()
+        };
+        if r != 0 {
+            payload = self.recv_payload((r - lsb + root) % p, tag);
         }
+        let mut mask = 1usize;
+        while mask < lsb && r + mask < p {
+            self.send_payload((r + mask + root) % p, tag, payload.clone());
+            mask <<= 1;
+        }
+        payload
     }
 
     /// Binomial-tree broadcast of complex data from `root` (the Alg. 2
@@ -224,45 +241,11 @@ impl Comm {
     /// receiving-side analysis.
     pub fn bcast_c64(&mut self, root: usize, data: &mut Vec<c64>) {
         self.stats.add(&self.stats.bcast_calls, 1);
-        let p = self.size;
-        if p == 1 {
-            return;
-        }
-        // relative rank
-        let r = (self.rank + p - root) % p;
-        // receive phase: the lowest set bit of r determines the parent
-        if r != 0 {
-            let lsb = r & r.wrapping_neg();
-            let parent = (r - lsb + root) % p;
-            let got = self.recv_payload(parent, TAG_BCAST);
-            *data = match got {
-                Payload::C64(v) => v,
-                Payload::C32(v) => v.into_iter().map(|z| z.to_c64()).collect(),
-                _ => panic!("bcast type mismatch"),
-            };
+        let mine = Payload::C64(std::mem::take(data));
+        *data = self.bcast_tree(root, TAG_BCAST, mine).into_c64();
+        if self.rank != root {
             self.stats
-                .add(&self.stats.bcast_bytes, self.c64_wire_bytes(data.len()));
-        }
-        // send phase: forward to children r + mask for mask < lsb(r)
-        let lsb = if r == 0 {
-            p.next_power_of_two()
-        } else {
-            r & r.wrapping_neg()
-        };
-        let mut mask = 1usize;
-        while mask < p {
-            if mask < lsb && r + mask < p {
-                let child = (r + mask + root) % p;
-                match self.wire {
-                    Wire::F64 => self.send_payload(child, TAG_BCAST, Payload::C64(data.clone())),
-                    Wire::F32 => self.send_payload(
-                        child,
-                        TAG_BCAST,
-                        Payload::C32(data.iter().map(|z| z.to_c32()).collect()),
-                    ),
-                }
-            }
-            mask <<= 1;
+                .add(&self.stats.bcast_bytes, 16 * data.len() as u64);
         }
     }
 
@@ -284,56 +267,25 @@ impl Comm {
                 break;
             } else if (self.rank | mask) < p {
                 let src = self.rank | mask;
-                match self.recv_payload(src, TAG_REDUCE) {
-                    Payload::F64(v) => {
-                        for (d, s) in data.iter_mut().zip(v) {
-                            *d += s;
-                        }
-                    }
-                    _ => panic!("allreduce type mismatch"),
+                let v = self.recv_payload(src, TAG_REDUCE).into_f64();
+                for (d, s) in data.iter_mut().zip(v) {
+                    *d += s;
                 }
             }
             mask <<= 1;
         }
         // broadcast result (counted as allreduce traffic, matching how the
         // paper lumps the whole MPI_Allreduce in one class)
-        let mut tmp = if self.rank == 0 {
+        let mine = Payload::F64(if self.rank == 0 {
             data.to_vec()
         } else {
             Vec::new()
-        };
-        self.bcast_f64_internal(0, &mut tmp, TAG_REDUCE_BC, bytes);
-        data.copy_from_slice(&tmp);
-    }
-
-    fn bcast_f64_internal(&mut self, root: usize, data: &mut Vec<f64>, tag: u64, bytes: u64) {
-        let p = self.size;
-        if p == 1 {
-            return;
-        }
-        let r = (self.rank + p - root) % p;
-        if r != 0 {
-            let lsb = r & r.wrapping_neg();
-            let parent = (r - lsb + root) % p;
-            match self.recv_payload(parent, tag) {
-                Payload::F64(v) => *data = v,
-                _ => panic!("bcast type mismatch"),
-            }
+        });
+        let sum = self.bcast_tree(0, TAG_REDUCE_BC, mine).into_f64();
+        if self.rank != 0 {
             self.stats.add(&self.stats.allreduce_bytes, bytes);
         }
-        let lsb = if r == 0 {
-            p.next_power_of_two()
-        } else {
-            r & r.wrapping_neg()
-        };
-        let mut mask = 1usize;
-        while mask < p {
-            if mask < lsb && r + mask < p {
-                let child = (r + mask + root) % p;
-                self.send_payload(child, tag, Payload::F64(data.clone()));
-            }
-            mask <<= 1;
-        }
+        data.copy_from_slice(&sum);
     }
 
     /// Pairwise `MPI_Alltoallv` for complex data: `send[j]` goes to rank
@@ -348,33 +300,18 @@ impl Comm {
         for round in 1..p {
             let dst = (self.rank + round) % p;
             let src = (self.rank + p - round) % p;
-            let bytes = self.c64_wire_bytes(send[dst].len());
-            self.stats.add(&self.stats.alltoallv_bytes, bytes);
-            match self.wire {
-                Wire::F64 => {
-                    self.send_payload(dst, TAG_A2A + round as u64, Payload::C64(send[dst].clone()))
-                }
-                Wire::F32 => self.send_payload(
-                    dst,
-                    TAG_A2A + round as u64,
-                    Payload::C32(send[dst].iter().map(|z| z.to_c32()).collect()),
-                ),
-            }
-            let got = self.recv_payload(src, TAG_A2A + round as u64);
-            recv[src] = match got {
-                Payload::C64(v) => v,
-                Payload::C32(v) => v.into_iter().map(|z| z.to_c64()).collect(),
-                _ => panic!("alltoallv type mismatch"),
-            };
+            let tag = TAG_A2A + round as u64;
+            self.stats
+                .add(&self.stats.alltoallv_bytes, 16 * send[dst].len() as u64);
+            self.send_payload(dst, tag, Payload::C64(send[dst].clone()));
+            recv[src] = self.recv_c64(src, tag);
         }
         recv
     }
 
     /// `MPI_Allgatherv` for complex data: every rank contributes a block,
-    /// all ranks receive all blocks indexed by source rank. Wire
-    /// conversion applies like every other complex collective (an
-    /// [`Wire::F32`] wire halves the volume at ~1e-7 relative loss). Used
-    /// by the fixed-chunk overlap reduction of Alg. 3, where the *receiver*
+    /// all ranks receive all blocks indexed by source rank. Used by the
+    /// fixed-chunk overlap reduction of Alg. 3, where the *receiver*
     /// re-associates the partial sums in a rank-count-independent order.
     pub fn allgatherv_c64(&mut self, mine: &[c64]) -> Vec<Vec<c64>> {
         self.stats.add(&self.stats.allgatherv_calls, 1);
@@ -384,25 +321,11 @@ impl Comm {
         for round in 1..p {
             let dst = (self.rank + round) % p;
             let src = (self.rank + p - round) % p;
-            self.stats.add(
-                &self.stats.allgatherv_bytes,
-                self.c64_wire_bytes(mine.len()),
-            );
-            match self.wire {
-                Wire::F64 => {
-                    self.send_payload(dst, TAG_AGV + round as u64, Payload::C64(mine.to_vec()))
-                }
-                Wire::F32 => self.send_payload(
-                    dst,
-                    TAG_AGV + round as u64,
-                    Payload::C32(mine.iter().map(|z| z.to_c32()).collect()),
-                ),
-            }
-            out[src] = match self.recv_payload(src, TAG_AGV + round as u64) {
-                Payload::C64(v) => v,
-                Payload::C32(v) => v.into_iter().map(|z| z.to_c64()).collect(),
-                _ => panic!("allgatherv type mismatch"),
-            };
+            let tag = TAG_AGV + round as u64;
+            self.stats
+                .add(&self.stats.allgatherv_bytes, 16 * mine.len() as u64);
+            self.send_payload(dst, tag, Payload::C64(mine.to_vec()));
+            out[src] = self.recv_c64(src, tag);
         }
         out
     }
@@ -427,12 +350,6 @@ impl Comm {
     /// the same while each rank now receives at most 2 × `block` values —
     /// O(block) instead of O(n_chunks × block), with O(log np) broadcast
     /// hops.
-    ///
-    /// Reduction traffic stays full f64 precision regardless of the wire
-    /// (re-quantizing compounded prefix sums at every hop would degrade
-    /// with rank count, and the volume is only `block` per hop); both
-    /// bit-exactness across layouts and the [`Wire::F32`] volume savings
-    /// on the bulk wavefunction traffic are preserved.
     pub fn tree_reduce_chunks_c64(&mut self, mine: &[c64], block: usize) -> Vec<c64> {
         assert!(block > 0, "chunk block size must be nonzero");
         assert_eq!(
@@ -445,10 +362,7 @@ impl Comm {
         // prefix phase: continue the ascending-chunk fold started by rank 0
         let mut acc = vec![c64::new(0.0, 0.0); block];
         if self.rank > 0 {
-            match self.recv_payload(self.rank - 1, TAG_TREE) {
-                Payload::C64(v) => acc = v,
-                _ => panic!("tree reduce type mismatch"),
-            }
+            acc = self.recv_c64(self.rank - 1, TAG_TREE);
             self.stats
                 .add(&self.stats.tree_reduce_bytes, 16 * block as u64);
         }
@@ -463,31 +377,14 @@ impl Comm {
         // redistribution phase: binomial broadcast from the last rank,
         // which is the only one holding the full sum
         let root = p - 1;
-        let r = (self.rank + p - root) % p;
-        if r != 0 {
-            let lsb = r & r.wrapping_neg();
-            let parent = (r - lsb + root) % p;
-            match self.recv_payload(parent, TAG_TREE_BC) {
-                Payload::C64(v) => acc = v,
-                _ => panic!("tree reduce type mismatch"),
-            }
+        let sum = self
+            .bcast_tree(root, TAG_TREE_BC, Payload::C64(acc))
+            .into_c64();
+        if self.rank != root {
             self.stats
                 .add(&self.stats.tree_reduce_bytes, 16 * block as u64);
         }
-        let lsb = if r == 0 {
-            p.next_power_of_two()
-        } else {
-            r & r.wrapping_neg()
-        };
-        let mut mask = 1usize;
-        while mask < p {
-            if mask < lsb && r + mask < p {
-                let child = (r + mask + root) % p;
-                self.send_payload(child, TAG_TREE_BC, Payload::C64(acc.clone()));
-            }
-            mask <<= 1;
-        }
-        acc
+        sum
     }
 
     /// Full barrier (reduce + broadcast of an empty token).
@@ -516,10 +413,9 @@ mod tests {
     /// Run `f` once on a fresh `np × 1` engine.
     fn on_ranks<T: Send + 'static>(
         np: usize,
-        wire: Wire,
         f: impl Fn(&mut Comm) -> T + Sync,
     ) -> (Vec<T>, StatsSnapshot) {
-        RankEngine::new(RankLayout::new(np, 1), wire)
+        RankEngine::new(RankLayout::new(np, 1), Wire::F64)
             .run(f)
             .expect("fresh engine")
     }
@@ -528,7 +424,7 @@ mod tests {
     fn bcast_delivers_to_all_ranks() {
         for np in [1usize, 2, 3, 4, 5, 8] {
             for root in [0, np - 1] {
-                let (out, stats) = on_ranks(np, Wire::F64, |comm| {
+                let (out, stats) = on_ranks(np, |comm| {
                     let mut data = if comm.rank() == root {
                         vec![c64::new(1.5, -2.5); 100]
                     } else {
@@ -548,26 +444,9 @@ mod tests {
     }
 
     #[test]
-    fn bcast_f32_wire_halves_volume_and_loses_little() {
-        let (out, stats) = on_ranks(4, Wire::F32, |comm| {
-            let mut data = if comm.rank() == 0 {
-                vec![c64::new(0.123456789, 9.87654321); 50]
-            } else {
-                Vec::new()
-            };
-            comm.bcast_c64(0, &mut data);
-            data
-        });
-        assert_eq!(stats.bcast_bytes, 3 * 50 * 8);
-        for v in out {
-            assert!((v[0] - c64::new(0.123456789, 9.87654321)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn allreduce_sums_across_ranks() {
         for np in [1usize, 2, 3, 5, 7] {
-            let (out, _) = on_ranks(np, Wire::F64, |comm| {
+            let (out, _) = on_ranks(np, |comm| {
                 let mut data = vec![comm.rank() as f64 + 1.0, 10.0];
                 comm.allreduce_sum_f64(&mut data);
                 data
@@ -583,7 +462,7 @@ mod tests {
     #[test]
     fn alltoallv_transposes_blocks() {
         let np = 5;
-        let (out, _) = on_ranks(np, Wire::F64, |comm| {
+        let (out, _) = on_ranks(np, |comm| {
             let r = comm.rank();
             let send: Vec<Vec<c64>> = (0..np)
                 .map(|j| vec![c64::new(r as f64, j as f64); j + 1])
@@ -599,8 +478,8 @@ mod tests {
     }
 
     #[test]
-    fn allgatherv_c64_collects_everything_and_respects_the_wire() {
-        let (out, stats) = on_ranks(3, Wire::F64, |comm| {
+    fn allgatherv_c64_collects_everything_and_counts_its_bytes() {
+        let (out, stats) = on_ranks(3, |comm| {
             let mine = vec![c64::new(comm.rank() as f64, -1.0); comm.rank() + 2];
             comm.allgatherv_c64(&mine)
         });
@@ -612,12 +491,6 @@ mod tests {
         }
         // each rank sends its block to p−1 peers at 16 bytes per c64
         assert_eq!(stats.allgatherv_bytes, 2 * (2 + 3 + 4) * 16);
-        // f32 wire halves the volume
-        let (_, stats32) = on_ranks(3, Wire::F32, |comm| {
-            let mine = vec![c64::new(comm.rank() as f64, -1.0); comm.rank() + 2];
-            comm.allgatherv_c64(&mine)
-        });
-        assert_eq!(stats32.allgatherv_bytes, 2 * (2 + 3 + 4) * 8);
     }
 
     #[test]
@@ -646,7 +519,7 @@ mod tests {
                     }
                 }
                 let (base, rem) = (nc / np, nc % np);
-                let (out, stats) = on_ranks(np, Wire::F64, |comm| {
+                let (out, stats) = on_ranks(np, |comm| {
                     let r = comm.rank();
                     let start = r * base + r.min(rem);
                     let count = base + usize::from(r < rem);
@@ -676,7 +549,7 @@ mod tests {
     fn barrier_and_out_of_order_tags() {
         // ranks exchange p2p messages in a crossing pattern while using
         // collectives, exercising the stash
-        let (out, _) = on_ranks(3, Wire::F64, |comm| {
+        let (out, _) = on_ranks(3, |comm| {
             let r = comm.rank();
             let next = (r + 1) % 3;
             let prev = (r + 2) % 3;
@@ -693,7 +566,7 @@ mod tests {
         // rank 0 sends a burst of same-tag messages to rank 1 while rank 1
         // first drains a *different* tag, forcing the whole burst through
         // the out-of-order stash; FIFO order must survive
-        let (out, _) = on_ranks(2, Wire::F64, |comm| {
+        let (out, _) = on_ranks(2, |comm| {
             if comm.rank() == 0 {
                 for i in 0..32 {
                     comm.send_c64(1, 7, &[c64::real(i as f64)]);

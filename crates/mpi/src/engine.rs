@@ -68,7 +68,6 @@ impl std::error::Error for EnginePoisoned {}
 /// between [`RankEngine::run`] calls.
 pub struct RankEngine {
     layout: RankLayout,
-    wire: Wire,
     stats: Arc<CommStats>,
     job_txs: Vec<Sender<RankMsg>>,
     results_rx: Receiver<RankReport>,
@@ -80,7 +79,6 @@ impl std::fmt::Debug for RankEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RankEngine")
             .field("layout", &self.layout)
-            .field("wire", &self.wire)
             .field("poisoned", &self.poisoned)
             .finish()
     }
@@ -89,8 +87,9 @@ impl std::fmt::Debug for RankEngine {
 impl RankEngine {
     /// Spawn the rank team over an all-to-all channel mesh. Each rank
     /// thread builds its pinned pool immediately and parks on its job
-    /// channel.
-    pub fn new(layout: RankLayout, wire: Wire) -> Self {
+    /// channel. Every message is `f64`; the [`Wire`] argument is kept for
+    /// existing callers and ignored.
+    pub fn new(layout: RankLayout, _wire: Wire) -> Self {
         let np = layout.ranks;
         assert!(np > 0, "engine needs at least one rank");
         assert!(
@@ -123,7 +122,6 @@ impl RankEngine {
                         rank,
                         np,
                         threads,
-                        wire,
                         world_txs,
                         world_rx,
                         stats,
@@ -136,7 +134,6 @@ impl RankEngine {
         }
         RankEngine {
             layout,
-            wire,
             stats,
             job_txs,
             results_rx,
@@ -148,11 +145,6 @@ impl RankEngine {
     /// The layout this engine was spawned with.
     pub fn layout(&self) -> RankLayout {
         self.layout
-    }
-
-    /// Wire precision of the engine's world.
-    pub fn wire(&self) -> Wire {
-        self.wire
     }
 
     /// Whether a rank failure has killed this engine.
@@ -275,7 +267,6 @@ fn rank_main(
     rank: usize,
     np: usize,
     threads: usize,
-    wire: Wire,
     world_txs: Vec<Sender<Envelope>>,
     world_rx: Receiver<Envelope>,
     stats: Arc<CommStats>,
@@ -284,7 +275,7 @@ fn rank_main(
 ) {
     pt_trace::register_thread(&format!("pt-rank-{rank}"));
     let pool = ThreadPool::new(threads);
-    let mut comm = Comm::from_parts(rank, np, world_txs, world_rx, stats, wire);
+    let mut comm = Comm::from_parts(rank, np, world_txs, world_rx, stats);
     while let Ok(RankMsg::Job(job)) = job_rx.recv() {
         match catch_unwind(AssertUnwindSafe(|| pool.install(|| job(&mut comm)))) {
             Ok(v) => {

@@ -3,9 +3,11 @@
 //! The paper's parallel structure (§3) is MPI + CUDA: wavefunctions are
 //! distributed by band index, `MPI_Bcast` streams one orbital at a time
 //! through the Fock exchange loop (Alg. 2), `MPI_Alltoallv` flips between
-//! band-index and G-space layouts (Alg. 3), `MPI_Allreduce` assembles
-//! overlap matrices and densities, and the wire format is optionally
-//! single precision (§3.2 optimization 4).
+//! band-index and G-space layouts (Alg. 3), and `MPI_Allreduce` assembles
+//! overlap matrices and densities. The paper also sends the Fock orbitals
+//! in single precision (§3.2 optimization 4); here every message is `f64`,
+//! because a quantized wire would make a run's bits depend on its rank
+//! layout. That optimisation's effect lives in `pt-perf`'s Summit model.
 //!
 //! This crate reproduces that substrate in-process: every rank is a
 //! thread of a persistent [`RankEngine`], spawned once and owning its own
@@ -14,8 +16,8 @@
 //! collectives use the same algorithms real MPI implementations use for
 //! large messages (binomial-tree broadcast, reduce+bcast allreduce,
 //! pairwise alltoallv).
-//! Data movement is *real* — bytes are copied between rank-local buffers,
-//! optionally through an f32 wire — so the distributed Fock operator and
+//! Data movement is *real* — bytes are copied between rank-local
+//! buffers — so the distributed Fock operator and
 //! residual algorithms in `pt-ham` run exactly the communication pattern of
 //! the paper, and the per-class byte counters let tests verify the paper's
 //! communication-volume formulas (e.g. N_p·N_G·N_e for Alg. 2).

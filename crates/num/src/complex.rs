@@ -3,8 +3,8 @@
 //! [`c64`] is a plain `#[repr(C)]` pair of `f64` with the arithmetic the
 //! plane-wave stack needs. We deliberately implement it ourselves rather
 //! than pulling `num-complex`: the operation set is small, we control
-//! inlining, and the layout guarantee lets the FFT and the virtual-MPI wire
-//! format reinterpret buffers safely.
+//! inlining, and the layout guarantee lets the FFT reinterpret buffers
+//! safely.
 
 use std::fmt;
 use std::iter::Sum;
@@ -19,19 +19,6 @@ pub struct c64 {
     pub re: f64,
     /// Imaginary part.
     pub im: f64,
-}
-
-/// Single-precision complex number, used only as a communication wire
-/// format (paper §3.2: single-precision MPI halves the broadcast volume of
-/// the Fock exchange wavefunctions).
-#[allow(non_camel_case_types)]
-#[derive(Clone, Copy, PartialEq, Default)]
-#[repr(C)]
-pub struct c32 {
-    /// Real part.
-    pub re: f32,
-    /// Imaginary part.
-    pub im: f32,
 }
 
 impl c64 {
@@ -141,15 +128,6 @@ impl c64 {
         }
     }
 
-    /// Round-trip to single precision (the MPI wire conversion of §3.2).
-    #[inline(always)]
-    pub fn to_c32(self) -> c32 {
-        c32 {
-            re: self.re as f32,
-            im: self.im as f32,
-        }
-    }
-
     /// True if either component is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -173,26 +151,6 @@ impl c64 {
     }
 }
 
-impl c32 {
-    /// Zero.
-    pub const ZERO: c32 = c32 { re: 0.0, im: 0.0 };
-
-    /// Build from parts.
-    #[inline(always)]
-    pub const fn new(re: f32, im: f32) -> Self {
-        c32 { re, im }
-    }
-
-    /// Widen back to double precision.
-    #[inline(always)]
-    pub fn to_c64(self) -> c64 {
-        c64 {
-            re: self.re as f64,
-            im: self.im as f64,
-        }
-    }
-}
-
 impl fmt::Debug for c64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.im >= 0.0 {
@@ -206,12 +164,6 @@ impl fmt::Debug for c64 {
 impl fmt::Display for c64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
-    }
-}
-
-impl fmt::Debug for c32 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}, {})", self.re, self.im)
     }
 }
 
@@ -439,13 +391,6 @@ mod tests {
             let b = s * s;
             assert!(close(b.re, re, 1e-12) && close(b.im, im, 1e-12));
         }
-    }
-
-    #[test]
-    fn single_precision_roundtrip_loses_little() {
-        let z = c64::new(0.123456789012345, -9.87654321e-3);
-        let w = z.to_c32().to_c64();
-        assert!((z - w).abs() < 1e-7 * z.abs().max(1.0));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! `pt-num` — numeric foundations for the pwdft-rt workspace.
 //!
 //! Provides the double-precision complex scalar [`c64`] used throughout the
-//! plane-wave stack, a single-precision twin [`c32`] used for the
-//! "single-precision MPI" wire format of the paper (§3.2, optimization 4),
-//! special functions needed by the pseudopotential and screened-exchange
-//! kernels, physical constants / unit conversions (Hartree atomic
-//! units), the per-thread scratch buffer body ([`with_scratch`]), and the
+//! plane-wave stack (the only complex type: every buffer, wire message and
+//! snapshot payload is `f64`), special functions needed by the
+//! pseudopotential and screened-exchange kernels, physical constants /
+//! unit conversions (Hartree atomic units), the per-thread scratch buffer
+//! body ([`with_scratch`]), and the
 //! counting allocator the allocation-budget tests install
 //! ([`CountingAlloc`]).
 //!
@@ -20,7 +20,7 @@ mod scratch;
 pub mod special;
 pub mod units;
 
-pub use complex::{c32, c64};
+pub use complex::c64;
 pub use counting::{allocations, CountingAlloc};
 pub use scratch::with_scratch;
 pub use special::{erf, erfc, gamma_half_int};

@@ -1,6 +1,6 @@
 //! Run Alg. 2 (the distributed Fock exchange) across virtual MPI ranks and
 //! verify both the numerics (identical to serial) and the communication
-//! volume law N_p × N_G × N_e of §3.2, in f64 and f32 wire formats.
+//! volume law N_p × N_G × N_e of §3.2 on the `f64` wire.
 //!
 //! Run with: `cargo run --release --example distributed_exchange`
 
@@ -26,37 +26,35 @@ fn main() {
         f.apply_block(&grids, &psi, &mut out);
         out
     };
-    for (wire, name, bytes) in [(Wire::F64, "f64", 16u64), (Wire::F32, "f32", 8u64)] {
-        for np in [2usize, 4] {
-            let dist = BandDistribution {
-                n_bands: nb,
-                n_ranks: np,
-            };
-            let (g, ph, ps, k) = (&grids, &phi, &psi, &kernel);
-            let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), wire)
-                .run(move |comm| {
-                    let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                    distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
-                })
-                .expect("fresh engine");
-            let mut err = 0.0f64;
-            for (rank, out) in outs.iter().enumerate() {
-                for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
-                    for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
-                        err = err.max((*x - *y).abs());
-                    }
+    for np in [2usize, 4] {
+        let dist = BandDistribution {
+            n_bands: nb,
+            n_ranks: np,
+        };
+        let (g, ph, ps, k) = (&grids, &phi, &psi, &kernel);
+        let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), Wire::F64)
+            .run(move |comm| {
+                let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
+            })
+            .expect("fresh engine");
+        let mut err = 0.0f64;
+        for (rank, out) in outs.iter().enumerate() {
+            for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
+                for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
+                    err = err.max((*x - *y).abs());
                 }
             }
-            let volume = (np as u64 - 1) * nb as u64 * ng as u64 * bytes;
-            println!(
-                "wire={name} ranks={np}: max|Δ| vs serial = {err:.2e}, bcast {} B (law: {} B)",
-                stats.bcast_bytes, volume
-            );
-            assert_eq!(
-                stats.bcast_bytes, volume,
-                "communication volume law violated"
-            );
         }
+        let volume = (np as u64 - 1) * nb as u64 * ng as u64 * 16;
+        println!(
+            "ranks={np}: max|Δ| vs serial = {err:.2e}, bcast {} B (law: {} B)",
+            stats.bcast_bytes, volume
+        );
+        assert_eq!(
+            stats.bcast_bytes, volume,
+            "communication volume law violated"
+        );
     }
     println!("Alg. 2 verified: distributed == serial, volume law N_p·N_G·N_e holds.");
 }

@@ -248,7 +248,7 @@ fn recraft(src: &Path, dst: &Path, edit: impl FnOnce(&mut BTreeMap<String, Secti
             Section::U64s(v) => w.put_u64s(name, v),
             Section::F64s(v) => w.put_f64s(name, v),
             Section::Str(v) => w.put_str(name, v),
-            Section::Mat(m) => w.put_cmat(name, m, Wire::F64),
+            Section::Mat(m) => w.put_cmat(name, m),
         }
         .unwrap();
     }
@@ -721,37 +721,50 @@ fn malformed_snapshots_never_panic() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Byte offset of the kind tag of section `name` in the container
+/// `bytes`, found by walking the section table.
+fn kind_byte_of(bytes: &[u8], name: &str) -> usize {
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    let (n_sections, mut at) = (word(12, 4), word(16, 8));
+    for _ in 0..n_sections {
+        let len = word(at, 2);
+        let kind = at + 2 + len;
+        if &bytes[at + 2..kind] == name.as_bytes() {
+            return kind;
+        }
+        // kind, payload offset and length, CRC
+        at = kind + 1 + 8 + 8 + 4;
+    }
+    panic!("no section '{name}'");
+}
+
 #[test]
-fn f32_payload_snapshots_resume_close_but_not_bit_exact() {
+fn an_f32_payload_snapshot_is_refused_with_a_typed_error() {
+    // kind 5 was the retired single-precision matrix payload: a snapshot
+    // whose ψ carries it can never resume bit-exactly, so the reader
+    // refuses it by name instead of widening it
     let sys = lda_system();
     let gs = lda_ground_state();
     let dir = tmp_dir("f32");
-    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
-    // the time loop only writes exact payloads; re-writing a snapshot at
-    // f32 is `RunCheckpoint::write`'s lossy option
-    let mid = dir.join("mid_f32.ptio");
-    RunCheckpoint::read(checkpoint_path(&dir, 1))
-        .unwrap()
-        .write(&mid, Wire::F32)
-        .unwrap();
-    let mut resumed = Simulation::resume(&sys, &mid).unwrap();
-    let merged = resumed.run().unwrap();
-    // the ψ payload was quantized to f32: trajectories agree to ~1e-6
-    // relative but NOT bit-exactly — the documented Wire::F32 caveat
-    let a = uninterrupted.channel("energy").unwrap();
-    let b = merged.channel("energy").unwrap();
-    let last = a.len() - 1;
-    assert!(
-        (a[last] - b[last]).abs() <= 1e-5 * a[last].abs(),
-        "{} vs {}",
-        a[last],
-        b[last]
-    );
-    assert_ne!(
-        a[last].to_bits(),
-        b[last].to_bits(),
-        "f32 payload unexpectedly preserved the bits — wire mode not exercised?"
-    );
+    run_steps(&sys, &gs.orbitals, 1, Some(&dir));
+    let mut bytes = std::fs::read(checkpoint_path(&dir, 1)).unwrap();
+    let at = kind_byte_of(&bytes, "psi");
+    assert_eq!(bytes[at], 4, "a fresh ψ is an f64 matrix");
+    bytes[at] = 5;
+    let retired = dir.join("psi_kind5.ptio");
+    std::fs::write(&retired, &bytes).unwrap();
+    match Simulation::resume(&sys, &retired) {
+        Err(PtError::SnapshotFormat { reason, .. }) => assert!(
+            reason.contains("'psi'") && reason.contains("retired f32"),
+            "{reason}"
+        ),
+        Err(other) => panic!("expected SnapshotFormat, got {other:?}"),
+        Ok(_) => panic!("an f32 ψ unexpectedly resumed"),
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -12,9 +12,10 @@ use pwdft_rt::par::RankLayout;
 
 /// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly; a
 /// self-application adds its partials, N_wfc values each for every partial
-/// whose tile and band live on different ranks; and the f32 wire (§3.2
-/// optimization 4) halves both while perturbing the result by less than
-/// 1e-5.
+/// whose tile and band live on different ranks; and the `f64` wire leaves
+/// the result bit-equal to the in-process apply. (The paper's f32 wire,
+/// §3.2 optimization 4, which would halve both volumes, is modelled in
+/// `pt-perf`, not run: it would make the bits depend on the layout.)
 #[test]
 fn alg2_volume_law_and_f32_wire() {
     let s = silicon_cubic_supercell(1, 1, 1);
@@ -39,46 +40,34 @@ fn alg2_volume_law_and_f32_wire() {
         }
     }
     assert!(remote > 0);
-    let mut volumes = Vec::new();
-    for (wire, bytes) in [(Wire::F64, 16u64), (Wire::F32, 8u64)] {
-        for (psi, partials) in [(&psi, 0), (&phi, remote)] {
-            let reference = {
-                let mut out = CMat::zeros(ng, nb);
-                f.apply_block(&grids, psi, &mut out);
-                out
-            };
-            let (g, ph, ps, k) = (&grids, &phi, psi, &kernel);
-            let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), wire)
-                .run(move |comm| {
-                    let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                    distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
-                })
-                .expect("fresh engine");
-            assert_eq!(
-                stats.bcast_bytes,
-                (np as u64 - 1) * nb as u64 * ng as u64 * bytes
-            );
-            assert_eq!(stats.p2p_bytes, partials * nw as u64 * bytes);
-            volumes.push(stats.bcast_bytes + stats.p2p_bytes);
-            let mut err = 0.0f64;
-            for (rank, out) in outs.iter().enumerate() {
-                for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
-                    for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
-                        err = err.max((*x - *y).abs());
-                    }
+    for (psi, partials) in [(&psi, 0), (&phi, remote)] {
+        let reference = {
+            let mut out = CMat::zeros(ng, nb);
+            f.apply_block(&grids, psi, &mut out);
+            out
+        };
+        let (g, ph, ps, k) = (&grids, &phi, psi, &kernel);
+        let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), Wire::F64)
+            .run(move |comm| {
+                let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
+            })
+            .expect("fresh engine");
+        assert_eq!(
+            stats.bcast_bytes,
+            (np as u64 - 1) * nb as u64 * ng as u64 * 16
+        );
+        assert_eq!(stats.p2p_bytes, partials * nw as u64 * 16);
+        let mut err = 0.0f64;
+        for (rank, out) in outs.iter().enumerate() {
+            for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
+                for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
+                    err = err.max((*x - *y).abs());
                 }
             }
-            match wire {
-                Wire::F64 => assert!(err == 0.0, "f64 wire must be exact: {err:.2e}"),
-                Wire::F32 => assert!(err < 1e-5, "f32 wire error too large: {err:.2e}"),
-            }
         }
+        assert!(err == 0.0, "f64 wire must be exact: {err:.2e}");
     }
-    assert_eq!(
-        volumes[..2],
-        [2 * volumes[2], 2 * volumes[3]],
-        "f32 must halve the volume"
-    );
 }
 
 /// Headline claims of the abstract, regenerated by the model: 1.5 h/fs at

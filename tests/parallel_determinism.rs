@@ -16,18 +16,37 @@ use pwdft_rt::ham::{
 use pwdft_rt::linalg::CMat;
 use pwdft_rt::mpi::RankEngine;
 use pwdft_rt::prelude::*;
+use std::sync::OnceLock;
 
-/// Ground state + 3 PT-CN steps of laser-driven hybrid (HSE06) silicon on
-/// a dedicated `threads`-wide pool.
-fn hybrid_pipeline(threads: usize) -> (ScfResult, TimeSeries) {
-    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+/// The 4-band HSE06 fixture under `mode` on a `ranks × threads` layout.
+fn hybrid_system(ranks: usize, threads: usize, mode: ExchangeMode) -> KsSystem {
+    KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
         .ecut(2.0)
         .xc(XcKind::Pbe)
         .hybrid(HybridConfig::hse06())
         .occupations(vec![2.0; 4])
-        .layout(RankLayout::new(1, threads))
+        .exchange_mode(mode)
+        .layout(RankLayout::new(ranks, threads))
         .build()
-        .expect("valid system");
+        .expect("valid system")
+}
+
+/// The ground state the builder-route layout tests start from, converged
+/// once per test binary: neither the layout nor the exchange mode enters
+/// the SCF, and its thread invariance is pinned by
+/// `hybrid_scf_and_ptcn_propagation_are_bit_identical_at_1_and_4_threads`.
+fn hybrid_ground_state() -> &'static ScfResult {
+    static GS: OnceLock<ScfResult> = OnceLock::new();
+    GS.get_or_init(|| {
+        let sys = hybrid_system(1, 1, ExchangeMode::Full);
+        scf_loop(&sys, ScfOptions::default()).expect("SCF converges")
+    })
+}
+
+/// Ground state + 3 PT-CN steps of laser-driven hybrid (HSE06) silicon on
+/// a dedicated `threads`-wide pool.
+fn hybrid_pipeline(threads: usize) -> (ScfResult, TimeSeries) {
+    let sys = hybrid_system(1, threads, ExchangeMode::Full);
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
     let series = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
@@ -395,17 +414,9 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
 #[test]
 fn hybrid_distributed_run_via_builders_is_layout_invariant() {
     let run_layout = |ranks: usize, threads: usize| -> TimeSeries {
-        let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-            .ecut(2.0)
-            .xc(XcKind::Pbe)
-            .hybrid(HybridConfig::hse06())
-            .occupations(vec![2.0; 4])
-            .layout(RankLayout::new(ranks, threads))
-            .build()
-            .expect("valid distributed system");
-        let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+        let sys = hybrid_system(ranks, threads, ExchangeMode::Full);
         let mut sim = SimulationBuilder::new(&sys)
-            .initial_orbitals(gs.orbitals.clone())
+            .initial_orbitals(hybrid_ground_state().orbitals.clone())
             .laser(LaserPulse::paper_380nm(
                 0.02,
                 attosecond_to_au(200.0),
@@ -442,20 +453,12 @@ fn hybrid_distributed_run_via_builders_is_layout_invariant() {
 #[test]
 fn hybrid_ace_run_via_builders_is_layout_invariant() {
     let run_layout = |ranks: usize, threads: usize| -> TimeSeries {
-        let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-            .ecut(2.0)
-            .xc(XcKind::Pbe)
-            .hybrid(HybridConfig::hse06())
-            .occupations(vec![2.0; 4])
-            .exchange_mode(ExchangeMode::Ace {
-                refresh_interval: 2,
-            })
-            .layout(RankLayout::new(ranks, threads))
-            .build()
-            .expect("valid distributed ACE system");
-        let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+        let ace2 = ExchangeMode::Ace {
+            refresh_interval: 2,
+        };
+        let sys = hybrid_system(ranks, threads, ace2);
         let mut sim = SimulationBuilder::new(&sys)
-            .initial_orbitals(gs.orbitals.clone())
+            .initial_orbitals(hybrid_ground_state().orbitals.clone())
             .laser(LaserPulse::paper_380nm(
                 0.02,
                 attosecond_to_au(200.0),
@@ -515,6 +518,7 @@ fn install_scoping_matches_builder_plumbing() {
             .energies
             .total()
     };
-    assert_eq!(via_install(1).to_bits(), via_install(4).to_bits());
-    assert_eq!(via_install(4).to_bits(), via_builder.to_bits());
+    let at_4 = via_install(4).to_bits();
+    assert_eq!(via_install(1).to_bits(), at_4);
+    assert_eq!(at_4, via_builder.to_bits());
 }
