@@ -35,17 +35,17 @@ use std::path::{Path, PathBuf};
 /// How a [`crate::Simulation`] emits rolling snapshots from inside its
 /// time loop (configured via `SimulationBuilder::checkpoint_every`).
 #[derive(Clone, Debug)]
-pub struct CheckpointPolicy {
+pub(crate) struct CheckpointPolicy {
     /// Emit a snapshot after every `every` completed steps.
-    pub every: usize,
+    pub(crate) every: usize,
     /// Directory the `ckpt_<step>.ptio` files land in (created on first
     /// write).
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// How many snapshots to keep. After each write the emitting run
     /// prunes the oldest of **its own** snapshots — files it did not write
     /// (a previous run's, a different trajectory sharing the directory)
     /// are never deleted.
-    pub keep: usize,
+    pub(crate) keep: usize,
 }
 
 impl CheckpointPolicy {
@@ -111,7 +111,7 @@ pub struct RunCheckpoint {
     /// [`pt_ham::KsSystem::exchange_mode`] differs rather than switching
     /// silently.
     pub pinned_exchange: Option<ExchangeMode>,
-    /// Every step recorded so far (all observer channels).
+    /// Every step recorded so far (the fixed record of each).
     pub series: TimeSeries,
 }
 

@@ -25,12 +25,10 @@
 //!   `Box<dyn Propagator>`.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,
 //!   `dt`, step count and propagator, then [`Simulation::run`] owns the
-//!   time loop, drives the [`Observer`] pipeline and returns a
-//!   [`TimeSeries`].
-//! * [`Observer`] — composable per-step measurements. Built-ins:
-//!   [`EnergyObserver`], [`CurrentObserver`], [`DipoleNormObserver`],
-//!   [`OrthonormalityObserver`]; per-step [`StepStats`] are always
-//!   recorded.
+//!   time loop and returns a [`TimeSeries`]. Every step commits one fixed
+//!   record — energy, current, electron count, dipole and orthonormality
+//!   error, beside the field and the [`StepStats`] — in one place; a step
+//!   whose record is not finite is refused with [`PtError::Diverged`].
 //! * Misuse returns the typed [`PtError`] (re-exported from `pt-ham`) —
 //!   nothing on the public setup path panics.
 //!
@@ -59,7 +57,7 @@ mod simulation;
 mod stability;
 
 pub use anderson_c::BandAndersonMixer;
-pub use checkpoint::{latest_checkpoint, CheckpointPolicy, RunCheckpoint};
+pub use checkpoint::{latest_checkpoint, RunCheckpoint};
 pub use laser::LaserPulse;
 pub use observables::{current_density, density_matrix_distance, orthonormality_error};
 pub use propagator::{
@@ -67,8 +65,5 @@ pub use propagator::{
     Rk4Options, Rk4Propagator, StepPhases, StepStats, TdState,
 };
 pub use pt_ham::PtError;
-pub use simulation::{
-    CancelToken, CurrentObserver, DipoleNormObserver, EnergyObserver, Observer, ObserverContext,
-    OrthonormalityObserver, Simulation, SimulationBuilder, StepTap, StepUpdate, TimeSeries,
-};
+pub use simulation::{CancelToken, Simulation, SimulationBuilder, StepUpdate, TimeSeries};
 pub use stability::max_stable_rk4_dt;

@@ -1,12 +1,82 @@
-//! Gauge-invariant observables and sanity probes.
+//! Gauge-invariant observables and sanity probes, and the one fixed
+//! record every step of a [`crate::Simulation`] commits.
 //!
 //! The PT gauge is defined so that physical observables — anything that is
 //! a function of the density matrix P = ΨΨ* — are untouched by the gauge
 //! transformation (§2). These helpers quantify exactly that.
 
-use pt_ham::KsSystem;
+use pt_ham::{integrate, KsSystem};
 use pt_linalg::{gemm, CMat, Op};
 use pt_num::c64;
+
+/// The channels of a step's record, in emission order — the gauge-invariant
+/// observables the paper's runs track (§4, Fig. 6).
+pub(crate) const CHANNELS: [&str; 9] = [
+    "energy",
+    "current_x",
+    "current_y",
+    "current_z",
+    "n_electrons",
+    "dipole_x",
+    "dipole_y",
+    "dipole_z",
+    "orthonormality_error",
+];
+
+/// One step's record, paired with [`CHANNELS`]: the total energy, the
+/// current density, the electron count `∫ρ`, the electronic dipole moment
+/// `∫ r ρ(r) dr` (lever arms from [`grid_coords`]) and `max |Ψ*Ψ − I|`,
+/// all from one density of `psi`.
+pub(crate) fn step_record(
+    sys: &KsSystem,
+    psi: &CMat,
+    a_field: [f64; 3],
+    coords: &[[f64; 3]],
+) -> [(&'static str, f64); 9] {
+    let g = &sys.grids;
+    let rho = sys.density(psi);
+    let energy = sys.energies(psi, &rho, a_field).total();
+    let j = current_density(sys, psi, a_field);
+    let dv = g.volume / g.n_dense() as f64;
+    let mut d = [0.0f64; 3];
+    for (w, r) in rho.iter().map(|&v| v * dv).zip(coords) {
+        d[0] += w * r[0];
+        d[1] += w * r[1];
+        d[2] += w * r[2];
+    }
+    let values = [
+        energy,
+        j[0],
+        j[1],
+        j[2],
+        integrate(g, &rho),
+        d[0],
+        d[1],
+        d[2],
+        orthonormality_error(psi),
+    ];
+    std::array::from_fn(|k| (CHANNELS[k], values[k]))
+}
+
+/// Cartesian coordinates of every dense-grid point, x fastest (the grid
+/// never changes during a run, so a run builds them once).
+pub(crate) fn grid_coords(sys: &KsSystem) -> Vec<[f64; 3]> {
+    let (nx, ny, nz) = sys.grids.fft_dense.dims();
+    let cell = &sys.structure.cell;
+    let mut coords = Vec::with_capacity(sys.grids.n_dense());
+    for iz in 0..nz {
+        for iy in 0..ny {
+            for ix in 0..nx {
+                coords.push(cell.frac_to_cart([
+                    ix as f64 / nx as f64,
+                    iy as f64 / ny as f64,
+                    iz as f64 / nz as f64,
+                ]));
+            }
+        }
+    }
+    coords
+}
 
 /// Max deviation of `Ψ*Ψ` from the identity.
 pub fn orthonormality_error(psi: &CMat) -> f64 {

@@ -3,10 +3,13 @@
 //! The paper's workflow is always the same pipeline: converge a ground
 //! state, then drive a laser-coupled propagation while recording
 //! gauge-invariant observables. [`SimulationBuilder`] configures the run
-//! (system, laser, `dt`, step count, propagator, observers);
-//! [`Simulation::run`] owns the loop, invokes the composable [`Observer`]
-//! pipeline after every step, and returns a [`TimeSeries`] — the columnar
-//! record the bench figure generators consume.
+//! (system, laser, `dt`, step count, propagator); [`Simulation::run`] owns
+//! the loop and commits one fixed record per step — `energy`,
+//! `current_{x,y,z}`, `n_electrons`, `dipole_{x,y,z}` and
+//! `orthonormality_error`, beside the field and the propagator's stats —
+//! into a [`TimeSeries`], the columnar record the bench figure generators
+//! consume. A step whose record is not finite is not committed: the run
+//! stops with [`PtError::Diverged`].
 //!
 //! ```no_run
 //! # use pt_core::{SimulationBuilder, PtCnOptions, PtCnPropagator, LaserPulse};
@@ -21,7 +24,6 @@
 //!     .dt(pt_num::units::attosecond_to_au(25.0))
 //!     .steps(10)
 //!     .propagator(Box::new(PtCnPropagator::new(PtCnOptions::default())))
-//!     .standard_observers()
 //!     .build()?
 //!     .run()?;
 //! let j_z = series.channel("current_z").unwrap();
@@ -31,9 +33,11 @@
 
 use crate::checkpoint::{checkpoint_path, CheckpointPolicy, RunCheckpoint, RunCheckpointView};
 use crate::laser::LaserPulse;
-use crate::observables::{current_density, orthonormality_error};
-use crate::propagator::{propagator_from_state, Propagator, PtCnPropagator, StepStats, TdState};
-use pt_ham::{integrate, KsSystem, PtError};
+use crate::observables::{grid_coords, step_record, CHANNELS};
+use crate::propagator::{
+    a_field, propagator_from_state, Propagator, PtCnPropagator, StepStats, TdState,
+};
+use pt_ham::{KsSystem, PtError};
 use pt_linalg::CMat;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -66,10 +70,11 @@ impl CancelToken {
     }
 }
 
-/// Everything one committed step emitted — handed to the
-/// [step tap](SimulationBuilder::step_tap) right after the observers ran,
-/// so a live consumer (the `pt-serve` streaming hub, a progress bar) sees
-/// the run incrementally instead of waiting for the final [`TimeSeries`].
+/// Everything one committed step recorded — handed to the
+/// [step tap](SimulationBuilder::step_tap) right after the step entered
+/// the series, so a live consumer (the `pt-serve` streaming hub, a
+/// progress bar) sees the run incrementally instead of waiting for the
+/// final [`TimeSeries`].
 pub struct StepUpdate<'a> {
     /// 0-based absolute step index (continues across a resume).
     pub step_index: usize,
@@ -79,25 +84,26 @@ pub struct StepUpdate<'a> {
     pub a_field: [f64; 3],
     /// The propagator's diagnostics for this step.
     pub stats: &'a StepStats,
-    /// Every observer sample of this step, in emission order — the same
-    /// `(channel, value)` pairs the series records.
-    pub samples: &'a [(String, f64)],
+    /// The step's record in emission order — the same `(channel, value)`
+    /// pairs the series records.
+    pub samples: &'a [(&'static str, f64)],
 }
 
 impl StepUpdate<'_> {
     /// Every column of this step except `t`, named exactly as
     /// [`TimeSeries::to_table`] names them — the vector potential and
-    /// step stats, then every observer sample — so a live stream of
-    /// these agrees with the final table.
+    /// step stats, then the record — so a live stream of these agrees
+    /// with the final table.
     pub fn columns(&self) -> Vec<(String, f64)> {
-        let step = step_columns(self.a_field, self.stats).map(|(name, v)| (name.to_string(), v));
-        step.into_iter()
-            .chain(self.samples.iter().cloned())
+        step_columns(self.a_field, self.stats)
+            .iter()
+            .chain(self.samples)
+            .map(|&(name, v)| (name.to_string(), v))
             .collect()
     }
 }
 
-/// One step's columns between `t` and the observer channels, in table
+/// One step's columns between `t` and the record's channels, in table
 /// order — the only place their names are spelled.
 fn step_columns(a: [f64; 3], stats: &StepStats) -> [(&'static str, f64); 7] {
     [
@@ -112,160 +118,12 @@ fn step_columns(a: [f64; 3], stats: &StepStats) -> [(&'static str, f64); 7] {
 }
 
 /// A per-step callback observing committed steps (see [`StepUpdate`]).
-pub type StepTap<'a> = Box<dyn FnMut(&StepUpdate<'_>) + Send + 'a>;
-
-/// Everything an [`Observer`] may look at after one completed step.
-pub struct ObserverContext<'a> {
-    /// The Kohn–Sham problem.
-    pub sys: &'a KsSystem,
-    /// State after the step (`state.t` is the post-step time).
-    pub state: &'a TdState,
-    /// Vector potential at `state.t`.
-    pub a_field: [f64; 3],
-    /// Density of `state.psi`, precomputed once per step iff some observer
-    /// declares [`Observer::needs_density`].
-    pub rho: Option<&'a [f64]>,
-    /// 0-based index of the completed step.
-    pub step_index: usize,
-    /// The propagator's diagnostics for this step.
-    pub stats: &'a StepStats,
-}
-
-/// A composable per-step measurement.
-///
-/// Observers run in registration order after every accepted step and emit
-/// named scalar channels into the [`TimeSeries`]. Object-safe, so
-/// pipelines are `Vec<Box<dyn Observer>>`.
-pub trait Observer {
-    /// Identifier used in error messages.
-    fn name(&self) -> &'static str;
-
-    /// Whether this observer reads `ctx.rho`; the driver computes the
-    /// density once per step only if some observer asks for it.
-    fn needs_density(&self) -> bool {
-        false
-    }
-
-    /// Measure: return `(channel, value)` samples for this step. An
-    /// observer must emit the same channels every step.
-    fn observe(&mut self, ctx: &ObserverContext<'_>) -> Result<Vec<(String, f64)>, PtError>;
-}
-
-/// Records the total energy (channel `energy`).
-#[derive(Default)]
-pub struct EnergyObserver;
-
-impl Observer for EnergyObserver {
-    fn name(&self) -> &'static str {
-        "energy"
-    }
-    fn needs_density(&self) -> bool {
-        true
-    }
-    fn observe(&mut self, ctx: &ObserverContext<'_>) -> Result<Vec<(String, f64)>, PtError> {
-        let rho = ctx.rho.ok_or(PtError::InvalidConfig(
-            "EnergyObserver needs the step density".into(),
-        ))?;
-        let e = ctx.sys.energies(&ctx.state.psi, rho, ctx.a_field).total();
-        Ok(vec![("energy".into(), e)])
-    }
-}
-
-/// Records the macroscopic current density (channels `current_x`,
-/// `current_y`, `current_z`) — the primary observable of a velocity-gauge
-/// laser run.
-#[derive(Default)]
-pub struct CurrentObserver;
-
-impl Observer for CurrentObserver {
-    fn name(&self) -> &'static str {
-        "current"
-    }
-    fn observe(&mut self, ctx: &ObserverContext<'_>) -> Result<Vec<(String, f64)>, PtError> {
-        let j = current_density(ctx.sys, &ctx.state.psi, ctx.a_field);
-        Ok(vec![
-            ("current_x".into(), j[0]),
-            ("current_y".into(), j[1]),
-            ("current_z".into(), j[2]),
-        ])
-    }
-}
-
-/// Records the electron count `∫ρ` (channel `n_electrons`) and the
-/// electronic dipole moment `∫ r ρ(r) dr` (channels `dipole_x/y/z`) — the
-/// norm/dipole pair whose conservation and response diagnose a run.
-#[derive(Default)]
-pub struct DipoleNormObserver {
-    /// Cartesian coordinates of every dense-grid point, built lazily on
-    /// the first step (the grid never changes during a run).
-    coords: Option<Vec<[f64; 3]>>,
-}
-
-impl Observer for DipoleNormObserver {
-    fn name(&self) -> &'static str {
-        "dipole-norm"
-    }
-    fn needs_density(&self) -> bool {
-        true
-    }
-    fn observe(&mut self, ctx: &ObserverContext<'_>) -> Result<Vec<(String, f64)>, PtError> {
-        let rho = ctx.rho.ok_or(PtError::InvalidConfig(
-            "DipoleNormObserver needs the step density".into(),
-        ))?;
-        let g = &ctx.sys.grids;
-        let ne = integrate(g, rho);
-        let dv = g.volume / g.n_dense() as f64;
-        let coords = self.coords.get_or_insert_with(|| {
-            let (nx, ny, nz) = g.fft_dense.dims();
-            let cell = &ctx.sys.structure.cell;
-            let mut coords = Vec::with_capacity(g.n_dense());
-            for iz in 0..nz {
-                for iy in 0..ny {
-                    for ix in 0..nx {
-                        coords.push(cell.frac_to_cart([
-                            ix as f64 / nx as f64,
-                            iy as f64 / ny as f64,
-                            iz as f64 / nz as f64,
-                        ]));
-                    }
-                }
-            }
-            coords
-        });
-        let mut d = [0.0f64; 3];
-        for (w, r) in rho.iter().map(|&v| v * dv).zip(coords.iter()) {
-            d[0] += w * r[0];
-            d[1] += w * r[1];
-            d[2] += w * r[2];
-        }
-        Ok(vec![
-            ("n_electrons".into(), ne),
-            ("dipole_x".into(), d[0]),
-            ("dipole_y".into(), d[1]),
-            ("dipole_z".into(), d[2]),
-        ])
-    }
-}
-
-/// Records `max |Ψ*Ψ − I|` (channel `orthonormality_error`).
-#[derive(Default)]
-pub struct OrthonormalityObserver;
-
-impl Observer for OrthonormalityObserver {
-    fn name(&self) -> &'static str {
-        "orthonormality"
-    }
-    fn observe(&mut self, ctx: &ObserverContext<'_>) -> Result<Vec<(String, f64)>, PtError> {
-        Ok(vec![(
-            "orthonormality_error".into(),
-            orthonormality_error(&ctx.state.psi),
-        )])
-    }
-}
+pub(crate) type StepTap<'a> = Box<dyn FnMut(&StepUpdate<'_>) + Send + 'a>;
 
 /// Columnar record of a run: per-step times, fields, propagator stats and
-/// every observer channel. This is the interchange format between the
-/// simulation driver and the bench figure generators.
+/// the record's channels (`energy`, `current_{x,y,z}`, `n_electrons`,
+/// `dipole_{x,y,z}`, `orthonormality_error`). This is the interchange
+/// format between the simulation driver and the bench figure generators.
 #[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     /// Propagator name that produced this series.
@@ -290,7 +148,7 @@ impl TimeSeries {
         self.t.is_empty()
     }
 
-    /// An observer channel by name (`"energy"`, `"current_z"`, …), one
+    /// A recorded channel by name (`"energy"`, `"current_z"`, …), one
     /// value per step.
     pub fn channel(&self, name: &str) -> Option<&[f64]> {
         self.channels.get(name).map(Vec::as_slice)
@@ -301,28 +159,17 @@ impl TimeSeries {
         self.channels.keys().map(String::as_str).collect()
     }
 
-    fn push_sample(&mut self, name: String, value: f64, step: usize) -> Result<(), PtError> {
-        // check before inserting so a failed push never leaves a phantom
-        // empty channel behind (the partial series must stay whole-step)
-        let len = self.channels.get(&name).map_or(0, Vec::len);
-        if len != step {
-            return Err(PtError::InvalidConfig(format!(
-                "observer channel '{name}' emitted {len} values by step {step} — observers must emit the same channels every step"
-            )));
+    /// Commit one step: its time, field, stats and record.
+    fn push_step(&mut self, t: f64, a: [f64; 3], stats: StepStats, record: &[(&str, f64)]) {
+        self.t.push(t);
+        self.a_field.push(a);
+        self.stats.push(stats);
+        for &(name, value) in record {
+            self.channels
+                .entry(name.to_string())
+                .or_default()
+                .push(value);
         }
-        self.channels.entry(name).or_default().push(value);
-        Ok(())
-    }
-
-    fn close_step(&self, step: usize) -> Result<(), PtError> {
-        for (name, col) in &self.channels {
-            if col.len() != step + 1 {
-                return Err(PtError::InvalidConfig(format!(
-                    "observer channel '{name}' missing a value for step {step}"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Rebuild a series from its captured parts (the checkpoint read
@@ -368,7 +215,7 @@ impl TimeSeries {
     }
 
     /// Export as a [`pt_io::Table`] (one row per step: time, vector
-    /// potential, per-step stats and every observer channel) — the bridge
+    /// potential, per-step stats and every recorded channel) — the bridge
     /// to `pt_io::export`'s JSON/CSV writers.
     pub fn to_table(&self) -> Result<pt_io::Table, PtError> {
         let mut table =
@@ -426,7 +273,6 @@ pub struct SimulationBuilder<'a> {
     n_steps: Option<usize>,
     t0: f64,
     propagator: Option<Box<dyn Propagator>>,
-    observers: Vec<Box<dyn Observer>>,
     initial: Option<CMat>,
     ckpt_every_dir: Option<(usize, PathBuf)>,
     ckpt_keep: usize,
@@ -444,7 +290,6 @@ impl<'a> SimulationBuilder<'a> {
             n_steps: None,
             t0: 0.0,
             propagator: None,
-            observers: Vec::new(),
             initial: None,
             ckpt_every_dir: None,
             ckpt_keep: 2,
@@ -485,16 +330,9 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Append an observer to the pipeline (runs in registration order).
-    pub fn observer(mut self, o: Box<dyn Observer>) -> Self {
-        self.observers.push(o);
-        self
-    }
-
-    /// Append the standard pipeline: energy, current, dipole/norm,
-    /// orthonormality.
-    pub fn standard_observers(mut self) -> Self {
-        self.observers.extend(standard_observer_pipeline());
+    /// Does nothing: every run records the same fixed set of channels
+    /// (see [`TimeSeries`]). Kept so existing callers still build.
+    pub fn standard_observers(self) -> Self {
         self
     }
 
@@ -531,7 +369,7 @@ impl<'a> SimulationBuilder<'a> {
     }
 
     /// Install a per-step tap: called after every committed step with that
-    /// step's [`StepUpdate`] (time, field, stats, every observer sample).
+    /// step's [`StepUpdate`] (time, field, stats and record).
     /// The tap only observes — it cannot fail the run.
     pub fn step_tap(mut self, tap: impl FnMut(&StepUpdate<'_>) + Send + 'a) -> Self {
         self.tap = Some(Box::new(tap));
@@ -604,7 +442,7 @@ impl<'a> SimulationBuilder<'a> {
             dt,
             n_steps,
             propagator,
-            observers: self.observers,
+            coords: grid_coords(self.sys),
             state: TdState { psi, t: self.t0 },
             partial: None,
             checkpoint,
@@ -616,27 +454,16 @@ impl<'a> SimulationBuilder<'a> {
     }
 }
 
-/// The standard observer pipeline (energy, current, dipole/norm,
-/// orthonormality) — shared by [`SimulationBuilder::standard_observers`]
-/// and [`Simulation::resume`].
-fn standard_observer_pipeline() -> Vec<Box<dyn Observer>> {
-    vec![
-        Box::new(EnergyObserver),
-        Box::new(CurrentObserver),
-        Box::<DipoleNormObserver>::default(),
-        Box::new(OrthonormalityObserver),
-    ]
-}
-
-/// A configured rt-TDDFT run: owns the state, the propagator and the
-/// observer pipeline.
+/// A configured rt-TDDFT run: owns the state and the propagator, and
+/// records every step.
 pub struct Simulation<'a> {
     sys: &'a KsSystem,
     laser: Option<LaserPulse>,
     dt: f64,
     n_steps: usize,
     propagator: Box<dyn Propagator>,
-    observers: Vec<Box<dyn Observer>>,
+    /// The dipole's lever arms ([`grid_coords`]), built once per run.
+    coords: Vec<[f64; 3]>,
     state: TdState,
     partial: Option<TimeSeries>,
     checkpoint: Option<CheckpointPolicy>,
@@ -672,156 +499,96 @@ impl<'a> Simulation<'a> {
         self.partial.take()
     }
 
-    /// Advance the configured number of steps, invoking the observer
-    /// pipeline after each, and return the recorded series. Calling `run`
-    /// again continues from the final state for another window. On error,
-    /// the steps recorded so far stay retrievable via
-    /// [`Simulation::take_partial_series`].
+    /// Advance the configured number of steps, committing each step's
+    /// record, and return the recorded series. Calling `run` again
+    /// continues from the final state for another window. On error, the
+    /// steps committed so far stay retrievable via
+    /// [`Simulation::take_partial_series`]; a step whose record is not
+    /// finite is refused with [`PtError::Diverged`] and never committed or
+    /// snapshotted.
     ///
     /// The whole loop runs under the system's pool ([`KsSystem::install`]:
     /// its layout's cores, or the surrounding pool when it has none).
     pub fn run(&mut self) -> Result<TimeSeries, PtError> {
         let sys = self.sys;
-        sys.install(|| self.run_inner())
+        sys.install(|| {
+            // a resumed simulation continues into its restored series; the
+            // absolute step index keeps counting from there, so the record
+            // lines up with the uninterrupted run
+            let mut series = self.resume_base.take().unwrap_or_else(|| TimeSeries {
+                propagator: self.propagator.name().to_string(),
+                ..TimeSeries::default()
+            });
+            self.partial = None;
+            match self.advance(&mut series) {
+                Ok(()) => Ok(series),
+                Err(e) => {
+                    self.partial = Some(series);
+                    Err(e)
+                }
+            }
+        })
     }
 
-    fn run_inner(&mut self) -> Result<TimeSeries, PtError> {
-        // a resumed simulation continues into its restored series; the
-        // absolute step index keeps counting from there, so observers and
-        // channels line up with the uninterrupted run
-        let mut series = self.resume_base.take().unwrap_or_else(|| TimeSeries {
-            propagator: self.propagator.name().to_string(),
-            ..TimeSeries::default()
-        });
+    /// The time loop: step, record, commit — `series` holds every
+    /// committed step whether or not it returns `Ok`.
+    fn advance(&mut self, series: &mut TimeSeries) -> Result<(), PtError> {
         let base = series.len();
-        self.partial = None;
-        let needs_rho = self.observers.iter().any(|o| o.needs_density());
         for local_step in 0..self.n_steps {
             let step_index = base + local_step;
             if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 // honor the cancellation at the step boundary: persist a
                 // final snapshot so a later resume continues bit-exactly,
                 // then surface the typed non-failure
-                if let Some(policy) = self.checkpoint.clone() {
-                    let remaining = self.n_steps - local_step;
-                    if let Err(e) = self.write_checkpoint(&policy, &series, remaining) {
-                        self.partial = Some(series);
-                        return Err(e);
-                    }
-                }
-                self.partial = Some(series);
+                self.write_checkpoint(series, self.n_steps - local_step)?;
                 return Err(PtError::Cancelled {
                     completed_steps: step_index,
                 });
             }
             let stats =
-                match self
-                    .propagator
-                    .step(self.sys, self.laser.as_ref(), &mut self.state, self.dt)
-                {
-                    Ok(s) => s,
-                    Err(e) => {
-                        self.partial = Some(series);
-                        return Err(e);
-                    }
-                };
-            let a = crate::propagator::a_field(self.laser.as_ref(), self.state.t);
-            let rho = if needs_rho {
-                Some(self.sys.density(&self.state.psi))
-            } else {
-                None
-            };
-            // gather this step's samples first, commit only if every
-            // observer succeeded — the partial series then always holds
-            // whole steps
-            let mut step_samples: Vec<(String, f64)> = Vec::new();
-            let mut failure: Option<PtError> = None;
-            {
-                let ctx = ObserverContext {
-                    sys: self.sys,
-                    state: &self.state,
-                    a_field: a,
-                    rho: rho.as_deref(),
-                    step_index,
-                    stats: &stats,
-                };
-                for obs in &mut self.observers {
-                    match obs.observe(&ctx) {
-                        Ok(samples) => step_samples.extend(samples),
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
+                self.propagator
+                    .step(self.sys, self.laser.as_ref(), &mut self.state, self.dt)?;
+            let t = self.state.t;
+            let a = a_field(self.laser.as_ref(), t);
+            let record = step_record(self.sys, &self.state.psi, a, &self.coords);
+            if record.iter().any(|(_, v)| !v.is_finite()) {
+                return Err(PtError::Diverged {
+                    step: step_index,
+                    t,
+                    last_residual: stats.rho_residual,
+                });
             }
-            if failure.is_none() {
-                let mut committed: Vec<String> = Vec::new();
-                for (name, value) in &step_samples {
-                    match series.push_sample(name.clone(), *value, step_index) {
-                        Ok(()) => committed.push(name.clone()),
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if failure.is_none() {
-                    if let Err(e) = series.close_step(step_index) {
-                        failure = Some(e);
-                    }
-                }
-                if failure.is_some() {
-                    // roll back this step's samples so the partial series
-                    // holds only whole steps
-                    for n in &committed {
-                        if let Some(col) = series.channels.get_mut(n) {
-                            col.pop();
-                        }
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                self.partial = Some(series);
-                return Err(e);
-            }
+            series.push_step(t, a, stats, &record);
+            pt_trace::counter_add(pt_trace::Counter::StepsCommitted, 1);
             if let Some(tap) = &mut self.tap {
                 tap(&StepUpdate {
                     step_index,
-                    t: self.state.t,
+                    t,
                     a_field: a,
                     stats: &stats,
-                    samples: &step_samples,
+                    samples: &record,
                 });
             }
-            series.t.push(self.state.t);
-            series.a_field.push(a);
-            series.stats.push(stats);
-            pt_trace::counter_add(pt_trace::Counter::StepsCommitted, 1);
-            if let Some(policy) = &self.checkpoint {
-                if (local_step + 1) % policy.every == 0 {
-                    let policy = policy.clone();
-                    let remaining = self.n_steps - (local_step + 1);
-                    if let Err(e) = self.write_checkpoint(&policy, &series, remaining) {
-                        self.partial = Some(series);
-                        return Err(e);
-                    }
-                }
+            let due = |p: &CheckpointPolicy| (local_step + 1) % p.every == 0;
+            if self.checkpoint.as_ref().is_some_and(due) {
+                self.write_checkpoint(series, self.n_steps - (local_step + 1))?;
             }
         }
-        Ok(series)
+        Ok(())
     }
 
-    /// Serialize the current run state into `policy.dir` (borrowing ψ and
-    /// the series — no clones of orbital-sized data but the ACE projector
-    /// the propagator captures) and prune the oldest of this run's own
-    /// snapshots past `policy.keep`.
+    /// Serialize the current run state into the policy's directory
+    /// (borrowing ψ and the series — no clones of orbital-sized data but
+    /// the ACE projector the propagator captures) and prune the oldest of
+    /// this run's own snapshots past its `keep`. Nothing without a policy.
     fn write_checkpoint(
         &mut self,
-        policy: &CheckpointPolicy,
         series: &TimeSeries,
         steps_remaining: usize,
     ) -> Result<(), PtError> {
+        let Some(policy) = &self.checkpoint else {
+            return Ok(());
+        };
         let _sp = pt_trace::span("checkpoint_write");
         pt_trace::counter_add(pt_trace::Counter::CheckpointWrites, 1);
         std::fs::create_dir_all(&policy.dir).map_err(|e| PtError::Io {
@@ -858,19 +625,27 @@ impl<'a> Simulation<'a> {
         Ok(())
     }
 
-    /// Reconstruct a killed run from a snapshot, with the standard
-    /// observer pipeline and the propagator recorded in the snapshot.
-    /// `run` on the result takes the remaining steps and returns the
-    /// *full* series (restored + new steps) — bit-identical to an
-    /// uninterrupted run when the original run used the standard
-    /// observers.
+    /// Reconstruct a killed run from a snapshot, with the propagator
+    /// recorded in the snapshot. `run` on the result takes the remaining
+    /// steps and returns the *full* series (restored + new steps) —
+    /// bit-identical to an uninterrupted run.
     ///
     /// The snapshot must have been taken against a system of the same
     /// shape: the recorded [`pt_ham::SystemSignature`] and occupations are
     /// revalidated and a mismatch is a typed error, as is a propagator
-    /// this crate cannot rebuild ([`crate::PropagatorState::Opaque`]).
+    /// this crate cannot rebuild ([`crate::PropagatorState::Opaque`]), and
+    /// so is a restored series whose channels are not the record's (a
+    /// series of zero steps may hold none).
     pub fn resume(sys: &'a KsSystem, path: impl AsRef<Path>) -> Result<Simulation<'a>, PtError> {
         let ck = RunCheckpoint::read(path)?;
+        let mut record = CHANNELS;
+        record.sort_unstable();
+        let names = ck.series.channel_names();
+        if names != record && !(ck.series.is_empty() && names.is_empty()) {
+            return Err(PtError::InvalidConfig(format!(
+                "snapshot series holds channels {names:?}; a run records exactly {CHANNELS:?}"
+            )));
+        }
         let want = sys.signature();
         if ck.signature != want {
             return Err(PtError::InvalidConfig(format!(
@@ -918,7 +693,7 @@ impl<'a> Simulation<'a> {
             dt: ck.dt,
             n_steps: ck.steps_remaining,
             propagator: propagator_from_state(ck.propagator)?,
-            observers: standard_observer_pipeline(),
+            coords: grid_coords(sys),
             state: TdState {
                 psi: ck.psi,
                 t: ck.t,
@@ -1108,106 +883,78 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn failed_run_keeps_the_partial_series() {
-        // an observer that errors on the third step: the two completed
-        // steps' diagnostics must survive on the Simulation
-        struct FailAt(usize);
-        impl Observer for FailAt {
-            fn name(&self) -> &'static str {
-                "fail-at"
-            }
-            fn observe(
-                &mut self,
-                ctx: &ObserverContext<'_>,
-            ) -> Result<Vec<(String, f64)>, PtError> {
-                if ctx.step_index == self.0 {
-                    Err(PtError::InvalidConfig("injected observer failure".into()))
-                } else {
-                    Ok(vec![("probe".into(), ctx.step_index as f64)])
-                }
-            }
-        }
-        let sys = small_sys();
-        // identity-block initial orbitals are fine: we only exercise the
-        // bookkeeping, and RK4 steps on any state
-        let psi = CMat::from_fn(sys.grids.ng(), sys.n_bands(), |i, j| {
+    /// Identity-block orbitals: orthonormal, so RK4 steps them finitely —
+    /// enough to exercise the bookkeeping without an SCF.
+    fn identity_orbitals(sys: &KsSystem) -> CMat {
+        CMat::from_fn(sys.grids.ng(), sys.n_bands(), |i, j| {
             if i == j {
                 pt_num::c64::ONE
             } else {
                 pt_num::c64::ZERO
             }
-        });
+        })
+    }
+
+    #[test]
+    fn failed_run_keeps_the_partial_series() {
+        // a propagator that errors on the third step: the two committed
+        // steps' records must survive on the Simulation
+        struct FailAt(usize, crate::propagator::Rk4Propagator);
+        impl Propagator for FailAt {
+            fn name(&self) -> &'static str {
+                "fail-at"
+            }
+            fn step(
+                &mut self,
+                sys: &KsSystem,
+                laser: Option<&LaserPulse>,
+                state: &mut TdState,
+                dt: f64,
+            ) -> Result<StepStats, PtError> {
+                if self.0 == 0 {
+                    return Err(PtError::InvalidConfig("injected step failure".into()));
+                }
+                self.0 -= 1;
+                self.1.step(sys, laser, state, dt)
+            }
+        }
+        let sys = small_sys();
         let mut sim = SimulationBuilder::new(&sys)
             .dt(0.01)
             .steps(5)
-            .propagator(Box::new(crate::propagator::Rk4Propagator::default()))
-            .observer(Box::new(FailAt(2)))
-            .initial_orbitals(psi)
+            .propagator(Box::new(FailAt(2, Default::default())))
+            .initial_orbitals(identity_orbitals(&sys))
             .build()
             .unwrap();
         assert!(matches!(sim.run(), Err(PtError::InvalidConfig(_))));
         let partial = sim.take_partial_series().expect("partial series kept");
         assert_eq!(partial.len(), 2);
-        assert_eq!(partial.channel("probe"), Some(&[0.0, 1.0][..]));
+        assert_eq!(partial.propagator, "fail-at");
+        let mut record = CHANNELS;
+        record.sort_unstable();
+        assert_eq!(partial.channel_names(), record);
+        assert!(record
+            .iter()
+            .all(|c| partial.channel(c).unwrap().len() == 2));
         // taking it drains it; a new run clears any stale partial
         assert!(sim.take_partial_series().is_none());
     }
 
     #[test]
-    fn partial_series_stays_whole_when_a_channel_goes_missing() {
-        // an observer that stops emitting one of its channels: close_step
-        // errors, and the rollback must leave only whole steps behind
-        struct Flaky;
-        impl Observer for Flaky {
-            fn name(&self) -> &'static str {
-                "flaky"
-            }
-            fn observe(
-                &mut self,
-                ctx: &ObserverContext<'_>,
-            ) -> Result<Vec<(String, f64)>, PtError> {
-                let mut out = vec![("x".to_string(), 1.0)];
-                if ctx.step_index == 0 {
-                    out.push(("w".to_string(), 2.0));
-                }
-                Ok(out)
-            }
-        }
-        let sys = small_sys();
-        let psi = CMat::from_fn(sys.grids.ng(), sys.n_bands(), |i, j| {
-            if i == j {
-                pt_num::c64::ONE
-            } else {
-                pt_num::c64::ZERO
-            }
-        });
-        let mut sim = SimulationBuilder::new(&sys)
-            .dt(0.01)
-            .steps(3)
-            .propagator(Box::new(crate::propagator::Rk4Propagator::default()))
-            .observer(Box::new(Flaky))
-            .initial_orbitals(psi)
-            .build()
-            .unwrap();
-        assert!(matches!(sim.run(), Err(PtError::InvalidConfig(_))));
-        let partial = sim.take_partial_series().unwrap();
-        assert_eq!(partial.len(), 1);
-        assert_eq!(partial.channel("x").map(<[f64]>::len), Some(1));
-        assert_eq!(partial.channel("w").map(<[f64]>::len), Some(1));
-    }
-
-    #[test]
     fn time_series_channels_are_queryable() {
+        let sys = small_sys();
+        let psi = identity_orbitals(&sys);
+        let record = step_record(&sys, &psi, [0.0; 3], &grid_coords(&sys));
+        assert_eq!(record.map(|(name, _)| name), CHANNELS);
         let mut ts = TimeSeries::default();
-        ts.push_sample("energy".into(), -1.0, 0).unwrap();
-        ts.close_step(0).unwrap();
-        ts.t.push(0.1);
-        assert_eq!(ts.channel("energy"), Some(&[-1.0][..]));
+        ts.push_step(0.1, [0.0; 3], StepStats::default(), &record);
+        assert_eq!(ts.channel("energy"), Some(&[record[0].1][..]));
         assert_eq!(ts.channel("missing"), None);
-        assert_eq!(ts.channel_names(), vec!["energy"]);
+        assert_eq!(ts.channel_names().len(), CHANNELS.len());
         assert_eq!(ts.len(), 1);
-        // inconsistent emission is a typed error
-        assert!(ts.push_sample("late".into(), 0.0, 1).is_err());
+        // the identity block is orthonormal and holds every electron
+        let n_electrons: f64 = sys.occupations.iter().sum();
+        assert_eq!(ts.channel("orthonormality_error"), Some(&[0.0][..]));
+        assert!((ts.channel("n_electrons").unwrap()[0] - n_electrons).abs() < 1e-10);
     }
 }

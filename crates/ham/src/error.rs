@@ -68,6 +68,17 @@ pub enum PtError {
         /// Panic message of the rank failure that killed the engine.
         cause: String,
     },
+    /// A propagation step produced a non-finite observable. That step was
+    /// not committed: the run's partial series and its snapshots end at
+    /// the step before.
+    Diverged {
+        /// 0-based absolute index of the refused step.
+        step: usize,
+        /// Its post-step time (a.u.).
+        t: f64,
+        /// The propagator's final fixed-point residual on that step.
+        last_residual: f64,
+    },
 }
 
 impl fmt::Display for PtError {
@@ -95,6 +106,11 @@ impl fmt::Display for PtError {
             PtError::EngineDown { cause } => {
                 write!(f, "rank engine is dead after an earlier rank failure: {cause}")
             }
+            PtError::Diverged { step, t, last_residual } => write!(
+                f,
+                "run diverged at step {step} (t = {t} a.u.): non-finite observables, \
+                 last residual {last_residual:.3e}"
+            ),
         }
     }
 }
@@ -132,5 +148,11 @@ mod tests {
             reason: "crc mismatch in section 'psi'".into(),
         };
         assert!(snap.to_string().contains("crc mismatch"));
+        let div = PtError::Diverged {
+            step: 1,
+            t: 2.5,
+            last_residual: f64::NAN,
+        };
+        assert!(div.to_string().contains("step 1"), "{div}");
     }
 }

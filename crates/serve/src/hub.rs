@@ -82,7 +82,7 @@ impl JobState {
 
 /// The incrementally-built observable record of one job — same columns as
 /// the final `TimeSeries` table (`t`, `a_x/y/z`, per-step stats, every
-/// observer channel), grown one step at a time by the event pump.
+/// recorded channel), grown one step at a time by the event pump.
 #[derive(Clone, Debug, Default)]
 pub struct JobProgress {
     /// Post-step times (a.u.).

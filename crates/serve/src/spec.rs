@@ -390,8 +390,7 @@ impl JobSpec {
         let mut builder = SimulationBuilder::new(sys)
             .initial_orbitals(gs.orbitals)
             .dt(self.dt_au())
-            .steps(self.steps)
-            .standard_observers();
+            .steps(self.steps);
         if let Some(laser) = self.laser_pulse() {
             builder = builder.laser(laser);
         }

@@ -29,7 +29,6 @@ fn main() -> Result<(), PtError> {
         .laser(laser)
         .dt(dt)
         .steps(steps)
-        .standard_observers()
         .build()?
         .run()?;
 
@@ -43,7 +42,6 @@ fn main() -> Result<(), PtError> {
         .laser(laser)
         .dt(dt)
         .steps(steps)
-        .standard_observers()
         .checkpoint_every(1, &dir)
         .checkpoint_keep(steps) // keep them all so the demo can pick step 3
         .build()?

@@ -1,7 +1,7 @@
 //! Laser-driven electron dynamics in silicon: the paper's §4 scenario at
 //! laptop scale. A 380 nm pulse excites a Si₈ cell; the `Simulation`
 //! driver records the current density and energy absorbed over a few
-//! PT-CN steps through the standard observer pipeline.
+//! PT-CN steps in its per-step record.
 //!
 //! Run with: `cargo run --release --example laser_silicon`
 
@@ -28,16 +28,13 @@ fn main() -> Result<(), PtError> {
         .dt(attosecond_to_au(25.0))
         .steps(8)
         .propagator(Box::new(PtCnPropagator::default()))
-        .standard_observers()
         .build()?
         .run()?;
 
     let j_z = series
         .channel("current_z")
-        .expect("standard observers record current");
-    let energy = series
-        .channel("energy")
-        .expect("standard observers record energy");
+        .expect("every run records current");
+    let energy = series.channel("energy").expect("every run records energy");
     println!(
         "{:>8} {:>14} {:>14} {:>6}",
         "t (as)", "j_z (a.u.)", "ΔE (Ha)", "SCF"

@@ -36,13 +36,13 @@ fn main() -> Result<(), PtError> {
     );
     println!("  breakdown: {:?}", gs.energies);
 
-    // two PT-CN steps at the paper's 50 as, with the standard observers
+    // two PT-CN steps at the paper's 50 as, each recording the standard
+    // observables
     let mut sim = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(50.0))
         .steps(2)
         .propagator(Box::new(PtCnPropagator::default()))
-        .standard_observers()
         .build()?;
     let series = sim.run()?;
     for (i, stats) in series.stats.iter().enumerate() {

@@ -48,7 +48,6 @@ fn run_mode(gs: &ScfResult, mode: ExchangeMode) -> TimeSeries {
         .dt(attosecond_to_au(25.0))
         .steps(20)
         .propagator(Box::new(prop))
-        .standard_observers()
         .build()
         .unwrap()
         .run()

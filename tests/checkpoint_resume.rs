@@ -57,7 +57,7 @@ fn assert_series_bits_eq(a: &TimeSeries, b: &TimeSeries) {
     }
 }
 
-/// Whether any observer sample of the two series differs in any bit.
+/// Whether any recorded sample of the two series differs in any bit.
 fn some_channel_bit_differs(a: &TimeSeries, b: &TimeSeries) -> bool {
     assert_eq!(a.channel_names(), b.channel_names());
     a.channel_names().into_iter().any(|name| {
@@ -115,15 +115,13 @@ const ACE2: ExchangeMode = ExchangeMode::Ace {
     refresh_interval: 2,
 };
 
-/// A laser-driven run from `psi0`, not yet built: 25 as steps, the
-/// standard observers.
+/// A laser-driven run from `psi0`, not yet built: 25 as steps.
 fn laser_run<'a>(sys: &'a KsSystem, psi0: &CMat, steps: usize) -> SimulationBuilder<'a> {
     SimulationBuilder::new(sys)
         .initial_orbitals(psi0.clone())
         .laser(laser())
         .dt(attosecond_to_au(25.0))
         .steps(steps)
-        .standard_observers()
 }
 
 /// [`laser_run`] to the end, optionally with per-step snapshots into
@@ -276,6 +274,73 @@ fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
     let merged = resume_and_finish(&sys, &legacy);
     assert_eq!(merged.propagator, "pt-cn");
     assert_series_bits_eq(&uninterrupted, &merged);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every run records the same channels, so a run checkpointed from a
+/// builder that names nothing but its inputs resumes from its step-1
+/// snapshot to the uninterrupted run's bits.
+#[test]
+fn a_run_checkpointed_from_a_plain_builder_resumes_bit_identically() {
+    let sys = lda_system();
+    let gs = lda_ground_state();
+    let dir = tmp_dir("plain_builder");
+    let plain = || {
+        SimulationBuilder::new(&sys)
+            .initial_orbitals(gs.orbitals.clone())
+            .laser(laser())
+            .dt(attosecond_to_au(25.0))
+            .steps(2)
+    };
+    let uninterrupted = plain().build().unwrap().run().unwrap();
+    let checkpointed = plain()
+        .checkpoint_every(1, &dir)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_series_bits_eq(&uninterrupted, &checkpointed);
+    let merged = resume_and_finish(&sys, &checkpoint_path(&dir, 1));
+    assert_series_bits_eq(&uninterrupted, &merged);
+    assert_eq!(merged.channel("energy").map(<[f64]>::len), Some(2));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Resume checks the restored series up front: the record's channels, or
+/// none at all for a series of zero steps — anything else is refused.
+#[test]
+fn resume_accepts_only_the_records_channels() {
+    let sys = lda_system();
+    let gs = lda_ground_state();
+    let dir = tmp_dir("channels");
+    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
+    // a cancel before the first step snapshots a series of zero steps
+    let token = CancelToken::new();
+    token.cancel();
+    let mut sim = laser_run(&sys, &gs.orbitals, 2)
+        .checkpoint_every(1, &dir)
+        .cancel_token(token)
+        .build()
+        .unwrap();
+    assert!(matches!(
+        sim.run(),
+        Err(PtError::Cancelled { completed_steps: 0 })
+    ));
+    let empty = checkpoint_path(&dir, 0);
+    let ck = RunCheckpoint::read(&empty).unwrap();
+    assert_eq!((ck.series.len(), ck.steps_remaining), (0, 2));
+    assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &empty));
+    // the step-1 snapshot, its series claiming another channel set
+    let crafted = dir.join("crafted.ptio");
+    recraft(&checkpoint_path(&dir, 1), &crafted, |s| {
+        s.insert("series/channels".into(), Section::Str("probe".into()));
+        s.insert("series/ch/probe".into(), Section::F64s(vec![0.0]));
+    });
+    match Simulation::resume(&sys, &crafted) {
+        Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("probe"), "{msg}"),
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("a series with foreign channels resumed"),
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -470,7 +535,6 @@ fn rolling_pruning_never_touches_another_runs_snapshots() {
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(25.0))
         .steps(3)
-        .standard_observers()
         .checkpoint_every(1, &dir)
         .checkpoint_keep(1)
         .build()
@@ -569,7 +633,6 @@ fn snapshot_from_a_different_system_shape_is_a_typed_error() {
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(25.0))
         .steps(1)
-        .standard_observers()
         .checkpoint_every(1, &dir)
         .build()
         .unwrap();
@@ -615,7 +678,6 @@ fn malformed_snapshots_never_panic() {
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(25.0))
         .steps(1)
-        .standard_observers()
         .checkpoint_every(1, &dir)
         .build()
         .unwrap();
@@ -778,7 +840,6 @@ fn cancelled_then_resumed_run_is_bit_identical() {
         .laser(laser())
         .dt(attosecond_to_au(25.0))
         .steps(steps)
-        .standard_observers()
         .build()
         .unwrap()
         .run()
@@ -795,7 +856,6 @@ fn cancelled_then_resumed_run_is_bit_identical() {
         .laser(laser())
         .dt(attosecond_to_au(25.0))
         .steps(steps)
-        .standard_observers()
         .checkpoint_every(3, &dir)
         .cancel_token(token.clone())
         .step_tap(move |u| {
@@ -837,7 +897,6 @@ fn resume_latest_skips_corrupt_snapshots_in_favor_of_older_valid_ones() {
         .laser(laser())
         .dt(attosecond_to_au(25.0))
         .steps(3)
-        .standard_observers()
         .checkpoint_every(1, &dir)
         .checkpoint_keep(3)
         .build()
@@ -875,7 +934,6 @@ fn exported_series_tables_round_trip_through_json_and_csv() {
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(25.0))
         .steps(2)
-        .standard_observers()
         .build()
         .unwrap()
         .run()

@@ -3,6 +3,7 @@
 //! the `Propagator` trait and builder-based setup.
 
 use pwdft_rt::prelude::*;
+use std::sync::OnceLock;
 
 fn lda_ground_state(ecut: f64) -> (KsSystem, ScfResult) {
     let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
@@ -18,58 +19,57 @@ fn lda_ground_state(ecut: f64) -> (KsSystem, ScfResult) {
     (sys, r)
 }
 
-#[test]
-fn hybrid_scf_lowers_gap_relative_to_lda_bandwidth() {
-    // HSE-like exchange opens the eigenvalue gap relative to LDA — the
-    // qualitative reason the paper's users want hybrid functionals.
-    let s = silicon_cubic_supercell(1, 1, 1);
-    let lda = {
-        let sys = KsSystem::builder(s.clone())
-            .ecut(2.5)
-            .xc(XcKind::Lda)
-            .build()
-            .unwrap();
-        let o = ScfOptions {
-            rho_tol: 1e-6,
-            ..Default::default()
-        };
-        let r = scf_loop(&sys, o).unwrap();
-        // HOMO is the last occupied of 16 bands; estimate the gap from the
-        // occupied spectrum spread (no empty bands solved here)
-        (r.eigenvalues.clone(), r.energies.total())
-    };
-    let hyb = {
-        let sys = KsSystem::builder(s)
+/// The LDA ecut-2.5 ground state, converged once per test binary.
+fn lda_25() -> &'static (KsSystem, ScfResult) {
+    static GS: OnceLock<(KsSystem, ScfResult)> = OnceLock::new();
+    GS.get_or_init(|| lda_ground_state(2.5))
+}
+
+/// The HSE06 ecut-2.5 ground state, converged once per test binary.
+fn hse_25() -> &'static (KsSystem, ScfResult) {
+    static GS: OnceLock<(KsSystem, ScfResult)> = OnceLock::new();
+    GS.get_or_init(|| {
+        let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
             .ecut(2.5)
             .xc(XcKind::Pbe)
             .hybrid(HybridConfig::hse06())
             .build()
-            .unwrap();
+            .expect("valid hybrid system");
         let o = ScfOptions {
             rho_tol: 1e-6,
             max_phi_updates: 3,
             ..Default::default()
         };
-        let r = scf_loop(&sys, o).unwrap();
-        (r.eigenvalues.clone(), r.energies.total())
-    };
+        let r = scf_loop(&sys, o).expect("hybrid SCF converges");
+        (sys, r)
+    })
+}
+
+#[test]
+fn hybrid_scf_lowers_gap_relative_to_lda_bandwidth() {
+    // HSE-like exchange opens the eigenvalue gap relative to LDA — the
+    // qualitative reason the paper's users want hybrid functionals. The
+    // HOMO is the last occupied of 16 bands; the occupied spectrum spread
+    // stands in for the gap (no empty bands are solved here).
+    let (lda, hyb) = (&lda_25().1, &hse_25().1);
+    let (e_lda, e_hyb) = (lda.energies.total(), hyb.energies.total());
     // both converged to sane energies; exchange lowers the total energy
-    assert!(lda.1.is_finite() && hyb.1.is_finite());
-    assert!(hyb.1 < lda.1 + 5.0, "hybrid energy not crazy vs LDA");
+    assert!(e_lda.is_finite() && e_hyb.is_finite());
+    assert!(e_hyb < e_lda + 5.0, "hybrid energy not crazy vs LDA");
     // occupied bandwidth differs between functionals (exchange acts)
-    let bw = |e: &Vec<f64>| e.last().unwrap() - e.first().unwrap();
-    assert!((bw(&lda.0) - bw(&hyb.0)).abs() > 1e-3);
+    let bw = |e: &[f64]| e.last().unwrap() - e.first().unwrap();
+    assert!((bw(&lda.eigenvalues) - bw(&hyb.eigenvalues)).abs() > 1e-3);
 }
 
 #[test]
 fn ptcn_50as_step_conserves_invariants_field_free() {
-    let (sys, gs) = lda_ground_state(2.5);
+    let (sys, gs) = lda_25();
     let mut prop = PtCnPropagator::default();
     let mut st = TdState::new(gs.orbitals.clone());
     let e0 = gs.energies.total();
     for _ in 0..3 {
         let stats = prop
-            .step(&sys, None, &mut st, attosecond_to_au(50.0))
+            .step(sys, None, &mut st, attosecond_to_au(50.0))
             .unwrap();
         assert!(stats.rho_residual < 1e-5);
     }
@@ -116,22 +116,11 @@ fn ptcn_and_rk4_agree_on_driven_dynamics() {
 #[test]
 fn hybrid_ptcn_counts_match_paper_bookkeeping() {
     // §7: one PT-CN step = n_scf + 2 exchange-bearing HΨ applications
-    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-        .ecut(2.0)
-        .xc(XcKind::Pbe)
-        .hybrid(HybridConfig::hse06())
-        .build()
-        .unwrap();
-    let o = ScfOptions {
-        rho_tol: 1e-6,
-        max_phi_updates: 2,
-        ..Default::default()
-    };
-    let gs = scf_loop(&sys, o).unwrap();
+    let (sys, gs) = hse_25();
     let mut prop = PtCnPropagator::default();
     let mut st = TdState::new(gs.orbitals.clone());
     let stats = prop
-        .step(&sys, None, &mut st, attosecond_to_au(50.0))
+        .step(sys, None, &mut st, attosecond_to_au(50.0))
         .unwrap();
     assert_eq!(stats.h_applications, stats.scf_iterations + 1);
     assert!(stats.scf_iterations >= 1);

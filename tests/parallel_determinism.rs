@@ -58,7 +58,6 @@ fn hybrid_pipeline(threads: usize) -> (ScfResult, TimeSeries) {
         .dt(attosecond_to_au(25.0))
         .steps(3)
         .propagator(Box::new(PtCnPropagator::default()))
-        .standard_observers()
         .build()
         .expect("valid simulation")
         .run()
@@ -424,7 +423,6 @@ fn hybrid_distributed_run_via_builders_is_layout_invariant() {
             ))
             .dt(attosecond_to_au(25.0))
             .steps(2)
-            .standard_observers()
             .build()
             .expect("valid simulation");
         sim.run().expect("distributed propagation succeeds")
@@ -466,7 +464,6 @@ fn hybrid_ace_run_via_builders_is_layout_invariant() {
             ))
             .dt(attosecond_to_au(25.0))
             .steps(3)
-            .standard_observers()
             .build()
             .expect("valid simulation");
         sim.run().expect("ACE propagation succeeds")

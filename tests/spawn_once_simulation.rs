@@ -35,7 +35,6 @@ fn a_multi_step_distributed_run_spawns_one_rank_team() {
         ))
         .dt(attosecond_to_au(25.0))
         .steps(steps)
-        .standard_observers()
         .build()
         .expect("valid simulation");
 
