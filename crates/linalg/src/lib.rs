@@ -9,7 +9,8 @@
 //!   over the `pt-par` pool (standing in for CUBLAS on the V100s).
 //! * **tiny** `≤ 20×20` Anderson least-squares problems and `N_e × N_e`
 //!   subspace eigenproblems, handled by [`lstsq`] (regularized normal
-//!   equations) and [`eigh`] (cyclic complex Jacobi).
+//!   equations) and [`eigh`] (Householder tridiagonalization, then
+//!   implicit-shift QL: one O(n³) pass).
 
 mod eig;
 mod mat;

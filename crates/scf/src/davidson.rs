@@ -115,7 +115,8 @@ fn rayleigh_ritz(basis: &CMat, hbasis: &CMat, nb: usize) -> (Vec<f64>, CMat, CMa
 }
 
 /// Find the lowest `x.ncols()` eigenpairs of `h`; `x` holds the initial
-/// guess on entry and the eigenvectors on exit.
+/// guess on entry and the eigenvectors on exit. A non-finite Ritz value
+/// (a NaN or infinity in `h`) ends the solve with a NaN residual.
 pub fn lowest_eigenpairs(h: &Hamiltonian, x: &mut CMat, opts: DavidsonOptions) -> DavidsonResult {
     let ng = x.nrows();
     let nb = x.ncols();
@@ -129,7 +130,11 @@ pub fn lowest_eigenpairs(h: &Hamiltonian, x: &mut CMat, opts: DavidsonOptions) -
     let mut resid = f64::INFINITY;
     let mut iterations = 0;
 
+    let finite = |evals: &[f64]| evals.iter().all(|e| e.is_finite());
     for it in 0..opts.max_iter {
+        if !finite(&evals) {
+            break;
+        }
         iterations = it + 1;
         // residuals R = HX − Xλ, preconditioned expansion W
         let mut wblk = CMat::zeros(ng, nb);
@@ -177,6 +182,9 @@ pub fn lowest_eigenpairs(h: &Hamiltonian, x: &mut CMat, opts: DavidsonOptions) -
         let mut hw = CMat::zeros(ng, wkeep.ncols());
         h.apply_block(&wkeep, &mut hw);
         (evals, *x, hx) = rayleigh_ritz(&hstack(x, &wkeep), &hstack(&hx, &hw), nb);
+    }
+    if !finite(&evals) {
+        resid = f64::NAN;
     }
     DavidsonResult {
         eigenvalues: evals,
@@ -366,6 +374,26 @@ mod tests {
                 r.residual
             );
         }
+    }
+
+    /// One NaN in the local potential reaches every column of `H·X`: the
+    /// solve stops at its first Rayleigh–Ritz with a NaN residual instead
+    /// of reporting convergence or panicking.
+    #[test]
+    fn a_poisoned_hamiltonian_reports_a_non_finite_residual() {
+        let (mut h, mut x) = free_electron();
+        h.vloc_r[7] = f64::NAN;
+        let r = lowest_eigenpairs(
+            &h,
+            &mut x,
+            DavidsonOptions {
+                max_iter: 60,
+                tol: 1e-8,
+            },
+        );
+        assert!(r.residual.is_nan(), "residual {}", r.residual);
+        assert_eq!(r.iterations, 0);
+        assert!(r.eigenvalues.iter().all(|e| e.is_nan()));
     }
 
     /// Every kernel inside (local H, the exchange's general schedule, GEMM,

@@ -74,7 +74,8 @@ fn initial_orbitals(sys: &KsSystem) -> CMat {
 }
 
 /// Run the ground-state SCF for `sys`. A run that exhausts its iteration
-/// budget above `opts.rho_tol` returns [`PtError::NotConverged`].
+/// budget above `opts.rho_tol` returns [`PtError::NotConverged`], and so
+/// does one whose eigensolve turns non-finite, at that iteration.
 ///
 /// The whole loop runs under the system's configured thread pool
 /// ([`KsSystem::install`]), so every Davidson/FFT/GEMM/Fock kernel inside
@@ -167,6 +168,16 @@ fn scf_loop_inner(sys: &KsSystem, opts: ScfOptions) -> Result<ScfResult, PtError
                 sys.local_hamiltonian(&rho, [0.0; 3])?
             };
             let r = lowest_eigenpairs(&h, &mut orbitals, opts.davidson);
+            // a NaN or infinity in H poisons every later iteration: stop
+            // here instead of spending the rest of `max_scf`
+            if !r.residual.is_finite() {
+                return Err(PtError::NotConverged {
+                    context: "ground-state SCF",
+                    residual: r.residual,
+                    tol: opts.rho_tol,
+                    iterations: total_iters,
+                });
+            }
             eigenvalues.copy_from_slice(&r.eigenvalues);
             let rho_new = sys.density(&orbitals);
             rho_residual = density_residual(&rho_new, &rho, sys.grids.volume);
@@ -342,6 +353,36 @@ mod tests {
                 ),
                 "{davidson:?}"
             );
+        }
+    }
+
+    /// A NaN in the local pseudopotential used to run every Davidson
+    /// iteration on NaN (and panic in the eigensolver's sort); now the
+    /// first iteration reports it.
+    #[test]
+    fn a_non_finite_hamiltonian_stops_the_scf_at_its_first_iteration() {
+        let s = silicon_cubic_supercell(1, 1, 1);
+        let mut sys = pt_ham::KsSystem::builder(s)
+            .ecut(2.0)
+            .xc(XcKind::Lda)
+            .build()
+            .unwrap();
+        sys.vps_loc_r[0] = f64::NAN;
+        match scf_loop(&sys, ScfOptions::default()) {
+            Err(PtError::NotConverged {
+                context,
+                residual,
+                iterations,
+                ..
+            }) => {
+                assert_eq!(context, "ground-state SCF");
+                assert!(residual.is_nan());
+                assert_eq!(iterations, 1);
+            }
+            other => panic!(
+                "expected NotConverged, got {:?}",
+                other.map(|r| r.rho_residual)
+            ),
         }
     }
 
