@@ -302,13 +302,18 @@ fn read_propagator(
                 )))
             }
         };
-        Ok(PtCnOptions {
+        let opts = PtCnOptions {
             rho_tol,
             max_scf,
             anderson_depth,
             beta,
             strict,
-        })
+        };
+        // the checks the first step makes: options that can never step are
+        // a defect of this file, so `resume_latest` falls back past it
+        opts.validate()
+            .map_err(|e| schema(format!("'prop/ptcn_f'/'prop/ptcn_u' can never step: {e}")))?;
+        Ok(opts)
     };
     // Section absent in pre-ACE snapshots; `f.has` gating keeps the old
     // format readable (absent → no projector).

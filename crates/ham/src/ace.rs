@@ -121,16 +121,6 @@ impl AceOperator {
         });
     }
 
-    /// Exchange energy of orbitals under the compressed operator.
-    pub fn energy(&self, psi: &CMat, occ: &[f64]) -> f64 {
-        let mut v = CMat::zeros(psi.nrows(), psi.ncols());
-        self.apply_block(psi, &mut v);
-        pt_num::reduce::sum_f64(
-            (0..psi.ncols())
-                .map(|j| 0.5 * occ[j] * pt_num::complex::zdotc(psi.col(j), v.col(j)).re),
-        )
-    }
-
     /// Rank of the compression (N_φ).
     pub fn rank(&self) -> usize {
         self.xi.ncols()
@@ -177,7 +167,12 @@ mod tests {
         let ace = AceOperator::new(&grids, &fock, &phi).unwrap();
         let occ = vec![2.0; phi.ncols()];
         let e_exact = fock.energy(&grids, &phi, &occ);
-        let e_ace = ace.energy(&phi, &occ);
+        // E_x = ½ Σ_j f_j ⟨φ_j|V_ACE φ_j⟩
+        let mut v = CMat::zeros(phi.nrows(), phi.ncols());
+        ace.apply_block(&phi, &mut v);
+        let e_ace: f64 = (0..phi.ncols())
+            .map(|j| 0.5 * occ[j] * pt_num::complex::zdotc(phi.col(j), v.col(j)).re)
+            .sum();
         assert!(
             (e_exact - e_ace).abs() < 1e-9 * e_exact.abs(),
             "{e_exact} vs {e_ace}"

@@ -5,23 +5,23 @@
 //! N_e % N_p ≠ 0). The Fock exchange broadcasts one owner's orbital at a
 //! time (`MPI_Bcast`), so every rank holds all of Φ, and then
 //! distributes *pairs*, not bands (the (i, j) pair-block
-//! dealing of arXiv:2009.03555): applied to its own defining block — every
-//! PT-gauge call — the N(N+1)/2 canonical pairs are cut into the
-//! self-contained [`ExchangeTile`]s of [`crate::fock`], a shape-only deal
-//! gives each tile to one rank, and every partial a tile completes travels
-//! point-to-point to its band's owner, which folds them in ascending
-//! partner-chunk order. Each pair is solved once on any layout, N(N+1)/2P
-//! per rank; the pair terms, partials and fold are the in-process ones, so
-//! the gathered result has the in-process bits. Handed Φ ≠ Ψ, the ranks
-//! run the general N_φ × N_ψ/P schedule on their own ψ bands instead.
+//! dealing of arXiv:2009.03555). It is only ever applied to its own
+//! defining block — every PT-gauge call is V_X[Ψ]Ψ — so the N(N+1)/2
+//! canonical pairs are cut into the self-contained [`ExchangeTile`]s of
+//! [`crate::fock`], a shape-only deal gives each tile to one rank, and
+//! every partial a tile completes travels point-to-point to its band's
+//! owner, which folds them in ascending partner-chunk order. Each pair is
+//! solved once on any layout, N(N+1)/2P per rank; the pair terms, partials
+//! and fold are the in-process ones, so the gathered result has the
+//! in-process bits.
 //!
 //! Two volume laws, asserted against the byte counters of `pt-mpi` by the
 //! `tests/distributed_and_model.rs::alg2_volume_law_and_f32_wire`
 //! integration test and the unit tests below: the broadcasts move
-//! `(N_p − 1) × N_G × N_e × 16` bytes summed over receivers (§3.2), and a
-//! self-application's partials `(partials whose tile rank ≠ band owner) ×
-//! N_wfc × 16` point-to-point. Every message is `f64`, which is why the
-//! gathered result has the in-process bits on every layout.
+//! `(N_p − 1) × N_G × N_e × 16` bytes summed over receivers (§3.2), and
+//! the partials `(partials whose tile rank ≠ band owner) × N_wfc × 16`
+//! point-to-point; nothing else travels. Every message is `f64`, which is
+//! why the gathered result has the in-process bits on every layout.
 //!
 //! Both distributed hot paths thread their rank-local compute over the
 //! calling thread's current pool — on a [`pt_mpi::RankEngine`] that is
@@ -159,27 +159,26 @@ fn deal(dist: BandDistribution) -> Vec<(ExchangeTile, usize)> {
         .collect()
 }
 
-/// Distributed Fock exchange application (Alg. 2).
+/// Distributed Fock exchange self-application (Alg. 2): `V_X[Φ]Φ`.
 ///
 /// Φ is broadcast band-by-band *inside* this routine, so callers pass the
-/// **local** slice of Φ and receive `V_X ψ` for their local ψ bands
-/// (columns ↔ `dist.local_bands`).
+/// **local** slice of Φ and receive `V_X φ` for their local bands
+/// (columns ↔ `dist.local_bands`). `psi_local` must be `phi_local` bit for
+/// bit — the parallel-transport gauge makes every exchange application a
+/// self-application — and anything else is refused by a rank-local
+/// assertion before the first collective, never computed.
 ///
 /// The pair solves — a third of a hybrid step on the benchmark's Si-8,
 /// nearly all of it at the paper's size — run on the calling thread's
-/// current pool (the rank's pinned pool on a [`pt_mpi::RankEngine`]). Like
-/// [`FockOperator::apply_block`](crate::FockOperator::apply_block), this
-/// recognises a self-application by its bits: if every rank was handed
-/// local Φ and Ψ that are equal `to_bits` (one 1-value allreduce decides
-/// for all — bandless ranks hold two empty, trivially equal blocks), each
-/// rank solves its dealt tiles ([`BandDistribution::exchange_tiles`]),
+/// current pool (the rank's pinned pool on a [`pt_mpi::RankEngine`]).
+/// Each rank solves its dealt tiles ([`BandDistribution::exchange_tiles`]),
 /// sends every partial of a band it does not own to the band's owner and
 /// folds its own bands' partials in ascending partner-chunk order as they
-/// are made or arrive. Otherwise every rank runs the general schedule on
-/// its own ψ bands. Either way each partial is the in-process one — the
-/// same pair terms, oriented by global band index, in the same order, and
-/// every message is `f64` — so the output bits depend on neither the
-/// thread count nor the rank count, and equal the in-process apply's.
+/// are made or arrive. Each partial is the in-process one — the same pair
+/// terms, oriented by global band index, in the same order, and every
+/// message is `f64` — so the output bits depend on neither the thread
+/// count nor the rank count, and equal
+/// [`FockOperator::apply_block`](crate::FockOperator::apply_block)'s.
 pub fn distributed_fock_apply(
     comm: &mut Comm,
     grids: &PwGrids,
@@ -189,23 +188,23 @@ pub fn distributed_fock_apply(
     alpha: f64,
     kernel: &crate::fock::ScreenedKernel,
 ) -> CMat {
+    assert_eq!(
+        comm.size(),
+        dist.n_ranks,
+        "communicator vs distribution size"
+    );
     let nb_local = dist.n_local(comm.rank());
     assert_eq!(phi_local.nrows(), grids.ng());
     assert_eq!(phi_local.ncols(), nb_local);
-    assert_eq!(psi_local.ncols(), nb_local);
-    // every rank must take the same branch: count the ranks handed Φ ≠ Ψ
-    let mut general = [f64::from(u8::from(!same_bits(phi_local, psi_local)))];
-    comm.allreduce_sum_f64(&mut general);
+    assert!(
+        same_bits(phi_local, psi_local),
+        "distributed_fock_apply is the self-application V_X[Φ]Φ: psi_local must be phi_local bit for bit"
+    );
     let phi_real = broadcast_phi(comm, grids, dist, phi_local);
     let term = PairTerm::new(grids, kernel, alpha);
+    let accs = fold_dealt_tiles(comm, dist, term, &phi_real, grids.n_wfc());
     let mut out = CMat::zeros(grids.ng(), nb_local);
-    if general[0] == 0.0 {
-        let accs = fold_dealt_tiles(comm, dist, term, &phi_real, grids.n_wfc());
-        gather_onto(grids, &accs, &mut out);
-    } else {
-        let my_bands = dist.local_bands(comm.rank());
-        term.apply_general(&phi_real, psi_local, &my_bands, &mut out);
-    }
+    gather_onto(grids, &accs, &mut out);
     out
 }
 
@@ -623,13 +622,21 @@ mod tests {
         layout: RankLayout,
         grids: &PwGrids,
         phi: &CMat,
-        psi: &CMat,
         kernel: &ScreenedKernel,
     ) -> (CMat, pt_mpi::StatsSnapshot) {
-        gathered(layout, grids.ng(), psi.ncols(), |comm, dist| {
-            let take = |m: &CMat| dist.take_local(comm.rank(), m);
-            distributed_fock_apply(comm, grids, dist, &take(phi), &take(psi), 0.25, kernel)
+        gathered(layout, grids.ng(), phi.ncols(), |comm, dist| {
+            let local = dist.take_local(comm.rank(), phi);
+            distributed_fock_apply(comm, grids, dist, &local, &local, 0.25, kernel)
         })
+    }
+
+    /// The text of a re-raised rank panic.
+    fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
+        payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default()
     }
 
     /// Partials of a self-application that cross ranks: made by a tile of
@@ -665,43 +672,96 @@ mod tests {
         ];
         for (nb, layouts) in cases {
             let phi = rand_block(ng, nb, 3);
-            let psi = rand_block(ng, nb, 4);
             let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
-            for (what, psi) in [("Φ ≠ Ψ", &psi), ("Φ = Ψ", &phi)] {
-                let self_application = std::ptr::eq(psi, &phi);
-                let (want, general) = pt_par::ThreadPool::new(1).install(|| {
-                    let mut want = CMat::zeros(ng, nb);
-                    fock.apply_block(&grids, psi, &mut want);
-                    let mut general = CMat::zeros(ng, nb);
-                    fock.apply_general(&grids, psi, &mut general);
-                    (want, general)
-                });
-                assert_same_bits(&want, &general, &format!("nb={nb} {what}: general"));
-                for &(ranks, threads) in layouts {
-                    let layout = RankLayout::new(ranks, threads);
-                    let (got, stats) = gathered_fock(layout, &grids, &phi, psi, &kernel);
-                    let at = format!("nb={nb} {what} {ranks}x{threads}");
-                    assert_same_bits(&want, &got, &at);
-                    // §3.2 volume: receivers = (N_p−1) per bcast, N_e
-                    // bcasts of N_G c64, plus one agreement value per rank
-                    let np = ranks as u64;
-                    assert_eq!(stats.bcast_bytes, (np - 1) * (nb * ng) as u64 * 16, "{at}");
-                    assert_eq!(stats.bcast_calls, np * nb as u64, "{at}");
-                    assert_eq!(stats.allreduce_calls, np, "{at}");
-                    // the partial law: only a self-application sends them
-                    let dist = BandDistribution {
-                        n_bands: nb,
-                        n_ranks: ranks,
-                    };
-                    let partials = if self_application {
-                        remote_partials(dist)
-                    } else {
-                        0
-                    };
-                    assert_eq!(stats.p2p_bytes, partials * nw * 16, "{at}");
-                }
+            let want = pt_par::ThreadPool::new(1).install(|| {
+                let mut want = CMat::zeros(ng, nb);
+                fock.apply_block(&grids, &phi, &mut want);
+                want
+            });
+            for &(ranks, threads) in layouts {
+                let layout = RankLayout::new(ranks, threads);
+                let (got, stats) = gathered_fock(layout, &grids, &phi, &kernel);
+                let at = format!("nb={nb} {ranks}x{threads}");
+                assert_same_bits(&want, &got, &at);
+                // §3.2 volume: receivers = (N_p−1) per bcast, N_e bcasts
+                // of N_G c64, and no collective besides them
+                let np = ranks as u64;
+                assert_eq!(stats.bcast_bytes, (np - 1) * (nb * ng) as u64 * 16, "{at}");
+                assert_eq!(stats.bcast_calls, np * nb as u64, "{at}");
+                assert_eq!(stats.allreduce_calls, 0, "{at}");
+                // the partial law: every partial whose tile and band live
+                // on different ranks, N_wfc values each
+                let dist = BandDistribution {
+                    n_bands: nb,
+                    n_ranks: ranks,
+                };
+                assert_eq!(stats.p2p_bytes, remote_partials(dist) * nw * 16, "{at}");
             }
         }
+    }
+
+    /// `distributed_fock_apply` of the 4-band `psi` against `phi` under
+    /// `dist` on a 2-rank engine must be refused: the engine re-raises the
+    /// refusal and its next job is refused with the same cause. Returns it.
+    fn refusal_on_two_ranks(dist: BandDistribution, phi: &CMat, psi: &CMat) -> String {
+        let s = silicon_cubic_supercell(1, 1, 1);
+        let grids = PwGrids::new(&s, 2.0);
+        let kernel = ScreenedKernel::new(&grids, 0.11);
+        let mut engine = RankEngine::new(RankLayout::new(2, 1), Wire::F64);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run(|comm| {
+                let take = |m: &CMat| dist.take_local(comm.rank(), m);
+                distributed_fock_apply(comm, &grids, dist, &take(phi), &take(psi), 0.25, &kernel)
+            })
+        }))
+        .expect_err("a refused call must not be computed");
+        let refusal = payload_text(raised.as_ref());
+        assert_eq!(
+            engine.run(|_| ()).expect_err("the engine is down").cause,
+            refusal
+        );
+        refusal
+    }
+
+    #[test]
+    fn a_psi_that_is_not_phi_is_refused_never_computed() {
+        // one flipped bit in a band rank 1 owns: rank 1 refuses before any
+        // collective and rank 0 unwinds out of the broadcast it entered
+        let phi = rand_block(
+            PwGrids::new(&silicon_cubic_supercell(1, 1, 1), 2.0).ng(),
+            4,
+            3,
+        );
+        let mut psi = phi.clone();
+        let z = &mut psi.col_mut(1)[5];
+        z.re = f64::from_bits(z.re.to_bits() ^ 1);
+        let dist = BandDistribution {
+            n_bands: 4,
+            n_ranks: 2,
+        };
+        let refusal = refusal_on_two_ranks(dist, &phi, &psi);
+        assert!(refusal.contains("self-application"), "{refusal}");
+    }
+
+    #[test]
+    fn a_distribution_wider_than_the_world_is_refused_at_entry() {
+        let phi = rand_block(
+            PwGrids::new(&silicon_cubic_supercell(1, 1, 1), 2.0).ng(),
+            4,
+            3,
+        );
+        let dist = BandDistribution {
+            n_bands: 4,
+            n_ranks: 3,
+        };
+        let refusal = refusal_on_two_ranks(dist, &phi, &phi);
+        // both sizes are named: the world's and the distribution's
+        assert!(
+            refusal.contains("communicator vs distribution size")
+                && refusal.contains("left: 2")
+                && refusal.contains("right: 3"),
+            "{refusal}"
+        );
     }
 
     #[test]
@@ -752,16 +812,16 @@ mod tests {
             }
         }
         // fewer bands than ranks: ranks that own no band — and, for 1 band,
-        // no tile — still join the agreement, every broadcast and the sends
+        // no tile — still join every broadcast and the sends
         for (n, np) in [(1usize, 3usize), (2, 5)] {
             let phi = rand_block(grids.ng(), n, 11);
             let fock = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
             let mut want = CMat::zeros(grids.ng(), n);
             fock.apply_block(&grids, &phi, &mut want);
             let layout = RankLayout::new(np, 1);
-            let (got, stats) = gathered_fock(layout, &grids, &phi, &phi, &kernel);
+            let (got, stats) = gathered_fock(layout, &grids, &phi, &kernel);
             assert_same_bits(&want, &got, &format!("n={n} np={np}"));
-            assert_eq!(stats.allreduce_calls, np as u64);
+            assert_eq!(stats.allreduce_calls, 0);
             assert_eq!(stats.bcast_calls, (np * n) as u64);
         }
     }

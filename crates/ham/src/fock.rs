@@ -38,12 +38,12 @@
 //!   chunk per pool task (the paper's batched-CUFFT stage, §3.2), each
 //!   band's running partial in the thread's scratch, flushed onto its
 //!   accumulator at every chunk boundary. [`FockOperator::apply_block`]
-//!   runs it for a ψ that is not the defining block (Davidson's trial
-//!   blocks), [`crate::distributed_fock_apply`] when its ranks were handed
-//!   Φ ≠ Ψ.
+//!   runs it, in process only, for a ψ that is not the defining block
+//!   (Davidson's trial blocks).
 //! * **Self-application, by tiles**: when `apply_block` is handed the very
 //!   block the operator was built from — every PT-gauge call (the PT-CN
-//!   `HΨ`, the ACE build `W = V_X Φ`, the exchange energy) —
+//!   `HΨ`, the ACE build `W = V_X Φ`, the exchange energy), and the only
+//!   application [`crate::distributed_fock_apply`] makes on ranks —
 //!   `S(φ_a, φ_b)` serves pair (a, b) *and* pair (b, a), so only the
 //!   N(N+1)/2 canonical pairs `a ≤ b` are solved, each folded onto band
 //!   `b` as its partner `a` and, conjugated, onto band `a` as its partner
@@ -334,22 +334,15 @@ impl<'a> PairTerm<'a> {
     }
 
     /// The general schedule of Alg. 2's pair loop: `out[:, j] += V_X ψ_j`
-    /// for the ψ columns (column `j` is global band `psi_index[j]`) against
-    /// every partner of the real-space Φ `phi_real` (band after band). The
-    /// ψ bands are cut into shape-only chunks, one pool task each; a band
-    /// folds each partner chunk into a running partial in the thread's
-    /// scratch and flushes it onto its accumulator at the chunk boundary,
-    /// so `V_X ψ_j` depends on neither the thread count nor the rank count.
-    pub(crate) fn apply_general(
-        self,
-        phi_real: &[c64],
-        psi: &CMat,
-        psi_index: &[usize],
-        out: &mut CMat,
-    ) {
+    /// for the ψ columns (column `j` is band `j`) against every partner of
+    /// the real-space Φ `phi_real` (band after band). The ψ bands are cut
+    /// into shape-only chunks, one pool task each; a band folds each
+    /// partner chunk into a running partial in the thread's scratch and
+    /// flushes it onto its accumulator at the chunk boundary, so `V_X ψ_j`
+    /// does not depend on the thread count.
+    fn apply_general(self, phi_real: &[c64], psi: &CMat, out: &mut CMat) {
         let (grids, nw) = (self.grids, self.grids.n_wfc());
         assert_eq!(psi.nrows(), grids.ng());
-        assert_eq!(psi_index.len(), psi.ncols());
         let n_phi = phi_real.len() / nw;
         let n_psi = psi.ncols();
         pt_trace::counter_add(pt_trace::Counter::PairFfts, (n_phi * n_psi) as u64);
@@ -364,7 +357,7 @@ impl<'a> PairTerm<'a> {
                 let (pair, partial) = work.split_at_mut(nw);
                 for (dj, acc) in accs.chunks_exact_mut(nw).enumerate() {
                     let j = c * band_chunk + dj;
-                    let psi_j = (psi_index[j], &psi_real[j * nw..(j + 1) * nw]);
+                    let psi_j = (j, &psi_real[j * nw..(j + 1) * nw]);
                     for chunk in 0..chunks.count() {
                         let partners = chunks.bands(chunk);
                         for k in partners.clone() {
@@ -514,21 +507,12 @@ impl FockOperator {
         self.phi.ncols()
     }
 
-    /// Apply to one orbital: `out += (V_X ψ)` in sphere coefficients —
-    /// [`FockOperator::apply_block`] on a one-column block.
-    pub fn apply(&self, grids: &PwGrids, psi: &[c64], out: &mut [c64]) {
-        let psi = CMat::from_vec(psi.len(), 1, psi.to_vec());
-        let mut col = CMat::from_vec(out.len(), 1, out.to_vec());
-        self.apply_block(grids, &psi, &mut col);
-        out.copy_from_slice(col.col(0));
-    }
-
     /// Apply to a block: `out[:, j] += V_X ψ_j`, column `j` taken as
-    /// global band `j`. If `psi` is bit for bit the defining block, the
+    /// band `j`. If `psi` is bit for bit the defining block, the
     /// N(N+1)/2 canonical pairs are solved; otherwise all N_φ × N_ψ. The
-    /// two schedules give identical bits (module docs), equal to the
-    /// gathered result of [`crate::distributed_fock_apply`] on any
-    /// ranks × threads layout.
+    /// two schedules give identical bits (module docs); the
+    /// self-application's equal the gathered result of
+    /// [`crate::distributed_fock_apply`] on any ranks × threads layout.
     pub fn apply_block(&self, grids: &PwGrids, psi: &CMat, out: &mut CMat) {
         assert_eq!(out.nrows(), psi.nrows());
         assert_eq!(out.ncols(), psi.ncols());
@@ -548,12 +532,9 @@ impl FockOperator {
         PairTerm::new(grids, &self.kernel, self.alpha)
     }
 
-    /// The `N_p = 1` case of Alg. 2 without a `Comm`: the general schedule
-    /// over all of Φ.
-    pub(crate) fn apply_general(&self, grids: &PwGrids, psi: &CMat, out: &mut CMat) {
-        let psi_index: Vec<usize> = (0..psi.ncols()).collect();
-        self.term(grids)
-            .apply_general(&self.phi_real, psi, &psi_index, out);
+    /// The general schedule over all of Φ.
+    fn apply_general(&self, grids: &PwGrids, psi: &CMat, out: &mut CMat) {
+        self.term(grids).apply_general(&self.phi_real, psi, out);
     }
 
     /// `out[:, j] += V_X φ_j` from the canonical pairs `a ≤ b` alone: every
@@ -626,15 +607,15 @@ mod tests {
         let f = FockOperator::new(&g, &phi, 0.25, kern, FockMode::Batched);
         let a = rand_block(g.ng(), 1, 44);
         let b = rand_block(g.ng(), 1, 55);
-        let mut va = vec![c64::ZERO; g.ng()];
-        let mut vb = vec![c64::ZERO; g.ng()];
-        f.apply(&g, a.col(0), &mut va);
-        f.apply(&g, b.col(0), &mut vb);
-        let lhs = pt_num::complex::zdotc(a.col(0), &vb);
-        let rhs = pt_num::complex::zdotc(&va, b.col(0));
+        let mut va = CMat::zeros(g.ng(), 1);
+        let mut vb = CMat::zeros(g.ng(), 1);
+        f.apply_block(&g, &a, &mut va);
+        f.apply_block(&g, &b, &mut vb);
+        let lhs = pt_num::complex::zdotc(a.col(0), vb.col(0));
+        let rhs = pt_num::complex::zdotc(va.col(0), b.col(0));
         assert!((lhs - rhs).abs() < 1e-10, "hermiticity: {lhs:?} vs {rhs:?}");
         // negative semidefinite: ⟨ψ|V_X ψ⟩ ≤ 0 (K > 0, α > 0)
-        let diag = pt_num::complex::zdotc(a.col(0), &va).re;
+        let diag = pt_num::complex::zdotc(a.col(0), va.col(0)).re;
         assert!(diag <= 1e-12, "⟨ψ|V_X ψ⟩ = {diag} must be ≤ 0");
     }
 
@@ -687,8 +668,9 @@ mod tests {
         let omega = 0.3;
         let kern = ScreenedKernel::new(&g, omega);
         let f = FockOperator::new(&g, &phi, 0.25, kern, FockMode::Batched);
-        let mut out = vec![c64::ZERO; g.ng()];
-        f.apply(&g, phi.col(0), &mut out);
+        let mut out = CMat::zeros(g.ng(), 1);
+        f.apply_block(&g, &phi, &mut out);
+        let out = out.col(0);
         let want = -0.25 * std::f64::consts::PI / (omega * omega) / g.volume;
         assert!(
             (out[0].re - want).abs() < 1e-10 * want.abs(),

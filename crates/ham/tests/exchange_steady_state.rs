@@ -6,8 +6,8 @@
 //! N + N(N+1) + N transforms (Φ → grid, forward + inverse per pair,
 //! accumulators → sphere). Applied to any other block — one flipped bit is
 //! enough — it runs the general N_φ × N_ψ schedule, pinned the same way.
-//! On ranks, a self-application solves each canonical pair once summed
-//! over the ranks, and Φ ≠ Ψ keeps N_φ × N_ψ.
+//! On ranks, the self-application solves each canonical pair once summed
+//! over the ranks.
 //!
 //! One `#[test]` in a binary of its own, like `local_h_steady_state.rs`:
 //! the allocation count is per thread but `pt_trace`'s counters are
@@ -44,9 +44,9 @@ fn warm_exchange_applications_run_a_fixed_count_of_solves_and_allocations() {
     /// accumulators + the buffer of tile partials. Plus this test's output
     /// block.
     const SELF_ALLOCATIONS: u64 = KERNEL_CLONE + 2 + 3 + 1;
-    /// Operator as above; general application: ψ indices + real-space ψ +
-    /// accumulators (the output block is reused).
-    const GENERAL_ALLOCATIONS: u64 = KERNEL_CLONE + 2 + 3;
+    /// Operator as above; general application: real-space ψ + accumulators
+    /// (the output block is reused).
+    const GENERAL_ALLOCATIONS: u64 = KERNEL_CLONE + 2 + 2;
     pt_trace::set_enabled(true);
     let s = silicon_cubic_supercell(1, 1, 1);
     let g = PwGrids::new(&s, 2.0);
@@ -95,40 +95,23 @@ fn warm_exchange_applications_run_a_fixed_count_of_solves_and_allocations() {
         }
     });
 
-    // on ranks: a self-application solves each canonical pair once,
-    // whatever the rank count; Φ ≠ Ψ keeps N_φ × N_ψ
+    // on ranks: the self-application solves each canonical pair once,
+    // whatever the rank count
     let n = 6;
     let phi = CMat::rand_normalized(g.ng(), n, 5);
-    let psi = CMat::rand_normalized(g.ng(), n, 6);
     for ranks in [1usize, 2, 3] {
         let dist = BandDistribution {
             n_bands: n,
             n_ranks: ranks,
         };
-        let solves_against = |psi: &CMat| {
-            let (_, solves, _) = cost_of(|| {
-                RankEngine::new(RankLayout::new(ranks, 1), Wire::F64)
-                    .run(|comm| {
-                        let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                        distributed_fock_apply(
-                            comm,
-                            &g,
-                            dist,
-                            &take(&phi),
-                            &take(psi),
-                            0.25,
-                            &kernel,
-                        )
-                    })
-                    .expect("fresh engine");
-            });
-            solves
-        };
-        assert_eq!(
-            solves_against(&phi),
-            (n * (n + 1) / 2) as u64,
-            "{ranks} ranks, Φ = Ψ"
-        );
-        assert_eq!(solves_against(&psi), (n * n) as u64, "{ranks} ranks, Φ ≠ Ψ");
+        let (_, solves, _) = cost_of(|| {
+            RankEngine::new(RankLayout::new(ranks, 1), Wire::F64)
+                .run(|comm| {
+                    let local = dist.take_local(comm.rank(), &phi);
+                    distributed_fock_apply(comm, &g, dist, &local, &local, 0.25, &kernel)
+                })
+                .expect("fresh engine");
+        });
+        assert_eq!(solves, (n * (n + 1) / 2) as u64, "{ranks} ranks");
     }
 }

@@ -734,6 +734,53 @@ fn malformed_snapshots_never_panic() {
             "laser = {bad:?}"
         );
     }
+    // ...and so are PT-CN options the first step would refuse: a NaN
+    // tolerance, a mixer that mixes nothing in, no fixed-point iteration
+    let options = |f: [f64; 2], u: [u64; 3]| {
+        move |s: &mut BTreeMap<String, Section>| {
+            s.insert("prop/ptcn_f".into(), Section::F64s(f.to_vec()));
+            s.insert("prop/ptcn_u".into(), Section::U64s(u.to_vec()));
+        }
+    };
+    let defaults = PtCnOptions::default();
+    let (f_ok, u_ok) = (
+        [defaults.rho_tol, defaults.beta],
+        [defaults.max_scf as u64, defaults.anderson_depth as u64, 0],
+    );
+    recraft(&ckpt, &crafted, options(f_ok, u_ok));
+    assert!(Simulation::resume(&sys, &crafted).is_ok());
+    let never_step = [
+        ([f64::NAN, f_ok[1]], u_ok),
+        ([f_ok[0], 0.0], u_ok),
+        (f_ok, [0, u_ok[1], 0]),
+    ];
+    for (f, u) in never_step {
+        recraft(&ckpt, &crafted, options(f, u));
+        assert!(
+            matches!(
+                Simulation::resume(&sys, &crafted),
+                Err(PtError::SnapshotFormat { .. })
+            ),
+            "prop/ptcn_f = {f:?}, prop/ptcn_u = {u:?}"
+        );
+    }
+    // the newest snapshot of a directory carrying such options is skipped
+    // for the older valid one, not resumed into a first-step failure
+    let fallback = dir.join("fallback");
+    std::fs::create_dir_all(&fallback).unwrap();
+    std::fs::copy(&ckpt, checkpoint_path(&fallback, 1)).unwrap();
+    recraft(&ckpt, &checkpoint_path(&fallback, 2), |s| {
+        options(never_step[1].0, never_step[1].1)(s);
+        s.insert("time".into(), Section::F64s(vec![t + dt, dt]));
+    });
+    let resumed = Simulation::resume_latest(&sys, &fallback)
+        .unwrap()
+        .expect("the older valid snapshot");
+    assert_eq!(
+        resumed.state().t.to_bits(),
+        t.to_bits(),
+        "resumed the newest"
+    );
     std::fs::remove_file(&crafted).unwrap();
 
     // truncations at every interesting depth

@@ -10,19 +10,19 @@ use pwdft_rt::mpi::{Comm, RankEngine, Wire};
 use pwdft_rt::num::c64;
 use pwdft_rt::par::RankLayout;
 
-/// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly; a
+/// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly; the
 /// self-application adds its partials, N_wfc values each for every partial
-/// whose tile and band live on different ranks; and the `f64` wire leaves
-/// the result bit-equal to the in-process apply. (The paper's f32 wire,
-/// §3.2 optimization 4, which would halve both volumes, is modelled in
-/// `pt-perf`, not run: it would make the bits depend on the layout.)
+/// whose tile and band live on different ranks, and nothing else travels;
+/// and the `f64` wire leaves the result bit-equal to the in-process apply.
+/// (The paper's f32 wire, §3.2 optimization 4, which would halve both
+/// volumes, is modelled in `pt-perf`, not run: it would make the bits
+/// depend on the layout.)
 #[test]
 fn alg2_volume_law_and_f32_wire() {
     let s = silicon_cubic_supercell(1, 1, 1);
     let grids = PwGrids::new(&s, 2.0);
     let (ng, nw, nb, np) = (grids.ng(), grids.n_wfc(), 6, 3);
     let phi = CMat::rand_normalized(ng, nb, 3);
-    let psi = CMat::rand_normalized(ng, nb, 4);
     let kernel = ScreenedKernel::new(&grids, 0.11);
     let f = FockOperator::new(&grids, &phi, 0.25, kernel.clone(), FockMode::Batched);
     let dist = BandDistribution {
@@ -40,34 +40,30 @@ fn alg2_volume_law_and_f32_wire() {
         }
     }
     assert!(remote > 0);
-    for (psi, partials) in [(&psi, 0), (&phi, remote)] {
-        let reference = {
-            let mut out = CMat::zeros(ng, nb);
-            f.apply_block(&grids, psi, &mut out);
-            out
-        };
-        let (g, ph, ps, k) = (&grids, &phi, psi, &kernel);
-        let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), Wire::F64)
-            .run(move |comm| {
-                let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                distributed_fock_apply(comm, g, dist, &take(ph), &take(ps), 0.25, k)
-            })
-            .expect("fresh engine");
-        assert_eq!(
-            stats.bcast_bytes,
-            (np as u64 - 1) * nb as u64 * ng as u64 * 16
-        );
-        assert_eq!(stats.p2p_bytes, partials * nw as u64 * 16);
-        let mut err = 0.0f64;
-        for (rank, out) in outs.iter().enumerate() {
-            for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
-                for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
-                    err = err.max((*x - *y).abs());
-                }
+    let mut reference = CMat::zeros(ng, nb);
+    f.apply_block(&grids, &phi, &mut reference);
+    let (g, ph, k) = (&grids, &phi, &kernel);
+    let (outs, stats) = RankEngine::new(RankLayout::new(np, 1), Wire::F64)
+        .run(move |comm| {
+            let local = dist.take_local(comm.rank(), ph);
+            distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k)
+        })
+        .expect("fresh engine");
+    assert_eq!(
+        stats.bcast_bytes,
+        (np as u64 - 1) * nb as u64 * ng as u64 * 16
+    );
+    assert_eq!(stats.p2p_bytes, remote * nw as u64 * 16);
+    assert_eq!(stats.total_bytes(), stats.bcast_bytes + stats.p2p_bytes);
+    let mut err = 0.0f64;
+    for (rank, out) in outs.iter().enumerate() {
+        for (lj, &b) in dist.local_bands(rank).iter().enumerate() {
+            for (x, y) in out.col(lj).iter().zip(reference.col(b)) {
+                err = err.max((*x - *y).abs());
             }
         }
-        assert!(err == 0.0, "f64 wire must be exact: {err:.2e}");
     }
+    assert!(err == 0.0, "f64 wire must be exact: {err:.2e}");
 }
 
 /// Headline claims of the abstract, regenerated by the model: 1.5 h/fs at

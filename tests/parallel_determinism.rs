@@ -172,7 +172,7 @@ fn assert_cmat_bits_eq(name: &str, a: &CMat, b: &CMat) {
 }
 
 /// The ranks × threads grid, driven through the persistent
-/// [`RankEngine`]: both the distributed Fock application (Alg. 2) and the
+/// [`RankEngine`]: both the distributed Fock self-application (Alg. 2) and the
 /// distributed residual (Alg. 3) must produce the *same bits* on every
 /// layout in {1,2,3,4} ranks × {1,4} threads-per-rank. The residual's
 /// overlap sums are re-associated over the fixed `OVERLAP_CHUNK_ROWS`
@@ -184,7 +184,6 @@ fn distributed_fock_and_residual_over_the_ranks_threads_grid() {
     let ng = sys_grids.ng();
     let nb = 6;
     let phi = CMat::rand_normalized(ng, nb, 51);
-    let psi = CMat::rand_normalized(ng, nb, 52);
     let hpsi = CMat::rand_normalized(ng, nb, 53);
     let half = CMat::rand_normalized(ng, nb, 54);
     let kernel = ScreenedKernel::new(&sys_grids, 0.11);
@@ -196,25 +195,18 @@ fn distributed_fock_and_residual_over_the_ranks_threads_grid() {
             n_ranks: ranks,
         };
         let (g, k) = (&sys_grids, &kernel);
-        let (p_, ps_, h_, f_) = (&phi, &psi, &hpsi, &half);
+        let (p_, h_, f_) = (&phi, &hpsi, &half);
         let mut engine = RankEngine::new(RankLayout::new(ranks, threads), Wire::F64);
         let (blocks, _) = engine
             .run(move |comm| {
                 let rank = comm.rank();
-                let fock = distributed_fock_apply(
-                    comm,
-                    g,
-                    dist,
-                    &dist.take_local(rank, p_),
-                    &dist.take_local(rank, ps_),
-                    0.25,
-                    k,
-                );
+                let local = dist.take_local(rank, p_);
+                let fock = distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k);
                 let resid = distributed_residual(
                     comm,
                     dist,
                     ng,
-                    &dist.take_local(rank, p_),
+                    &local,
                     &dist.take_local(rank, h_),
                     &dist.take_local(rank, f_),
                     dt,
@@ -366,28 +358,20 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
     for step in 0..4u64 {
         // fresh step-dependent inputs, as a propagation would produce
         let phi = CMat::rand_normalized(ng, nb, 100 + step);
-        let psi = CMat::rand_normalized(ng, nb, 200 + step);
         let hpsi = CMat::rand_normalized(ng, nb, 300 + step);
         let half = CMat::rand_normalized(ng, nb, 400 + step);
         let job = {
             let (g, k) = (&sys_grids, &kernel);
-            let (p_, ps_, h_, f_) = (&phi, &psi, &hpsi, &half);
+            let (p_, h_, f_) = (&phi, &hpsi, &half);
             move |comm: &mut pwdft_rt::mpi::Comm| {
                 let rank = comm.rank();
-                let fock = distributed_fock_apply(
-                    comm,
-                    g,
-                    dist,
-                    &dist.take_local(rank, p_),
-                    &dist.take_local(rank, ps_),
-                    0.25,
-                    k,
-                );
+                let local = dist.take_local(rank, p_);
+                let fock = distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k);
                 let resid = distributed_residual(
                     comm,
                     dist,
                     ng,
-                    &dist.take_local(rank, p_),
+                    &local,
                     &dist.take_local(rank, h_),
                     &dist.take_local(rank, f_),
                     dt,
