@@ -9,6 +9,13 @@
 //! The history lives for one fixed point: Alg. 1 starts every step's
 //! solve from an empty one, so a mixer is a local of the PT-CN step —
 //! never propagator state, never part of a snapshot.
+//!
+//! The mixer is preconditioned by a diagonal `P` over the plane waves:
+//! every residual is multiplied by `P` before it enters the history, so
+//! the least-squares fit and the update both see `P·f`. PT-CN passes the
+//! kinetic diagonal `P_G = 1 / (1 + i·(dt/2)·½|G + A|²)` (DESIGN.md,
+//! "PT-CN fixed point"), which takes the stiff high-|G| modes out of the
+//! per-band Anderson depth.
 
 use pt_linalg::{lstsq, CMat};
 use pt_num::c64;
@@ -18,18 +25,23 @@ pub struct BandAndersonMixer {
     depth: usize,
     beta: f64,
     n_bands: usize,
+    /// diagonal preconditioner, one entry per coefficient row
+    precond: Vec<c64>,
     /// history per band: iterates and residuals
     xs: Vec<Vec<Vec<c64>>>,
     fs: Vec<Vec<Vec<c64>>>,
 }
 
 impl BandAndersonMixer {
-    /// `depth` ≤ 20 in the paper; `beta` is the underlying relaxation.
-    pub fn new(n_bands: usize, depth: usize, beta: f64) -> Self {
+    /// `depth` ≤ 20 in the paper; `beta` is the underlying relaxation;
+    /// `precond` is the diagonal applied to every residual (one entry per
+    /// coefficient row).
+    pub fn new(n_bands: usize, depth: usize, beta: f64, precond: Vec<c64>) -> Self {
         BandAndersonMixer {
             depth,
             beta,
             n_bands,
+            precond,
             xs: vec![Vec::new(); n_bands],
             fs: vec![Vec::new(); n_bands],
         }
@@ -47,17 +59,25 @@ impl BandAndersonMixer {
     }
 
     /// One Anderson update: `x` current iterate (bands as columns), `f`
-    /// the fixed-point residual g(x) − x. Returns the next iterate.
+    /// the fixed-point residual g(x) − x. Returns the next iterate, mixed
+    /// on the preconditioned residual `P·f`.
     pub fn step(&mut self, x: &CMat, f: &CMat) -> CMat {
         assert_eq!(x.ncols(), self.n_bands);
         assert_eq!(f.ncols(), self.n_bands);
         let ng = x.nrows();
+        assert_eq!(self.precond.len(), ng);
         let mut out = CMat::zeros(ng, self.n_bands);
         for b in 0..self.n_bands {
             let hx = &mut self.xs[b];
             let hf = &mut self.fs[b];
             hx.push(x.col(b).to_vec());
-            hf.push(f.col(b).to_vec());
+            hf.push(
+                f.col(b)
+                    .iter()
+                    .zip(&self.precond)
+                    .map(|(v, p)| *p * *v)
+                    .collect(),
+            );
             if hx.len() > self.depth + 1 {
                 hx.remove(0);
                 hf.remove(0);
@@ -120,7 +140,7 @@ mod tests {
             }
             o
         };
-        let mut mixer = BandAndersonMixer::new(nb, 10, 0.5);
+        let mut mixer = BandAndersonMixer::new(nb, 10, 0.5, vec![c64::ONE; ng]);
         let mut x = CMat::zeros(ng, nb);
         let mut conv = None;
         for it in 0..60 {
@@ -149,9 +169,84 @@ mod tests {
         }
     }
 
+    /// Iterations the mixer needs on the PT-CN-shaped linear fixed point
+    /// `R(x) = (1 + i·c·(k + v))·x − b` per band, with `k` a ½|G|²-like
+    /// spectrum, `c·k_max ≫ 1` (the stiffness of dt/2 · ½|G|² at the
+    /// cut-off) and `v` a small potential-like term; `None` if it never
+    /// reaches 1e-10.
+    fn iterations_on_stiff_diagonal(
+        precond: Vec<c64>,
+        c: f64,
+        k: &[f64],
+        v: &[f64],
+    ) -> Option<usize> {
+        let (ng, nb) = (k.len(), 2);
+        let b = |i: usize, j: usize| c64::new(1.0 / (1.0 + i as f64), 0.1 * (j + 1) as f64);
+        let mut mixer = BandAndersonMixer::new(nb, 20, 1.0, precond);
+        let mut x = CMat::zeros(ng, nb);
+        for it in 0..200 {
+            let mut f = CMat::zeros(ng, nb);
+            for j in 0..nb {
+                for i in 0..ng {
+                    let a = c64::new(1.0, c * (k[i] + v[i]));
+                    f[(i, j)] = b(i, j) - a * x[(i, j)];
+                }
+            }
+            if f.norm_fro() < 1e-10 {
+                return Some(it);
+            }
+            x = mixer.step(&x, &f);
+        }
+        None
+    }
+
+    #[test]
+    fn the_kinetic_diagonal_at_least_halves_the_iterations_on_a_stiff_fixed_point() {
+        // 48 plane waves on shells k = ½|G|² up to 18 Ha, dt/2 = 0.5 a.u.:
+        // c·k_max = 9, the stiff end of the PT-CN map
+        let ng = 48;
+        let c = 0.5;
+        let k: Vec<f64> = (0..ng)
+            .map(|i| 0.5 * (0.4 * (i / 3) as f64).powi(2))
+            .collect();
+        let v: Vec<f64> = (0..ng).map(|i| 0.3 * (0.7 * i as f64).sin()).collect();
+        let kinetic: Vec<c64> = k.iter().map(|&kg| c64::new(1.0, c * kg).inv()).collect();
+        let plain = iterations_on_stiff_diagonal(vec![c64::ONE; ng], c, &k, &v);
+        let preconditioned = iterations_on_stiff_diagonal(kinetic, c, &k, &v);
+        // measured: 56 plain, 10 preconditioned
+        let plain = plain.expect("P = I converges too, only slower");
+        let preconditioned = preconditioned.expect("the preconditioned mixer converges");
+        assert!(2 * preconditioned <= plain, "{preconditioned} vs {plain}");
+    }
+
+    #[test]
+    fn the_history_holds_the_preconditioned_residual() {
+        let ng = 6;
+        let p: Vec<c64> = (0..ng)
+            .map(|i| c64::new(1.0, 0.7 * i as f64).inv())
+            .collect();
+        let mut f = CMat::zeros(ng, 2);
+        for j in 0..2 {
+            for i in 0..ng {
+                f[(i, j)] = c64::new(0.3 * i as f64 - 1.0, 0.2 * j as f64 + 0.1);
+            }
+        }
+        let mut mixer = BandAndersonMixer::new(2, 20, 1.0, p.clone());
+        let x = CMat::zeros(ng, 2);
+        let next = mixer.step(&x, &f);
+        for j in 0..2 {
+            for i in 0..ng {
+                let pf = p[i] * f[(i, j)];
+                assert_eq!(mixer.fs[j][0][i], pf);
+                // the first update is a relaxed step along P·f
+                assert_eq!(next[(i, j)], x[(i, j)] + pf);
+            }
+        }
+    }
+
     #[test]
     fn history_depth_is_bounded_at_20() {
-        let mut m = BandAndersonMixer::new(1, 20, 1.0);
+        let mut m = BandAndersonMixer::new(1, 20, 1.0, vec![c64::ONE; 4]);
         let x = CMat::zeros(4, 1);
         for i in 0..30 {
             let mut f = CMat::zeros(4, 1);

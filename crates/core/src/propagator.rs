@@ -399,27 +399,55 @@ pub(crate) trait StepKernels {
     ) -> Result<CMat, PtError>;
 }
 
+/// What one PT-CN solve borrows from an ACE refresh round. `Default` is a
+/// plain `Full` step: exact exchange everywhere, the fixed point seeded at
+/// Ψ_{n+1/2}, no raw iterate handed back.
+#[derive(Default)]
+pub(crate) struct AceRound<'a> {
+    /// Stands in for the exchange inside the fixed point.
+    pub(crate) ace: Option<&'a AceOperator>,
+    /// Used for the single t_n residual apply (defaults to `ace`). The
+    /// split matters on refresh rounds: the t_n apply sees the projector
+    /// built from Ψ_n — where ACE is *exact* — while the fixed point sees
+    /// the self-consistently refined one.
+    pub(crate) ace_n: Option<&'a AceOperator>,
+    /// Seeds the fixed point instead of Ψ_{n+1/2}: the converged solution
+    /// is unchanged (same equation, same Ψ_{n+1/2} in the residual), but a
+    /// seed already near the answer — a previous round's iterate —
+    /// converges in a couple of Anderson passes instead of a full solve.
+    pub(crate) warm_start: Option<&'a CMat>,
+    /// Receives the converged iterate ψ_f *before* re-orthonormalization:
+    /// `Full` builds its Fock operator from exactly that raw block, so a
+    /// refresh that wants to reproduce the `Full` fixed point must define
+    /// ξ from it (the committed, re-orthonormalized Ψ differs by the
+    /// O(orthonormality defect) the fixed point accrues, which would floor
+    /// the agreement).
+    pub(crate) raw_psi_out: Option<&'a mut CMat>,
+}
+
+/// The kinetic preconditioner of the PT-CN fixed point,
+/// `P_G = 1 / (1 + i·(dt/2)·½|G + A|²)`: the inverse of the residual map's
+/// kinetic part, which is what makes the map stiff (dt/2 · ½|G|² is 1–10 at
+/// the cut-off). Elementwise and rebuilt every step from `dt` and the field
+/// at t_{n+1}, so it carries no state and gives the same bits on every
+/// layout.
+fn kinetic_preconditioner(sys: &KsSystem, a: [f64; 3], dt: f64) -> Vec<c64> {
+    sys.grids
+        .kinetic_diag(a)
+        .into_iter()
+        .map(|k| c64::new(1.0, 0.5 * dt * k).inv())
+        .collect()
+}
+
 /// The PT-CN step body (Alg. 1), generic over the execution strategy.
-/// Everything outside the kernels (density, Anderson mixing,
-/// re-orthonormalization) runs replicated on the driver thread, so the
-/// step's output bits depend only on the kernels'.
+/// Everything outside the kernels (density, preconditioned Anderson
+/// mixing, re-orthonormalization) runs replicated on the driver thread,
+/// so the step's output bits depend only on the kernels'.
 ///
-/// `ace` stands in for the exchange inside the fixed point; `ace_n`
-/// (defaulting to `ace`) is used for the single t_n residual apply. The
-/// split matters on ACE refresh rounds: the t_n apply sees the projector
-/// built from Ψ_n — where ACE is *exact* — while the fixed point sees the
-/// self-consistently refined one. `warm_start`, when set, seeds the fixed
-/// point at the given block instead of Ψ_{n+1/2}: the converged solution
-/// is unchanged (same equation, same Ψ_{n+1/2} in the residual), but a
-/// seed already near the answer — a previous refresh round's iterate —
-/// converges in a couple of Anderson passes instead of a full solve.
-/// `raw_psi_out`, when set, receives the converged iterate ψ_f *before*
-/// re-orthonormalization: `Full` builds its Fock operator from exactly
-/// that raw block, so an ACE refresh that wants to reproduce the `Full`
-/// fixed point must define ξ from it (the committed, re-orthonormalized
-/// Ψ differs by the O(orthonormality defect) the fixed point accrues,
-/// which would floor the agreement).
-#[allow(clippy::too_many_arguments)]
+/// A non-finite density residual ends the fixed point at once: no further
+/// `HΨ`, no re-orthonormalization, `converged: false` with that residual.
+/// The state then holds the non-finite iterate, which the caller's record
+/// check refuses ([`PtError::Diverged`] in [`crate::Simulation::run`]).
 pub(crate) fn ptcn_step_with(
     opts: &PtCnOptions,
     sys: &KsSystem,
@@ -427,10 +455,7 @@ pub(crate) fn ptcn_step_with(
     state: &mut TdState,
     dt: f64,
     kernels: &mut dyn StepKernels,
-    ace: Option<&AceOperator>,
-    ace_n: Option<&AceOperator>,
-    warm_start: Option<&CMat>,
-    raw_psi_out: Option<&mut CMat>,
+    round: AceRound<'_>,
 ) -> Result<StepStats, PtError> {
     opts.validate()?;
     let mut stats = StepStats::default();
@@ -445,7 +470,7 @@ pub(crate) fn ptcn_step_with(
         &rho_n,
         &state.psi,
         a_field(laser, state.t),
-        ace_n.or(ace),
+        round.ace_n.or(round.ace),
     )?;
     stats.phases.h_apply += sp.finish_secs();
     stats.h_applications += 1;
@@ -458,32 +483,39 @@ pub(crate) fn ptcn_step_with(
     for (o, r) in psi_half.data_mut().iter_mut().zip(r_n.data()) {
         *o -= r.mul_i().scale(0.5 * dt);
     }
-    let mut psi_f = match warm_start {
+    let mut psi_f = match round.warm_start {
         Some(w) if w.nrows() == psi_half.nrows() && w.ncols() == psi_half.ncols() => w.clone(),
         _ => psi_half.clone(),
     };
 
-    // lines 3-10: fixed point via Anderson mixing. Each fixed point starts
-    // from an empty history, which is why nothing of the mixer outlives
-    // this call and a resumed trajectory agrees with an uninterrupted one
-    // bit for bit without it.
-    let mut mixer = BandAndersonMixer::new(state.psi.ncols(), opts.anderson_depth, opts.beta);
+    // lines 3-10: fixed point via preconditioned Anderson mixing. Each
+    // fixed point starts from an empty history, which is why nothing of
+    // the mixer outlives this call and a resumed trajectory agrees with an
+    // uninterrupted one bit for bit without it.
+    let t_next = state.t + dt;
+    let a_next = a_field(laser, t_next);
+    let mut mixer = BandAndersonMixer::new(
+        state.psi.ncols(),
+        opts.anderson_depth,
+        opts.beta,
+        kinetic_preconditioner(sys, a_next, dt),
+    );
     let sp = pt_trace::span("density");
     let mut rho_f = sys.density(&psi_f);
     stats.phases.density += sp.finish_secs();
-    let t_next = state.t + dt;
     for _ in 0..opts.max_scf {
         stats.scf_iterations += 1;
         pt_trace::counter_add(pt_trace::Counter::FixedPointIterations, 1);
         let sp = pt_trace::span("h_apply");
-        let hpsi_f = kernels.apply_h(sys, &rho_f, &psi_f, a_field(laser, t_next), ace)?;
+        let hpsi_f = kernels.apply_h(sys, &rho_f, &psi_f, a_next, round.ace)?;
         stats.phases.h_apply += sp.finish_secs();
         stats.h_applications += 1;
         // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2}
         let sp = pt_trace::span("residual");
         let mut resid = kernels.residual(&psi_f, &hpsi_f, &psi_half, dt)?;
         stats.phases.residual += sp.finish_secs();
-        // Anderson mixing on the fixed point Ψ = Ψ − R(Ψ): residual −R
+        // Anderson mixing on the fixed point Ψ = Ψ − R(Ψ): residual −R,
+        // which the mixer preconditions to P·(−R)
         for z in resid.data_mut().iter_mut() {
             *z = -*z;
         }
@@ -495,6 +527,10 @@ pub(crate) fn ptcn_step_with(
         stats.phases.density += sp.finish_secs();
         stats.rho_residual = density_residual(&rho_new, &rho_f, sys.grids.volume);
         rho_f = rho_new;
+        if !stats.rho_residual.is_finite() {
+            // no iterate past this one can be finite again
+            break;
+        }
         if stats.rho_residual < opts.rho_tol {
             stats.converged = true;
             break;
@@ -509,14 +545,17 @@ pub(crate) fn ptcn_step_with(
         });
     }
 
-    if let Some(out) = raw_psi_out {
+    if let Some(out) = round.raw_psi_out {
         *out = psi_f.clone();
     }
 
-    // line 11: re-orthogonalize (Cholesky + TRSM, §3.4)
-    let sp = pt_trace::span("ortho");
-    reorthonormalize(&mut psi_f);
-    stats.phases.ortho += sp.finish_secs();
+    // line 11: re-orthogonalize (Cholesky + TRSM, §3.4) — a non-finite
+    // iterate has no Cholesky factor, so it is handed back as it is
+    if stats.rho_residual.is_finite() {
+        let sp = pt_trace::span("ortho");
+        reorthonormalize(&mut psi_f);
+        stats.phases.ortho += sp.finish_secs();
+    }
 
     state.psi = psi_f;
     state.t = t_next;
@@ -601,18 +640,11 @@ pub(crate) fn ace_ptcn_step(
         let ace = ace_slot
             .as_mut()
             .expect("invariant: refresh_due is false only when the slot holds a valid projector");
-        let stats = ptcn_step_with(
-            opts,
-            sys,
-            laser,
-            state,
-            dt,
-            kernels,
-            Some(&ace.op),
-            None,
-            None,
-            None,
-        )?;
+        let round = AceRound {
+            ace: Some(&ace.op),
+            ..AceRound::default()
+        };
+        let stats = ptcn_step_with(opts, sys, laser, state, dt, kernels, round)?;
         ace.steps_since_refresh += 1;
         return Ok(stats);
     }
@@ -652,18 +684,13 @@ pub(crate) fn ace_ptcn_step(
         // instead of re-solving from Ψ_{n+1/2}
         let mut trial = state.clone();
         let mut raw = CMat::zeros(0, 0);
-        let stats = ptcn_step_with(
-            opts,
-            sys,
-            laser,
-            &mut trial,
-            dt,
-            kernels,
-            Some(&xi_f),
-            Some(&xi_n),
-            prev_raw.as_ref(),
-            Some(&mut raw),
-        )?;
+        let round = AceRound {
+            ace: Some(&xi_f),
+            ace_n: Some(&xi_n),
+            warm_start: prev_raw.as_ref(),
+            raw_psi_out: Some(&mut raw),
+        };
+        let stats = ptcn_step_with(opts, sys, laser, &mut trial, dt, kernels, round)?;
         total_phases.absorb(&stats.phases);
         total_scf += stats.scf_iterations;
         total_h += stats.h_applications;
@@ -673,11 +700,17 @@ pub(crate) fn ace_ptcn_step(
         if let Some(prev) = &prev_rho {
             drift = density_residual(&rho, prev, sys.grids.volume);
         }
+        // a non-finite round has no projector to refine: hand it back
+        // unconverged, as the fixed point does
+        let finite = stats.rho_residual.is_finite();
+        if !finite {
+            drift = stats.rho_residual;
+        }
         prev_rho = Some(rho);
         prev_raw = Some(raw);
         accepted = Some((trial, stats));
-        if drift < opts.rho_tol {
-            outer_converged = true;
+        if !finite || drift < opts.rho_tol {
+            outer_converged = finite;
             break;
         }
     }
@@ -782,7 +815,13 @@ impl Propagator for PtCnPropagator {
         let sp = pt_trace::span("ptcn_step");
         let mut stats = match sys.exchange_mode() {
             ExchangeMode::Full => ptcn_step_with(
-                &self.opts, sys, laser, state, dt, kernels, None, None, None, None,
+                &self.opts,
+                sys,
+                laser,
+                state,
+                dt,
+                kernels,
+                AceRound::default(),
             ),
             ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
                 &self.opts,
@@ -1190,6 +1229,25 @@ mod tests {
         let stats = lax.step(&sys, Some(&laser), &mut st, dt).unwrap();
         assert!(!stats.converged);
         assert!(stats.rho_residual > 0.0);
+    }
+
+    #[test]
+    fn an_ace_refresh_leaves_its_rounds_at_a_non_finite_iterate() {
+        // a step so large that Ψ_{n+1/2} overflows the density: the first
+        // round's fixed point ends at its NaN residual, and the refresh
+        // hands that back unconverged instead of building a projector from
+        // NaN orbitals
+        let sys = hybrid_sys(ExchangeMode::Ace {
+            refresh_interval: 1,
+        });
+        let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 11);
+        let mut st = TdState::new(psi);
+        let stats = PtCnPropagator::default()
+            .step(&sys, None, &mut st, 1e200)
+            .expect("a non-finite round is reported, not raised");
+        assert!(!stats.converged);
+        assert!(stats.rho_residual.is_nan());
+        assert_eq!(stats.scf_iterations, 1);
     }
 
     #[test]

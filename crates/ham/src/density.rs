@@ -53,7 +53,8 @@ pub fn integrate(grids: &PwGrids, rho: &[f64]) -> f64 {
 /// ground-state SCF, Φ-stationarity): `max_r |ρ_new(r) − ρ_old(r)| · Ω`,
 /// i.e. the max pointwise density change scaled to electron units
 /// (`Ω = dv · N_dense`). One definition, shared, so every loop converges
-/// against the same number.
+/// against the same number. A NaN anywhere in either density makes it NaN,
+/// which no `residual < tol` test accepts.
 pub fn density_residual(rho_new: &[f64], rho_old: &[f64], volume: f64) -> f64 {
     debug_assert_eq!(rho_new.len(), rho_old.len());
     pt_num::reduce::max_f64(rho_new.iter().zip(rho_old).map(|(a, b)| (a - b).abs())) * volume
@@ -92,6 +93,18 @@ mod tests {
             rho.iter().all(|&v| v >= -1e-12),
             "density must be nonnegative"
         );
+    }
+
+    #[test]
+    fn residual_of_a_nan_density_is_nan() {
+        // a non-finite iterate must never read as a converged fixed point
+        let rho = vec![0.5; 16];
+        let mut bad = rho.clone();
+        bad[7] = f64::NAN;
+        assert!(density_residual(&bad, &rho, 10.0).is_nan());
+        assert!(density_residual(&rho, &bad, 10.0).is_nan());
+        assert!(density_residual(&[f64::NAN; 16], &[f64::NAN; 16], 10.0).is_nan());
+        assert_eq!(density_residual(&rho, &rho, 10.0), 0.0);
     }
 
     #[test]

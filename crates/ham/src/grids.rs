@@ -82,6 +82,22 @@ impl PwGrids {
         self.fft_dense.len()
     }
 
+    /// Kinetic factors ½|G + A|² over the sphere for the velocity-gauge
+    /// vector potential `a` — the one definition the Hamiltonian, the
+    /// kinetic energy and the PT-CN preconditioner all read.
+    pub fn kinetic_diag(&self, a: [f64; 3]) -> Vec<f64> {
+        self.sphere
+            .g_cart
+            .iter()
+            .map(|g| {
+                let kx = g[0] + a[0];
+                let ky = g[1] + a[1];
+                let kz = g[2] + a[2];
+                0.5 * (kx * kx + ky * ky + kz * kz)
+            })
+            .collect()
+    }
+
     /// Real-space orbital values on the **wavefunction grid** (serial FFT;
     /// used inside batched loops).
     pub fn to_real_wfc(&self, coeffs: &[c64], out: &mut [c64]) {

@@ -32,17 +32,7 @@ pub struct Hamiltonian {
 impl Hamiltonian {
     /// Kinetic factors ½|G+A|² over the sphere.
     pub fn kinetic_diag(&self) -> Vec<f64> {
-        self.grids
-            .sphere
-            .g_cart
-            .iter()
-            .map(|g| {
-                let kx = g[0] + self.a_field[0];
-                let ky = g[1] + self.a_field[1];
-                let kz = g[2] + self.a_field[2];
-                0.5 * (kx * kx + ky * ky + kz * kz)
-            })
-            .collect()
+        self.grids.kinetic_diag(self.a_field)
     }
 
     /// Apply to a block, parallel over bands (band-index layout of §3.1):

@@ -569,17 +569,7 @@ impl KsSystem {
     pub fn energies(&self, orbitals: &CMat, rho: &[f64], a_field: [f64; 3]) -> Energies {
         let g = &self.grids;
         let pots = self.potentials(rho);
-        // kinetic
-        let kin_diag: Vec<f64> = g
-            .sphere
-            .g_cart
-            .iter()
-            .map(|gc| {
-                0.5 * ((gc[0] + a_field[0]).powi(2)
-                    + (gc[1] + a_field[1]).powi(2)
-                    + (gc[2] + a_field[2]).powi(2))
-            })
-            .collect();
+        let kin_diag = g.kinetic_diag(a_field);
         let mut kinetic = 0.0;
         for (j, &f) in self.occupations.iter().enumerate() {
             let col = orbitals.col(j);

@@ -37,12 +37,20 @@ pub fn sum_c64(it: impl IntoIterator<Item = c64>) -> c64 {
 
 /// Max over the iterator, seeded at `0.0` — callers take the max of
 /// nonnegative magnitudes (residuals, |Δ|, norms), where the seed is the
-/// identity. `f64::max` ignores NaN in either slot when the other is a
-/// number, exactly like the raw `fold(0.0, f64::max)` it replaces.
+/// identity. A NaN anywhere makes the result NaN: a residual of a
+/// non-finite iterate must not read as converged, and `f64::max` alone
+/// would drop the NaN in favour of the other slot. Any NaN wins in any
+/// order, and on NaN-free input this is exactly `fold(0.0, f64::max)`.
 #[inline]
 pub fn max_f64(it: impl IntoIterator<Item = f64>) -> f64 {
-    // pt-analyze: allow(float-fold-order) — canonical fixed-order max; f64::max is order-insensitive except for NaN, pinned here
-    it.into_iter().fold(0.0, f64::max)
+    // pt-analyze: allow(float-fold-order) — canonical fixed-order max; order-insensitive, NaN propagates from any slot
+    it.into_iter().fold(0.0, |a, b| {
+        if a.is_nan() || b.is_nan() {
+            f64::NAN
+        } else {
+            f64::max(a, b)
+        }
+    })
 }
 
 /// Min over the iterator, seeded at `+∞`.
@@ -83,5 +91,14 @@ mod tests {
         assert_eq!(min_f64([]), f64::INFINITY);
         assert_eq!(max_f64([0.5, 2.0, 1.0]), 2.0);
         assert_eq!(min_f64([0.5, 2.0, 1.0]), 0.5);
+    }
+
+    #[test]
+    fn max_propagates_nan_from_any_position() {
+        assert!(max_f64([f64::NAN]).is_nan());
+        assert!(max_f64([f64::NAN, 1.0]).is_nan());
+        assert!(max_f64([1.0, f64::NAN, 3.0]).is_nan());
+        assert!(max_f64([1.0, 3.0, f64::NAN]).is_nan());
+        assert_eq!(max_f64([1.0, f64::INFINITY]), f64::INFINITY);
     }
 }

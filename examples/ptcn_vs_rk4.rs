@@ -4,6 +4,11 @@
 //! selecting each propagator **at runtime** through `Box<dyn Propagator>` —
 //! the same `Simulation` setup runs both.
 //!
+//! Then the dt axis, the paper's case for large steps: over one fixed
+//! laser-driven window, PT-CN's `HΨ` applications per femtosecond at
+//! dt = 25 / 50 / 100 as, each beside its largest dipole deviation from a
+//! dt = 6.25 as PT-CN run of the same window.
+//!
 //! Run with: `cargo run --release --example ptcn_vs_rk4`
 
 use pwdft_rt::prelude::*;
@@ -67,5 +72,48 @@ fn main() -> Result<(), PtError> {
         "PT-CN step / RK4 ceiling = {:.1}x larger time step",
         window / ceiling
     );
+
+    dt_axis(&sys, &gs.orbitals)
+}
+
+/// PT-CN cost per femtosecond and dipole error along the dt axis.
+fn dt_axis(sys: &KsSystem, orbitals: &pwdft_rt::linalg::CMat) -> Result<(), PtError> {
+    const WINDOW_AS: f64 = 200.0;
+    const REFERENCE_DT_AS: f64 = 6.25;
+    let laser = LaserPulse::paper_380nm(0.05, attosecond_to_au(100.0), attosecond_to_au(50.0));
+    // the dipole after every step, and H applications per fs
+    let run = |dt_as: f64| -> Result<(Vec<[f64; 3]>, f64), PtError> {
+        let series = SimulationBuilder::new(sys)
+            .initial_orbitals(orbitals.clone())
+            .laser(laser)
+            .dt(attosecond_to_au(dt_as))
+            .steps((WINDOW_AS / dt_as).round() as usize)
+            .build()?
+            .run()?;
+        let dipole = |c: &str| series.channel(c).expect("dipole is recorded");
+        let (x, y, z) = (dipole("dipole_x"), dipole("dipole_y"), dipole("dipole_z"));
+        let rows = (0..series.len()).map(|i| [x[i], y[i], z[i]]).collect();
+        let h: usize = series.stats.iter().map(|s| s.h_applications).sum();
+        Ok((rows, h as f64 / (WINDOW_AS * 1e-3)))
+    };
+    let (reference, _) = run(REFERENCE_DT_AS)?;
+    println!(
+        "\nPT-CN along the dt axis ({WINDOW_AS} as window, dipole vs a {REFERENCE_DT_AS} as run):"
+    );
+    println!("  dt (as)   H appl./fs   max |dipole - reference|");
+    for dt_as in [25.0, 50.0, 100.0] {
+        let (rows, h_per_fs) = run(dt_as)?;
+        // row j ends at (j + 1)·dt, which is reference row (j + 1)·stride − 1
+        let stride = (dt_as / REFERENCE_DT_AS).round() as usize;
+        let deviation = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(j, d)| {
+                let r = reference[(j + 1) * stride - 1];
+                (0..3).map(move |k| (d[k] - r[k]).abs())
+            })
+            .fold(0.0, f64::max);
+        println!("  {dt_as:7.2}   {h_per_fs:10.0}   {deviation:.2e}");
+    }
     Ok(())
 }

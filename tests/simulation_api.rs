@@ -201,3 +201,98 @@ fn a_diverging_run_stops_before_its_first_non_finite_step() {
     assert_eq!(latest_checkpoint(&dir).unwrap(), Some(newest));
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The ground state's orbitals with one coefficient set to NaN: every
+/// density, `HΨ` and residual built from them is non-finite.
+fn nan_seeded_orbitals() -> TdState {
+    let (_, gs) = lda_ground_state();
+    let mut psi = gs.orbitals.clone();
+    psi[(3, 1)].re = f64::NAN;
+    TdState::new(psi)
+}
+
+/// `HΨ` block applications over an 8-step PT-CN laser run on the LDA
+/// Si-8 ground state at dt = 25 as under the default options (the
+/// benchmark's pulse and step on the smallest system): 8.125 per step.
+const PTCN_LASER_TOTAL_H_APPLICATIONS: usize = 65;
+/// The same run with the unpreconditioned fixed point (per-band Anderson
+/// on the raw residual −R), measured before the kinetic diagonal landed:
+/// 10.25 per step.
+const UNPRECONDITIONED_TOTAL_H_APPLICATIONS: usize = 82;
+const _: () = assert!(PTCN_LASER_TOTAL_H_APPLICATIONS < UNPRECONDITIONED_TOTAL_H_APPLICATIONS);
+
+#[test]
+fn the_kinetic_preconditioner_holds_the_fixed_point_cost_per_step() {
+    let (sys, gs) = lda_ground_state();
+    let steps = 8;
+    let series = SimulationBuilder::new(sys)
+        .initial_orbitals(gs.orbitals.clone())
+        .laser(LaserPulse::paper_380nm(
+            0.02,
+            attosecond_to_au(200.0),
+            attosecond_to_au(100.0),
+        ))
+        .dt(attosecond_to_au(25.0))
+        .steps(steps)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(series.stats.iter().all(|s| s.converged));
+    let total: usize = series.stats.iter().map(|s| s.h_applications).sum();
+    let mean = total as f64 / steps as f64;
+    assert_eq!(
+        total, PTCN_LASER_TOTAL_H_APPLICATIONS,
+        "mean H applications per step {mean}"
+    );
+}
+
+#[test]
+fn a_nan_seeded_ptcn_step_leaves_the_fixed_point_at_its_first_residual() {
+    // max_r |Δρ| of an all-NaN density is NaN, not 0: the fixed point must
+    // not read it as converged, and must not reach the Cholesky of a NaN
+    // overlap
+    let (sys, _) = lda_ground_state();
+    let mut state = nan_seeded_orbitals();
+    let stats = PtCnPropagator::default()
+        .step(sys, None, &mut state, attosecond_to_au(25.0))
+        .expect("a non-finite iterate is reported, not raised");
+    assert!(!stats.converged);
+    assert_eq!(stats.scf_iterations, 1);
+    assert_eq!(stats.h_applications, 2);
+    assert!(stats.rho_residual.is_nan());
+    // strict mode turns the same step into the typed non-convergence
+    let strict = PtCnOptions {
+        strict: true,
+        ..Default::default()
+    };
+    let mut state = nan_seeded_orbitals();
+    match PtCnPropagator::new(strict).step(sys, None, &mut state, attosecond_to_au(25.0)) {
+        Err(PtError::NotConverged { iterations, .. }) => assert_eq!(iterations, 1),
+        other => panic!("expected NotConverged, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_nan_seeded_ptcn_run_is_refused_as_diverged() {
+    let (sys, _) = lda_ground_state();
+    let mut sim = SimulationBuilder::new(sys)
+        .initial_orbitals(nan_seeded_orbitals().psi)
+        .dt(attosecond_to_au(25.0))
+        .steps(4)
+        .build()
+        .unwrap();
+    match sim.run() {
+        Err(PtError::Diverged {
+            step,
+            last_residual,
+            ..
+        }) => {
+            assert_eq!(step, 0);
+            assert!(last_residual.is_nan());
+        }
+        other => panic!("expected Diverged, got {other:?}"),
+    }
+    let partial = sim.take_partial_series().expect("partial series kept");
+    assert_eq!(partial.len(), 0, "nothing is committed");
+}
