@@ -17,19 +17,16 @@
 //! "PT-CN fixed point"), which takes the stiff high-|G| modes out of the
 //! per-band Anderson depth.
 
-use pt_linalg::{lstsq, CMat};
+use pt_linalg::{Anderson, CMat};
 use pt_num::c64;
 
-/// Per-band Anderson mixer over complex coefficient vectors.
+/// Per-band Anderson mixer over complex coefficient vectors: one
+/// [`Anderson`] history per band, each fed the preconditioned residual.
 pub struct BandAndersonMixer {
-    depth: usize,
-    beta: f64,
-    n_bands: usize,
     /// diagonal preconditioner, one entry per coefficient row
     precond: Vec<c64>,
-    /// history per band: iterates and residuals
-    xs: Vec<Vec<Vec<c64>>>,
-    fs: Vec<Vec<Vec<c64>>>,
+    /// one history per band
+    cores: Vec<Anderson<c64>>,
 }
 
 impl BandAndersonMixer {
@@ -38,18 +35,14 @@ impl BandAndersonMixer {
     /// coefficient row).
     pub fn new(n_bands: usize, depth: usize, beta: f64, precond: Vec<c64>) -> Self {
         BandAndersonMixer {
-            depth,
-            beta,
-            n_bands,
             precond,
-            xs: vec![Vec::new(); n_bands],
-            fs: vec![Vec::new(); n_bands],
+            cores: (0..n_bands).map(|_| Anderson::new(depth, beta)).collect(),
         }
     }
 
     /// Stored history length (same for every band).
     pub fn history_len(&self) -> usize {
-        self.xs.first().map(|h| h.len()).unwrap_or(0)
+        self.cores.first().map_or(0, |c| c.history().len())
     }
 
     /// Memory footprint in units of one wavefunction block (the paper's
@@ -62,57 +55,14 @@ impl BandAndersonMixer {
     /// the fixed-point residual g(x) − x. Returns the next iterate, mixed
     /// on the preconditioned residual `P·f`.
     pub fn step(&mut self, x: &CMat, f: &CMat) -> CMat {
-        assert_eq!(x.ncols(), self.n_bands);
-        assert_eq!(f.ncols(), self.n_bands);
+        assert_eq!(x.ncols(), self.cores.len());
+        assert_eq!(f.ncols(), self.cores.len());
         let ng = x.nrows();
         assert_eq!(self.precond.len(), ng);
-        let mut out = CMat::zeros(ng, self.n_bands);
-        for b in 0..self.n_bands {
-            let hx = &mut self.xs[b];
-            let hf = &mut self.fs[b];
-            hx.push(x.col(b).to_vec());
-            hf.push(
-                f.col(b)
-                    .iter()
-                    .zip(&self.precond)
-                    .map(|(v, p)| *p * *v)
-                    .collect(),
-            );
-            if hx.len() > self.depth + 1 {
-                hx.remove(0);
-                hf.remove(0);
-            }
-            let m = hx.len() - 1;
-            let xcur = &hx[m];
-            let fcur = &hf[m];
-            let col = out.col_mut(b);
-            if m == 0 {
-                for (o, (xv, fv)) in col.iter_mut().zip(xcur.iter().zip(fcur)) {
-                    *o = *xv + fv.scale(self.beta);
-                }
-                continue;
-            }
-            // least squares over difference history
-            let mut a = CMat::zeros(ng, m);
-            for j in 0..m {
-                let fj = &hf[m - 1 - j];
-                for i in 0..ng {
-                    a[(i, j)] = fcur[i] - fj[i];
-                }
-            }
-            let gamma = lstsq(&a, fcur, 1e-12);
-            for (i, o) in col.iter_mut().enumerate() {
-                *o = xcur[i] + fcur[i].scale(self.beta);
-            }
-            for (j, g) in gamma.iter().enumerate() {
-                let xj = &hx[m - 1 - j];
-                let fj = &hf[m - 1 - j];
-                for (i, o) in col.iter_mut().enumerate() {
-                    let dx = xcur[i] - xj[i];
-                    let df = fcur[i] - fj[i];
-                    *o -= *g * (dx + df.scale(self.beta));
-                }
-            }
+        let mut out = CMat::zeros(ng, self.cores.len());
+        for (b, core) in self.cores.iter_mut().enumerate() {
+            let pf = f.col(b).iter().zip(&self.precond).map(|(v, p)| *p * *v);
+            core.step(x.col(b).to_vec(), pf.collect(), out.col_mut(b));
         }
         out
     }
@@ -237,7 +187,7 @@ mod tests {
         for j in 0..2 {
             for i in 0..ng {
                 let pf = p[i] * f[(i, j)];
-                assert_eq!(mixer.fs[j][0][i], pf);
+                assert_eq!(mixer.cores[j].history()[0].1[i], pf);
                 // the first update is a relaxed step along P·f
                 assert_eq!(next[(i, j)], x[(i, j)] + pf);
             }

@@ -969,7 +969,6 @@ mod tests {
         };
         let o = ScfOptions {
             rho_tol: 1e-7,
-            max_phi_updates: 3,
             ..Default::default()
         };
         let r = scf_loop(&sys, o).expect("test ground state converges");

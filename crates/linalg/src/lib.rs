@@ -11,11 +11,17 @@
 //!   subspace eigenproblems, handled by [`lstsq`] (regularized normal
 //!   equations) and [`eigh`] (Householder tridiagonalization, then
 //!   implicit-shift QL: one O(n³) pass).
+//!
+//! [`Anderson`] is the one Anderson history, fit and update, shared by the
+//! SCF's density mixing (`f64`) and the PT-CN step's per-band mixing
+//! (`c64`); it is [`lstsq`]'s only caller.
 
+mod anderson;
 mod eig;
 mod mat;
 mod solve;
 
+pub use anderson::{Anderson, AndersonScalar};
 pub use eig::eigh;
 pub use mat::{CMat, Op};
 pub use solve::{

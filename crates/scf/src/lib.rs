@@ -7,19 +7,16 @@
 //! * a preconditioned block-Davidson eigensolver ([`lowest_eigenpairs`])
 //!   with the Teter–Payne–Allan kinetic preconditioner — the standard
 //!   plane-wave workhorse;
-//! * Anderson-accelerated density mixing ([`AndersonMixer`]), the same
-//!   scheme (Anderson 1965) the paper applies to *wavefunctions* inside
-//!   PT-CN;
-//! * the SCF driver ([`scf_loop`]) with, for hybrid functionals, the
-//!   standard inner/outer split: the exchange operator's defining orbitals
-//!   Φ are frozen during an inner density loop and refreshed outside
-//!   (PWDFT does the same; ACE is an optional compression of this operator,
-//!   see `pt-core`'s ablation).
+//! * the SCF driver ([`scf_loop`]): one density loop (Davidson → ρ →
+//!   Anderson mixing through `pt_linalg::Anderson`, the same update the
+//!   paper applies to *wavefunctions* inside PT-CN). A semi-local system
+//!   runs it once. A hybrid runs it twice: a semi-local bootstrap, whose
+//!   orbitals become the exchange operator's defining orbitals Φ, then one
+//!   solve with Φ frozen. Φ is not refreshed afterwards (ACE is an optional
+//!   compression of this operator, see `pt-core`'s ablation).
 
 mod davidson;
 mod driver;
-mod mixing;
 
 pub use davidson::{lowest_eigenpairs, teter_preconditioner, DavidsonOptions, DavidsonResult};
 pub use driver::{scf_loop, ScfOptions, ScfResult};
-pub use mixing::AndersonMixer;

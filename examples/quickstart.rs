@@ -22,12 +22,7 @@ fn main() -> Result<(), PtError> {
         sys.grids.ng()
     );
 
-    let opts = ScfOptions {
-        rho_tol: 1e-6,
-        max_phi_updates: 3,
-        ..Default::default()
-    };
-    let gs = scf_loop(&sys, opts)?;
+    let gs = scf_loop(&sys, ScfOptions::default())?;
     println!(
         "ground state: E = {:.6} Ha ({} SCF iterations, residual {:.1e})",
         gs.energies.total(),

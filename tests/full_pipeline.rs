@@ -35,12 +35,7 @@ fn hse_25() -> &'static (KsSystem, ScfResult) {
             .hybrid(HybridConfig::hse06())
             .build()
             .expect("valid hybrid system");
-        let o = ScfOptions {
-            rho_tol: 1e-6,
-            max_phi_updates: 3,
-            ..Default::default()
-        };
-        let r = scf_loop(&sys, o).expect("hybrid SCF converges");
+        let r = scf_loop(&sys, ScfOptions::default()).expect("hybrid SCF converges");
         (sys, r)
     })
 }
