@@ -66,6 +66,9 @@ REMOVED = [
     ("second Anderson least-squares fit",
      r"lstsq\(", SRC, r"^crates/linalg/src/",
      "Ground state"),
+    ("distributed PT residual and its collectives",
+     r"distributed_residual|alltoallv_c64|allgatherv_c64|tree_reduce_chunks_c64|g_rows\(", SRC, None,
+     "Fixed-chunk overlap reduction"),
 ]
 
 

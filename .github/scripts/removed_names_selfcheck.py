@@ -36,6 +36,7 @@ SAMPLES = [
     "let psi_index = 0;",
     "opts.max_phi_updates = 8;",
     "let gamma = lstsq(&a, &b, 1e-12);",
+    "let s = comm.tree_reduce_chunks_c64(&partials, nb * nb);",
 ]
 
 

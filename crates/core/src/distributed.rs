@@ -1,22 +1,23 @@
-//! The `ranks > 1` side of PT-CN: Alg. 1's `HΨ`, ACE build and residual
-//! driven over the virtual MPI runtime with rank-pinned compute pools —
-//! the paper's execution model (one MPI rank per GPU plus a CPU-thread
-//! slice) reproduced in process.
+//! The `ranks > 1` side of PT-CN: Alg. 1's `HΨ` and ACE build driven
+//! over the virtual MPI runtime with rank-pinned compute pools — the
+//! paper's execution model (one MPI rank per GPU plus a CPU-thread slice)
+//! reproduced in process.
 //!
 //! [`crate::PtCnPropagator`] selects by the rank count of the system's
 //! layout. **One rank runs inline** (`InlineKernels`: no engine, no rank
 //! thread, the installed pool). With more, the propagator owns a
 //! persistent [`RankEngine`]: the rank threads and their pinned
 //! `threads_per_rank`-wide pools are spawned **once**, on the first step,
-//! and every subsequent `HΨ` application and residual evaluation is a job
-//! submitted to the same parked team. Each `HΨ` job applies the local
-//! (kinetic + V_loc + V_NL) part to the rank's cyclic share of the bands
-//! and joins the Fock exchange — the Alg. 2 broadcast loop, then the
-//! rank's dealt pair tiles ([`pt_ham::distributed_fock_apply`]); the
-//! fixed-point residual runs G-space-parallel via
-//! [`pt_ham::distributed_residual`] with its tree chunk reduction. The parallel-transport algebra around them (density,
-//! Anderson mixing, re-orthonormalization) runs replicated on the driver
-//! thread, on the system's `layout.cores()`-wide pool.
+//! and every subsequent `HΨ` application and ACE build is a job submitted
+//! to the same parked team. Each `HΨ` job applies the local (kinetic +
+//! V_loc + V_NL) part to the rank's cyclic share of the bands and joins
+//! the Fock exchange — the Alg. 2 broadcast loop, then the rank's dealt
+//! pair tiles ([`pt_ham::distributed_fock_apply`]). The parallel-transport
+//! algebra around them (the fixed-point residual, density, Anderson
+//! mixing, re-orthonormalization) runs replicated on the driver thread,
+//! on the system's `layout.cores()`-wide pool: the driver already holds
+//! every block the residual reads, so the paper's band ↔ G-space flips of
+//! Alg. 3 would only move them to the ranks and back.
 //!
 //! The engine is runtime-only state: it is not cloned, captured, or
 //! snapshotted — a resumed or cloned propagator rebuilds its team lazily
@@ -29,17 +30,15 @@
 //! The rank path ships `f64` on the wire, so the observables of a run are
 //! **bit-identical for every `ranks × threads_per_rank` layout**, inline
 //! or on the engine: the in-process kernels are the `N_p = 1` case of the
-//! rank ones (one pair term and one partner-chunk fold, one chunked
-//! residual — see `pt-ham`), band ownership only partitions work whose
-//! per-band results are computed independently in a fixed order, every
-//! band folds the same exchange partials in the same order whichever
-//! rank's tile made them, and the residual's tree reduction joins fixed
-//! 64-row chunks in ascending order regardless of which rank owns them.
+//! rank ones (one pair term and one partner-chunk fold — see `pt-ham`),
+//! band ownership only partitions work whose per-band results are
+//! computed independently in a fixed order, and every band folds the same
+//! exchange partials in the same order whichever rank's tile made them.
+//! The driver's residual sums its overlap over a fixed 64-row chunk grid,
+//! so the width of the layout's pool does not move it either.
 
 use crate::propagator::StepKernels;
-use pt_ham::{
-    distributed_fock_apply, distributed_residual, AceOperator, BandDistribution, KsSystem, PtError,
-};
+use pt_ham::{distributed_fock_apply, AceOperator, BandDistribution, KsSystem, PtError};
 use pt_linalg::CMat;
 use pt_mpi::{Comm, EnginePoisoned, RankEngine, Wire};
 use pt_par::RankLayout;
@@ -72,9 +71,9 @@ pub(crate) fn acquire_engine(
     })
 }
 
-/// The engine-backed execution strategy of a `ranks > 1` layout: `HΨ`,
-/// the ACE build and the fixed-point residual all run as jobs on the same
-/// parked rank team — no threads are spawned here.
+/// The engine-backed execution strategy of a `ranks > 1` layout: `HΨ`
+/// and the ACE build run as jobs on the same parked rank team — no
+/// threads are spawned here.
 pub(crate) struct EngineKernels<'e> {
     pub(crate) engine: &'e mut RankEngine,
 }
@@ -167,30 +166,6 @@ impl StepKernels for EngineKernels<'_> {
         })?;
         AceOperator::from_w(phi, w)
     }
-
-    /// G-space-parallel residual (Alg. 3): each rank evaluates its sphere
-    /// rows, the Ψ*HΨ overlap combines over the chunk reduction tree.
-    fn residual(
-        &mut self,
-        psi_f: &CMat,
-        hpsi_f: &CMat,
-        psi_half: &CMat,
-        dt: f64,
-    ) -> Result<CMat, PtError> {
-        let ng = psi_f.nrows();
-        self.run_gathered(ng, psi_f.ncols(), |comm, dist| {
-            let take = |m: &CMat| dist.take_local(comm.rank(), m);
-            distributed_residual(
-                comm,
-                dist,
-                ng,
-                &take(psi_f),
-                &take(hpsi_f),
-                &take(psi_half),
-                dt,
-            )
-        })
-    }
 }
 
 #[cfg(test)]
@@ -228,20 +203,18 @@ mod tests {
 
     #[test]
     fn inline_and_engine_kernels_agree_to_the_bit_on_every_layout() {
-        // HΨ with the exact Fock loop, the ACE build, HΨ under the frozen
-        // projector and the residual: the in-process call (1 thread) is
-        // the reference, every gathered rank result must carry its bits
+        // HΨ with the exact Fock loop, the ACE build and HΨ under the
+        // frozen projector: the in-process call (1 thread) is the
+        // reference, every gathered rank result must carry its bits
         let sys = hybrid_sys(None);
         let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 17);
-        let half = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 18);
         let rho = sys.density(&psi);
-        let (a, dt) = ([0.0, 0.0, 0.01], 0.7);
+        let a = [0.0, 0.0, 0.01];
         let all = |k: &mut dyn StepKernels| {
             let h_full = k.apply_h(&sys, &rho, &psi, a, None).unwrap();
             let ace = k.build_ace(&sys, &psi).unwrap();
             let h_ace = k.apply_h(&sys, &rho, &psi, a, Some(&ace)).unwrap();
-            let resid = k.residual(&psi, &h_full, &half, dt).unwrap();
-            [h_full, ace.xi().clone(), h_ace, resid]
+            [h_full, ace.xi().clone(), h_ace]
         };
         let want = pt_par::ThreadPool::new(1).install(|| all(&mut InlineKernels));
         let inline4 = pt_par::ThreadPool::new(4).install(|| all(&mut InlineKernels));

@@ -279,11 +279,12 @@ pub struct Rk4Options {
 /// the one PT-CN type, for every ranks × threads layout.
 ///
 /// The layout is read from [`KsSystem::layout`] at step time (none =
-/// 1 × the installed pool). With one rank every `HΨ` and residual runs
+/// 1 × the installed pool). With one rank every `HΨ` and ACE build runs
 /// **inline** on the installed pool — no engine, no rank thread; with more
 /// they are jobs on a persistent [`RankEngine`] the propagator builds
 /// lazily on its first such step (see [`crate::distributed`]). Both sides
-/// produce the same bits.
+/// produce the same bits. The fixed-point residual runs on the driver on
+/// every layout.
 ///
 /// How the exchange is evaluated is read off the system the same way
 /// ([`KsSystem::exchange_mode`]).
@@ -363,11 +364,11 @@ fn reorthonormalize(psi: &mut CMat) {
 
 /// The execution-strategy points of a PT-CN step: the full
 /// `H[ρ(Ψ), Ψ] Ψ` application (`Φ = Ψ` for hybrids, per the
-/// parallel-transport gauge), the ACE build and the fixed-point residual.
-/// Two implementations, selected by the layout's rank count:
-/// [`InlineKernels`] (one rank: in process on the installed pool) and
-/// `EngineKernels` (more: jobs on the persistent rank engine) — equal to
-/// the bit.
+/// parallel-transport gauge) and the ACE build — the two places a step
+/// applies the exchange. Two implementations, selected by the layout's
+/// rank count: [`InlineKernels`] (one rank: in process on the installed
+/// pool) and `EngineKernels` (more: jobs on the persistent rank engine) —
+/// equal to the bit.
 pub(crate) trait StepKernels {
     /// One full `H Ψ` application. With `ace: None` the exchange part (if
     /// hybrid) is the exact pair-FFT Fock loop over `Φ = Ψ` (the PT
@@ -386,17 +387,6 @@ pub(crate) trait StepKernels {
     /// exchange application over the block (`W = V_X Φ`), then the small
     /// Cholesky/TRSM factorization on the driver.
     fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError>;
-
-    /// The fixed-point residual
-    /// `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2}`
-    /// (Alg. 3).
-    fn residual(
-        &mut self,
-        psi_f: &CMat,
-        hpsi_f: &CMat,
-        psi_half: &CMat,
-        dt: f64,
-    ) -> Result<CMat, PtError>;
 }
 
 /// What one PT-CN solve borrows from an ACE refresh round. `Default` is a
@@ -440,9 +430,9 @@ fn kinetic_preconditioner(sys: &KsSystem, a: [f64; 3], dt: f64) -> Vec<c64> {
 }
 
 /// The PT-CN step body (Alg. 1), generic over the execution strategy.
-/// Everything outside the kernels (density, preconditioned Anderson
-/// mixing, re-orthonormalization) runs replicated on the driver thread,
-/// so the step's output bits depend only on the kernels'.
+/// Everything outside the kernels (the residual, density, preconditioned
+/// Anderson mixing, re-orthonormalization) runs replicated on the driver
+/// thread, so the step's output bits depend only on the kernels'.
 ///
 /// A non-finite density residual ends the fixed point at once: no further
 /// `HΨ`, no re-orthonormalization, `converged: false` with that residual.
@@ -510,9 +500,10 @@ pub(crate) fn ptcn_step_with(
         let hpsi_f = kernels.apply_h(sys, &rho_f, &psi_f, a_next, round.ace)?;
         stats.phases.h_apply += sp.finish_secs();
         stats.h_applications += 1;
-        // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2}
+        // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2},
+        // on the driver's pool on every layout (Alg. 3 without its flips)
         let sp = pt_trace::span("residual");
-        let mut resid = kernels.residual(&psi_f, &hpsi_f, &psi_half, dt)?;
+        let mut resid = pt_residual(&psi_f, &hpsi_f, &psi_half, dt);
         stats.phases.residual += sp.finish_secs();
         // Anderson mixing on the fixed point Ψ = Ψ − R(Ψ): residual −R,
         // which the mixer preconditions to P·(−R)
@@ -737,8 +728,8 @@ pub(crate) fn ace_ptcn_step(
 }
 
 /// The one-rank execution strategy: everything in process on the
-/// installed pool — the `N_p = 1` case of Alg. 2 / Alg. 3 without a
-/// `Comm`, no engine and no rank thread.
+/// installed pool — the `N_p = 1` case of Alg. 2 without a `Comm`, no
+/// engine and no rank thread.
 pub(crate) struct InlineKernels;
 
 impl StepKernels for InlineKernels {
@@ -771,16 +762,6 @@ impl StepKernels for InlineKernels {
         let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
         AceOperator::new(&sys.grids, &fock, phi)
     }
-
-    fn residual(
-        &mut self,
-        psi_f: &CMat,
-        hpsi_f: &CMat,
-        psi_half: &CMat,
-        dt: f64,
-    ) -> Result<CMat, PtError> {
-        Ok(pt_residual(psi_f, hpsi_f, psi_half, dt))
-    }
 }
 
 impl Propagator for PtCnPropagator {
@@ -789,9 +770,9 @@ impl Propagator for PtCnPropagator {
     }
 
     /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
-    /// per the system's [`ExchangeMode`] and every `HΨ`/residual run per
-    /// the system's layout: inline for one rank, on the persistent rank
-    /// team (spawned on the first such step) for more.
+    /// per the system's [`ExchangeMode`] and every `HΨ` and ACE build run
+    /// per the system's layout: inline for one rank, on the persistent
+    /// rank team (spawned on the first such step) for more.
     fn step(
         &mut self,
         sys: &KsSystem,

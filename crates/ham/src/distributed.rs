@@ -16,14 +16,16 @@
 //! in-process bits.
 //!
 //! Two volume laws, asserted against the byte counters of `pt-mpi` by the
-//! `tests/distributed_and_model.rs::alg2_volume_law_and_f32_wire`
+//! `tests/distributed_and_model.rs::alg2_volume_law_and_exact_f64_wire`
 //! integration test and the unit tests below: the broadcasts move
 //! `(N_p − 1) × N_G × N_e × 16` bytes summed over receivers (§3.2), and
 //! the partials `(partials whose tile rank ≠ band owner) × N_wfc × 16`
 //! point-to-point; nothing else travels. Every message is `f64`, which is
 //! why the gathered result has the in-process bits on every layout.
 //!
-//! Both distributed hot paths thread their rank-local compute over the
+//! Alg. 2 is all this module runs on ranks. The PT residual of Alg. 3
+//! runs on the driver's replicated blocks ([`crate::pt_residual`]), so
+//! nothing here flips layouts or reduces an overlap. The self-application threads its rank-local compute over the
 //! calling thread's current pool — on a [`pt_mpi::RankEngine`] that is
 //! the rank's own pinned pool, so a `ranks × threads_per_rank` layout maps
 //! each rank's tiles onto its dedicated core slice (the paper's
@@ -36,16 +38,6 @@ use crate::grids::PwGrids;
 use pt_linalg::CMat;
 use pt_mpi::Comm;
 use pt_num::c64;
-use pt_num::complex::zdotc;
-use std::ops::Range;
-
-/// Row width of one overlap-reduction chunk — the fixed grid the Alg. 3
-/// allreduce is re-associated over. Shape-only (independent of rank and
-/// thread counts), so the grouping of the floating-point sums that
-/// assemble the overlap matrix `S = Ψ_f^H (H_f Ψ_f)` is identical for
-/// every layout, making [`distributed_residual`] bit-deterministic across
-/// rank counts, not just thread counts.
-pub const OVERLAP_CHUNK_ROWS: usize = 64;
 
 /// Cyclic band ownership map: `owner(i) = i % n_ranks` (§3.1), so loads
 /// differ by at most one band when `n_bands % n_ranks ≠ 0`.
@@ -90,26 +82,6 @@ impl BandDistribution {
         (0..self.n_bands)
             .filter(|i| self.owner(*i) == rank)
             .collect()
-    }
-
-    /// The sphere rows rank `rank` owns in the G-space layout of Alg. 3:
-    /// contiguous, **chunk-aligned** slices of `[0, ng)`. The row space is
-    /// first cut into fixed [`OVERLAP_CHUNK_ROWS`]-row chunks (a
-    /// shape-only grid: it depends on `ng`, never on the rank count), and
-    /// whole chunks are dealt to ranks with counts differing by at most
-    /// one — so every chunk has exactly one owner on *any* rank count,
-    /// which is what lets the overlap reduction of
-    /// [`distributed_residual`] re-associate its floating-point sums
-    /// identically across layouts. Ranks beyond the chunk count get an
-    /// empty range (the `ng < n_ranks` edge case).
-    pub fn g_rows(&self, ng: usize, rank: usize) -> Range<usize> {
-        let np = self.n_ranks;
-        let nc = ng.div_ceil(OVERLAP_CHUNK_ROWS);
-        let base = nc / np;
-        let rem = nc % np;
-        let c_start = rank * base + rank.min(rem);
-        let c_end = c_start + base + usize::from(rank < rem);
-        (c_start * OVERLAP_CHUNK_ROWS).min(ng)..(c_end * OVERLAP_CHUNK_ROWS).min(ng)
     }
 
     /// The exchange tiles of a self-application dealt to `rank`, in the
@@ -329,167 +301,6 @@ impl OwnedPartials {
     }
 }
 
-/// Per-chunk overlap partials `T_c = A[c]^H B[c]` over the fixed
-/// [`OVERLAP_CHUNK_ROWS`]-row grid of the rows `a`/`b` hold, flattened in
-/// ascending chunk order (`nb × nb` values each). Every partial is a fixed
-/// sequential dot product over its chunk's rows and one pool task, so the
-/// bits are free of the thread count and of which rank holds the chunk.
-fn overlap_chunk_partials(a: &CMat, b: &CMat) -> Vec<c64> {
-    let (nrows, nb) = (a.nrows(), a.ncols());
-    let mut flat = vec![c64::ZERO; nrows.div_ceil(OVERLAP_CHUNK_ROWS) * nb * nb];
-    pt_par::parallel_chunks_mut(&mut flat, nb * nb, |c, t| {
-        let r0 = c * OVERLAP_CHUNK_ROWS;
-        let r1 = (r0 + OVERLAP_CHUNK_ROWS).min(nrows);
-        for j in 0..nb {
-            let bj = &b.col(j)[r0..r1];
-            for i in 0..nb {
-                t[i + j * nb] = zdotc(&a.col(i)[r0..r1], bj);
-            }
-        }
-    });
-    flat
-}
-
-/// Lines 4-5 of Alg. 3 on the rows the blocks hold: the rotation `Ψ_f S`
-/// and `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f S) − Ψ_{n+1/2}`, one column per
-/// pool task (every element is computed independently).
-fn assemble_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, s: Vec<c64>, dt: f64) -> CMat {
-    use pt_linalg::{gemm, Op};
-    let (nrows, nb) = (psi_f.nrows(), psi_f.ncols());
-    let s = CMat::from_vec(nb, nb, s);
-    let mut rot = CMat::zeros(nrows, nb);
-    gemm(c64::ONE, psi_f, Op::None, &s, Op::None, c64::ZERO, &mut rot);
-    let mut resid = CMat::zeros(nrows, nb);
-    pt_par::parallel_chunks_mut(resid.data_mut(), nrows.max(1), |j, rcol| {
-        let (pc, hc, rotc, halfc) = (psi_f.col(j), hpsi_f.col(j), rot.col(j), psi_half.col(j));
-        for (i, r) in rcol.iter_mut().enumerate() {
-            let rhs = hc[i] - rotc[i];
-            *r = pc[i] + rhs.mul_i().scale(0.5 * dt) - halfc[i];
-        }
-    });
-    resid
-}
-
-/// The PT fixed-point residual
-/// `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f (Ψ_f^H H_f Ψ_f)) − Ψ_{n+1/2}` on
-/// full blocks — the `N_p = 1` case of Alg. 3 without a `Comm`: the same
-/// chunk partials, the same ascending fold from zero and the same
-/// assembly as [`distributed_residual`], so its bits equal the gathered
-/// rank result on every ranks × threads layout.
-pub fn pt_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, dt: f64) -> CMat {
-    let block = psi_f.ncols() * psi_f.ncols();
-    let mut s = vec![c64::ZERO; block];
-    for chunk in overlap_chunk_partials(psi_f, hpsi_f).chunks_exact(block) {
-        for (a, v) in s.iter_mut().zip(chunk) {
-            *a += *v;
-        }
-    }
-    assemble_residual(psi_f, hpsi_f, psi_half, s, dt)
-}
-
-/// Distributed PT residual evaluation (Alg. 3).
-///
-/// Inputs are in the band-index layout (each rank owns its block-cyclic
-/// bands of Ψ_f, H_f Ψ_f and Ψ_{n+1/2}); the routine flips to the G-space
-/// layout with `MPI_Alltoallv`, forms per-chunk overlap partials
-/// `T_c = Ψ_f[c]^H (H_f Ψ_f)[c]` on the fixed [`OVERLAP_CHUNK_ROWS`]-row
-/// grid, reduces `S = Σ_c T_c` in ascending chunk order through the
-/// ownership-aligned tree ([`Comm::tree_reduce_chunks_c64`] — O(nb²)
-/// received per rank instead of the old allgatherv-everything's
-/// O(ng/64 × nb²)), applies the rotation `Ψ_f S` locally, assembles
-/// `R_f = Ψ_f + i·dt/2·(H_f Ψ_f − Ψ_f S) − Ψ_{n+1/2}` and flips back.
-///
-/// Row partition: [`BandDistribution::g_rows`] — contiguous chunk-aligned
-/// slices (whole chunks per rank, counts differing by at most one),
-/// covering the `ng < N_p` and `n_bands < N_p` edge cases.
-///
-/// # Determinism across the full layout grid
-///
-/// Every chunk partial is a fixed sequential dot product over that chunk's
-/// rows, computed by the chunk's single owner; the global combine walks
-/// the chunks in ascending index order on every rank. Both the chunk grid
-/// and the combine order depend only on `ng` — never on the rank or
-/// thread count — and the layout flips move exact `f64`, so the residual
-/// bits are **identical for every ranks × threads layout**, and identical
-/// to the comm-free [`pt_residual`] (which shares the partials, the fold
-/// and the assembly).
-pub fn distributed_residual(
-    comm: &mut Comm,
-    dist: BandDistribution,
-    ng: usize,
-    psi_f: &CMat,
-    hpsi_f: &CMat,
-    psi_half: &CMat,
-    dt: f64,
-) -> CMat {
-    let np = comm.size();
-    assert_eq!(np, dist.n_ranks, "communicator vs distribution size");
-    let nb_local = dist.n_local(comm.rank());
-    assert_eq!(psi_f.ncols(), nb_local);
-    let rows_of = |r: usize| -> Range<usize> { dist.g_rows(ng, r) };
-
-    // line 1: band → G-space layout for the three blocks
-    let flip_to_g = |comm: &mut Comm, m: &CMat| -> CMat {
-        let send: Vec<Vec<c64>> = (0..np)
-            .map(|dst| {
-                let rows = rows_of(dst);
-                let mut blk = Vec::with_capacity(rows.len() * nb_local);
-                for j in 0..nb_local {
-                    blk.extend_from_slice(&m.col(j)[rows.clone()]);
-                }
-                blk
-            })
-            .collect();
-        let recv = comm.alltoallv_c64(send);
-        // my rows × all bands, band-major columns ordered by global band id
-        let nrows = rows_of(comm.rank()).len();
-        let mut out = CMat::zeros(nrows, dist.n_bands);
-        for (src, blk) in recv.iter().enumerate() {
-            let src_bands = dist.local_bands(src);
-            for (bj, &b) in src_bands.iter().enumerate() {
-                out.col_mut(b)
-                    .copy_from_slice(&blk[bj * nrows..(bj + 1) * nrows]);
-            }
-        }
-        out
-    };
-    let gp = flip_to_g(comm, psi_f);
-    let gh = flip_to_g(comm, hpsi_f);
-    let ghalf = flip_to_g(comm, psi_half);
-
-    // lines 2-3: chunk partials on my rows, then the chunk-ordered
-    // reduction. Ranks ascend ⇒ global chunk index ascends: the tree joins
-    // the per-rank ascending folds in a rank-ascending prefix chain — the
-    // fixed `(((0 + T_0) + T_1) + …)` association on every rank count
-    let nb = dist.n_bands;
-    let s_global = comm.tree_reduce_chunks_c64(&overlap_chunk_partials(&gp, &gh), nb * nb);
-
-    // lines 4-5: rotation and residual on my rows
-    let resid_g = assemble_residual(&gp, &gh, &ghalf, s_global, dt);
-
-    // line 6: back to band layout
-    let send_back: Vec<Vec<c64>> = (0..np)
-        .map(|dst| {
-            let bands = dist.local_bands(dst);
-            let mut blk = Vec::with_capacity(bands.len() * resid_g.nrows());
-            for &b in &bands {
-                blk.extend_from_slice(resid_g.col(b));
-            }
-            blk
-        })
-        .collect();
-    let recv = comm.alltoallv_c64(send_back);
-    let mut out = CMat::zeros(ng, nb_local);
-    for (src, blk) in recv.iter().enumerate() {
-        let rows = rows_of(src);
-        let nrows = rows.len();
-        for j in 0..nb_local {
-            out.col_mut(j)[rows.clone()].copy_from_slice(&blk[j * nrows..(j + 1) * nrows]);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,46 +349,6 @@ mod tests {
                     "nb={nb} np={np} r={r}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn g_rows_are_chunk_aligned_balanced_and_cover_every_row() {
-        for (ng, np) in [
-            (10usize, 3usize),
-            (64, 4),
-            (7, 7),
-            (3, 5),
-            (0, 2),
-            (100, 1),
-            (1000, 3),
-            (64 * 5 + 17, 4),
-        ] {
-            let d = BandDistribution {
-                n_bands: 1,
-                n_ranks: np,
-            };
-            let nc = ng.div_ceil(OVERLAP_CHUNK_ROWS);
-            let mut covered = 0;
-            for r in 0..np {
-                let rows = d.g_rows(ng, r);
-                assert_eq!(rows.start, covered, "ng={ng} np={np} r={r}");
-                covered = rows.end;
-                // whole chunks per rank: boundaries sit on the fixed grid
-                // (empty tail ranges are clamped to ng and own no chunk)
-                assert!(
-                    rows.start.is_multiple_of(OVERLAP_CHUNK_ROWS) || rows.is_empty(),
-                    "ng={ng} np={np} r={r}: start off the chunk grid"
-                );
-                assert!(rows.end.is_multiple_of(OVERLAP_CHUNK_ROWS) || rows.end == ng);
-                // balanced to within one chunk
-                let chunks = rows.len().div_ceil(OVERLAP_CHUNK_ROWS);
-                assert!(
-                    chunks <= nc / np + usize::from(nc % np != 0),
-                    "ng={ng} np={np} r={r}: {chunks} chunks"
-                );
-            }
-            assert_eq!(covered, ng);
         }
     }
 
@@ -823,98 +594,6 @@ mod tests {
             assert_same_bits(&want, &got, &format!("n={n} np={np}"));
             assert_eq!(stats.allreduce_calls, 0);
             assert_eq!(stats.bcast_calls, (np * n) as u64);
-        }
-    }
-
-    /// Random blocks of any (ng, nb) extent plus the PT residual written
-    /// as plain GEMM algebra — the independent reference the chunked
-    /// evaluation is held to (to rounding, not bits).
-    fn gemm_residual(ng: usize, nb: usize, seeds: [u64; 3], dt: f64) -> (CMat, CMat, CMat, CMat) {
-        use pt_linalg::{gemm, Op};
-        let psi = rand_block(ng, nb, seeds[0]);
-        let hpsi = rand_block(ng, nb, seeds[1]);
-        let half = rand_block(ng, nb, seeds[2]);
-        let mut sg = CMat::zeros(nb, nb);
-        gemm(
-            c64::ONE,
-            &psi,
-            Op::ConjTrans,
-            &hpsi,
-            Op::None,
-            c64::ZERO,
-            &mut sg,
-        );
-        let mut rot = CMat::zeros(ng, nb);
-        gemm(c64::ONE, &psi, Op::None, &sg, Op::None, c64::ZERO, &mut rot);
-        let mut want = CMat::zeros(ng, nb);
-        for j in 0..nb {
-            for i in 0..ng {
-                let rhs = hpsi[(i, j)] - rot[(i, j)];
-                want[(i, j)] = psi[(i, j)] + rhs.mul_i().scale(0.5 * dt) - half[(i, j)];
-            }
-        }
-        (psi, hpsi, half, want)
-    }
-
-    #[test]
-    fn distributed_residual_equals_the_comm_free_one_to_the_bit() {
-        // the fixed-chunk reduction: same bits for every ranks × threads
-        // layout and for the comm-free evaluation, including sizes that
-        // straddle chunk boundaries unevenly
-        let dt = 0.7;
-        let layouts = LAYOUTS.iter().copied().chain([(5, 1)]);
-        for (ng, nb) in [(200usize, 5usize), (64, 3), (65, 2), (700, 4)] {
-            let (psi, hpsi, half, algebra) = gemm_residual(ng, nb, [61, 62, 63], dt);
-            let want = pt_residual(&psi, &hpsi, &half, dt);
-            let err = want.max_diff(&algebra);
-            assert!(err < 1e-11, "ng={ng} nb={nb}: vs GEMM algebra {err}");
-            for (ranks, threads) in layouts.clone() {
-                let (got, stats) =
-                    gathered(RankLayout::new(ranks, threads), ng, nb, |comm, dist| {
-                        let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                        distributed_residual(
-                            comm,
-                            dist,
-                            ng,
-                            &take(&psi),
-                            &take(&hpsi),
-                            &take(&half),
-                            dt,
-                        )
-                    });
-                assert_same_bits(&want, &got, &format!("ng={ng} nb={nb} {ranks}x{threads}"));
-                // three forward flips + one backward per rank
-                let np = ranks as u64;
-                assert_eq!(stats.alltoallv_calls, 4 * np);
-                // the overlap partials travel by the tree reduction and the
-                // received volume is the O(nb²)-per-rank law: one prefix
-                // hop plus one broadcast delivery for every rank but one
-                assert_eq!(stats.allgatherv_calls, 0);
-                assert_eq!(stats.tree_reduce_calls, np);
-                assert_eq!(
-                    stats.tree_reduce_bytes,
-                    2 * (np - 1) * (nb * nb) as u64 * 16
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn distributed_residual_edge_cases_more_ranks_than_rows_or_bands() {
-        // ng < np: some ranks own zero sphere rows; nb < np: some ranks
-        // own zero bands. Both must still reproduce the comm-free bits
-        // (and, to rounding, the GEMM algebra).
-        let dt = 0.3;
-        for (ng, nb, np) in [(3usize, 2usize, 5usize), (8, 2, 4), (5, 7, 6), (1, 1, 3)] {
-            let (psi, hpsi, half, algebra) = gemm_residual(ng, nb, [31, 32, 33], dt);
-            let want = pt_residual(&psi, &hpsi, &half, dt);
-            let err = want.max_diff(&algebra);
-            assert!(err < 1e-12, "ng={ng} nb={nb}: vs GEMM algebra {err}");
-            let (got, _) = gathered(RankLayout::new(np, 1), ng, nb, |comm, dist| {
-                let take = |m: &CMat| dist.take_local(comm.rank(), m);
-                distributed_residual(comm, dist, ng, &take(&psi), &take(&hpsi), &take(&half), dt)
-            });
-            assert_same_bits(&want, &got, &format!("ng={ng} nb={nb} np={np}"));
         }
     }
 }

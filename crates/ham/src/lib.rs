@@ -14,9 +14,9 @@
 //!   process (pt-par threads) or as tiles dealt over a pt-mpi rank team,
 //!   with identical bits,
 //! * total-energy assembly including the Ewald ion–ion term,
-//! * the PT residual of Alg. 3 on the fixed 64-row chunk grid, comm-free
-//!   ([`pt_residual`]) or with the band-index ↔ G-space layout flips of a
-//!   rank team ([`distributed_residual`]).
+//! * the PT residual of Alg. 3 on the fixed 64-row chunk grid
+//!   ([`pt_residual`]), run on the driver's replicated blocks on every
+//!   layout — no rank team flips Ψ to G-space for it.
 
 mod ace;
 mod density;
@@ -26,18 +26,18 @@ mod fock;
 mod grids;
 mod hamiltonian;
 mod hartree;
+mod residual;
 mod scratch;
 mod system;
 
 pub use ace::AceOperator;
 pub use density::{density_from_orbitals, density_residual, integrate};
-pub use distributed::{
-    distributed_fock_apply, distributed_residual, pt_residual, BandDistribution, OVERLAP_CHUNK_ROWS,
-};
+pub use distributed::{distributed_fock_apply, BandDistribution};
 pub use error::PtError;
 pub use fock::{ExchangeTile, FockMode, FockOperator, ScreenedKernel};
 pub use grids::PwGrids;
 pub use hamiltonian::Hamiltonian;
+pub use residual::{pt_residual, OVERLAP_CHUNK_ROWS};
 pub use system::{
     Energies, ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, Potentials, SystemSignature,
 };

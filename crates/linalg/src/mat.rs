@@ -224,8 +224,7 @@ pub fn gemm(alpha: c64, a: &CMat, opa: Op, b: &CMat, opb: Op, beta: c64, c: &mut
             assert_eq!(c.ncols, b.ncols);
             let m = a.nrows;
             if m == 0 {
-                // zero-row output (e.g. a rank owning no sphere rows in
-                // the distributed G-space layout): nothing to compute
+                // zero-row output: nothing to compute
                 return;
             }
             pt_par::parallel_chunks_mut(&mut c.data, m * panel, |p, cpanel| {

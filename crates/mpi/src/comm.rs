@@ -288,105 +288,6 @@ impl Comm {
         data.copy_from_slice(&sum);
     }
 
-    /// Pairwise `MPI_Alltoallv` for complex data: `send[j]` goes to rank
-    /// `j`; returns the received blocks indexed by source rank. Used for
-    /// the band-index ↔ G-space layout flips (Alg. 3 lines 1 and 6).
-    pub fn alltoallv_c64(&mut self, send: Vec<Vec<c64>>) -> Vec<Vec<c64>> {
-        assert_eq!(send.len(), self.size);
-        self.stats.add(&self.stats.alltoallv_calls, 1);
-        let p = self.size;
-        let mut recv: Vec<Vec<c64>> = (0..p).map(|_| Vec::new()).collect();
-        recv[self.rank] = send[self.rank].clone();
-        for round in 1..p {
-            let dst = (self.rank + round) % p;
-            let src = (self.rank + p - round) % p;
-            let tag = TAG_A2A + round as u64;
-            self.stats
-                .add(&self.stats.alltoallv_bytes, 16 * send[dst].len() as u64);
-            self.send_payload(dst, tag, Payload::C64(send[dst].clone()));
-            recv[src] = self.recv_c64(src, tag);
-        }
-        recv
-    }
-
-    /// `MPI_Allgatherv` for complex data: every rank contributes a block,
-    /// all ranks receive all blocks indexed by source rank. Used by the
-    /// fixed-chunk overlap reduction of Alg. 3, where the *receiver*
-    /// re-associates the partial sums in a rank-count-independent order.
-    pub fn allgatherv_c64(&mut self, mine: &[c64]) -> Vec<Vec<c64>> {
-        self.stats.add(&self.stats.allgatherv_calls, 1);
-        let p = self.size;
-        let mut out: Vec<Vec<c64>> = (0..p).map(|_| Vec::new()).collect();
-        out[self.rank] = mine.to_vec();
-        for round in 1..p {
-            let dst = (self.rank + round) % p;
-            let src = (self.rank + p - round) % p;
-            let tag = TAG_AGV + round as u64;
-            self.stats
-                .add(&self.stats.allgatherv_bytes, 16 * mine.len() as u64);
-            self.send_payload(dst, tag, Payload::C64(mine.to_vec()));
-            out[src] = self.recv_c64(src, tag);
-        }
-        out
-    }
-
-    /// Tree-structured replacement for the Alg. 3 chunk-overlap
-    /// `allgatherv_c64` + linear combine: every rank contributes the
-    /// partial sums of its *contiguous ascending* run of fixed-size
-    /// chunks (`mine.len() / block` chunks of `block` elements each, in
-    /// global chunk order), and every rank receives the full element-wise
-    /// sum `0 ⊕ T_0 ⊕ T_1 ⊕ …` over all chunks of all ranks.
-    ///
-    /// Association is the whole contract. The old path gathered every
-    /// rank's chunk list everywhere (O(n_chunks × block) received per
-    /// rank) and re-folded ascending on each receiver. Here the pairwise
-    /// tree over chunk indices is aligned with that ownership: each
-    /// rank's local ascending fold is one subtree, subtrees are joined in
-    /// a rank-ascending prefix chain (rank r adds its chunks onto the
-    /// prefix over all chunks owned by ranks < r, starting from the same
-    /// zeros), and the final sum is redistributed along a binomial tree
-    /// from the last rank. The element-wise addition sequence is
-    /// *identical* to the linear combine's, so the result is bit-for-bit
-    /// the same while each rank now receives at most 2 × `block` values —
-    /// O(block) instead of O(n_chunks × block), with O(log np) broadcast
-    /// hops.
-    pub fn tree_reduce_chunks_c64(&mut self, mine: &[c64], block: usize) -> Vec<c64> {
-        assert!(block > 0, "chunk block size must be nonzero");
-        assert_eq!(
-            mine.len() % block,
-            0,
-            "partials must be whole chunks of the block size"
-        );
-        self.stats.add(&self.stats.tree_reduce_calls, 1);
-        let p = self.size;
-        // prefix phase: continue the ascending-chunk fold started by rank 0
-        let mut acc = vec![c64::new(0.0, 0.0); block];
-        if self.rank > 0 {
-            acc = self.recv_c64(self.rank - 1, TAG_TREE);
-            self.stats
-                .add(&self.stats.tree_reduce_bytes, 16 * block as u64);
-        }
-        for chunk in mine.chunks_exact(block) {
-            for (a, v) in acc.iter_mut().zip(chunk) {
-                *a += *v;
-            }
-        }
-        if self.rank + 1 < p {
-            self.send_payload(self.rank + 1, TAG_TREE, Payload::C64(acc.clone()));
-        }
-        // redistribution phase: binomial broadcast from the last rank,
-        // which is the only one holding the full sum
-        let root = p - 1;
-        let sum = self
-            .bcast_tree(root, TAG_TREE_BC, Payload::C64(acc))
-            .into_c64();
-        if self.rank != root {
-            self.stats
-                .add(&self.stats.tree_reduce_bytes, 16 * block as u64);
-        }
-        sum
-    }
-
     /// Full barrier (reduce + broadcast of an empty token).
     pub fn barrier(&mut self) {
         let mut token = [0.0f64; 1];
@@ -397,10 +298,6 @@ impl Comm {
 const TAG_BCAST: u64 = 1 << 32;
 const TAG_REDUCE: u64 = 2 << 32;
 const TAG_REDUCE_BC: u64 = 3 << 32;
-const TAG_A2A: u64 = 4 << 32;
-const TAG_AGV: u64 = 5 << 32;
-const TAG_TREE: u64 = 6 << 32;
-const TAG_TREE_BC: u64 = 7 << 32;
 /// Reserved control tag: "the sending rank is dead" (never stashed).
 const TAG_POISON: u64 = u64::MAX;
 
@@ -455,92 +352,6 @@ mod tests {
             for v in out {
                 assert_eq!(v[0], want0);
                 assert_eq!(v[1], 10.0 * np as f64);
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_transposes_blocks() {
-        let np = 5;
-        let (out, _) = on_ranks(np, |comm| {
-            let r = comm.rank();
-            let send: Vec<Vec<c64>> = (0..np)
-                .map(|j| vec![c64::new(r as f64, j as f64); j + 1])
-                .collect();
-            comm.alltoallv_c64(send)
-        });
-        for (r, recv) in out.iter().enumerate() {
-            for (src, block) in recv.iter().enumerate() {
-                assert_eq!(block.len(), r + 1, "rank {r} from {src}");
-                assert_eq!(block[0], c64::new(src as f64, r as f64));
-            }
-        }
-    }
-
-    #[test]
-    fn allgatherv_c64_collects_everything_and_counts_its_bytes() {
-        let (out, stats) = on_ranks(3, |comm| {
-            let mine = vec![c64::new(comm.rank() as f64, -1.0); comm.rank() + 2];
-            comm.allgatherv_c64(&mine)
-        });
-        for recv in out {
-            for (src, block) in recv.iter().enumerate() {
-                assert_eq!(block.len(), src + 2);
-                assert!(block.iter().all(|&z| z == c64::new(src as f64, -1.0)));
-            }
-        }
-        // each rank sends its block to p−1 peers at 16 bytes per c64
-        assert_eq!(stats.allgatherv_bytes, 2 * (2 + 3 + 4) * 16);
-    }
-
-    #[test]
-    fn tree_reduce_chunks_is_bit_identical_to_the_linear_combine() {
-        let block = 4usize;
-        for np in [1usize, 2, 3, 5, 8] {
-            for nc in [0usize, 1, 3, 7, 16] {
-                // deterministic chunk data with nontrivial rounding
-                let chunks: Vec<Vec<c64>> = (0..nc)
-                    .map(|c| {
-                        (0..block)
-                            .map(|i| {
-                                let x = ((c * 31 + i * 7 + 1) as f64).sin() * 1e3;
-                                let y = ((c * 17 + i * 13 + 2) as f64).cos() / 3.0;
-                                c64::new(x, y)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                // reference: the zeros-initialized ascending linear fold
-                // the old allgatherv combine performed on every receiver
-                let mut want = vec![c64::new(0.0, 0.0); block];
-                for ch in &chunks {
-                    for (w, v) in want.iter_mut().zip(ch) {
-                        *w += *v;
-                    }
-                }
-                let (base, rem) = (nc / np, nc % np);
-                let (out, stats) = on_ranks(np, |comm| {
-                    let r = comm.rank();
-                    let start = r * base + r.min(rem);
-                    let count = base + usize::from(r < rem);
-                    let mine: Vec<c64> = chunks[start..start + count]
-                        .iter()
-                        .flatten()
-                        .copied()
-                        .collect();
-                    comm.tree_reduce_chunks_c64(&mine, block)
-                });
-                for got in &out {
-                    for (g, w) in got.iter().zip(&want) {
-                        assert_eq!(g.re.to_bits(), w.re.to_bits(), "np={np} nc={nc}");
-                        assert_eq!(g.im.to_bits(), w.im.to_bits(), "np={np} nc={nc}");
-                    }
-                }
-                // received volume: one prefix hop into each rank > 0 plus
-                // one broadcast delivery to each non-root
-                let hops = 2 * (np as u64 - 1);
-                assert_eq!(stats.tree_reduce_bytes, hops * block as u64 * 16);
-                assert_eq!(stats.tree_reduce_calls, np as u64);
             }
         }
     }

@@ -527,12 +527,10 @@ mod tests {
     }
 
     /// The collectives a rank can die in front of.
-    const COLLECTIVES: [&str; 6] = [
+    const COLLECTIVES: [&str; 4] = [
         "bcast_c64 as root",
         "bcast_c64 as non-root",
         "allreduce_sum_f64",
-        "alltoallv_c64",
-        "tree_reduce_chunks_c64",
         "barrier",
     ];
 
@@ -542,8 +540,6 @@ mod tests {
             "bcast_c64 as root" => comm.bcast_c64(victim, &mut vec![c64::ONE; 8]),
             "bcast_c64 as non-root" => comm.bcast_c64((victim + 1) % np, &mut vec![c64::ONE; 8]),
             "allreduce_sum_f64" => comm.allreduce_sum_f64(&mut [1.0; 8]),
-            "alltoallv_c64" => drop(comm.alltoallv_c64(vec![vec![c64::ONE; 8]; np])),
-            "tree_reduce_chunks_c64" => drop(comm.tree_reduce_chunks_c64(&[c64::ONE; 8], 4)),
             "barrier" => comm.barrier(),
             _ => unreachable!("unknown collective {op}"),
         }

@@ -1,10 +1,11 @@
 //! Per-operation-class communication counters.
 //!
 //! Table 2 of the paper breaks total time into `MPI_Bcast`, `MPI_Alltoallv`,
-//! `MPI_Allreduce`, `MPI_AllGatherv` and memcpy classes; these counters
-//! collect the corresponding *volumes* (bytes) and call counts so that
-//! integration tests can check the closed-form communication model the
-//! paper states in §3.2 and §7.
+//! `MPI_Allreduce`, `MPI_AllGatherv` and memcpy classes. Only broadcasts,
+//! allreduces and point-to-point messages travel here; the `Alltoallv` and
+//! `AllGatherv` classes are Alg. 3's layout flips, modelled in `pt-perf`
+//! only. These counters collect the volumes (bytes) and call counts of the
+//! classes that travel, so tests can check the §3.2 communication model.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,18 +20,6 @@ pub struct CommStats {
     pub allreduce_bytes: AtomicU64,
     /// Allreduce call count.
     pub allreduce_calls: AtomicU64,
-    /// Bytes moved by alltoallv.
-    pub alltoallv_bytes: AtomicU64,
-    /// Alltoallv call count.
-    pub alltoallv_calls: AtomicU64,
-    /// Bytes moved by allgatherv.
-    pub allgatherv_bytes: AtomicU64,
-    /// Allgatherv call count.
-    pub allgatherv_calls: AtomicU64,
-    /// Bytes moved by the tree chunk reduction (received side).
-    pub tree_reduce_bytes: AtomicU64,
-    /// Tree chunk reduction call count (per-rank calls).
-    pub tree_reduce_calls: AtomicU64,
     /// Bytes moved by raw point-to-point sends.
     pub p2p_bytes: AtomicU64,
 }
@@ -46,18 +35,6 @@ pub struct StatsSnapshot {
     pub allreduce_bytes: u64,
     /// Allreduce calls.
     pub allreduce_calls: u64,
-    /// Alltoallv bytes.
-    pub alltoallv_bytes: u64,
-    /// Alltoallv calls.
-    pub alltoallv_calls: u64,
-    /// Allgatherv bytes.
-    pub allgatherv_bytes: u64,
-    /// Allgatherv calls.
-    pub allgatherv_calls: u64,
-    /// Tree chunk reduction bytes (received side).
-    pub tree_reduce_bytes: u64,
-    /// Tree chunk reduction calls.
-    pub tree_reduce_calls: u64,
     /// Point-to-point bytes.
     pub p2p_bytes: u64,
 }
@@ -73,12 +50,6 @@ impl StatsSnapshot {
             bcast_calls: self.bcast_calls - earlier.bcast_calls,
             allreduce_bytes: self.allreduce_bytes - earlier.allreduce_bytes,
             allreduce_calls: self.allreduce_calls - earlier.allreduce_calls,
-            alltoallv_bytes: self.alltoallv_bytes - earlier.alltoallv_bytes,
-            alltoallv_calls: self.alltoallv_calls - earlier.alltoallv_calls,
-            allgatherv_bytes: self.allgatherv_bytes - earlier.allgatherv_bytes,
-            allgatherv_calls: self.allgatherv_calls - earlier.allgatherv_calls,
-            tree_reduce_bytes: self.tree_reduce_bytes - earlier.tree_reduce_bytes,
-            tree_reduce_calls: self.tree_reduce_calls - earlier.tree_reduce_calls,
             p2p_bytes: self.p2p_bytes - earlier.p2p_bytes,
         }
     }
@@ -86,12 +57,7 @@ impl StatsSnapshot {
     /// Total bytes moved across every operation class — the single "wire
     /// bytes" figure per-job telemetry folds into its counters.
     pub fn total_bytes(&self) -> u64 {
-        self.bcast_bytes
-            + self.allreduce_bytes
-            + self.alltoallv_bytes
-            + self.allgatherv_bytes
-            + self.tree_reduce_bytes
-            + self.p2p_bytes
+        self.bcast_bytes + self.allreduce_bytes + self.p2p_bytes
     }
 }
 
@@ -103,12 +69,6 @@ impl CommStats {
             bcast_calls: self.bcast_calls.load(Ordering::Relaxed),
             allreduce_bytes: self.allreduce_bytes.load(Ordering::Relaxed),
             allreduce_calls: self.allreduce_calls.load(Ordering::Relaxed),
-            alltoallv_bytes: self.alltoallv_bytes.load(Ordering::Relaxed),
-            alltoallv_calls: self.alltoallv_calls.load(Ordering::Relaxed),
-            allgatherv_bytes: self.allgatherv_bytes.load(Ordering::Relaxed),
-            allgatherv_calls: self.allgatherv_calls.load(Ordering::Relaxed),
-            tree_reduce_bytes: self.tree_reduce_bytes.load(Ordering::Relaxed),
-            tree_reduce_calls: self.tree_reduce_calls.load(Ordering::Relaxed),
             p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
         }
     }

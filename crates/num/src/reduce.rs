@@ -6,9 +6,9 @@
 //! across kill-and-resume) therefore requires every float reduction to
 //! have a **named, pinned order**. These helpers are that name for the
 //! serial case: a left-linear fold in iteration order, the reference
-//! order every parallel/distributed reduction (`pt_par::parallel_reduce`,
-//! `Comm::tree_reduce_chunks_c64`) is tested to reproduce or document
-//! deviations from.
+//! order every parallel reduction (`pt_par::parallel_reduce`, the PT
+//! residual's ascending fold of its fixed-chunk overlap partials) is
+//! tested to reproduce or document deviations from.
 //!
 //! `pt-analyze`'s `float-fold-order` lint rejects raw iterator
 //! `sum`/`fold` in numeric crates; call sites route through here (or

@@ -6,8 +6,7 @@ use pwdft_rt::ham::{
 };
 use pwdft_rt::lattice::silicon_cubic_supercell;
 use pwdft_rt::linalg::CMat;
-use pwdft_rt::mpi::{Comm, RankEngine, Wire};
-use pwdft_rt::num::c64;
+use pwdft_rt::mpi::{RankEngine, Wire};
 use pwdft_rt::par::RankLayout;
 
 /// The Alg. 2 broadcast volume follows N_p·N_G·N_e exactly; the
@@ -18,7 +17,7 @@ use pwdft_rt::par::RankLayout;
 /// volumes, is modelled in `pt-perf`, not run: it would make the bits
 /// depend on the layout.)
 #[test]
-fn alg2_volume_law_and_f32_wire() {
+fn alg2_volume_law_and_exact_f64_wire() {
     let s = silicon_cubic_supercell(1, 1, 1);
     let grids = PwGrids::new(&s, 2.0);
     let (ng, nw, nb, np) = (grids.ng(), grids.n_wfc(), 6, 3);
@@ -89,56 +88,4 @@ fn paper_headlines_hold_in_model() {
     assert!(pwdft_rt::perf::gpu_run_power(72) < pwdft_rt::perf::cpu_run_power(3072));
     let ratio = m.cpu_step(3072, &pr) / m.step_total(72, &pr);
     assert!(ratio > 5.0 && ratio < 9.0, "same-power speedup {ratio:.1}");
-}
-
-/// The virtual-MPI residual algorithm components compose: an alltoallv
-/// layout flip is self-inverse (band ↔ G-space of Alg. 3).
-#[test]
-fn layout_flip_roundtrip() {
-    let np = 4;
-    let ng = 64;
-    let nb = 8;
-    let full = CMat::rand_normalized(ng, nb, 5);
-    let fref = &full;
-    let flip_and_back = move |comm: &mut Comm| {
-        let r = comm.rank();
-        // band layout: rank owns bands r, r+np, ...
-        let mine: Vec<usize> = (0..nb).filter(|b| b % np == r).collect();
-        // flip to G-space layout: rank owns rows [r*ng/np, (r+1)*ng/np)
-        let rows = ng / np;
-        let send: Vec<Vec<c64>> = (0..np)
-            .map(|dst| {
-                let mut blk = Vec::new();
-                for &b in &mine {
-                    blk.extend_from_slice(&fref.col(b)[dst * rows..(dst + 1) * rows]);
-                }
-                blk
-            })
-            .collect();
-        let recv = comm.alltoallv_c64(send);
-        // now rank holds rows of ALL bands; flip back
-        let send_back: Vec<Vec<c64>> = recv.clone();
-        let back = comm.alltoallv_c64(send_back);
-        // reconstruct my bands
-        let mut mine_data: Vec<Vec<c64>> = mine.iter().map(|_| vec![c64::ZERO; ng]).collect();
-        for (src, blk) in back.iter().enumerate() {
-            let per_band = rows;
-            for (bi, _) in mine.iter().enumerate() {
-                let off = bi * per_band;
-                mine_data[bi][src * rows..(src + 1) * rows]
-                    .copy_from_slice(&blk[off..off + per_band]);
-            }
-        }
-        (mine, mine_data)
-    };
-    let (outs, _) = RankEngine::new(RankLayout::new(np, 1), Wire::F64)
-        .run(flip_and_back)
-        .expect("fresh engine");
-    for (mine, data) in outs {
-        for (bi, &b) in mine.iter().enumerate() {
-            for (x, y) in data[bi].iter().zip(full.col(b)) {
-                assert_eq!(*x, *y, "band {b} corrupted in layout roundtrip");
-            }
-        }
-    }
 }

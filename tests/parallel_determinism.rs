@@ -10,8 +10,8 @@
 //! dedicated `threads`-wide pool).
 
 use pwdft_rt::ham::{
-    distributed_fock_apply, distributed_residual, AceOperator, BandDistribution, FockMode,
-    FockOperator, PwGrids, ScreenedKernel,
+    distributed_fock_apply, pt_residual, AceOperator, BandDistribution, FockMode, FockOperator,
+    PwGrids, ScreenedKernel,
 };
 use pwdft_rt::linalg::CMat;
 use pwdft_rt::mpi::RankEngine;
@@ -171,13 +171,13 @@ fn assert_cmat_bits_eq(name: &str, a: &CMat, b: &CMat) {
     }
 }
 
-/// The ranks × threads grid, driven through the persistent
-/// [`RankEngine`]: both the distributed Fock self-application (Alg. 2) and the
-/// distributed residual (Alg. 3) must produce the *same bits* on every
+/// The ranks × threads grid: the distributed Fock self-application
+/// (Alg. 2, driven through the persistent [`RankEngine`]) and the PT
+/// residual (Alg. 3, on the driver's `ranks × threads`-wide pool, where a
+/// step with that layout runs it) must produce the *same bits* on every
 /// layout in {1,2,3,4} ranks × {1,4} threads-per-rank. The residual's
-/// overlap sums are re-associated over the fixed `OVERLAP_CHUNK_ROWS`
-/// grid (one owner per chunk on any rank count, combine in chunk order),
-/// which is what closed the old ~1e-12 cross-rank gap.
+/// overlap sums are folded over the fixed `OVERLAP_CHUNK_ROWS` grid, so
+/// the pool width cannot re-associate them.
 #[test]
 fn distributed_fock_and_residual_over_the_ranks_threads_grid() {
     let sys_grids = PwGrids::new(&silicon_cubic_supercell(1, 1, 1), 2.0);
@@ -199,27 +199,12 @@ fn distributed_fock_and_residual_over_the_ranks_threads_grid() {
         let mut engine = RankEngine::new(RankLayout::new(ranks, threads), Wire::F64);
         let (blocks, _) = engine
             .run(move |comm| {
-                let rank = comm.rank();
-                let local = dist.take_local(rank, p_);
-                let fock = distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k);
-                let resid = distributed_residual(
-                    comm,
-                    dist,
-                    ng,
-                    &local,
-                    &dist.take_local(rank, h_),
-                    &dist.take_local(rank, f_),
-                    dt,
-                );
-                (fock, resid)
+                let local = dist.take_local(comm.rank(), p_);
+                distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k)
             })
             .expect("healthy engine");
-        let focks: Vec<CMat> = blocks.iter().map(|(f, _)| f.clone()).collect();
-        let resids: Vec<CMat> = blocks.iter().map(|(_, r)| r.clone()).collect();
-        (
-            gather_bands(dist, ng, &focks),
-            gather_bands(dist, ng, &resids),
-        )
+        let resid = ThreadPool::new(ranks * threads).install(|| pt_residual(p_, h_, f_, dt));
+        (gather_bands(dist, ng, &blocks), resid)
     };
 
     let (fock_ref, resid_ref) = run_layout(1, 1);
@@ -336,18 +321,16 @@ fn ace_refresh_on_a_reused_engine_matches_fresh_spawn_bits() {
 }
 
 /// Engine reuse is invisible in the numbers: submitting a sequence of
-/// "steps" (Alg. 2 + Alg. 3 with step-dependent inputs) to ONE parked
-/// rank team produces exactly the bits of a fresh `RankEngine` per step.
-/// This is what lets the PT-CN propagator
-/// keep its team alive for a whole `Simulation::run` without any
-/// determinism cost.
+/// "steps" (Alg. 2 self-applications of step-dependent inputs) to ONE
+/// parked rank team produces exactly the bits of a fresh `RankEngine` per
+/// step. This is what lets the PT-CN propagator keep its team alive for a
+/// whole `Simulation::run` without any determinism cost.
 #[test]
 fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
     let sys_grids = PwGrids::new(&silicon_cubic_supercell(1, 1, 1), 2.0);
     let ng = sys_grids.ng();
     let nb = 5;
     let kernel = ScreenedKernel::new(&sys_grids, 0.11);
-    let dt = 0.7;
     let dist = BandDistribution {
         n_bands: nb,
         n_ranks: 2,
@@ -358,25 +341,11 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
     for step in 0..4u64 {
         // fresh step-dependent inputs, as a propagation would produce
         let phi = CMat::rand_normalized(ng, nb, 100 + step);
-        let hpsi = CMat::rand_normalized(ng, nb, 300 + step);
-        let half = CMat::rand_normalized(ng, nb, 400 + step);
         let job = {
-            let (g, k) = (&sys_grids, &kernel);
-            let (p_, h_, f_) = (&phi, &hpsi, &half);
+            let (g, k, p_) = (&sys_grids, &kernel, &phi);
             move |comm: &mut pwdft_rt::mpi::Comm| {
-                let rank = comm.rank();
-                let local = dist.take_local(rank, p_);
-                let fock = distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k);
-                let resid = distributed_residual(
-                    comm,
-                    dist,
-                    ng,
-                    &local,
-                    &dist.take_local(rank, h_),
-                    &dist.take_local(rank, f_),
-                    dt,
-                );
-                (fock, resid)
+                let local = dist.take_local(comm.rank(), p_);
+                distributed_fock_apply(comm, g, dist, &local, &local, 0.25, k)
             }
         };
         let (reused, _) = engine.run(job).expect("healthy engine");
@@ -384,8 +353,7 @@ fn engine_reuse_across_steps_matches_spawn_per_step_bits() {
             .run(job)
             .expect("fresh engine");
         for (r, (a, b)) in reused.iter().zip(&fresh).enumerate() {
-            assert_cmat_bits_eq(&format!("step {step} rank {r} fock"), &a.0, &b.0);
-            assert_cmat_bits_eq(&format!("step {step} rank {r} residual"), &a.1, &b.1);
+            assert_cmat_bits_eq(&format!("step {step} rank {r} fock"), a, b);
         }
     }
 }
@@ -466,6 +434,52 @@ fn hybrid_ace_run_via_builders_is_layout_invariant() {
     for (s1, s2) in ts11.stats.iter().zip(&ts22.stats) {
         assert_eq!(s1.scf_iterations, s2.scf_iterations);
         assert_eq!(s1.rho_residual.to_bits(), s2.rho_residual.to_bits());
+    }
+}
+
+/// More ranks than bands on a full run: the 4-band fixture on 5 and 6
+/// ranks leaves one or two ranks with no band (and, in the exchange, no
+/// tile), yet they join every broadcast. Two steps in `Full` and in
+/// `Ace { refresh_interval: 2 }` mode (a refresh, then a stale step) must
+/// carry the bits of the 1 × 1 run.
+#[test]
+fn more_ranks_than_bands_runs_carry_the_one_rank_bits() {
+    let run_layout = |ranks: usize, mode: ExchangeMode| -> TimeSeries {
+        let sys = hybrid_system(ranks, 1, mode);
+        let mut sim = SimulationBuilder::new(&sys)
+            .initial_orbitals(hybrid_ground_state().orbitals.clone())
+            .laser(LaserPulse::paper_380nm(
+                0.02,
+                attosecond_to_au(200.0),
+                attosecond_to_au(100.0),
+            ))
+            .dt(attosecond_to_au(25.0))
+            .steps(2)
+            .build()
+            .expect("valid simulation");
+        sim.run().expect("propagation succeeds")
+    };
+    let ace2 = ExchangeMode::Ace {
+        refresh_interval: 2,
+    };
+    for mode in [ExchangeMode::Full, ace2] {
+        let reference = run_layout(1, mode);
+        for ranks in [5usize, 6] {
+            let ts = run_layout(ranks, mode);
+            assert_eq!(reference.len(), ts.len());
+            for name in reference.channel_names() {
+                assert_bits_eq(
+                    &format!("{mode:?} {ranks}x1 {name}"),
+                    reference.channel(name).unwrap(),
+                    ts.channel(name).unwrap(),
+                );
+            }
+            for (s1, s2) in reference.stats.iter().zip(&ts.stats) {
+                assert_eq!(s1.scf_iterations, s2.scf_iterations);
+                assert_eq!(s1.h_applications, s2.h_applications);
+                assert_eq!(s1.rho_residual.to_bits(), s2.rho_residual.to_bits());
+            }
+        }
     }
 }
 

@@ -15,7 +15,10 @@
 //!   per-step `PairFfts` delta must be exactly the step record's
 //!   exchange energy — N(N+1)/2 solves — and above it on every refresh
 //!   step; `AceRefreshRounds` must be 0 between refreshes and positive on
-//!   every refresh step.
+//!   every refresh step. On a `ranks > 1` layout the rank engine runs one
+//!   job per `HΨ` application and nothing else in a `Full` step: the PT
+//!   residual is driver algebra, so `EngineJobs` moves by exactly the
+//!   step's `h_applications`.
 
 use pwdft_rt::prelude::*;
 use pwdft_rt::trace;
@@ -197,5 +200,64 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
                 i + 1
             );
         }
+    }
+}
+
+/// One engine job per `HΨ`: the 4-band HSE fixture on a 2 × 1 `Full`
+/// layout sends the rank team its `HΨ` applications and nothing else —
+/// the fixed-point residual runs on the driver — so every step's
+/// `EngineJobs` delta equals that step's `h_applications`.
+#[test]
+fn a_ranked_full_step_runs_one_engine_job_per_h_application() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    trace::set_enabled(true);
+
+    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+        .ecut(2.0)
+        .xc(XcKind::Pbe)
+        .hybrid(HybridConfig::hse06())
+        .occupations(vec![2.0; 4])
+        .layout(RankLayout::new(2, 1))
+        .build()
+        .expect("valid distributed system");
+    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+    let mut sim = SimulationBuilder::new(&sys)
+        .initial_orbitals(gs.orbitals.clone())
+        .laser(LaserPulse::paper_380nm(
+            0.02,
+            attosecond_to_au(200.0),
+            attosecond_to_au(100.0),
+        ))
+        .dt(attosecond_to_au(25.0))
+        .steps(3)
+        .build()
+        .expect("valid simulation");
+
+    // (engine jobs, h_applications, fixed-point iterations) per step
+    let steps: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&steps);
+    let mut last = trace::counter_value(trace::Counter::EngineJobs);
+    sim.set_step_tap(move |update| {
+        let now = trace::counter_value(trace::Counter::EngineJobs);
+        let stats = update.stats;
+        sink.lock()
+            .unwrap()
+            .push((now - last, stats.h_applications, stats.scf_iterations));
+        last = now;
+    });
+    sim.run().expect("propagation succeeds");
+    trace::set_enabled(false);
+
+    let steps = steps.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    assert_eq!(steps.len(), 3, "tap fired once per committed step");
+    for (i, &(jobs, h_applications, iterations)) in steps.iter().enumerate() {
+        assert!(iterations > 0, "step {}: no fixed-point iteration", i + 1);
+        assert_eq!(
+            jobs,
+            h_applications as u64,
+            "step {}: {jobs} engine jobs for {h_applications} HΨ and {iterations} \
+             fixed-point iterations — the rank team ran more than HΨ",
+            i + 1
+        );
     }
 }
