@@ -69,6 +69,9 @@ REMOVED = [
     ("distributed PT residual and its collectives",
      r"distributed_residual|alltoallv_c64|allgatherv_c64|tree_reduce_chunks_c64|g_rows\(", SRC, None,
      "Fixed-chunk overlap reduction"),
+    ("PT-CN step argument bundle and second ACE state type",
+     r"AceRound|AceRefreshState|raw_psi_out|from_capture|fn absorb\b", "crates/core/src", None,
+     "Exchange modes: Full and ACE"),
 ]
 
 

@@ -37,6 +37,7 @@ SAMPLES = [
     "opts.max_phi_updates = 8;",
     "let gamma = lstsq(&a, &b, 1e-12);",
     "let s = comm.tree_reduce_chunks_c64(&partials, nb * nb);",
+    "ace: ace.map(AceRefreshState::from_capture),",
 ]
 
 

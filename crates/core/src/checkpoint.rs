@@ -26,7 +26,7 @@
 use crate::laser::LaserPulse;
 use crate::propagator::{AceCapture, PropagatorState, PtCnOptions, Rk4Options, StepStats};
 use crate::simulation::TimeSeries;
-use pt_ham::{ExchangeMode, PtError, SystemSignature};
+use pt_ham::{AceOperator, ExchangeMode, PtError, SystemSignature};
 use pt_io::{SnapshotFile, SnapshotWriter};
 use pt_linalg::CMat;
 use pt_mpi::Wire;
@@ -263,7 +263,7 @@ fn write_propagator(w: &mut SnapshotWriter, state: &PropagatorState) -> Result<(
             // silently diverge bit-wise from the uninterrupted one.
             if let Some(a) = ace {
                 w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
-                w.put_cmat("prop/ace_xi", &a.xi)?;
+                w.put_cmat("prop/ace_xi", a.op.xi())?;
             }
             Ok(())
         }
@@ -326,7 +326,7 @@ fn read_propagator(
             other => return Err(schema(format!("'prop/ace' holds {} values", other.len()))),
         };
         Ok(Some(AceCapture {
-            xi: f.cmat("prop/ace_xi")?,
+            op: AceOperator::from_xi(f.cmat("prop/ace_xi")?),
             steps_since_refresh,
         }))
     };

@@ -332,7 +332,7 @@ mod tests {
             PropagatorState::PtCn { ace, .. } => {
                 let cap = ace.expect("two ACE steps must leave a captured projector");
                 assert_eq!(cap.steps_since_refresh, 2, "interval-2 window exhausted");
-                assert_eq!(cap.xi.nrows(), sys.grids.ng());
+                assert_eq!(cap.op.xi().nrows(), sys.grids.ng());
             }
             other => panic!("expected PtCn, got {other:?}"),
         }

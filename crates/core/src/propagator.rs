@@ -41,8 +41,10 @@ impl TdState {
 pub struct StepStats {
     /// SCF (fixed-point) iterations used.
     pub scf_iterations: usize,
-    /// Full `HΨ` block applications (each contains one Fock exchange
-    /// application per band when hybrid).
+    /// `HΨ` block applications: the t_n one of the half step plus one per
+    /// fixed-point iteration. With a hybrid each contains the exchange —
+    /// the pair-FFT Fock loop under `Full`, the rank-N_φ projector under
+    /// ACE (ACE projector builds are not counted here).
     pub h_applications: usize,
     /// Final fixed-point density residual.
     pub rho_residual: f64,
@@ -92,20 +94,6 @@ impl StepPhases {
     pub(crate) fn reconcile(&mut self, wall: f64) {
         self.wall = wall;
         self.other = (wall - self.named_sum()).max(0.0);
-    }
-
-    /// Fold one refresh round's phases into the step's accumulating total
-    /// (`wall`/`other` included — the step re-reconciles against its own
-    /// span).
-    pub(crate) fn absorb(&mut self, sub: &StepPhases) {
-        self.wall += sub.wall;
-        self.h_apply += sub.h_apply;
-        self.residual += sub.residual;
-        self.mix += sub.mix;
-        self.density += sub.density;
-        self.ortho += sub.ortho;
-        self.ace_build += sub.ace_build;
-        self.other += sub.other;
     }
 }
 
@@ -171,14 +159,15 @@ pub enum PropagatorState {
     },
 }
 
-/// The serialized form of a live ACE projector: the columns ξ plus the
-/// position inside the current refresh window. Recorded verbatim in run
-/// snapshots so that kill/resume inside a window (`ace_refresh_interval
+/// The live ACE projector plus its position inside the current refresh
+/// window: what a PT-CN propagator carries across steps under
+/// [`ExchangeMode::Ace`], and what its capture records. Run snapshots hold
+/// ξ verbatim so that kill/resume inside a window (`ace_refresh_interval
 /// > 1`) continues with the identical operator, bit for bit.
 #[derive(Clone, Debug)]
 pub struct AceCapture {
-    /// Projector columns ξ (N_G × N_φ).
-    pub xi: CMat,
+    /// The projector (its columns ξ are N_G × N_φ).
+    pub op: AceOperator,
     /// Steps completed since ξ was last rebuilt.
     pub steps_since_refresh: usize,
 }
@@ -193,7 +182,7 @@ pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagato
         // first post-resume step, never part of the snapshot
         PropagatorState::PtCn { opts, ace } => Ok(Box::new(PtCnPropagator {
             opts,
-            ace: ace.map(AceRefreshState::from_capture),
+            ace,
             engine: None,
         })),
         PropagatorState::Rk4 { opts } => Ok(Box::new(Rk4Propagator { opts })),
@@ -298,7 +287,7 @@ pub struct Rk4Options {
 pub struct PtCnPropagator {
     /// Options.
     pub opts: PtCnOptions,
-    pub(crate) ace: Option<AceRefreshState>,
+    pub(crate) ace: Option<AceCapture>,
     /// The spawn-once rank team of a `ranks > 1` layout.
     pub(crate) engine: Option<RankEngine>,
 }
@@ -389,32 +378,6 @@ pub(crate) trait StepKernels {
     fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError>;
 }
 
-/// What one PT-CN solve borrows from an ACE refresh round. `Default` is a
-/// plain `Full` step: exact exchange everywhere, the fixed point seeded at
-/// Ψ_{n+1/2}, no raw iterate handed back.
-#[derive(Default)]
-pub(crate) struct AceRound<'a> {
-    /// Stands in for the exchange inside the fixed point.
-    pub(crate) ace: Option<&'a AceOperator>,
-    /// Used for the single t_n residual apply (defaults to `ace`). The
-    /// split matters on refresh rounds: the t_n apply sees the projector
-    /// built from Ψ_n — where ACE is *exact* — while the fixed point sees
-    /// the self-consistently refined one.
-    pub(crate) ace_n: Option<&'a AceOperator>,
-    /// Seeds the fixed point instead of Ψ_{n+1/2}: the converged solution
-    /// is unchanged (same equation, same Ψ_{n+1/2} in the residual), but a
-    /// seed already near the answer — a previous round's iterate —
-    /// converges in a couple of Anderson passes instead of a full solve.
-    pub(crate) warm_start: Option<&'a CMat>,
-    /// Receives the converged iterate ψ_f *before* re-orthonormalization:
-    /// `Full` builds its Fock operator from exactly that raw block, so a
-    /// refresh that wants to reproduce the `Full` fixed point must define
-    /// ξ from it (the committed, re-orthonormalized Ψ differs by the
-    /// O(orthonormality defect) the fixed point accrues, which would floor
-    /// the agreement).
-    pub(crate) raw_psi_out: Option<&'a mut CMat>,
-}
-
 /// The kinetic preconditioner of the PT-CN fixed point,
 /// `P_G = 1 / (1 + i·(dt/2)·½|G + A|²)`: the inverse of the residual map's
 /// kinetic part, which is what makes the map stiff (dt/2 · ½|G|² is 1–10 at
@@ -429,81 +392,93 @@ fn kinetic_preconditioner(sys: &KsSystem, a: [f64; 3], dt: f64) -> Vec<c64> {
         .collect()
 }
 
-/// The PT-CN step body (Alg. 1), generic over the execution strategy.
-/// Everything outside the kernels (the residual, density, preconditioned
-/// Anderson mixing, re-orthonormalization) runs replicated on the driver
-/// thread, so the step's output bits depend only on the kernels'.
-///
-/// A non-finite density residual ends the fixed point at once: no further
-/// `HΨ`, no re-orthonormalization, `converged: false` with that residual.
-/// The state then holds the non-finite iterate, which the caller's record
-/// check refuses ([`PtError::Diverged`] in [`crate::Simulation::run`]).
-pub(crate) fn ptcn_step_with(
-    opts: &PtCnOptions,
+/// What Alg. 1's half step hands the fixed point: Ψ_{n+1/2}, the step
+/// size and the target time t_{n+1} with its field.
+struct HalfStep {
+    psi: CMat,
+    dt: f64,
+    t_next: f64,
+    a_next: [f64; 3],
+}
+
+/// Alg. 1 lines 1–2: the t_n residual `R_n = HΨ_n − Ψ_n (Ψ_n* HΨ_n)` from
+/// one `HΨ` (the exchange from `ace` if given, the exact Fock loop
+/// otherwise) and the explicit half step `Ψ_{n+1/2} = Ψ_n − i dt/2 R_n`.
+fn half_step(
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
-    state: &mut TdState,
+    state: &TdState,
     dt: f64,
     kernels: &mut dyn StepKernels,
-    round: AceRound<'_>,
-) -> Result<StepStats, PtError> {
-    opts.validate()?;
-    let mut stats = StepStats::default();
-
-    // line 1: initial residual R_n at time t_n
+    ace: Option<&AceOperator>,
+    stats: &mut StepStats,
+) -> Result<HalfStep, PtError> {
     let sp = pt_trace::span("density");
     let rho_n = sys.density(&state.psi);
     stats.phases.density += sp.finish_secs();
     let sp = pt_trace::span("h_apply");
-    let hpsi = kernels.apply_h(
-        sys,
-        &rho_n,
-        &state.psi,
-        a_field(laser, state.t),
-        round.ace_n.or(round.ace),
-    )?;
+    let hpsi = kernels.apply_h(sys, &rho_n, &state.psi, a_field(laser, state.t), ace)?;
     stats.phases.h_apply += sp.finish_secs();
     stats.h_applications += 1;
     let sp = pt_trace::span("residual");
     let r_n = pt_rhs(&hpsi, &state.psi);
     stats.phases.residual += sp.finish_secs();
-
-    // line 2: Ψ_{n+1/2} = Ψ_n − i dt/2 R_n ; Ψ_f = Ψ_{n+1/2}
-    let mut psi_half = state.psi.clone();
-    for (o, r) in psi_half.data_mut().iter_mut().zip(r_n.data()) {
+    let mut psi = state.psi.clone();
+    for (o, r) in psi.data_mut().iter_mut().zip(r_n.data()) {
         *o -= r.mul_i().scale(0.5 * dt);
     }
-    let mut psi_f = match round.warm_start {
-        Some(w) if w.nrows() == psi_half.nrows() && w.ncols() == psi_half.ncols() => w.clone(),
-        _ => psi_half.clone(),
-    };
-
-    // lines 3-10: fixed point via preconditioned Anderson mixing. Each
-    // fixed point starts from an empty history, which is why nothing of
-    // the mixer outlives this call and a resumed trajectory agrees with an
-    // uninterrupted one bit for bit without it.
     let t_next = state.t + dt;
-    let a_next = a_field(laser, t_next);
+    Ok(HalfStep {
+        psi,
+        dt,
+        t_next,
+        a_next: a_field(laser, t_next),
+    })
+}
+
+/// Alg. 1 lines 3–10: solve `Ψ = Ψ_{n+1/2} − i dt/2 (HΨ − Ψ (Ψ* HΨ))` at
+/// t_{n+1} by preconditioned Anderson mixing, started from `seed`, with
+/// `ace` standing in for the exchange if given. Returns the raw iterate
+/// ψ_f, not yet re-orthonormalized; adds the iterations and `HΨ` to
+/// `stats` and sets its residual and `converged`.
+///
+/// Each solve starts from an empty Anderson history, which is why nothing
+/// of the mixer outlives this call and a resumed trajectory agrees with
+/// an uninterrupted one bit for bit without it. A non-finite density
+/// residual ends the solve at once: no further `HΨ`, `converged: false`
+/// with that residual.
+fn fixed_point(
+    opts: &PtCnOptions,
+    sys: &KsSystem,
+    half: &HalfStep,
+    seed: CMat,
+    kernels: &mut dyn StepKernels,
+    ace: Option<&AceOperator>,
+    stats: &mut StepStats,
+) -> Result<CMat, PtError> {
     let mut mixer = BandAndersonMixer::new(
-        state.psi.ncols(),
+        half.psi.ncols(),
         opts.anderson_depth,
         opts.beta,
-        kinetic_preconditioner(sys, a_next, dt),
+        kinetic_preconditioner(sys, half.a_next, half.dt),
     );
+    let mut psi_f = seed;
     let sp = pt_trace::span("density");
     let mut rho_f = sys.density(&psi_f);
     stats.phases.density += sp.finish_secs();
-    for _ in 0..opts.max_scf {
-        stats.scf_iterations += 1;
+    stats.converged = false;
+    let mut iterations = 0;
+    while iterations < opts.max_scf {
+        iterations += 1;
         pt_trace::counter_add(pt_trace::Counter::FixedPointIterations, 1);
         let sp = pt_trace::span("h_apply");
-        let hpsi_f = kernels.apply_h(sys, &rho_f, &psi_f, a_next, round.ace)?;
+        let hpsi_f = kernels.apply_h(sys, &rho_f, &psi_f, half.a_next, ace)?;
         stats.phases.h_apply += sp.finish_secs();
         stats.h_applications += 1;
         // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2},
         // on the driver's pool on every layout (Alg. 3 without its flips)
         let sp = pt_trace::span("residual");
-        let mut resid = pt_residual(&psi_f, &hpsi_f, &psi_half, dt);
+        let mut resid = pt_residual(&psi_f, &hpsi_f, &half.psi, half.dt);
         stats.phases.residual += sp.finish_secs();
         // Anderson mixing on the fixed point Ψ = Ψ − R(Ψ): residual −R,
         // which the mixer preconditions to P·(−R)
@@ -527,63 +502,66 @@ pub(crate) fn ptcn_step_with(
             break;
         }
     }
+    stats.scf_iterations += iterations;
     if opts.strict && !stats.converged {
         return Err(PtError::NotConverged {
             context: "PT-CN fixed point",
             residual: stats.rho_residual,
             tol: opts.rho_tol,
-            iterations: stats.scf_iterations,
+            iterations,
         });
     }
+    Ok(psi_f)
+}
 
-    if let Some(out) = round.raw_psi_out {
-        *out = psi_f.clone();
-    }
-
-    // line 11: re-orthogonalize (Cholesky + TRSM, §3.4) — a non-finite
-    // iterate has no Cholesky factor, so it is handed back as it is
+/// Alg. 1 line 11: re-orthonormalize ψ_f (Cholesky + TRSM, §3.4). A
+/// non-finite iterate has no Cholesky factor, so it is handed back as it
+/// is.
+fn reorthonormalized(mut psi_f: CMat, stats: &mut StepStats) -> CMat {
     if stats.rho_residual.is_finite() {
         let sp = pt_trace::span("ortho");
         reorthonormalize(&mut psi_f);
         stats.phases.ortho += sp.finish_secs();
     }
+    psi_f
+}
 
-    state.psi = psi_f;
-    state.t = t_next;
+/// One PT-CN step (Alg. 1) under one exchange for the whole step: the
+/// exact Fock loop over the live iterate (`ace: None`) or a frozen ACE
+/// projector (a stale-window step). Generic over the execution strategy;
+/// everything outside the kernels (the residual, density, preconditioned
+/// Anderson mixing, re-orthonormalization) runs replicated on the driver
+/// thread, so the step's output bits depend only on the kernels'.
+///
+/// A non-finite fixed point skips the re-orthonormalization and leaves
+/// the state at the non-finite iterate with `converged: false`, which the
+/// caller's record check refuses ([`PtError::Diverged`] in
+/// [`crate::Simulation::run`]).
+pub(crate) fn ptcn_step_with(
+    opts: &PtCnOptions,
+    sys: &KsSystem,
+    laser: Option<&LaserPulse>,
+    state: &mut TdState,
+    dt: f64,
+    kernels: &mut dyn StepKernels,
+    ace: Option<&AceOperator>,
+) -> Result<StepStats, PtError> {
+    let mut stats = StepStats::default();
+    let half = half_step(sys, laser, state, dt, kernels, ace, &mut stats)?;
+    let psi_f = fixed_point(opts, sys, &half, half.psi.clone(), kernels, ace, &mut stats)?;
+    state.psi = reorthonormalized(psi_f, &mut stats);
+    state.t = half.t_next;
     Ok(stats)
 }
 
-/// The live ACE projector plus its position in the refresh window, owned
-/// by a PT-CN propagator across steps (captured into [`AceCapture`] for
-/// snapshots, rebuilt lazily after resume or band-count changes).
-#[derive(Clone, Debug)]
-pub(crate) struct AceRefreshState {
-    pub(crate) op: AceOperator,
-    pub(crate) steps_since_refresh: usize,
-}
-
-impl AceRefreshState {
-    pub(crate) fn from_capture(c: AceCapture) -> Self {
-        AceRefreshState {
-            op: AceOperator::from_xi(c.xi),
-            steps_since_refresh: c.steps_since_refresh,
-        }
-    }
-
-    pub(crate) fn capture(&self) -> AceCapture {
-        AceCapture {
-            xi: self.op.xi().clone(),
-            steps_since_refresh: self.steps_since_refresh,
-        }
-    }
-}
-
 /// Cap on self-consistent projector rounds per refresh step. The round
-/// map contracts by an O(dt·coupling) factor per pass — measured ≈0.1
-/// per round at dt = 25 as on the Si-8 smoke system, stronger at smaller
-/// dt — so a 1e-6 `rho_tol` is met in 2–4 rounds and even 1e-10 within
-/// ~10; the cap guards pathological dynamics, and overrunning it is
-/// reported like an unconverged fixed point.
+/// map contracts by an O(dt·coupling) factor per pass: on the Si-8 HSE
+/// benchmark system at dt = 25 as the inter-round drift of its first
+/// refresh goes 1.8e-2 → 1.7e-3 → 4.2e-5 → 5.3e-6 → 3.8e-7, so a 1e-6
+/// `rho_tol` takes 6 rounds (round 1 has no drift to compare), with
+/// 8/7/5/4/2/1 fixed-point iterations. The cap guards pathological
+/// dynamics, and overrunning it is reported like an unconverged fixed
+/// point.
 const ACE_MAX_REFRESH_ROUNDS: usize = 12;
 
 /// One PT-CN step under [`ExchangeMode::Ace`].
@@ -596,17 +574,20 @@ const ACE_MAX_REFRESH_ROUNDS: usize = 12;
 ///
 /// **Refresh step** (every `refresh_interval` steps): the projector is
 /// rebuilt *self-consistently*. ξ_n from Ψ_n is exact for the t_n
-/// residual (in the PT gauge Ψ_n is the exchange's defining Φ), but a
-/// fixed point solved under it differs from `Full` — which sees
-/// V_X[ψ_f] — by an O(dt) operator discrepancy, i.e. an O(dt²) per-step
-/// trajectory error that no dt practical for hybrid PT-CN pushes below
-/// ~1e-8. So the refresh iterates: solve the step under the current ξ_f,
-/// rebuild ξ_f from the converged orbitals, re-solve, until the density
-/// drift between rounds falls below `rho_tol`. ACE is exact on its
-/// defining block, so the round fixed point *is* the `Full` fixed point;
-/// each round costs one Fock block-apply plus a cheap projector-only
-/// solve, still several× cheaper than `Full`'s per-iteration Fock loop.
-/// The accepted round's ξ_f is then frozen for the stale window.
+/// residual (in the PT gauge Ψ_n is the exchange's defining Φ), so the
+/// half step runs once, under ξ_n. A fixed point solved under ξ_n alone
+/// differs from `Full` — which sees V_X[ψ_f] — by an O(dt) operator
+/// discrepancy, i.e. an O(dt²) per-step trajectory error that no dt
+/// practical for hybrid PT-CN pushes below ~1e-8. So the refresh
+/// re-solves only the fixed point in rounds: rebuild ξ_f from the previous
+/// round's raw iterate (the pre-re-orthonormalization block `Full` feeds
+/// its Fock operator), start the solve from that iterate, and stop when
+/// the density drift between rounds falls below `rho_tol`. ACE is exact
+/// on its defining block, so the round fixed point *is* the `Full` fixed
+/// point; each round costs one Fock block-apply plus a cheap
+/// projector-only solve, still several× cheaper than `Full`'s
+/// per-iteration Fock loop. The accepted round's ξ_f is then frozen for
+/// the stale window.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ace_ptcn_step(
     opts: &PtCnOptions,
@@ -615,79 +596,38 @@ pub(crate) fn ace_ptcn_step(
     state: &mut TdState,
     dt: f64,
     refresh_interval: usize,
-    ace_slot: &mut Option<AceRefreshState>,
+    ace_slot: &mut Option<AceCapture>,
     kernels: &mut dyn StepKernels,
 ) -> Result<StepStats, PtError> {
-    let refresh_due = match ace_slot {
-        Some(a) => {
-            a.steps_since_refresh >= refresh_interval
-                || a.op.xi().nrows() != state.psi.nrows()
-                || a.op.rank() != state.psi.ncols()
-        }
-        None => true,
+    let in_window = |a: &&mut AceCapture| {
+        a.steps_since_refresh < refresh_interval
+            && a.op.xi().nrows() == state.psi.nrows()
+            && a.op.rank() == state.psi.ncols()
     };
-
-    if !refresh_due {
-        let ace = ace_slot
-            .as_mut()
-            .expect("invariant: refresh_due is false only when the slot holds a valid projector");
-        let round = AceRound {
-            ace: Some(&ace.op),
-            ..AceRound::default()
-        };
-        let stats = ptcn_step_with(opts, sys, laser, state, dt, kernels, round)?;
+    if let Some(ace) = ace_slot.as_mut().filter(in_window) {
+        let stats = ptcn_step_with(opts, sys, laser, state, dt, kernels, Some(&ace.op))?;
         ace.steps_since_refresh += 1;
         return Ok(stats);
     }
 
-    // Refresh step: self-consistent projector rounds. ξ_n (from Ψ_n) is
-    // pinned for the t_n residual; ξ_f starts equal and is refined from
-    // each round's converged *raw* iterate (the pre-re-orthonormalization
-    // block `Full` feeds its Fock operator). Rounds restart from the same
-    // Ψ_n, so the accepted trajectory is the one solved under the final
-    // projector.
+    let mut stats = StepStats::default();
     let sp = pt_trace::span("ace_build");
-    let xi_n = kernels.build_ace(sys, &state.psi)?;
-    let mut total_phases = StepPhases {
-        ace_build: sp.finish_secs(),
-        ..StepPhases::default()
-    };
-    let mut xi_f = xi_n.clone();
+    let mut xi = kernels.build_ace(sys, &state.psi)?;
+    stats.phases.ace_build += sp.finish_secs();
+    let half = half_step(sys, laser, state, dt, kernels, Some(&xi), &mut stats)?;
+    let mut seed = half.psi.clone();
     let mut prev_rho: Option<Vec<f64>> = None;
-    let mut prev_raw: Option<CMat> = None;
-    let mut accepted: Option<(TdState, StepStats)> = None;
-    let mut total_scf = 0usize;
-    let mut total_h = 0usize;
     let mut drift = f64::INFINITY;
-    let mut outer_converged = false;
     let mut rounds = 0usize;
-    while rounds < ACE_MAX_REFRESH_ROUNDS {
+    let psi = loop {
         rounds += 1;
         pt_trace::counter_add(pt_trace::Counter::AceRefreshRounds, 1);
-        if let Some(raw) = &prev_raw {
-            let sp = pt_trace::span("ace_build");
-            xi_f = kernels.build_ace(sys, raw)?;
-            total_phases.ace_build += sp.finish_secs();
-        }
-        // warm-start the fixed point at the previous round's converged
-        // iterate: the rounds change ξ_f by the O(rho_tol-bound) drift
-        // only, so later rounds converge in a couple of Anderson passes
-        // instead of re-solving from Ψ_{n+1/2}
-        let mut trial = state.clone();
-        let mut raw = CMat::zeros(0, 0);
-        let round = AceRound {
-            ace: Some(&xi_f),
-            ace_n: Some(&xi_n),
-            warm_start: prev_raw.as_ref(),
-            raw_psi_out: Some(&mut raw),
-        };
-        let stats = ptcn_step_with(opts, sys, laser, &mut trial, dt, kernels, round)?;
-        total_phases.absorb(&stats.phases);
-        total_scf += stats.scf_iterations;
-        total_h += stats.h_applications;
+        let raw = fixed_point(opts, sys, &half, seed, kernels, Some(&xi), &mut stats)?;
+        // the drift is measured on what the step would commit
+        let psi = reorthonormalized(raw.clone(), &mut stats);
         let sp = pt_trace::span("density");
-        let rho = sys.density(&trial.psi);
-        total_phases.density += sp.finish_secs();
+        let rho = sys.density(&psi);
+        stats.phases.density += sp.finish_secs();
         if let Some(prev) = &prev_rho {
             drift = density_residual(&rho, prev, sys.grids.volume);
         }
@@ -697,21 +637,21 @@ pub(crate) fn ace_ptcn_step(
         if !finite {
             drift = stats.rho_residual;
         }
-        prev_rho = Some(rho);
-        prev_raw = Some(raw);
-        accepted = Some((trial, stats));
-        if !finite || drift < opts.rho_tol {
-            outer_converged = finite;
-            break;
+        if !finite || drift < opts.rho_tol || rounds == ACE_MAX_REFRESH_ROUNDS {
+            break psi;
         }
-    }
-    let (trial, mut stats) = accepted
-        .expect("invariant: ACE_MAX_REFRESH_ROUNDS >= 1, so the loop body ran at least once");
-    stats.scf_iterations = total_scf;
-    stats.h_applications = total_h;
-    stats.converged &= outer_converged;
-    stats.phases = total_phases;
-    if opts.strict && !outer_converged {
+        prev_rho = Some(rho);
+        // ξ_f from the raw iterate, the block `Full` feeds its Fock
+        // operator: the re-orthonormalized one differs by the fixed
+        // point's orthonormality defect, which would floor the agreement
+        let sp = pt_trace::span("ace_build");
+        xi = kernels.build_ace(sys, &raw)?;
+        stats.phases.ace_build += sp.finish_secs();
+        seed = raw;
+    };
+    let converged = drift < opts.rho_tol;
+    stats.converged &= converged;
+    if opts.strict && !converged {
         return Err(PtError::NotConverged {
             context: "ACE refresh self-consistency",
             residual: drift,
@@ -719,9 +659,10 @@ pub(crate) fn ace_ptcn_step(
             iterations: rounds,
         });
     }
-    *state = trial;
-    *ace_slot = Some(AceRefreshState {
-        op: xi_f,
+    state.psi = psi;
+    state.t = half.t_next;
+    *ace_slot = Some(AceCapture {
+        op: xi,
         steps_since_refresh: 1,
     });
     Ok(stats)
@@ -780,6 +721,7 @@ impl Propagator for PtCnPropagator {
         state: &mut TdState,
         dt: f64,
     ) -> Result<StepStats, PtError> {
+        self.opts.validate()?;
         let (mut inline, mut on_engine);
         let kernels: &mut dyn StepKernels = match sys.layout() {
             Some(layout) if layout.ranks > 1 => {
@@ -795,15 +737,7 @@ impl Propagator for PtCnPropagator {
         };
         let sp = pt_trace::span("ptcn_step");
         let mut stats = match sys.exchange_mode() {
-            ExchangeMode::Full => ptcn_step_with(
-                &self.opts,
-                sys,
-                laser,
-                state,
-                dt,
-                kernels,
-                AceRound::default(),
-            ),
+            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, kernels, None),
             ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
                 &self.opts,
                 sys,
@@ -822,7 +756,7 @@ impl Propagator for PtCnPropagator {
     fn capture(&self) -> PropagatorState {
         PropagatorState::PtCn {
             opts: self.opts,
-            ace: self.ace.as_ref().map(AceRefreshState::capture),
+            ace: self.ace.clone(),
         }
     }
 }

@@ -586,7 +586,7 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
                     cap.steps_since_refresh, 2,
                     "refresh at step 1, two steps propagated under the frozen ξ"
                 );
-                assert_eq!(cap.xi.nrows(), ck.psi.nrows());
+                assert_eq!(cap.op.xi().nrows(), ck.psi.nrows());
             }
             other => panic!("expected PtCn state, got {other:?}"),
         }

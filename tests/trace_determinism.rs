@@ -15,10 +15,11 @@
 //!   per-step `PairFfts` delta must be exactly the step record's
 //!   exchange energy — N(N+1)/2 solves — and above it on every refresh
 //!   step; `AceRefreshRounds` must be 0 between refreshes and positive on
-//!   every refresh step. On a `ranks > 1` layout the rank engine runs one
-//!   job per `HΨ` application and nothing else in a `Full` step: the PT
-//!   residual is driver algebra, so `EngineJobs` moves by exactly the
-//!   step's `h_applications`.
+//!   every refresh step, where the half step's `HΨ` runs once however
+//!   many rounds there are. On a `ranks > 1` layout the rank engine runs
+//!   one job per `HΨ` application and per ACE build and nothing else: the
+//!   PT residual is driver algebra, so `EngineJobs` moves by exactly the
+//!   step's `h_applications` plus its refresh rounds.
 
 use pwdft_rt::prelude::*;
 use pwdft_rt::trace;
@@ -53,6 +54,10 @@ fn hybrid_layout_run(ranks: usize, threads: usize) -> TimeSeries {
         .expect("valid simulation");
     sim.run().expect("propagation succeeds")
 }
+
+/// What a step tap records per committed step: two trace-counter deltas,
+/// then the step's `h_applications` and `scf_iterations`.
+type StepRow = (u64, u64, usize, usize);
 
 fn assert_series_bits_eq(label: &str, a: &TimeSeries, b: &TimeSeries) {
     assert_eq!(a.len(), b.len(), "{label}: step count");
@@ -149,19 +154,25 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
         .build()
         .expect("valid simulation");
 
-    // snapshot (pair_ffts, ace_refresh_rounds) at every committed step
-    let deltas: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    // (pair_ffts, ace_refresh_rounds) deltas plus (h_applications,
+    // scf_iterations) at every committed step
+    let deltas: Arc<Mutex<Vec<StepRow>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&deltas);
     let mut last = (
         trace::counter_value(trace::Counter::PairFfts),
         trace::counter_value(trace::Counter::AceRefreshRounds),
     );
-    sim.set_step_tap(move |_update| {
+    sim.set_step_tap(move |update| {
         let now = (
             trace::counter_value(trace::Counter::PairFfts),
             trace::counter_value(trace::Counter::AceRefreshRounds),
         );
-        sink.lock().unwrap().push((now.0 - last.0, now.1 - last.1));
+        sink.lock().unwrap().push((
+            now.0 - last.0,
+            now.1 - last.1,
+            update.stats.h_applications,
+            update.stats.scf_iterations,
+        ));
         last = now;
     });
     sim.run().expect("ACE propagation succeeds");
@@ -172,7 +183,7 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
     let n = sys.n_bands() as u64;
     let record_solves = n * (n + 1) / 2;
     assert_eq!(record_solves, 10);
-    for (i, &(pair_ffts, refresh_rounds)) in deltas.iter().enumerate() {
+    for (i, &(pair_ffts, refresh_rounds, h_applications, iterations)) in deltas.iter().enumerate() {
         // 0-based: refresh when i % 3 == 0 (steps 1 and 4), stale otherwise
         if i % 3 == 0 {
             assert!(
@@ -180,9 +191,20 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
                 "step {}: refresh step must rebuild ξ through pair FFTs",
                 i + 1
             );
+            // round 1 has no previous round to measure a drift against,
+            // so a refresh always runs a second
             assert!(
-                refresh_rounds > 0,
-                "step {}: refresh step must run projector rounds",
+                refresh_rounds >= 2,
+                "step {}: refresh step ran {refresh_rounds} projector rounds",
+                i + 1
+            );
+            // the t_n half step runs once per step; the rounds re-solve
+            // only the fixed point
+            assert_eq!(
+                h_applications,
+                iterations + 1,
+                "step {}: {h_applications} HΨ for {iterations} fixed-point \
+                 iterations over {refresh_rounds} rounds",
                 i + 1
             );
         } else {
@@ -203,61 +225,94 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
     }
 }
 
-/// One engine job per `HΨ`: the 4-band HSE fixture on a 2 × 1 `Full`
-/// layout sends the rank team its `HΨ` applications and nothing else —
-/// the fixed-point residual runs on the driver — so every step's
-/// `EngineJobs` delta equals that step's `h_applications`.
+/// One engine job per `HΨ` and per ACE build: the 4-band HSE fixture on
+/// a 2 × 1 layout sends the rank team its `HΨ` applications and projector
+/// builds and nothing else — the fixed-point residual runs on the driver.
+/// Under `Full` every step's `EngineJobs` delta equals its
+/// `h_applications`; under `Ace { refresh_interval: 2 }` a refresh step
+/// adds one `build_ace` job per round (ξ_n included) and a stale step
+/// none.
 #[test]
 fn a_ranked_full_step_runs_one_engine_job_per_h_application() {
     let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     trace::set_enabled(true);
 
-    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
-        .ecut(2.0)
-        .xc(XcKind::Pbe)
-        .hybrid(HybridConfig::hse06())
-        .occupations(vec![2.0; 4])
-        .layout(RankLayout::new(2, 1))
-        .build()
-        .expect("valid distributed system");
-    let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
-    let mut sim = SimulationBuilder::new(&sys)
-        .initial_orbitals(gs.orbitals.clone())
-        .laser(LaserPulse::paper_380nm(
-            0.02,
-            attosecond_to_au(200.0),
-            attosecond_to_au(100.0),
-        ))
-        .dt(attosecond_to_au(25.0))
-        .steps(3)
-        .build()
-        .expect("valid simulation");
+    for mode in [
+        ExchangeMode::Full,
+        ExchangeMode::Ace {
+            refresh_interval: 2,
+        },
+    ] {
+        let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Pbe)
+            .hybrid(HybridConfig::hse06())
+            .occupations(vec![2.0; 4])
+            .exchange_mode(mode)
+            .layout(RankLayout::new(2, 1))
+            .build()
+            .expect("valid distributed system");
+        let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+        let mut sim = SimulationBuilder::new(&sys)
+            .initial_orbitals(gs.orbitals.clone())
+            .laser(LaserPulse::paper_380nm(
+                0.02,
+                attosecond_to_au(200.0),
+                attosecond_to_au(100.0),
+            ))
+            .dt(attosecond_to_au(25.0))
+            .steps(3)
+            .build()
+            .expect("valid simulation");
 
-    // (engine jobs, h_applications, fixed-point iterations) per step
-    let steps: Arc<Mutex<Vec<(u64, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&steps);
-    let mut last = trace::counter_value(trace::Counter::EngineJobs);
-    sim.set_step_tap(move |update| {
-        let now = trace::counter_value(trace::Counter::EngineJobs);
-        let stats = update.stats;
-        sink.lock()
-            .unwrap()
-            .push((now - last, stats.h_applications, stats.scf_iterations));
-        last = now;
-    });
-    sim.run().expect("propagation succeeds");
-    trace::set_enabled(false);
+        // (engine jobs, refresh rounds, h_applications, fixed-point
+        // iterations) per step
+        let steps: Arc<Mutex<Vec<StepRow>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&steps);
+        let counts = || {
+            (
+                trace::counter_value(trace::Counter::EngineJobs),
+                trace::counter_value(trace::Counter::AceRefreshRounds),
+            )
+        };
+        let mut last = counts();
+        sim.set_step_tap(move |update| {
+            let now = counts();
+            let stats = update.stats;
+            sink.lock().unwrap().push((
+                now.0 - last.0,
+                now.1 - last.1,
+                stats.h_applications,
+                stats.scf_iterations,
+            ));
+            last = now;
+        });
+        sim.run().expect("propagation succeeds");
 
-    let steps = steps.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    assert_eq!(steps.len(), 3, "tap fired once per committed step");
-    for (i, &(jobs, h_applications, iterations)) in steps.iter().enumerate() {
-        assert!(iterations > 0, "step {}: no fixed-point iteration", i + 1);
+        let steps = steps.lock().unwrap_or_else(|e| e.into_inner()).clone();
         assert_eq!(
-            jobs,
-            h_applications as u64,
-            "step {}: {jobs} engine jobs for {h_applications} HΨ and {iterations} \
-             fixed-point iterations — the rank team ran more than HΨ",
-            i + 1
+            steps.len(),
+            3,
+            "{mode:?}: tap fired once per committed step"
         );
+        for (i, &(jobs, rounds, h_applications, iterations)) in steps.iter().enumerate() {
+            assert!(
+                iterations > 0,
+                "{mode:?} step {}: no fixed-point iteration",
+                i + 1
+            );
+            // Ace{2} refreshes on steps 1 and 3 (0-based 0 and 2)
+            let refresh = matches!(mode, ExchangeMode::Ace { .. }) && i % 2 == 0;
+            assert_eq!(rounds > 0, refresh, "{mode:?} step {}: rounds", i + 1);
+            assert_eq!(
+                jobs,
+                h_applications as u64 + rounds,
+                "{mode:?} step {}: {jobs} engine jobs for {h_applications} HΨ, \
+                 {rounds} ACE builds and {iterations} fixed-point iterations — \
+                 the rank team ran more than HΨ and the projector builds",
+                i + 1
+            );
+        }
     }
+    trace::set_enabled(false);
 }
