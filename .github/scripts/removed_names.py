@@ -72,6 +72,9 @@ REMOVED = [
     ("PT-CN step argument bundle and second ACE state type",
      r"AceRound|AceRefreshState|raw_psi_out|from_capture|fn absorb\b", "crates/core/src", None,
      "Exchange modes: Full and ACE"),
+    ("per-kernel HΨ and ACE compositions",
+     r"fn build_ace\(&mut self|\.(apply_h|build_ace)\(|hamiltonian\(&?rho, (sys\.hybrid|phi)\b", SRC, None,
+     "Exchange modes: Full and ACE"),
 ]
 
 

@@ -38,6 +38,7 @@ SAMPLES = [
     "let gamma = lstsq(&a, &b, 1e-12);",
     "let s = comm.tree_reduce_chunks_c64(&partials, nb * nb);",
     "ace: ace.map(AceRefreshState::from_capture),",
+    "let hpsi = kernels.apply_h(sys, &rho, &psi, a, None)?;",
 ]
 
 

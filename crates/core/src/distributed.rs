@@ -1,4 +1,4 @@
-//! The `ranks > 1` side of PT-CN: Alg. 1's `HΨ` and ACE build driven
+//! The `ranks > 1` side of PT-CN: Alg. 2's exact exchange block driven
 //! over the virtual MPI runtime with rank-pinned compute pools — the
 //! paper's execution model (one MPI rank per GPU plus a CPU-thread slice)
 //! reproduced in process.
@@ -8,16 +8,16 @@
 //! thread, the installed pool). With more, the propagator owns a
 //! persistent [`RankEngine`]: the rank threads and their pinned
 //! `threads_per_rank`-wide pools are spawned **once**, on the first step,
-//! and every subsequent `HΨ` application and ACE build is a job submitted
-//! to the same parked team. Each `HΨ` job applies the local (kinetic +
-//! V_loc + V_NL) part to the rank's cyclic share of the bands and joins
-//! the Fock exchange — the Alg. 2 broadcast loop, then the rank's dealt
-//! pair tiles ([`pt_ham::distributed_fock_apply`]). The parallel-transport
-//! algebra around them (the fixed-point residual, density, Anderson
-//! mixing, re-orthonormalization) runs replicated on the driver thread,
-//! on the system's `layout.cores()`-wide pool: the driver already holds
-//! every block the residual reads, so the paper's band ↔ G-space flips of
-//! Alg. 3 would only move them to the ranks and back.
+//! and every subsequent exact exchange block `W = V_X[Φ]Φ` — one per `HΨ`
+//! under `Full`, one per ACE build — is a job submitted to the same parked
+//! team: the Alg. 2 broadcast loop, then the rank's dealt pair tiles
+//! ([`pt_ham::distributed_fock_apply`]). Everything around it (the local
+//! part of `HΨ`, the ACE projector and its apply, the fixed-point
+//! residual, density, Anderson mixing, re-orthonormalization) runs on the
+//! driver thread, on the system's `layout.cores()`-wide pool: the driver
+//! already holds every block these read, so the paper's band ↔ G-space
+//! flips of Alg. 3 would only move them to the ranks and back. An ACE
+//! stale-window step runs no engine job at all.
 //!
 //! The engine is runtime-only state: it is not cloned, captured, or
 //! snapshotted — a resumed or cloned propagator rebuilds its team lazily
@@ -38,9 +38,9 @@
 //! so the width of the layout's pool does not move it either.
 
 use crate::propagator::StepKernels;
-use pt_ham::{distributed_fock_apply, AceOperator, BandDistribution, KsSystem, PtError};
+use pt_ham::{distributed_fock_apply, BandDistribution, KsSystem, PtError};
 use pt_linalg::CMat;
-use pt_mpi::{Comm, EnginePoisoned, RankEngine, Wire};
+use pt_mpi::{EnginePoisoned, RankEngine, Wire};
 use pt_par::RankLayout;
 
 /// Reuse the parked rank team when it matches `layout`; build it on first
@@ -71,108 +71,55 @@ pub(crate) fn acquire_engine(
     })
 }
 
-/// The engine-backed execution strategy of a `ranks > 1` layout: `HΨ`
-/// and the ACE build run as jobs on the same parked rank team — no
-/// threads are spawned here.
+/// The engine-backed execution strategy of a `ranks > 1` layout: every
+/// exact exchange block is a job on the parked rank team — no threads are
+/// spawned here.
 pub(crate) struct EngineKernels<'e> {
     pub(crate) engine: &'e mut RankEngine,
 }
 
-impl EngineKernels<'_> {
-    /// Run `job` on every rank (each returns the columns of its cyclic
-    /// bands) and gather the full `ng × n_bands` band-major block. The
-    /// job's wire delta is folded into the trace counters —
+impl StepKernels for EngineKernels<'_> {
+    /// Every rank computes the columns of its cyclic bands with the Alg. 2
+    /// broadcast loop and the dealt pair tiles; the driver gathers the full
+    /// `ng × n_bands` block — layout-independent, so W carries the inline
+    /// bits. The job's wire delta is folded into the trace counters —
     /// `pt_mpi::CommStats` stays the single source of truth.
-    fn run_gathered(
-        &mut self,
-        ng: usize,
-        n_bands: usize,
-        job: impl Fn(&mut Comm, BandDistribution) -> CMat + Sync,
-    ) -> Result<CMat, PtError> {
+    fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError> {
+        let alpha = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
+        let kernel = sys.exchange_kernel()?;
+        let grids = &sys.grids;
         let dist = BandDistribution {
-            n_bands,
+            n_bands: phi.ncols(),
             n_ranks: self.engine.layout().ranks,
         };
         let sp = pt_trace::span("engine_run");
         let (blocks, wire) = self
             .engine
-            .run(|comm| job(comm, dist))
+            .run(|comm| {
+                let phi_local = dist.take_local(comm.rank(), phi);
+                distributed_fock_apply(comm, grids, dist, &phi_local, &phi_local, alpha, kernel)
+            })
             .map_err(|e: EnginePoisoned| PtError::EngineDown { cause: e.cause })?;
         drop(sp);
         pt_trace::counter_add(pt_trace::Counter::EngineJobs, 1);
         pt_trace::counter_add(pt_trace::Counter::WireBytes, wire.total_bytes());
-        let mut full = CMat::zeros(ng, n_bands);
+        let mut w = CMat::zeros(grids.ng(), dist.n_bands);
         for (r, block) in blocks.iter().enumerate() {
             for (lj, &b) in dist.local_bands(r).iter().enumerate() {
-                full.col_mut(b).copy_from_slice(block.col(lj));
+                w.col_mut(b).copy_from_slice(block.col(lj));
             }
         }
-        Ok(full)
-    }
-}
-
-impl StepKernels for EngineKernels<'_> {
-    /// Local parts rank-parallel by band, exchange either via the Alg. 2
-    /// broadcast loop and the dealt pair tiles or — with a frozen ACE
-    /// projector — via the rank-local `−ξ(ξ^H ψ)` projector apply. In the
-    /// ACE branch ξ lives on the driver and reaches every rank by
-    /// shared-memory reference: the wire carries no pair FFTs and no
-    /// broadcast bands at all.
-    fn apply_h(
-        &mut self,
-        sys: &KsSystem,
-        rho: &[f64],
-        psi: &CMat,
-        a: [f64; 3],
-        ace: Option<&AceOperator>,
-    ) -> Result<CMat, PtError> {
-        let fock = match (sys.hybrid, ace) {
-            (Some(hy), None) => Some((hy.alpha, sys.exchange_kernel()?)),
-            _ => None,
-        };
-        // the Fock-free Hamiltonian every rank applies to its own bands
-        let h_local = sys.local_hamiltonian(rho, a)?;
-        let grids = &sys.grids;
-        self.run_gathered(grids.ng(), psi.ncols(), |comm, dist| {
-            let psi_local = dist.take_local(comm.rank(), psi);
-            let mut out = CMat::zeros(psi_local.nrows(), psi_local.ncols());
-            h_local.apply_block(&psi_local, &mut out);
-            if let Some(op) = ace {
-                op.apply_block(&psi_local, &mut out);
-            } else if let Some((alpha, kernel)) = fock {
-                // parallel-transport gauge: Φ = Ψ defines the exchange
-                let vx = distributed_fock_apply(
-                    comm, grids, dist, &psi_local, &psi_local, alpha, kernel,
-                );
-                for (o, v) in out.data_mut().iter_mut().zip(vx.data()) {
-                    *o += *v;
-                }
-            }
-            out
-        })
-    }
-
-    /// The rank team computes `W = V_X Φ` with the Alg. 2 broadcast loop and
-    /// the dealt pair tiles (the one place pair FFTs still run under ACE),
-    /// the driver factors
-    /// the gathered W — layout-independent, so ξ carries W's bits.
-    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
-        let alpha = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
-        let kernel = sys.exchange_kernel()?;
-        let grids = &sys.grids;
-        let w = self.run_gathered(grids.ng(), phi.ncols(), |comm, dist| {
-            let phi_local = dist.take_local(comm.rank(), phi);
-            distributed_fock_apply(comm, grids, dist, &phi_local, &phi_local, alpha, kernel)
-        })?;
-        AceOperator::from_w(phi, w)
+        Ok(w)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::{InlineKernels, Propagator, PropagatorState, PtCnPropagator, TdState};
-    use pt_ham::ExchangeMode;
+    use crate::propagator::{
+        apply_h, build_ace, InlineKernels, Propagator, PropagatorState, PtCnPropagator, TdState,
+    };
+    use pt_ham::{AceOperator, ExchangeMode, FockMode, FockOperator};
     use pt_lattice::silicon_cubic_supercell;
     use pt_xc::XcKind;
 
@@ -203,23 +150,40 @@ mod tests {
 
     #[test]
     fn inline_and_engine_kernels_agree_to_the_bit_on_every_layout() {
-        // HΨ with the exact Fock loop, the ACE build and HΨ under the
-        // frozen projector: the in-process call (1 thread) is the
-        // reference, every gathered rank result must carry its bits
+        // HΨ with the exact Fock loop, the ACE projector and HΨ under it,
+        // taken straight from pt-ham's operators on one thread, are the
+        // reference: the driver's composition must carry their bits inline
+        // on 1 and 4 threads and with every gathered rank result
         let sys = hybrid_sys(None);
-        let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 17);
+        let (ng, nb) = (sys.grids.ng(), sys.n_bands());
+        let psi = CMat::rand_normalized(ng, nb, 17);
         let rho = sys.density(&psi);
         let a = [0.0, 0.0, 0.01];
-        let all = |k: &mut dyn StepKernels| {
-            let h_full = k.apply_h(&sys, &rho, &psi, a, None).unwrap();
-            let ace = k.build_ace(&sys, &psi).unwrap();
-            let h_ace = k.apply_h(&sys, &rho, &psi, a, Some(&ace)).unwrap();
+        let want = pt_par::ThreadPool::new(1).install(|| {
+            let mut h_full = CMat::zeros(ng, nb);
+            let h = sys.hamiltonian(&rho, Some(&psi), a).unwrap();
+            h.apply_block(&psi, &mut h_full);
+            let hy = sys.hybrid.unwrap();
+            let kernel = sys.exchange_kernel().unwrap().clone();
+            let fock = FockOperator::new(&sys.grids, &psi, hy.alpha, kernel, FockMode::Batched);
+            let ace = AceOperator::new(&sys.grids, &fock, &psi).unwrap();
+            let mut h_ace = CMat::zeros(ng, nb);
+            let local = sys.local_hamiltonian(&rho, a).unwrap();
+            local.apply_block(&psi, &mut h_ace);
+            ace.apply_block(&psi, &mut h_ace);
+            [h_full, ace.xi().clone(), h_ace]
+        });
+        let composed = |k: &mut dyn StepKernels| {
+            let h_full = apply_h(&sys, &rho, &psi, a, k, None).unwrap();
+            let ace = build_ace(&sys, &psi, k).unwrap();
+            let h_ace = apply_h(&sys, &rho, &psi, a, k, Some(&ace)).unwrap();
             [h_full, ace.xi().clone(), h_ace]
         };
-        let want = pt_par::ThreadPool::new(1).install(|| all(&mut InlineKernels));
-        let inline4 = pt_par::ThreadPool::new(4).install(|| all(&mut InlineKernels));
-        for (w, g) in want.iter().zip(&inline4) {
-            assert_same_bits(w, g, "inline, 4 threads");
+        for threads in [1usize, 4] {
+            let got = pt_par::ThreadPool::new(threads).install(|| composed(&mut InlineKernels));
+            for (w, g) in want.iter().zip(&got) {
+                assert_same_bits(w, g, &format!("inline, {threads} threads"));
+            }
         }
         for ranks in [1usize, 2, 3] {
             for threads in [1usize, 4] {
@@ -230,7 +194,7 @@ mod tests {
                 // twice on the same engine: the parked team is reused and
                 // the second pass's bits must not drift
                 for pass in 0..2 {
-                    for (w, g) in want.iter().zip(&all(&mut kernels)) {
+                    for (w, g) in want.iter().zip(&composed(&mut kernels)) {
                         assert_same_bits(w, g, &format!("{ranks}x{threads} pass {pass}"));
                     }
                 }
@@ -249,9 +213,11 @@ mod tests {
             let sys = hybrid_sys(None);
             let psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 17);
             let rho = sys.density(&psi);
+            // both entry points submit the same exchange-block job; each
+            // must still surface the victim's payload, then EngineDown
             let call = |k: &mut EngineKernels, phase: &str| match phase {
-                "HΨ" => k.apply_h(&sys, &rho, &psi, [0.0; 3], None).map(drop),
-                _ => k.build_ace(&sys, &psi).map(drop),
+                "HΨ" => apply_h(&sys, &rho, &psi, [0.0; 3], k, None).map(drop),
+                _ => build_ace(&sys, &psi, k).map(drop),
             };
             for np in 2..=4 {
                 let dist = BandDistribution {

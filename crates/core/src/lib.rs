@@ -19,8 +19,8 @@
 //!   [`PtCnPropagator`] (Alg. 1, options [`PtCnOptions`] — the one PT-CN
 //!   type: it reads the ranks × threads layout off the system at step
 //!   time, runs inline on the installed pool for one rank and fans every
-//!   `HΨ`/residual out over a persistent virtual-MPI rank team with pinned
-//!   pools for more, with identical bits) and [`Rk4Propagator`] (the
+//!   exact exchange block out over a persistent virtual-MPI rank team with
+//!   pinned pools for more, with identical bits) and [`Rk4Propagator`] (the
 //!   Fig. 6 baseline, options [`Rk4Options`]). Select at runtime via
 //!   `Box<dyn Propagator>`.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,

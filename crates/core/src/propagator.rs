@@ -268,12 +268,13 @@ pub struct Rk4Options {
 /// the one PT-CN type, for every ranks × threads layout.
 ///
 /// The layout is read from [`KsSystem::layout`] at step time (none =
-/// 1 × the installed pool). With one rank every `HΨ` and ACE build runs
-/// **inline** on the installed pool — no engine, no rank thread; with more
-/// they are jobs on a persistent [`RankEngine`] the propagator builds
-/// lazily on its first such step (see [`crate::distributed`]). Both sides
-/// produce the same bits. The fixed-point residual runs on the driver on
-/// every layout.
+/// 1 × the installed pool). With one rank every exact exchange block
+/// `V_X[Ψ]Ψ` runs **inline** on the installed pool — no engine, no rank
+/// thread; with more each is a job on a persistent [`RankEngine`] the
+/// propagator builds lazily on its first such step (see
+/// [`crate::distributed`]). Both sides produce the same bits. Everything
+/// else — the local part of `HΨ`, the ACE projector and its apply, the
+/// fixed-point residual — runs on the driver on every layout.
 ///
 /// How the exchange is evaluated is read off the system the same way
 /// ([`KsSystem::exchange_mode`]).
@@ -351,31 +352,56 @@ fn reorthonormalize(psi: &mut CMat) {
     orthonormalize_columns(psi, 0.0);
 }
 
-/// The execution-strategy points of a PT-CN step: the full
-/// `H[ρ(Ψ), Ψ] Ψ` application (`Φ = Ψ` for hybrids, per the
-/// parallel-transport gauge) and the ACE build — the two places a step
-/// applies the exchange. Two implementations, selected by the layout's
-/// rank count: [`InlineKernels`] (one rank: in process on the installed
-/// pool) and `EngineKernels` (more: jobs on the persistent rank engine) —
-/// equal to the bit.
+/// The one execution-strategy point of a PT-CN step: the exact exchange
+/// block `W = V_X[Φ]Φ` of the parallel-transport gauge (`Φ = Ψ`), the only
+/// form in which a step touches exact exchange — [`apply_h`] adds it to the
+/// local `HΨ` under `Full`, [`build_ace`] compresses it into ξ. Two
+/// implementations, selected by the layout's rank count: [`InlineKernels`]
+/// (one rank: in process on the installed pool) and `EngineKernels` (more:
+/// one job on the persistent rank engine) — equal to the bit.
 pub(crate) trait StepKernels {
-    /// One full `H Ψ` application. With `ace: None` the exchange part (if
-    /// hybrid) is the exact pair-FFT Fock loop over `Φ = Ψ` (the PT
-    /// gauge); with `Some(op)` the frozen rank-N_φ ACE projector stands in
-    /// for it and no pair FFTs run at all.
-    fn apply_h(
-        &mut self,
-        sys: &KsSystem,
-        rho: &[f64],
-        psi: &CMat,
-        a: [f64; 3],
-        ace: Option<&AceOperator>,
-    ) -> Result<CMat, PtError>;
+    /// `W = V_X[Φ]Φ`, the pair-FFT Fock loop applied to its own defining
+    /// block (N(N+1)/2 pair solves).
+    fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError>;
+}
 
-    /// Build the ACE projector `ξ = W L^{-H}` from `phi`: one full
-    /// exchange application over the block (`W = V_X Φ`), then the small
-    /// Cholesky/TRSM factorization on the driver.
-    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError>;
+/// One full `H[ρ, Ψ] Ψ` application, composed on the driver: the local
+/// (kinetic + V_loc + V_NL) part on the installed pool, plus the frozen
+/// ACE projector `−ξ(ξ^H Ψ)` if given, else the exact exchange block
+/// `V_X[Ψ]Ψ` from `kernels` for a hybrid, else nothing (semi-local).
+pub(crate) fn apply_h(
+    sys: &KsSystem,
+    rho: &[f64],
+    psi: &CMat,
+    a: [f64; 3],
+    kernels: &mut dyn StepKernels,
+    ace: Option<&AceOperator>,
+) -> Result<CMat, PtError> {
+    let h = sys.local_hamiltonian(rho, a)?;
+    let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
+    h.apply_block(psi, &mut hpsi);
+    match (ace, sys.hybrid) {
+        (Some(op), _) => op.apply_block(psi, &mut hpsi),
+        (None, Some(_)) => {
+            let w = kernels.exchange_block(sys, psi)?;
+            for (o, v) in hpsi.data_mut().iter_mut().zip(w.data()) {
+                *o += *v;
+            }
+        }
+        (None, None) => {}
+    }
+    Ok(hpsi)
+}
+
+/// The ACE projector `ξ = W L^{-H}` of `phi`: one exact exchange block
+/// `W = V_X[Φ]Φ` from `kernels`, then the small Cholesky/TRSM
+/// factorization on the driver.
+pub(crate) fn build_ace(
+    sys: &KsSystem,
+    phi: &CMat,
+    kernels: &mut dyn StepKernels,
+) -> Result<AceOperator, PtError> {
+    AceOperator::from_w(phi, kernels.exchange_block(sys, phi)?)
 }
 
 /// The kinetic preconditioner of the PT-CN fixed point,
@@ -417,7 +443,8 @@ fn half_step(
     let rho_n = sys.density(&state.psi);
     stats.phases.density += sp.finish_secs();
     let sp = pt_trace::span("h_apply");
-    let hpsi = kernels.apply_h(sys, &rho_n, &state.psi, a_field(laser, state.t), ace)?;
+    let a_n = a_field(laser, state.t);
+    let hpsi = apply_h(sys, &rho_n, &state.psi, a_n, kernels, ace)?;
     stats.phases.h_apply += sp.finish_secs();
     stats.h_applications += 1;
     let sp = pt_trace::span("residual");
@@ -472,7 +499,7 @@ fn fixed_point(
         iterations += 1;
         pt_trace::counter_add(pt_trace::Counter::FixedPointIterations, 1);
         let sp = pt_trace::span("h_apply");
-        let hpsi_f = kernels.apply_h(sys, &rho_f, &psi_f, half.a_next, ace)?;
+        let hpsi_f = apply_h(sys, &rho_f, &psi_f, half.a_next, kernels, ace)?;
         stats.phases.h_apply += sp.finish_secs();
         stats.h_applications += 1;
         // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2},
@@ -529,9 +556,10 @@ fn reorthonormalized(mut psi_f: CMat, stats: &mut StepStats) -> CMat {
 /// One PT-CN step (Alg. 1) under one exchange for the whole step: the
 /// exact Fock loop over the live iterate (`ace: None`) or a frozen ACE
 /// projector (a stale-window step). Generic over the execution strategy;
-/// everything outside the kernels (the residual, density, preconditioned
-/// Anderson mixing, re-orthonormalization) runs replicated on the driver
-/// thread, so the step's output bits depend only on the kernels'.
+/// everything outside the exact exchange block (the local `HΨ`, the
+/// residual, density, preconditioned Anderson mixing,
+/// re-orthonormalization) runs on the driver, so the step's output bits
+/// depend only on the kernels'.
 ///
 /// A non-finite fixed point skips the re-orthonormalization and leaves
 /// the state at the non-finite iterate with `converged: false`, which the
@@ -612,7 +640,7 @@ pub(crate) fn ace_ptcn_step(
 
     let mut stats = StepStats::default();
     let sp = pt_trace::span("ace_build");
-    let mut xi = kernels.build_ace(sys, &state.psi)?;
+    let mut xi = build_ace(sys, &state.psi, kernels)?;
     stats.phases.ace_build += sp.finish_secs();
     let half = half_step(sys, laser, state, dt, kernels, Some(&xi), &mut stats)?;
     let mut seed = half.psi.clone();
@@ -645,7 +673,7 @@ pub(crate) fn ace_ptcn_step(
         // operator: the re-orthonormalized one differs by the fixed
         // point's orthonormality defect, which would floor the agreement
         let sp = pt_trace::span("ace_build");
-        xi = kernels.build_ace(sys, &raw)?;
+        xi = build_ace(sys, &raw, kernels)?;
         stats.phases.ace_build += sp.finish_secs();
         seed = raw;
     };
@@ -674,34 +702,14 @@ pub(crate) fn ace_ptcn_step(
 pub(crate) struct InlineKernels;
 
 impl StepKernels for InlineKernels {
-    /// Build the Hamiltonian (Fock operator over `Φ = Ψ` included) and
-    /// apply it block-wise; with a frozen ACE projector the Fock-free
-    /// Hamiltonian applies and the projector supplies the exchange.
-    fn apply_h(
-        &mut self,
-        sys: &KsSystem,
-        rho: &[f64],
-        psi: &CMat,
-        a: [f64; 3],
-        ace: Option<&AceOperator>,
-    ) -> Result<CMat, PtError> {
-        let h = match ace {
-            Some(_) => sys.local_hamiltonian(rho, a)?,
-            None => sys.hamiltonian(rho, sys.hybrid.map(|_| psi), a)?,
-        };
-        let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
-        h.apply_block(psi, &mut hpsi);
-        if let Some(op) = ace {
-            op.apply_block(psi, &mut hpsi);
-        }
-        Ok(hpsi)
-    }
-
-    fn build_ace(&mut self, sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
+    /// The Fock operator over Φ, applied to Φ itself onto a zero block.
+    fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError> {
         let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
         let kernel = sys.exchange_kernel()?.clone();
         let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
-        AceOperator::new(&sys.grids, &fock, phi)
+        let mut w = CMat::zeros(phi.nrows(), phi.ncols());
+        fock.apply_block(&sys.grids, phi, &mut w);
+        Ok(w)
     }
 }
 
@@ -711,7 +719,7 @@ impl Propagator for PtCnPropagator {
     }
 
     /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
-    /// per the system's [`ExchangeMode`] and every `HΨ` and ACE build run
+    /// per the system's [`ExchangeMode`] and every exact exchange block run
     /// per the system's layout: inline for one rank, on the persistent
     /// rank team (spawned on the first such step) for more.
     fn step(
@@ -722,18 +730,11 @@ impl Propagator for PtCnPropagator {
         dt: f64,
     ) -> Result<StepStats, PtError> {
         self.opts.validate()?;
-        let (mut inline, mut on_engine);
         let kernels: &mut dyn StepKernels = match sys.layout() {
-            Some(layout) if layout.ranks > 1 => {
-                on_engine = EngineKernels {
-                    engine: acquire_engine(&mut self.engine, layout)?,
-                };
-                &mut on_engine
-            }
-            _ => {
-                inline = InlineKernels;
-                &mut inline
-            }
+            Some(layout) if layout.ranks > 1 => &mut EngineKernels {
+                engine: acquire_engine(&mut self.engine, layout)?,
+            },
+            _ => &mut InlineKernels,
         };
         let sp = pt_trace::span("ptcn_step");
         let mut stats = match sys.exchange_mode() {
@@ -785,14 +786,7 @@ impl Rk4Propagator {
         stats: &mut StepStats,
     ) -> Result<CMat, PtError> {
         let rho = sys.density(psi);
-        let phi = if sys.hybrid.is_some() {
-            Some(psi)
-        } else {
-            None
-        };
-        let h = sys.hamiltonian(&rho, phi, a_field(laser, t))?;
-        let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
-        h.apply_block(psi, &mut hpsi);
+        let mut hpsi = apply_h(sys, &rho, psi, a_field(laser, t), &mut InlineKernels, None)?;
         stats.h_applications += 1;
         // k = −i H ψ
         for z in hpsi.data_mut().iter_mut() {

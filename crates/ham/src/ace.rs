@@ -42,8 +42,10 @@ impl AceOperator {
     }
 
     /// Build from a precomputed `W = V_X Φ` (columns matching `phi`).
-    /// This is the seam the distributed path uses: the rank team computes
-    /// W with the Alg. 2 broadcast loop, the driver factors it here.
+    /// PT-CN builds every projector this way, on every layout: W is the
+    /// exact exchange block of the step's kernels (in process, or gathered
+    /// from the rank team's Alg. 2 broadcast loop), the driver factors it
+    /// here.
     pub fn from_w(phi: &CMat, w: CMat) -> Result<Self, PtError> {
         let nb = phi.ncols();
         if w.nrows() != phi.nrows() || w.ncols() != nb {

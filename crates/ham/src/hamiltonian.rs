@@ -12,10 +12,12 @@ use std::sync::Arc;
 ///
 /// The local potential lives on the dense grid; applying it costs one
 /// dense-grid FFT round trip per band. The Fock part is optional (None =
-/// semi-local functional) — and in the ACE propagation modes the PT-CN
-/// step assembles the Fock-free Hamiltonian (`KsSystem::local_hamiltonian`)
-/// and adds the frozen rank-N_φ [`crate::AceOperator`] projector instead,
-/// so this operator's pair-FFT loop runs only at projector refreshes.
+/// semi-local functional). The SCF attaches it; PT-CN never does: its one
+/// `HΨ` composition applies the Fock-free Hamiltonian
+/// (`KsSystem::local_hamiltonian`) and adds either the exact exchange
+/// block `V_X[Ψ]Ψ` — in process or gathered from the rank engine — or the
+/// frozen rank-N_φ [`crate::AceOperator`] projector, with the bits of this
+/// operator's own `apply_block`.
 pub struct Hamiltonian {
     /// Shared grids.
     pub grids: Arc<PwGrids>,

@@ -26,10 +26,19 @@ fn main() -> Result<(), PtError> {
     let gs = scf_loop(&sys, opts)?;
 
     let ceiling = max_stable_rk4_dt(&sys, &gs.orbitals, 10, 0.05, 4.0)?;
+    // RK4's stability region reaches 2√2 up the imaginary axis, and the
+    // kinetic term ½|G|² dominates the top of this grid's spectrum
+    let kinetic_max = sys
+        .grids
+        .kinetic_diag([0.0; 3])
+        .into_iter()
+        .fold(0.0, f64::max);
     println!(
-        "RK4 stability ceiling at E_cut = {} Ha: {:.2} as (paper at 10 Ha: ~0.5 as)",
+        "RK4 stability ceiling at E_cut = {} Ha: {:.2} as probed, {:.2} as spectral bound \
+         2√2 / max ½|G|² (paper §6: RK4 at 0.5 as)",
         sys.grids.ecut,
-        au_to_attosecond(ceiling)
+        au_to_attosecond(ceiling),
+        au_to_attosecond(2.0 * std::f64::consts::SQRT_2 / kinetic_max)
     );
 
     // propagate the same 50 as window with both propagators, chosen at

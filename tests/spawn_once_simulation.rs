@@ -1,9 +1,9 @@
 //! Acceptance pin for the persistent rank engine: a multi-step
 //! distributed `Simulation::run` creates its rank threads and their
 //! pinned pools **once** — not once per step, and certainly not once per
-//! `HΨ`/residual application (a PT-CN step submits several engine jobs,
-//! so the old spawn-per-call path would multiply the counts many times
-//! over).
+//! exact exchange block (a `Full` PT-CN step submits one engine job per
+//! `HΨ`, so the old spawn-per-call path would multiply the counts many
+//! times over).
 //!
 //! The spawn counters are process-global, so this binary stays
 //! single-test: a second concurrent test spawning pools or ranks would

@@ -17,9 +17,10 @@
 //!   step; `AceRefreshRounds` must be 0 between refreshes and positive on
 //!   every refresh step, where the half step's `HΨ` runs once however
 //!   many rounds there are. On a `ranks > 1` layout the rank engine runs
-//!   one job per `HΨ` application and per ACE build and nothing else: the
-//!   PT residual is driver algebra, so `EngineJobs` moves by exactly the
-//!   step's `h_applications` plus its refresh rounds.
+//!   one job per exact exchange block `V_X[Φ]Φ` and nothing else: the local
+//!   `HΨ`, the ACE projector apply and the PT residual are driver algebra,
+//!   so `EngineJobs` moves by exactly the step's `h_applications` under
+//!   `Full` and its refresh rounds under ACE.
 
 use pwdft_rt::prelude::*;
 use pwdft_rt::trace;
@@ -225,15 +226,15 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
     }
 }
 
-/// One engine job per `HΨ` and per ACE build: the 4-band HSE fixture on
-/// a 2 × 1 layout sends the rank team its `HΨ` applications and projector
-/// builds and nothing else — the fixed-point residual runs on the driver.
-/// Under `Full` every step's `EngineJobs` delta equals its
-/// `h_applications`; under `Ace { refresh_interval: 2 }` a refresh step
-/// adds one `build_ace` job per round (ξ_n included) and a stale step
-/// none.
+/// One engine job per exact exchange block: the 4-band HSE fixture on a
+/// 2 × 1 layout sends the rank team its `V_X[Φ]Φ` blocks and nothing else —
+/// the local `HΨ`, the ACE projector apply and the fixed-point residual run
+/// on the driver. Under `Full` every `HΨ` holds one block, so a step's
+/// `EngineJobs` delta equals its `h_applications`; under
+/// `Ace { refresh_interval: 2 }` a refresh step runs one block per
+/// projector round (ξ_n included) and a stale step none.
 #[test]
-fn a_ranked_full_step_runs_one_engine_job_per_h_application() {
+fn a_ranked_step_runs_one_engine_job_per_exact_exchange_block() {
     let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
     trace::set_enabled(true);
 
@@ -304,12 +305,16 @@ fn a_ranked_full_step_runs_one_engine_job_per_h_application() {
             // Ace{2} refreshes on steps 1 and 3 (0-based 0 and 2)
             let refresh = matches!(mode, ExchangeMode::Ace { .. }) && i % 2 == 0;
             assert_eq!(rounds > 0, refresh, "{mode:?} step {}: rounds", i + 1);
+            let blocks = match mode {
+                ExchangeMode::Full => h_applications as u64,
+                ExchangeMode::Ace { .. } => rounds,
+            };
             assert_eq!(
                 jobs,
-                h_applications as u64 + rounds,
+                blocks,
                 "{mode:?} step {}: {jobs} engine jobs for {h_applications} HΨ, \
                  {rounds} ACE builds and {iterations} fixed-point iterations — \
-                 the rank team ran more than HΨ and the projector builds",
+                 the rank team ran more than the exact exchange blocks",
                 i + 1
             );
         }
