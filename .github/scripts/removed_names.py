@@ -75,6 +75,10 @@ REMOVED = [
     ("per-kernel HΨ and ACE compositions",
      r"fn build_ace\(&mut self|\.(apply_h|build_ace)\(|hamiltonian\(&?rho, (sys\.hybrid|phi)\b", SRC, None,
      "Exchange modes: Full and ACE"),
+    ("RK4 knobs: the re-orthonormalize option, its snapshot section and the bisection probe",
+     r'Rk4Options|opts\.reorthonormalize|stable lower bracket|"prop/rk4"', SRC,
+     r"^(crates/core/src/checkpoint\.rs|tests/checkpoint_resume\.rs):",
+     "The unified simulation API"),
 ]
 
 

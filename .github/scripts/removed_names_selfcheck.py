@@ -39,6 +39,7 @@ SAMPLES = [
     "let s = comm.tree_reduce_chunks_c64(&partials, nb * nb);",
     "ace: ace.map(AceRefreshState::from_capture),",
     "let hpsi = kernels.apply_h(sys, &rho, &psi, a, None)?;",
+    "let rk = Rk4Propagator::new(Rk4Options { reorthonormalize: true });",
 ]
 
 

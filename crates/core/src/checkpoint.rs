@@ -24,7 +24,7 @@
 //! & resume semantics") for the full layout.
 
 use crate::laser::LaserPulse;
-use crate::propagator::{AceCapture, PropagatorState, PtCnOptions, Rk4Options, StepStats};
+use crate::propagator::{AceCapture, PropagatorState, PtCnOptions, StepStats};
 use crate::simulation::TimeSeries;
 use pt_ham::{AceOperator, ExchangeMode, PtError, SystemSignature};
 use pt_io::{SnapshotFile, SnapshotWriter};
@@ -267,10 +267,7 @@ fn write_propagator(w: &mut SnapshotWriter, state: &PropagatorState) -> Result<(
             }
             Ok(())
         }
-        PropagatorState::Rk4 { opts } => {
-            w.put_str("prop/name", "rk4")?;
-            w.put_u64s("prop/rk4", &[u64::from(opts.reorthonormalize)])
-        }
+        PropagatorState::Rk4 => w.put_str("prop/name", "rk4"),
         PropagatorState::Opaque { name } => {
             w.put_str("prop/name", name)?;
             w.put_u64s("prop/opaque", &[1])
@@ -339,11 +336,19 @@ fn read_propagator(
             opts: read_ptcn()?,
             ace: read_ace()?,
         }),
+        // `prop/rk4 = [flag]` is the removed re-orthonormalize option of
+        // older RK4 snapshots. A set flag is another trajectory, refused as
+        // `InvalidConfig` (not a schema defect: `resume_latest` must
+        // surface it, not fall back to an older snapshot of the same run)
         "rk4" => {
-            let reorthonormalize = f.u64("prop/rk4")? != 0;
-            Ok(PropagatorState::Rk4 {
-                opts: Rk4Options { reorthonormalize },
-            })
+            if f.has("prop/rk4") && f.u64("prop/rk4")? != 0 {
+                return Err(PtError::InvalidConfig(
+                    "snapshot was taken by RK4 under the removed option reorthonormalize = true; \
+                     it cannot be resumed — rerun with the plain RK4 propagator"
+                        .into(),
+                ));
+            }
+            Ok(PropagatorState::Rk4)
         }
         _ => Ok(PropagatorState::Opaque { name }),
     }

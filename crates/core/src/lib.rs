@@ -21,7 +21,7 @@
 //!   time, runs inline on the installed pool for one rank and fans every
 //!   exact exchange block out over a persistent virtual-MPI rank team with
 //!   pinned pools for more, with identical bits) and [`Rk4Propagator`] (the
-//!   Fig. 6 baseline, options [`Rk4Options`]). Select at runtime via
+//!   Fig. 6 baseline, no options). Select at runtime via
 //!   `Box<dyn Propagator>`.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,
 //!   `dt`, step count and propagator, then [`Simulation::run`] owns the
@@ -34,8 +34,8 @@
 //!
 //! Also provided: [`LaserPulse`] — the 380 nm velocity-gauge pulse of §4;
 //! gauge-invariant observables (energy, current, density-matrix
-//! invariants) and a stability probe used to demonstrate the RK4
-//! step-size ceiling.
+//! invariants) and [`max_stable_rk4_dt`], RK4's step-size ceiling
+//! 2√2 / λ_max(H) from a Lanczos estimate of the top of H's spectrum.
 //!
 //! # Checkpoint / restart
 //!
@@ -62,7 +62,7 @@ pub use laser::LaserPulse;
 pub use observables::{current_density, density_matrix_distance, orthonormality_error};
 pub use propagator::{
     propagator_from_state, AceCapture, Propagator, PropagatorState, PtCnOptions, PtCnPropagator,
-    Rk4Options, Rk4Propagator, StepPhases, StepStats, TdState,
+    Rk4Propagator, StepPhases, StepStats, TdState,
 };
 pub use pt_ham::PtError;
 pub use simulation::{CancelToken, Simulation, SimulationBuilder, StepUpdate, TimeSeries};

@@ -146,11 +146,8 @@ pub enum PropagatorState {
         /// (by now different) restored Ψ.
         ace: Option<AceCapture>,
     },
-    /// RK4 baseline.
-    Rk4 {
-        /// Options.
-        opts: Rk4Options,
-    },
+    /// RK4 baseline (no options, no cross-step state).
+    Rk4,
     /// A propagator that did not implement [`Propagator::capture`]; its
     /// name survives for diagnostics but it cannot be rebuilt.
     Opaque {
@@ -185,7 +182,7 @@ pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagato
             ace,
             engine: None,
         })),
-        PropagatorState::Rk4 { opts } => Ok(Box::new(Rk4Propagator { opts })),
+        PropagatorState::Rk4 => Ok(Box::new(Rk4Propagator)),
         PropagatorState::Opaque { name } => Err(PtError::InvalidConfig(format!(
             "snapshot was taken with propagator '{name}', which cannot be reconstructed; \
              only pt-cn and rk4 runs resume from a snapshot"
@@ -253,15 +250,6 @@ impl PtCnOptions {
         }
         Ok(())
     }
-}
-
-/// RK4 options.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Rk4Options {
-    /// Re-orthonormalize (Cholesky + TRSM) after every step. Off by
-    /// default: plain RK4 is the paper's Fig. 6 baseline, and its norm
-    /// drift is exactly what the stability probe measures.
-    pub reorthonormalize: bool,
 }
 
 /// The implicit parallel-transport Crank–Nicolson propagator (Alg. 1) —
@@ -344,12 +332,6 @@ fn pt_rhs(hpsi: &CMat, psi: &CMat) -> CMat {
 
 pub(crate) fn a_field(laser: Option<&LaserPulse>, t: f64) -> [f64; 3] {
     laser.map(|l| l.a_field(t)).unwrap_or([0.0; 3])
-}
-
-/// Cholesky + TRSM re-orthonormalization (§3.4). No ridge: the block is
-/// near-orthonormal after a step, so the overlap is well conditioned.
-fn reorthonormalize(psi: &mut CMat) {
-    orthonormalize_columns(psi, 0.0);
 }
 
 /// The one execution-strategy point of a PT-CN step: the exact exchange
@@ -541,13 +523,14 @@ fn fixed_point(
     Ok(psi_f)
 }
 
-/// Alg. 1 line 11: re-orthonormalize ψ_f (Cholesky + TRSM, §3.4). A
-/// non-finite iterate has no Cholesky factor, so it is handed back as it
-/// is.
+/// Alg. 1 line 11: re-orthonormalize ψ_f (Cholesky + TRSM, §3.4). No
+/// ridge: the block is near-orthonormal after a step, so the overlap is
+/// well conditioned. A non-finite iterate has no Cholesky factor, so it is
+/// handed back as it is.
 fn reorthonormalized(mut psi_f: CMat, stats: &mut StepStats) -> CMat {
     if stats.rho_residual.is_finite() {
         let sp = pt_trace::span("ortho");
-        reorthonormalize(&mut psi_f);
+        orthonormalize_columns(&mut psi_f, 0.0);
         stats.phases.ortho += sp.finish_secs();
     }
     psi_f
@@ -764,19 +747,13 @@ impl Propagator for PtCnPropagator {
 
 /// Explicit 4th-order Runge–Kutta on `i ∂t Ψ = H[ρ(Ψ), Ψ](t) Ψ` — the
 /// baseline of Fig. 6. The Hamiltonian (density, exchange orbitals, laser
-/// field) is rebuilt at every stage.
+/// field) is rebuilt at every stage. It has no options: the orbitals are
+/// never re-orthonormalized, so its norm drift is the instability the
+/// ceiling [`crate::max_stable_rk4_dt`] bounds.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Rk4Propagator {
-    /// Options.
-    pub opts: Rk4Options,
-}
+pub struct Rk4Propagator;
 
 impl Rk4Propagator {
-    /// Propagator with the given options.
-    pub fn new(opts: Rk4Options) -> Self {
-        Rk4Propagator { opts }
-    }
-
     fn rhs(
         &self,
         sys: &KsSystem,
@@ -835,15 +812,12 @@ impl Propagator for Rk4Propagator {
             let incr = k1.data()[i] + (k2.data()[i] + k3.data()[i]).scale(2.0) + k4.data()[i];
             state.psi.data_mut()[i] = psi0.data()[i] + incr.scale(dt / 6.0);
         }
-        if self.opts.reorthonormalize {
-            reorthonormalize(&mut state.psi);
-        }
         state.t += dt;
         Ok(stats)
     }
 
     fn capture(&self) -> PropagatorState {
-        PropagatorState::Rk4 { opts: self.opts }
+        PropagatorState::Rk4
     }
 }
 
@@ -968,7 +942,7 @@ mod tests {
         });
         prop.step(&sys, Some(&laser), &mut st_pt, dt).unwrap();
 
-        let mut rk = Rk4Propagator::default();
+        let mut rk = Rk4Propagator;
         let mut st_rk = TdState::new(psi0);
         for _ in 0..40 {
             rk.step(&sys, Some(&laser), &mut st_rk, dt / 40.0).unwrap();
@@ -980,38 +954,13 @@ mod tests {
     #[test]
     fn rk4_conserves_norm_at_tiny_dt() {
         let (sys, psi0) = ground_state(false);
-        let mut rk = Rk4Propagator::default();
+        let mut rk = Rk4Propagator;
         let mut st = TdState::new(psi0);
         let dt = pt_num::units::attosecond_to_au(0.5);
         for _ in 0..5 {
             rk.step(&sys, None, &mut st, dt).unwrap();
         }
         assert!(orthonormality_error(&st.psi) < 1e-8);
-    }
-
-    #[test]
-    fn rk4_reorthonormalize_option_restores_orthonormality() {
-        // at a dt where plain RK4 visibly drifts off the Stiefel manifold,
-        // the reorthonormalize option must pin the error to roundoff
-        let (sys, psi0) = ground_state(false);
-        let dt = pt_num::units::attosecond_to_au(10.0);
-        let mut plain = Rk4Propagator::default();
-        let mut st_plain = TdState::new(psi0.clone());
-        let mut reortho = Rk4Propagator::new(Rk4Options {
-            reorthonormalize: true,
-        });
-        let mut st_re = TdState::new(psi0);
-        for _ in 0..5 {
-            plain.step(&sys, None, &mut st_plain, dt).unwrap();
-            reortho.step(&sys, None, &mut st_re, dt).unwrap();
-        }
-        let e_plain = orthonormality_error(&st_plain.psi);
-        let e_re = orthonormality_error(&st_re.psi);
-        assert!(e_re < 1e-10, "re-orthonormalized RK4 error {e_re:.2e}");
-        assert!(
-            e_re < e_plain,
-            "flag should tighten orthonormality: {e_re:.2e} vs plain {e_plain:.2e}"
-        );
     }
 
     #[test]
@@ -1164,7 +1113,7 @@ mod tests {
         let dt = pt_num::units::attosecond_to_au(1.0);
         for boxed in [
             Box::new(PtCnPropagator::default()) as Box<dyn Propagator>,
-            Box::new(Rk4Propagator::default()) as Box<dyn Propagator>,
+            Box::new(Rk4Propagator) as Box<dyn Propagator>,
         ] {
             let mut prop = boxed;
             let mut st = TdState::new(psi0.clone());

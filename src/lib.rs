@@ -99,8 +99,8 @@ pub mod prelude {
     pub use pt_core::{
         current_density, density_matrix_distance, latest_checkpoint, max_stable_rk4_dt,
         orthonormality_error, CancelToken, LaserPulse, Propagator, PropagatorState, PtCnOptions,
-        PtCnPropagator, PtError, Rk4Options, Rk4Propagator, RunCheckpoint, Simulation,
-        SimulationBuilder, StepStats, StepUpdate, TdState, TimeSeries,
+        PtCnPropagator, PtError, Rk4Propagator, RunCheckpoint, Simulation, SimulationBuilder,
+        StepStats, StepUpdate, TdState, TimeSeries,
     };
     pub use pt_ham::{ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, SystemSignature};
     pub use pt_io::{

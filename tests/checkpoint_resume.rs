@@ -277,6 +277,57 @@ fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// RK4 snapshots written before its re-orthonormalize option was removed
+/// carry `prop/rk4 = [flag]`. An unset flag is plain RK4 and resumes to
+/// the uninterrupted bits, as does a fresh snapshot without the section; a
+/// set flag is another trajectory, refused as `InvalidConfig` — also by
+/// `resume_latest`, which must not fall back to an older snapshot.
+#[test]
+fn a_legacy_reorthonormalizing_rk4_snapshot_is_refused() {
+    let sys = lda_system();
+    let gs = lda_ground_state();
+    let dir = tmp_dir("legacy_rk4");
+    let uninterrupted = SimulationBuilder::new(&sys)
+        .initial_orbitals(gs.orbitals.clone())
+        .laser(laser())
+        .dt(attosecond_to_au(2.0))
+        .steps(2)
+        .propagator(Box::new(Rk4Propagator))
+        .checkpoint_every(1, &dir)
+        .checkpoint_keep(2)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    let fresh = checkpoint_path(&dir, 1);
+    assert!(!SnapshotFile::open(&fresh).unwrap().has("prop/rk4"));
+    assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &fresh));
+
+    let legacy = dir.join("legacy.ptio");
+    let flag = |f: u64| {
+        recraft(&fresh, &legacy, |s| {
+            s.insert("prop/rk4".into(), Section::U64s(vec![f]));
+        })
+    };
+    flag(0);
+    let merged = resume_and_finish(&sys, &legacy);
+    assert_eq!(merged.propagator, "rk4");
+    assert_series_bits_eq(&uninterrupted, &merged);
+
+    flag(1);
+    match RunCheckpoint::read(&legacy) {
+        Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("reorthonormalize"), "{msg}"),
+        other => panic!("expected InvalidConfig naming reorthonormalize, got {other:?}"),
+    }
+    std::fs::rename(&legacy, checkpoint_path(&dir, 2)).unwrap();
+    match Simulation::resume_latest(&sys, &dir) {
+        Err(PtError::InvalidConfig(msg)) => assert!(msg.contains("reorthonormalize"), "{msg}"),
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("resume_latest fell back past a re-orthonormalizing snapshot"),
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Every run records the same channels, so a run checkpointed from a
 /// builder that names nothing but its inputs resumes from its step-1
 /// snapshot to the uninterrupted run's bits.
@@ -351,12 +402,12 @@ fn a_fresh_snapshot_holds_exactly_the_sections_resume_reads() {
     let common = ["laser", "occ", "psi", "sig", "steps", "time"];
     let ptcn = ["prop/name", "prop/ptcn_f", "prop/ptcn_u"];
     let ptcn_ace = [&ptcn[..], &["prop/ace", "prop/ace_xi"]].concat();
-    let rk4 = ["prop/name", "prop/rk4"];
+    let rk4 = ["prop/name"];
     let per_series = ["a", "channels", "propagator", "stats", "stats_resid", "t"];
     let check = |tag: &str, sys: &KsSystem, gs: &ScfResult, prop_sections: &[&str]| {
         let dir = tmp_dir(&format!("sections_{tag}"));
-        let propagator: Box<dyn Propagator> = if prop_sections.contains(&"prop/rk4") {
-            Box::<Rk4Propagator>::default()
+        let propagator: Box<dyn Propagator> = if tag == "rk4" {
+            Box::new(Rk4Propagator)
         } else {
             Box::<PtCnPropagator>::default()
         };

@@ -117,7 +117,7 @@ fn rk4_through_the_same_pipeline_agrees_with_ptcn() {
             })),
             2,
         ),
-        (Box::new(Rk4Propagator::default()), 80),
+        (Box::new(Rk4Propagator), 80),
     ];
     let mut finals = Vec::new();
     for (prop, steps) in runs {
@@ -168,7 +168,7 @@ fn a_diverging_run_stops_before_its_first_non_finite_step() {
     // run must stop there, typed, instead of committing NaN steps as
     // converged — and leave the finite prefix and its snapshots behind
     let (sys, gs) = lda_ground_state();
-    let ceiling = max_stable_rk4_dt(sys, &gs.orbitals, 12, 0.05, 4.0).unwrap();
+    let ceiling = max_stable_rk4_dt(sys, &gs.orbitals).unwrap();
     let dt = 20.0 * ceiling;
     let dir = std::env::temp_dir().join(format!("pt_diverged_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -177,7 +177,7 @@ fn a_diverging_run_stops_before_its_first_non_finite_step() {
         .initial_orbitals(gs.orbitals.clone())
         .dt(dt)
         .steps(steps)
-        .propagator(Box::new(Rk4Propagator::default()))
+        .propagator(Box::new(Rk4Propagator))
         .checkpoint_every(1, &dir)
         .checkpoint_keep(steps)
         .build()
