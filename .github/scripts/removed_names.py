@@ -79,6 +79,10 @@ REMOVED = [
      r'Rk4Options|opts\.reorthonormalize|stable lower bracket|"prop/rk4"', SRC,
      r"^(crates/core/src/checkpoint\.rs|tests/checkpoint_resume\.rs):",
      "The unified simulation API"),
+    ("open propagator set, its snapshot mirror and the never-varied mixer and start-time settings",
+     r'PropagatorState|propagator_from_state|dyn Propagator|Rk4Propagator|\bOpaque\b|fn capture\b|"prop/opaque"|anderson_depth|mix_depth|mix_beta|fn start_time',
+     SRC, r"^(crates/core/src/checkpoint\.rs|tests/checkpoint_resume\.rs):",
+     "The unified simulation API"),
 ]
 
 

@@ -39,7 +39,8 @@ SAMPLES = [
     "let s = comm.tree_reduce_chunks_c64(&partials, nb * nb);",
     "ace: ace.map(AceRefreshState::from_capture),",
     "let hpsi = kernels.apply_h(sys, &rho, &psi, a, None)?;",
-    "let rk = Rk4Propagator::new(Rk4Options { reorthonormalize: true });",
+    "let opts = Rk4Options { reorthonormalize: true };",
+    "fn propagator(mut self, p: Box<dyn Propagator>) -> Self {",
 ]
 
 

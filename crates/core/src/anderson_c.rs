@@ -30,13 +30,20 @@ pub struct BandAndersonMixer {
 }
 
 impl BandAndersonMixer {
-    /// `depth` ≤ 20 in the paper; `beta` is the underlying relaxation;
+    /// History depth: the paper's maximum mixing dimension (§3.4).
+    pub const DEPTH: usize = 20;
+    /// Relaxation β of the underlying Anderson step.
+    pub const BETA: f64 = 1.0;
+
+    /// A mixer of [`Self::DEPTH`] and [`Self::BETA`] for `n_bands` bands;
     /// `precond` is the diagonal applied to every residual (one entry per
     /// coefficient row).
-    pub fn new(n_bands: usize, depth: usize, beta: f64, precond: Vec<c64>) -> Self {
+    pub fn new(n_bands: usize, precond: Vec<c64>) -> Self {
         BandAndersonMixer {
             precond,
-            cores: (0..n_bands).map(|_| Anderson::new(depth, beta)).collect(),
+            cores: (0..n_bands)
+                .map(|_| Anderson::new(Self::DEPTH, Self::BETA))
+                .collect(),
         }
     }
 
@@ -90,7 +97,7 @@ mod tests {
             }
             o
         };
-        let mut mixer = BandAndersonMixer::new(nb, 10, 0.5, vec![c64::ONE; ng]);
+        let mut mixer = BandAndersonMixer::new(nb, vec![c64::ONE; ng]);
         let mut x = CMat::zeros(ng, nb);
         let mut conv = None;
         for it in 0..60 {
@@ -132,7 +139,7 @@ mod tests {
     ) -> Option<usize> {
         let (ng, nb) = (k.len(), 2);
         let b = |i: usize, j: usize| c64::new(1.0 / (1.0 + i as f64), 0.1 * (j + 1) as f64);
-        let mut mixer = BandAndersonMixer::new(nb, 20, 1.0, precond);
+        let mut mixer = BandAndersonMixer::new(nb, precond);
         let mut x = CMat::zeros(ng, nb);
         for it in 0..200 {
             let mut f = CMat::zeros(ng, nb);
@@ -181,7 +188,7 @@ mod tests {
                 f[(i, j)] = c64::new(0.3 * i as f64 - 1.0, 0.2 * j as f64 + 0.1);
             }
         }
-        let mut mixer = BandAndersonMixer::new(2, 20, 1.0, p.clone());
+        let mut mixer = BandAndersonMixer::new(2, p.clone());
         let x = CMat::zeros(ng, 2);
         let next = mixer.step(&x, &f);
         for j in 0..2 {
@@ -196,7 +203,7 @@ mod tests {
 
     #[test]
     fn history_depth_is_bounded_at_20() {
-        let mut m = BandAndersonMixer::new(1, 20, 1.0, vec![c64::ONE; 4]);
+        let mut m = BandAndersonMixer::new(1, vec![c64::ONE; 4]);
         let x = CMat::zeros(4, 1);
         for i in 0..30 {
             let mut f = CMat::zeros(4, 1);

@@ -4,9 +4,9 @@
 //! A checkpoint holds what the next step of a resumed run **reads**, at a
 //! step boundary, and nothing else: the ψ orbitals, occupations and shape
 //! fingerprint (revalidated against the system), time/step bookkeeping,
-//! laser parameters, the propagator's options and its one piece of
-//! cross-step state ([`PropagatorState`]: the ACE projector ξ with its
-//! window position) and every accumulated [`TimeSeries`] channel. What a
+//! laser parameters, the [`Propagator`] itself — its name, PT-CN's options
+//! and its one piece of cross-step state (the ACE projector ξ with its
+//! window position) — and every accumulated [`TimeSeries`] channel. What a
 //! resume recomputes or starts empty is not state: Φ (bit-for-bit ψ in
 //! the parallel-transport gauge), the density, the Anderson history
 //! (Alg. 1 starts each step's fixed point from an empty one). A snapshot
@@ -15,21 +15,26 @@
 //!
 //! Sections are read **by name** and unknown ones are ignored, so files
 //! written before the capture shrank (with `phi`, `rho`,
-//! `prop/anderson/*`) resume to the same bits. Before adding a section,
-//! say what resume reads from it.
+//! `prop/anderson/*`) resume to the same bits. The propagator set is
+//! closed: a `prop/name` other than PT-CN's or RK4's, or a legacy PT-CN
+//! mixer setting other than the paper's constants, is refused at read as
+//! another trajectory. Before adding a section, say what resume reads
+//! from it.
 //!
 //! The byte-level container (magic, version, section table, per-section
 //! CRC-32) lives in [`pt_io::format`]; this module only defines which
 //! sections exist and what they mean — see `DESIGN.md` ("Snapshot format
 //! & resume semantics") for the full layout.
 
+use crate::anderson_c::BandAndersonMixer;
 use crate::laser::LaserPulse;
-use crate::propagator::{AceCapture, PropagatorState, PtCnOptions, StepStats};
+use crate::propagator::{AceCapture, Propagator, PtCnOptions, PtCnPropagator, StepStats};
 use crate::simulation::TimeSeries;
 use pt_ham::{AceOperator, ExchangeMode, PtError, SystemSignature};
 use pt_io::{SnapshotFile, SnapshotWriter};
 use pt_linalg::CMat;
 use pt_mpi::Wire;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
 /// How a [`crate::Simulation`] emits rolling snapshots from inside its
@@ -103,8 +108,9 @@ pub struct RunCheckpoint {
     pub psi: CMat,
     /// Laser coupling.
     pub laser: Option<LaserPulse>,
-    /// Propagator options + internal state.
-    pub propagator: PropagatorState,
+    /// The propagator with its options and cross-step state, read back
+    /// without a rank engine (rebuilt lazily on the first resumed step).
+    pub propagator: Propagator,
     /// The exchange mode a legacy snapshot pinned on its propagator (the
     /// optional `prop/exch` section of the former per-propagator
     /// override; never written any more). Resume refuses a system whose
@@ -127,7 +133,7 @@ pub(crate) struct RunCheckpointView<'a> {
     pub(crate) occupations: &'a [f64],
     pub(crate) psi: &'a CMat,
     pub(crate) laser: Option<&'a LaserPulse>,
-    pub(crate) propagator: &'a PropagatorState,
+    pub(crate) propagator: &'a Propagator,
     pub(crate) series: &'a TimeSeries,
 }
 
@@ -243,46 +249,53 @@ impl RunCheckpoint {
     }
 }
 
-fn write_propagator(w: &mut SnapshotWriter, state: &PropagatorState) -> Result<(), PtError> {
-    match state {
-        PropagatorState::PtCn { opts, ace } => {
-            w.put_str("prop/name", "pt-cn")?;
-            w.put_f64s("prop/ptcn_f", &[opts.rho_tol, opts.beta])?;
-            w.put_u64s(
-                "prop/ptcn_u",
-                &[
-                    opts.max_scf as u64,
-                    opts.anderson_depth as u64,
-                    u64::from(opts.strict),
-                ],
-            )?;
-            // The ACE projector ξ is snapshotted **verbatim** (never
-            // rebuilt from the restored Ψ): a resume mid-refresh-window
-            // must keep propagating under the exact frozen projector the
-            // killed run was using, or the resumed trajectory would
-            // silently diverge bit-wise from the uninterrupted one.
-            if let Some(a) = ace {
-                w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
-                w.put_cmat("prop/ace_xi", a.op.xi())?;
-            }
-            Ok(())
-        }
-        PropagatorState::Rk4 => w.put_str("prop/name", "rk4"),
-        PropagatorState::Opaque { name } => {
-            w.put_str("prop/name", name)?;
-            w.put_u64s("prop/opaque", &[1])
-        }
+fn write_propagator(w: &mut SnapshotWriter, p: &Propagator) -> Result<(), PtError> {
+    w.put_str("prop/name", p.name())?;
+    let Propagator::PtCn(p) = p else {
+        return Ok(());
+    };
+    w.put_f64s("prop/ptcn_f", &[p.opts.rho_tol])?;
+    w.put_u64s(
+        "prop/ptcn_u",
+        &[p.opts.max_scf as u64, u64::from(p.opts.strict)],
+    )?;
+    // The ACE projector ξ is snapshotted **verbatim** (never rebuilt from
+    // the restored Ψ): a resume mid-refresh-window must keep propagating
+    // under the exact frozen projector the killed run was using, or the
+    // resumed trajectory would silently diverge bit-wise from the
+    // uninterrupted one.
+    if let Some(a) = p.ace() {
+        w.put_u64s("prop/ace", &[a.steps_since_refresh as u64])?;
+        w.put_cmat("prop/ace_xi", a.op.xi())?;
     }
+    Ok(())
+}
+
+/// A legacy PT-CN mixer setting that differs from the paper's constant
+/// the mixer now always uses: another trajectory, refused as
+/// [`PtError::InvalidConfig`] (not a schema defect: `resume_latest` must
+/// surface it, not fall back to an older snapshot of the same run).
+fn removed_mixer_option(option: &str, value: impl Display, constant: impl Display) -> PtError {
+    PtError::InvalidConfig(format!(
+        "snapshot was taken by PT-CN under the removed option {option} = {value}; \
+         it cannot be resumed — the Anderson mixer now always uses {option} = {constant}"
+    ))
 }
 
 fn read_propagator(
     f: &SnapshotFile,
     schema: &impl Fn(String) -> PtError,
-) -> Result<PropagatorState, PtError> {
+) -> Result<Propagator, PtError> {
     let name = f.str("prop/name")?;
+    // `prop/ptcn_f = [rho_tol]`, `prop/ptcn_u = [max_scf, strict]`; older
+    // snapshots also carry the removed mixer options, `[rho_tol, beta]`
+    // and `[max_scf, anderson_depth, strict]`, which resume only at the
+    // paper's constants
     let read_ptcn = || -> Result<PtCnOptions, PtError> {
-        let (rho_tol, beta) = match f.f64s("prop/ptcn_f")?.as_slice() {
-            [r, b] => (*r, *b),
+        let rho_tol = match f.f64s("prop/ptcn_f")?.as_slice() {
+            [r] => *r,
+            [r, b] if *b == BandAndersonMixer::BETA => *r,
+            [_, b] => return Err(removed_mixer_option("beta", b, BandAndersonMixer::BETA)),
             other => {
                 return Err(schema(format!(
                     "'prop/ptcn_f' holds {} values",
@@ -290,8 +303,16 @@ fn read_propagator(
                 )))
             }
         };
-        let (max_scf, anderson_depth, strict) = match f.u64s("prop/ptcn_u")?.as_slice() {
-            [m, d, s] => (*m as usize, *d as usize, *s != 0),
+        let (max_scf, strict) = match f.u64s("prop/ptcn_u")?.as_slice() {
+            [m, s] => (*m as usize, *s != 0),
+            [m, d, s] if *d == BandAndersonMixer::DEPTH as u64 => (*m as usize, *s != 0),
+            [_, d, _] => {
+                return Err(removed_mixer_option(
+                    "anderson_depth",
+                    d,
+                    BandAndersonMixer::DEPTH,
+                ))
+            }
             other => {
                 return Err(schema(format!(
                     "'prop/ptcn_u' holds {} values",
@@ -302,8 +323,6 @@ fn read_propagator(
         let opts = PtCnOptions {
             rho_tol,
             max_scf,
-            anderson_depth,
-            beta,
             strict,
         };
         // the checks the first step makes: options that can never step are
@@ -331,11 +350,13 @@ fn read_propagator(
         // "pt-cn-dist" is what snapshots of the former distributed
         // propagator type carry: the same state, plus a `prop/dist` layout
         // section that is ignored — the layout comes from the system the
-        // run is resumed on
-        "pt-cn" | "pt-cn-dist" => Ok(PropagatorState::PtCn {
+        // run is resumed on. The rank engine is runtime-only state, rebuilt
+        // lazily on the first resumed step.
+        "pt-cn" | "pt-cn-dist" => Ok(Propagator::PtCn(PtCnPropagator {
             opts: read_ptcn()?,
             ace: read_ace()?,
-        }),
+            engine: None,
+        })),
         // `prop/rk4 = [flag]` is the removed re-orthonormalize option of
         // older RK4 snapshots. A set flag is another trajectory, refused as
         // `InvalidConfig` (not a schema defect: `resume_latest` must
@@ -348,9 +369,15 @@ fn read_propagator(
                         .into(),
                 ));
             }
-            Ok(PropagatorState::Rk4)
+            Ok(Propagator::Rk4)
         }
-        _ => Ok(PropagatorState::Opaque { name }),
+        // a propagator outside the closed set (a custom one an older
+        // version could record by name): no run of this crate can
+        // continue it, and an older snapshot of the same run cannot either
+        _ => Err(PtError::InvalidConfig(format!(
+            "snapshot was taken with propagator '{name}', which cannot be reconstructed; \
+             only pt-cn and rk4 runs resume from a snapshot"
+        ))),
     }
 }
 

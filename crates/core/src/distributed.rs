@@ -19,11 +19,11 @@
 //! flips of Alg. 3 would only move them to the ranks and back. An ACE
 //! stale-window step runs no engine job at all.
 //!
-//! The engine is runtime-only state: it is not cloned, captured, or
-//! snapshotted — a resumed or cloned propagator rebuilds its team lazily
-//! on the next step. If a rank dies, the panic surfaces on the driver
-//! with the original payload (poison-cascade semantics) and later steps
-//! on the dead engine are refused with [`PtError::EngineDown`].
+//! The engine is runtime-only state: it is not cloned or snapshotted —
+//! a resumed or cloned propagator rebuilds its team lazily on the next
+//! step. If a rank dies, the panic surfaces on the driver with the
+//! original payload (poison-cascade semantics) and later steps on the
+//! dead engine are refused with [`PtError::EngineDown`].
 //!
 //! # Layout invariance
 //!
@@ -116,9 +116,7 @@ impl StepKernels for EngineKernels<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::{
-        apply_h, build_ace, InlineKernels, Propagator, PropagatorState, PtCnPropagator, TdState,
-    };
+    use crate::propagator::{apply_h, build_ace, InlineKernels, PtCnPropagator, TdState};
     use pt_ham::{AceOperator, ExchangeMode, FockMode, FockOperator};
     use pt_lattice::silicon_cubic_supercell;
     use pt_xc::XcKind;
@@ -294,14 +292,9 @@ mod tests {
         assert!(s1.converged);
         let s2 = prop.step(&sys, None, &mut state, dt).unwrap();
         assert!(s2.converged);
-        match prop.capture() {
-            PropagatorState::PtCn { ace, .. } => {
-                let cap = ace.expect("two ACE steps must leave a captured projector");
-                assert_eq!(cap.steps_since_refresh, 2, "interval-2 window exhausted");
-                assert_eq!(cap.op.xi().nrows(), sys.grids.ng());
-            }
-            other => panic!("expected PtCn, got {other:?}"),
-        }
+        let cap = prop.ace().expect("two ACE steps must leave a projector");
+        assert_eq!(cap.steps_since_refresh, 2, "interval-2 window exhausted");
+        assert_eq!(cap.op.xi().nrows(), sys.grids.ng());
     }
 
     #[test]

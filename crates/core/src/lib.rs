@@ -15,14 +15,16 @@
 //!
 //! # The simulation API
 //!
-//! * [`Propagator`] — the object-safe one-step abstraction. Implementations:
-//!   [`PtCnPropagator`] (Alg. 1, options [`PtCnOptions`] — the one PT-CN
-//!   type: it reads the ranks × threads layout off the system at step
-//!   time, runs inline on the installed pool for one rank and fans every
-//!   exact exchange block out over a persistent virtual-MPI rank team with
-//!   pinned pools for more, with identical bits) and [`Rk4Propagator`] (the
-//!   Fig. 6 baseline, no options). Select at runtime via
-//!   `Box<dyn Propagator>`.
+//! * [`Propagator`] — the closed one-step value, one variant per propagator
+//!   the paper runs: `Propagator::PtCn(`[`PtCnPropagator`]`)` (Alg. 1,
+//!   options [`PtCnOptions`]; Anderson mixing at the paper's depth 20 — it
+//!   reads the ranks × threads layout off the system at step time, runs
+//!   inline on the installed pool for one rank and fans every exact
+//!   exchange block out over a persistent virtual-MPI rank team with
+//!   pinned pools for more, with identical bits) and `Propagator::Rk4`
+//!   (the Fig. 6 baseline, no options). Selected at runtime by value;
+//!   every value a run holds is one its snapshot records and a resume
+//!   rebuilds.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,
 //!   `dt`, step count and propagator, then [`Simulation::run`] owns the
 //!   time loop and returns a [`TimeSeries`]. Every step commits one fixed
@@ -61,8 +63,7 @@ pub use checkpoint::{latest_checkpoint, RunCheckpoint};
 pub use laser::LaserPulse;
 pub use observables::{current_density, density_matrix_distance, orthonormality_error};
 pub use propagator::{
-    propagator_from_state, AceCapture, Propagator, PropagatorState, PtCnOptions, PtCnPropagator,
-    Rk4Propagator, StepPhases, StepStats, TdState,
+    AceCapture, Propagator, PtCnOptions, PtCnPropagator, StepPhases, StepStats, TdState,
 };
 pub use pt_ham::PtError;
 pub use simulation::{CancelToken, Simulation, SimulationBuilder, StepUpdate, TimeSeries};

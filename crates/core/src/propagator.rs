@@ -1,11 +1,13 @@
-//! Time propagators behind one trait: PT-CN (Alg. 1) and the RK4 baseline.
+//! Time propagators as one closed value: PT-CN (Alg. 1) and the RK4
+//! baseline.
 //!
-//! [`Propagator`] is the object-safe abstraction the [`crate::Simulation`]
-//! driver works against: a propagator is an *algorithm plus its options* —
-//! the physical problem ([`KsSystem`]) and the drive ([`LaserPulse`]) are
-//! passed into every [`Propagator::step`], so one propagator value can be
-//! reused across systems and boxed for runtime selection
-//! (`Box<dyn Propagator>`).
+//! [`Propagator`] is the enum the [`crate::Simulation`] driver works
+//! against: a propagator is an *algorithm plus its options and cross-step
+//! state* — the physical problem ([`KsSystem`]) and the drive
+//! ([`LaserPulse`]) are passed into every [`Propagator::step`], so one
+//! propagator value can be reused across systems and picked at runtime.
+//! The paper runs exactly these two, so the set is closed: every value
+//! a run can hold is one a snapshot records and a resume rebuilds.
 
 use crate::anderson_c::BandAndersonMixer;
 use crate::distributed::{acquire_engine, EngineKernels};
@@ -97,68 +99,53 @@ impl StepPhases {
     }
 }
 
-/// One step of a time-dependent Kohn–Sham propagation.
-///
-/// Object-safe: the `ptcn_vs_rk4` example picks the implementation at
-/// runtime through `Box<dyn Propagator>`. Implementations must advance
-/// `state.t` by exactly `dt` on success.
-pub trait Propagator {
-    /// Short human-readable identifier (for logs and series metadata).
-    fn name(&self) -> &'static str;
+/// One step of a time-dependent Kohn–Sham propagation: the paper's two
+/// propagators. Either advances `state.t` by exactly `dt` on success.
+#[derive(Clone, Debug)]
+pub enum Propagator {
+    /// PT-CN (Alg. 1) with its options and its one piece of cross-step
+    /// state, the ACE projector.
+    PtCn(PtCnPropagator),
+    /// The explicit RK4 baseline of Fig. 6: no options, no cross-step
+    /// state.
+    Rk4,
+}
+
+impl Default for Propagator {
+    /// PT-CN with the paper's options.
+    fn default() -> Self {
+        Propagator::PtCn(PtCnPropagator::default())
+    }
+}
+
+impl Propagator {
+    /// Short identifier (for logs, series metadata and the snapshot's
+    /// `prop/name`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Propagator::PtCn(_) => "pt-cn",
+            Propagator::Rk4 => "rk4",
+        }
+    }
 
     /// Advance `state` by `dt` under `sys` (+ optional laser coupling).
-    fn step(
+    pub fn step(
         &mut self,
         sys: &KsSystem,
         laser: Option<&LaserPulse>,
         state: &mut TdState,
         dt: f64,
-    ) -> Result<StepStats, PtError>;
-
-    /// Capture everything needed to reconstruct this propagator
-    /// mid-trajectory (options plus whatever internal state the *next*
-    /// step reads, like a live ACE projector) — what a run snapshot
-    /// records. The default is
-    /// [`PropagatorState::Opaque`], which round-trips the name but cannot
-    /// be reconstructed: custom propagators should override this to become
-    /// resumable.
-    fn capture(&self) -> PropagatorState {
-        PropagatorState::Opaque {
-            name: self.name().to_string(),
+    ) -> Result<StepStats, PtError> {
+        match self {
+            Propagator::PtCn(p) => p.step(sys, laser, state, dt),
+            Propagator::Rk4 => rk4_step(sys, laser, state, dt),
         }
     }
 }
 
-/// The capturable state of a [`Propagator`] — the bridge between the live
-/// trait object and the snapshot file (`pt-core`'s checkpoint schema
-/// serializes this, [`propagator_from_state`] rebuilds the trait object on
-/// resume).
-#[derive(Clone, Debug)]
-pub enum PropagatorState {
-    /// PT-CN (Alg. 1). Layout-free: which ranks × threads decomposition
-    /// a resumed run uses comes from the system it is resumed on.
-    PtCn {
-        /// Options.
-        opts: PtCnOptions,
-        /// Live ACE projector + refresh position (`Ace` mode only) — the
-        /// exact ξ that was applied at capture, so a resume landing
-        /// mid-refresh-window reuses it instead of rebuilding from the
-        /// (by now different) restored Ψ.
-        ace: Option<AceCapture>,
-    },
-    /// RK4 baseline (no options, no cross-step state).
-    Rk4,
-    /// A propagator that did not implement [`Propagator::capture`]; its
-    /// name survives for diagnostics but it cannot be rebuilt.
-    Opaque {
-        /// [`Propagator::name`] of the original.
-        name: String,
-    },
-}
-
 /// The live ACE projector plus its position inside the current refresh
 /// window: what a PT-CN propagator carries across steps under
-/// [`ExchangeMode::Ace`], and what its capture records. Run snapshots hold
+/// [`ExchangeMode::Ace`], and what a run snapshot records. Snapshots hold
 /// ξ verbatim so that kill/resume inside a window (`ace_refresh_interval
 /// > 1`) continues with the identical operator, bit for bit.
 #[derive(Clone, Debug)]
@@ -169,27 +156,6 @@ pub struct AceCapture {
     pub steps_since_refresh: usize,
 }
 
-/// Rebuild a boxed [`Propagator`] from a captured [`PropagatorState`].
-/// [`PropagatorState::Opaque`] is a typed error: the snapshot records that
-/// the original run used a propagator this crate cannot reconstruct, so
-/// the run cannot be resumed — only PT-CN and RK4 states are rebuilt.
-pub fn propagator_from_state(state: PropagatorState) -> Result<Box<dyn Propagator>, PtError> {
-    match state {
-        // the rank engine is runtime-only state: rebuilt lazily on the
-        // first post-resume step, never part of the snapshot
-        PropagatorState::PtCn { opts, ace } => Ok(Box::new(PtCnPropagator {
-            opts,
-            ace,
-            engine: None,
-        })),
-        PropagatorState::Rk4 => Ok(Box::new(Rk4Propagator)),
-        PropagatorState::Opaque { name } => Err(PtError::InvalidConfig(format!(
-            "snapshot was taken with propagator '{name}', which cannot be reconstructed; \
-             only pt-cn and rk4 runs resume from a snapshot"
-        ))),
-    }
-}
-
 /// PT-CN options (§4 settings as defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct PtCnOptions {
@@ -197,10 +163,6 @@ pub struct PtCnOptions {
     pub rho_tol: f64,
     /// Max SCF iterations per step (paper observes ~22 on average).
     pub max_scf: usize,
-    /// Anderson history depth (paper: 20).
-    pub anderson_depth: usize,
-    /// Anderson relaxation β (positive).
-    pub beta: f64,
     /// When `true`, a step whose fixed point stays above `rho_tol` after
     /// `max_scf` iterations returns [`PtError::NotConverged`] instead of
     /// the best-effort state (default: `false`, the paper's behavior —
@@ -213,8 +175,6 @@ impl Default for PtCnOptions {
         PtCnOptions {
             rho_tol: 1e-6,
             max_scf: 40,
-            anderson_depth: 20,
-            beta: 1.0,
             strict: false,
         }
     }
@@ -234,19 +194,6 @@ impl PtCnOptions {
             return Err(PtError::InvalidConfig(
                 "PT-CN max_scf must be at least 1".into(),
             ));
-        }
-        if self.anderson_depth == 0 {
-            return Err(PtError::InvalidConfig(
-                "PT-CN Anderson history depth must be at least 1".into(),
-            ));
-        }
-        // β = 0 would mix nothing in: the density never moves, so the
-        // residual reads 0 and an unconverged step reports convergence
-        if !self.beta.is_finite() || self.beta <= 0.0 {
-            return Err(PtError::InvalidConfig(format!(
-                "PT-CN mixing parameter beta must be positive and finite, got {}",
-                self.beta
-            )));
         }
         Ok(())
     }
@@ -268,10 +215,10 @@ impl PtCnOptions {
 /// ([`KsSystem::exchange_mode`]).
 ///
 /// The only state that crosses a step boundary is the ACE projector ξ
-/// with its position in the refresh window ([`Propagator::capture`]
-/// records exactly that, beside the options); the Anderson history is a
-/// local of each step's fixed point. The engine is runtime-only state:
-/// never cloned, captured or snapshotted.
+/// with its position in the refresh window ([`PtCnPropagator::ace`]; a
+/// run snapshot records exactly that, beside the options); the Anderson
+/// history is a local of each step's fixed point. The engine is
+/// runtime-only state: never cloned or snapshotted.
 #[derive(Default)]
 pub struct PtCnPropagator {
     /// Options.
@@ -300,6 +247,49 @@ impl PtCnPropagator {
             opts,
             ..Default::default()
         }
+    }
+
+    /// The live ACE projector and its position in the refresh window
+    /// (`None` before the first step under [`ExchangeMode::Ace`], and
+    /// always under `Full`).
+    pub fn ace(&self) -> Option<&AceCapture> {
+        self.ace.as_ref()
+    }
+
+    /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
+    /// per the system's [`ExchangeMode`] and every exact exchange block run
+    /// per the system's layout: inline for one rank, on the persistent
+    /// rank team (spawned on the first such step) for more.
+    pub fn step(
+        &mut self,
+        sys: &KsSystem,
+        laser: Option<&LaserPulse>,
+        state: &mut TdState,
+        dt: f64,
+    ) -> Result<StepStats, PtError> {
+        self.opts.validate()?;
+        let kernels: &mut dyn StepKernels = match sys.layout() {
+            Some(layout) if layout.ranks > 1 => &mut EngineKernels {
+                engine: acquire_engine(&mut self.engine, layout)?,
+            },
+            _ => &mut InlineKernels,
+        };
+        let sp = pt_trace::span("ptcn_step");
+        let mut stats = match sys.exchange_mode() {
+            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, kernels, None),
+            ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
+                &self.opts,
+                sys,
+                laser,
+                state,
+                dt,
+                refresh_interval,
+                &mut self.ace,
+                kernels,
+            ),
+        }?;
+        stats.phases.reconcile(sp.finish_secs());
+        Ok(stats)
     }
 }
 
@@ -467,8 +457,6 @@ fn fixed_point(
 ) -> Result<CMat, PtError> {
     let mut mixer = BandAndersonMixer::new(
         half.psi.ncols(),
-        opts.anderson_depth,
-        opts.beta,
         kinetic_preconditioner(sys, half.a_next, half.dt),
     );
     let mut psi_f = seed;
@@ -696,129 +684,64 @@ impl StepKernels for InlineKernels {
     }
 }
 
-impl Propagator for PtCnPropagator {
-    fn name(&self) -> &'static str {
-        "pt-cn"
+/// `k = −i H[ρ(ψ), ψ](t) ψ`, one RK4 stage, the Hamiltonian rebuilt from
+/// `psi`.
+fn rk4_rhs(
+    sys: &KsSystem,
+    laser: Option<&LaserPulse>,
+    psi: &CMat,
+    t: f64,
+    stats: &mut StepStats,
+) -> Result<CMat, PtError> {
+    let rho = sys.density(psi);
+    let mut hpsi = apply_h(sys, &rho, psi, a_field(laser, t), &mut InlineKernels, None)?;
+    stats.h_applications += 1;
+    for z in hpsi.data_mut().iter_mut() {
+        *z = z.mul_neg_i();
     }
-
-    /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
-    /// per the system's [`ExchangeMode`] and every exact exchange block run
-    /// per the system's layout: inline for one rank, on the persistent
-    /// rank team (spawned on the first such step) for more.
-    fn step(
-        &mut self,
-        sys: &KsSystem,
-        laser: Option<&LaserPulse>,
-        state: &mut TdState,
-        dt: f64,
-    ) -> Result<StepStats, PtError> {
-        self.opts.validate()?;
-        let kernels: &mut dyn StepKernels = match sys.layout() {
-            Some(layout) if layout.ranks > 1 => &mut EngineKernels {
-                engine: acquire_engine(&mut self.engine, layout)?,
-            },
-            _ => &mut InlineKernels,
-        };
-        let sp = pt_trace::span("ptcn_step");
-        let mut stats = match sys.exchange_mode() {
-            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, kernels, None),
-            ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
-                &self.opts,
-                sys,
-                laser,
-                state,
-                dt,
-                refresh_interval,
-                &mut self.ace,
-                kernels,
-            ),
-        }?;
-        stats.phases.reconcile(sp.finish_secs());
-        Ok(stats)
-    }
-
-    fn capture(&self) -> PropagatorState {
-        PropagatorState::PtCn {
-            opts: self.opts,
-            ace: self.ace.clone(),
-        }
-    }
+    Ok(hpsi)
 }
 
-/// Explicit 4th-order Runge–Kutta on `i ∂t Ψ = H[ρ(Ψ), Ψ](t) Ψ` — the
-/// baseline of Fig. 6. The Hamiltonian (density, exchange orbitals, laser
-/// field) is rebuilt at every stage. It has no options: the orbitals are
-/// never re-orthonormalized, so its norm drift is the instability the
-/// ceiling [`crate::max_stable_rk4_dt`] bounds.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Rk4Propagator;
+/// One explicit 4th-order Runge–Kutta step of size `dt` on
+/// `i ∂t Ψ = H[ρ(Ψ), Ψ](t) Ψ` — the baseline of Fig. 6
+/// ([`Propagator::Rk4`]). The Hamiltonian (density, exchange orbitals,
+/// laser field) is rebuilt at every stage. The orbitals are never
+/// re-orthonormalized, so its norm drift is the instability the ceiling
+/// [`crate::max_stable_rk4_dt`] bounds.
+fn rk4_step(
+    sys: &KsSystem,
+    laser: Option<&LaserPulse>,
+    state: &mut TdState,
+    dt: f64,
+) -> Result<StepStats, PtError> {
+    let mut stats = StepStats {
+        converged: true,
+        ..StepStats::default()
+    };
+    let psi0 = state.psi.clone();
+    let n = psi0.data().len();
 
-impl Rk4Propagator {
-    fn rhs(
-        &self,
-        sys: &KsSystem,
-        laser: Option<&LaserPulse>,
-        psi: &CMat,
-        t: f64,
-        stats: &mut StepStats,
-    ) -> Result<CMat, PtError> {
-        let rho = sys.density(psi);
-        let mut hpsi = apply_h(sys, &rho, psi, a_field(laser, t), &mut InlineKernels, None)?;
-        stats.h_applications += 1;
-        // k = −i H ψ
-        for z in hpsi.data_mut().iter_mut() {
-            *z = z.mul_neg_i();
-        }
-        Ok(hpsi)
+    let k1 = rk4_rhs(sys, laser, &psi0, state.t, &mut stats)?;
+    let mut tmp = psi0.clone();
+    for i in 0..n {
+        tmp.data_mut()[i] = psi0.data()[i] + k1.data()[i].scale(0.5 * dt);
     }
-}
-
-impl Propagator for Rk4Propagator {
-    fn name(&self) -> &'static str {
-        "rk4"
+    let k2 = rk4_rhs(sys, laser, &tmp, state.t + 0.5 * dt, &mut stats)?;
+    for i in 0..n {
+        tmp.data_mut()[i] = psi0.data()[i] + k2.data()[i].scale(0.5 * dt);
     }
-
-    /// One RK4 step of size `dt`.
-    fn step(
-        &mut self,
-        sys: &KsSystem,
-        laser: Option<&LaserPulse>,
-        state: &mut TdState,
-        dt: f64,
-    ) -> Result<StepStats, PtError> {
-        let mut stats = StepStats {
-            converged: true,
-            ..StepStats::default()
-        };
-        let psi0 = state.psi.clone();
-        let n = psi0.data().len();
-
-        let k1 = self.rhs(sys, laser, &psi0, state.t, &mut stats)?;
-        let mut tmp = psi0.clone();
-        for i in 0..n {
-            tmp.data_mut()[i] = psi0.data()[i] + k1.data()[i].scale(0.5 * dt);
-        }
-        let k2 = self.rhs(sys, laser, &tmp, state.t + 0.5 * dt, &mut stats)?;
-        for i in 0..n {
-            tmp.data_mut()[i] = psi0.data()[i] + k2.data()[i].scale(0.5 * dt);
-        }
-        let k3 = self.rhs(sys, laser, &tmp, state.t + 0.5 * dt, &mut stats)?;
-        for i in 0..n {
-            tmp.data_mut()[i] = psi0.data()[i] + k3.data()[i].scale(dt);
-        }
-        let k4 = self.rhs(sys, laser, &tmp, state.t + dt, &mut stats)?;
-
-        for i in 0..n {
-            let incr = k1.data()[i] + (k2.data()[i] + k3.data()[i]).scale(2.0) + k4.data()[i];
-            state.psi.data_mut()[i] = psi0.data()[i] + incr.scale(dt / 6.0);
-        }
-        state.t += dt;
-        Ok(stats)
+    let k3 = rk4_rhs(sys, laser, &tmp, state.t + 0.5 * dt, &mut stats)?;
+    for i in 0..n {
+        tmp.data_mut()[i] = psi0.data()[i] + k3.data()[i].scale(dt);
     }
+    let k4 = rk4_rhs(sys, laser, &tmp, state.t + dt, &mut stats)?;
 
-    fn capture(&self) -> PropagatorState {
-        PropagatorState::Rk4
+    for i in 0..n {
+        let incr = k1.data()[i] + (k2.data()[i] + k3.data()[i]).scale(2.0) + k4.data()[i];
+        state.psi.data_mut()[i] = psi0.data()[i] + incr.scale(dt / 6.0);
     }
+    state.t += dt;
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -880,22 +803,6 @@ mod tests {
                 max_scf: 0,
                 ..Default::default()
             },
-            PtCnOptions {
-                anderson_depth: 0,
-                ..Default::default()
-            },
-            PtCnOptions {
-                beta: f64::INFINITY,
-                ..Default::default()
-            },
-            PtCnOptions {
-                beta: 0.0,
-                ..Default::default()
-            },
-            PtCnOptions {
-                beta: -0.5,
-                ..Default::default()
-            },
         ];
         for opts in bad {
             let mut st = TdState::new(psi.clone());
@@ -942,7 +849,7 @@ mod tests {
         });
         prop.step(&sys, Some(&laser), &mut st_pt, dt).unwrap();
 
-        let mut rk = Rk4Propagator;
+        let mut rk = Propagator::Rk4;
         let mut st_rk = TdState::new(psi0);
         for _ in 0..40 {
             rk.step(&sys, Some(&laser), &mut st_rk, dt / 40.0).unwrap();
@@ -954,7 +861,7 @@ mod tests {
     #[test]
     fn rk4_conserves_norm_at_tiny_dt() {
         let (sys, psi0) = ground_state(false);
-        let mut rk = Rk4Propagator;
+        let mut rk = Propagator::Rk4;
         let mut st = TdState::new(psi0);
         let dt = pt_num::units::attosecond_to_au(0.5);
         for _ in 0..5 {
@@ -1054,7 +961,6 @@ mod tests {
             rho_tol: 1e-30,
             max_scf: 1,
             strict: true,
-            ..PtCnOptions::default()
         });
         // kick the state off the stationary point so the residual is nonzero
         let laser = LaserPulse {
@@ -1108,14 +1014,10 @@ mod tests {
     }
 
     #[test]
-    fn propagators_are_object_safe_and_runtime_selectable() {
+    fn both_propagators_are_runtime_selectable() {
         let (sys, psi0) = ground_state(false);
         let dt = pt_num::units::attosecond_to_au(1.0);
-        for boxed in [
-            Box::new(PtCnPropagator::default()) as Box<dyn Propagator>,
-            Box::new(Rk4Propagator) as Box<dyn Propagator>,
-        ] {
-            let mut prop = boxed;
+        for mut prop in [Propagator::default(), Propagator::Rk4] {
             let mut st = TdState::new(psi0.clone());
             let stats = prop.step(&sys, None, &mut st, dt).unwrap();
             assert!(stats.h_applications >= 1, "{}", prop.name());

@@ -12,7 +12,7 @@
 //! stops with [`PtError::Diverged`].
 //!
 //! ```no_run
-//! # use pt_core::{SimulationBuilder, PtCnOptions, PtCnPropagator, LaserPulse};
+//! # use pt_core::{SimulationBuilder, Propagator, PtCnOptions, PtCnPropagator, LaserPulse};
 //! # fn demo(sys: &pt_ham::KsSystem, psi0: pt_linalg::CMat) -> Result<(), pt_ham::PtError> {
 //! let series = SimulationBuilder::new(sys)
 //!     .initial_orbitals(psi0)
@@ -23,7 +23,7 @@
 //!     ))
 //!     .dt(pt_num::units::attosecond_to_au(25.0))
 //!     .steps(10)
-//!     .propagator(Box::new(PtCnPropagator::new(PtCnOptions::default())))
+//!     .propagator(Propagator::PtCn(PtCnPropagator::new(PtCnOptions::default())))
 //!     .build()?
 //!     .run()?;
 //! let j_z = series.channel("current_z").unwrap();
@@ -34,9 +34,7 @@
 use crate::checkpoint::{checkpoint_path, CheckpointPolicy, RunCheckpoint, RunCheckpointView};
 use crate::laser::LaserPulse;
 use crate::observables::{grid_coords, step_record, CHANNELS};
-use crate::propagator::{
-    a_field, propagator_from_state, Propagator, PtCnPropagator, StepStats, TdState,
-};
+use crate::propagator::{a_field, Propagator, StepStats, TdState};
 use pt_ham::{KsSystem, PtError};
 use pt_linalg::CMat;
 use std::collections::BTreeMap;
@@ -271,8 +269,7 @@ pub struct SimulationBuilder<'a> {
     laser: Option<LaserPulse>,
     dt: Option<f64>,
     n_steps: Option<usize>,
-    t0: f64,
-    propagator: Option<Box<dyn Propagator>>,
+    propagator: Option<Propagator>,
     initial: Option<CMat>,
     ckpt_every_dir: Option<(usize, PathBuf)>,
     ckpt_keep: usize,
@@ -288,7 +285,6 @@ impl<'a> SimulationBuilder<'a> {
             laser: None,
             dt: None,
             n_steps: None,
-            t0: 0.0,
             propagator: None,
             initial: None,
             ckpt_every_dir: None,
@@ -316,16 +312,11 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
-    /// Starting time (default 0).
-    pub fn start_time(mut self, t0: f64) -> Self {
-        self.t0 = t0;
-        self
-    }
-
     /// Select the propagator (default: PT-CN with paper options; it
     /// reads the layout and the exchange mode off the system at step
-    /// time). Boxed so the choice can be made at runtime.
-    pub fn propagator(mut self, p: Box<dyn Propagator>) -> Self {
+    /// time). A value of the closed [`Propagator`] set, so the choice can
+    /// be made at runtime.
+    pub fn propagator(mut self, p: Propagator) -> Self {
         self.propagator = Some(p);
         self
     }
@@ -387,12 +378,6 @@ impl<'a> SimulationBuilder<'a> {
                 "time step must be positive and finite, got {dt}"
             )));
         }
-        if !self.t0.is_finite() {
-            return Err(PtError::InvalidConfig(format!(
-                "start time must be finite, got {}",
-                self.t0
-            )));
-        }
         if let Some(l) = &self.laser {
             l.validate().map_err(PtError::InvalidConfig)?;
         }
@@ -421,9 +406,6 @@ impl<'a> SimulationBuilder<'a> {
                 got: psi.ncols(),
             });
         }
-        let propagator = self
-            .propagator
-            .unwrap_or_else(|| Box::<PtCnPropagator>::default());
         let checkpoint = match self.ckpt_every_dir {
             Some((every, dir)) => {
                 let policy = CheckpointPolicy {
@@ -441,9 +423,9 @@ impl<'a> SimulationBuilder<'a> {
             laser: self.laser,
             dt,
             n_steps,
-            propagator,
+            propagator: self.propagator.unwrap_or_default(),
             coords: grid_coords(self.sys),
-            state: TdState { psi, t: self.t0 },
+            state: TdState::new(psi),
             partial: None,
             checkpoint,
             ckpt_written: Vec::new(),
@@ -461,7 +443,7 @@ pub struct Simulation<'a> {
     laser: Option<LaserPulse>,
     dt: f64,
     n_steps: usize,
-    propagator: Box<dyn Propagator>,
+    propagator: Propagator,
     /// The dipole's lever arms ([`grid_coords`]), built once per run.
     coords: Vec<[f64; 3]>,
     state: TdState,
@@ -578,9 +560,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Serialize the current run state into the policy's directory
-    /// (borrowing ψ and the series — no clones of orbital-sized data but
-    /// the ACE projector the propagator captures) and prune the oldest of
-    /// this run's own snapshots past its `keep`. Nothing without a policy.
+    /// (borrowing ψ, the propagator's ACE projector and the series — no
+    /// clones of orbital-sized data) and prune the oldest of this run's
+    /// own snapshots past its `keep`. Nothing without a policy.
     fn write_checkpoint(
         &mut self,
         series: &TimeSeries,
@@ -595,7 +577,6 @@ impl<'a> Simulation<'a> {
             path: policy.dir.display().to_string(),
             reason: e.to_string(),
         })?;
-        let propagator = self.propagator.capture();
         let view = RunCheckpointView {
             signature: self.sys.signature(),
             steps_remaining,
@@ -604,7 +585,7 @@ impl<'a> Simulation<'a> {
             occupations: &self.sys.occupations,
             psi: &self.state.psi,
             laser: self.laser.as_ref(),
-            propagator: &propagator,
+            propagator: &self.propagator,
             series,
         };
         let path = checkpoint_path(&policy.dir, series.len());
@@ -632,10 +613,12 @@ impl<'a> Simulation<'a> {
     ///
     /// The snapshot must have been taken against a system of the same
     /// shape: the recorded [`pt_ham::SystemSignature`] and occupations are
-    /// revalidated and a mismatch is a typed error, as is a propagator
-    /// this crate cannot rebuild ([`crate::PropagatorState::Opaque`]), and
-    /// so is a restored series whose channels are not the record's (a
-    /// series of zero steps may hold none).
+    /// revalidated and a mismatch is a typed error, and so is a restored
+    /// series whose channels are not the record's (a series of zero steps
+    /// may hold none). A snapshot of a propagator outside the closed
+    /// [`Propagator`] set, or of PT-CN under a removed mixer option, is
+    /// already refused by [`RunCheckpoint::read`] as
+    /// [`PtError::InvalidConfig`].
     pub fn resume(sys: &'a KsSystem, path: impl AsRef<Path>) -> Result<Simulation<'a>, PtError> {
         let ck = RunCheckpoint::read(path)?;
         let mut record = CHANNELS;
@@ -692,7 +675,7 @@ impl<'a> Simulation<'a> {
             laser: ck.laser,
             dt: ck.dt,
             n_steps: ck.steps_remaining,
-            propagator: propagator_from_state(ck.propagator)?,
+            propagator: ck.propagator,
             coords: grid_coords(sys),
             state: TdState {
                 psi: ck.psi,
@@ -820,16 +803,6 @@ mod tests {
             SimulationBuilder::new(&sys).dt(0.1).steps(1).build(),
             Err(PtError::InvalidConfig(_))
         ));
-        // non-finite start time
-        assert!(matches!(
-            SimulationBuilder::new(&sys)
-                .start_time(f64::NAN)
-                .dt(0.1)
-                .steps(1)
-                .initial_orbitals(CMat::zeros(ng, nb))
-                .build(),
-            Err(PtError::InvalidConfig(_))
-        ));
         // a degenerate or non-finite pulse: A(t) would be NaN or zero
         let pulse = LaserPulse::paper_380nm(0.02, 0.0, 20.0);
         for laser in [
@@ -897,46 +870,39 @@ mod tests {
 
     #[test]
     fn failed_run_keeps_the_partial_series() {
-        // a propagator that errors on the third step: the two committed
-        // steps' records must survive on the Simulation
-        struct FailAt(usize, crate::propagator::Rk4Propagator);
-        impl Propagator for FailAt {
-            fn name(&self) -> &'static str {
-                "fail-at"
-            }
-            fn step(
-                &mut self,
-                sys: &KsSystem,
-                laser: Option<&LaserPulse>,
-                state: &mut TdState,
-                dt: f64,
-            ) -> Result<StepStats, PtError> {
-                if self.0 == 0 {
-                    return Err(PtError::InvalidConfig("injected step failure".into()));
-                }
-                self.0 -= 1;
-                self.1.step(sys, laser, state, dt)
-            }
-        }
+        // a cancellation after the second committed step leaves the run
+        // through the same error path a failing step takes: the two
+        // committed steps' records must survive on the Simulation
         let sys = small_sys();
+        let token = CancelToken::new();
+        let tap_token = token.clone();
         let mut sim = SimulationBuilder::new(&sys)
             .dt(0.01)
             .steps(5)
-            .propagator(Box::new(FailAt(2, Default::default())))
+            .propagator(Propagator::Rk4)
             .initial_orbitals(identity_orbitals(&sys))
+            .cancel_token(token)
+            .step_tap(move |u| {
+                if u.step_index == 1 {
+                    tap_token.cancel();
+                }
+            })
             .build()
             .unwrap();
-        assert!(matches!(sim.run(), Err(PtError::InvalidConfig(_))));
+        assert!(matches!(
+            sim.run(),
+            Err(PtError::Cancelled { completed_steps: 2 })
+        ));
         let partial = sim.take_partial_series().expect("partial series kept");
         assert_eq!(partial.len(), 2);
-        assert_eq!(partial.propagator, "fail-at");
+        assert_eq!(partial.propagator, "rk4");
         let mut record = CHANNELS;
         record.sort_unstable();
         assert_eq!(partial.channel_names(), record);
         assert!(record
             .iter()
             .all(|c| partial.channel(c).unwrap().len() == 2));
-        // taking it drains it; a new run clears any stale partial
+        // taking it drains it
         assert!(sim.take_partial_series().is_none());
     }
 

@@ -66,7 +66,7 @@ pub fn max_stable_rk4_dt(sys: &KsSystem, psi0: &CMat) -> Result<f64, PtError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::{Propagator, Rk4Propagator, TdState};
+    use crate::propagator::{Propagator, TdState};
     use pt_lattice::silicon_cubic_supercell;
     use pt_linalg::orthonormalize_columns;
     use pt_scf::{scf_loop, ScfOptions};
@@ -78,7 +78,7 @@ mod tests {
         let norm0 = psi0.norm_fro();
         let mut st = TdState::new(psi0.clone());
         for n in 0..max_steps {
-            Rk4Propagator.step(sys, None, &mut st, dt).unwrap();
+            Propagator::Rk4.step(sys, None, &mut st, dt).unwrap();
             let drift = (st.psi.norm_fro() / norm0 - 1.0).abs();
             if !drift.is_finite() || drift > 0.02 {
                 return n;

@@ -8,6 +8,11 @@ use pt_linalg::{Anderson, CMat};
 use pt_num::c64;
 use pt_num::rng::XorShift64;
 
+/// Anderson history depth of the density mixer.
+const MIX_DEPTH: usize = 6;
+/// Relaxation β of the density mixer.
+const MIX_BETA: f64 = 0.5;
+
 /// SCF options.
 #[derive(Clone, Copy, Debug)]
 pub struct ScfOptions {
@@ -19,10 +24,6 @@ pub struct ScfOptions {
     /// Eigensolver settings per SCF step (`max_iter` ≥ 1, `tol` positive
     /// and finite).
     pub davidson: DavidsonOptions,
-    /// Anderson depth / mixing step.
-    pub mix_depth: usize,
-    /// Linear mixing parameter β (positive).
-    pub mix_beta: f64,
 }
 
 impl Default for ScfOptions {
@@ -34,8 +35,6 @@ impl Default for ScfOptions {
                 max_iter: 12,
                 tol: 1e-8,
             },
-            mix_depth: 6,
-            mix_beta: 0.5,
         }
     }
 }
@@ -83,19 +82,6 @@ fn scf_loop_inner(sys: &KsSystem, opts: ScfOptions) -> Result<ScfResult, PtError
     }
     if opts.max_scf == 0 {
         return Err(PtError::InvalidConfig("max_scf must be at least 1".into()));
-    }
-    if opts.mix_depth == 0 {
-        return Err(PtError::InvalidConfig(
-            "Anderson mixing depth must be at least 1".into(),
-        ));
-    }
-    // β = 0 never moves the density: the loop would burn `max_scf`
-    // iterations before reporting `NotConverged`
-    if !opts.mix_beta.is_finite() || opts.mix_beta <= 0.0 {
-        return Err(PtError::InvalidConfig(format!(
-            "mixing parameter beta must be positive and finite, got {}",
-            opts.mix_beta
-        )));
     }
     // no Davidson iteration, or a tolerance every residual passes (+∞),
     // never leaves the span of the initial plane waves, and ρ "converges"
@@ -183,7 +169,7 @@ impl DensityLoop {
         phi: Option<&CMat>,
     ) -> Result<bool, PtError> {
         let dv = sys.grids.volume / sys.grids.n_dense() as f64;
-        let mut mixer = Anderson::new(opts.mix_depth, opts.mix_beta);
+        let mut mixer = Anderson::new(MIX_DEPTH, MIX_BETA);
         for _ in 0..opts.max_scf {
             self.iterations += 1;
             pt_trace::counter_add(pt_trace::Counter::ScfIterations, 1);
@@ -322,30 +308,6 @@ mod tests {
         let r = scf_loop(&sys, opts).expect("the Φ solve converges");
         assert!(r.rho_residual < opts.rho_tol);
         assert!(r.scf_iterations > opts.max_scf, "{}", r.scf_iterations);
-    }
-
-    #[test]
-    fn scf_rejects_a_mixing_step_that_cannot_move_the_density() {
-        let s = silicon_cubic_supercell(1, 1, 1);
-        let sys = pt_ham::KsSystem::builder(s)
-            .ecut(2.0)
-            .xc(XcKind::Lda)
-            .build()
-            .unwrap();
-        for mix_beta in [0.0, -0.5, f64::NAN] {
-            let o = ScfOptions {
-                mix_beta,
-                max_scf: 3,
-                ..Default::default()
-            };
-            assert!(
-                matches!(
-                    scf_loop(&sys, o).map(|r| r.rho_residual),
-                    Err(PtError::InvalidConfig(_))
-                ),
-                "beta {mix_beta}"
-            );
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn main() -> Result<(), PtError> {
         .laser(laser)
         .dt(attosecond_to_au(25.0))
         .steps(8)
-        .propagator(Box::new(PtCnPropagator::default()))
+        .propagator(Propagator::default())
         .build()?
         .run()?;
 

@@ -2,8 +2,8 @@
 //! steps; RK4 is limited to sub-attosecond steps by stability. On a real
 //! Si₈ cell we print RK4's stability ceiling, 2√2 over the top of H's
 //! spectrum, and measure the wall-clock ratio, selecting each propagator
-//! **at runtime** through `Box<dyn Propagator>` — the same `Simulation`
-//! setup runs both.
+//! **at runtime** as a value of the closed `Propagator` enum — the same
+//! `Simulation` setup runs both.
 //!
 //! Then the dt axis, the paper's case for large steps: over one fixed
 //! laser-driven window, PT-CN's `HΨ` applications per femtosecond at
@@ -38,13 +38,10 @@ fn main() -> Result<(), PtError> {
     );
 
     // propagate the same 50 as window with both propagators, chosen at
-    // runtime: (name, boxed propagator, step count)
+    // runtime: (propagator, step count)
     let window = attosecond_to_au(50.0);
     let n_rk = (window / (0.8 * ceiling)).ceil() as usize;
-    let runs: Vec<(Box<dyn Propagator>, usize)> = vec![
-        (Box::new(PtCnPropagator::default()), 1),
-        (Box::new(Rk4Propagator), n_rk),
-    ];
+    let runs = [(Propagator::default(), 1), (Propagator::Rk4, n_rk)];
 
     let mut finals = Vec::new();
     let mut elapsed = Vec::new();

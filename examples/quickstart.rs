@@ -37,7 +37,7 @@ fn main() -> Result<(), PtError> {
         .initial_orbitals(gs.orbitals.clone())
         .dt(attosecond_to_au(50.0))
         .steps(2)
-        .propagator(Box::new(PtCnPropagator::default()))
+        .propagator(Propagator::default())
         .build()?;
     let series = sim.run()?;
     for (i, stats) in series.stats.iter().enumerate() {

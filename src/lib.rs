@@ -39,14 +39,14 @@
 //! [`ham::KsSystemBuilder`] (cutoff, XC kind, hybrid config, occupations),
 //! converge it with [`scf::scf_loop`], then configure a
 //! [`core::Simulation`] via [`core::SimulationBuilder`] — system, laser,
-//! `dt`, step count and a runtime-selectable [`core::Propagator`]
-//! (`Box<dyn Propagator>`: PT-CN or RK4). `Simulation::run()` owns the
-//! time loop and returns a [`core::TimeSeries`] holding one fixed record
-//! per step — energy, current, electron count, dipole, orthonormality —
-//! beside per-step [`core::StepStats`]. Misuse returns the typed
-//! [`core::PtError`] — the public setup path never panics — and a run
-//! that goes non-finite stops with `PtError::Diverged` at the first step
-//! it would not commit.
+//! `dt`, step count and a runtime-selectable [`core::Propagator`] (a
+//! closed enum: `Propagator::PtCn` or `Propagator::Rk4`).
+//! `Simulation::run()` owns the time loop and returns a
+//! [`core::TimeSeries`] holding one fixed record per step — energy,
+//! current, electron count, dipole, orthonormality — beside per-step
+//! [`core::StepStats`]. Misuse returns the typed [`core::PtError`] — the
+//! public setup path never panics — and a run that goes non-finite stops
+//! with `PtError::Diverged` at the first step it would not commit.
 //!
 //! ```no_run
 //! use pwdft_rt::prelude::*;
@@ -67,7 +67,7 @@
 //!         ))
 //!         .dt(attosecond_to_au(25.0))
 //!         .steps(10)
-//!         .propagator(Box::new(PtCnPropagator::default()))
+//!         .propagator(Propagator::PtCn(PtCnPropagator::default()))
 //!         .build()?
 //!         .run()?;
 //!     println!("j_z(t_end) = {:?}", series.channel("current_z").unwrap().last());
@@ -98,9 +98,9 @@ pub use pt_xc as xc;
 pub mod prelude {
     pub use pt_core::{
         current_density, density_matrix_distance, latest_checkpoint, max_stable_rk4_dt,
-        orthonormality_error, CancelToken, LaserPulse, Propagator, PropagatorState, PtCnOptions,
-        PtCnPropagator, PtError, Rk4Propagator, RunCheckpoint, Simulation, SimulationBuilder,
-        StepStats, StepUpdate, TdState, TimeSeries,
+        orthonormality_error, CancelToken, LaserPulse, Propagator, PtCnOptions, PtCnPropagator,
+        PtError, RunCheckpoint, Simulation, SimulationBuilder, StepStats, StepUpdate, TdState,
+        TimeSeries,
     };
     pub use pt_ham::{ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, SystemSignature};
     pub use pt_io::{

@@ -47,7 +47,7 @@ fn run_mode(gs: &ScfResult, mode: ExchangeMode) -> TimeSeries {
         ))
         .dt(attosecond_to_au(25.0))
         .steps(20)
-        .propagator(Box::new(prop))
+        .propagator(Propagator::PtCn(prop))
         .build()
         .unwrap()
         .run()

@@ -200,7 +200,7 @@ fn an_explicit_propagator_honours_the_systems_layout() {
         .initial_orbitals(psi0)
         .dt(attosecond_to_au(25.0))
         .steps(1)
-        .propagator(Box::new(PtCnPropagator::default()))
+        .propagator(Propagator::PtCn(PtCnPropagator::default()))
         .build()
         .unwrap()
         .run()
@@ -268,7 +268,7 @@ fn a_snapshot_tagged_pt_cn_dist_still_resumes() {
     });
     assert!(matches!(
         RunCheckpoint::read(&legacy).unwrap().propagator,
-        PropagatorState::PtCn { .. }
+        Propagator::PtCn(_)
     ));
     // the recorded 2 × 2 layout is ignored: this system has none
     let merged = resume_and_finish(&sys, &legacy);
@@ -292,7 +292,7 @@ fn a_legacy_reorthonormalizing_rk4_snapshot_is_refused() {
         .laser(laser())
         .dt(attosecond_to_au(2.0))
         .steps(2)
-        .propagator(Box::new(Rk4Propagator))
+        .propagator(Propagator::Rk4)
         .checkpoint_every(1, &dir)
         .checkpoint_keep(2)
         .build()
@@ -406,10 +406,10 @@ fn a_fresh_snapshot_holds_exactly_the_sections_resume_reads() {
     let per_series = ["a", "channels", "propagator", "stats", "stats_resid", "t"];
     let check = |tag: &str, sys: &KsSystem, gs: &ScfResult, prop_sections: &[&str]| {
         let dir = tmp_dir(&format!("sections_{tag}"));
-        let propagator: Box<dyn Propagator> = if tag == "rk4" {
-            Box::new(Rk4Propagator)
+        let propagator = if tag == "rk4" {
+            Propagator::Rk4
         } else {
-            Box::<PtCnPropagator>::default()
+            Propagator::default()
         };
         let series = laser_run(sys, &gs.orbitals, 1)
             .propagator(propagator)
@@ -486,7 +486,7 @@ fn snapshot_size_is_psi_plus_small_change() {
             ..PtCnOptions::default()
         };
         let series = laser_run(&sys, lda_gs, 1)
-            .propagator(Box::new(PtCnPropagator::new(opts)))
+            .propagator(Propagator::PtCn(PtCnPropagator::new(opts)))
             .checkpoint_every(1, &dir)
             .build()
             .unwrap()
@@ -631,8 +631,8 @@ fn ace_mid_refresh_window_resume_is_bit_identical_on_every_layout() {
         let ck = RunCheckpoint::read(&mid).unwrap();
         assert_eq!(ck.steps_remaining, 2);
         match &ck.propagator {
-            PropagatorState::PtCn { ace, .. } => {
-                let cap = ace.as_ref().expect("mid-window snapshot must carry ξ");
+            Propagator::PtCn(p) => {
+                let cap = p.ace().expect("mid-window snapshot must carry ξ");
                 assert_eq!(
                     cap.steps_since_refresh, 2,
                     "refresh at step 1, two steps propagated under the frozen ξ"
@@ -720,6 +720,100 @@ fn snapshot_from_a_different_system_shape_is_a_typed_error() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Replace a snapshot's PT-CN options: `prop/ptcn_f` and `prop/ptcn_u`.
+fn ptcn_options(f: &[f64], u: &[u64]) -> impl FnOnce(&mut BTreeMap<String, Section>) {
+    let (f, u) = (f.to_vec(), u.to_vec());
+    move |s| {
+        s.insert("prop/ptcn_f".into(), Section::F64s(f));
+        s.insert("prop/ptcn_u".into(), Section::U64s(u));
+    }
+}
+
+/// The default options as a fresh snapshot writes them: `[rho_tol]` and
+/// `[max_scf, strict]`.
+fn fresh_ptcn_options() -> ([f64; 1], [u64; 2]) {
+    let defaults = PtCnOptions::default();
+    ([defaults.rho_tol], [defaults.max_scf as u64, 0])
+}
+
+/// `crafted` records another trajectory: `RunCheckpoint::read`,
+/// `Simulation::resume` and `resume_latest` each refuse it as
+/// `InvalidConfig` naming `needle` — the last without falling back to the
+/// older valid snapshot `older` of the same run.
+fn assert_refused_without_fallback(sys: &KsSystem, older: &Path, crafted: &Path, needle: &str) {
+    let named = |r: Result<(), PtError>, call: &str| match r {
+        Err(PtError::InvalidConfig(msg)) => assert!(msg.contains(needle), "{call}: {msg}"),
+        other => panic!("{call}: expected InvalidConfig naming {needle}, got {other:?}"),
+    };
+    named(RunCheckpoint::read(crafted).map(drop), "read");
+    named(Simulation::resume(sys, crafted).map(drop), "resume");
+    let dir = crafted.with_extension("dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(older, checkpoint_path(&dir, 1)).unwrap();
+    std::fs::copy(crafted, checkpoint_path(&dir, 2)).unwrap();
+    let latest = Simulation::resume_latest(sys, &dir).map(|sim| {
+        assert!(sim.is_none(), "resume_latest fell back past {needle}");
+    });
+    named(latest, "resume_latest");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// The propagator set is closed: a snapshot recording any other
+/// propagator's name (a custom one an older version could write) can never
+/// be continued, so the reader refuses it as another trajectory.
+#[test]
+fn a_snapshot_of_a_propagator_outside_the_closed_set_is_refused() {
+    let sys = lda_system();
+    let gs = lda_ground_state();
+    let dir = tmp_dir("closed_set");
+    run_steps(&sys, &gs.orbitals, 1, Some(&dir));
+    let older = checkpoint_path(&dir, 1);
+    let crafted = dir.join("fail_at.ptio");
+    recraft(&older, &crafted, |s| {
+        s.insert("prop/name".into(), Section::Str("fail-at".into()));
+        s.insert("prop/opaque".into(), Section::U64s(vec![1]));
+    });
+    assert_refused_without_fallback(&sys, &older, &crafted, "fail-at");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Snapshots written while PT-CN's Anderson mixer was configurable carry
+/// `prop/ptcn_f = [rho_tol, beta]` and `prop/ptcn_u = [max_scf,
+/// anderson_depth, strict]`. At the paper's constants (β = 1, depth 20)
+/// they are the same trajectory and resume to the uninterrupted bits; any
+/// other value is refused by name.
+#[test]
+fn a_legacy_ptcn_snapshot_resumes_only_at_the_papers_mixer() {
+    let sys = lda_system();
+    let gs = lda_ground_state();
+    let dir = tmp_dir("legacy_mixer");
+    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
+    let fresh = checkpoint_path(&dir, 1);
+    let (f, u) = fresh_ptcn_options();
+    {
+        let snapshot = SnapshotFile::open(&fresh).unwrap();
+        assert_eq!(snapshot.f64s("prop/ptcn_f").unwrap(), f);
+        assert_eq!(snapshot.u64s("prop/ptcn_u").unwrap(), u);
+    }
+    let legacy = dir.join("legacy.ptio");
+    let parent_arity = |beta: f64, depth: u64| {
+        recraft(
+            &fresh,
+            &legacy,
+            ptcn_options(&[f[0], beta], &[u[0], depth, u[1]]),
+        );
+    };
+    parent_arity(1.0, 20);
+    assert_series_bits_eq(&uninterrupted, &resume_and_finish(&sys, &legacy));
+
+    parent_arity(0.5, 20);
+    assert_refused_without_fallback(&sys, &fresh, &legacy, "beta");
+    parent_arity(1.0, 10);
+    assert_refused_without_fallback(&sys, &fresh, &legacy, "anderson_depth");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn malformed_snapshots_never_panic() {
     let sys = lda_system();
@@ -786,27 +880,13 @@ fn malformed_snapshots_never_panic() {
         );
     }
     // ...and so are PT-CN options the first step would refuse: a NaN
-    // tolerance, a mixer that mixes nothing in, no fixed-point iteration
-    let options = |f: [f64; 2], u: [u64; 3]| {
-        move |s: &mut BTreeMap<String, Section>| {
-            s.insert("prop/ptcn_f".into(), Section::F64s(f.to_vec()));
-            s.insert("prop/ptcn_u".into(), Section::U64s(u.to_vec()));
-        }
-    };
-    let defaults = PtCnOptions::default();
-    let (f_ok, u_ok) = (
-        [defaults.rho_tol, defaults.beta],
-        [defaults.max_scf as u64, defaults.anderson_depth as u64, 0],
-    );
-    recraft(&ckpt, &crafted, options(f_ok, u_ok));
+    // tolerance, no fixed-point iteration
+    let (f_ok, u_ok) = fresh_ptcn_options();
+    recraft(&ckpt, &crafted, ptcn_options(&f_ok, &u_ok));
     assert!(Simulation::resume(&sys, &crafted).is_ok());
-    let never_step = [
-        ([f64::NAN, f_ok[1]], u_ok),
-        ([f_ok[0], 0.0], u_ok),
-        (f_ok, [0, u_ok[1], 0]),
-    ];
+    let never_step = [([f64::NAN], u_ok), (f_ok, [0, u_ok[1]])];
     for (f, u) in never_step {
-        recraft(&ckpt, &crafted, options(f, u));
+        recraft(&ckpt, &crafted, ptcn_options(&f, &u));
         assert!(
             matches!(
                 Simulation::resume(&sys, &crafted),
@@ -821,7 +901,7 @@ fn malformed_snapshots_never_panic() {
     std::fs::create_dir_all(&fallback).unwrap();
     std::fs::copy(&ckpt, checkpoint_path(&fallback, 1)).unwrap();
     recraft(&ckpt, &checkpoint_path(&fallback, 2), |s| {
-        options(never_step[1].0, never_step[1].1)(s);
+        ptcn_options(&never_step[0].0, &never_step[0].1)(s);
         s.insert("time".into(), Section::F64s(vec![t + dt, dt]));
     });
     let resumed = Simulation::resume_latest(&sys, &fallback)

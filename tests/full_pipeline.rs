@@ -99,7 +99,7 @@ fn ptcn_and_rk4_agree_on_driven_dynamics() {
     for _ in 0..2 {
         prop.step(&sys, Some(&laser), &mut st_pt, dt).unwrap();
     }
-    let mut rk = Rk4Propagator;
+    let mut rk = Propagator::Rk4;
     let mut st_rk = TdState::new(gs.orbitals.clone());
     for _ in 0..80 {
         rk.step(&sys, Some(&laser), &mut st_rk, dt / 40.0).unwrap();

@@ -57,7 +57,7 @@ fn hybrid_pipeline(threads: usize) -> (ScfResult, TimeSeries) {
         ))
         .dt(attosecond_to_au(25.0))
         .steps(3)
-        .propagator(Box::new(PtCnPropagator::default()))
+        .propagator(Propagator::default())
         .build()
         .expect("valid simulation")
         .run()

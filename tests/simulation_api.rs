@@ -49,7 +49,7 @@ fn laser_run_records_current_along_polarization_and_conserves_invariants() {
         .laser(laser)
         .dt(attosecond_to_au(20.0))
         .steps(12)
-        .propagator(Box::new(PtCnPropagator::default()))
+        .propagator(Propagator::default())
         .build()
         .expect("valid simulation")
         .run()
@@ -109,15 +109,15 @@ fn rk4_through_the_same_pipeline_agrees_with_ptcn() {
     };
     let window = attosecond_to_au(4.0);
     // same physical window, propagator chosen at runtime
-    let runs: Vec<(Box<dyn Propagator>, usize)> = vec![
+    let runs = [
         (
-            Box::new(PtCnPropagator::new(PtCnOptions {
+            Propagator::PtCn(PtCnPropagator::new(PtCnOptions {
                 rho_tol: 1e-9,
                 ..Default::default()
             })),
             2,
         ),
-        (Box::new(Rk4Propagator), 80),
+        (Propagator::Rk4, 80),
     ];
     let mut finals = Vec::new();
     for (prop, steps) in runs {
@@ -177,7 +177,7 @@ fn a_diverging_run_stops_before_its_first_non_finite_step() {
         .initial_orbitals(gs.orbitals.clone())
         .dt(dt)
         .steps(steps)
-        .propagator(Box::new(Rk4Propagator))
+        .propagator(Propagator::Rk4)
         .checkpoint_every(1, &dir)
         .checkpoint_keep(steps)
         .build()
