@@ -83,6 +83,10 @@ REMOVED = [
      r'PropagatorState|propagator_from_state|dyn Propagator|Rk4Propagator|\bOpaque\b|fn capture\b|"prop/opaque"|anderson_depth|mix_depth|mix_beta|fn start_time',
      SRC, r"^(crates/core/src/checkpoint\.rs|tests/checkpoint_resume\.rs):",
      "The unified simulation API"),
+    ("second run constructor's setters, the snapshot-directory pre-scan and the open kernel seam",
+     r"set_cancel_token|set_step_tap|scan_snapshots|SnapshotScan|latest_valid_snapshot|StepKernels|InlineKernels|EngineKernels",
+     SRC, None,
+     "The unified simulation API"),
 ]
 
 

@@ -41,6 +41,7 @@ SAMPLES = [
     "let hpsi = kernels.apply_h(sys, &rho, &psi, a, None)?;",
     "let opts = Rk4Options { reorthonormalize: true };",
     "fn propagator(mut self, p: Box<dyn Propagator>) -> Self {",
+    "sim.set_step_tap(move |u| tx.send(u.t).unwrap());",
 ]
 
 

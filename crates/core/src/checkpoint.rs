@@ -81,8 +81,8 @@ pub fn checkpoint_path(dir: &Path, step: usize) -> PathBuf {
 
 /// The most recent snapshot in `dir` (by step number in the file name),
 /// if any — what a restarted job resumes from. Purely name-based; use
-/// [`crate::Simulation::resume_latest`] (which validates via
-/// [`pt_io::scan_snapshots`]) when the directory may hold corrupt files.
+/// [`crate::Simulation::resume_latest`] (which falls back past a file that
+/// does not read) when the directory may hold corrupt files.
 pub fn latest_checkpoint(dir: &Path) -> Result<Option<PathBuf>, PtError> {
     Ok(pt_io::snapshot_files(dir)?.into_iter().next_back())
 }

@@ -4,8 +4,8 @@
 //! reproduced in process.
 //!
 //! [`crate::PtCnPropagator`] selects by the rank count of the system's
-//! layout. **One rank runs inline** (`InlineKernels`: no engine, no rank
-//! thread, the installed pool). With more, the propagator owns a
+//! layout. **One rank runs inline** (`ExchangeKernels::Inline`: no engine,
+//! no rank thread, the installed pool). With more, the propagator owns a
 //! persistent [`RankEngine`]: the rank threads and their pinned
 //! `threads_per_rank`-wide pools are spawned **once**, on the first step,
 //! and every subsequent exact exchange block `W = V_X[Φ]Φ` — one per `HΨ`
@@ -37,7 +37,6 @@
 //! The driver's residual sums its overlap over a fixed 64-row chunk grid,
 //! so the width of the layout's pool does not move it either.
 
-use crate::propagator::StepKernels;
 use pt_ham::{distributed_fock_apply, BandDistribution, KsSystem, PtError};
 use pt_linalg::CMat;
 use pt_mpi::{EnginePoisoned, RankEngine, Wire};
@@ -71,52 +70,48 @@ pub(crate) fn acquire_engine(
     })
 }
 
-/// The engine-backed execution strategy of a `ranks > 1` layout: every
-/// exact exchange block is a job on the parked rank team — no threads are
-/// spawned here.
-pub(crate) struct EngineKernels<'e> {
-    pub(crate) engine: &'e mut RankEngine,
-}
-
-impl StepKernels for EngineKernels<'_> {
-    /// Every rank computes the columns of its cyclic bands with the Alg. 2
-    /// broadcast loop and the dealt pair tiles; the driver gathers the full
-    /// `ng × n_bands` block — layout-independent, so W carries the inline
-    /// bits. The job's wire delta is folded into the trace counters —
-    /// `pt_mpi::CommStats` stays the single source of truth.
-    fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError> {
-        let alpha = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
-        let kernel = sys.exchange_kernel()?;
-        let grids = &sys.grids;
-        let dist = BandDistribution {
-            n_bands: phi.ncols(),
-            n_ranks: self.engine.layout().ranks,
-        };
-        let sp = pt_trace::span("engine_run");
-        let (blocks, wire) = self
-            .engine
-            .run(|comm| {
-                let phi_local = dist.take_local(comm.rank(), phi);
-                distributed_fock_apply(comm, grids, dist, &phi_local, &phi_local, alpha, kernel)
-            })
-            .map_err(|e: EnginePoisoned| PtError::EngineDown { cause: e.cause })?;
-        drop(sp);
-        pt_trace::counter_add(pt_trace::Counter::EngineJobs, 1);
-        pt_trace::counter_add(pt_trace::Counter::WireBytes, wire.total_bytes());
-        let mut w = CMat::zeros(grids.ng(), dist.n_bands);
-        for (r, block) in blocks.iter().enumerate() {
-            for (lj, &b) in dist.local_bands(r).iter().enumerate() {
-                w.col_mut(b).copy_from_slice(block.col(lj));
-            }
+/// The exact exchange block `W = V_X[Φ]Φ` as one job on the parked rank
+/// team (no threads are spawned here): every rank computes the columns of
+/// its cyclic bands with the Alg. 2 broadcast loop and the dealt pair
+/// tiles; the driver gathers the full `ng × n_bands` block —
+/// layout-independent, so W carries the inline bits. The job's wire delta
+/// is folded into the trace counters — `pt_mpi::CommStats` stays the
+/// single source of truth.
+pub(crate) fn engine_exchange_block(
+    engine: &mut RankEngine,
+    sys: &KsSystem,
+    phi: &CMat,
+) -> Result<CMat, PtError> {
+    let alpha = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
+    let kernel = sys.exchange_kernel()?;
+    let grids = &sys.grids;
+    let dist = BandDistribution {
+        n_bands: phi.ncols(),
+        n_ranks: engine.layout().ranks,
+    };
+    let sp = pt_trace::span("engine_run");
+    let (blocks, wire) = engine
+        .run(|comm| {
+            let phi_local = dist.take_local(comm.rank(), phi);
+            distributed_fock_apply(comm, grids, dist, &phi_local, &phi_local, alpha, kernel)
+        })
+        .map_err(|e: EnginePoisoned| PtError::EngineDown { cause: e.cause })?;
+    drop(sp);
+    pt_trace::counter_add(pt_trace::Counter::EngineJobs, 1);
+    pt_trace::counter_add(pt_trace::Counter::WireBytes, wire.total_bytes());
+    let mut w = CMat::zeros(grids.ng(), dist.n_bands);
+    for (r, block) in blocks.iter().enumerate() {
+        for (lj, &b) in dist.local_bands(r).iter().enumerate() {
+            w.col_mut(b).copy_from_slice(block.col(lj));
         }
-        Ok(w)
     }
+    Ok(w)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagator::{apply_h, build_ace, InlineKernels, PtCnPropagator, TdState};
+    use crate::propagator::{apply_h, build_ace, ExchangeKernels, PtCnPropagator, TdState};
     use pt_ham::{AceOperator, ExchangeMode, FockMode, FockOperator};
     use pt_lattice::silicon_cubic_supercell;
     use pt_xc::XcKind;
@@ -171,14 +166,15 @@ mod tests {
             ace.apply_block(&psi, &mut h_ace);
             [h_full, ace.xi().clone(), h_ace]
         });
-        let composed = |k: &mut dyn StepKernels| {
+        let composed = |k: &mut ExchangeKernels| {
             let h_full = apply_h(&sys, &rho, &psi, a, k, None).unwrap();
             let ace = build_ace(&sys, &psi, k).unwrap();
             let h_ace = apply_h(&sys, &rho, &psi, a, k, Some(&ace)).unwrap();
             [h_full, ace.xi().clone(), h_ace]
         };
         for threads in [1usize, 4] {
-            let got = pt_par::ThreadPool::new(threads).install(|| composed(&mut InlineKernels));
+            let got =
+                pt_par::ThreadPool::new(threads).install(|| composed(&mut ExchangeKernels::Inline));
             for (w, g) in want.iter().zip(&got) {
                 assert_same_bits(w, g, &format!("inline, {threads} threads"));
             }
@@ -186,9 +182,7 @@ mod tests {
         for ranks in [1usize, 2, 3] {
             for threads in [1usize, 4] {
                 let mut engine = RankEngine::new(RankLayout::new(ranks, threads), Wire::F64);
-                let mut kernels = EngineKernels {
-                    engine: &mut engine,
-                };
+                let mut kernels = ExchangeKernels::Engine(&mut engine);
                 // twice on the same engine: the parked team is reused and
                 // the second pass's bits must not drift
                 for pass in 0..2 {
@@ -213,7 +207,7 @@ mod tests {
             let rho = sys.density(&psi);
             // both entry points submit the same exchange-block job; each
             // must still surface the victim's payload, then EngineDown
-            let call = |k: &mut EngineKernels, phase: &str| match phase {
+            let call = |k: &mut ExchangeKernels, phase: &str| match phase {
                 "HΨ" => apply_h(&sys, &rho, &psi, [0.0; 3], k, None).map(drop),
                 _ => build_ace(&sys, &psi, k).map(drop),
             };
@@ -242,9 +236,7 @@ mod tests {
                                 }
                             })
                             .unwrap();
-                        let mut kernels = EngineKernels {
-                            engine: &mut engine,
-                        };
+                        let mut kernels = ExchangeKernels::Engine(&mut engine);
                         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             call(&mut kernels, phase)
                         }))

@@ -27,7 +27,9 @@
 //!   rebuilds.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,
 //!   `dt`, step count and propagator, then [`Simulation::run`] owns the
-//!   time loop and returns a [`TimeSeries`]. Every step commits one fixed
+//!   time loop and returns a [`TimeSeries`]. The builder is the only
+//!   constructor of a `Simulation`, for a fresh run and a resumed one
+//!   alike; a built `Simulation` has no setters. Every step commits one fixed
 //!   record — energy, current, electron count, dipole and orthonormality
 //!   error, beside the field and the [`StepStats`] — in one place; a step
 //!   whose record is not finite is refused with [`PtError::Diverged`].
@@ -43,9 +45,12 @@
 //!
 //! Long trajectories survive job-time limits through the `pt-io` snapshot
 //! subsystem: `SimulationBuilder::checkpoint_every` emits rolling
-//! [`RunCheckpoint`]s from inside the time loop and [`Simulation::resume`]
-//! reconstructs the run, continuing bit-identically (see `DESIGN.md`,
-//! "Snapshot format & resume semantics"). A snapshot holds what the next
+//! [`RunCheckpoint`]s from inside the time loop, and
+//! [`Simulation::resume`] (one file) or [`Simulation::resume_latest`] (the
+//! newest file of a directory that reads) returns a [`SimulationBuilder`]
+//! preloaded from the snapshot, whose `build()` continues the run
+//! bit-identically (see `DESIGN.md`, "Snapshot format & resume
+//! semantics"). A snapshot holds what the next
 //! step of a resumed run reads — ψ, the clock, the laser, the options, the
 //! ACE projector, the series — and nothing a resume recomputes.
 

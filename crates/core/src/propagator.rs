@@ -10,7 +10,7 @@
 //! a run can hold is one a snapshot records and a resume rebuilds.
 
 use crate::anderson_c::BandAndersonMixer;
-use crate::distributed::{acquire_engine, EngineKernels};
+use crate::distributed::{acquire_engine, engine_exchange_block};
 use crate::laser::LaserPulse;
 use pt_ham::{
     density_residual, pt_residual, AceOperator, ExchangeMode, FockMode, FockOperator, KsSystem,
@@ -268,11 +268,11 @@ impl PtCnPropagator {
         dt: f64,
     ) -> Result<StepStats, PtError> {
         self.opts.validate()?;
-        let kernels: &mut dyn StepKernels = match sys.layout() {
-            Some(layout) if layout.ranks > 1 => &mut EngineKernels {
-                engine: acquire_engine(&mut self.engine, layout)?,
-            },
-            _ => &mut InlineKernels,
+        let kernels = &mut match sys.layout() {
+            Some(layout) if layout.ranks > 1 => {
+                ExchangeKernels::Engine(acquire_engine(&mut self.engine, layout)?)
+            }
+            _ => ExchangeKernels::Inline,
         };
         let sp = pt_trace::span("ptcn_step");
         let mut stats = match sys.exchange_mode() {
@@ -328,13 +328,32 @@ pub(crate) fn a_field(laser: Option<&LaserPulse>, t: f64) -> [f64; 3] {
 /// block `W = V_X[Φ]Φ` of the parallel-transport gauge (`Φ = Ψ`), the only
 /// form in which a step touches exact exchange — [`apply_h`] adds it to the
 /// local `HΨ` under `Full`, [`build_ace`] compresses it into ξ. Two
-/// implementations, selected by the layout's rank count: [`InlineKernels`]
-/// (one rank: in process on the installed pool) and `EngineKernels` (more:
-/// one job on the persistent rank engine) — equal to the bit.
-pub(crate) trait StepKernels {
+/// strategies, selected by the layout's rank count — equal to the bit.
+pub(crate) enum ExchangeKernels<'e> {
+    /// One rank: in process on the installed pool — the `N_p = 1` case of
+    /// Alg. 2 without a `Comm`, no engine and no rank thread.
+    Inline,
+    /// More ranks: one job on the persistent rank engine.
+    Engine(&'e mut RankEngine),
+}
+
+impl ExchangeKernels<'_> {
     /// `W = V_X[Φ]Φ`, the pair-FFT Fock loop applied to its own defining
     /// block (N(N+1)/2 pair solves).
-    fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError>;
+    pub(crate) fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError> {
+        match self {
+            // the Fock operator over Φ, applied to Φ itself onto a zero block
+            ExchangeKernels::Inline => {
+                let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
+                let kernel = sys.exchange_kernel()?.clone();
+                let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
+                let mut w = CMat::zeros(phi.nrows(), phi.ncols());
+                fock.apply_block(&sys.grids, phi, &mut w);
+                Ok(w)
+            }
+            ExchangeKernels::Engine(engine) => engine_exchange_block(engine, sys, phi),
+        }
+    }
 }
 
 /// One full `H[ρ, Ψ] Ψ` application, composed on the driver: the local
@@ -346,7 +365,7 @@ pub(crate) fn apply_h(
     rho: &[f64],
     psi: &CMat,
     a: [f64; 3],
-    kernels: &mut dyn StepKernels,
+    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
 ) -> Result<CMat, PtError> {
     let h = sys.local_hamiltonian(rho, a)?;
@@ -371,7 +390,7 @@ pub(crate) fn apply_h(
 pub(crate) fn build_ace(
     sys: &KsSystem,
     phi: &CMat,
-    kernels: &mut dyn StepKernels,
+    kernels: &mut ExchangeKernels<'_>,
 ) -> Result<AceOperator, PtError> {
     AceOperator::from_w(phi, kernels.exchange_block(sys, phi)?)
 }
@@ -407,7 +426,7 @@ fn half_step(
     laser: Option<&LaserPulse>,
     state: &TdState,
     dt: f64,
-    kernels: &mut dyn StepKernels,
+    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
     stats: &mut StepStats,
 ) -> Result<HalfStep, PtError> {
@@ -451,7 +470,7 @@ fn fixed_point(
     sys: &KsSystem,
     half: &HalfStep,
     seed: CMat,
-    kernels: &mut dyn StepKernels,
+    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
     stats: &mut StepStats,
 ) -> Result<CMat, PtError> {
@@ -542,7 +561,7 @@ pub(crate) fn ptcn_step_with(
     laser: Option<&LaserPulse>,
     state: &mut TdState,
     dt: f64,
-    kernels: &mut dyn StepKernels,
+    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
 ) -> Result<StepStats, PtError> {
     let mut stats = StepStats::default();
@@ -596,7 +615,7 @@ pub(crate) fn ace_ptcn_step(
     dt: f64,
     refresh_interval: usize,
     ace_slot: &mut Option<AceCapture>,
-    kernels: &mut dyn StepKernels,
+    kernels: &mut ExchangeKernels<'_>,
 ) -> Result<StepStats, PtError> {
     let in_window = |a: &&mut AceCapture| {
         a.steps_since_refresh < refresh_interval
@@ -667,23 +686,6 @@ pub(crate) fn ace_ptcn_step(
     Ok(stats)
 }
 
-/// The one-rank execution strategy: everything in process on the
-/// installed pool — the `N_p = 1` case of Alg. 2 without a `Comm`, no
-/// engine and no rank thread.
-pub(crate) struct InlineKernels;
-
-impl StepKernels for InlineKernels {
-    /// The Fock operator over Φ, applied to Φ itself onto a zero block.
-    fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError> {
-        let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
-        let kernel = sys.exchange_kernel()?.clone();
-        let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
-        let mut w = CMat::zeros(phi.nrows(), phi.ncols());
-        fock.apply_block(&sys.grids, phi, &mut w);
-        Ok(w)
-    }
-}
-
 /// `k = −i H[ρ(ψ), ψ](t) ψ`, one RK4 stage, the Hamiltonian rebuilt from
 /// `psi`.
 fn rk4_rhs(
@@ -694,7 +696,14 @@ fn rk4_rhs(
     stats: &mut StepStats,
 ) -> Result<CMat, PtError> {
     let rho = sys.density(psi);
-    let mut hpsi = apply_h(sys, &rho, psi, a_field(laser, t), &mut InlineKernels, None)?;
+    let mut hpsi = apply_h(
+        sys,
+        &rho,
+        psi,
+        a_field(laser, t),
+        &mut ExchangeKernels::Inline,
+        None,
+    )?;
     stats.h_applications += 1;
     for z in hpsi.data_mut().iter_mut() {
         *z = z.mul_neg_i();

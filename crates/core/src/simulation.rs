@@ -263,7 +263,10 @@ impl TimeSeries {
     }
 }
 
-/// Configures a [`Simulation`]. See the module docs for the full example.
+/// Configures a [`Simulation`] — the only way to make one, for a fresh
+/// run ([`SimulationBuilder::new`]) and a resumed one
+/// ([`Simulation::resume`] returns a builder preloaded from a snapshot).
+/// See the module docs for the full example.
 pub struct SimulationBuilder<'a> {
     sys: &'a KsSystem,
     laser: Option<LaserPulse>,
@@ -271,6 +274,12 @@ pub struct SimulationBuilder<'a> {
     n_steps: Option<usize>,
     propagator: Option<Propagator>,
     initial: Option<CMat>,
+    /// The clock the initial orbitals are at: 0 for a fresh run, the
+    /// snapshot's time for a resumed one.
+    t: f64,
+    /// Steps restored from a snapshot; the run continues *into* this
+    /// series so the merged record matches an uninterrupted run.
+    resume_base: Option<TimeSeries>,
     ckpt_every_dir: Option<(usize, PathBuf)>,
     ckpt_keep: usize,
     cancel: Option<CancelToken>,
@@ -287,6 +296,8 @@ impl<'a> SimulationBuilder<'a> {
             n_steps: None,
             propagator: None,
             initial: None,
+            t: 0.0,
+            resume_base: None,
             ckpt_every_dir: None,
             ckpt_keep: 2,
             cancel: None,
@@ -367,6 +378,14 @@ impl<'a> SimulationBuilder<'a> {
         self
     }
 
+    /// The steps restored from the snapshot this builder was preloaded
+    /// from (`None` for a fresh run). Lets a supervisor republish the
+    /// already-recorded prefix — e.g. to a streaming hub — before the run
+    /// continues.
+    pub fn restored_series(&self) -> Option<&TimeSeries> {
+        self.resume_base.as_ref()
+    }
+
     /// Validate and assemble the [`Simulation`]. Misuse returns
     /// [`PtError`]; nothing on this path panics.
     pub fn build(self) -> Result<Simulation<'a>, PtError> {
@@ -384,7 +403,9 @@ impl<'a> SimulationBuilder<'a> {
         let n_steps = self
             .n_steps
             .ok_or_else(|| PtError::InvalidConfig("step count is required".into()))?;
-        if n_steps == 0 {
+        // a snapshot taken after its run's last step resumes with nothing
+        // left to take: `run` then returns the restored series as it is
+        if n_steps == 0 && self.resume_base.is_none() {
             return Err(PtError::InvalidConfig(
                 "step count must be at least 1".into(),
             ));
@@ -425,11 +446,11 @@ impl<'a> SimulationBuilder<'a> {
             n_steps,
             propagator: self.propagator.unwrap_or_default(),
             coords: grid_coords(self.sys),
-            state: TdState::new(psi),
+            state: TdState { psi, t: self.t },
             partial: None,
             checkpoint,
             ckpt_written: Vec::new(),
-            resume_base: None,
+            resume_base: self.resume_base,
             cancel: self.cancel,
             tap: self.tap,
         })
@@ -606,20 +627,27 @@ impl<'a> Simulation<'a> {
         Ok(())
     }
 
-    /// Reconstruct a killed run from a snapshot, with the propagator
-    /// recorded in the snapshot. `run` on the result takes the remaining
-    /// steps and returns the *full* series (restored + new steps) —
-    /// bit-identical to an uninterrupted run.
+    /// Reopen a killed run from a snapshot: a [`SimulationBuilder`]
+    /// preloaded with the snapshot's ψ, clock, `dt`, laser, remaining
+    /// steps, propagator and recorded series. `build()` then `run()` takes
+    /// the remaining steps and returns the *full* series (restored + new
+    /// steps) — bit-identical to an uninterrupted run. Setters on the
+    /// builder replace preloaded values as on a fresh one; checkpointing,
+    /// cancellation and a step tap are not preloaded.
     ///
     /// The snapshot must have been taken against a system of the same
     /// shape: the recorded [`pt_ham::SystemSignature`] and occupations are
     /// revalidated and a mismatch is a typed error, and so is a restored
     /// series whose channels are not the record's (a series of zero steps
-    /// may hold none). A snapshot of a propagator outside the closed
+    /// may hold none); the orbitals' shape is checked by `build()`, as for
+    /// any run. A snapshot of a propagator outside the closed
     /// [`Propagator`] set, or of PT-CN under a removed mixer option, is
     /// already refused by [`RunCheckpoint::read`] as
     /// [`PtError::InvalidConfig`].
-    pub fn resume(sys: &'a KsSystem, path: impl AsRef<Path>) -> Result<Simulation<'a>, PtError> {
+    pub fn resume(
+        sys: &'a KsSystem,
+        path: impl AsRef<Path>,
+    ) -> Result<SimulationBuilder<'a>, PtError> {
         let ck = RunCheckpoint::read(path)?;
         let mut record = CHANNELS;
         record.sort_unstable();
@@ -656,100 +684,41 @@ impl<'a> Simulation<'a> {
                 )));
             }
         }
-        if ck.psi.nrows() != sys.grids.ng() {
-            return Err(PtError::ShapeMismatch {
-                context: "snapshot orbital rows (plane waves)",
-                expected: sys.grids.ng(),
-                got: ck.psi.nrows(),
-            });
-        }
-        if ck.psi.ncols() != sys.n_bands() {
-            return Err(PtError::ShapeMismatch {
-                context: "snapshot orbital columns (occupied bands)",
-                expected: sys.n_bands(),
-                got: ck.psi.ncols(),
-            });
-        }
-        Ok(Simulation {
-            sys,
+        Ok(SimulationBuilder {
             laser: ck.laser,
-            dt: ck.dt,
-            n_steps: ck.steps_remaining,
-            propagator: ck.propagator,
-            coords: grid_coords(sys),
-            state: TdState {
-                psi: ck.psi,
-                t: ck.t,
-            },
-            partial: None,
-            checkpoint: None,
-            ckpt_written: Vec::new(),
+            dt: Some(ck.dt),
+            n_steps: Some(ck.steps_remaining),
+            propagator: Some(ck.propagator),
+            initial: Some(ck.psi),
+            t: ck.t,
             resume_base: Some(ck.series),
-            cancel: None,
-            tap: None,
+            ..SimulationBuilder::new(sys)
         })
     }
 
-    /// Resume from the **newest valid** snapshot in `dir`: the
-    /// crash-recovery orchestration (scan → validate → newest → resume) in
-    /// one call. Files whose container fails to verify (truncated by the
-    /// kill, corrupt) or whose schema this crate cannot read are skipped
-    /// in favor of the next-older snapshot — their defects are typed, so
-    /// skipping is safe. `Ok(None)` when the directory holds no usable
-    /// snapshot (the caller should start the run fresh). Snapshots for a
-    /// *different system* are a real error, not a skip: resuming an
-    /// unrelated trajectory silently would be worse than failing.
+    /// Reopen the run from the **newest** snapshot in `dir` that resumes
+    /// (see [`Simulation::resume`]): the crash-recovery step in one call.
+    /// Snapshots are tried newest first, each read once; one whose read
+    /// fails with [`PtError::SnapshotFormat`] (truncated by the kill,
+    /// corrupt, a schema this crate cannot read) or [`PtError::Io`] is
+    /// skipped in favor of the next-older one — their defects are typed,
+    /// so skipping is safe. `Ok(None)` when the directory holds no usable
+    /// snapshot (the caller should start the run fresh). Any other error —
+    /// a snapshot for a *different system*, a propagator outside the
+    /// closed set — is returned, not skipped: resuming an unrelated
+    /// trajectory silently would be worse than failing.
     pub fn resume_latest(
         sys: &'a KsSystem,
         dir: impl AsRef<Path>,
-    ) -> Result<Option<Simulation<'a>>, PtError> {
-        let scan = pt_io::scan_snapshots(dir.as_ref())?;
-        for path in scan.valid.iter().rev() {
+    ) -> Result<Option<SimulationBuilder<'a>>, PtError> {
+        for path in pt_io::snapshot_files(dir.as_ref())?.iter().rev() {
             match Self::resume(sys, path) {
-                Ok(sim) => return Ok(Some(sim)),
-                Err(PtError::SnapshotFormat { .. }) => continue,
+                Ok(builder) => return Ok(Some(builder)),
+                Err(PtError::SnapshotFormat { .. } | PtError::Io { .. }) => continue,
                 Err(e) => return Err(e),
             }
         }
         Ok(None)
-    }
-
-    /// The steps restored from the snapshot a resumed simulation will
-    /// continue into (`None` once `run` has consumed them, or for a fresh
-    /// simulation). Lets a supervisor republish the already-recorded
-    /// prefix — e.g. to a streaming hub — before the run continues.
-    pub fn restored_series(&self) -> Option<&TimeSeries> {
-        self.resume_base.as_ref()
-    }
-
-    /// Arm cooperative cancellation on an existing (typically resumed)
-    /// simulation — see [`SimulationBuilder::cancel_token`].
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Install a per-step tap on an existing (typically resumed)
-    /// simulation — see [`SimulationBuilder::step_tap`].
-    pub fn set_step_tap(&mut self, tap: impl FnMut(&StepUpdate<'_>) + Send + 'a) {
-        self.tap = Some(Box::new(tap));
-    }
-
-    /// Turn checkpointing on for this (typically resumed) simulation:
-    /// rolling snapshots into `dir` every `every` steps, keeping the
-    /// newest two.
-    pub fn checkpoint_every(
-        mut self,
-        every: usize,
-        dir: impl Into<PathBuf>,
-    ) -> Result<Simulation<'a>, PtError> {
-        let policy = CheckpointPolicy {
-            every,
-            dir: dir.into(),
-            keep: 2,
-        };
-        policy.validate()?;
-        self.checkpoint = Some(policy);
-        Ok(self)
     }
 }
 

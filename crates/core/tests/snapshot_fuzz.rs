@@ -3,7 +3,8 @@
 //! inside the header and the section table plus sampled offsets in the
 //! payloads, and sampled single-byte flips go through the three readers a
 //! resume runs — `SnapshotFile::open`, `RunCheckpoint::read` and
-//! `Simulation::resume`. Each must come back as a typed `PtError` (a
+//! `Simulation::resume` through `build()`, the whole path to a runnable
+//! `Simulation`. Each must come back as a typed `PtError` (a
 //! random file may also open as an empty container, which nothing reads);
 //! a panic fails the test. The cases are drawn by the `proptest` shim,
 //! whose seed is the property's name.
@@ -65,7 +66,7 @@ fn table_offset(bytes: &[u8]) -> usize {
 }
 
 /// What the three readers make of `bytes`, written to a file of `tag`'s:
-/// `open`, `read`, `resume`, each `Ok(())` or its error.
+/// `open`, `read`, `resume` + `build`, each `Ok(())` or its error.
 fn readers(tag: &str, bytes: &[u8]) -> [Result<(), PtError>; 3] {
     let path: PathBuf = std::env::temp_dir().join(format!(
         "pt_snapshot_fuzz_{}_{tag}.ptio",
@@ -75,7 +76,9 @@ fn readers(tag: &str, bytes: &[u8]) -> [Result<(), PtError>; 3] {
     let got = [
         SnapshotFile::open(&path).map(drop),
         RunCheckpoint::read(&path).map(drop),
-        Simulation::resume(lda_system(), &path).map(drop),
+        Simulation::resume(lda_system(), &path)
+            .and_then(SimulationBuilder::build)
+            .map(drop),
     ];
     std::fs::remove_file(&path).unwrap();
     got

@@ -17,9 +17,9 @@
 //! * [`json`] — a hand-rolled JSON value ([`Json`]): parser + the crate's
 //!   one JSON writer, for job specs, the `pt-serve` wire protocol and
 //!   [`Table::to_json`]'s numbers and strings (no serde offline).
-//! * [`scan`] — checkpoint-directory scanning: validate every
-//!   `ckpt_*.ptio` and pick the [newest resumable
-//!   one](latest_valid_snapshot), skipping corrupt/truncated files.
+//! * [`scan`] — checkpoint-directory listing: every `ckpt_*.ptio` by
+//!   step ([`snapshot_files`]); `pt-core` reads them newest first and
+//!   resumes from the first that reads.
 //!
 //! Std-only by design (the build environment is offline; no serde): the
 //! byte layout is hand-rolled, documented in `DESIGN.md` ("Snapshot
@@ -36,4 +36,4 @@ pub mod scan;
 pub use export::{Table, Value};
 pub use format::{SnapshotFile, SnapshotWriter, FORMAT_VERSION, MAGIC};
 pub use json::Json;
-pub use scan::{latest_valid_snapshot, scan_snapshots, snapshot_files, SnapshotScan};
+pub use scan::snapshot_files;

@@ -1,24 +1,20 @@
-//! Checkpoint-directory scanning: find the newest snapshot that is
-//! actually resumable.
+//! Checkpoint-directory listing: the `ckpt_*.ptio` files of a run
+//! directory, oldest first.
 //!
 //! A run directory after a crash can hold anything: the rolling window of
 //! good snapshots, a file truncated by the kill, a corrupt one from a bad
-//! disk, plus stale files from earlier trajectories. The auto-resume
-//! orchestration is always the same — list `ckpt_*.ptio` by step, try
-//! each from newest to oldest, skip the ones whose container fails to
-//! verify — so it lives here once instead of being re-rolled by every
-//! restart driver. Validation is [`SnapshotFile::open`], which checks
-//! magic, format version, table bounds and every section CRC; a file it
-//! rejects surfaces in [`SnapshotScan::rejected`] with its typed
+//! disk, plus stale files from earlier trajectories. Listing never opens
+//! a file; the reader that resumes from one validates it
+//! ([`crate::SnapshotFile::open`] checks magic, format version, table
+//! bounds and every section CRC) and a defect surfaces there as a typed
 //! [`PtError`], never as a panic.
 
-use crate::format::SnapshotFile;
 use pt_ham::PtError;
 use std::path::{Path, PathBuf};
 
 /// All `ckpt_*.ptio` files in `dir`, ascending by file name — i.e. by
 /// step, since the step number in the name is zero-padded. Does **not**
-/// open the files; pair with [`scan_snapshots`] to validate them.
+/// open the files.
 pub fn snapshot_files(dir: &Path) -> Result<Vec<PathBuf>, PtError> {
     let rd = std::fs::read_dir(dir).map_err(|e| PtError::Io {
         path: dir.display().to_string(),
@@ -37,122 +33,36 @@ pub fn snapshot_files(dir: &Path) -> Result<Vec<PathBuf>, PtError> {
     Ok(files)
 }
 
-/// Outcome of validating every snapshot in a directory.
-#[derive(Debug, Default)]
-pub struct SnapshotScan {
-    /// Files whose container verified end to end, ascending by step.
-    pub valid: Vec<PathBuf>,
-    /// Files rejected by [`SnapshotFile::open`], with the typed reason
-    /// (truncation, CRC mismatch, wrong magic/version, unreadable).
-    pub rejected: Vec<(PathBuf, PtError)>,
-}
-
-impl SnapshotScan {
-    /// The newest valid snapshot, if any.
-    pub fn newest(&self) -> Option<&PathBuf> {
-        self.valid.last()
-    }
-}
-
-/// List and validate every `ckpt_*.ptio` in `dir`. Only the directory
-/// listing itself can fail; per-file defects land in
-/// [`SnapshotScan::rejected`].
-pub fn scan_snapshots(dir: &Path) -> Result<SnapshotScan, PtError> {
-    let mut scan = SnapshotScan::default();
-    for path in snapshot_files(dir)? {
-        match SnapshotFile::open(&path) {
-            Ok(_) => scan.valid.push(path),
-            Err(e) => scan.rejected.push((path, e)),
-        }
-    }
-    Ok(scan)
-}
-
-/// The newest snapshot in `dir` that verifies as a valid container —
-/// what a restarted job should resume from. `Ok(None)` when the
-/// directory holds no usable snapshot at all.
-pub fn latest_valid_snapshot(dir: &Path) -> Result<Option<PathBuf>, PtError> {
-    Ok(scan_snapshots(dir)?.valid.pop())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::SnapshotWriter;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("pt_scan_{}_{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    fn write_valid(path: &Path, payload: u64) {
-        let mut w = SnapshotWriter::create(path);
-        w.put_u64s("x", &[payload]).unwrap();
-        w.finish().unwrap();
-    }
 
     #[test]
-    fn newest_valid_snapshot_wins_over_corrupt_and_truncated_newer_ones() {
-        let dir = tmp_dir("mixed");
-        write_valid(&dir.join("ckpt_00000002.ptio"), 2);
-        write_valid(&dir.join("ckpt_00000004.ptio"), 4);
-        // newer but truncated (as a kill mid-write would leave behind a
-        // non-atomic writer; ours renames, but foreign files happen)
-        let good = std::fs::read(dir.join("ckpt_00000004.ptio")).unwrap();
-        std::fs::write(dir.join("ckpt_00000006.ptio"), &good[..good.len() / 2]).unwrap();
-        // newer still but corrupt payload
-        let mut bad = good.clone();
-        bad[30] ^= 0xFF;
-        std::fs::write(dir.join("ckpt_00000008.ptio"), &bad).unwrap();
-        // not a snapshot at all
-        std::fs::write(dir.join("ckpt_00000009.ptio"), b"junk").unwrap();
-        // non-snapshot names are ignored entirely
-        std::fs::write(dir.join("notes.txt"), b"hi").unwrap();
-        std::fs::write(dir.join("other.ptio"), b"hi").unwrap();
-
-        let scan = scan_snapshots(&dir).unwrap();
-        assert_eq!(
-            scan.valid,
-            vec![
-                dir.join("ckpt_00000002.ptio"),
-                dir.join("ckpt_00000004.ptio")
-            ]
-        );
-        assert_eq!(scan.rejected.len(), 3);
-        for (p, e) in &scan.rejected {
-            assert!(
-                matches!(e, PtError::SnapshotFormat { .. }),
-                "{p:?} rejected with {e:?}"
-            );
-        }
-        assert_eq!(
-            latest_valid_snapshot(&dir).unwrap(),
-            Some(dir.join("ckpt_00000004.ptio"))
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn empty_and_missing_directories() {
-        let dir = tmp_dir("empty");
-        assert_eq!(latest_valid_snapshot(&dir).unwrap(), None);
-        let scan = scan_snapshots(&dir).unwrap();
-        assert!(scan.valid.is_empty() && scan.rejected.is_empty());
-        assert!(scan.newest().is_none());
+    fn lists_only_snapshot_names_by_step_and_a_missing_directory_is_io() {
+        let dir = std::env::temp_dir().join(format!("pt_scan_{}_list", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // a missing directory is an Io error, not a silent empty
-        assert!(matches!(scan_snapshots(&dir), Err(PtError::Io { .. })));
-    }
-
-    #[test]
-    fn all_snapshots_rejected_is_none_not_an_error() {
-        let dir = tmp_dir("allbad");
-        std::fs::write(dir.join("ckpt_00000001.ptio"), b"nope").unwrap();
-        std::fs::write(dir.join("ckpt_00000002.ptio"), b"also nope").unwrap();
-        assert_eq!(latest_valid_snapshot(&dir).unwrap(), None);
-        assert_eq!(scan_snapshots(&dir).unwrap().rejected.len(), 2);
-        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(snapshot_files(&dir).unwrap().is_empty());
+        for name in [
+            "ckpt_00000010.ptio",
+            "ckpt_00000002.ptio",
+            "notes.txt",
+            "other.ptio",
+        ] {
+            std::fs::write(dir.join(name), b"x").unwrap();
+        }
+        // listed, not opened: a directory with a snapshot's name is listed too
+        std::fs::create_dir(dir.join("ckpt_00000011.ptio")).unwrap();
+        assert_eq!(
+            snapshot_files(&dir).unwrap(),
+            [
+                "ckpt_00000002.ptio",
+                "ckpt_00000010.ptio",
+                "ckpt_00000011.ptio"
+            ]
+            .map(|n| dir.join(n))
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(snapshot_files(&dir), Err(PtError::Io { .. })));
     }
 }

@@ -162,6 +162,9 @@ impl DensityLoop {
     /// until the residual is below `opts.rho_tol` (`Ok(true)`) or
     /// `opts.max_scf` iterations are spent (`Ok(false)`). `phi` freezes a
     /// hybrid's exchange operator; `None` is the semi-local Hamiltonian.
+    /// Each iteration's phases are the `pt_trace` spans `scf_hamiltonian`,
+    /// `scf_davidson`, `scf_density` and `scf_mix` (the last skipped by the
+    /// iteration that converges).
     fn solve(
         &mut self,
         sys: &KsSystem,
@@ -173,11 +176,15 @@ impl DensityLoop {
         for _ in 0..opts.max_scf {
             self.iterations += 1;
             pt_trace::counter_add(pt_trace::Counter::ScfIterations, 1);
+            let sp = pt_trace::span("scf_hamiltonian");
             let h = match phi {
                 Some(_) => sys.hamiltonian(&self.rho, phi, [0.0; 3])?,
                 None => sys.local_hamiltonian(&self.rho, [0.0; 3])?,
             };
+            drop(sp);
+            let sp = pt_trace::span("scf_davidson");
             let r = lowest_eigenpairs(&h, &mut self.orbitals, opts.davidson);
+            drop(sp);
             // a NaN or infinity in H poisons every later iteration: stop
             // here instead of spending the rest of `max_scf`
             if !r.residual.is_finite() {
@@ -189,12 +196,15 @@ impl DensityLoop {
                 });
             }
             self.eigenvalues.copy_from_slice(&r.eigenvalues);
+            let sp = pt_trace::span("scf_density");
             let rho_new = sys.density(&self.orbitals);
             self.rho_residual = density_residual(&rho_new, &self.rho, sys.grids.volume);
+            drop(sp);
             if self.rho_residual < opts.rho_tol {
                 self.rho = rho_new;
                 return Ok(true);
             }
+            let _sp = pt_trace::span("scf_mix");
             let f: Vec<f64> = rho_new.iter().zip(&self.rho).map(|(a, b)| a - b).collect();
             // the history keeps ρ and f; the next iterate overwrites ρ_new
             let x = std::mem::replace(&mut self.rho, rho_new);

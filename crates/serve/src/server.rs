@@ -439,39 +439,35 @@ fn run_job(shared: &Arc<Shared>, id: u64, tx: &Sender<JobEvent>) -> Result<(), P
     // (`pt-par-*`, `pt-rank-*`) keep the picture readable regardless.
     let trace_mark = pt_trace::is_enabled().then(pt_trace::mark);
     let sys = spec.build_system()?;
-    let resumed;
-    let mut sim = match Simulation::resume_latest(&sys, &dir)? {
-        Some(sim) => {
-            resumed = true;
-            if let Some(series) = sim.restored_series() {
-                // through the result table, so the restored prefix serves
-                // exactly what a rehydrated `result.json` would
-                let table = Json::parse(&series.to_table()?.to_json())?;
-                let progress = JobProgress::from_table(&table);
-                let _ = tx.send(JobEvent::Restored { id, progress });
-            }
-            sim
-        }
-        None => {
-            resumed = false;
-            spec.build_fresh_simulation(&sys)?
-        }
+    let builder = match Simulation::resume_latest(&sys, &dir)? {
+        Some(builder) => builder,
+        None => spec.fresh_builder(&sys)?,
     };
-    sim = sim.checkpoint_every(spec.checkpoint_every, &dir)?;
-    sim.set_cancel_token(cancel);
+    let resumed = builder.restored_series().is_some();
+    if let Some(series) = builder.restored_series() {
+        // through the result table, so the restored prefix serves
+        // exactly what a rehydrated `result.json` would
+        let table = Json::parse(&series.to_table()?.to_json())?;
+        let progress = JobProgress::from_table(&table);
+        let _ = tx.send(JobEvent::Restored { id, progress });
+    }
     let every = spec.checkpoint_every;
     let tap_tx = tx.clone();
-    sim.set_step_tap(move |u| {
-        // a snapshot of an *earlier* step is on disk once we've passed
-        // the first checkpoint boundary (or restored from one)
-        let durable = resumed || u.step_index >= every;
-        let _ = tap_tx.send(JobEvent::Step {
-            id,
-            t: u.t,
-            samples: u.columns(),
-            durable,
-        });
-    });
+    let mut sim = builder
+        .checkpoint_every(every, &dir)
+        .cancel_token(cancel)
+        .step_tap(move |u| {
+            // a snapshot of an *earlier* step is on disk once we've passed
+            // the first checkpoint boundary (or restored from one)
+            let durable = resumed || u.step_index >= every;
+            let _ = tap_tx.send(JobEvent::Step {
+                id,
+                t: u.t,
+                samples: u.columns(),
+                durable,
+            });
+        })
+        .build()?;
     let series = sim.run()?;
     let table = series.to_table()?;
     write_atomic(&dir.join("result.json"), &table.to_json())?;

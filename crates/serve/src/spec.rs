@@ -9,7 +9,7 @@
 //! after a server crash the spec file plus the newest valid snapshot are
 //! sufficient to finish the job bit-exactly.
 
-use pt_core::{LaserPulse, Simulation, SimulationBuilder};
+use pt_core::{LaserPulse, SimulationBuilder};
 use pt_ham::{ExchangeMode, HybridConfig, KsSystem, PtError};
 use pt_io::Json;
 use pt_lattice::silicon_cubic_supercell;
@@ -305,6 +305,12 @@ impl JobSpec {
                 "job spec: supercell extents must be nonzero".into(),
             ));
         }
+        // refused here, not when the admitted job builds its system
+        if self.system.bands == Some(0) {
+            return Err(PtError::InvalidConfig(
+                "job spec: bands must be at least 1".into(),
+            ));
+        }
         self.system.exchange.validate()?;
         if self.system.exchange != ExchangeMode::Full && !self.system.hybrid {
             return Err(PtError::InvalidConfig(
@@ -380,21 +386,21 @@ impl JobSpec {
         builder.layout(self.layout).build()
     }
 
-    /// Converge the ground state and assemble a fresh [`Simulation`] for
-    /// this spec (no checkpointing armed — callers add policies/taps).
-    /// This is THE definition of what a job computes: the server's job
-    /// runner and any reference calculation must both go through it so
-    /// bit-exactness comparisons compare like with like.
-    pub fn build_fresh_simulation<'a>(&self, sys: &'a KsSystem) -> Result<Simulation<'a>, PtError> {
+    /// Converge the ground state and configure a fresh run of this spec
+    /// (no checkpointing armed — callers add policies/taps, then
+    /// `build()`). This is THE definition of what a job computes: the
+    /// server's job runner and any reference calculation must both go
+    /// through it so bit-exactness comparisons compare like with like.
+    pub fn fresh_builder<'a>(&self, sys: &'a KsSystem) -> Result<SimulationBuilder<'a>, PtError> {
         let gs = scf_loop(sys, ScfOptions::default())?;
-        let mut builder = SimulationBuilder::new(sys)
+        let builder = SimulationBuilder::new(sys)
             .initial_orbitals(gs.orbitals)
             .dt(self.dt_au())
             .steps(self.steps);
-        if let Some(laser) = self.laser_pulse() {
-            builder = builder.laser(laser);
-        }
-        builder.build()
+        Ok(match self.laser_pulse() {
+            Some(laser) => builder.laser(laser),
+            None => builder,
+        })
     }
 
     /// Run the spec start to finish in-process with no server, no
@@ -402,7 +408,7 @@ impl JobSpec {
     /// served job's final series must match bit-for-bit.
     pub fn run_reference(&self) -> Result<pt_core::TimeSeries, PtError> {
         let sys = self.build_system()?;
-        let mut sim = self.build_fresh_simulation(&sys)?;
+        let mut sim = self.fresh_builder(&sys)?.build()?;
         let series = sim.run();
         drop(sim);
         series
@@ -531,6 +537,9 @@ mod tests {
             r#"{"name": "x", "system": {"ecut": 2.0}, "dt_as": 25.0, "steps": 2, "ranks": 0}"#,
             r#"{"name": "", "system": {"ecut": 2.0}, "dt_as": 25.0, "steps": 2}"#,
             r#"{"name": "x", "system": {"ecut": 2.0}, "dt_as": 25.0, "steps": 2, "checkpoint_every": 0}"#,
+            // no occupied band: KsSystemBuilder::build would refuse it only
+            // after the job was admitted and held its cores
+            r#"{"name": "x", "system": {"ecut": 2.0, "bands": 0}, "dt_as": 25.0, "steps": 2}"#,
             // sigma 0: A(t0) = a0·exp(−0/0)·sin 0 is NaN, every sample with it
             r#"{"name": "x", "system": {"ecut": 2.0}, "laser": {"a0": 0.02, "t0_as": 0, "sigma_as": 0}, "dt_as": 25.0, "steps": 2}"#,
             r#"{"name": "x", "system": {"ecut": 2.0}, "laser": {"a0": 0.02, "t0_as": 200, "sigma_as": -100}, "dt_as": 25.0, "steps": 2}"#,

@@ -171,7 +171,10 @@ fn cancelled_job_resumes_on_restart_with_identical_bits() {
         );
         // the cancel wrote a final snapshot at the boundary it stopped on
         assert!(
-            !pt_io::scan_snapshots(&job_dir).unwrap().valid.is_empty(),
+            pt_io::snapshot_files(&job_dir)
+                .unwrap()
+                .iter()
+                .any(|p| pt_io::SnapshotFile::open(p).is_ok()),
             "no snapshot to resume from"
         );
         handle.stop();

@@ -70,7 +70,9 @@ fn main() -> Result<(), PtError> {
     );
 
     // "job 2": resume and finish the trajectory
-    let merged = Simulation::resume(&sys, &snapshot)?.run()?;
+    // (`resume` preloads a builder: ψ, clock, dt, laser, remaining steps,
+    // propagator and the recorded series; `build` checks it like any run)
+    let merged = Simulation::resume(&sys, &snapshot)?.build()?.run()?;
 
     assert_eq!(merged.len(), uninterrupted.len());
     let mut checked = 0usize;

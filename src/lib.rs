@@ -46,7 +46,10 @@
 //! current, electron count, dipole, orthonormality — beside per-step
 //! [`core::StepStats`]. Misuse returns the typed [`core::PtError`] — the
 //! public setup path never panics — and a run that goes non-finite stops
-//! with `PtError::Diverged` at the first step it would not commit.
+//! with `PtError::Diverged` at the first step it would not commit. A
+//! killed run resumes through the same builder:
+//! [`core::Simulation::resume_latest`] returns it preloaded from the newest
+//! snapshot that reads, and its `build()` continues bit-identically.
 //!
 //! ```no_run
 //! use pwdft_rt::prelude::*;
@@ -103,10 +106,7 @@ pub mod prelude {
         TimeSeries,
     };
     pub use pt_ham::{ExchangeMode, HybridConfig, KsSystem, KsSystemBuilder, SystemSignature};
-    pub use pt_io::{
-        latest_valid_snapshot, scan_snapshots, Json, SnapshotFile, SnapshotScan, SnapshotWriter,
-        Table,
-    };
+    pub use pt_io::{Json, SnapshotFile, SnapshotWriter, Table};
     pub use pt_lattice::silicon_cubic_supercell;
     pub use pt_mpi::Wire;
     pub use pt_num::units::{attosecond_to_au, au_to_attosecond};

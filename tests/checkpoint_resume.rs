@@ -135,7 +135,12 @@ fn run_steps(sys: &KsSystem, psi0: &CMat, steps: usize, ckpt_dir: Option<&Path>)
 }
 
 fn resume_and_finish(sys: &KsSystem, snapshot: &Path) -> TimeSeries {
-    Simulation::resume(sys, snapshot).unwrap().run().unwrap()
+    Simulation::resume(sys, snapshot)
+        .unwrap()
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 #[test]
@@ -717,6 +722,26 @@ fn snapshot_from_a_different_system_shape_is_a_typed_error() {
         Simulation::resume(&coarser, &ckpt),
         Err(PtError::InvalidConfig(_))
     ));
+
+    // a ψ of the wrong row count under the system's own signature reads
+    // and resumes; `build()`, the one place a run's orbitals meet the
+    // system, refuses it
+    let crafted = dir.join("short_psi.ptio");
+    recraft(&ckpt, &crafted, |s| {
+        let Some(Section::Mat(psi)) = s.get("psi") else {
+            panic!("ψ is a matrix section")
+        };
+        let short = CMat::from_fn(psi.nrows() - 1, psi.ncols(), |i, j| psi[(i, j)]);
+        s.insert("psi".into(), Section::Mat(short));
+    });
+    let resumed = Simulation::resume(&sys, &crafted).expect("the signature matches");
+    match resumed.build() {
+        Err(PtError::ShapeMismatch { expected, got, .. }) => {
+            assert_eq!((expected, got), (sys.grids.ng(), sys.grids.ng() - 1))
+        }
+        Err(other) => panic!("expected ShapeMismatch, got {other:?}"),
+        Ok(_) => panic!("a short ψ was built into a run"),
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -906,7 +931,9 @@ fn malformed_snapshots_never_panic() {
     });
     let resumed = Simulation::resume_latest(&sys, &fallback)
         .unwrap()
-        .expect("the older valid snapshot");
+        .expect("the older valid snapshot")
+        .build()
+        .unwrap();
     assert_eq!(
         resumed.state().t.to_bits(),
         t.to_bits(),
@@ -1059,7 +1086,9 @@ fn cancelled_then_resumed_run_is_bit_identical() {
         .has("phi"));
     let mut resumed = Simulation::resume_latest(&sys, &dir)
         .unwrap()
-        .expect("cancel snapshot found");
+        .expect("cancel snapshot found")
+        .build()
+        .unwrap();
     let merged = resumed.run().unwrap();
     assert_series_bits_eq(&uninterrupted, &merged);
     let _ = std::fs::remove_dir_all(dir);
@@ -1086,7 +1115,15 @@ fn resume_latest_skips_corrupt_snapshots_in_favor_of_older_valid_ones() {
     let newest = checkpoint_path(&dir, 3);
     let bytes = std::fs::read(&newest).unwrap();
     std::fs::write(&newest, &bytes[..bytes.len() / 3]).unwrap();
-    let mut resumed = Simulation::resume_latest(&sys, &dir)
+    // and newer still, a directory with a snapshot's name: listed, but its
+    // read is an Io error, which is skipped like a defect of the file
+    let unreadable = checkpoint_path(&dir, 4);
+    std::fs::create_dir(&unreadable).unwrap();
+    assert!(matches!(
+        Simulation::resume(&sys, &unreadable),
+        Err(PtError::Io { .. })
+    ));
+    let resumed = Simulation::resume_latest(&sys, &dir)
         .unwrap()
         .expect("older valid snapshot found");
     assert_eq!(
@@ -1094,7 +1131,7 @@ fn resume_latest_skips_corrupt_snapshots_in_favor_of_older_valid_ones() {
         Some(2),
         "should have fallen back to the step-2 snapshot"
     );
-    let merged = resumed.run().unwrap();
+    let merged = resumed.build().unwrap().run().unwrap();
     assert_series_bits_eq(&uninterrupted, &merged);
     // an empty dir resumes to None (fresh start), not an error
     let empty = tmp_dir("empty");

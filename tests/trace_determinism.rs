@@ -21,6 +21,10 @@
 //!   `HΨ`, the ACE projector apply and the PT residual are driver algebra,
 //!   so `EngineJobs` moves by exactly the step's `h_applications` under
 //!   `Full` and its refresh rounds under ACE.
+//! * **SCF phase spans.** Each ground-state iteration records one
+//!   `scf_hamiltonian`, `scf_davidson`, `scf_density` and (unless it
+//!   converged) `scf_mix` span, and a traced `scf_loop` returns the
+//!   untraced result bit for bit.
 
 use pwdft_rt::prelude::*;
 use pwdft_rt::trace;
@@ -143,6 +147,16 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
         .build()
         .expect("valid ACE system");
     let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+
+    // (pair_ffts, ace_refresh_rounds) deltas plus (h_applications,
+    // scf_iterations) at every committed step; `build()` moves neither
+    // counter, so the first delta is the first step's
+    let deltas: Arc<Mutex<Vec<StepRow>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&deltas);
+    let mut last = (
+        trace::counter_value(trace::Counter::PairFfts),
+        trace::counter_value(trace::Counter::AceRefreshRounds),
+    );
     let mut sim = SimulationBuilder::new(&sys)
         .initial_orbitals(gs.orbitals.clone())
         .laser(LaserPulse::paper_380nm(
@@ -152,30 +166,21 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
         ))
         .dt(attosecond_to_au(25.0))
         .steps(5)
+        .step_tap(move |update| {
+            let now = (
+                trace::counter_value(trace::Counter::PairFfts),
+                trace::counter_value(trace::Counter::AceRefreshRounds),
+            );
+            sink.lock().unwrap().push((
+                now.0 - last.0,
+                now.1 - last.1,
+                update.stats.h_applications,
+                update.stats.scf_iterations,
+            ));
+            last = now;
+        })
         .build()
         .expect("valid simulation");
-
-    // (pair_ffts, ace_refresh_rounds) deltas plus (h_applications,
-    // scf_iterations) at every committed step
-    let deltas: Arc<Mutex<Vec<StepRow>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&deltas);
-    let mut last = (
-        trace::counter_value(trace::Counter::PairFfts),
-        trace::counter_value(trace::Counter::AceRefreshRounds),
-    );
-    sim.set_step_tap(move |update| {
-        let now = (
-            trace::counter_value(trace::Counter::PairFfts),
-            trace::counter_value(trace::Counter::AceRefreshRounds),
-        );
-        sink.lock().unwrap().push((
-            now.0 - last.0,
-            now.1 - last.1,
-            update.stats.h_applications,
-            update.stats.scf_iterations,
-        ));
-        last = now;
-    });
     sim.run().expect("ACE propagation succeeds");
     trace::set_enabled(false);
 
@@ -254,20 +259,9 @@ fn a_ranked_step_runs_one_engine_job_per_exact_exchange_block() {
             .build()
             .expect("valid distributed system");
         let gs = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
-        let mut sim = SimulationBuilder::new(&sys)
-            .initial_orbitals(gs.orbitals.clone())
-            .laser(LaserPulse::paper_380nm(
-                0.02,
-                attosecond_to_au(200.0),
-                attosecond_to_au(100.0),
-            ))
-            .dt(attosecond_to_au(25.0))
-            .steps(3)
-            .build()
-            .expect("valid simulation");
 
         // (engine jobs, refresh rounds, h_applications, fixed-point
-        // iterations) per step
+        // iterations) per step; `build()` moves neither counter
         let steps: Arc<Mutex<Vec<StepRow>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&steps);
         let counts = || {
@@ -277,17 +271,28 @@ fn a_ranked_step_runs_one_engine_job_per_exact_exchange_block() {
             )
         };
         let mut last = counts();
-        sim.set_step_tap(move |update| {
-            let now = counts();
-            let stats = update.stats;
-            sink.lock().unwrap().push((
-                now.0 - last.0,
-                now.1 - last.1,
-                stats.h_applications,
-                stats.scf_iterations,
-            ));
-            last = now;
-        });
+        let mut sim = SimulationBuilder::new(&sys)
+            .initial_orbitals(gs.orbitals.clone())
+            .laser(LaserPulse::paper_380nm(
+                0.02,
+                attosecond_to_au(200.0),
+                attosecond_to_au(100.0),
+            ))
+            .dt(attosecond_to_au(25.0))
+            .steps(3)
+            .step_tap(move |update| {
+                let now = counts();
+                let stats = update.stats;
+                sink.lock().unwrap().push((
+                    now.0 - last.0,
+                    now.1 - last.1,
+                    stats.h_applications,
+                    stats.scf_iterations,
+                ));
+                last = now;
+            })
+            .build()
+            .expect("valid simulation");
         sim.run().expect("propagation succeeds");
 
         let steps = steps.lock().unwrap_or_else(|e| e.into_inner()).clone();
@@ -320,4 +325,91 @@ fn a_ranked_step_runs_one_engine_job_per_exact_exchange_block() {
         }
     }
     trace::set_enabled(false);
+}
+
+/// The ground-state set-up is attributed by phase: a traced hybrid
+/// `scf_loop` (semi-local bootstrap plus the frozen-Φ solve) returns the
+/// untraced `ScfResult` to the bit, and its Chrome trace holds one
+/// `scf_davidson` span per counted SCF iteration, beside the other three
+/// phases — `scf_mix` on every iteration but a converged one.
+#[test]
+fn a_traced_scf_is_bit_identical_and_spans_every_iteration_phase() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+        .ecut(2.0)
+        .xc(XcKind::Pbe)
+        .hybrid(HybridConfig::hse06())
+        .occupations(vec![2.0; 4])
+        .build()
+        .expect("valid hybrid system");
+    trace::set_enabled(false);
+    let untraced = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+
+    trace::set_enabled(true);
+    let dropped = trace::dropped_events();
+    let mark = trace::mark();
+    let traced = scf_loop(&sys, ScfOptions::default()).expect("SCF converges");
+    let iterations = trace::counters_since(&mark).get(trace::Counter::ScfIterations);
+    let chrome = trace::chrome_trace_since(&mark);
+    trace::set_enabled(false);
+    assert_eq!(
+        trace::dropped_events(),
+        dropped,
+        "the trace buffer overflowed"
+    );
+
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let cbits = |m: &pwdft_rt::linalg::CMat| {
+        m.data()
+            .iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        cbits(&traced.orbitals),
+        cbits(&untraced.orbitals),
+        "orbitals"
+    );
+    assert_eq!(
+        bits(&traced.eigenvalues),
+        bits(&untraced.eigenvalues),
+        "eigenvalues"
+    );
+    assert_eq!(bits(&traced.rho), bits(&untraced.rho), "density");
+    assert_eq!(
+        traced.energies.total().to_bits(),
+        untraced.energies.total().to_bits(),
+        "energy"
+    );
+    assert_eq!(traced.scf_iterations, untraced.scf_iterations);
+    assert_eq!(
+        traced.rho_residual.to_bits(),
+        untraced.rho_residual.to_bits()
+    );
+
+    let events = Json::parse(&chrome).expect("the trace parses");
+    let spans = |name: &str| {
+        events
+            .as_arr()
+            .expect("a Chrome trace is an array")
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .count() as u64
+    };
+    assert_eq!(iterations, traced.scf_iterations as u64);
+    assert_eq!(spans("scf_loop"), 1);
+    assert_eq!(
+        spans("scf_davidson"),
+        iterations,
+        "one eigensolve per iteration"
+    );
+    assert_eq!(spans("scf_hamiltonian"), iterations);
+    assert_eq!(spans("scf_density"), iterations);
+    // every iteration mixes except one that converges: the frozen-Φ solve
+    // ends on one, the semi-local bootstrap may instead spend `max_scf`
+    let mixes = spans("scf_mix");
+    assert!(
+        mixes == iterations - 1 || mixes == iterations - 2,
+        "{mixes} mixes over {iterations} iterations"
+    );
 }
