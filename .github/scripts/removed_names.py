@@ -87,6 +87,9 @@ REMOVED = [
      r"set_cancel_token|set_step_tap|scan_snapshots|SnapshotScan|latest_valid_snapshot|StepKernels|InlineKernels|EngineKernels",
      SRC, None,
      "The unified simulation API"),
+    ("propagator-held rank team and its kernel parameter",
+     r"RankEngine|ExchangeKernels|acquire_engine|engine_exchange_block", "crates/core/src", None,
+     "Persistent rank engine"),
 ]
 
 

@@ -42,6 +42,7 @@ SAMPLES = [
     "let opts = Rk4Options { reorthonormalize: true };",
     "fn propagator(mut self, p: Box<dyn Propagator>) -> Self {",
     "sim.set_step_tap(move |u| tx.send(u.t).unwrap());",
+    "let kernels = &mut ExchangeKernels::Engine(acquire_engine(&mut self.engine, layout)?);",
 ]
 
 

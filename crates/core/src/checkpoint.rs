@@ -108,8 +108,7 @@ pub struct RunCheckpoint {
     pub psi: CMat,
     /// Laser coupling.
     pub laser: Option<LaserPulse>,
-    /// The propagator with its options and cross-step state, read back
-    /// without a rank engine (rebuilt lazily on the first resumed step).
+    /// The propagator with its options and cross-step state.
     pub propagator: Propagator,
     /// The exchange mode a legacy snapshot pinned on its propagator (the
     /// optional `prop/exch` section of the former per-propagator
@@ -350,12 +349,10 @@ fn read_propagator(
         // "pt-cn-dist" is what snapshots of the former distributed
         // propagator type carry: the same state, plus a `prop/dist` layout
         // section that is ignored — the layout comes from the system the
-        // run is resumed on. The rank engine is runtime-only state, rebuilt
-        // lazily on the first resumed step.
+        // run is resumed on, and so does its rank team.
         "pt-cn" | "pt-cn-dist" => Ok(Propagator::PtCn(PtCnPropagator {
             opts: read_ptcn()?,
             ace: read_ace()?,
-            engine: None,
         })),
         // `prop/rk4 = [flag]` is the removed re-orthonormalize option of
         // older RK4 snapshots. A set flag is another trajectory, refused as

@@ -17,14 +17,15 @@
 //!
 //! * [`Propagator`] — the closed one-step value, one variant per propagator
 //!   the paper runs: `Propagator::PtCn(`[`PtCnPropagator`]`)` (Alg. 1,
-//!   options [`PtCnOptions`]; Anderson mixing at the paper's depth 20 — it
-//!   reads the ranks × threads layout off the system at step time, runs
-//!   inline on the installed pool for one rank and fans every exact
-//!   exchange block out over a persistent virtual-MPI rank team with
-//!   pinned pools for more, with identical bits) and `Propagator::Rk4`
-//!   (the Fig. 6 baseline, no options). Selected at runtime by value;
-//!   every value a run holds is one its snapshot records and a resume
-//!   rebuilds.
+//!   options [`PtCnOptions`]; Anderson mixing at the paper's depth 20) and
+//!   `Propagator::Rk4` (the Fig. 6 baseline, no options). Selected at
+//!   runtime by value; every value a run holds is one its snapshot
+//!   records and a resume rebuilds. Both reach exact exchange only through
+//!   `KsSystem::exchange_block`, which runs it where the system's
+//!   ranks × threads layout says — inline on the installed pool for one
+//!   rank, on the system's own persistent virtual-MPI rank team with
+//!   pinned pools for more, with identical bits — so a propagator is a
+//!   plain value: options plus the ACE projector, nothing runtime-only.
 //! * [`SimulationBuilder`] / [`Simulation`] — configure system, laser,
 //!   `dt`, step count and propagator, then [`Simulation::run`] owns the
 //!   time loop and returns a [`TimeSeries`]. The builder is the only
@@ -56,7 +57,6 @@
 
 mod anderson_c;
 pub mod checkpoint;
-mod distributed;
 mod laser;
 mod observables;
 mod propagator;

@@ -10,16 +10,10 @@
 //! a run can hold is one a snapshot records and a resume rebuilds.
 
 use crate::anderson_c::BandAndersonMixer;
-use crate::distributed::{acquire_engine, engine_exchange_block};
 use crate::laser::LaserPulse;
-use pt_ham::{
-    density_residual, pt_residual, AceOperator, ExchangeMode, FockMode, FockOperator, KsSystem,
-    PtError,
-};
+use pt_ham::{density_residual, pt_residual, AceOperator, ExchangeMode, KsSystem, PtError};
 use pt_linalg::{gemm, orthonormalize_columns, CMat, Op};
-use pt_mpi::RankEngine;
 use pt_num::c64;
-use std::fmt;
 
 /// The propagated state.
 #[derive(Clone)]
@@ -202,42 +196,24 @@ impl PtCnOptions {
 /// The implicit parallel-transport Crank–Nicolson propagator (Alg. 1) —
 /// the one PT-CN type, for every ranks × threads layout.
 ///
-/// The layout is read from [`KsSystem::layout`] at step time (none =
-/// 1 × the installed pool). With one rank every exact exchange block
-/// `V_X[Ψ]Ψ` runs **inline** on the installed pool — no engine, no rank
-/// thread; with more each is a job on a persistent [`RankEngine`] the
-/// propagator builds lazily on its first such step (see
-/// [`crate::distributed`]). Both sides produce the same bits. Everything
-/// else — the local part of `HΨ`, the ACE projector and its apply, the
-/// fixed-point residual — runs on the driver on every layout.
+/// Every exact exchange block `V_X[Ψ]Ψ` a step needs comes from
+/// [`KsSystem::exchange_block`], which runs it where the system's layout
+/// says (inline for one rank, on the system's rank team for more) with
+/// the same bits. Everything else — the local part of `HΨ`, the ACE
+/// projector and its apply, the fixed-point residual — runs on the driver
+/// on every layout. How the exchange is evaluated is read off the system
+/// the same way ([`KsSystem::exchange_mode`]).
 ///
-/// How the exchange is evaluated is read off the system the same way
-/// ([`KsSystem::exchange_mode`]).
-///
-/// The only state that crosses a step boundary is the ACE projector ξ
-/// with its position in the refresh window ([`PtCnPropagator::ace`]; a
-/// run snapshot records exactly that, beside the options); the Anderson
-/// history is a local of each step's fixed point. The engine is
-/// runtime-only state: never cloned or snapshotted.
-#[derive(Default)]
+/// A plain value: its options plus the only state that crosses a step
+/// boundary, the ACE projector ξ with its position in the refresh window
+/// ([`PtCnPropagator::ace`]; a run snapshot records exactly that, beside
+/// the options). The Anderson history is a local of each step's fixed
+/// point.
+#[derive(Clone, Debug, Default)]
 pub struct PtCnPropagator {
     /// Options.
     pub opts: PtCnOptions,
     pub(crate) ace: Option<AceCapture>,
-    /// The spawn-once rank team of a `ranks > 1` layout.
-    pub(crate) engine: Option<RankEngine>,
-}
-
-impl Clone for PtCnPropagator {
-    /// Clones configuration and the ACE refresh state; the clone rebuilds
-    /// its own rank engine lazily.
-    fn clone(&self) -> Self {
-        PtCnPropagator {
-            opts: self.opts,
-            ace: self.ace.clone(),
-            engine: None,
-        }
-    }
 }
 
 impl PtCnPropagator {
@@ -258,8 +234,7 @@ impl PtCnPropagator {
 
     /// One PT-CN step of size `dt` (Alg. 1), with the exchange evaluated
     /// per the system's [`ExchangeMode`] and every exact exchange block run
-    /// per the system's layout: inline for one rank, on the persistent
-    /// rank team (spawned on the first such step) for more.
+    /// per the system's layout ([`KsSystem::exchange_block`]).
     pub fn step(
         &mut self,
         sys: &KsSystem,
@@ -268,15 +243,9 @@ impl PtCnPropagator {
         dt: f64,
     ) -> Result<StepStats, PtError> {
         self.opts.validate()?;
-        let kernels = &mut match sys.layout() {
-            Some(layout) if layout.ranks > 1 => {
-                ExchangeKernels::Engine(acquire_engine(&mut self.engine, layout)?)
-            }
-            _ => ExchangeKernels::Inline,
-        };
         let sp = pt_trace::span("ptcn_step");
         let mut stats = match sys.exchange_mode() {
-            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, kernels, None),
+            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, None),
             ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
                 &self.opts,
                 sys,
@@ -285,20 +254,10 @@ impl PtCnPropagator {
                 dt,
                 refresh_interval,
                 &mut self.ace,
-                kernels,
             ),
         }?;
         stats.phases.reconcile(sp.finish_secs());
         Ok(stats)
-    }
-}
-
-impl fmt::Debug for PtCnPropagator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PtCnPropagator")
-            .field("opts", &self.opts)
-            .field("engine", &self.engine)
-            .finish()
     }
 }
 
@@ -324,48 +283,16 @@ pub(crate) fn a_field(laser: Option<&LaserPulse>, t: f64) -> [f64; 3] {
     laser.map(|l| l.a_field(t)).unwrap_or([0.0; 3])
 }
 
-/// The one execution-strategy point of a PT-CN step: the exact exchange
-/// block `W = V_X[Φ]Φ` of the parallel-transport gauge (`Φ = Ψ`), the only
-/// form in which a step touches exact exchange — [`apply_h`] adds it to the
-/// local `HΨ` under `Full`, [`build_ace`] compresses it into ξ. Two
-/// strategies, selected by the layout's rank count — equal to the bit.
-pub(crate) enum ExchangeKernels<'e> {
-    /// One rank: in process on the installed pool — the `N_p = 1` case of
-    /// Alg. 2 without a `Comm`, no engine and no rank thread.
-    Inline,
-    /// More ranks: one job on the persistent rank engine.
-    Engine(&'e mut RankEngine),
-}
-
-impl ExchangeKernels<'_> {
-    /// `W = V_X[Φ]Φ`, the pair-FFT Fock loop applied to its own defining
-    /// block (N(N+1)/2 pair solves).
-    pub(crate) fn exchange_block(&mut self, sys: &KsSystem, phi: &CMat) -> Result<CMat, PtError> {
-        match self {
-            // the Fock operator over Φ, applied to Φ itself onto a zero block
-            ExchangeKernels::Inline => {
-                let hy = sys.hybrid.ok_or(PtError::MissingExchangeOrbitals)?;
-                let kernel = sys.exchange_kernel()?.clone();
-                let fock = FockOperator::new(&sys.grids, phi, hy.alpha, kernel, FockMode::Batched);
-                let mut w = CMat::zeros(phi.nrows(), phi.ncols());
-                fock.apply_block(&sys.grids, phi, &mut w);
-                Ok(w)
-            }
-            ExchangeKernels::Engine(engine) => engine_exchange_block(engine, sys, phi),
-        }
-    }
-}
-
 /// One full `H[ρ, Ψ] Ψ` application, composed on the driver: the local
 /// (kinetic + V_loc + V_NL) part on the installed pool, plus the frozen
 /// ACE projector `−ξ(ξ^H Ψ)` if given, else the exact exchange block
-/// `V_X[Ψ]Ψ` from `kernels` for a hybrid, else nothing (semi-local).
-pub(crate) fn apply_h(
+/// `V_X[Ψ]Ψ` from [`KsSystem::exchange_block`] for a hybrid, else nothing
+/// (semi-local).
+fn apply_h(
     sys: &KsSystem,
     rho: &[f64],
     psi: &CMat,
     a: [f64; 3],
-    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
 ) -> Result<CMat, PtError> {
     let h = sys.local_hamiltonian(rho, a)?;
@@ -374,7 +301,7 @@ pub(crate) fn apply_h(
     match (ace, sys.hybrid) {
         (Some(op), _) => op.apply_block(psi, &mut hpsi),
         (None, Some(_)) => {
-            let w = kernels.exchange_block(sys, psi)?;
+            let w = sys.exchange_block(psi)?;
             for (o, v) in hpsi.data_mut().iter_mut().zip(w.data()) {
                 *o += *v;
             }
@@ -385,14 +312,10 @@ pub(crate) fn apply_h(
 }
 
 /// The ACE projector `ξ = W L^{-H}` of `phi`: one exact exchange block
-/// `W = V_X[Φ]Φ` from `kernels`, then the small Cholesky/TRSM
-/// factorization on the driver.
-pub(crate) fn build_ace(
-    sys: &KsSystem,
-    phi: &CMat,
-    kernels: &mut ExchangeKernels<'_>,
-) -> Result<AceOperator, PtError> {
-    AceOperator::from_w(phi, kernels.exchange_block(sys, phi)?)
+/// `W = V_X[Φ]Φ` from [`KsSystem::exchange_block`], then the small
+/// Cholesky/TRSM factorization on the driver.
+fn build_ace(sys: &KsSystem, phi: &CMat) -> Result<AceOperator, PtError> {
+    AceOperator::from_w(phi, sys.exchange_block(phi)?)
 }
 
 /// The kinetic preconditioner of the PT-CN fixed point,
@@ -426,7 +349,6 @@ fn half_step(
     laser: Option<&LaserPulse>,
     state: &TdState,
     dt: f64,
-    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
     stats: &mut StepStats,
 ) -> Result<HalfStep, PtError> {
@@ -435,7 +357,7 @@ fn half_step(
     stats.phases.density += sp.finish_secs();
     let sp = pt_trace::span("h_apply");
     let a_n = a_field(laser, state.t);
-    let hpsi = apply_h(sys, &rho_n, &state.psi, a_n, kernels, ace)?;
+    let hpsi = apply_h(sys, &rho_n, &state.psi, a_n, ace)?;
     stats.phases.h_apply += sp.finish_secs();
     stats.h_applications += 1;
     let sp = pt_trace::span("residual");
@@ -470,7 +392,6 @@ fn fixed_point(
     sys: &KsSystem,
     half: &HalfStep,
     seed: CMat,
-    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
     stats: &mut StepStats,
 ) -> Result<CMat, PtError> {
@@ -488,7 +409,7 @@ fn fixed_point(
         iterations += 1;
         pt_trace::counter_add(pt_trace::Counter::FixedPointIterations, 1);
         let sp = pt_trace::span("h_apply");
-        let hpsi_f = apply_h(sys, &rho_f, &psi_f, half.a_next, kernels, ace)?;
+        let hpsi_f = apply_h(sys, &rho_f, &psi_f, half.a_next, ace)?;
         stats.phases.h_apply += sp.finish_secs();
         stats.h_applications += 1;
         // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2},
@@ -545,28 +466,26 @@ fn reorthonormalized(mut psi_f: CMat, stats: &mut StepStats) -> CMat {
 
 /// One PT-CN step (Alg. 1) under one exchange for the whole step: the
 /// exact Fock loop over the live iterate (`ace: None`) or a frozen ACE
-/// projector (a stale-window step). Generic over the execution strategy;
-/// everything outside the exact exchange block (the local `HΨ`, the
-/// residual, density, preconditioned Anderson mixing,
-/// re-orthonormalization) runs on the driver, so the step's output bits
-/// depend only on the kernels'.
+/// projector (a stale-window step). Everything outside the exact exchange
+/// block (the local `HΨ`, the residual, density, preconditioned Anderson
+/// mixing, re-orthonormalization) runs on the driver, so the step's
+/// output bits do not depend on the layout.
 ///
 /// A non-finite fixed point skips the re-orthonormalization and leaves
 /// the state at the non-finite iterate with `converged: false`, which the
 /// caller's record check refuses ([`PtError::Diverged`] in
 /// [`crate::Simulation::run`]).
-pub(crate) fn ptcn_step_with(
+fn ptcn_step_with(
     opts: &PtCnOptions,
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
     state: &mut TdState,
     dt: f64,
-    kernels: &mut ExchangeKernels<'_>,
     ace: Option<&AceOperator>,
 ) -> Result<StepStats, PtError> {
     let mut stats = StepStats::default();
-    let half = half_step(sys, laser, state, dt, kernels, ace, &mut stats)?;
-    let psi_f = fixed_point(opts, sys, &half, half.psi.clone(), kernels, ace, &mut stats)?;
+    let half = half_step(sys, laser, state, dt, ace, &mut stats)?;
+    let psi_f = fixed_point(opts, sys, &half, half.psi.clone(), ace, &mut stats)?;
     state.psi = reorthonormalized(psi_f, &mut stats);
     state.t = half.t_next;
     Ok(stats)
@@ -606,8 +525,7 @@ const ACE_MAX_REFRESH_ROUNDS: usize = 12;
 /// projector-only solve, still several× cheaper than `Full`'s
 /// per-iteration Fock loop. The accepted round's ξ_f is then frozen for
 /// the stale window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ace_ptcn_step(
+fn ace_ptcn_step(
     opts: &PtCnOptions,
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
@@ -615,7 +533,6 @@ pub(crate) fn ace_ptcn_step(
     dt: f64,
     refresh_interval: usize,
     ace_slot: &mut Option<AceCapture>,
-    kernels: &mut ExchangeKernels<'_>,
 ) -> Result<StepStats, PtError> {
     let in_window = |a: &&mut AceCapture| {
         a.steps_since_refresh < refresh_interval
@@ -623,16 +540,16 @@ pub(crate) fn ace_ptcn_step(
             && a.op.rank() == state.psi.ncols()
     };
     if let Some(ace) = ace_slot.as_mut().filter(in_window) {
-        let stats = ptcn_step_with(opts, sys, laser, state, dt, kernels, Some(&ace.op))?;
+        let stats = ptcn_step_with(opts, sys, laser, state, dt, Some(&ace.op))?;
         ace.steps_since_refresh += 1;
         return Ok(stats);
     }
 
     let mut stats = StepStats::default();
     let sp = pt_trace::span("ace_build");
-    let mut xi = build_ace(sys, &state.psi, kernels)?;
+    let mut xi = build_ace(sys, &state.psi)?;
     stats.phases.ace_build += sp.finish_secs();
-    let half = half_step(sys, laser, state, dt, kernels, Some(&xi), &mut stats)?;
+    let half = half_step(sys, laser, state, dt, Some(&xi), &mut stats)?;
     let mut seed = half.psi.clone();
     let mut prev_rho: Option<Vec<f64>> = None;
     let mut drift = f64::INFINITY;
@@ -640,7 +557,7 @@ pub(crate) fn ace_ptcn_step(
     let psi = loop {
         rounds += 1;
         pt_trace::counter_add(pt_trace::Counter::AceRefreshRounds, 1);
-        let raw = fixed_point(opts, sys, &half, seed, kernels, Some(&xi), &mut stats)?;
+        let raw = fixed_point(opts, sys, &half, seed, Some(&xi), &mut stats)?;
         // the drift is measured on what the step would commit
         let psi = reorthonormalized(raw.clone(), &mut stats);
         let sp = pt_trace::span("density");
@@ -663,7 +580,7 @@ pub(crate) fn ace_ptcn_step(
         // operator: the re-orthonormalized one differs by the fixed
         // point's orthonormality defect, which would floor the agreement
         let sp = pt_trace::span("ace_build");
-        xi = build_ace(sys, &raw, kernels)?;
+        xi = build_ace(sys, &raw)?;
         stats.phases.ace_build += sp.finish_secs();
         seed = raw;
     };
@@ -687,7 +604,7 @@ pub(crate) fn ace_ptcn_step(
 }
 
 /// `k = −i H[ρ(ψ), ψ](t) ψ`, one RK4 stage, the Hamiltonian rebuilt from
-/// `psi`.
+/// `psi` and its exchange block run where the system's layout says.
 fn rk4_rhs(
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
@@ -696,14 +613,7 @@ fn rk4_rhs(
     stats: &mut StepStats,
 ) -> Result<CMat, PtError> {
     let rho = sys.density(psi);
-    let mut hpsi = apply_h(
-        sys,
-        &rho,
-        psi,
-        a_field(laser, t),
-        &mut ExchangeKernels::Inline,
-        None,
-    )?;
+    let mut hpsi = apply_h(sys, &rho, psi, a_field(laser, t), None)?;
     stats.h_applications += 1;
     for z in hpsi.data_mut().iter_mut() {
         *z = z.mul_neg_i();
@@ -757,8 +667,9 @@ fn rk4_step(
 mod tests {
     use super::*;
     use crate::observables::{density_matrix_distance, orthonormality_error};
-    use pt_ham::HybridConfig;
+    use pt_ham::{FockMode, FockOperator, HybridConfig};
     use pt_lattice::silicon_cubic_supercell;
+    use pt_par::RankLayout;
     use pt_scf::{scf_loop, ScfOptions};
     use pt_xc::XcKind;
 
@@ -929,7 +840,7 @@ mod tests {
         // mode cannot be written after build; `hybrid` can. The projector
         // build is the first thing an ACE step does, so the step fails
         // typed before any physics — inline and on a rank team alike
-        for layout in [None, Some(pt_par::RankLayout::new(2, 1))] {
+        for layout in [None, Some(RankLayout::new(2, 1))] {
             let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
                 .ecut(2.0)
                 .xc(XcKind::Pbe)
@@ -960,6 +871,120 @@ mod tests {
                 .all(|z| z.re.is_finite() && z.im.is_finite()));
             assert_eq!(st.psi.max_diff(&psi), 0.0);
         }
+    }
+
+    /// The 4-band HSE06 Si-8 fixture under `mode` on `layout`.
+    fn hybrid_4band(mode: ExchangeMode, layout: Option<RankLayout>) -> KsSystem {
+        let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Pbe)
+            .hybrid(HybridConfig::hse06())
+            .occupations(vec![2.0; 4])
+            .exchange_mode(mode);
+        if let Some(l) = layout {
+            b = b.layout(l);
+        }
+        b.build().unwrap()
+    }
+
+    fn assert_same_bits(want: &CMat, got: &CMat, what: &str) {
+        for (x, y) in want.data().iter().zip(got.data()) {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_driver_compositions_carry_pt_hams_operator_bits_on_every_layout() {
+        // HΨ with the exact Fock loop, the ACE projector and HΨ under it,
+        // taken straight from pt-ham's operators on one thread, are the
+        // reference: apply_h and build_ace must carry their bits inline on
+        // 1 and 4 threads and with the exchange on a rank team
+        let plain = hybrid_4band(ExchangeMode::Full, None);
+        let (ng, nb) = (plain.grids.ng(), plain.n_bands());
+        let psi = CMat::rand_normalized(ng, nb, 17);
+        let rho = plain.density(&psi);
+        let a = [0.0, 0.0, 0.01];
+        let want = pt_par::ThreadPool::new(1).install(|| {
+            let mut h_full = CMat::zeros(ng, nb);
+            let h = plain.hamiltonian(&rho, Some(&psi), a).unwrap();
+            h.apply_block(&psi, &mut h_full);
+            let kernel = plain.exchange_kernel().unwrap().clone();
+            let fock = FockOperator::new(&plain.grids, &psi, 0.25, kernel, FockMode::Batched);
+            let ace = AceOperator::new(&plain.grids, &fock, &psi).unwrap();
+            let mut h_ace = CMat::zeros(ng, nb);
+            let local = plain.local_hamiltonian(&rho, a).unwrap();
+            local.apply_block(&psi, &mut h_ace);
+            ace.apply_block(&psi, &mut h_ace);
+            [h_full, ace.xi().clone(), h_ace]
+        });
+        for layout in [(1, 1), (1, 4), (2, 1), (3, 4)] {
+            let sys = hybrid_4band(
+                ExchangeMode::Full,
+                Some(RankLayout::new(layout.0, layout.1)),
+            );
+            let got = sys.install(|| {
+                let h_full = apply_h(&sys, &rho, &psi, a, None).unwrap();
+                let ace = build_ace(&sys, &psi).unwrap();
+                let h_ace = apply_h(&sys, &rho, &psi, a, Some(&ace)).unwrap();
+                [h_full, ace.xi().clone(), h_ace]
+            });
+            for (w, g) in want.iter().zip(&got) {
+                assert_same_bits(w, g, &format!("{layout:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rk4_runs_its_exchange_on_the_systems_layout_with_the_inline_bits() {
+        // RK4's stages reach exact exchange through the same seam as PT-CN:
+        // on a 2 × 1 system every stage's block is a job on the system's
+        // team, and the step keeps the inline bits
+        let psi0 = {
+            let sys = hybrid_4band(ExchangeMode::Full, None);
+            let mut psi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 23);
+            pt_linalg::orthonormalize_columns(&mut psi, 0.0);
+            psi
+        };
+        let laser = LaserPulse::paper_380nm(0.05, 0.0, 20.0);
+        let dt = pt_num::units::attosecond_to_au(2.0);
+        let two_steps = |layout: Option<RankLayout>| {
+            let sys = hybrid_4band(ExchangeMode::Full, layout);
+            let mut st = TdState::new(psi0.clone());
+            sys.install(|| {
+                for _ in 0..2 {
+                    Propagator::Rk4
+                        .step(&sys, Some(&laser), &mut st, dt)
+                        .unwrap();
+                }
+            });
+            st.psi
+        };
+        let inline = two_steps(None);
+        assert_same_bits(&inline, &two_steps(Some(RankLayout::new(2, 1))), "2x1");
+    }
+
+    #[test]
+    fn ace_step_on_two_ranks_advances_and_captures_the_projector() {
+        let sys = hybrid_4band(
+            ExchangeMode::Ace {
+                refresh_interval: 2,
+            },
+            Some(RankLayout::new(2, 1)),
+        );
+        let gs = scf_loop(&sys, ScfOptions::default()).unwrap();
+        let mut prop = PtCnPropagator::default();
+        let mut state = TdState::new(gs.orbitals.clone());
+        let dt = pt_num::units::attosecond_to_au(25.0);
+        let s1 = prop.step(&sys, None, &mut state, dt).unwrap();
+        assert!(s1.converged);
+        let s2 = prop.step(&sys, None, &mut state, dt).unwrap();
+        assert!(s2.converged);
+        let cap = prop.ace().expect("two ACE steps must leave a projector");
+        assert_eq!(cap.steps_since_refresh, 2, "interval-2 window exhausted");
+        assert_eq!(cap.op.xi().nrows(), sys.grids.ng());
     }
 
     #[test]

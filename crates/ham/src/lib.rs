@@ -17,6 +17,14 @@
 //! * the PT residual of Alg. 3 on the fixed 64-row chunk grid
 //!   ([`pt_residual`]), run on the driver's replicated blocks on every
 //!   layout — no rank team flips Ψ to G-space for it.
+//!
+//! A [`KsSystem`] owns its machine layout and what the layout owns: the
+//! `layout.cores()`-wide pool its drivers install, **and** — for
+//! `ranks > 1` — its rank team, spawned on the first exact exchange block
+//! and parked for the system's lifetime. [`KsSystem::exchange_block`] is
+//! the one layout-aware exact exchange entry point: `W = V_X[Φ]Φ` inline
+//! for one rank, one job on the team (Alg. 2's broadcasts plus the dealt
+//! pair tiles of [`distributed_fock_apply`]) for more, with the same bits.
 
 mod ace;
 mod density;

@@ -1,7 +1,8 @@
 //! `KsSystem` — the static problem definition plus potential/energy
-//! assembly from a density.
+//! assembly from a density, and the one layout-aware exact exchange block.
 
 use crate::density::density_from_orbitals;
+use crate::distributed::{distributed_fock_apply, BandDistribution};
 use crate::error::PtError;
 use crate::fock::{FockMode, FockOperator, ScreenedKernel};
 use crate::grids::PwGrids;
@@ -9,11 +10,12 @@ use crate::hamiltonian::Hamiltonian;
 use crate::hartree::coulomb_kernel;
 use pt_lattice::{ewald_energy, Structure};
 use pt_linalg::CMat;
+use pt_mpi::{EnginePoisoned, RankEngine, Wire};
 use pt_num::c64;
 use pt_par::{RankLayout, ThreadPool};
 use pt_pseudo::{LocalPotential, NonlocalPs};
 use pt_xc::{XcGridEvaluator, XcKind};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Hybrid-functional configuration (HSE06-like: α = 0.25, ω = 0.11).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -122,7 +124,14 @@ impl Energies {
 }
 
 /// The static Kohn–Sham problem: structure, grids, pseudopotentials,
-/// functional choice.
+/// functional choice — and the machine layout it runs on, with what that
+/// layout owns: its `layout.cores()`-wide pool and, for `ranks > 1`, its
+/// rank team (the paper's one MPI rank per GPU, in process).
+///
+/// The team is spawned on the first exact exchange block
+/// ([`KsSystem::exchange_block`]), never at build, and lives as long as
+/// the system: every propagator, clone or resumed run that steps on it
+/// submits its jobs to the same parked threads.
 pub struct KsSystem {
     /// Geometry.
     pub structure: Structure,
@@ -145,6 +154,8 @@ pub struct KsSystem {
     /// The `layout.cores()`-wide pool of a system with a layout (None =
     /// inherit the surrounding pool / `PT_NUM_THREADS`).
     pool: Option<Arc<ThreadPool>>,
+    /// The rank team of a `ranks > 1` layout, spawned lazily.
+    team: Mutex<Option<RankEngine>>,
     layout: Option<RankLayout>,
     exchange_mode: ExchangeMode,
 }
@@ -214,11 +225,12 @@ impl KsSystemBuilder {
     /// `layout.cores()`-wide pool: `scf_loop` and `Simulation::run`
     /// install it around their whole loops, so SCF and everything PT-CN
     /// replicates (density, mixing, re-orthonormalization) run on it. One
-    /// rank runs PT-CN inline on that pool; more run every `HΨ` and
-    /// residual on a rank team of `layout.ranks` threads, each with its
-    /// own pinned `threads_per_rank`-wide pool. Unset, the system inherits
-    /// the surrounding pool (`PT_NUM_THREADS`) and runs inline. Zero
-    /// extents are rejected in [`KsSystemBuilder::build`].
+    /// rank computes every exact exchange block inline on that pool; more
+    /// run each as one job on the system's rank team of `layout.ranks`
+    /// threads, each with its own pinned `threads_per_rank`-wide pool
+    /// ([`KsSystem::exchange_block`]). Unset, the system inherits the
+    /// surrounding pool (`PT_NUM_THREADS`) and runs inline. Zero extents
+    /// are rejected in [`KsSystemBuilder::build`].
     pub fn layout(mut self, layout: RankLayout) -> Self {
         self.layout = Some(layout);
         self
@@ -350,6 +362,7 @@ impl KsSystemBuilder {
             // a layout's cores are the pool the job computes on, not
             // whatever pool happens to surround the caller
             pool: self.layout.map(|l| Arc::new(ThreadPool::new(l.cores()))),
+            team: Mutex::new(None),
             layout: self.layout,
             exchange_mode: self.exchange_mode,
         })
@@ -430,13 +443,6 @@ impl KsSystem {
             Some(p) => p.install(f),
             None => f(),
         }
-    }
-
-    /// The execution layout set through [`KsSystemBuilder::layout`]
-    /// (`None`: the surrounding pool; PT-CN runs inline). The PT-CN
-    /// propagator reads its rank count at step time.
-    pub fn layout(&self) -> Option<RankLayout> {
-        self.layout
     }
 
     /// How propagation evaluates the exchange contribution, set through
@@ -558,6 +564,61 @@ impl KsSystem {
                     .into(),
             )
         })
+    }
+
+    /// The exact exchange block `W = V_X[Φ]Φ` — the Fock operator over Φ
+    /// applied to Φ itself (N(N+1)/2 pair solves), the only form in which
+    /// the parallel-transport gauge touches exact exchange — run where this
+    /// system's layout says: **inline** on the installed pool for one rank
+    /// (or no layout), as **one job on the rank team** for more. The team
+    /// is spawned on the first call and parked between calls; every rank
+    /// broadcasts its cyclic bands (Alg. 2), solves its dealt pair tiles
+    /// ([`distributed_fock_apply`]) and the driver gathers the columns.
+    /// Every message is `f64`, so both sides give the same bits.
+    ///
+    /// A system without a hybrid (or its kernel) is a typed error before
+    /// any team exists. A rank panic inside the job is re-raised with its
+    /// original payload; every later call is [`PtError::EngineDown`] with
+    /// that cause — never a hang, never a panic on the team's lock.
+    pub fn exchange_block(&self, phi: &CMat) -> Result<CMat, PtError> {
+        let alpha = self.hybrid.ok_or(PtError::MissingExchangeOrbitals)?.alpha;
+        let kernel = self.exchange_kernel()?;
+        let layout = match self.layout {
+            Some(l) if l.ranks > 1 => l,
+            _ => {
+                let fock =
+                    FockOperator::new(&self.grids, phi, alpha, kernel.clone(), FockMode::Batched);
+                let mut w = CMat::zeros(phi.nrows(), phi.ncols());
+                fock.apply_block(&self.grids, phi, &mut w);
+                return Ok(w);
+            }
+        };
+        // a rank panic re-raised while the lock is held poisons the mutex;
+        // the team inside carries the panic's own cause, which `run` reports
+        let mut slot = self.team.lock().unwrap_or_else(PoisonError::into_inner);
+        let team = slot.get_or_insert_with(|| RankEngine::new(layout, Wire::F64));
+        let grids = &self.grids;
+        let dist = BandDistribution {
+            n_bands: phi.ncols(),
+            n_ranks: layout.ranks,
+        };
+        let sp = pt_trace::span("engine_run");
+        let (blocks, wire) = team
+            .run(|comm| {
+                let phi_local = dist.take_local(comm.rank(), phi);
+                distributed_fock_apply(comm, grids, dist, &phi_local, &phi_local, alpha, kernel)
+            })
+            .map_err(|e: EnginePoisoned| PtError::EngineDown { cause: e.cause })?;
+        drop(sp);
+        pt_trace::counter_add(pt_trace::Counter::EngineJobs, 1);
+        pt_trace::counter_add(pt_trace::Counter::WireBytes, wire.total_bytes());
+        let mut w = CMat::zeros(grids.ng(), dist.n_bands);
+        for (r, block) in blocks.iter().enumerate() {
+            for (lj, &b) in dist.local_bands(r).iter().enumerate() {
+                w.col_mut(b).copy_from_slice(block.col(lj));
+            }
+        }
+        Ok(w)
     }
 
     /// Density of an orbital block under this system's occupations.
@@ -857,6 +918,191 @@ mod tests {
             };
             assert_eq!(bits(&a), bits(&b), "{xc:?}");
             assert!(a.v_total.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    /// The 4-band HSE06 Si-8 fixture of the exchange-seam tests.
+    fn hybrid_4band(layout: Option<RankLayout>) -> KsSystem {
+        let mut b = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Pbe)
+            .hybrid(HybridConfig::hse06())
+            .occupations(vec![2.0; 4]);
+        if let Some(l) = layout {
+            b = b.layout(l);
+        }
+        b.build().unwrap()
+    }
+
+    fn team_layout(sys: &KsSystem) -> Option<RankLayout> {
+        let slot = sys.team.lock().unwrap_or_else(PoisonError::into_inner);
+        slot.as_ref().map(RankEngine::layout)
+    }
+
+    fn assert_same_bits(want: &CMat, got: &CMat, what: &str) {
+        assert_eq!((want.nrows(), want.ncols()), (got.nrows(), got.ncols()));
+        for (x, y) in want.data().iter().zip(got.data()) {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn exchange_block_inline_and_on_the_team_agree_to_the_bit_on_every_layout() {
+        // the reference is pt-ham's own Fock operator over Φ applied to Φ,
+        // on one thread; every layout's seam must carry its bits, twice on
+        // one system (the second pass reuses the parked team), and only a
+        // ranks > 1 layout ever holds a team
+        let plain = hybrid_4band(None);
+        let phi = CMat::rand_normalized(plain.grids.ng(), plain.n_bands(), 17);
+        let want = ThreadPool::new(1).install(|| {
+            let kernel = plain.exchange_kernel().unwrap().clone();
+            let fock = FockOperator::new(&plain.grids, &phi, 0.25, kernel, FockMode::Batched);
+            let mut w = CMat::zeros(phi.nrows(), phi.ncols());
+            fock.apply_block(&plain.grids, &phi, &mut w);
+            w
+        });
+        assert_eq!(team_layout(&plain), None, "no team at build");
+        assert_same_bits(&want, &plain.exchange_block(&phi).unwrap(), "no layout");
+        assert_eq!(team_layout(&plain), None, "no layout runs inline");
+        for ranks in [1usize, 2, 3] {
+            for threads in [1usize, 4] {
+                let layout = RankLayout::new(ranks, threads);
+                let sys = hybrid_4band(Some(layout));
+                assert_eq!(team_layout(&sys), None, "{layout:?}: no team at build");
+                for pass in 0..2 {
+                    let got = sys.install(|| sys.exchange_block(&phi)).unwrap();
+                    assert_same_bits(&want, &got, &format!("{ranks}x{threads} pass {pass}"));
+                }
+                let team = (ranks > 1).then_some(layout);
+                assert_eq!(team_layout(&sys), team, "{layout:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_system_without_its_exchange_fails_typed_and_spawns_no_team() {
+        // the hybrid and its kernel are checked before the team is touched
+        let layout = RankLayout::new(2, 1);
+        let phi = |sys: &KsSystem| CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 3);
+        let mut stripped = hybrid_4band(Some(layout));
+        stripped.hybrid = None;
+        assert_eq!(
+            stripped.exchange_block(&phi(&stripped)).err(),
+            Some(PtError::MissingExchangeOrbitals)
+        );
+        let mut kernelless = hybrid_4band(Some(layout));
+        kernelless.kernel = None;
+        assert!(matches!(
+            kernelless.exchange_block(&phi(&kernelless)),
+            Err(PtError::InvalidConfig(_))
+        ));
+        let lda = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Lda)
+            .layout(layout)
+            .build()
+            .unwrap();
+        assert_eq!(
+            lda.exchange_block(&phi(&lda)).err(),
+            Some(PtError::MissingExchangeOrbitals)
+        );
+        for sys in [&stripped, &kernelless, &lda] {
+            assert_eq!(team_layout(sys), None);
+        }
+    }
+
+    #[test]
+    fn a_rank_dying_mid_tile_is_the_reported_cause_then_engine_down_never_a_hang() {
+        // the victim sends half of the partials its tiles owe other ranks,
+        // then dies: its peers may be waiting for the rest and must unwind
+        // instead of hanging; the call re-raises the victim's payload (which
+        // poisons the team's lock) and the next call is the typed EngineDown
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for np in 2..=4 {
+                let sys = hybrid_4band(Some(RankLayout::new(np, 1)));
+                let phi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 17);
+                let dist = BandDistribution {
+                    n_bands: sys.n_bands(),
+                    n_ranks: np,
+                };
+                for victim in 0..np {
+                    let owed = dist
+                        .exchange_tiles(victim)
+                        .iter()
+                        .flat_map(|t| t.partials())
+                        .filter(|&(_, band)| dist.owner(band) != victim)
+                        .count();
+                    if owed < 2 {
+                        continue;
+                    }
+                    let cause = format!("rank {victim} of {np} dies mid-tile");
+                    let mut team = RankEngine::new(RankLayout::new(np, 1), Wire::F64);
+                    team.run(|comm| {
+                        if comm.rank() == victim {
+                            comm.fail_after_sends(owed / 2, &cause);
+                        }
+                    })
+                    .unwrap();
+                    // each victim starts from a healthy lock
+                    sys.team.clear_poison();
+                    *sys.team.lock().unwrap() = Some(team);
+                    let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sys.exchange_block(&phi)
+                    }))
+                    .err()
+                    .and_then(|p| p.downcast_ref::<String>().cloned());
+                    let lock_poisoned = sys.team.is_poisoned();
+                    let next = match sys.exchange_block(&phi) {
+                        Err(PtError::EngineDown { cause }) => Some(cause),
+                        _ => None,
+                    };
+                    tx.send((np, cause, raised, lock_poisoned, next)).unwrap();
+                }
+            }
+        });
+        let mut victims = [0usize; 5];
+        loop {
+            match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+                Ok((np, cause, raised, lock_poisoned, next)) => {
+                    assert_eq!(raised.as_deref(), Some(cause.as_str()), "re-raised payload");
+                    assert!(lock_poisoned, "the re-raise unwinds through the held lock");
+                    assert_eq!(next.as_deref(), Some(cause.as_str()), "EngineDown cause");
+                    victims[np] += 1;
+                }
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(e) => panic!("a rank dying mid-tile hung the job: {e}"),
+            }
+        }
+        // every rank count had a victim with partials left to send
+        assert!(victims[2..].iter().all(|&v| v >= 2), "{victims:?}");
+    }
+
+    #[test]
+    fn a_poisoned_team_is_engine_down_with_its_cause() {
+        let layout = RankLayout::new(2, 1);
+        let mut team = RankEngine::new(layout, Wire::F64);
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            team.run(|comm| {
+                if comm.rank() == 1 {
+                    panic!("injected rank failure in the system's team");
+                }
+                comm.barrier();
+            })
+        }));
+        assert!(boom.is_err(), "the injected rank panic must surface");
+        let sys = hybrid_4band(Some(layout));
+        *sys.team.lock().unwrap() = Some(team);
+        let phi = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 41);
+        match sys.exchange_block(&phi) {
+            Err(PtError::EngineDown { cause }) => assert!(
+                cause.contains("injected rank failure"),
+                "cause must carry the original payload, got: {cause}"
+            ),
+            other => panic!("expected EngineDown, got {other:?}"),
         }
     }
 

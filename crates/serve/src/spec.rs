@@ -368,9 +368,9 @@ impl JobSpec {
     /// [`RankLayout`] goes onto the system as is
     /// ([`KsSystemBuilder::layout`](pt_ham::KsSystemBuilder::layout)): the
     /// system then computes on a dedicated pool as wide as the cores the
-    /// scheduler charged (SCF and everything replicated), and PT-CN runs
-    /// inline on it for one rank or on a rank team with pinned pools for
-    /// more.
+    /// scheduler charged (SCF and everything replicated), and its exact
+    /// exchange runs inline on it for one rank or on the system's rank
+    /// team with pinned pools for more.
     pub fn build_system(&self) -> Result<KsSystem, PtError> {
         let [a, b, c] = self.system.supercell;
         let mut builder = KsSystem::builder(silicon_cubic_supercell(a, b, c))

@@ -19,10 +19,11 @@
 //!   for any thread count) through its chunk-ordered `parallel_*`
 //!   primitives; a `ranks × threads_per_rank` [`par::RankLayout`] — the
 //!   run's one layout value, set with [`ham::KsSystemBuilder::layout`] —
-//!   sizes the system's pool to its cores and is read by the one PT-CN
-//!   propagator ([`core::PtCnPropagator`]) at step time: one rank runs
-//!   inline on that pool, more run on a persistent rank team with a pinned
-//!   pool per rank thread — bit-identical either way.
+//!   sizes the system's pool to its cores and, for more than one rank,
+//!   gives the system a persistent rank team with a pinned pool per rank
+//!   thread. Every exact exchange block of both propagators goes through
+//!   [`ham::KsSystem::exchange_block`]: inline on the pool for one rank,
+//!   one job on the system's team for more — bit-identical either way.
 //! * **Layer B (Summit model)** — the anchored Summit performance model
 //!   ([`perf`]) that regenerates every table and figure of the paper's
 //!   evaluation as one report (`examples/paper_artifacts.rs`).

@@ -195,8 +195,8 @@ fn killed_and_resumed_run_is_bit_identical_on_and_across_layouts() {
 #[test]
 fn an_explicit_propagator_honours_the_systems_layout() {
     // which side of the ranks == 1 selection runs is decided by the system,
-    // not by the propagator's type: a hand-built PtCnPropagator on a 2 × 1
-    // system spawns its rank team
+    // not by the propagator's type: a hand-built PtCnPropagator stepping on
+    // a 2 × 1 system runs its exchange on the system's rank team
     let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
     let sys = hybrid_system(Some((2, 1)), ExchangeMode::Full);
     let psi0 = CMat::rand_normalized(sys.grids.ng(), sys.n_bands(), 5);
@@ -212,6 +212,63 @@ fn an_explicit_propagator_honours_the_systems_layout() {
         .unwrap();
     assert_eq!(series.propagator, "pt-cn");
     assert_eq!(rank_threads_spawned() - before, 2);
+}
+
+#[test]
+fn a_semi_local_run_on_ranks_spawns_no_rank_team() {
+    // a rank team only ever runs exact exchange blocks: an LDA system has
+    // none, so its 2 × 1 layout never spawns one
+    let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
+    let sys = KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+        .ecut(2.0)
+        .xc(XcKind::Lda)
+        .layout(RankLayout::new(2, 1))
+        .build()
+        .unwrap();
+    let before = rank_threads_spawned();
+    let series = laser_run(&sys, &lda_ground_state().orbitals, 2)
+        .propagator(Propagator::PtCn(PtCnPropagator::default()))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(series.len(), 2);
+    assert_eq!(rank_threads_spawned() - before, 0);
+}
+
+#[test]
+fn the_rank_team_lives_as_long_as_its_system() {
+    // the team belongs to the 2 × 1 system, not to a propagator value: a
+    // run resumed on the system that wrote the snapshot, and a clone of a
+    // propagator that already stepped on it, both reuse the parked team
+    let _teams = RANK_TEAMS.lock().unwrap_or_else(|e| e.into_inner());
+    let sys = hybrid_system(Some((2, 1)), ExchangeMode::Full);
+    let gs = hybrid_ground_state();
+    let dir = tmp_dir("team_lifetime");
+    let before = rank_threads_spawned();
+    let uninterrupted = run_steps(&sys, &gs.orbitals, 2, Some(&dir));
+    assert_eq!(rank_threads_spawned() - before, 2, "one team, on first use");
+
+    let before = rank_threads_spawned();
+    let resumed = resume_and_finish(&sys, &dir.join("ckpt_00000001.ptio"));
+    assert_eq!(rank_threads_spawned() - before, 0, "a resumed run");
+    assert_series_bits_eq(&uninterrupted, &resumed);
+
+    let mut stepped = PtCnPropagator::default();
+    let mut probe = TdState::new(gs.orbitals.clone());
+    stepped
+        .step(&sys, None, &mut probe, attosecond_to_au(25.0))
+        .unwrap();
+    let before = rank_threads_spawned();
+    let cloned = laser_run(&sys, &gs.orbitals, 2)
+        .propagator(Propagator::PtCn(stepped.clone()))
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(rank_threads_spawned() - before, 0, "a cloned propagator");
+    assert_series_bits_eq(&uninterrupted, &cloned);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// One section's payload, as the tests edit it.

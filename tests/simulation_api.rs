@@ -296,3 +296,57 @@ fn a_nan_seeded_ptcn_run_is_refused_as_diverged() {
     let partial = sim.take_partial_series().expect("partial series kept");
     assert_eq!(partial.len(), 0, "nothing is committed");
 }
+
+/// The velocity-gauge work theorem's discrete residual at the last sample,
+/// r_n = E_n − E_1 − Ω Σ_{k=2..n} ½ (J_k + J_{k−1}) · (A_k − A_{k−1}): the
+/// energy the record gained minus the work the field did on the current
+/// (trapezoidal in time). Both sides come from the same H(A), so r is zero
+/// up to the propagator's time error.
+fn work_residual(series: &TimeSeries, volume: f64) -> f64 {
+    let e = series.channel("energy").unwrap();
+    let j: Vec<&[f64]> = ["current_x", "current_y", "current_z"]
+        .iter()
+        .map(|c| series.channel(c).unwrap())
+        .collect();
+    let a = &series.a_field;
+    let mut work = 0.0;
+    for k in 1..series.len() {
+        for d in 0..3 {
+            work += 0.5 * (j[d][k] + j[d][k - 1]) * (a[k][d] - a[k - 1][d]);
+        }
+    }
+    e[series.len() - 1] - e[0] - volume * work
+}
+
+#[test]
+fn the_work_theorem_residual_is_second_order_in_dt() {
+    // ROADMAP direction 3's measured setup: 380 nm, a0 = 0.05, centred at
+    // 200 as with σ = 100 as, over 400 as, the fixed point solved to 1e-10
+    let (sys, gs) = lda_ground_state();
+    let laser = LaserPulse::paper_380nm(0.05, attosecond_to_au(200.0), attosecond_to_au(100.0));
+    let r_at = |dt_as: f64| {
+        let steps = (400.0 / dt_as).round() as usize;
+        let series = SimulationBuilder::new(sys)
+            .initial_orbitals(gs.orbitals.clone())
+            .laser(laser)
+            .dt(attosecond_to_au(dt_as))
+            .steps(steps)
+            .propagator(Propagator::PtCn(PtCnPropagator::new(PtCnOptions {
+                rho_tol: 1e-10,
+                ..Default::default()
+            })))
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(series.len(), steps);
+        work_residual(&series, sys.grids.volume)
+    };
+    let r: Vec<f64> = [25.0, 12.5, 6.25].into_iter().map(r_at).collect();
+    for pair in r.windows(2) {
+        assert!(
+            pair[0].abs() >= 3.5 * pair[1].abs(),
+            "r at 400 as per dt halving: {r:?}"
+        );
+    }
+}
