@@ -6,7 +6,7 @@
 
 use pt_linalg::{gemm, CMat, Op};
 use pt_num::c64;
-use pt_num::complex::zdotc;
+use pt_num::complex::zdotc_rows;
 
 /// Row height of one overlap chunk. The grid depends on `ng` alone, never
 /// on the thread count, so the grouping of the sums that assemble
@@ -16,18 +16,17 @@ pub const OVERLAP_CHUNK_ROWS: usize = 64;
 
 /// Per-chunk overlap partials `T_c = A[c]^H B[c]`, flattened in ascending
 /// chunk order (`nb × nb` values each): each a fixed sequential dot
-/// product over its chunk's rows and one pool task.
+/// product over its chunk's rows, four rows of `A^H` per pass, and one
+/// pool task per chunk.
 fn overlap_chunk_partials(a: &CMat, b: &CMat) -> Vec<c64> {
     let (nrows, nb) = (a.nrows(), a.ncols());
     let mut flat = vec![c64::ZERO; nrows.div_ceil(OVERLAP_CHUNK_ROWS) * nb * nb];
     pt_par::parallel_chunks_mut(&mut flat, nb * nb, |c, t| {
         let r0 = c * OVERLAP_CHUNK_ROWS;
         let r1 = (r0 + OVERLAP_CHUNK_ROWS).min(nrows);
-        for j in 0..nb {
+        for (j, tj) in t.chunks_exact_mut(nb).enumerate() {
             let bj = &b.col(j)[r0..r1];
-            for i in 0..nb {
-                t[i + j * nb] = zdotc(&a.col(i)[r0..r1], bj);
-            }
+            zdotc_rows(nb, |i| &a.col(i)[r0..r1], bj, |i, d| tj[i] = d);
         }
     });
     flat
@@ -69,6 +68,7 @@ pub fn pt_residual(psi_f: &CMat, hpsi_f: &CMat, psi_half: &CMat, dt: f64) -> CMa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pt_num::complex::zdotc;
     use pt_par::ThreadPool;
 
     /// Random blocks of any (ng, nb) extent plus the PT residual written
@@ -124,6 +124,35 @@ mod tests {
             assert!(err < 1e-11, "ng={ng} nb={nb}: vs GEMM algebra {err}");
             for threads in 2..=4 {
                 let got = at(threads);
+                for (i, (x, y)) in want.data().iter().zip(got.data()).enumerate() {
+                    assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "ng={ng} nb={nb} threads={threads} [{i}]: {x:?} vs {y:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pt_residual_repeats_its_one_row_overlap_bit_for_bit() {
+        // the chunked overlap one row of Ψ_f^H at a time — the loop the
+        // 4-row passes replaced — folded ascending, then the same assembly
+        let dt = 0.35;
+        for (ng, nb) in [(200usize, 5usize), (65, 4), (700, 7), (3, 2), (129, 1)] {
+            let [psi, hpsi, half, _] = gemm_residual(ng, nb, [81, 82, 83], dt);
+            let mut s = vec![c64::ZERO; nb * nb];
+            for r0 in (0..ng).step_by(OVERLAP_CHUNK_ROWS) {
+                let r1 = (r0 + OVERLAP_CHUNK_ROWS).min(ng);
+                for j in 0..nb {
+                    for i in 0..nb {
+                        s[i + j * nb] += zdotc(&psi.col(i)[r0..r1], &hpsi.col(j)[r0..r1]);
+                    }
+                }
+            }
+            let want = assemble_residual(&psi, &hpsi, &half, s, dt);
+            for threads in [1, 2] {
+                let got = ThreadPool::new(threads).install(|| pt_residual(&psi, &hpsi, &half, dt));
                 for (i, (x, y)) in want.data().iter().zip(got.data()).enumerate() {
                     assert!(
                         x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),

@@ -5,7 +5,7 @@
 //! trajectory can outlive job-time limits and node failures. This crate
 //! supplies the persistence layer:
 //!
-//! * [`format`] — a versioned, CRC-checked, little-endian binary
+//! * [`format`](mod@format) — a versioned, CRC-checked, little-endian binary
 //!   **snapshot container** (named typed sections, every value stored at
 //!   its exact bits). `pt-core` serializes what the next step of a
 //!   resumed run reads into it — ψ orbitals, occupations, step/time,

@@ -1,7 +1,7 @@
 //! Column-major complex matrices and BLAS-3 style kernels.
 
 use pt_num::c64;
-use pt_num::complex::{zaxpy, zdotc};
+use pt_num::complex::{zaxpy, zdotc_rows};
 use std::fmt;
 
 /// How an operand enters a product.
@@ -253,9 +253,14 @@ pub fn gemm(alpha: c64, a: &CMat, opa: Op, b: &CMat, opb: Op, beta: c64, c: &mut
             pt_par::parallel_chunks_mut(&mut c.data, m * panel, |p, cpanel| {
                 for (dj, ccol) in cpanel.chunks_mut(m).enumerate() {
                     let bj = b.col(p * panel + dj);
-                    for (i, z) in ccol.iter_mut().enumerate() {
-                        *z = *z * beta + alpha * zdotc(a.col(i), bj);
-                    }
+                    zdotc_rows(
+                        m,
+                        |i| a.col(i),
+                        bj,
+                        |i, d| {
+                            ccol[i] = ccol[i] * beta + alpha * d;
+                        },
+                    );
                 }
             });
         }
@@ -272,8 +277,14 @@ pub fn herk(alpha: f64, a: &CMat, beta: f64, c: &mut CMat) {
     assert_eq!(c.ncols, a.ncols);
     let n = a.ncols;
     let cols: Vec<Vec<c64>> = pt_par::parallel_map(n, |j| {
-        let aj = a.col(j);
-        (0..=j).map(|i| zdotc(a.col(i), aj).scale(alpha)).collect()
+        let mut col = Vec::with_capacity(j + 1);
+        zdotc_rows(
+            j + 1,
+            |i| a.col(i),
+            a.col(j),
+            |_, d| col.push(d.scale(alpha)),
+        );
+        col
     });
     for j in 0..n {
         for i in 0..=j {
@@ -291,6 +302,7 @@ pub fn herk(alpha: f64, a: &CMat, beta: f64, c: &mut CMat) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pt_num::complex::zdotc;
 
     fn randm(nr: usize, nc: usize, seed: u64) -> CMat {
         let mut rng =
@@ -405,6 +417,62 @@ mod tests {
         );
         assert!(c1.max_diff(&c2) < 1e-12);
         assert!(c1.hermiticity_error() < 1e-15);
+    }
+
+    fn assert_same_bits(got: &CMat, want: &CMat, what: &str) {
+        for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(
+                g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                "{what} [{k}]: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn four_row_cn_gemm_and_herk_repeat_the_one_row_loops_bit_for_bit() {
+        // A^H B one row of A^H at a time, and herk's upper triangle the
+        // same way: the loops the 4-row passes replaced, as oracles
+        let alpha = c64::new(0.75, -0.5);
+        let beta = c64::new(-0.25, 1.5);
+        for (rows, m, n) in [
+            (4usize, 4usize, 4usize),
+            (37, 4, 4),
+            (37, 5, 3),
+            (64, 7, 9),
+            (11, 1, 2),
+            (300, 13, 5),
+        ] {
+            let a = randm(rows, m, 31 + m as u64);
+            let b = randm(rows, n, 47 + n as u64);
+            let c0 = randm(m, n, 53);
+            let mut want = c0.clone();
+            for j in 0..n {
+                for i in 0..m {
+                    want[(i, j)] = c0[(i, j)] * beta + alpha * zdotc(a.col(i), b.col(j));
+                }
+            }
+            let h0 = randm(m, m, 59);
+            let mut want_herk = h0.clone();
+            for j in 0..m {
+                for i in 0..=j {
+                    let v = zdotc(a.col(i), a.col(j)).scale(0.5) + h0[(i, j)].scale(2.0);
+                    want_herk[(i, j)] = if i == j { c64::real(v.re) } else { v };
+                    if i != j {
+                        want_herk[(j, i)] = v.conj();
+                    }
+                }
+            }
+            for threads in [1, 2, 4] {
+                pt_par::ThreadPool::new(threads).install(|| {
+                    let mut c = c0.clone();
+                    gemm(alpha, &a, Op::ConjTrans, &b, Op::None, beta, &mut c);
+                    assert_same_bits(&c, &want, &format!("cn {rows}x{m}x{n} t{threads}"));
+                    let mut h = h0.clone();
+                    herk(0.5, &a, 2.0, &mut h);
+                    assert_same_bits(&h, &want_herk, &format!("herk {rows}x{m} t{threads}"));
+                });
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::mat::CMat;
 use pt_num::c64;
+use pt_num::complex::zdotc_rows;
 
 /// In-place lower Cholesky factorization `A = L L^H` of a Hermitian
 /// positive-definite matrix. On return the lower triangle (incl. diagonal)
@@ -166,9 +167,7 @@ pub fn lstsq(a: &CMat, b: &[c64], ridge: f64) -> Vec<c64> {
         g[(i, i)] += c64::real(eps);
     }
     let mut rhs = vec![c64::ZERO; k];
-    for (i, r) in rhs.iter_mut().enumerate() {
-        *r = pt_num::complex::zdotc(a.col(i), b);
-    }
+    zdotc_rows(k, |i| a.col(i), b, |i, d| rhs[i] = d);
     cholesky_in_place(&mut g);
     let y = solve_lower(&g, &rhs);
     solve_upper_conj(&g, &y)
@@ -178,6 +177,7 @@ pub fn lstsq(a: &CMat, b: &[c64], ridge: f64) -> Vec<c64> {
 mod tests {
     use super::*;
     use crate::mat::{gemm, Op};
+    use pt_num::complex::zdotc;
 
     fn randm(nr: usize, nc: usize, seed: u64) -> CMat {
         let mut rng = pt_num::rng::XorShift64::new(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
@@ -323,5 +323,35 @@ mod tests {
         // residual should be ~0: x0 + x1 ≈ 1
         let s = x[0] + x[1];
         assert!((s - c64::ONE).abs() < 1e-4, "{s:?}");
+    }
+
+    #[test]
+    fn lstsq_repeats_its_one_column_right_hand_side_bit_for_bit() {
+        // history depths 1-9 (remainders 0-3 of the 4-wide pass) over a
+        // short and a sphere-sized vector; the oracle is the solve with
+        // its right-hand side one column of A at a time
+        for rows in [37usize, 292] {
+            for k in 1..=9 {
+                let a = randm(rows, k, 71 + k as u64);
+                let b = randm(rows, 1, 73).col(0).to_vec();
+                let mut g = CMat::zeros(k, k);
+                gemm(c64::ONE, &a, Op::ConjTrans, &a, Op::None, c64::ZERO, &mut g);
+                let trace: f64 = pt_num::reduce::sum_f64((0..k).map(|i| g[(i, i)].re));
+                let eps = 1e-12 * (trace / k as f64).max(1e-300);
+                for i in 0..k {
+                    g[(i, i)] += c64::real(eps);
+                }
+                let rhs: Vec<c64> = (0..k).map(|i| zdotc(a.col(i), &b)).collect();
+                cholesky_in_place(&mut g);
+                let want = solve_upper_conj(&g, &solve_lower(&g, &rhs));
+                let got = lstsq(&a, &b, 1e-12);
+                for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                        "rows={rows} k={k} [{i}]: {x:?} vs {y:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -319,6 +319,66 @@ pub fn zaxpy(alpha: c64, x: &[c64], y: &mut [c64]) {
     }
 }
 
+/// Four conjugated dot products against one shared operand,
+/// `[zdotc(a[0], b), …, zdotc(a[3], b)]`, bit for bit.
+///
+/// [`zdotc`] is one dependent add chain: every element waits on the
+/// previous one's two rounded adds. Here the four chains are independent
+/// and run interleaved in one pass over `b`; each lane is still
+/// `c64::mul_add` in element order, so nothing but the wait moves. No FMA:
+/// a fused rounding would move bits.
+#[inline]
+pub fn zdotc_x4(a: [&[c64]; 4], b: &[c64]) -> [c64; 4] {
+    debug_assert!(a.iter().all(|row| row.len() == b.len()));
+    // cut to `b`'s length so the indexing below needs no bounds check
+    let rows = a.map(|row| &row[..b.len()]);
+    let mut acc = [c64::ZERO; 4];
+    for (k, y) in b.iter().enumerate() {
+        for (s, row) in acc.iter_mut().zip(&rows) {
+            *s = s.mul_add(row[k].conj(), *y);
+        }
+    }
+    acc
+}
+
+/// The conjugated dot products `zdotc(row(i), b)` for `i in 0..n`, four
+/// rows per pass over `b` ([`zdotc_x4`]) and the last `n % 4` one at a
+/// time, handed to `each(i, dot)` in ascending `i` — the bits and the
+/// order of `n` [`zdotc`] calls.
+#[inline]
+pub fn zdotc_rows<'a>(
+    n: usize,
+    row: impl Fn(usize) -> &'a [c64],
+    b: &[c64],
+    mut each: impl FnMut(usize, c64),
+) {
+    let quads = n / 4;
+    for q in 0..quads {
+        let dots = zdotc_x4(std::array::from_fn(|r| row(4 * q + r)), b);
+        for (r, d) in dots.into_iter().enumerate() {
+            each(4 * q + r, d);
+        }
+    }
+    for i in 4 * quads..n {
+        each(i, zdotc(row(i), b));
+    }
+}
+
+/// `y += alpha[0]·x[0]`, then `alpha[1]·x[1]`, `alpha[2]·x[2]` and
+/// `alpha[3]·x[3]`, in one pass over `y`: every element of `y` takes the
+/// four terms in that order, through the roundings of four ordered
+/// [`zaxpy`] calls, bit for bit.
+#[inline]
+pub fn zaxpy_x4(alpha: [c64; 4], x: [&[c64]; 4], y: &mut [c64]) {
+    debug_assert!(x.iter().all(|col| col.len() == y.len()));
+    let cols = x.map(|col| &col[..y.len()]);
+    for (k, yk) in y.iter_mut().enumerate() {
+        for (al, col) in alpha.iter().zip(&cols) {
+            *yk = yk.mul_add(*al, col[k]);
+        }
+    }
+}
+
 /// Euclidean norm of a complex slice.
 #[inline]
 pub fn znrm2(a: &[c64]) -> f64 {
@@ -328,6 +388,141 @@ pub fn znrm2(a: &[c64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShift64;
+    use proptest::prelude::*;
+
+    /// Lengths around the 4-wide and 64-row boundaries, plus a
+    /// wavefunction-sphere-sized 292 and 700.
+    const LENGTHS: [usize; 10] = [0, 1, 3, 4, 5, 63, 64, 65, 292, 700];
+
+    /// A finite value over 40 binades, with the occasional signed zero.
+    fn sample(rng: &mut XorShift64) -> f64 {
+        let r = rng.next_u64();
+        match r % 16 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.next_centered() * 2f64.powi((r >> 8) as i32 % 41 - 20),
+        }
+    }
+
+    fn vector(rng: &mut XorShift64, n: usize) -> Vec<c64> {
+        (0..n).map(|_| c64::new(sample(rng), sample(rng))).collect()
+    }
+
+    fn same_bits(x: c64, y: c64) -> bool {
+        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // four chains in one pass are four `zdotc` calls, bit for bit, at
+        // every length
+        #[test]
+        fn zdotc_x4_is_four_zdotc_calls_at_to_bits(seed in 0u64..u64::MAX) {
+            let mut rng = XorShift64::new(seed);
+            for n in LENGTHS {
+                let rows: Vec<Vec<c64>> = (0..4).map(|_| vector(&mut rng, n)).collect();
+                let b = vector(&mut rng, n);
+                let a = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+                let got = zdotc_x4(a, &b);
+                for (r, row) in rows.iter().enumerate() {
+                    let want = zdotc(row, &b);
+                    prop_assert!(
+                        same_bits(got[r], want),
+                        "n={n} lane {r}: {:?} vs {want:?}", got[r]
+                    );
+                }
+            }
+        }
+
+        // one pass of four terms per element is four ordered `zaxpy`
+        // calls, bit for bit, at every length
+        #[test]
+        fn zaxpy_x4_is_four_ordered_zaxpy_calls_at_to_bits(seed in 0u64..u64::MAX) {
+            let mut rng = XorShift64::new(seed);
+            for n in LENGTHS {
+                let cols: Vec<Vec<c64>> = (0..4).map(|_| vector(&mut rng, n)).collect();
+                let alpha: [c64; 4] =
+                    std::array::from_fn(|_| c64::new(sample(&mut rng), sample(&mut rng)));
+                let y0 = vector(&mut rng, n);
+                let mut want = y0.clone();
+                for (al, col) in alpha.iter().zip(&cols) {
+                    zaxpy(*al, col, &mut want);
+                }
+                let x = [&cols[0][..], &cols[1][..], &cols[2][..], &cols[3][..]];
+                let mut got = y0.clone();
+                zaxpy_x4(alpha, x, &mut got);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(same_bits(*g, *w), "n={n} [{k}]: {g:?} vs {w:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zdotc_rows_hands_out_every_row_in_order_with_zdotc_bits() {
+        let mut rng = XorShift64::new(0x0dd5);
+        let rows: Vec<Vec<c64>> = (0..9).map(|_| vector(&mut rng, 65)).collect();
+        let b = vector(&mut rng, 65);
+        for n in 0..=9 {
+            let mut seen = Vec::new();
+            zdotc_rows(n, |i| &rows[i], &b, |i, d| seen.push((i, d)));
+            assert_eq!(seen.len(), n);
+            for (k, (i, d)) in seen.into_iter().enumerate() {
+                assert_eq!(i, k);
+                assert!(same_bits(d, zdotc(&rows[i], &b)), "n={n} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_input_poisons_only_its_own_lane() {
+        let mut rng = XorShift64::new(0x5eed);
+        let n = 65;
+        for poison in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for lane in 0..4 {
+                for (k, imag) in [(0usize, false), (31, true), (64, false)] {
+                    let mut rows: Vec<Vec<c64>> = (0..4).map(|_| vector(&mut rng, n)).collect();
+                    if imag {
+                        rows[lane][k].im = poison;
+                    } else {
+                        rows[lane][k].re = poison;
+                    }
+                    let b = vector(&mut rng, n);
+                    let a = [&rows[0][..], &rows[1][..], &rows[2][..], &rows[3][..]];
+                    let got = zdotc_x4(a, &b);
+                    for (r, row) in rows.iter().enumerate() {
+                        let want = zdotc(row, &b);
+                        if r == lane {
+                            assert!(!got[r].is_finite(), "{poison} lane {r}");
+                            assert!(!want.is_finite());
+                        } else {
+                            assert!(same_bits(got[r], want), "{poison} lane {r}");
+                        }
+                    }
+                    // the same poison in the axpy's lane-th column reaches
+                    // element k only
+                    let alpha: [c64; 4] =
+                        std::array::from_fn(|_| c64::new(sample(&mut rng), sample(&mut rng)));
+                    let y0 = vector(&mut rng, n);
+                    let mut got = y0.clone();
+                    zaxpy_x4(alpha, a, &mut got);
+                    let mut want = y0.clone();
+                    for (al, col) in alpha.iter().zip(&rows) {
+                        zaxpy(*al, col, &mut want);
+                    }
+                    for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                        if j == k {
+                            assert!(!g.is_finite() && !w.is_finite(), "{poison} [{j}]");
+                        } else {
+                            assert!(same_bits(*g, *w), "{poison} [{j}]");
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol

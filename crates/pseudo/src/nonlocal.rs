@@ -10,14 +10,17 @@
 //! the analytic GTH Fourier formulas; the quadrature itself is validated in
 //! tests by Parseval's theorem.
 //!
-//! A real-space sparse application path ([`NonlocalPs::apply_real_space`])
-//! mirrors the paper's choice (§3.2: real-space projectors stored as sparse
-//! vectors on every processor, >5× faster than reciprocal space for
-//! hundreds of atoms, zero communication).
+//! The projectors are applied in reciprocal space only: dense β(G) over
+//! the wavefunction sphere, an amplitude ⟨β|ψ⟩ and an update per
+//! projector ([`NonlocalPs::apply`], four projectors per pass). The
+//! paper's choice — real-space projectors stored as sparse vectors on
+//! every processor, >5× faster than reciprocal space for hundreds of
+//! atoms, zero communication (§3.2) — is not implemented.
 
 use crate::gth::{gth_parameters, GthParams};
 use pt_lattice::{GSphere, Species, Structure};
 use pt_num::c64;
+use pt_num::complex::{zaxpy, zaxpy_x4, zdotc, zdotc_rows, zdotc_x4};
 use std::fmt;
 
 /// Highest angular momentum channel this implementation evaluates (the
@@ -118,8 +121,8 @@ impl NonlocalPs {
     /// Build from explicit per-atom parameter sets (one entry per atom of
     /// `structure`, in order). Channels beyond the implemented angular
     /// momenta are rejected up front with a typed error — this is the
-    /// validation gate behind which [`sph_bessel`] / [`real_ylm`] may
-    /// assume `l ≤ 1`.
+    /// validation gate behind which the private `sph_bessel` / `real_ylm`
+    /// tables may assume `l ≤ 1`.
     pub fn with_parameters(
         structure: &Structure,
         sphere: &GSphere,
@@ -219,12 +222,22 @@ impl NonlocalPs {
     }
 
     /// Apply `V_NL` to a single orbital's coefficients: `out += V_NL ψ`,
-    /// one projector at a time (its amplitude depends on `psi` alone, so
-    /// nothing needs staging).
+    /// four projectors at a time: their four amplitudes in one pass over
+    /// `psi`, then their four terms in one pass over `out`. An amplitude
+    /// reads `psi` alone, so every element of `out` still takes its terms
+    /// in projector order, with the bits of one projector at a time; a
+    /// count that is not a multiple of 4 ends one projector at a time.
     pub fn apply(&self, psi: &[c64], out: &mut [c64]) {
-        for proj in &self.projectors {
-            let amp = pt_num::complex::zdotc(&proj.beta, psi).scale(proj.h);
-            pt_num::complex::zaxpy(amp, &proj.beta, out);
+        let mut groups = self.projectors.chunks_exact(4);
+        for group in &mut groups {
+            let beta: [&[c64]; 4] = std::array::from_fn(|p| &group[p].beta[..]);
+            let amp = zdotc_x4(beta, psi);
+            let alpha = std::array::from_fn(|p| amp[p].scale(group[p].h));
+            zaxpy_x4(alpha, beta, out);
+        }
+        for proj in groups.remainder() {
+            let amp = zdotc(&proj.beta, psi).scale(proj.h);
+            zaxpy(amp, &proj.beta, out);
         }
     }
 
@@ -246,9 +259,15 @@ impl NonlocalPs {
         let per_band: Vec<f64> = pt_par::parallel_map(occ.len().min(psis.len() / ng), |b| {
             let p = &psis[b * ng..(b + 1) * ng];
             let mut e = 0.0;
-            for proj in &self.projectors {
-                e += proj.h * pt_num::complex::zdotc(&proj.beta, p).norm_sqr();
-            }
+            let projectors = &self.projectors;
+            zdotc_rows(
+                projectors.len(),
+                |i| &projectors[i].beta,
+                p,
+                |i, amp| {
+                    e += projectors[i].h * amp.norm_sqr();
+                },
+            );
             occ[b] * e
         });
         pt_num::reduce::sum_f64(per_band)
@@ -408,6 +427,74 @@ mod tests {
             .map(|(x, y)| (*x - *y).abs())
             .fold(0.0, f64::max);
         assert!(err < 1e-12);
+    }
+
+    /// `apply` as it ran one projector at a time: the oracle the grouped
+    /// passes are held to at `to_bits`.
+    fn apply_one_at_a_time(nl: &NonlocalPs, psi: &[c64], out: &mut [c64]) {
+        for proj in &nl.projectors {
+            let amp = zdotc(&proj.beta, psi).scale(proj.h);
+            zaxpy(amp, &proj.beta, out);
+        }
+    }
+
+    /// `energy` as it ran one projector at a time, band by band.
+    fn energy_one_at_a_time(nl: &NonlocalPs, psis: &[c64], ng: usize, occ: &[f64]) -> f64 {
+        let per_band = (0..occ.len()).map(|b| {
+            let mut e = 0.0;
+            for proj in &nl.projectors {
+                e += proj.h * zdotc(&proj.beta, &psis[b * ng..(b + 1) * ng]).norm_sqr();
+            }
+            occ[b] * e
+        });
+        pt_num::reduce::sum_f64(per_band)
+    }
+
+    #[test]
+    fn grouped_projector_passes_repeat_one_projector_at_a_time_bit_for_bit() {
+        // 1, 2 and 3 Si atoms: 5, 10 and 15 projectors, so the 4-wide
+        // groups leave a remainder of 1, 2 and 3
+        let si = silicon_cubic_supercell(1, 1, 1);
+        for n_atoms in 1..=3 {
+            let s = Structure {
+                cell: si.cell.clone(),
+                atoms: si.atoms[..n_atoms].to_vec(),
+            };
+            let dims = fft_dims_for_cutoff(&s.cell, 2.0);
+            let sphere = GSphere::new(&s.cell, 2.0, dims);
+            let nl = NonlocalPs::new(&s, &sphere).unwrap();
+            assert_eq!(nl.projectors.len(), 5 * n_atoms);
+            let ng = sphere.len();
+            let nb = 3;
+            let mut rng = pt_num::rng::XorShift64::new(17 + n_atoms as u64);
+            let mut draw = |n: usize| -> Vec<c64> {
+                (0..n)
+                    .map(|_| c64::new(rng.next_centered(), rng.next_centered()))
+                    .collect()
+            };
+            let psis = draw(ng * nb);
+            let start = draw(ng * nb);
+            let mut got = start.clone();
+            nl.apply_block(&psis, &mut got, ng);
+            let mut want = start;
+            for (p, o) in psis.chunks(ng).zip(want.chunks_mut(ng)) {
+                apply_one_at_a_time(&nl, p, o);
+            }
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+                    "{n_atoms} atoms [{k}]: {g:?} vs {w:?}"
+                );
+            }
+            let occ = [2.0, 1.5, 0.5];
+            let got = nl.energy(&psis, ng, &occ);
+            let want = energy_one_at_a_time(&nl, &psis, ng, &occ);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{n_atoms} atoms: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub struct ScfResult {
 /// A hybrid system runs two density loops of up to `opts.max_scf`
 /// iterations each: a semi-local bootstrap, whose orbitals define the
 /// exchange operator's Φ whether it converged or not, then one solve with
-/// V_x[Φ] frozen, which must converge. Φ is not refreshed: the ground state
+/// `V_x[Φ]` frozen, which must converge. Φ is not refreshed: the ground state
 /// is not self-consistent in its exchange (DESIGN.md, "Ground state").
 ///
 /// The whole loop runs under the system's configured thread pool

@@ -33,7 +33,7 @@ pub enum JobState {
     Checkpointed,
     /// Completed; `result.json` is on disk.
     Done,
-    /// Errored or panicked (message in [`JobRecord::error`]).
+    /// Errored or panicked (message in the job record's `error` field).
     Failed,
     /// Cancelled by request (a final snapshot is on disk if the job had
     /// started and checkpointing was armed).
