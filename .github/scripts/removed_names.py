@@ -90,6 +90,9 @@ REMOVED = [
     ("propagator-held rank team and its kernel parameter",
      r"RankEngine|ExchangeKernels|acquire_engine|engine_exchange_block", "crates/core/src", None,
      "Persistent rank engine"),
+    ("step record's private exchange path and second exchange-energy formula",
+     r"fn energy\(&self, grids|sys\.energies\(", "crates/ham/src/fock.rs crates/core/src", None,
+     "Exchange modes: Full and ACE"),
 ]
 
 

@@ -43,6 +43,7 @@ SAMPLES = [
     "fn propagator(mut self, p: Box<dyn Propagator>) -> Self {",
     "sim.set_step_tap(move |u| tx.send(u.t).unwrap());",
     "let kernels = &mut ExchangeKernels::Engine(acquire_engine(&mut self.engine, layout)?);",
+    "pub fn energy(&self, grids: &PwGrids, psi: &CMat, occ: &[f64]) -> f64 {",
 ]
 
 

@@ -5,7 +5,7 @@
 //! a function of the density matrix P = ΨΨ* — are untouched by the gauge
 //! transformation (§2). These helpers quantify exactly that.
 
-use pt_ham::{integrate, KsSystem};
+use pt_ham::{integrate, KsSystem, PtError};
 use pt_linalg::{gemm, CMat, Op};
 use pt_num::c64;
 
@@ -26,16 +26,19 @@ pub(crate) const CHANNELS: [&str; 9] = [
 /// One step's record, paired with [`CHANNELS`]: the total energy, the
 /// current density, the electron count `∫ρ`, the electronic dipole moment
 /// `∫ r ρ(r) dr` (lever arms from [`grid_coords`]) and `max |Ψ*Ψ − I|`,
-/// all from one density of `psi`.
+/// all from one density of `psi`. A hybrid's exchange energy reads the
+/// block `V_X[Ψ]Ψ` from [`KsSystem::exchange_block`], which hands the same
+/// block to the next step's first exact exchange on this Ψ.
 pub(crate) fn step_record(
     sys: &KsSystem,
     psi: &CMat,
     a_field: [f64; 3],
     coords: &[[f64; 3]],
-) -> [(&'static str, f64); 9] {
+) -> Result<[(&'static str, f64); 9], PtError> {
     let g = &sys.grids;
     let rho = sys.density(psi);
-    let energy = sys.energies(psi, &rho, a_field).total();
+    let w = sys.hybrid.map(|_| sys.exchange_block(psi)).transpose()?;
+    let energy = sys.energies_with(psi, &rho, w.as_ref(), a_field).total();
     let j = current_density(sys, psi, a_field);
     let dv = g.volume / g.n_dense() as f64;
     let mut d = [0.0f64; 3];
@@ -55,7 +58,7 @@ pub(crate) fn step_record(
         d[2],
         orthonormality_error(psi),
     ];
-    std::array::from_fn(|k| (CHANNELS[k], values[k]))
+    Ok(std::array::from_fn(|k| (CHANNELS[k], values[k])))
 }
 
 /// Cartesian coordinates of every dense-grid point, x fastest (the grid

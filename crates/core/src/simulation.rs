@@ -553,7 +553,7 @@ impl<'a> Simulation<'a> {
                     .step(self.sys, self.laser.as_ref(), &mut self.state, self.dt)?;
             let t = self.state.t;
             let a = a_field(self.laser.as_ref(), t);
-            let record = step_record(self.sys, &self.state.psi, a, &self.coords);
+            let record = step_record(self.sys, &self.state.psi, a, &self.coords)?;
             if record.iter().any(|(_, v)| !v.is_finite()) {
                 return Err(PtError::Diverged {
                     step: step_index,
@@ -879,7 +879,7 @@ mod tests {
     fn time_series_channels_are_queryable() {
         let sys = small_sys();
         let psi = identity_orbitals(&sys);
-        let record = step_record(&sys, &psi, [0.0; 3], &grid_coords(&sys));
+        let record = step_record(&sys, &psi, [0.0; 3], &grid_coords(&sys)).unwrap();
         assert_eq!(record.map(|(name, _)| name), CHANNELS);
         let mut ts = TimeSeries::default();
         ts.push_step(0.1, [0.0; 3], StepStats::default(), &record);

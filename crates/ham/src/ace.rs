@@ -167,14 +167,22 @@ mod tests {
     fn ace_energy_matches_exact_exchange_energy() {
         let (grids, phi, fock) = setup();
         let ace = AceOperator::new(&grids, &fock, &phi).unwrap();
-        let occ = vec![2.0; phi.ncols()];
-        let e_exact = fock.energy(&grids, &phi, &occ);
-        // E_x = ½ Σ_j f_j ⟨φ_j|V_ACE φ_j⟩
-        let mut v = CMat::zeros(phi.nrows(), phi.ncols());
-        ace.apply_block(&phi, &mut v);
-        let e_ace: f64 = (0..phi.ncols())
-            .map(|j| 0.5 * occ[j] * pt_num::complex::zdotc(phi.col(j), v.col(j)).re)
-            .sum();
+        // E_x = ½ Σ_j f_j Re⟨φ_j|W_j⟩ through the system's one sum, for
+        // W = V_X Φ and W = V_ACE Φ, on the HSE06 system of these grids
+        let sys = crate::KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .hybrid(crate::HybridConfig::hse06())
+            .occupations(vec![2.0; phi.ncols()])
+            .build()
+            .unwrap();
+        assert_eq!(sys.grids.ng(), grids.ng());
+        let rho = sys.density(&phi);
+        let e_x = |w: &CMat| sys.energies_with(&phi, &rho, Some(w), [0.0; 3]).fock;
+        let mut exact = CMat::zeros(phi.nrows(), phi.ncols());
+        fock.apply_block(&grids, &phi, &mut exact);
+        let mut compressed = CMat::zeros(phi.nrows(), phi.ncols());
+        ace.apply_block(&phi, &mut compressed);
+        let (e_exact, e_ace) = (e_x(&exact), e_x(&compressed));
         assert!(
             (e_exact - e_ace).abs() < 1e-9 * e_exact.abs(),
             "{e_exact} vs {e_ace}"

@@ -550,18 +550,6 @@ impl FockOperator {
             });
         gather_onto(grids, &accs, out);
     }
-
-    /// Exchange energy `E_x = ½ Σ_j f_j ⟨ψ_j|V_X ψ_j⟩` for the orbitals
-    /// that define the operator (with occupations `occ`).
-    pub fn energy(&self, grids: &PwGrids, psi: &CMat, occ: &[f64]) -> f64 {
-        assert_eq!(psi.ncols(), occ.len());
-        let mut v = CMat::zeros(grids.ng(), psi.ncols());
-        self.apply_block(grids, psi, &mut v);
-        pt_num::reduce::sum_f64(
-            (0..psi.ncols())
-                .map(|j| 0.5 * occ[j] * pt_num::complex::zdotc(psi.col(j), v.col(j)).re),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -648,12 +636,24 @@ mod tests {
             c64::ZERO,
             &mut phi_rot,
         );
-        let kern = ScreenedKernel::new(&g, 0.11);
-        let occ = vec![2.0; 3];
-        let f1 = FockOperator::new(&g, &phi_o, 0.25, kern.clone(), FockMode::Batched);
-        let f2 = FockOperator::new(&g, &phi_rot, 0.25, kern, FockMode::Batched);
-        let e1 = f1.energy(&g, &phi_o, &occ);
-        let e2 = f2.energy(&g, &phi_rot, &occ);
+        // E_x through the system's one sum, ½ Σ_j f_j Re⟨φ_j|(V_X[Φ]Φ)_j⟩,
+        // on the HSE06 system whose grids these are
+        let sys = crate::KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.5)
+            .hybrid(crate::HybridConfig::hse06())
+            .occupations(vec![2.0; 3])
+            .build()
+            .unwrap();
+        assert_eq!(sys.grids.ng(), g.ng());
+        let e_x = |phi: &CMat| {
+            let kern = ScreenedKernel::new(&g, 0.11);
+            let f = FockOperator::new(&g, phi, 0.25, kern, FockMode::Batched);
+            let mut w = CMat::zeros(g.ng(), 3);
+            f.apply_block(&g, phi, &mut w);
+            sys.energies_with(phi, &sys.density(phi), Some(&w), [0.0; 3])
+                .fock
+        };
+        let (e1, e2) = (e_x(&phi_o), e_x(&phi_rot));
         assert!((e1 - e2).abs() < 1e-9 * e1.abs(), "{e1} vs {e2}");
         assert!(e1 < 0.0, "exchange energy must be negative");
     }

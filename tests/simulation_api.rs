@@ -162,6 +162,46 @@ fn continuing_a_run_extends_the_time_axis() {
     assert!((second.t[0] - 3.0 * dt).abs() < 1e-12);
 }
 
+/// A hybrid record reads its exchange block from the system's seam (inline
+/// on one rank, a job on the team on two), while `KsSystem::energies`
+/// forms it inline: under the one exchange-energy sum both give the
+/// committed state's energy to the bit.
+#[test]
+fn a_hybrid_records_energy_is_the_inline_total_energy_to_the_bit() {
+    let hybrid = |layout: RankLayout| {
+        KsSystem::builder(silicon_cubic_supercell(1, 1, 1))
+            .ecut(2.0)
+            .xc(XcKind::Pbe)
+            .hybrid(HybridConfig::hse06())
+            .occupations(vec![2.0; 4])
+            .layout(layout)
+            .build()
+            .expect("valid hybrid system")
+    };
+    let gs =
+        scf_loop(&hybrid(RankLayout::new(1, 1)), ScfOptions::default()).expect("SCF converges");
+    let laser = LaserPulse::paper_380nm(0.02, attosecond_to_au(200.0), attosecond_to_au(100.0));
+    for layout in [RankLayout::new(1, 1), RankLayout::new(2, 1)] {
+        let sys = hybrid(layout);
+        let mut sim = SimulationBuilder::new(&sys)
+            .initial_orbitals(gs.orbitals.clone())
+            .laser(laser)
+            .dt(attosecond_to_au(25.0))
+            .steps(2)
+            .build()
+            .unwrap();
+        let series = sim.run().unwrap();
+        let state = sim.state();
+        let inline = sys.install(|| {
+            let rho = sys.density(&state.psi);
+            sys.energies(&state.psi, &rho, laser.a_field(state.t))
+                .total()
+        });
+        let recorded = *series.channel("energy").unwrap().last().unwrap();
+        assert_eq!(recorded.to_bits(), inline.to_bits(), "{layout:?}");
+    }
+}
+
 #[test]
 fn a_diverging_run_stops_before_its_first_non_finite_step() {
     // RK4 far past its stability ceiling blows up within a few steps: the

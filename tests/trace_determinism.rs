@@ -10,17 +10,23 @@
 //!   layout-invariance. (Span timestamps live only in `StepStats.phases`
 //!   and the trace buffer — neither is a bit-compared surface.)
 //! * **Counter exactness.** The counters are operation counts, not
-//!   samples: an ACE stale-window step freezes the projector and runs
-//!   *zero* pair FFTs (see `ace_ptcn_step`), so between refreshes the
-//!   per-step `PairFfts` delta must be exactly the step record's
-//!   exchange energy — N(N+1)/2 solves — and above it on every refresh
-//!   step; `AceRefreshRounds` must be 0 between refreshes and positive on
-//!   every refresh step, where the half step's `HΨ` runs once however
-//!   many rounds there are. On a `ranks > 1` layout the rank engine runs
-//!   one job per exact exchange block `V_X[Φ]Φ` and nothing else: the local
-//!   `HΨ`, the ACE projector apply and the PT residual are driver algebra,
-//!   so `EngineJobs` moves by exactly the step's `h_applications` under
-//!   `Full` and its refresh rounds under ACE.
+//!   samples. Every committed state's exact exchange block `V_X[Ψ]Ψ` is
+//!   made once: the step record reads it from `KsSystem::exchange_block`,
+//!   and the next step's first exact exchange on the same Ψ (the half
+//!   step's `HΨ_n`, or ξ_n on a refresh) is handed that block back. An ACE
+//!   stale-window step freezes the projector and runs *zero* pair FFTs
+//!   (see `ace_ptcn_step`), so between refreshes the per-step `PairFfts`
+//!   delta is exactly the record's block — N(N+1)/2 solves — and on a
+//!   refresh step one block per projector round, plus Ψ_0's on step 1;
+//!   `AceRefreshRounds` must be 0 between refreshes and positive on every
+//!   refresh step, where the half step's `HΨ` runs once however many
+//!   rounds there are. On a `ranks > 1` layout the rank engine runs one
+//!   job per exact exchange block and nothing else: the local `HΨ`, the
+//!   ACE projector apply and the PT residual are driver algebra, so
+//!   `EngineJobs` moves by exactly the step's `h_applications` under
+//!   `Full` (plus Ψ_0's block on step 1), its refresh rounds on an ACE
+//!   refresh step (plus ξ_0 on step 1) and the record's one block on a
+//!   stale step.
 //! * **SCF phase spans.** Each ground-state iteration records one
 //!   `scf_hamiltonian`, `scf_davidson`, `scf_density` and (unless it
 //!   converged) `scf_mix` span, and a traced `scf_loop` returns the
@@ -129,7 +135,10 @@ fn tracing_on_is_bit_identical_to_off_across_the_layout_grid() {
 /// 4 (the slot starts empty; a refresh resets `steps_since_refresh` to 1)
 /// and frozen in between — so on the stale-window steps 2, 3 and 5 the
 /// propagator runs *zero* pair solves and the only ones left are the
-/// record's exchange energy, one per unordered band pair.
+/// record's exchange block, one per unordered band pair. A refresh step
+/// runs one block per round: ξ_n reads the previous record's block, each
+/// later round's ξ_f and the record are computed, and step 1's ξ_0 has
+/// no record before it.
 #[test]
 fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
     let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -192,9 +201,11 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
     for (i, &(pair_ffts, refresh_rounds, h_applications, iterations)) in deltas.iter().enumerate() {
         // 0-based: refresh when i % 3 == 0 (steps 1 and 4), stale otherwise
         if i % 3 == 0 {
-            assert!(
-                pair_ffts > record_solves,
-                "step {}: refresh step must rebuild ξ through pair FFTs",
+            assert_eq!(
+                pair_ffts,
+                (refresh_rounds + u64::from(i == 0)) * record_solves,
+                "step {}: a refresh step runs one exchange block per projector \
+                 round ({refresh_rounds}), plus Ψ_0's on step 1",
                 i + 1
             );
             // round 1 has no previous round to measure a drift against,
@@ -218,7 +229,7 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
                 pair_ffts,
                 record_solves,
                 "step {}: stale-window step ran pair FFTs beyond the record's \
-                 exchange energy — the frozen projector contract is broken",
+                 exchange block — the frozen projector contract is broken",
                 i + 1
             );
             assert_eq!(
@@ -234,10 +245,14 @@ fn ace_stale_window_steps_record_exactly_zero_pair_ffts() {
 /// One engine job per exact exchange block: the 4-band HSE fixture on a
 /// 2 × 1 layout sends the rank team its `V_X[Φ]Φ` blocks and nothing else —
 /// the local `HΨ`, the ACE projector apply and the fixed-point residual run
-/// on the driver. Under `Full` every `HΨ` holds one block, so a step's
-/// `EngineJobs` delta equals its `h_applications`; under
-/// `Ace { refresh_interval: 2 }` a refresh step runs one block per
-/// projector round (ξ_n included) and a stale step none.
+/// on the driver. Under `Full` every `HΨ` holds one block, but the half
+/// step's `HΨ_n` is handed back the block the previous step's record made
+/// for the same Ψ, so a step's `EngineJobs` delta equals its
+/// `h_applications` (the record's block in place of `HΨ_n`'s), plus Ψ_0's
+/// block on step 1. Under `Ace { refresh_interval: 2 }` a refresh step
+/// runs one block per projector round (ξ_n read back, the later rounds'
+/// ξ_f and the record computed; ξ_0 too on step 1) and a stale step the
+/// record's one.
 #[test]
 fn a_ranked_step_runs_one_engine_job_per_exact_exchange_block() {
     let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
@@ -310,9 +325,11 @@ fn a_ranked_step_runs_one_engine_job_per_exact_exchange_block() {
             // Ace{2} refreshes on steps 1 and 3 (0-based 0 and 2)
             let refresh = matches!(mode, ExchangeMode::Ace { .. }) && i % 2 == 0;
             assert_eq!(rounds > 0, refresh, "{mode:?} step {}: rounds", i + 1);
+            let first = u64::from(i == 0);
             let blocks = match mode {
-                ExchangeMode::Full => h_applications as u64,
-                ExchangeMode::Ace { .. } => rounds,
+                ExchangeMode::Full => h_applications as u64 + first,
+                ExchangeMode::Ace { .. } if refresh => rounds + first,
+                ExchangeMode::Ace { .. } => 1,
             };
             assert_eq!(
                 jobs,
