@@ -5,8 +5,9 @@
 //! 3-D FFTs on the wavefunction grid (60×90×120 for the 1536-atom system).
 //! These sizes are 2,3,5-smooth by construction, so the core transform here
 //! is an iterative Stockham autosort FFT: one pass per radix (hard-coded
-//! 2/3/4/5 butterflies, per-pass twiddle tables), batched on every axis of
-//! the 3-D grid (contiguous rows through [`Plan1d::process_rows`],
+//! 2/3/4/5/8/15 butterflies, per-pass twiddle tables; a length of one radix
+//! is one butterfly per line, in place), batched on every axis of the 3-D
+//! grid (contiguous rows through [`Plan1d::process_rows`],
 //! interleaved columns through [`Plan1d::process_strided`]). Arbitrary
 //! sizes fall back to Bluestein's chirp-z algorithm so property tests can
 //! exercise any length. Orbitals — a G-sphere of coefficients on a mostly

@@ -4,7 +4,12 @@
 //! immutable after construction, so one plan can be shared across pool
 //! workers; every call supplies its own scratch.
 //!
-//! Smooth lengths run as an iterative Stockham autosort transform: stage
+//! A smooth length is factored into radices taken greedily in the order
+//! 15, 8, 4, 2, 3, 5 (60 = 15·4, 120 = 15·8, 16 = 8·2, 27 = 3·3·3). A
+//! length of one radix — 2, 3, 4, 5, 8 or 15, every axis of an 8³ or 15³
+//! grid — is one butterfly per sequence, read and written where the
+//! sequence lies, in either layout: no twiddles, no scratch, no copy.
+//! Longer lengths run as an iterative Stockham autosort transform: stage
 //! `i` of radix `r` reads `src`, writes `dst`, and the two buffers swap.
 //! With `m` butterflies left per sequence, `sp` the product of the radices
 //! already done and `c < s0` the sequence, a pass computes
@@ -23,6 +28,13 @@
 //! inner loop fills unit-stride: interleaved, block `p` has lines of all
 //! `s0·sp` pairs `(t, c)`; row-major (`m = 1`), block `c` has lines of all
 //! `sp` values of `t`. [`Reads`] is the matching map into `src`.
+//!
+//! The radix-8 butterfly is two radix-4 butterflies (even and odd inputs)
+//! joined by ω₈ = (1 ∓ i)/√2 and its powers. The radix-15 butterfly is
+//! Good–Thomas, 15 = 3 × 5 with coprime factors, so it needs no twiddles
+//! inside: three radix-5 butterflies on the inputs at `(5·i₁ + 3·i₂) mod
+//! 15` (`i₁ < 3`, `i₂ < 5`), then five radix-3 butterflies across them,
+//! output `(k₁, k₂)` landing at `(10·k₁ + 6·k₂) mod 15`.
 
 use pt_num::c64;
 
@@ -57,18 +69,16 @@ pub fn next_smooth(n: usize) -> usize {
     m
 }
 
-/// Factor `n` into radices drawn from {4, 2, 3, 5} (4 preferred over 2×2 to
-/// halve the number of passes). Returns `None` if a different prime remains.
+/// Factor `n` into radices taken greedily from {15, 8, 4, 2, 3, 5}: the
+/// composite radices first, so a length needs as few passes as it can (one
+/// for every axis of an 8³ or 15³ grid). Returns `None` if a different
+/// prime remains.
 fn factorize_smooth(mut n: usize) -> Option<Vec<usize>> {
     let mut f = Vec::new();
-    while n.is_multiple_of(4) {
-        f.push(4);
-        n /= 4;
-    }
-    for p in [2usize, 3, 5] {
-        while n.is_multiple_of(p) {
-            f.push(p);
-            n /= p;
+    for r in [15usize, 8, 4, 2, 3, 5] {
+        while n.is_multiple_of(r) {
+            f.push(r);
+            n /= r;
         }
     }
     if n == 1 {
@@ -110,6 +120,22 @@ impl Stage {
             3 => pass(self.m, len, tw, src, reads, dst, butterfly3::<INV>),
             4 => pass(self.m, len, tw, src, reads, dst, butterfly4::<INV>),
             5 => pass(self.m, len, tw, src, reads, dst, butterfly5::<INV>),
+            8 => pass(self.m, len, tw, src, reads, dst, butterfly8::<INV>),
+            15 => pass(self.m, len, tw, src, reads, dst, butterfly15::<INV>),
+            r => unreachable!("factorize_smooth never yields radix {r}"),
+        }
+    }
+
+    /// The whole transform of a one-stage length (`m = 1`, so no
+    /// twiddles), on the `s0` sequences `data` holds in layout `ends`.
+    fn in_place<const INV: bool>(&self, data: &mut [c64], s0: usize, ends: Layout) {
+        match self.radix {
+            2 => in_place(data, s0, ends, butterfly2),
+            3 => in_place(data, s0, ends, butterfly3::<INV>),
+            4 => in_place(data, s0, ends, butterfly4::<INV>),
+            5 => in_place(data, s0, ends, butterfly5::<INV>),
+            8 => in_place(data, s0, ends, butterfly8::<INV>),
+            15 => in_place(data, s0, ends, butterfly15::<INV>),
             r => unreachable!("factorize_smooth never yields radix {r}"),
         }
     }
@@ -190,6 +216,83 @@ fn butterfly5<const INV: bool>(a: [c64; 5]) -> [c64; 5] {
     [a[0] + t1 + t2, m1 + n1, m2 + n2, m2 - n2, m1 - n1]
 }
 
+/// `z · ω₈` with ω₈ = (1 ∓ i)/√2, as `(z ∓ i·z)/√2`.
+#[inline(always)]
+fn rot8<const INV: bool>(z: c64) -> c64 {
+    (z + rot::<INV>(z)).scale(std::f64::consts::FRAC_1_SQRT_2)
+}
+
+#[inline(always)]
+fn butterfly8<const INV: bool>(a: [c64; 8]) -> [c64; 8] {
+    let e = butterfly4::<INV>([a[0], a[2], a[4], a[6]]);
+    let o = butterfly4::<INV>([a[1], a[3], a[5], a[7]]);
+    // ω₈^k · o[k]; ω₈² = ∓i and ω₈³ = ∓i·ω₈
+    let o = [
+        o[0],
+        rot8::<INV>(o[1]),
+        rot::<INV>(o[2]),
+        rot::<INV>(rot8::<INV>(o[3])),
+    ];
+    [
+        e[0] + o[0],
+        e[1] + o[1],
+        e[2] + o[2],
+        e[3] + o[3],
+        e[0] - o[0],
+        e[1] - o[1],
+        e[2] - o[2],
+        e[3] - o[3],
+    ]
+}
+
+/// Good–Thomas 3 × 5: with the inputs at `(5·i₁ + 3·i₂) mod 15` and the
+/// outputs at `(10·k₁ + 6·k₂) mod 15`, ω₁₅^{n·k} = ω₃^{i₁·k₁} · ω₅^{i₂·k₂},
+/// so the two factors need no twiddles between them.
+#[inline(always)]
+fn butterfly15<const INV: bool>(a: [c64; 15]) -> [c64; 15] {
+    let rows: [[c64; 5]; 3] = std::array::from_fn(|i1| {
+        butterfly5::<INV>(std::array::from_fn(|i2| a[(5 * i1 + 3 * i2) % 15]))
+    });
+    let mut out = [c64::ZERO; 15];
+    for k2 in 0..5 {
+        let b = butterfly3::<INV>([rows[0][k2], rows[1][k2], rows[2][k2]]);
+        for (k1, v) in b.into_iter().enumerate() {
+            out[(10 * k1 + 6 * k2) % 15] = v;
+        }
+    }
+    out
+}
+
+/// A one-stage transform where the sequences lie: each sequence's `R`
+/// elements go through one butterfly and are written back over
+/// themselves, with no scratch and no copy.
+#[inline(always)]
+fn in_place<const R: usize>(
+    data: &mut [c64],
+    s0: usize,
+    ends: Layout,
+    butterfly: impl Fn([c64; R]) -> [c64; R],
+) {
+    if ends.elem == 1 {
+        // row-major (a lone sequence is both layouts): contiguous sequences
+        for seq in data.chunks_exact_mut(R) {
+            let b = butterfly(std::array::from_fn(|k| seq[k]));
+            seq.copy_from_slice(&b);
+        }
+    } else {
+        // interleaved: line `k` holds element `k` of every sequence
+        let mut lines = data.chunks_exact_mut(s0);
+        let mut lines: [&mut [c64]; R] =
+            std::array::from_fn(|_| lines.next().expect("R lines of s0"));
+        for u in 0..s0 {
+            let b = butterfly(std::array::from_fn(|k| lines[k][u]));
+            for (line, v) in lines.iter_mut().zip(b) {
+                line[u] = v;
+            }
+        }
+    }
+}
+
 /// One pass of radix `R`. Unit-stride reads — every pass but the first and
 /// last of a row-major batch — get a copy of the body with the stride a
 /// constant, so their reads lose the bounds checks as well (15 % of a y or
@@ -248,7 +351,8 @@ fn pass_body<const R: usize, const UNIT: bool>(
 }
 
 enum Kind {
-    /// Stockham passes for 2,3,5-smooth n (none at all for n == 1).
+    /// Stockham passes for 2,3,5-smooth n (none at all for n == 1; one,
+    /// run in place, for a single-radix n).
     Smooth { stages: Vec<Stage> },
     /// Bluestein chirp-z for arbitrary n: embeds the length-n DFT in a
     /// circular convolution of power-of-two length m >= 2n-1.
@@ -326,11 +430,14 @@ impl Plan1d {
     }
 
     /// Scratch length [`Plan1d::process_strided`] / [`Plan1d::process_rows`]
-    /// need for `s0` sequences: the whole `n·s0` block for smooth lengths
-    /// (the Stockham passes ping-pong between data and scratch); Bluestein
-    /// lengths work one sequence at a time in two length-m buffers.
+    /// need for `s0` sequences: none for a length of at most one radix
+    /// (transformed in place), the whole `n·s0` block for longer smooth
+    /// lengths (the Stockham passes ping-pong between data and scratch);
+    /// Bluestein lengths work one sequence at a time in two length-m
+    /// buffers.
     pub fn scratch_len(&self, s0: usize) -> usize {
         match &self.kind {
+            Kind::Smooth { stages } if stages.len() <= 1 => 0,
             Kind::Smooth { .. } => self.n * s0,
             Kind::Bluestein { m, .. } => 2 * m,
         }
@@ -359,7 +466,7 @@ impl Plan1d {
     /// [`Plan1d::process_strided`] for `rows` contiguous sequences laid out
     /// `[rows][n]` (element `j` of sequence `c` at `data[c·n + j]`): same
     /// scratch, same arithmetic per sequence, and the batch shares every
-    /// pass.
+    /// pass. A single-radix length transforms each row where it lies.
     pub fn process_rows(&self, data: &mut [c64], scratch: &mut [c64], rows: usize, dir: Direction) {
         self.run(data, scratch, rows, Layout::row_major(self.n), dir);
     }
@@ -370,6 +477,14 @@ impl Plan1d {
         assert_eq!(data.len(), self.n * s0, "data length mismatch");
         assert!(scratch.len() >= self.scratch_len(s0), "scratch too small");
         match &self.kind {
+            Kind::Smooth { stages } if stages.len() <= 1 => {
+                if let Some(stage) = stages.first() {
+                    match dir {
+                        Direction::Forward => stage.in_place::<false>(data, s0, ends),
+                        Direction::Inverse => stage.in_place::<true>(data, s0, ends),
+                    }
+                }
+            }
             Kind::Smooth { stages } => {
                 let (mut src, mut dst) = (data, &mut scratch[..self.n * s0]);
                 let mut sp = 1;
@@ -457,9 +572,13 @@ mod tests {
     }
 
     #[test]
-    fn factorization_prefers_radix4() {
-        assert_eq!(factorize_smooth(16), Some(vec![4, 4]));
-        assert_eq!(factorize_smooth(60), Some(vec![4, 3, 5]));
+    fn factorization_takes_radix15_then_radix8() {
+        assert_eq!(factorize_smooth(8), Some(vec![8]));
+        assert_eq!(factorize_smooth(15), Some(vec![15]));
+        assert_eq!(factorize_smooth(16), Some(vec![8, 2]));
+        assert_eq!(factorize_smooth(27), Some(vec![3, 3, 3]));
+        assert_eq!(factorize_smooth(60), Some(vec![15, 4]));
+        assert_eq!(factorize_smooth(120), Some(vec![15, 8]));
         assert_eq!(factorize_smooth(7), None);
     }
 }

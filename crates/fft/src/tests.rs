@@ -111,8 +111,9 @@ fn bluestein_lengths_match_naive_dft() {
 
 #[test]
 fn strided_equals_one_sequence_at_a_time() {
-    // smooth with an even and an odd number of passes, and Bluestein
-    for n in [8usize, 15, 24, 60, 7] {
+    // smooth in place (one stage), with two passes and with three (the
+    // result copied back), and Bluestein
+    for n in [8usize, 15, 24, 60, 90, 7] {
         let plan = Plan1d::new(n);
         for s0 in [1usize, 3, 8, 15] {
             let x = random_signal(n * s0, (n * 100 + s0) as u64);
@@ -142,8 +143,8 @@ fn strided_scratch_requirement_is_asserted() {
 
 #[test]
 fn rows_equal_one_sequence_at_a_time() {
-    // every smooth length (one pass: rows in and out of the same pass; odd
-    // and even pass counts) and two Bluestein lengths
+    // every smooth length (one stage: each row in place; odd and even pass
+    // counts) and two Bluestein lengths
     let smooth = (1usize..=128).filter(|&n| next_smooth(n) == n);
     for n in smooth.chain([7, 11]) {
         let plan = Plan1d::new(n);
@@ -158,6 +159,39 @@ fn rows_equal_one_sequence_at_a_time() {
                     transform(&plan, row, dir);
                 }
                 assert_eq!(bits(&batched), bits(&looped), "n={n} rows={rows} {dir:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_stage_lengths_transform_in_place() {
+    // a single-radix length is one butterfly per sequence where the
+    // sequence lies, in either layout: the scratch is never read or written
+    let nan = c64::new(f64::NAN, f64::NAN);
+    for n in [2usize, 3, 4, 5, 8, 15] {
+        let plan = Plan1d::new(n);
+        assert_eq!(plan.scratch_len(15), 0, "n={n}");
+        for s0 in [1usize, 3, 8, 15] {
+            let x = random_signal(n * s0, (n * 1000 + s0) as u64);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut scratch = vec![nan; n * s0];
+                let mut strided = x.clone();
+                plan.process_strided(&mut strided, &mut scratch, s0, dir);
+                let mut rows = x.clone();
+                plan.process_rows(&mut rows, &mut scratch, s0, dir);
+                assert_eq!(bits(&scratch), bits(&vec![nan; n * s0]), "n={n} s0={s0}");
+                for c in 0..s0 {
+                    let column: Vec<c64> = (0..n).map(|j| x[j * s0 + c]).collect();
+                    let row = &x[c * n..][..n];
+                    let got_column: Vec<c64> = (0..n).map(|j| strided[j * s0 + c]).collect();
+                    let got_row = &rows[c * n..][..n];
+                    for (seq, got) in [(&column[..], &got_column[..]), (row, got_row)] {
+                        let scale = seq.iter().map(|z| z.abs()).sum::<f64>();
+                        let err = max_err(got, &naive_dft(seq, dir));
+                        assert!(err < 1e-12 * scale, "n={n} s0={s0} c={c} {dir:?} err={err}");
+                    }
+                }
             }
         }
     }

@@ -23,9 +23,12 @@
 //! of [`crate::SphereMap`]'s module instead, which skip the lines that
 //! carry only zeros.
 //!
-//! Scratch is one grid-sized buffer per thread, grown on that thread's
-//! first transform and reused by every `Fft3` after it: a warm serial
-//! transform allocates nothing.
+//! Scratch is at most one grid-sized buffer per thread, grown on that
+//! thread's first transform and reused by every `Fft3` after it: a warm
+//! serial transform allocates nothing. An axis whose length is one radix
+//! (2, 3, 4, 5, 8 or 15 — every axis of an 8³ or 15³ grid) is transformed
+//! where it lies and asks for no scratch; only a longer axis ping-pongs
+//! through it.
 
 use crate::plan::{Direction, Plan1d};
 use pt_num::{c64, with_scratch};

@@ -20,9 +20,12 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn warm_transforms_allocate_nothing() {
-    // the benchmark's wavefunction (8³) and dense (15³) grids
-    for n in [8usize, 15] {
-        let fft = Fft3::new(n, n, n);
+    // the benchmark's grids: Si-8's wavefunction (8³) and dense (15³) and
+    // Si-16's 15 × 8 × 8, every axis one stage; Si-16's 27 × 15 × 15, a
+    // three-pass x axis beside one-stage y and z axes
+    for (nx, ny, nz) in [(8usize, 8, 8), (15, 15, 15), (15, 8, 8), (27, 15, 15)] {
+        let grid = format!("{nx}×{ny}×{nz}");
+        let fft = Fft3::new(nx, ny, nz);
         let mut data: Vec<c64> = (0..fft.len())
             .map(|i| c64::new(i as f64, -(i as f64)))
             .collect();
@@ -35,7 +38,7 @@ fn warm_transforms_allocate_nothing() {
                 fft.inverse_serial(&mut data);
             }
         });
-        assert_eq!(serial, 0, "{n}³ serial pairs allocated");
+        assert_eq!(serial, 0, "{grid} serial pairs allocated");
 
         let pool = pt_par::ThreadPool::new(1);
         pool.install(|| {
@@ -50,13 +53,15 @@ fn warm_transforms_allocate_nothing() {
                 }
             })
         });
-        assert_eq!(pooled, 0, "{n}³ pairs on a 1-thread pool allocated");
+        assert_eq!(pooled, 0, "{grid} pairs on a 1-thread pool allocated");
 
         // a quarter-width box of coefficients around G = 0, as a sphere
         // sits on its grid; stage blocks come out of the same scratch
-        let near_zero = |i: usize| i <= n / 4 || i >= n - n / 4;
+        let near_zero = |i: usize, n: usize| i <= n / 4 || i >= n - n / 4;
         let index: Vec<usize> = (0..fft.len())
-            .filter(|i| near_zero(i % n) && near_zero(i / n % n) && near_zero(i / (n * n)))
+            .filter(|i| {
+                near_zero(i % nx, nx) && near_zero(i / nx % ny, ny) && near_zero(i / (nx * ny), nz)
+            })
             .collect();
         let map = fft.sphere_map(&index);
         let mut coeffs = vec![c64::ONE; index.len()];
@@ -71,6 +76,6 @@ fn warm_transforms_allocate_nothing() {
                     .for_each(|c| *c = c.scale(1.0 / fft.len() as f64));
             }
         });
-        assert_eq!(limited, 0, "{n}³ sphere-limited pairs allocated");
+        assert_eq!(limited, 0, "{grid} sphere-limited pairs allocated");
     }
 }
