@@ -38,7 +38,7 @@ REMOVED = [
      "Persistent rank engine"),
     ("pt-serve duplicate",
      r"filter_map\(Json::as_f64\)|fn (json_num|json_str|stats_samples|absorb_series|rehydrate_progress)\b",
-     SRC, r"^crates/analyze/src/report\.rs:",
+     SRC, None,
      "Job server"),
     ("Layer-B crate, binary or example",
      r"\b(pt-summit|pt_summit|pt-bench|pt_bench|val_timestep|summit_scaling)\b",
@@ -93,6 +93,9 @@ REMOVED = [
     ("step record's private exchange path and second exchange-energy formula",
      r"fn energy\(&self, grids|sys\.energies\(", "crates/ham/src/fock.rs crates/core/src", None,
      "Exchange modes: Full and ACE"),
+    ("hand-rolled lint crate",
+     r"pt[-_]analyze|crates/analyze", SRC + " Cargo.toml Cargo.lock .claude DESIGN.md", None,
+     "Static analysis & invariants"),
 ]
 
 

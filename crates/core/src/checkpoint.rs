@@ -430,10 +430,13 @@ fn write_series(w: &mut SnapshotWriter, s: &TimeSeries) -> Result<(), PtError> {
     let names = s.channel_names();
     w.put_str("series/channels", &names.join("\n"))?;
     for name in names {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: name came from channel_names()"
+        )]
         w.put_f64s(
             &format!("series/ch/{name}"),
-            s.channel(name)
-                .expect("invariant: name came from channel_names()"),
+            s.channel(name).expect("invariant"),
         )?;
     }
     Ok(())

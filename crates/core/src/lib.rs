@@ -54,6 +54,11 @@
 //! semantics"). A snapshot holds what the next
 //! step of a resumed run reads — ψ, the clock, the laser, the options, the
 //! ACE projector, the series — and nothing a resume recomputes.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod anderson_c;
 pub mod checkpoint;

@@ -27,6 +27,7 @@
 //! [`Fft3::inverse`] applies the conjugate transform and divides by N once,
 //! so `inverse(forward(x)) == x`; a bare [`Plan1d`] and
 //! [`Fft3::inverse_unscaled_serial`] leave the division to the caller.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod plan;
 mod sphere;

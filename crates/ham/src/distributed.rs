@@ -122,9 +122,13 @@ fn deal(dist: BandDistribution) -> Vec<(ExchangeTile, usize)> {
         .into_iter()
         .map(|tile| {
             // min_by_key keeps the first minimum: the lowest rank on ties
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a band distribution has a rank"
+            )]
             let r = (0..dist.n_ranks)
                 .min_by_key(|&r| load[r])
-                .expect("invariant: a band distribution has a rank");
+                .expect("invariant");
             load[r] += tile.solves();
             (tile, r)
         })
@@ -268,13 +272,17 @@ impl OwnedPartials {
     }
 
     /// The rank whose tile makes `p_chunk(band)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: every pair of chunks has a tile"
+    )]
     fn source(&self, chunk: usize, band: usize) -> usize {
         let own = self.chunks.of(band);
         let key = (chunk.min(own), chunk.max(own));
         self.tile_rank
             .iter()
             .find_map(|&(chunks, r)| (chunks == key).then_some(r))
-            .expect("invariant: every pair of chunks has a tile")
+            .expect("invariant")
     }
 
     /// Fold onto `band` (owned here) the partials other ranks send it,

@@ -412,6 +412,10 @@ impl<'a> PairTerm<'a> {
         mut emit: impl FnMut(usize, usize, &[c64]),
     ) {
         let nw = self.grids.n_wfc();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an integer count: usize addition is exact in any order"
+        )]
         let solves = tiles.iter().map(ExchangeTile::solves).sum::<usize>();
         pt_trace::counter_add(pt_trace::Counter::PairFfts, solves as u64);
         let Some(stride) = tiles.iter().map(|t| t.partials().count() * nw).max() else {

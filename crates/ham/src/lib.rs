@@ -25,6 +25,11 @@
 //! the one layout-aware exact exchange entry point: `W = V_X[Φ]Φ` inline
 //! for one rank, one job on the team (Alg. 2's broadcasts plus the dealt
 //! pair tiles of [`distributed_fock_apply`]) for more, with the same bits.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod ace;
 mod density;

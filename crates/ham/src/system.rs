@@ -15,7 +15,7 @@ use pt_num::{c64, complex::zdotc};
 use pt_par::{RankLayout, ThreadPool};
 use pt_pseudo::{LocalPotential, NonlocalPs};
 use pt_xc::{XcGridEvaluator, XcKind};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, PoisonError};
 
 /// Hybrid-functional configuration (HSE06-like: α = 0.25, ω = 0.11).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -156,10 +156,18 @@ pub struct KsSystem {
     /// inherit the surrounding pool / `PT_NUM_THREADS`).
     pool: Option<Arc<ThreadPool>>,
     /// The rank team of a `ranks > 1` layout, spawned lazily.
-    team: Mutex<Option<RankEngine>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locked only in exchange_block, on the calling thread, never from a pt-par task"
+    )]
+    team: std::sync::Mutex<Option<RankEngine>>,
     /// `(Φ, V_X[Φ]Φ)` of the last block [`KsSystem::exchange_block`] made,
     /// keyed by Φ alone: it assumes `hybrid` and `kernel` are not edited.
-    memo: Mutex<Option<(CMat, CMat)>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "locked only in exchange_block, on the calling thread, never from a pt-par task"
+    )]
+    memo: std::sync::Mutex<Option<(CMat, CMat)>>,
     layout: Option<RankLayout>,
     exchange_mode: ExchangeMode,
 }
@@ -366,8 +374,8 @@ impl KsSystemBuilder {
             // a layout's cores are the pool the job computes on, not
             // whatever pool happens to surround the caller
             pool: self.layout.map(|l| Arc::new(ThreadPool::new(l.cores()))),
-            team: Mutex::new(None),
-            memo: Mutex::new(None),
+            team: Default::default(),
+            memo: Default::default(),
             layout: self.layout,
             exchange_mode: self.exchange_mode,
         })

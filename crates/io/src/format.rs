@@ -228,14 +228,16 @@ impl<'a> Cursor<'a> {
         self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
     }
 
+    #[expect(clippy::expect_used, reason = "invariant: take(4) is 4 bytes")]
     fn u32(&mut self) -> Option<u32> {
         self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("invariant: take(4) is 4 bytes")))
+            .map(|b| u32::from_le_bytes(b.try_into().expect("invariant")))
     }
 
+    #[expect(clippy::expect_used, reason = "invariant: take(8) is 8 bytes")]
     fn u64(&mut self) -> Option<u64> {
         self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("invariant: take(8) is 8 bytes")))
+            .map(|b| u64::from_le_bytes(b.try_into().expect("invariant")))
     }
 }
 
@@ -261,23 +263,27 @@ impl SnapshotFile {
             return Err(format_err(path, "bad magic (not a pt-io snapshot)"));
         }
         let mut cur = Cursor { bytes, pos: 8 };
-        let version = cur
-            .u32()
-            .expect("invariant: bytes.len() >= HEADER_LEN was checked above");
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: bytes.len() >= HEADER_LEN was checked above"
+        )]
+        let version = cur.u32().expect("invariant");
         if version != FORMAT_VERSION {
             return Err(format_err(
                 path,
                 format!("format version {version} (this build reads {FORMAT_VERSION})"),
             ));
         }
-        let n_sections = cur
-            .u32()
-            .expect("invariant: bytes.len() >= HEADER_LEN was checked above")
-            as usize;
-        let table_offset = cur
-            .u64()
-            .expect("invariant: bytes.len() >= HEADER_LEN was checked above")
-            as usize;
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: bytes.len() >= HEADER_LEN was checked above"
+        )]
+        let n_sections = cur.u32().expect("invariant") as usize;
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: bytes.len() >= HEADER_LEN was checked above"
+        )]
+        let table_offset = cur.u64().expect("invariant") as usize;
         if table_offset < HEADER_LEN || table_offset > bytes.len() {
             return Err(format_err(
                 path,
@@ -390,6 +396,7 @@ impl SnapshotFile {
     }
 
     /// A `u64` array section.
+    #[expect(clippy::expect_used, reason = "invariant: chunks_exact(8)")]
     pub fn u64s(&self, name: &str) -> Result<Vec<u64>, PtError> {
         let s = self.section(name, Kind::U64s)?;
         if s.payload.len() % 8 != 0 {
@@ -403,11 +410,12 @@ impl SnapshotFile {
         }
         Ok(s.payload
             .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("invariant: chunks_exact(8)")))
+            .map(|b| u64::from_le_bytes(b.try_into().expect("invariant")))
             .collect())
     }
 
     /// An `f64` array section (exact bits).
+    #[expect(clippy::expect_used, reason = "invariant: chunks_exact(8)")]
     pub fn f64s(&self, name: &str) -> Result<Vec<f64>, PtError> {
         let s = self.section(name, Kind::F64s)?;
         if s.payload.len() % 8 != 0 {
@@ -421,11 +429,7 @@ impl SnapshotFile {
         }
         Ok(s.payload
             .chunks_exact(8)
-            .map(|b| {
-                f64::from_bits(u64::from_le_bytes(
-                    b.try_into().expect("invariant: chunks_exact(8)"),
-                ))
-            })
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("invariant"))))
             .collect())
     }
 
@@ -469,16 +473,10 @@ impl SnapshotFile {
         };
         let mut data = Vec::with_capacity(n);
         for pair in s.payload[16..].chunks_exact(16) {
-            let re = f64::from_bits(u64::from_le_bytes(
-                pair[..8]
-                    .try_into()
-                    .expect("invariant: 16-byte chunk halves"),
-            ));
-            let im = f64::from_bits(u64::from_le_bytes(
-                pair[8..]
-                    .try_into()
-                    .expect("invariant: 16-byte chunk halves"),
-            ));
+            #[expect(clippy::expect_used, reason = "invariant: 16-byte chunk halves")]
+            let re = f64::from_bits(u64::from_le_bytes(pair[..8].try_into().expect("invariant")));
+            #[expect(clippy::expect_used, reason = "invariant: 16-byte chunk halves")]
+            let im = f64::from_bits(u64::from_le_bytes(pair[8..].try_into().expect("invariant")));
             data.push(c64::new(re, im));
         }
         Ok(CMat::from_vec(nrows, ncols, data))

@@ -357,9 +357,13 @@ impl Parser<'_> {
                     while self.peek().is_some_and(|c| c & 0xC0 == 0x80) {
                         self.pos += 1;
                     }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect(
-                        "invariant: bytes come from a &str, so char spans are valid UTF-8",
-                    ));
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: bytes come from a &str, so char spans are valid UTF-8"
+                    )]
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos]).expect("invariant"),
+                    );
                 }
                 b if b < 0x20 => return Err(self.err("raw control character in string")),
                 b => out.push(b as char),
@@ -390,8 +394,8 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("invariant: number spans are ASCII only");
+        #[expect(clippy::expect_used, reason = "invariant: number spans are ASCII only")]
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("invariant");
         match text.parse::<f64>() {
             Ok(x) if x.is_finite() => Ok(Json::Num(x)),
             _ => Err(self.err(&format!("invalid number '{text}'"))),

@@ -26,6 +26,11 @@
 //! format & resume semantics"), and defended by round-trip, truncation and
 //! corruption tests — every malformed input surfaces as a typed
 //! [`pt_ham::PtError`], never a panic.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod crc32;
 pub mod export;

@@ -8,6 +8,7 @@
 //! the paper's 60×90×120 wavefunction grid for the 1536-atom cell at
 //! E_cut = 10 Ha exactly — and the Ewald ion–ion energy needed for total
 //! energies.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod cell;
 mod ewald;

@@ -15,6 +15,7 @@
 //! [`Anderson`] is the one Anderson history, fit and update, shared by the
 //! SCF's density mixing (`f64`) and the PT-CN step's per-band mixing
 //! (`c64`); it is [`lstsq`]'s only caller.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod anderson;
 mod eig;

@@ -5,8 +5,7 @@
 
 use crate::stats::CommStats;
 use pt_num::c64;
-// pt-analyze: allow(nondeterministic-iteration) — HashMap is keyed-lookup-only here (the Comm stash below); it is never iterated
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::panic_any;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -82,8 +81,11 @@ pub struct Comm {
     senders: Vec<Sender<Envelope>>,
     receiver: Receiver<Envelope>,
     /// out-of-order message stash (FIFO per (src, tag) key)
-    // pt-analyze: allow(nondeterministic-iteration) — accessed only by exact (src, tag) key (entry/get_mut/remove); no code path iterates the map, so its order can't leak into results
-    stash: HashMap<(usize, u64), VecDeque<Payload>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "accessed only by exact (src, tag) key (entry/get_mut/remove); no code path iterates the map, so its order can't leak into results"
+    )]
+    stash: std::collections::HashMap<(usize, u64), VecDeque<Payload>>,
     stats: Arc<CommStats>,
     /// Armed by [`Comm::fail_after_sends`]: point-to-point sends still to
     /// go out, and the panic message that replaces the next one.
@@ -105,7 +107,7 @@ impl Comm {
             size,
             senders,
             receiver,
-            stash: HashMap::new(), // pt-analyze: allow(nondeterministic-iteration) — construction of the keyed-lookup-only stash above
+            stash: Default::default(),
             stats,
             fault: None,
         }

@@ -262,7 +262,10 @@ impl Drop for RankEngine {
 /// The parked rank loop: build the pinned pool once, then serve jobs
 /// until shutdown. A panicking job poisons the peers, reports the
 /// original payload through the fan-in, and ends this rank for good.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a rank's world wiring, moved in once at spawn: grouping it would only rename it"
+)]
 fn rank_main(
     rank: usize,
     np: usize,

@@ -23,6 +23,7 @@
 //! the communication pattern of the paper's Alg. 2, and the per-class
 //! byte counters let tests verify its communication-volume formula
 //! (N_p·N_G·N_e).
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod comm;
 mod engine;

@@ -11,7 +11,10 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Double-precision complex number (the workhorse scalar).
-#[allow(non_camel_case_types)]
+#[allow(
+    non_camel_case_types,
+    reason = "lowercase like the primitive f64 it is made of"
+)]
 #[derive(Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct c64 {
@@ -203,7 +206,10 @@ impl Mul for c64 {
 impl Div for c64 {
     type Output = c64;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z / w computed as z * w^{-1}
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "z / w computed as z * w^{-1}"
+    )]
     fn div(self, o: c64) -> c64 {
         self * o.inv()
     }

@@ -11,6 +11,7 @@
 //!
 //! Everything downstream (FFT, linear algebra, Hamiltonian) is written
 //! against these types, so this crate is dependency-free.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod complex;
 mod counting;

@@ -10,8 +10,8 @@
 //! residual's ascending fold of its fixed-chunk overlap partials) is
 //! tested to reproduce or document deviations from.
 //!
-//! `pt-analyze`'s `float-fold-order` lint rejects raw iterator
-//! `sum`/`fold` in numeric crates; call sites route through here (or
+//! The numeric crates' `clippy.toml` disallows raw iterator
+//! `sum`/`fold`/`product`; call sites route through here (or
 //! through `pt_par::parallel_reduce`) instead, so a future "optimize the
 //! loop" edit cannot silently reorder a reduction.
 
@@ -21,17 +21,23 @@ use crate::complex::c64;
 ///
 /// Bit-identical to `Iterator::sum::<f64>()` — the point is the explicit
 /// name, not a different algorithm.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this IS the canonical left-linear reference fold the rule points call sites at"
+)]
 #[inline]
 pub fn sum_f64(it: impl IntoIterator<Item = f64>) -> f64 {
-    // pt-analyze: allow(float-fold-order) — this IS the canonical left-linear reference fold the lint points call sites at
     it.into_iter().fold(0.0, |a, b| a + b)
 }
 
 /// Left-linear complex sum in iteration order (the `Sum for c64` impl
 /// delegates here).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this IS the canonical left-linear reference fold the rule points call sites at"
+)]
 #[inline]
 pub fn sum_c64(it: impl IntoIterator<Item = c64>) -> c64 {
-    // pt-analyze: allow(float-fold-order) — this IS the canonical left-linear reference fold the lint points call sites at
     it.into_iter().fold(c64::ZERO, |a, b| a + b)
 }
 
@@ -41,9 +47,12 @@ pub fn sum_c64(it: impl IntoIterator<Item = c64>) -> c64 {
 /// non-finite iterate must not read as converged, and `f64::max` alone
 /// would drop the NaN in favour of the other slot. Any NaN wins in any
 /// order, and on NaN-free input this is exactly `fold(0.0, f64::max)`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "canonical fixed-order max; order-insensitive, NaN propagates from any slot"
+)]
 #[inline]
 pub fn max_f64(it: impl IntoIterator<Item = f64>) -> f64 {
-    // pt-analyze: allow(float-fold-order) — canonical fixed-order max; order-insensitive, NaN propagates from any slot
     it.into_iter().fold(0.0, |a, b| {
         if a.is_nan() || b.is_nan() {
             f64::NAN
@@ -54,9 +63,12 @@ pub fn max_f64(it: impl IntoIterator<Item = f64>) -> f64 {
 }
 
 /// Min over the iterator, seeded at `+∞`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "canonical fixed-order min; f64::min is order-insensitive except for NaN, pinned here"
+)]
 #[inline]
 pub fn min_f64(it: impl IntoIterator<Item = f64>) -> f64 {
-    // pt-analyze: allow(float-fold-order) — canonical fixed-order min; f64::min is order-insensitive except for NaN, pinned here
     it.into_iter().fold(f64::INFINITY, f64::min)
 }
 

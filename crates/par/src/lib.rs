@@ -27,6 +27,7 @@
 //! * [`RankLayout`] is a run's one layout value, set through
 //!   `KsSystemBuilder::layout`: the system computes on a dedicated
 //!   `layout.cores()`-wide pool (unset: the surrounding pool).
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod ops;
 mod pool;

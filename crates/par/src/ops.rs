@@ -72,7 +72,13 @@ pub fn parallel_chunks_mut<T: Send>(
 }
 
 /// Compute `f(i)` for every `i in 0..n` in parallel, returning the results
-/// in index order.
+/// in index order. `f` runs on many workers at once, so it is `Fn + Sync`
+/// and cannot write what it captures:
+///
+/// ```compile_fail,E0594
+/// let mut total = 0;
+/// pt_par::parallel_map(4, |i| total += i);
+/// ```
 pub fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let mut out: Vec<MaybeUninit<T>> = Vec::with_capacity(n);
     // SAFETY: MaybeUninit needs no initialization.
@@ -96,6 +102,14 @@ pub fn parallel_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> 
 /// indices in order (`acc = fold(acc, i)` from `identity()`), then the
 /// per-chunk accumulators are combined by a fixed pairwise tree over the
 /// chunk order. The result depends only on `n` — never on thread count.
+/// Accumulate through `fold`'s return value: the closures are `Fn + Sync`,
+/// so a captured field cannot be assigned from them:
+///
+/// ```compile_fail,E0594
+/// struct Cell { value: usize }
+/// let mut shared = Cell { value: 0 };
+/// pt_par::parallel_reduce(4, || 0, |acc, i| { shared.value = i; acc + i }, |a, b| a + b);
+/// ```
 pub fn parallel_reduce<T: Send>(
     n: usize,
     identity: impl Fn() -> T + Sync,
@@ -106,7 +120,10 @@ pub fn parallel_reduce<T: Send>(
     if k == 0 {
         return identity();
     }
-    // pt-analyze: allow(float-fold-order) — this IS the deterministic reduction machinery: per-chunk in-order folds whose chunking depends only on n, combined by the fixed pairwise tree below
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this IS the deterministic reduction machinery: per-chunk in-order folds whose chunking depends only on n, combined by the fixed pairwise tree below"
+    )]
     let partials = parallel_map(k, |c| chunk_range(n, k, c).fold(identity(), &fold));
     tree_combine(partials, combine)
 }

@@ -22,6 +22,7 @@
 //! transparent, testable model that reproduces shapes (who wins, by what
 //! factor, where scaling stalls) rather than pretending to re-measure
 //! Summit.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod artifacts;
 mod machine;

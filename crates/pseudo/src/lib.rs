@@ -17,6 +17,7 @@
 //! * **real space** sparse projectors (Wang, PRB 64, 201107 (2001)) — the
 //!   paper stores all nonlocal projectors on every processor (~432 MB for
 //!   1536 atoms) and applies them with zero communication.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod gth;
 mod local;

@@ -139,7 +139,10 @@ pub fn lowest_eigenpairs(h: &Hamiltonian, x: &mut CMat, opts: DavidsonOptions) -
         // residuals R = HX − Xλ, preconditioned expansion W
         let mut wblk = CMat::zeros(ng, nb);
         resid = 0.0f64;
-        #[allow(clippy::needless_range_loop)] // j indexes x, hx, evals and wblk together
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "j indexes x, hx, evals and wblk together"
+        )]
         for j in 0..nb {
             // band kinetic energy for the Teter scale, floored so that
             // near-zero-kinetic bands (the G = 0 state) are not crushed
@@ -290,7 +293,10 @@ mod tests {
         // exact: sphere g2 sorted ascending; lowest nb values of ½|G|²
         let mut kin: Vec<f64> = h.grids.sphere.g2.iter().map(|g| 0.5 * g).collect();
         kin.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        #[allow(clippy::needless_range_loop)] // j indexes eigenvalues and kin together
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "j indexes eigenvalues and kin together"
+        )]
         for j in 0..nb {
             assert!(
                 (r.eigenvalues[j] - kin[j]).abs() < 1e-7,

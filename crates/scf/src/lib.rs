@@ -14,6 +14,7 @@
 //!   orbitals become the exchange operator's defining orbitals Φ, then one
 //!   solve with Φ frozen. Φ is not refreshed afterwards (ACE is an optional
 //!   compression of this operator, see `pt-core`'s ablation).
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod davidson;
 mod driver;

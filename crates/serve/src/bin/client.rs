@@ -10,6 +10,11 @@
 //! pt-serve-client RUN fetch JOB            print the result table JSON
 //! pt-serve-client RUN shutdown             drain jobs, then stop
 //! ```
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use pt_ham::PtError;
 use pt_serve::{Client, JobSpec};

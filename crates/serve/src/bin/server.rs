@@ -10,6 +10,11 @@
 //! `metrics.json` into its job directory and `stats` frames carry live
 //! counter values. Tracing never perturbs results — series stay
 //! bit-identical with it on or off.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use pt_serve::{start, ServerConfig};
 use std::process::ExitCode;

@@ -30,6 +30,11 @@
 //!
 //! See `DESIGN.md` ("Job server: protocol, scheduling, durability") for
 //! the wire format and the job state machine.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod client;
 mod hub;

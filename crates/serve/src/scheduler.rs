@@ -146,10 +146,11 @@ impl CorePackingScheduler {
                 .map(|i| i + 1);
             match slot {
                 Some(i) => {
-                    let (id, cores) = self
-                        .queue
-                        .remove(i)
-                        .expect("invariant: position() returned an in-bounds index");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: position() returned an in-bounds index"
+                    )]
+                    let (id, cores) = self.queue.remove(i).expect("invariant");
                     self.in_use += cores;
                     self.backfills_past_head += 1;
                     started.push((id, cores));

@@ -246,10 +246,16 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, PtError> {
     kick(&shared);
 
     let pump_shared = shared.clone();
-    // pt-analyze: allow(raw-thread-spawn) — event-pump infrastructure thread: drains the mpsc fan-in, touches no numeric state; compute stays on pt-par/pt-mpi inside runners
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "event-pump infrastructure thread: drains the mpsc fan-in, touches no numeric state; compute stays on pt-par/pt-mpi inside runners"
+    )]
     let pump_join = std::thread::spawn(move || pump(&pump_shared, &rx));
     let listen_shared = shared.clone();
-    // pt-analyze: allow(raw-thread-spawn) — TCP accept-loop infrastructure thread; blocks on the listener, runs no simulation code
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TCP accept-loop infrastructure thread; blocks on the listener, runs no simulation code"
+    )]
     let listener_join = std::thread::spawn(move || {
         for conn in listener.incoming() {
             if listen_shared.stop.load(Ordering::Acquire) {
@@ -259,7 +265,10 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, PtError> {
             // as in `Client::connect`: small frames, never coalesced
             let _ = stream.set_nodelay(true);
             let conn_shared = listen_shared.clone();
-            // pt-analyze: allow(raw-thread-spawn) — one IO thread per client connection (blocking protocol reads); determinism contract is untouched, job compute happens in runners
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "one IO thread per client connection (blocking protocol reads); determinism contract is untouched, job compute happens in runners"
+            )]
             std::thread::spawn(move || handle_conn(&conn_shared, stream));
         }
     });
@@ -303,10 +312,14 @@ fn recover_jobs(jobs_dir: &Path, state: &mut ServerState) {
                 // keep the slot visible: the directory exists, so the job
                 // existed — surfacing "failed: unreadable spec" beats
                 // resurrecting nothing
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: the placeholder spec literal is valid JSON"
+                )]
                 let mut spec = JobSpec::from_json(
                     r#"{"name":"<unreadable>","system":{"ecut":1.0},"dt_as":1.0,"steps":1}"#,
                 )
-                .expect("invariant: the placeholder spec literal is valid JSON");
+                .expect("invariant");
                 spec.name = format!("job_{id:08}");
                 let mut record = JobRecord::queued(id, spec, dir);
                 record.state = JobState::Failed;
@@ -376,7 +389,10 @@ fn kick(shared: &Arc<Shared>) {
 fn spawn_runner(shared: &Arc<Shared>, id: u64) {
     let runner_shared = shared.clone();
     let tx = shared.events.clone();
-    // pt-analyze: allow(raw-thread-spawn) — per-job supervisor thread (catch_unwind boundary); the simulation inside it draws all compute threads from its pinned pt-par/pt-mpi layout
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-job supervisor thread (catch_unwind boundary); the simulation inside it draws all compute threads from its pinned pt-par/pt-mpi layout"
+    )]
     let handle = std::thread::spawn(move || {
         let dir = {
             let st = runner_shared.lock_state();
@@ -714,10 +730,11 @@ fn handle_cancel(shared: &Arc<Shared>, msg: &Json) -> Result<Json, PtError> {
         match before {
             JobState::Queued => {
                 st.scheduler.withdraw(id);
-                let j = st
-                    .jobs
-                    .get_mut(&id)
-                    .expect("invariant: presence of id was checked above");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: presence of id was checked above"
+                )]
+                let j = st.jobs.get_mut(&id).expect("invariant");
                 j.state = JobState::Cancelled;
                 (JobState::Cancelled, Some(j.dir.clone()))
             }

@@ -71,7 +71,10 @@ fn hybrid_spec(name: &str, steps: usize) -> JobSpec {
 /// Start the real server binary on `run_dir` and wait for its
 /// `LISTENING <addr>` line. The test waits (or SIGKILLs then waits)
 /// every child it spawns.
-#[allow(clippy::zombie_processes)]
+#[allow(
+    clippy::zombie_processes,
+    reason = "the caller waits on (or SIGKILLs then waits on) the child it returns"
+)]
 fn spawn_server(run_dir: &Path, budget: usize) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pt-serve-server"))
         .arg(run_dir)

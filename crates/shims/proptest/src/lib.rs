@@ -7,6 +7,7 @@
 //! `prop_assert_eq!`. Each property runs over `N` deterministic
 //! xorshift-sampled cases (default 64) — no shrinking, no persistence, but
 //! the same "run the body over many sampled inputs" semantics.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 /// Run-count configuration (mirrors `proptest::test_runner::ProptestConfig`).
 #[derive(Clone, Copy, Debug)]

@@ -12,12 +12,11 @@
 //!   Bits produced by an instrumented run are identical armed vs disarmed
 //!   (pinned by `tests/trace_determinism.rs`).
 //! - **All timestamping lives here.** Kernel crates never touch
-//!   `std::time` themselves — they take a [`Span`] from this crate. That
-//!   keeps the `wallclock-in-kernel` lint contract intact via a single
-//!   crate-scoped carve-out (see `pt-analyze`) instead of scattered
-//!   pragmas. Trace output is observational only: nothing recorded here
-//!   may flow back into bit-compared state (series tables, checkpoints,
-//!   streaming samples).
+//!   `std::time` themselves — they take a [`Span`] from this crate. Their
+//!   `clippy.toml` files disallow the clock; this crate reads the root
+//!   one, which does not. Trace output is observational only: nothing
+//!   recorded here may flow back into bit-compared state (series tables,
+//!   checkpoints, streaming samples).
 //! - **Thread-aware.** Worker threads (pt-par pools, engine rank threads)
 //!   call [`register_thread`] once; spans then carry a stable small tid so
 //!   nested regions from different workers render as separate lanes in a
@@ -28,6 +27,7 @@
 //! stale-window step records zero [`Counter::PairFfts`]). Exporters work
 //! from a [`Mark`]: take one before a job, then [`chrome_trace_since`] /
 //! [`counters_since`] deliver only that job's events and counter deltas.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -258,7 +258,10 @@ impl Counter {
     }
 }
 
-#[allow(clippy::declare_interior_mutable_const)] // const is the array INIT pattern
+#[allow(
+    clippy::declare_interior_mutable_const,
+    reason = "const is the array INIT pattern"
+)]
 const COUNTER_ZERO: AtomicU64 = AtomicU64::new(0);
 static COUNTER_CELLS: [AtomicU64; N_COUNTERS] = [COUNTER_ZERO; N_COUNTERS];
 

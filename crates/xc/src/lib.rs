@@ -13,6 +13,7 @@
 //! that used to stand in for the PBE chain survive as test oracles only:
 //! they pin the closed forms, and the closed forms in turn are free of the
 //! stencils' round-off floor where `∂f/∂σ` is small.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod functional;
 mod grid;

@@ -81,6 +81,7 @@
 //!
 //! See `examples/quickstart.rs` for the five-minute tour and `DESIGN.md`
 //! for the system inventory.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub use pt_core as core;
 pub use pt_fft as fft;
