@@ -23,22 +23,30 @@ pub(crate) const CHANNELS: [&str; 9] = [
     "orthonormality_error",
 ];
 
+/// One step's record: a value per channel of [`CHANNELS`], in its order.
+pub(crate) type Record = [(&'static str, f64); 9];
+
 /// One step's record, paired with [`CHANNELS`]: the total energy, the
 /// current density, the electron count `∫ρ`, the electronic dipole moment
 /// `∫ r ρ(r) dr` (lever arms from [`grid_coords`]) and `max |Ψ*Ψ − I|`,
-/// all from one density of `psi`. A hybrid's exchange energy reads the
+/// all from one density of `psi` — `rho` when the step hands it over (it
+/// must be `sys.density(psi)`), else built here — and one potential build
+/// of it, whose `v_total` is returned beside the record for the next
+/// step's first `HΨ` on this Ψ. A hybrid's exchange energy reads the
 /// block `V_X[Ψ]Ψ` from [`KsSystem::exchange_block`], which hands the same
 /// block to the next step's first exact exchange on this Ψ.
 pub(crate) fn step_record(
     sys: &KsSystem,
     psi: &CMat,
+    rho: Option<Vec<f64>>,
     a_field: [f64; 3],
     coords: &[[f64; 3]],
-) -> Result<[(&'static str, f64); 9], PtError> {
+) -> Result<(Record, Vec<f64>), PtError> {
     let g = &sys.grids;
-    let rho = sys.density(psi);
+    let rho = rho.unwrap_or_else(|| sys.density(psi));
     let w = sys.hybrid.map(|_| sys.exchange_block(psi)).transpose()?;
-    let energy = sys.energies_with(psi, &rho, w.as_ref(), a_field).total();
+    let pots = sys.potentials(&rho);
+    let energy = sys.energies_with(psi, &pots, w.as_ref(), a_field).total();
     let j = current_density(sys, psi, a_field);
     let dv = g.volume / g.n_dense() as f64;
     let mut d = [0.0f64; 3];
@@ -58,7 +66,10 @@ pub(crate) fn step_record(
         d[2],
         orthonormality_error(psi),
     ];
-    Ok(std::array::from_fn(|k| (CHANNELS[k], values[k])))
+    Ok((
+        std::array::from_fn(|k| (CHANNELS[k], values[k])),
+        pots.v_total,
+    ))
 }
 
 /// Cartesian coordinates of every dense-grid point, x fastest (the grid

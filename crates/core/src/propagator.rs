@@ -130,9 +130,27 @@ impl Propagator {
         state: &mut TdState,
         dt: f64,
     ) -> Result<StepStats, PtError> {
+        self.step_carried(sys, laser, state, dt, None)
+            .map(|(stats, _)| stats)
+    }
+
+    /// [`Propagator::step`] with a run's hand-over across the record: `v_n`
+    /// is `v_total[ρ(Ψ_n)]` of `state.psi`, built by the record of the step
+    /// that committed it, for the first `HΨ` on Ψ_n; the step hands back
+    /// ρ(Ψ_{n+1}) of the Ψ it commits when it computed that density
+    /// itself. Both are runtime values of one run, never snapshotted, and
+    /// the same bits a fresh build gives.
+    pub(crate) fn step_carried(
+        &mut self,
+        sys: &KsSystem,
+        laser: Option<&LaserPulse>,
+        state: &mut TdState,
+        dt: f64,
+        v_n: Option<Vec<f64>>,
+    ) -> Result<(StepStats, Option<Vec<f64>>), PtError> {
         match self {
-            Propagator::PtCn(p) => p.step(sys, laser, state, dt),
-            Propagator::Rk4 => rk4_step(sys, laser, state, dt),
+            Propagator::PtCn(p) => p.step_carried(sys, laser, state, dt, v_n),
+            Propagator::Rk4 => rk4_step(sys, laser, state, dt, v_n).map(|stats| (stats, None)),
         }
     }
 }
@@ -242,22 +260,38 @@ impl PtCnPropagator {
         state: &mut TdState,
         dt: f64,
     ) -> Result<StepStats, PtError> {
+        self.step_carried(sys, laser, state, dt, None)
+            .map(|(stats, _)| stats)
+    }
+
+    /// [`PtCnPropagator::step`] with the hand-over of
+    /// [`Propagator::step_carried`].
+    pub(crate) fn step_carried(
+        &mut self,
+        sys: &KsSystem,
+        laser: Option<&LaserPulse>,
+        state: &mut TdState,
+        dt: f64,
+        v_n: Option<Vec<f64>>,
+    ) -> Result<(StepStats, Option<Vec<f64>>), PtError> {
         self.opts.validate()?;
         let sp = pt_trace::span("ptcn_step");
-        let mut stats = match sys.exchange_mode() {
-            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, None),
+        let (mut stats, rho_next) = match sys.exchange_mode() {
+            ExchangeMode::Full => ptcn_step_with(&self.opts, sys, laser, state, dt, v_n, None)
+                .map(|stats| (stats, None)),
             ExchangeMode::Ace { refresh_interval } => ace_ptcn_step(
                 &self.opts,
                 sys,
                 laser,
                 state,
                 dt,
+                v_n,
                 refresh_interval,
                 &mut self.ace,
             ),
         }?;
         stats.phases.reconcile(sp.finish_secs());
-        Ok(stats)
+        Ok((stats, rho_next))
     }
 }
 
@@ -283,6 +317,14 @@ pub(crate) fn a_field(laser: Option<&LaserPulse>, t: f64) -> [f64; 3] {
     laser.map(|l| l.a_field(t)).unwrap_or([0.0; 3])
 }
 
+/// The local potential an `HΨ` runs on.
+enum Local<'a> {
+    /// Built inside the `HΨ` from this density of Ψ.
+    Density(&'a [f64]),
+    /// `v_total[ρ(Ψ)]` the record of the step that committed Ψ built.
+    Carried(Vec<f64>),
+}
+
 /// One full `H[ρ, Ψ] Ψ` application, composed on the driver: the local
 /// (kinetic + V_loc + V_NL) part on the installed pool, plus the frozen
 /// ACE projector `−ξ(ξ^H Ψ)` if given, else the exact exchange block
@@ -290,12 +332,15 @@ pub(crate) fn a_field(laser: Option<&LaserPulse>, t: f64) -> [f64; 3] {
 /// (semi-local).
 fn apply_h(
     sys: &KsSystem,
-    rho: &[f64],
+    local: Local<'_>,
     psi: &CMat,
     a: [f64; 3],
     ace: Option<&AceOperator>,
 ) -> Result<CMat, PtError> {
-    let h = sys.local_hamiltonian(rho, a)?;
+    let h = match local {
+        Local::Density(rho) => sys.local_hamiltonian(rho, a)?,
+        Local::Carried(v) => sys.local_hamiltonian_with(v, a)?,
+    };
     let mut hpsi = CMat::zeros(psi.nrows(), psi.ncols());
     h.apply_block(psi, &mut hpsi);
     match (ace, sys.hybrid) {
@@ -343,21 +388,30 @@ struct HalfStep {
 
 /// Alg. 1 lines 1–2: the t_n residual `R_n = HΨ_n − Ψ_n (Ψ_n* HΨ_n)` from
 /// one `HΨ` (the exchange from `ace` if given, the exact Fock loop
-/// otherwise) and the explicit half step `Ψ_{n+1/2} = Ψ_n − i dt/2 R_n`.
+/// otherwise; the local potential `v_n` if handed over, else built from
+/// ρ(Ψ_n)) and the explicit half step `Ψ_{n+1/2} = Ψ_n − i dt/2 R_n`.
 fn half_step(
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
     state: &TdState,
     dt: f64,
+    v_n: Option<Vec<f64>>,
     ace: Option<&AceOperator>,
     stats: &mut StepStats,
 ) -> Result<HalfStep, PtError> {
-    let sp = pt_trace::span("density");
-    let rho_n = sys.density(&state.psi);
-    stats.phases.density += sp.finish_secs();
+    let rho_n;
+    let local = match v_n {
+        Some(v) => Local::Carried(v),
+        None => {
+            let sp = pt_trace::span("density");
+            rho_n = sys.density(&state.psi);
+            stats.phases.density += sp.finish_secs();
+            Local::Density(&rho_n)
+        }
+    };
     let sp = pt_trace::span("h_apply");
     let a_n = a_field(laser, state.t);
-    let hpsi = apply_h(sys, &rho_n, &state.psi, a_n, ace)?;
+    let hpsi = apply_h(sys, local, &state.psi, a_n, ace)?;
     stats.phases.h_apply += sp.finish_secs();
     stats.h_applications += 1;
     let sp = pt_trace::span("residual");
@@ -409,7 +463,7 @@ fn fixed_point(
         iterations += 1;
         pt_trace::counter_add(pt_trace::Counter::FixedPointIterations, 1);
         let sp = pt_trace::span("h_apply");
-        let hpsi_f = apply_h(sys, &rho_f, &psi_f, half.a_next, ace)?;
+        let hpsi_f = apply_h(sys, Local::Density(&rho_f), &psi_f, half.a_next, ace)?;
         stats.phases.h_apply += sp.finish_secs();
         stats.h_applications += 1;
         // R_f = Ψ_f + i dt/2 (H_f Ψ_f − Ψ_f (Ψ_f* H_f Ψ_f)) − Ψ_{n+1/2},
@@ -481,10 +535,11 @@ fn ptcn_step_with(
     laser: Option<&LaserPulse>,
     state: &mut TdState,
     dt: f64,
+    v_n: Option<Vec<f64>>,
     ace: Option<&AceOperator>,
 ) -> Result<StepStats, PtError> {
     let mut stats = StepStats::default();
-    let half = half_step(sys, laser, state, dt, ace, &mut stats)?;
+    let half = half_step(sys, laser, state, dt, v_n, ace, &mut stats)?;
     let psi_f = fixed_point(opts, sys, &half, half.psi.clone(), ace, &mut stats)?;
     state.psi = reorthonormalized(psi_f, &mut stats);
     state.t = half.t_next;
@@ -524,37 +579,43 @@ const ACE_MAX_REFRESH_ROUNDS: usize = 12;
 /// point; each round costs one Fock block-apply plus a cheap
 /// projector-only solve, still several× cheaper than `Full`'s
 /// per-iteration Fock loop. The accepted round's ξ_f is then frozen for
-/// the stale window.
+/// the stale window, and its drift density — ρ of the Ψ the step commits —
+/// is handed back for the step's record.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the PT-CN step's inputs plus the run's hand-over and the ACE slot"
+)]
 fn ace_ptcn_step(
     opts: &PtCnOptions,
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
     state: &mut TdState,
     dt: f64,
+    v_n: Option<Vec<f64>>,
     refresh_interval: usize,
     ace_slot: &mut Option<AceCapture>,
-) -> Result<StepStats, PtError> {
+) -> Result<(StepStats, Option<Vec<f64>>), PtError> {
     let in_window = |a: &&mut AceCapture| {
         a.steps_since_refresh < refresh_interval
             && a.op.xi().nrows() == state.psi.nrows()
             && a.op.rank() == state.psi.ncols()
     };
     if let Some(ace) = ace_slot.as_mut().filter(in_window) {
-        let stats = ptcn_step_with(opts, sys, laser, state, dt, Some(&ace.op))?;
+        let stats = ptcn_step_with(opts, sys, laser, state, dt, v_n, Some(&ace.op))?;
         ace.steps_since_refresh += 1;
-        return Ok(stats);
+        return Ok((stats, None));
     }
 
     let mut stats = StepStats::default();
     let sp = pt_trace::span("ace_build");
     let mut xi = build_ace(sys, &state.psi)?;
     stats.phases.ace_build += sp.finish_secs();
-    let half = half_step(sys, laser, state, dt, Some(&xi), &mut stats)?;
+    let half = half_step(sys, laser, state, dt, v_n, Some(&xi), &mut stats)?;
     let mut seed = half.psi.clone();
     let mut prev_rho: Option<Vec<f64>> = None;
     let mut drift = f64::INFINITY;
     let mut rounds = 0usize;
-    let psi = loop {
+    let (psi, rho) = loop {
         rounds += 1;
         pt_trace::counter_add(pt_trace::Counter::AceRefreshRounds, 1);
         let raw = fixed_point(opts, sys, &half, seed, Some(&xi), &mut stats)?;
@@ -573,7 +634,7 @@ fn ace_ptcn_step(
             drift = stats.rho_residual;
         }
         if !finite || drift < opts.rho_tol || rounds == ACE_MAX_REFRESH_ROUNDS {
-            break psi;
+            break (psi, rho);
         }
         prev_rho = Some(rho);
         // ξ_f from the raw iterate, the block `Full` feeds its Fock
@@ -600,20 +661,29 @@ fn ace_ptcn_step(
         op: xi,
         steps_since_refresh: 1,
     });
-    Ok(stats)
+    Ok((stats, Some(rho)))
 }
 
 /// `k = −i H[ρ(ψ), ψ](t) ψ`, one RK4 stage, the Hamiltonian rebuilt from
-/// `psi` and its exchange block run where the system's layout says.
+/// `psi` (on the handed-over potential `v` if there is one) and its
+/// exchange block run where the system's layout says.
 fn rk4_rhs(
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
     psi: &CMat,
     t: f64,
+    v: Option<Vec<f64>>,
     stats: &mut StepStats,
 ) -> Result<CMat, PtError> {
-    let rho = sys.density(psi);
-    let mut hpsi = apply_h(sys, &rho, psi, a_field(laser, t), None)?;
+    let rho;
+    let local = match v {
+        Some(v) => Local::Carried(v),
+        None => {
+            rho = sys.density(psi);
+            Local::Density(&rho)
+        }
+    };
+    let mut hpsi = apply_h(sys, local, psi, a_field(laser, t), None)?;
     stats.h_applications += 1;
     for z in hpsi.data_mut().iter_mut() {
         *z = z.mul_neg_i();
@@ -626,12 +696,14 @@ fn rk4_rhs(
 /// ([`Propagator::Rk4`]). The Hamiltonian (density, exchange orbitals,
 /// laser field) is rebuilt at every stage. The orbitals are never
 /// re-orthonormalized, so its norm drift is the instability the ceiling
-/// [`crate::max_stable_rk4_dt`] bounds.
+/// [`crate::max_stable_rk4_dt`] bounds. The first stage runs on the
+/// handed-over `v_n` of Ψ_n when there is one.
 fn rk4_step(
     sys: &KsSystem,
     laser: Option<&LaserPulse>,
     state: &mut TdState,
     dt: f64,
+    v_n: Option<Vec<f64>>,
 ) -> Result<StepStats, PtError> {
     let mut stats = StepStats {
         converged: true,
@@ -640,20 +712,20 @@ fn rk4_step(
     let psi0 = state.psi.clone();
     let n = psi0.data().len();
 
-    let k1 = rk4_rhs(sys, laser, &psi0, state.t, &mut stats)?;
+    let k1 = rk4_rhs(sys, laser, &psi0, state.t, v_n, &mut stats)?;
     let mut tmp = psi0.clone();
     for i in 0..n {
         tmp.data_mut()[i] = psi0.data()[i] + k1.data()[i].scale(0.5 * dt);
     }
-    let k2 = rk4_rhs(sys, laser, &tmp, state.t + 0.5 * dt, &mut stats)?;
+    let k2 = rk4_rhs(sys, laser, &tmp, state.t + 0.5 * dt, None, &mut stats)?;
     for i in 0..n {
         tmp.data_mut()[i] = psi0.data()[i] + k2.data()[i].scale(0.5 * dt);
     }
-    let k3 = rk4_rhs(sys, laser, &tmp, state.t + 0.5 * dt, &mut stats)?;
+    let k3 = rk4_rhs(sys, laser, &tmp, state.t + 0.5 * dt, None, &mut stats)?;
     for i in 0..n {
         tmp.data_mut()[i] = psi0.data()[i] + k3.data()[i].scale(dt);
     }
-    let k4 = rk4_rhs(sys, laser, &tmp, state.t + dt, &mut stats)?;
+    let k4 = rk4_rhs(sys, laser, &tmp, state.t + dt, None, &mut stats)?;
 
     for i in 0..n {
         let incr = k1.data()[i] + (k2.data()[i] + k3.data()[i]).scale(2.0) + k4.data()[i];
@@ -926,9 +998,9 @@ mod tests {
                 Some(RankLayout::new(layout.0, layout.1)),
             );
             let got = sys.install(|| {
-                let h_full = apply_h(&sys, &rho, &psi, a, None).unwrap();
+                let h_full = apply_h(&sys, Local::Density(&rho), &psi, a, None).unwrap();
                 let ace = build_ace(&sys, &psi).unwrap();
-                let h_ace = apply_h(&sys, &rho, &psi, a, Some(&ace)).unwrap();
+                let h_ace = apply_h(&sys, Local::Density(&rho), &psi, a, Some(&ace)).unwrap();
                 [h_full, ace.xi().clone(), h_ace]
             });
             for (w, g) in want.iter().zip(&got) {

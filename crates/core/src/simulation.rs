@@ -447,6 +447,7 @@ impl<'a> SimulationBuilder<'a> {
             propagator: self.propagator.unwrap_or_default(),
             coords: grid_coords(self.sys),
             state: TdState { psi, t: self.t },
+            v_carry: None,
             partial: None,
             checkpoint,
             ckpt_written: Vec::new(),
@@ -468,6 +469,10 @@ pub struct Simulation<'a> {
     /// The dipole's lever arms ([`grid_coords`]), built once per run.
     coords: Vec<[f64; 3]>,
     state: TdState,
+    /// `v_total[ρ(Ψ)]` of `state.psi`, built by the record of the step
+    /// that committed it, for the next step's first `HΨ` on it. Runtime
+    /// only: a built or resumed run starts without it and builds it.
+    v_carry: Option<Vec<f64>>,
     partial: Option<TimeSeries>,
     checkpoint: Option<CheckpointPolicy>,
     /// Snapshots THIS simulation wrote, oldest first — the rolling window
@@ -548,12 +553,16 @@ impl<'a> Simulation<'a> {
                     completed_steps: step_index,
                 });
             }
-            let stats =
-                self.propagator
-                    .step(self.sys, self.laser.as_ref(), &mut self.state, self.dt)?;
+            let (stats, rho) = self.propagator.step_carried(
+                self.sys,
+                self.laser.as_ref(),
+                &mut self.state,
+                self.dt,
+                self.v_carry.take(),
+            )?;
             let t = self.state.t;
             let a = a_field(self.laser.as_ref(), t);
-            let record = step_record(self.sys, &self.state.psi, a, &self.coords)?;
+            let (record, v) = step_record(self.sys, &self.state.psi, rho, a, &self.coords)?;
             if record.iter().any(|(_, v)| !v.is_finite()) {
                 return Err(PtError::Diverged {
                     step: step_index,
@@ -561,6 +570,7 @@ impl<'a> Simulation<'a> {
                     last_residual: stats.rho_residual,
                 });
             }
+            self.v_carry = Some(v);
             series.push_step(t, a, stats, &record);
             pt_trace::counter_add(pt_trace::Counter::StepsCommitted, 1);
             if let Some(tap) = &mut self.tap {
@@ -879,7 +889,7 @@ mod tests {
     fn time_series_channels_are_queryable() {
         let sys = small_sys();
         let psi = identity_orbitals(&sys);
-        let record = step_record(&sys, &psi, [0.0; 3], &grid_coords(&sys)).unwrap();
+        let (record, _) = step_record(&sys, &psi, None, [0.0; 3], &grid_coords(&sys)).unwrap();
         assert_eq!(record.map(|(name, _)| name), CHANNELS);
         let mut ts = TimeSeries::default();
         ts.push_step(0.1, [0.0; 3], StepStats::default(), &record);

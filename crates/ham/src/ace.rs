@@ -176,8 +176,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(sys.grids.ng(), grids.ng());
-        let rho = sys.density(&phi);
-        let e_x = |w: &CMat| sys.energies_with(&phi, &rho, Some(w), [0.0; 3]).fock;
+        let pots = sys.potentials(&sys.density(&phi));
+        let e_x = |w: &CMat| sys.energies_with(&phi, &pots, Some(w), [0.0; 3]).fock;
         let mut exact = CMat::zeros(phi.nrows(), phi.ncols());
         fock.apply_block(&grids, &phi, &mut exact);
         let mut compressed = CMat::zeros(phi.nrows(), phi.ncols());

@@ -654,8 +654,8 @@ mod tests {
             let f = FockOperator::new(&g, phi, 0.25, kern, FockMode::Batched);
             let mut w = CMat::zeros(g.ng(), 3);
             f.apply_block(&g, phi, &mut w);
-            sys.energies_with(phi, &sys.density(phi), Some(&w), [0.0; 3])
-                .fock
+            let pots = sys.potentials(&sys.density(phi));
+            sys.energies_with(phi, &pots, Some(&w), [0.0; 3]).fock
         };
         let (e1, e2) = (e_x(&phi_o), e_x(&phi_rot));
         assert!((e1 - e2).abs() < 1e-9 * e1.abs(), "{e1} vs {e2}");

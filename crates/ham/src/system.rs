@@ -545,7 +545,8 @@ impl KsSystem {
     /// assembled from a density — what every virtual-MPI rank applies to
     /// its own bands while the exchange part goes through the distributed
     /// Alg. 2 broadcast loop. [`KsSystem::hamiltonian`] builds on this and
-    /// attaches the in-process Fock operator.
+    /// attaches the in-process Fock operator. The potential build is the
+    /// traced span `potentials`.
     pub fn local_hamiltonian(
         &self,
         rho: &[f64],
@@ -558,10 +559,32 @@ impl KsSystem {
                 got: rho.len(),
             });
         }
-        let pots = self.potentials(rho);
+        let sp = pt_trace::span("potentials");
+        let v_total = self.potentials(rho).v_total;
+        drop(sp);
+        self.local_hamiltonian_with(v_total, a_field)
+    }
+
+    /// The Fock-free Hamiltonian on a total local potential built before —
+    /// [`Potentials::v_total`] of the density it stands for — so a caller
+    /// holding that potential does not build it again.
+    /// [`PtError::ShapeMismatch`] when it is not one value per dense-grid
+    /// point.
+    pub fn local_hamiltonian_with(
+        &self,
+        v_total: Vec<f64>,
+        a_field: [f64; 3],
+    ) -> Result<Hamiltonian, PtError> {
+        if v_total.len() != self.grids.n_dense() {
+            return Err(PtError::ShapeMismatch {
+                context: "local potential on the dense grid",
+                expected: self.grids.n_dense(),
+                got: v_total.len(),
+            });
+        }
         Ok(Hamiltonian {
             grids: Arc::clone(&self.grids),
-            vloc_r: pots.v_total,
+            vloc_r: v_total,
             nonlocal: Arc::clone(&self.nonlocal),
             fock: None,
             a_field,
@@ -664,21 +687,21 @@ impl KsSystem {
             (Some(h), Some(k)) => Some(self.self_application(orbitals, h.alpha, k)),
             _ => None,
         };
-        self.energies_with(orbitals, rho, w.as_ref(), a_field)
+        self.energies_with(orbitals, &self.potentials(rho), w.as_ref(), a_field)
     }
 
-    /// Total-energy breakdown for orbitals, their density and their exact
-    /// exchange block `w = V_X[Ψ]Ψ` (`None`: no exchange term), with
-    /// `E_x = ½ Σ_j f_j Re⟨ψ_j|w_j⟩` summed in band order.
+    /// Total-energy breakdown for orbitals, the [`KsSystem::potentials`] of
+    /// their density and their exact exchange block `w = V_X[Ψ]Ψ` (`None`:
+    /// no exchange term), with `E_x = ½ Σ_j f_j Re⟨ψ_j|w_j⟩` summed in band
+    /// order.
     pub fn energies_with(
         &self,
         orbitals: &CMat,
-        rho: &[f64],
+        pots: &Potentials,
         w: Option<&CMat>,
         a_field: [f64; 3],
     ) -> Energies {
         let g = &self.grids;
-        let pots = self.potentials(rho);
         let kin_diag = g.kinetic_diag(a_field);
         let mut kinetic = 0.0;
         for (j, &f) in self.occupations.iter().enumerate() {
@@ -904,9 +927,13 @@ mod tests {
             sys.hamiltonian(&rho, None, [0.0; 3]).err(),
             Some(PtError::MissingExchangeOrbitals)
         );
-        // wrong density extent
+        // wrong density extent, and a potential of the wrong extent
         assert!(matches!(
             sys.hamiltonian(&rho[..10], None, [0.0; 3]),
+            Err(PtError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            sys.local_hamiltonian_with(rho[..10].to_vec(), [0.0; 3]),
             Err(PtError::ShapeMismatch { .. })
         ));
         // wrong orbital extent
@@ -946,7 +973,9 @@ mod tests {
     }
 
     #[test]
-    fn potentials_are_bit_identical_on_1_and_4_threads() {
+    fn potentials_are_bit_identical_on_pools_of_1_to_4_threads() {
+        // uneven deals: PBE's batch of three forwards on 2 threads, the 14
+        // pointwise chunks of the 15³ grid on 3
         for xc in [XcKind::Pbe, XcKind::Lda] {
             let sys = si8(2.0, xc, None);
             let mut rng = pt_num::rng::XorShift64::new(11);
@@ -954,7 +983,6 @@ mod tests {
                 .map(|_| 32.0 / sys.grids.volume * (1.0 + rng.next_centered()))
                 .collect();
             let on = |threads| ThreadPool::new(threads).install(|| sys.potentials(&rho));
-            let (a, b) = (on(1), on(4));
             let bits = |p: &Potentials| {
                 [p.e_hartree, p.e_xc, p.int_vxc_rho, p.e_loc_ps]
                     .iter()
@@ -962,8 +990,11 @@ mod tests {
                     .map(|v| v.to_bits())
                     .collect::<Vec<u64>>()
             };
-            assert_eq!(bits(&a), bits(&b), "{xc:?}");
-            assert!(a.v_total.iter().all(|v| v.is_finite()));
+            let one = on(1);
+            for threads in 2..=4 {
+                assert_eq!(bits(&one), bits(&on(threads)), "{xc:?}, {threads} threads");
+            }
+            assert!(one.v_total.iter().all(|v| v.is_finite()));
         }
     }
 

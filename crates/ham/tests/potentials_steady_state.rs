@@ -1,6 +1,7 @@
 //! A warm `KsSystem::potentials` call is a fixed amount of work: 7 dense
-//! transforms for PBE (2 for LDA) and one heap allocation — the `v_total`
-//! it returns; every work array is per-thread scratch.
+//! transforms for PBE (2 for LDA) on any pool, and on one thread one heap
+//! allocation — the `v_total` it returns; every work array is per-thread
+//! scratch.
 //!
 //! One `#[test]` in a binary of its own: the allocation count is per thread
 //! but `pt_trace`'s counters are process-global, so no sibling test may run
@@ -28,21 +29,28 @@ fn warm_potentials_calls_allocate_once_and_run_a_fixed_transform_count() {
         let rho: Vec<f64> = (0..n)
             .map(|i| 32.0 / sys.grids.volume * (1.0 + 0.5 * (0.37 * i as f64).sin()))
             .collect();
-        // one thread: a wider pool's transform stages its z-columns in
-        // per-call task lists
-        let pool = pt_par::ThreadPool::new(1);
-        pool.install(|| {
-            // first call on this thread grows the scratch
-            let mut sink = sys.potentials(&rho).e_xc;
-            let (allocated, counted) = cost_of(|| {
-                for _ in 0..CALLS {
-                    sink += sys.potentials(&rho).e_xc;
+        for threads in [1, 2] {
+            pt_par::ThreadPool::new(threads).install(|| {
+                // first call on each thread grows the scratch
+                let mut sink = sys.potentials(&rho).e_xc;
+                let (allocated, counted) = cost_of(|| {
+                    for _ in 0..CALLS {
+                        sink += sys.potentials(&rho).e_xc;
+                    }
+                });
+                let counted = counted.get(Counter::FftTransforms);
+                assert!(sink.is_finite());
+                assert_eq!(
+                    counted,
+                    transforms * CALLS,
+                    "{xc:?} transforms, {threads} threads"
+                );
+                // the count is the calling thread's, and only there is the
+                // work all its own
+                if threads == 1 {
+                    assert!(allocated <= CALLS, "{xc:?}: {allocated} allocations");
                 }
             });
-            let counted = counted.get(Counter::FftTransforms);
-            assert!(sink.is_finite());
-            assert!(allocated <= CALLS, "{xc:?}: {allocated} allocations");
-            assert_eq!(counted, transforms * CALLS, "{xc:?} transforms");
-        });
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's "others" component (§3.4) includes exactly this work: FFTs
 //! for the gradient of the electron density, the semi-local XC evaluation
 //! (via Libxc there, in-crate here), and the assembly of the potential. It
-//! runs once per Hamiltonian application, so it is laid out as one pipeline
-//! over the dense grid's own plan and G table (borrowed per call):
+//! runs once per density whose potential is built, so it is laid out as one
+//! pipeline over the dense grid's own plan and G table (borrowed per call):
 //!
 //! 1. ρ(G) is transformed **once**. It feeds the gradient and a *rider*:
 //!    the convolution of ρ with a real G-space kernel `k(|G|²)` that the
@@ -19,11 +19,18 @@
 //!    axis d's Nyquist plane — and `½(k(idx) + k(−idx))`: precisely the
 //!    Hermitian part, which is all that taking `.re` of an unpaired inverse
 //!    ever kept.
-//! 3. One sequential pointwise pass evaluates the functional and sums
-//!    `E_xc` in grid order, so the bits do not depend on the pool (the
-//!    transforms are pool-independent by construction).
+//! 3. The functional is evaluated point by point on the pool, in chunks of
+//!    [`POINTS_PER_TASK`] grid points, each point into its own slots. A
+//!    second pass on the calling thread then sums `E_xc` and hands the
+//!    fields out in grid order, so no reduction order depends on the pool.
 //! 4. PBE's `∇·(2 ∂f/∂σ ∇ρ)` costs three forward transforms and one
 //!    inverse: 7 transforms per PBE update, 2 per LDA update.
+//!
+//! Transforms that are independent go through the batched entries — the
+//! two paired inverses as one batch, the three forwards of `w` as another,
+//! one serial transform per pool task; a lone transform runs on the serial
+//! entry. Each transform is serial inside either way, so the fields do not
+//! depend on the pool.
 //!
 //! Work arrays are one per-thread scratch buffer (the `pt-fft` idiom),
 //! grown on a thread's first call: a warm evaluation allocates nothing.
@@ -37,6 +44,11 @@ use std::cell::RefCell;
 thread_local! {
     static SCRATCH: RefCell<Vec<c64>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Grid points per pool task of the pointwise pass. Fixed, so the deal
+/// does not depend on the pool; each point is evaluated alone, so no deal
+/// could move a bit.
+const POINTS_PER_TASK: usize = 256;
 
 /// Visit every grid point in index order as `f(idx, mirror)`: `mirror` is
 /// the index of −G for points on the Nyquist plane of an even axis — where
@@ -73,24 +85,35 @@ fn odd_g(gv: &GridGVectors, idx: usize, mirror: Option<usize>) -> [f64; 3] {
     }
 }
 
-/// From the spectrum `rho_g` of a real field: `xy ← ∂xρ + i·∂yρ` and
-/// `z_rider ← ∂zρ + i·IFFT(kernel · ρ(G))`, two real fields per inverse.
+/// From the spectrum `rho_g` of a real field, into `pair = [xy | z_rider]`:
+/// `xy ← ∂xρ + i·∂yρ` and `z_rider ← ∂zρ + i·IFFT(kernel · ρ(G))`, two real
+/// fields per inverse, both inverses one batch.
 fn gradient_and_rider(
     fft: &Fft3,
     gv: &GridGVectors,
     even_kernel: impl Fn(usize, Option<usize>) -> f64,
     rho_g: &[c64],
-    xy: &mut [c64],
-    z_rider: &mut [c64],
+    pair: &mut [c64],
 ) {
+    let (xy, z_rider) = pair.split_at_mut(rho_g.len());
     for_each_point(gv.dims, |idx, mirror| {
         let g = odd_g(gv, idx, mirror);
         // i·G_x ρ(G) + i·(i·G_y ρ(G))
         xy[idx] = rho_g[idx] * c64::new(-g[1], g[0]);
         z_rider[idx] = rho_g[idx].mul_i().scale(g[2] + even_kernel(idx, mirror));
     });
-    fft.inverse(xy);
-    fft.inverse(z_rider);
+    fft.inverse_batch(pair);
+}
+
+/// Run `point(i, slots)` for every grid point on the pool, where `slots`
+/// are point `i`'s `width` entries of `out` (`out.len() = width · n`).
+fn pointwise(out: &mut [c64], width: usize, point: impl Fn(usize, &mut [c64]) + Sync) {
+    pt_par::parallel_chunks_mut(out, width * POINTS_PER_TASK, |c, chunk| {
+        let first = c * POINTS_PER_TASK;
+        for (k, slots) in chunk.chunks_exact_mut(width).enumerate() {
+            point(first + k, slots);
+        }
+    });
 }
 
 /// Semi-local XC evaluator for one functional on one cell.
@@ -136,51 +159,68 @@ impl XcGridEvaluator {
             for (z, &r) in out.iter_mut().zip(rho) {
                 *z = c64::real(r);
             }
-            fft.forward(out);
+            fft.forward_serial(out);
         };
         let mut e = 0.0;
         match self.kind {
-            XcKind::Lda => with_scratch(&SCRATCH, n, |a| {
+            XcKind::Lda => with_scratch(&SCRATCH, 2 * n, |work| {
+                let (a, f) = work.split_at_mut(n);
                 spectrum(a);
                 for_each_point(gv.dims, |idx, mirror| {
                     a[idx] = a[idx].scale(even_kernel(idx, mirror));
                 });
-                fft.inverse(a);
-                for (i, (&r, rider)) in rho.iter().zip(a.iter()).enumerate() {
-                    let r = r.max(0.0);
+                fft.inverse_serial(a);
+                // f = (ρ ε_xc, v_xc) per point
+                pointwise(f, 1, |i, f| {
+                    let r = rho[i].max(0.0);
                     let (eps, v) = lda_exc_vxc(r);
-                    e += r * eps;
-                    sink(i, v, rider.re);
+                    f[0] = c64::new(r * eps, v);
+                });
+                for (i, (f, rider)) in f.iter().zip(a.iter()).enumerate() {
+                    e += f.re;
+                    sink(i, f.im, rider.re);
                 }
             }),
-            XcKind::Pbe => with_scratch(&SCRATCH, 4 * n, |work| {
-                let (a, rest) = work.split_at_mut(n);
-                let (b, rest) = rest.split_at_mut(n);
-                let (c, d) = rest.split_at_mut(n);
-                spectrum(a);
-                gradient_and_rider(fft, gv, even_kernel, a, b, c);
-                // a = ρ(G) is spent: w = 2 ∂f/∂σ ∇ρ goes into (a, b, d), and
-                // ∂f/∂ρ into ∂zρ's slot of c
-                for i in 0..n {
-                    let (gx, gy, gz) = (b[i].re, b[i].im, c[i].re);
+            // [ρ(G), then (ρ ε_xc, ∂f/∂ρ), (∂f/∂σ, 0) per point | w_y | w_z | xy | z_rider]:
+            // the paired inverses are the last two slots, the forwards of
+            // w = 2 ∂f/∂σ ∇ρ the three before them (xy's slot takes w_x)
+            XcKind::Pbe => with_scratch(&SCRATCH, 6 * n, |work| {
+                let (f, fields) = work.split_at_mut(2 * n);
+                spectrum(&mut f[..n]);
+                gradient_and_rider(fft, gv, even_kernel, &f[..n], &mut fields[2 * n..]);
+                let (w, z_rider) = fields.split_at_mut(3 * n);
+                // ρ(G) is spent: f takes the functional's three numbers
+                let (xy, zr) = (&w[2 * n..], &*z_rider);
+                pointwise(f, 2, |i, f| {
+                    let (gx, gy, gz) = (xy[i].re, xy[i].im, zr[i].re);
                     let r = rho[i].max(0.0);
                     let (eps, dfdr, dfds) = pbe_exc_vxc(r, gx * gx + gy * gy + gz * gz);
-                    e += r * eps;
-                    a[i] = c64::real(2.0 * dfds * gx);
-                    b[i] = c64::real(2.0 * dfds * gy);
-                    d[i] = c64::real(2.0 * dfds * gz);
-                    c[i].re = dfdr;
+                    f[0] = c64::new(r * eps, dfdr);
+                    f[1] = c64::real(dfds);
+                });
+                let (wy, rest) = w.split_at_mut(n);
+                let (wz, wx) = rest.split_at_mut(n);
+                for (i, f) in f.chunks_exact(2).enumerate() {
+                    let (gx, gy, gz) = (wx[i].re, wx[i].im, z_rider[i].re);
+                    let dfds = f[1].re;
+                    e += f[0].re;
+                    wx[i] = c64::real(2.0 * dfds * gx);
+                    wy[i] = c64::real(2.0 * dfds * gy);
+                    wz[i] = c64::real(2.0 * dfds * gz);
+                    // ∂f/∂ρ into ∂zρ's slot, beside the rider
+                    z_rider[i].re = f[0].im;
                 }
                 // v_xc = ∂f/∂ρ − ∇·w
-                fft.forward(a);
-                fft.forward(b);
-                fft.forward(d);
+                fft.forward_batch(w);
+                let (wy, rest) = w.split_at_mut(n);
+                let (wz, wx) = rest.split_at_mut(n);
                 for_each_point(gv.dims, |idx, mirror| {
                     let g = odd_g(gv, idx, mirror);
-                    a[idx] = (a[idx].scale(g[0]) + b[idx].scale(g[1]) + d[idx].scale(g[2])).mul_i();
+                    wx[idx] =
+                        (wx[idx].scale(g[0]) + wy[idx].scale(g[1]) + wz[idx].scale(g[2])).mul_i();
                 });
-                fft.inverse(a);
-                for (i, (div, z)) in a.iter().zip(c.iter()).enumerate() {
+                fft.inverse_serial(wx);
+                for (i, (div, z)) in wx.iter().zip(z_rider.iter()).enumerate() {
                     sink(i, z.re - div.re, z.im);
                 }
             }),
@@ -325,9 +365,10 @@ mod tests {
                 }
             }
             s.fft.forward(&mut f);
-            let (mut xy, mut zr) = (vec![c64::ZERO; m], vec![c64::ZERO; m]);
+            let mut pair = vec![c64::ZERO; 2 * m];
             let yukawa = |idx: usize, _| 1.0 / (1.0 + s.gv.g2[idx]);
-            gradient_and_rider(&s.fft, &s.gv, yukawa, &f, &mut xy, &mut zr);
+            gradient_and_rider(&s.fft, &s.gv, yukawa, &f, &mut pair);
+            let (xy, zr) = pair.split_at(m);
             for iz in 0..n {
                 for iy in 0..n {
                     for ix in 0..n {
