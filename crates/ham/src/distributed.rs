@@ -2,8 +2,8 @@
 //!
 //! Wavefunctions are distributed by **band index** (§3.1): rank p owns
 //! bands `p, p+N_p, p+2N_p, …` (the cyclic map keeps loads balanced when
-//! N_e % N_p ≠ 0). The Fock exchange broadcasts one owner's orbital at a
-//! time (`MPI_Bcast`), so every rank holds all of Φ, and then
+//! N_e % N_p ≠ 0). In the Fock exchange each owner broadcasts its whole
+//! block of Φ once (`MPI_Bcast`), so every rank holds all of Φ, and then
 //! distributes *pairs*, not bands (the (i, j) pair-block
 //! dealing of arXiv:2009.03555). It is only ever applied to its own
 //! defining block — every PT-gauge call is V_X[Ψ]Ψ — so the N(N+1)/2
@@ -137,7 +137,7 @@ fn deal(dist: BandDistribution) -> Vec<(ExchangeTile, usize)> {
 
 /// Distributed Fock exchange self-application (Alg. 2): `V_X[Φ]Φ`.
 ///
-/// Φ is broadcast band-by-band *inside* this routine, so callers pass the
+/// Φ is broadcast owner by owner *inside* this routine, so callers pass the
 /// **local** slice of Φ and receive `V_X φ` for their local bands
 /// (columns ↔ `dist.local_bands`). `psi_local` must be `phi_local` bit for
 /// bit — the parallel-transport gauge makes every exchange application a
@@ -184,25 +184,30 @@ pub fn distributed_fock_apply(
     out
 }
 
-/// Alg. 2's broadcast loop: for every band i the owner broadcasts φ_i and
-/// every rank keeps it in real space — all of Φ, band after band.
+/// Alg. 2's broadcast loop: every owner broadcasts its whole local block
+/// once, and every rank keeps all of Φ in real space, each column through
+/// the same `to_real_wfc` as before — `min(N_p, N)` broadcasts per rank,
+/// the bytes of one per band.
 fn broadcast_phi(
     comm: &mut Comm,
     grids: &PwGrids,
     dist: BandDistribution,
     phi_local: &CMat,
 ) -> Vec<c64> {
-    let nw = grids.n_wfc();
+    let (ng, nw) = (grids.ng(), grids.n_wfc());
     let mut phi_real = vec![c64::ZERO; dist.n_bands * nw];
-    let mut phi_i = Vec::with_capacity(grids.ng());
-    for (i, real) in phi_real.chunks_exact_mut(nw).enumerate() {
-        let owner = dist.owner(i);
-        phi_i.clear();
+    let mut block = Vec::with_capacity(dist.n_local(0) * ng);
+    for owner in 0..dist.n_ranks.min(dist.n_bands) {
+        block.clear();
         if owner == comm.rank() {
-            phi_i.extend_from_slice(phi_local.col(dist.local_index(i)));
+            block.extend_from_slice(phi_local.data());
         }
-        comm.bcast_c64(owner, &mut phi_i);
-        grids.to_real_wfc(&phi_i, real);
+        comm.bcast_c64(owner, &mut block);
+        // the owner's local column lj is band owner + lj·N_p
+        for (lj, phi_i) in block.chunks_exact(ng).enumerate() {
+            let i = owner + lj * dist.n_ranks;
+            grids.to_real_wfc(phi_i, &mut phi_real[i * nw..(i + 1) * nw]);
+        }
     }
     phi_real
 }
@@ -462,11 +467,12 @@ mod tests {
                 let (got, stats) = gathered_fock(layout, &grids, &phi, &kernel);
                 let at = format!("nb={nb} {ranks}x{threads}");
                 assert_same_bits(&want, &got, &at);
-                // §3.2 volume: receivers = (N_p−1) per bcast, N_e bcasts
-                // of N_G c64, and no collective besides them
+                // §3.2 volume: receivers = (N_p−1) per bcast, N_e bands
+                // of N_G c64 in all, one broadcast per owner, and no
+                // collective besides them
                 let np = ranks as u64;
                 assert_eq!(stats.bcast_bytes, (np - 1) * (nb * ng) as u64 * 16, "{at}");
-                assert_eq!(stats.bcast_calls, np * nb as u64, "{at}");
+                assert_eq!(stats.bcast_calls, np * np.min(nb as u64), "{at}");
                 assert_eq!(stats.allreduce_calls, 0, "{at}");
                 // the partial law: every partial whose tile and band live
                 // on different ranks, N_wfc values each
@@ -601,7 +607,7 @@ mod tests {
             let (got, stats) = gathered_fock(layout, &grids, &phi, &kernel);
             assert_same_bits(&want, &got, &format!("n={n} np={np}"));
             assert_eq!(stats.allreduce_calls, 0);
-            assert_eq!(stats.bcast_calls, (np * n) as u64);
+            assert_eq!(stats.bcast_calls, (np * np.min(n)) as u64);
         }
     }
 }

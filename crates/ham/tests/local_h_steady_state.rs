@@ -1,8 +1,8 @@
 //! A warm Fock-free `Hamiltonian::apply_block` is two sphere-limited dense
 //! transforms per band and one heap allocation (the kinetic diagonal); a
 //! warm `density_from_orbitals` is one transform per band and allocates
-//! only its chunk partials, their list and the result. Per-band work arrays
-//! are per-thread scratch.
+//! only the result and one reused buffer of partials, whatever the band
+//! count. Per-band work arrays are per-thread scratch.
 //!
 //! One `#[test]` in a binary of its own, like `potentials_steady_state.rs`:
 //! the allocation count is per thread but `pt_trace`'s counters are
@@ -60,10 +60,9 @@ fn warm_local_h_and_density_allocate_no_per_band_work_arrays() {
                     sink += density_from_orbitals(&sys.grids, &psi, &occ)[0];
                 }
             });
-            // one partial per band chunk, the list of them, and ρ itself
-            let per_call = pt_par::chunk_count(nb) as u64 + 2;
+            // the slot buffer of partials and ρ itself
             assert!(
-                allocations <= per_call * CALLS,
+                allocations <= 2 * CALLS,
                 "density, {nb} bands: {allocations} allocations"
             );
             assert_eq!(transforms, nb as u64 * CALLS, "density, {nb} bands");

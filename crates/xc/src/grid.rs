@@ -19,8 +19,9 @@
 //!    axis d's Nyquist plane — and `½(k(idx) + k(−idx))`: precisely the
 //!    Hermitian part, which is all that taking `.re` of an unpaired inverse
 //!    ever kept.
-//! 3. The functional is evaluated point by point on the pool, in chunks of
-//!    [`POINTS_PER_TASK`] grid points, each point into its own slots. A
+//! 3. The functional is evaluated on the pool, one chunk of
+//!    [`POINTS_PER_TASK`] grid points per task and stage by stage inside
+//!    it (`functional::pbe_chunk`), each point into its own slots. A
 //!    second pass on the calling thread then sums `E_xc` and hands the
 //!    fields out in grid order, so no reduction order depends on the pool.
 //! 4. PBE's `∇·(2 ∂f/∂σ ∇ρ)` costs three forward transforms and one
@@ -35,7 +36,7 @@
 //! Work arrays are one per-thread scratch buffer (the `pt-fft` idiom),
 //! grown on a thread's first call: a warm evaluation allocates nothing.
 
-use crate::functional::{lda_exc_vxc, pbe_exc_vxc, XcKind};
+use crate::functional::{lda_chunk, pbe_chunk, XcKind, CHUNK};
 use pt_fft::Fft3;
 use pt_lattice::GridGVectors;
 use pt_num::{c64, with_scratch};
@@ -45,10 +46,10 @@ thread_local! {
     static SCRATCH: RefCell<Vec<c64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Grid points per pool task of the pointwise pass. Fixed, so the deal
-/// does not depend on the pool; each point is evaluated alone, so no deal
-/// could move a bit.
-const POINTS_PER_TASK: usize = 256;
+/// Grid points per pool task of the pointwise pass: one staged call of
+/// the functional. Fixed, so the deal does not depend on the pool; each
+/// point's value depends on that point alone, so no deal could move a bit.
+const POINTS_PER_TASK: usize = CHUNK;
 
 /// Visit every grid point in index order as `f(idx, mirror)`: `mirror` is
 /// the index of −G for points on the Nyquist plane of an even axis — where
@@ -105,14 +106,13 @@ fn gradient_and_rider(
     fft.inverse_batch(pair);
 }
 
-/// Run `point(i, slots)` for every grid point on the pool, where `slots`
-/// are point `i`'s `width` entries of `out` (`out.len() = width · n`).
-fn pointwise(out: &mut [c64], width: usize, point: impl Fn(usize, &mut [c64]) + Sync) {
-    pt_par::parallel_chunks_mut(out, width * POINTS_PER_TASK, |c, chunk| {
-        let first = c * POINTS_PER_TASK;
-        for (k, slots) in chunk.chunks_exact_mut(width).enumerate() {
-            point(first + k, slots);
-        }
+/// Run `chunk(first, slots)` for every run of [`POINTS_PER_TASK`] grid
+/// points on the pool, one task each: `slots` are the run's `width`
+/// entries per point of `out` (`out.len() = width · n`), from point
+/// `first` on.
+fn pointwise(out: &mut [c64], width: usize, chunk: impl Fn(usize, &mut [c64]) + Sync) {
+    pt_par::parallel_chunks_mut(out, width * POINTS_PER_TASK, |c, slots| {
+        chunk(c * POINTS_PER_TASK, slots);
     });
 }
 
@@ -171,10 +171,17 @@ impl XcGridEvaluator {
                 });
                 fft.inverse_serial(a);
                 // f = (ρ ε_xc, v_xc) per point
-                pointwise(f, 1, |i, f| {
-                    let r = rho[i].max(0.0);
-                    let (eps, v) = lda_exc_vxc(r);
-                    f[0] = c64::new(r * eps, v);
+                pointwise(f, 1, |first, f| {
+                    let n = f.len();
+                    let mut r = [0.0; CHUNK];
+                    for (r, &rho) in r.iter_mut().zip(&rho[first..first + n]) {
+                        *r = rho.max(0.0);
+                    }
+                    let (mut eps, mut v) = ([0.0; CHUNK], [0.0; CHUNK]);
+                    lda_chunk::<CHUNK>(&r[..n], &mut eps[..n], &mut v[..n]);
+                    for (k, f) in f.iter_mut().enumerate() {
+                        *f = c64::new(r[k] * eps[k], v[k]);
+                    }
                 });
                 for (i, (f, rider)) in f.iter().zip(a.iter()).enumerate() {
                     e += f.re;
@@ -191,12 +198,27 @@ impl XcGridEvaluator {
                 let (w, z_rider) = fields.split_at_mut(3 * n);
                 // ρ(G) is spent: f takes the functional's three numbers
                 let (xy, zr) = (&w[2 * n..], &*z_rider);
-                pointwise(f, 2, |i, f| {
-                    let (gx, gy, gz) = (xy[i].re, xy[i].im, zr[i].re);
-                    let r = rho[i].max(0.0);
-                    let (eps, dfdr, dfds) = pbe_exc_vxc(r, gx * gx + gy * gy + gz * gz);
-                    f[0] = c64::new(r * eps, dfdr);
-                    f[1] = c64::real(dfds);
+                pointwise(f, 2, |first, f| {
+                    let n = f.len() / 2;
+                    let (mut r, mut sigma) = ([0.0; CHUNK], [0.0; CHUNK]);
+                    for k in 0..n {
+                        let i = first + k;
+                        let (gx, gy, gz) = (xy[i].re, xy[i].im, zr[i].re);
+                        r[k] = rho[i].max(0.0);
+                        sigma[k] = gx * gx + gy * gy + gz * gz;
+                    }
+                    let (mut eps, mut dfdr, mut dfds) = ([0.0; CHUNK], [0.0; CHUNK], [0.0; CHUNK]);
+                    pbe_chunk::<CHUNK>(
+                        &r[..n],
+                        &sigma[..n],
+                        &mut eps[..n],
+                        &mut dfdr[..n],
+                        &mut dfds[..n],
+                    );
+                    for (k, f) in f.chunks_exact_mut(2).enumerate() {
+                        f[0] = c64::new(r[k] * eps[k], dfdr[k]);
+                        f[1] = c64::real(dfds[k]);
+                    }
                 });
                 let (wy, rest) = w.split_at_mut(n);
                 let (wz, wx) = rest.split_at_mut(n);
@@ -286,7 +308,7 @@ mod tests {
         let s = Setup::new(XcKind::Lda, n, 10.0);
         let rho = vec![0.3; n * n * n];
         let (e, v) = s.evaluate(&rho);
-        let (eps, vv) = lda_exc_vxc(0.3);
+        let (eps, vv) = crate::lda_exc_vxc(0.3);
         let want_e = 0.3 * eps * 1000.0;
         assert!((e - want_e).abs() < 1e-10 * want_e.abs());
         for &vi in &v {

@@ -8,8 +8,9 @@
 //!   (σ = |∇ρ|²). The short-range Fock part lives in `pt-ham`.
 //!
 //! Derivative strategy: every partial is analytic — one fused
-//! `(ε_xc, ∂f/∂ρ, ∂f/∂σ)` evaluation per grid point ([`pbe_exc_vxc`],
-//! [`lda_exc_vxc`]). The finite-difference stencils of the energy density
+//! `(ε_xc, ∂f/∂ρ, ∂f/∂σ)` evaluation per grid point, run stage by stage
+//! over a chunk of points on the grid ([`pbe_exc_vxc`] and [`lda_exc_vxc`]
+//! are its one-point case). The finite-difference stencils of the energy density
 //! that used to stand in for the PBE chain survive as test oracles only:
 //! they pin the closed forms, and the closed forms in turn are free of the
 //! stencils' round-off floor where `∂f/∂σ` is small.
